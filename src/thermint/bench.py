@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .continuous import ThermoState, Trajectory, continuous_rhs
+from .continuous import ThermoState, Trajectory, continuous_rhs, first_order_rhs
 from .discrete import discrete_momenta, midpoint_discretize
 from .errors import ConfigError
 from .solve import NewtonConfig, initialize, integrate
@@ -38,17 +38,17 @@ __all__ = [
 METHODS = ("variational", "rk2", "reference")
 
 
-def _rhs_raw(sys, q, v, S):
-    qd, vd, Sd = continuous_rhs(sys, ThermoState(q, v, S))
-    return qd, vd, Sd
+def _rk2_step(sys, q, v, S, h):
+    """One explicit midpoint (RK2) step on raw (q, v, S)."""
+    k1q, k1v, k1S = continuous_rhs(sys, ThermoState(q, v, S))
+    k2q, k2v, k2S = continuous_rhs(
+        sys, ThermoState(q + 0.5 * h * k1q, v + 0.5 * h * k1v, S + 0.5 * h * k1S))
+    return q + h * k2q, v + h * k2v, S + h * k2S
 
 
 def rk2_midpoint(sys, state, h):
     """One explicit midpoint (RK2) step on (q, v, S)."""
-    q, v, S = state.q, state.v, state.S
-    k1q, k1v, k1S = _rhs_raw(sys, q, v, S)
-    k2q, k2v, k2S = _rhs_raw(sys, q + 0.5 * h * k1q, v + 0.5 * h * k1v, S + 0.5 * h * k1S)
-    return ThermoState(q + h * k2q, v + h * k2v, S + h * k2S)
+    return ThermoState(*_rk2_step(sys, state.q, state.v, state.S, h))
 
 
 def rk2_integrate(sys, state0, h, N):
@@ -60,11 +60,7 @@ def rk2_integrate(sys, state0, h, N):
     q, v, S = state0.q.copy(), state0.v.copy(), state0.S
     qs[0], vs[0], Ss[0] = q, v, S
     for k in range(N):
-        k1q, k1v, k1S = _rhs_raw(sys, q, v, S)
-        k2q, k2v, k2S = _rhs_raw(sys, q + 0.5 * h * k1q, v + 0.5 * h * k1v, S + 0.5 * h * k1S)
-        q = q + h * k2q
-        v = v + h * k2v
-        S = S + h * k2S
+        q, v, S = _rk2_step(sys, q, v, S, h)
         qs[k + 1], vs[k + 1], Ss[k + 1] = q, v, S
     return Trajectory(h=h, times=h * np.arange(N + 1), qs=qs, vs=vs, Ss=Ss)
 
@@ -84,13 +80,9 @@ def reference_integrate(sys, state0, t_final, rtol=1e-10, atol=1e-10, h=None):
     if h is None:
         raise ConfigError("a grid step h is required when t_final > 0")
 
-    def fun(t, y):
-        qd, vd, Sd = _rhs_raw(sys, y[:n], y[n : 2 * n], y[2 * n])
-        return np.concatenate([qd, vd, [Sd]])
-
     y0 = np.concatenate([state0.q, state0.v, [state0.S]])
-    sol = solve_ivp(fun, (0.0, t_final), y0, method="RK45", rtol=rtol, atol=atol,
-                    dense_output=True)
+    sol = solve_ivp(first_order_rhs(sys), (0.0, t_final), y0, method="RK45", rtol=rtol,
+                    atol=atol, dense_output=True)
     if not sol.success:
         raise ConfigError(f"reference integration failed: {sol.message}")
     N = int(round(t_final / h))
@@ -324,14 +316,9 @@ def run_experiment(cfg):
             qs = path.qs
             Ss = path.Ss
             vs = _velocity_estimate(path, cfg.v0)
-            hp, hm, hv = hamiltonian_estimates(entry, d, path)
-            H_dev = {
-                "p_plus": float(np.max(np.abs(hp - H0))),
-                "p_minus": float(np.max(np.abs(hm - H0))),
-                "velocity": float(np.max(np.abs(hv - H0))),
-            }
-            Hcols = (np.concatenate([[H0], hp]), np.concatenate([[H0], hm]),
-                     np.concatenate([[H0], hv]))
+            series = dict(zip(("p_plus", "p_minus", "velocity"),
+                              hamiltonian_estimates(entry, d, path)))
+            Hcols = tuple(np.concatenate([[H0], x]) for x in series.values())
         else:
             state0 = ThermoState(cfg.q0, cfg.v0, cfg.S0)
             if method == "rk2":
@@ -341,13 +328,13 @@ def run_experiment(cfg):
                                            cfg.rtol, cfg.atol, h=cfg.h)
             qs, vs, Ss = traj.qs, traj.vs, traj.Ss
             hseries = np.array([entry.H(qs[k], vs[k], Ss[k]) for k in range(N + 1)])
-            H_dev = {"velocity": float(np.max(np.abs(hseries - H0)))}
+            series = {"velocity": hseries}
             Hcols = (hseries, hseries, hseries)
         runtime = time.perf_counter() - t0
         report.methods[method] = MethodErrors(
             max_pos_err=float(np.max(np.abs(qs - qref))),
             max_S_err=float(np.max(np.abs(Ss - Sref))),
-            H_dev=H_dev,
+            H_dev={k: float(np.max(np.abs(x - H0))) for k, x in series.items()},
             runtime=runtime,
         )
         tables[method] = (ts, qs, vs, Ss) + Hcols

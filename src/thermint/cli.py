@@ -38,12 +38,7 @@ def _experiment_config(args, default_system="oscillator", default_methods=("vari
     methods = raw.pop("methods", list(default_methods))
     if isinstance(methods, str):
         methods = [methods]
-    params = {}
-    if "gamma" in raw:
-        params["gamma"] = raw.pop("gamma")
-    for key in ("c", "a_hat", "b_hat"):
-        if key in raw:
-            params[key] = raw.pop(key)
+    params = {key: raw.pop(key) for key in ("gamma", "c", "a_hat", "b_hat") if key in raw}
     defaults = {"h": 0.01, "t_final": 1000.0 if system == "oscillator" else 100.0}
     for key, val in defaults.items():
         raw.setdefault(key, val)
@@ -82,29 +77,7 @@ def _cmd_table(args):
     h_list = [float(x) for x in args.h_list.split(",")]
     gamma = args.gamma if args.gamma is not None else 0.1
 
-    if args.which in ("position", "entropy", "hamiltonian"):
-        rows = []
-        for h in h_list:
-            cfg = ExperimentConfig(system="oscillator", params={"gamma": gamma}, h=h,
-                                   t_final=args.t_final or 1000.0,
-                                   methods=("variational", "rk2"))
-            rep = run_experiment(cfg)
-            rows.append((h, rep))
-        if args.which == "position":
-            print("h,variational,midpoint")
-            for h, rep in rows:
-                print(f"{h:g},{rep.methods['variational'].max_pos_err:.4e},"
-                      f"{rep.methods['rk2'].max_pos_err:.4e}")
-        elif args.which == "entropy":
-            _entropy_table(h_list, gamma, args.t_final or 1000.0, args.window)
-        else:
-            print("h,H_p_plus,H_p_minus,H_velocity,H_midpoint")
-            for h, rep in rows:
-                var = rep.methods["variational"].H_dev
-                rk2 = rep.methods["rk2"].H_dev
-                print(f"{h:g},{var['p_plus']:.4e},{var['p_minus']:.4e},"
-                      f"{var['velocity']:.4e},{rk2['velocity']:.4e}")
-    else:  # gas
+    if args.which == "gas":
         for system in ("ideal-gas", "van-der-waals"):
             cfg = ExperimentConfig(system=system, h=args.h or 0.01,
                                    t_final=args.t_final or 100.0,
@@ -115,30 +88,32 @@ def _cmd_table(args):
                   f"entropy {var.max_S_err:.4g} / {rk2.max_S_err:.4g}, "
                   f"H {var.H_dev['p_plus']:.4g} / {rk2.H_dev['velocity']:.4g} "
                   f"(variational / midpoint)")
-    return 0
+        return 0
 
-
-def _entropy_table(h_list, gamma, t_final, window):
-    from .bench import rk2_integrate
-    from .continuous import ThermoState
-    from .discrete import midpoint_discretize
-    from .solve import NewtonConfig, initialize, integrate
-
-    print(f"h,variational,midpoint   (first {window} steps)")
+    print({"position": "h,variational,midpoint",
+           "entropy": f"h,variational,midpoint   (first {args.window} steps)",
+           "hamiltonian": "h,H_p_plus,H_p_minus,H_velocity,H_midpoint"}[args.which])
+    t_final = args.t_final or 1000.0
     for h in h_list:
-        entry = get_system("oscillator", gamma=gamma)
-        sol = entry.exact_solution([0.0], [1.0], 0.0)
-        d = midpoint_discretize(entry.lagrangian, h)
-        q0, q1, S0 = initialize(entry, [0.0], [1.0], 0.0, h, "exact")
-        N = int(round(t_final / h))
-        w = min(window, N)
-        path = integrate(d, q0, q1, S0, N, NewtonConfig(tol=1e-12))
-        traj = rk2_integrate(entry.lagrangian, ThermoState([0.0], [1.0], 0.0), h, N)
-        ts = h * np.arange(w + 1)
-        Sex = sol.entropy(ts)
-        e_var = float(np.max(np.abs(path.Ss[: w + 1] - Sex)))
-        e_rk2 = float(np.max(np.abs(traj.Ss[: w + 1] - Sex)))
-        print(f"{h:g},{e_var:.4e},{e_rk2:.4e}")
+        horizon, tol = t_final, None
+        if args.which == "entropy":
+            # only the reported window is integrated: the first steps of a
+            # path do not depend on the horizon
+            horizon, tol = min(args.window, int(round(t_final / h))) * h, 1e-12
+        cfg = ExperimentConfig(system="oscillator", params={"gamma": gamma}, h=h,
+                               t_final=horizon, methods=("variational", "rk2"),
+                               newton_tol=tol)
+        rep = run_experiment(cfg)
+        var, rk2 = rep.methods["variational"], rep.methods["rk2"]
+        if args.which == "position":
+            cells = (var.max_pos_err, rk2.max_pos_err)
+        elif args.which == "entropy":
+            cells = (var.max_S_err, rk2.max_S_err)
+        else:
+            cells = (var.H_dev["p_plus"], var.H_dev["p_minus"], var.H_dev["velocity"],
+                     rk2.H_dev["velocity"])
+        print(",".join([f"{h:g}"] + [f"{x:.4e}" for x in cells]))
+    return 0
 
 
 def _cmd_geometry_check(args):

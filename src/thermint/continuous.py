@@ -21,6 +21,7 @@ __all__ = [
     "temperature",
     "legendre",
     "continuous_rhs",
+    "first_order_rhs",
     "noether_lift_check",
     "conserved_along",
     "fd_gradient",
@@ -180,8 +181,7 @@ def _dLdv_q_jacobian(sys, q, v, S):
 def _dLdv_S_derivative(sys, q, v, S):
     if sys.d2LdvdS is not None:
         return np.asarray(sys.d2LdvdS(q, v, S), dtype=float)
-    d = FD_STEP * (1.0 + abs(S))
-    return (np.asarray(sys.dLdv(q, v, S + d)) - np.asarray(sys.dLdv(q, v, S - d))) / (2 * d)
+    return fd_gradient(lambda s: sys.dLdv(q, v, s[0]), [S])[..., 0]
 
 
 def continuous_rhs(sys, state):
@@ -209,6 +209,17 @@ def continuous_rhs(sys, state):
         W = _velocity_hessian(sys, q, v, S)
         vdot = np.linalg.solve(W, rhs)
     return v.copy(), vdot, Sdot
+
+
+def first_order_rhs(sys):
+    """The equations of motion as ``(t, y) -> dy/dt`` on y = (q, v, S), for ODE solvers."""
+    n = sys.n
+
+    def fun(t, y):
+        qd, vd, Sd = continuous_rhs(sys, ThermoState(y[:n], y[n : 2 * n], y[2 * n]))
+        return np.concatenate([qd, vd, [Sd]])
+
+    return fun
 
 
 def noether_lift_check(sys, X, X_jac, states, tol=1e-10):

@@ -13,15 +13,23 @@ Matrix/index conventions used for all second partials:
     (Daffr)[i, j]  = d(ffr)_i  / d(q_a)_j
 
 so D1D2Ld is the transpose of D2D1Ld for a smooth Ld.  Every second
-partial is optional; consumers fall back to central finite differences
-with step ``cbrt(eps) * (1 + |x|)``.
+partial is optional; consumers fall back to `continuous.fd_gradient`
+(central differences with step ``cbrt(eps) * (1 + |x|)``).
+
+One step of the discrete equations only needs the two Legendre
+covectors pi_minus = -D1Ld - ffr_minus/2 and pi_plus = D2Ld + ffr_plus/2,
+the semiregularity matrix d(pi_minus)/dq1 and the entropy increment.
+These four callables are always present on a `DiscreteThermoSystem`:
+`midpoint_discretize` supplies fused one-pass versions, and any other
+system gets the generic combinations of its slot derivatives at
+construction, with the finite-difference fallback for the matrix.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .continuous import FD_STEP
+from .continuous import fd_gradient
 from .errors import TemperatureDegenerateError
 
 __all__ = [
@@ -76,7 +84,9 @@ class DiscreteTriple:
 class DiscreteThermoSystem:
     """Discrete Lagrangian, friction covectors and optional second partials.
 
-    All callables take ``(q0, q1, S0)``.
+    All callables take ``(q0, q1, S0)``.  The four stepping-kernel fields
+    (``pi_minus``, ``pi_plus``, ``pi_minus_dq1``, ``entropy_increment``)
+    may be left out; they are then derived from the slot derivatives.
     """
 
     n: int
@@ -105,14 +115,22 @@ class DiscreteThermoSystem:
     DSffr_minus: callable = None
     DSffr_plus: callable = None
 
-    # fused Legendre-covector callables, optional; algebraically equal to
-    # the combinations they name but evaluated in one pass (hot loops)
+    # the stepping kernel; a fused version evaluates the combination it
+    # names in one pass, a missing one is derived in __post_init__
     pi_minus: callable = None           # -D1Ld - ffr_minus/2
     pi_plus: callable = None            # D2Ld + ffr_plus/2
     pi_minus_dq1: callable = None       # d(pi_minus)/dq1, the semiregularity matrix
     entropy_increment: callable = None  # S1 - S0 on a triple
 
     name: str = ""
+
+    def __post_init__(self):
+        # a derived callable closes over the fields it was built from, so
+        # it is rebuilt when a copy (dataclasses.replace) changes them
+        for attr, fn in _generic_kernel(self).items():
+            current = getattr(self, attr)
+            if current is None or getattr(current, "generic", False):
+                setattr(self, attr, fn)
 
 
 @dataclass
@@ -162,39 +180,63 @@ class DiscretePath:
 
 
 # ---------------------------------------------------------------------------
-# finite-difference fallbacks for missing second partials
+# second partials with the finite-difference fallback, and the generic kernel
 
 
-def _fd_jac(fn, q0, q1, S0, slot):
-    """Jacobian [i, j] = d fn_i / d (q_slot)_j by central differences."""
-    base = [np.array(q0, dtype=float), np.array(q1, dtype=float)]
-    x = base[slot]
-    cols = []
-    for j in range(x.shape[0]):
-        dlt = FD_STEP * (1.0 + abs(x[j]))
-        x[j] += dlt
-        up = np.asarray(fn(base[0], base[1], S0), dtype=float)
-        x[j] -= 2 * dlt
-        dn = np.asarray(fn(base[0], base[1], S0), dtype=float)
-        x[j] += dlt
-        cols.append((up - dn) / (2 * dlt))
-    return np.stack(cols, axis=-1)
+def _partial(analytic, fn, slot):
+    """``analytic`` if supplied, else the central-difference partial of
+    ``fn`` in one argument slot ("q0", "q1" or "S0"),
+    [i, j] = d fn_i / d (slot)_j."""
+    if analytic is not None:
+        return analytic
+    if slot == "q0":
+        return lambda q0, q1, S0: fd_gradient(lambda x: fn(x, q1, S0), q0)
+    if slot == "q1":
+        return lambda q0, q1, S0: fd_gradient(lambda x: fn(q0, x, S0), q1)
+    return lambda q0, q1, S0: fd_gradient(lambda s: fn(q0, q1, s[0]), [S0])[..., 0]
 
 
-def _fd_dS(fn, q0, q1, S0):
-    dlt = FD_STEP * (1.0 + abs(S0))
-    up = np.asarray(fn(q0, q1, S0 + dlt), dtype=float)
-    dn = np.asarray(fn(q0, q1, S0 - dlt), dtype=float)
-    return (up - dn) / (2 * dlt)
+def _second(analytic, fn, slot, t):
+    """A second partial evaluated on the triple t."""
+    return np.asarray(_partial(analytic, fn, slot)(t.q0, t.q1, t.S0), dtype=float)
 
 
-def _second(d, attr, fn, q0, q1, S0, slot=None):
-    cal = getattr(d, attr)
-    if cal is not None:
-        return np.asarray(cal(q0, q1, S0), dtype=float)
-    if slot is None:
-        return _fd_dS(fn, q0, q1, S0)
-    return _fd_jac(fn, q0, q1, S0, slot)
+def _generic_kernel(d):
+    """The four stepping-kernel callables built from the slot derivatives."""
+    D1Ld, D2Ld, DSLd = d.D1Ld, d.D2Ld, d.DSLd
+    ffr_minus, ffr_plus = d.ffr_minus, d.ffr_plus
+    d2d1 = _partial(d.D2D1Ld, D1Ld, "q1")
+    d2f = _partial(d.D2ffr_minus, ffr_minus, "q1")
+    shared = ffr_minus is ffr_plus
+
+    def pi_minus(q0, q1, S0):
+        return (-np.asarray(D1Ld(q0, q1, S0), dtype=float)
+                - 0.5 * np.asarray(ffr_minus(q0, q1, S0), dtype=float))
+
+    def pi_plus(q0, q1, S0):
+        return (np.asarray(D2Ld(q0, q1, S0), dtype=float)
+                + 0.5 * np.asarray(ffr_plus(q0, q1, S0), dtype=float))
+
+    def pi_minus_dq1(q0, q1, S0):
+        return (-np.asarray(d2d1(q0, q1, S0), dtype=float)
+                - 0.5 * np.asarray(d2f(q0, q1, S0), dtype=float))
+
+    def entropy_increment(q0, q1, S0):
+        # (ffr_plus . q1 - ffr_minus . q0) / DSLd; a shared covector f is
+        # paired as f . (q1 - q0), the same quantity without cancellation
+        # at large coordinates.  A zero DSLd raises ZeroDivisionError.
+        dsl = float(DSLd(q0, q1, S0))
+        if shared:
+            num = float(ffr_plus(q0, q1, S0) @ (q1 - q0))
+        else:
+            num = float(ffr_plus(q0, q1, S0) @ q1 - ffr_minus(q0, q1, S0) @ q0)
+        return num / dsl
+
+    kernel = {"pi_minus": pi_minus, "pi_plus": pi_plus,
+              "pi_minus_dq1": pi_minus_dq1, "entropy_increment": entropy_increment}
+    for fn in kernel.values():
+        fn.generic = True
+    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +274,27 @@ def midpoint_discretize(sys, h):
         sys.check_domain(m)
         return 0.5 * np.asarray(sys.dLdq(m, w, S0)) + np.asarray(sys.dLdv(m, w, S0)) / h
 
-    def DSLd(q0, q1, S0):
-        m, w = mid(q0, q1)
-        return float(sys.dLdS(m, w, S0))
+    def at_mid(fn, cast):
+        # a field of (q, v, S) evaluated at the midpoint substitution
+        def f(q0, q1, S0):
+            m, w = mid(q0, q1)
+            return cast(fn(m, w, S0))
+        return f
 
-    def ffr(q0, q1, S0):
-        m, w = mid(q0, q1)
-        return np.asarray(sys.Ffr(m, w, S0), dtype=float)
+    def chain(dq, dv, cv):
+        # d/dq0 (cv = -1) or d/dq1 (cv = 1) of a field evaluated at the
+        # midpoint: (1/2) d/dq + (cv/h) d/dv
+        def jac(q0, q1, S0):
+            m, w = mid(q0, q1)
+            return (0.5 * np.asarray(dq(m, w, S0), dtype=float)
+                    + (cv / h) * np.asarray(dv(m, w, S0), dtype=float))
+        return jac
 
+    def array(x):
+        return np.asarray(x, dtype=float)
+
+    DSLd = at_mid(sys.dLdS, float)
+    ffr = at_mid(sys.Ffr, array)
     kw = {}
     if sys.d2Ldq2 is not None and sys.d2Ldv2 is not None:
         # d2L/dqdv defaults to zero when not supplied (true for all the
@@ -267,39 +322,33 @@ def midpoint_discretize(sys, h):
         kw["D1D2Ld"] = make_ldd(1, 1, 1, -1)
         kw["D2D2Ld"] = make_ldd(1, 1, 1, 1)
 
-    if sys.d2LdqdS is not None and sys.d2LdvdS is not None:
-        def make_lsd(cv):
-            def vec(q0, q1, S0):
+        if sys.dFfrdq is not None and sys.dFfrdv is not None:
+            # fused semiregularity matrix -D2D1Ld - D2ffr_minus/2
+            def pi_minus_dq1(q0, q1, S0):
                 m, w = mid(q0, q1)
-                return (0.5 * np.asarray(sys.d2LdqdS(m, w, S0), dtype=float)
-                        + (cv / h) * np.asarray(sys.d2LdvdS(m, w, S0), dtype=float))
-            return vec
+                qq = np.asarray(sys.d2Ldq2(m, w, S0), dtype=float)
+                vv = np.asarray(sys.d2Ldv2(m, w, S0), dtype=float)
+                qv = lqv(m, w, S0)
+                fq = np.asarray(sys.dFfrdq(m, w, S0), dtype=float)
+                fv = np.asarray(sys.dFfrdv(m, w, S0), dtype=float)
+                return (vv / (h * h) - 0.25 * qq - (0.5 / h) * qv + (0.5 / h) * qv.T
+                        - 0.25 * fq - (0.5 / h) * fv)
 
-        kw["DSD1Ld"] = make_lsd(-1)
-        kw["DSD2Ld"] = make_lsd(1)
+            kw["pi_minus_dq1"] = pi_minus_dq1
+
+    if sys.d2LdqdS is not None and sys.d2LdvdS is not None:
+        kw["DSD1Ld"] = chain(sys.d2LdqdS, sys.d2LdvdS, -1)
+        kw["DSD2Ld"] = chain(sys.d2LdqdS, sys.d2LdvdS, 1)
 
     if sys.d2LdS2 is not None:
-        def dsds(q0, q1, S0):
-            m, w = mid(q0, q1)
-            return float(sys.d2LdS2(m, w, S0))
-        kw["DSDSLd"] = dsds
+        kw["DSDSLd"] = at_mid(sys.d2LdS2, float)
 
     if sys.dFfrdq is not None and sys.dFfrdv is not None:
-        def make_fd(cv):
-            def jac(q0, q1, S0):
-                m, w = mid(q0, q1)
-                return (0.5 * np.asarray(sys.dFfrdq(m, w, S0), dtype=float)
-                        + (cv / h) * np.asarray(sys.dFfrdv(m, w, S0), dtype=float))
-            return jac
-
-        kw["D1ffr_minus"] = kw["D1ffr_plus"] = make_fd(-1)
-        kw["D2ffr_minus"] = kw["D2ffr_plus"] = make_fd(1)
+        kw["D1ffr_minus"] = kw["D1ffr_plus"] = chain(sys.dFfrdq, sys.dFfrdv, -1)
+        kw["D2ffr_minus"] = kw["D2ffr_plus"] = chain(sys.dFfrdq, sys.dFfrdv, 1)
 
     if sys.dFfrdS is not None:
-        def fds(q0, q1, S0):
-            m, w = mid(q0, q1)
-            return np.asarray(sys.dFfrdS(m, w, S0), dtype=float)
-        kw["DSffr_minus"] = kw["DSffr_plus"] = fds
+        kw["DSffr_minus"] = kw["DSffr_plus"] = at_mid(sys.dFfrdS, array)
 
     # fused covectors of the two Legendre maps (single midpoint pass)
     def pi_minus(q0, q1, S0):
@@ -320,28 +369,10 @@ def midpoint_discretize(sys, h):
         m, w = mid(q0, q1)
         return float(np.asarray(sys.Ffr(m, w, S0)) @ (q1 - q0)) / float(sys.dLdS(m, w, S0))
 
-    kw["pi_minus"] = pi_minus
-    kw["pi_plus"] = pi_plus
-    kw["entropy_increment"] = entropy_increment
-
-    if sys.d2Ldq2 is not None and sys.d2Ldv2 is not None and sys.dFfrdq is not None \
-            and sys.dFfrdv is not None:
-        def pi_minus_dq1(q0, q1, S0):
-            m, w = mid(q0, q1)
-            qq = np.asarray(sys.d2Ldq2(m, w, S0), dtype=float)
-            vv = np.asarray(sys.d2Ldv2(m, w, S0), dtype=float)
-            qv = (np.zeros((n, n)) if sys.d2Ldqdv is None
-                  else np.asarray(sys.d2Ldqdv(m, w, S0), dtype=float))
-            fq = np.asarray(sys.dFfrdq(m, w, S0), dtype=float)
-            fv = np.asarray(sys.dFfrdv(m, w, S0), dtype=float)
-            return (vv / (h * h) - 0.25 * qq - (0.5 / h) * qv + (0.5 / h) * qv.T
-                    - 0.25 * fq - (0.5 / h) * fv)
-
-        kw["pi_minus_dq1"] = pi_minus_dq1
-
     return DiscreteThermoSystem(
         n=n, h=h, Ld=Ld, D1Ld=D1Ld, D2Ld=D2Ld, DSLd=DSLd,
-        ffr_minus=ffr, ffr_plus=ffr, name=sys.name, **kw,
+        ffr_minus=ffr, ffr_plus=ffr, pi_minus=pi_minus, pi_plus=pi_plus,
+        entropy_increment=entropy_increment, name=sys.name, **kw,
     )
 
 
@@ -349,39 +380,23 @@ def midpoint_discretize(sys, h):
 # core one-step objects
 
 
-def _checked_DSLd(d, q0, q1, S0):
-    val = float(d.DSLd(q0, q1, S0))
-    if val == 0.0:
-        raise TemperatureDegenerateError("D_S Ld vanishes: entropy update singular")
-    return val
-
-
 def entropy_update(d, t):
     """Entropy after one step: the phenomenological-constraint update.
 
         S1 = S0 + (ffr_plus . q1 - ffr_minus . q0) / DSLd
 
-    evaluated on the triple.  When the two covectors are one shared value
-    f the numerator is computed as f . (q1 - q0), which is the exact same
-    quantity without large-coordinate cancellation.
+    evaluated on the triple through the system's entropy increment.
     """
-    q0, q1, S0 = t.q0, t.q1, t.S0
-    if d.entropy_increment is not None:
-        try:
-            return S0 + d.entropy_increment(q0, q1, S0)
-        except ZeroDivisionError:
-            raise TemperatureDegenerateError(
-                "D_S Ld vanishes: entropy update singular") from None
-    dsl = _checked_DSLd(d, q0, q1, S0)
-    if d.ffr_minus is d.ffr_plus:
-        num = float(d.ffr_plus(q0, q1, S0) @ (q1 - q0))
-    else:
-        num = float(d.ffr_plus(q0, q1, S0) @ q1 - d.ffr_minus(q0, q1, S0) @ q0)
-    return S0 + num / dsl
+    try:
+        return t.S0 + d.entropy_increment(t.q0, t.q1, t.S0)
+    except ZeroDivisionError:
+        raise TemperatureDegenerateError(
+            "D_S Ld vanishes: entropy update singular") from None
 
 
 def del_residual(d, q_prev, q_curr, S_prev, q_next, S_curr):
-    """Residual covector of the discrete Euler-Lagrange equations.
+    """Residual covector of the discrete Euler-Lagrange equations,
+    pi_plus(q_prev, q_curr, S_prev) - pi_minus(q_curr, q_next, S_curr).
 
     Zero exactly when (q_prev, q_curr, q_next) with entropies
     (S_prev, S_curr) is a solution step.
@@ -389,10 +404,8 @@ def del_residual(d, q_prev, q_curr, S_prev, q_next, S_curr):
     q_prev = np.atleast_1d(np.asarray(q_prev, dtype=float))
     q_curr = np.atleast_1d(np.asarray(q_curr, dtype=float))
     q_next = np.atleast_1d(np.asarray(q_next, dtype=float))
-    return (np.asarray(d.D1Ld(q_curr, q_next, S_curr), dtype=float)
-            + 0.5 * np.asarray(d.ffr_minus(q_curr, q_next, S_curr), dtype=float)
-            + np.asarray(d.D2Ld(q_prev, q_curr, S_prev), dtype=float)
-            + 0.5 * np.asarray(d.ffr_plus(q_prev, q_curr, S_prev), dtype=float))
+    return (np.asarray(d.pi_plus(q_prev, q_curr, S_prev), dtype=float)
+            - np.asarray(d.pi_minus(q_curr, q_next, S_curr), dtype=float))
 
 
 def ddel_map(d, q_prev, q_curr, q_next, S_prev, S_curr):
@@ -402,25 +415,15 @@ def ddel_map(d, q_prev, q_curr, q_next, S_prev, S_curr):
 
 def legendre_minus(d, t):
     """Minus Legendre transform: (q0, -D1Ld - ffr_minus/2, S0)."""
-    q0, q1, S0 = t.q0, t.q1, t.S0
-    if d.pi_minus is not None:
-        cov = np.asarray(d.pi_minus(q0, q1, S0), dtype=float)
-    else:
-        cov = -np.asarray(d.D1Ld(q0, q1, S0), dtype=float) - 0.5 * np.asarray(
-            d.ffr_minus(q0, q1, S0), dtype=float)
-    return q0.copy(), cov, S0
+    cov = np.asarray(d.pi_minus(t.q0, t.q1, t.S0), dtype=float)
+    return t.q0.copy(), cov, t.S0
 
 
 def legendre_plus(d, t):
     """Plus Legendre transform: (q1, D2Ld + ffr_plus/2, entropy update)."""
-    q0, q1, S0 = t.q0, t.q1, t.S0
     S1 = entropy_update(d, t)
-    if d.pi_plus is not None:
-        cov = np.asarray(d.pi_plus(q0, q1, S0), dtype=float)
-    else:
-        cov = np.asarray(d.D2Ld(q0, q1, S0), dtype=float) + 0.5 * np.asarray(
-            d.ffr_plus(q0, q1, S0), dtype=float)
-    return q1.copy(), cov, S1
+    cov = np.asarray(d.pi_plus(t.q0, t.q1, t.S0), dtype=float)
+    return t.q1.copy(), cov, S1
 
 
 def discrete_momenta(d, t):
@@ -437,38 +440,20 @@ def semiregularity_matrix(d, t):
     """-D2D1Ld - D2ffr_minus/2; invertibility makes the minus transform
     a local diffeomorphism.  Its negative is the Newton Jacobian of
     `del_residual` in q_next."""
-    q0, q1, S0 = t.q0, t.q1, t.S0
-    if d.pi_minus_dq1 is not None:
-        return np.asarray(d.pi_minus_dq1(q0, q1, S0), dtype=float)
-    m = _second(d, "D2D1Ld", d.D1Ld, q0, q1, S0, slot=1)
-    f = _second(d, "D2ffr_minus", d.ffr_minus, q0, q1, S0, slot=1)
-    return -m - 0.5 * f
+    return np.asarray(d.pi_minus_dq1(t.q0, t.q1, t.S0), dtype=float)
 
 
 def discrete_flow(d, t, cfg=None):
     """One step of the discrete Lagrangian flow.
 
     Maps (q0, q1, S0) to (q1, q2, S1) where S1 is the entropy update and
-    q2 is the Newton root of the discrete Euler-Lagrange residual.
+    q2 is the Newton root of the discrete Euler-Lagrange residual; the
+    step is the same one `integrate` takes (`solve.solve_step`).
     """
-    from .solve import NewtonConfig, newton_solve
+    from .solve import NewtonConfig, solve_step
 
-    cfg = cfg or NewtonConfig()
-    q0, q1, S0 = t.q0, t.q1, t.S0
-    S1 = entropy_update(d, t)
-    const = (np.asarray(d.D2Ld(q0, q1, S0), dtype=float)
-             + 0.5 * np.asarray(d.ffr_plus(q0, q1, S0), dtype=float))
-
-    def residual(x):
-        return (np.asarray(d.D1Ld(q1, x, S1), dtype=float)
-                + 0.5 * np.asarray(d.ffr_minus(q1, x, S1), dtype=float)
-                + const)
-
-    def jacobian(x):
-        return -semiregularity_matrix(d, DiscreteTriple(q1, x, S1))
-
-    q2, _ = newton_solve(residual, jacobian, 2 * q1 - q0, cfg)
-    return DiscreteTriple(q1, q2, S1)
+    q2, S1 = solve_step(d, t.q0, t.q1, t.S0, cfg or NewtonConfig())
+    return DiscreteTriple(t.q1, q2, S1)
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +468,9 @@ def omega_matrices(d, t):
 
     in the index convention of the module docstring.
     """
-    q0, q1, S0 = t.q0, t.q1, t.S0
-    d1d2 = _second(d, "D1D2Ld", d.D2Ld, q0, q1, S0, slot=0)
-    fplus = _second(d, "D1ffr_plus", d.ffr_plus, q0, q1, S0, slot=0)
-    fminus = _second(d, "D2ffr_minus", d.ffr_minus, q0, q1, S0, slot=1)
+    d1d2 = _second(d.D1D2Ld, d.D2Ld, "q0", t)
+    fplus = _second(d.D1ffr_plus, d.ffr_plus, "q0", t)
+    fminus = _second(d.D2ffr_minus, d.ffr_minus, "q1", t)
     return d1d2 + 0.5 * fplus, d1d2 + 0.5 * fminus
 
 
@@ -499,33 +483,23 @@ def omega_embedded(d, t, side):
     dq0 ^ dq1 block of `omega_matrices`.
     """
     n = d.n
-    q0, q1, S0 = t.q0, t.q1, t.S0
-    Aq = np.zeros((n, 2 * n + 1))
-    Ap = np.empty((n, 2 * n + 1))
     if side == "plus":
-        Aq[:, n : 2 * n] = np.eye(n)
-        d1 = _second(d, "D1D2Ld", d.D2Ld, q0, q1, S0, slot=0)
-        d2 = _second(d, "D2D2Ld", d.D2Ld, q0, q1, S0, slot=1)
-        ds = _second(d, "DSD2Ld", d.D2Ld, q0, q1, S0)
-        f1 = _second(d, "D1ffr_plus", d.ffr_plus, q0, q1, S0, slot=0)
-        f2 = _second(d, "D2ffr_plus", d.ffr_plus, q0, q1, S0, slot=1)
-        fs = _second(d, "DSffr_plus", d.ffr_plus, q0, q1, S0)
-        Ap[:, :n] = d1 + 0.5 * f1
-        Ap[:, n : 2 * n] = d2 + 0.5 * f2
-        Ap[:, 2 * n] = ds + 0.5 * fs
+        # the plus transform: q = q1, p = D2Ld + ffr_plus/2
+        sign, q_cols, cov, ffr = 1.0, slice(n, 2 * n), d.D2Ld, d.ffr_plus
+        seconds = ((d.D1D2Ld, d.D1ffr_plus), (d.D2D2Ld, d.D2ffr_plus), (d.DSD2Ld, d.DSffr_plus))
     elif side == "minus":
-        Aq[:, :n] = np.eye(n)
-        d1 = _second(d, "D1D1Ld", d.D1Ld, q0, q1, S0, slot=0)
-        d2 = _second(d, "D2D1Ld", d.D1Ld, q0, q1, S0, slot=1)
-        ds = _second(d, "DSD1Ld", d.D1Ld, q0, q1, S0)
-        f1 = _second(d, "D1ffr_minus", d.ffr_minus, q0, q1, S0, slot=0)
-        f2 = _second(d, "D2ffr_minus", d.ffr_minus, q0, q1, S0, slot=1)
-        fs = _second(d, "DSffr_minus", d.ffr_minus, q0, q1, S0)
-        Ap[:, :n] = -(d1 + 0.5 * f1)
-        Ap[:, n : 2 * n] = -(d2 + 0.5 * f2)
-        Ap[:, 2 * n] = -(ds + 0.5 * fs)
+        # the minus transform: q = q0, p = -(D1Ld + ffr_minus/2)
+        sign, q_cols, cov, ffr = -1.0, slice(0, n), d.D1Ld, d.ffr_minus
+        seconds = ((d.D1D1Ld, d.D1ffr_minus), (d.D2D1Ld, d.D2ffr_minus),
+                   (d.DSD1Ld, d.DSffr_minus))
     else:
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
+    Aq = np.zeros((n, 2 * n + 1))
+    Aq[:, q_cols] = np.eye(n)
+    Ap = np.empty((n, 2 * n + 1))
+    for cols, slot, (dcov, dffr) in zip((slice(0, n), slice(n, 2 * n), 2 * n),
+                                         ("q0", "q1", "S0"), seconds):
+        Ap[:, cols] = sign * (_second(dcov, cov, slot, t) + 0.5 * _second(dffr, ffr, slot, t))
     return Aq.T @ Ap - Ap.T @ Aq
 
 
@@ -594,13 +568,9 @@ def noether_condition(d, xi, samples, tol=1e-10):
     discrete motion.
     """
     for t in samples:
-        q0, q1, S0 = t.q0, t.q1, t.S0
-        x0 = np.asarray(xi(q0), dtype=float)
-        x1 = np.asarray(xi(q1), dtype=float)
-        val = (np.asarray(d.D1Ld(q0, q1, S0)) @ x0
-               + np.asarray(d.D2Ld(q0, q1, S0)) @ x1
-               + 0.5 * np.asarray(d.ffr_minus(q0, q1, S0)) @ x0
-               + 0.5 * np.asarray(d.ffr_plus(q0, q1, S0)) @ x1)
+        theta_minus, theta_plus = boundary_forms(d, t)
+        val = (theta_plus @ np.asarray(xi(t.q1), dtype=float)
+               - theta_minus @ np.asarray(xi(t.q0), dtype=float))
         if abs(val) > tol:
             return False
     return True
@@ -627,10 +597,7 @@ def discrete_action(d, path, validate=True, constraint_tol=1e-12):
 
 
 def boundary_forms(d, t):
-    """Boundary one-form coefficients (theta_minus on dq0, theta_plus on dq1)."""
-    q0, q1, S0 = t.q0, t.q1, t.S0
-    theta_minus = -(np.asarray(d.D1Ld(q0, q1, S0), dtype=float)
-                    + 0.5 * np.asarray(d.ffr_minus(q0, q1, S0), dtype=float))
-    theta_plus = (np.asarray(d.D2Ld(q0, q1, S0), dtype=float)
-                  + 0.5 * np.asarray(d.ffr_plus(q0, q1, S0), dtype=float))
-    return theta_minus, theta_plus
+    """Boundary one-form coefficients (theta_minus on dq0, theta_plus on dq1):
+    the two Legendre covectors pi_minus and pi_plus."""
+    return (np.asarray(d.pi_minus(t.q0, t.q1, t.S0), dtype=float),
+            np.asarray(d.pi_plus(t.q0, t.q1, t.S0), dtype=float))

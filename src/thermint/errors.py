@@ -2,7 +2,15 @@
 
 
 class ThermintError(Exception):
-    """Base class for all thermint errors."""
+    """Base class for all thermint errors.
+
+    Carries ``step_index`` when raised from a path integration so the
+    caller can tell where the run broke down.
+    """
+
+    def __init__(self, *args, step_index=None):
+        super().__init__(*args)
+        self.step_index = step_index
 
 
 class StructureDegenerateError(ThermintError):
@@ -14,15 +22,7 @@ class TemperatureDegenerateError(ThermintError):
 
 
 class ConvergenceError(ThermintError):
-    """Newton iteration failed to converge.
-
-    Carries ``step_index`` when raised from a path integration so the
-    caller can tell where the run broke down.
-    """
-
-    def __init__(self, message, step_index=None):
-        super().__init__(message)
-        self.step_index = step_index
+    """Newton iteration failed to converge."""
 
 
 class DomainError(ThermintError):

@@ -1,21 +1,33 @@
-"""Newton stepping and path integration for the implicit discrete scheme."""
+"""Newton stepping and path integration for the implicit discrete scheme.
 
+One step of the discrete equations is the momentum match
+
+    pi_minus(q_k, q_{k+1}, S_k) = pi_plus(q_{k-1}, q_k, S_{k-1})
+
+with S_k given explicitly by the entropy update; `solve_step` solves it
+for q_{k+1} with `newton_solve`, the package's only Newton loop.  Both
+`integrate` and `discrete.discrete_flow` take their steps through it.
+"""
+
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .continuous import FD_STEP, ThermoState, continuous_rhs
-from .discrete import DiscretePath, DiscreteTriple, entropy_update, semiregularity_matrix
-from .errors import ConfigError, ConvergenceError
+from .continuous import ThermoState, continuous_rhs, first_order_rhs, fd_gradient
+from .discrete import DiscretePath, DiscreteTriple, entropy_update
+from .errors import ConfigError, ConvergenceError, ThermintError
 
-__all__ = ["NewtonConfig", "StepReport", "newton_solve", "integrate", "initialize"]
+__all__ = ["NewtonConfig", "StepReport", "newton_solve", "solve_step", "integrate",
+           "initialize"]
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class NewtonConfig:
     tol: float = 1e-12        # absolute max-norm residual tolerance
     max_iter: int = 50
-    fd_step: float = FD_STEP  # relative step of the FD Jacobian fallback
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -31,148 +43,101 @@ class StepReport:
     converged: bool
 
 
-def _fd_jacobian(residual, x, r0, step):
-    cols = []
-    for j in range(x.shape[0]):
-        d = step * (1.0 + abs(x[j]))
-        xp = x.copy()
-        xp[j] += d
-        cols.append((np.asarray(residual(xp), dtype=float) - r0) / d)
-    return np.stack(cols, axis=-1)
-
-
 def newton_solve(residual, jacobian, x0, cfg=None):
     """Newton iteration for residual(x) = 0 with max-norm convergence.
 
-    ``jacobian`` may be None, in which case a one-sided finite-difference
-    Jacobian is built from the residual.  Raises ConvergenceError on a
-    singular Jacobian or when max_iter is exhausted.
+    ``jacobian`` may be None, in which case a central-difference Jacobian
+    is built from the residual.  Iteration stops when the residual meets
+    ``cfg.tol``, or when an update is at roundoff level (the residual is
+    then at its attainable floor).  Raises ConvergenceError on a singular
+    Jacobian, a non-finite update, or a residual still above tol at the
+    stop.
     """
     cfg = cfg or NewtonConfig()
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    r = np.atleast_1d(np.asarray(residual(x), dtype=float))
-    rnorm = float(np.max(np.abs(r)))
-    for it in range(cfg.max_iter):
-        if rnorm <= cfg.tol:
-            return x, StepReport(iterations=it, residual_norm=rnorm, converged=True)
-        if jacobian is not None:
-            J = np.atleast_2d(np.asarray(jacobian(x), dtype=float))
+    x = np.array(x0, dtype=float, ndmin=1)
+    # for n = 1 norms are taken on a float, skipping the array reduction
+    # (the hot path of the one-dimensional systems); the value is the same
+    scalar = x.shape[0] == 1
+    r = np.array(residual(x), dtype=float, ndmin=1)
+    rnorm = abs(float(r[0])) if scalar else float(np.max(np.abs(r)))
+    it = 0
+    while rnorm > cfg.tol and it < cfg.max_iter:
+        it += 1
+        J = np.array(fd_gradient(residual, x) if jacobian is None else jacobian(x),
+                     dtype=float, ndmin=2)
+        if scalar:
+            j00 = float(J[0, 0])
+            if j00 == 0.0:
+                raise ConvergenceError("singular Newton Jacobian: zero Jacobian")
+            dx = r / j00
         else:
-            J = _fd_jacobian(residual, x, r, cfg.fd_step)
-        try:
-            dx = np.linalg.solve(J, r)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"singular Newton Jacobian: {exc}") from exc
-        if not np.all(np.isfinite(dx)):
+            try:
+                dx = np.linalg.solve(J, r)
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceError(f"singular Newton Jacobian: {exc}") from exc
+        # the max norm is NaN or inf exactly when some component is
+        dxn = abs(float(dx[0])) if scalar else float(np.max(np.abs(dx)))
+        if not math.isfinite(dxn):
             raise ConvergenceError("non-finite Newton update (singular Jacobian?)")
-        x_new = x - dx
-        stalled = float(np.max(np.abs(dx))) <= 4.0 * np.finfo(float).eps * (
-            1.0 + float(np.max(np.abs(x_new))))
-        x = x_new
-        r = np.atleast_1d(np.asarray(residual(x), dtype=float))
-        rnorm = float(np.max(np.abs(r)))
+        x = x - dx
+        xn = abs(float(x[0])) if scalar else float(np.max(np.abs(x)))
+        stalled = dxn <= 4.0 * _EPS * (1.0 + xn)
+        r = np.array(residual(x), dtype=float, ndmin=1)
+        rnorm = abs(float(r[0])) if scalar else float(np.max(np.abs(r)))
         if stalled:
-            # update at roundoff level: the residual is at its attainable
-            # floor, iterating further cannot improve it
             break
     if rnorm <= cfg.tol:
-        return x, StepReport(iterations=cfg.max_iter, residual_norm=rnorm, converged=True)
+        return x, StepReport(iterations=it, residual_norm=rnorm, converged=True)
     raise ConvergenceError(
-        f"Newton did not reach tol={cfg.tol:.1e} within {cfg.max_iter} iterations "
-        f"(residual {rnorm:.3e})"
-    )
+        f"Newton residual {rnorm:.3e} above tol {cfg.tol:.1e} after {it} iterations")
+
+
+def solve_step(d, q_prev, q_curr, S_prev, cfg):
+    """One step of the discrete equations: ``(q_next, S_curr)``.
+
+    S_curr is the entropy update of the triple (q_prev, q_curr, S_prev);
+    q_next is the Newton root of pi_minus(q_curr, x, S_curr) = pi_plus(
+    q_prev, q_curr, S_prev), warm-started at the linear extrapolation
+    2 q_curr - q_prev.  The Newton Jacobian is the semiregularity matrix.
+    """
+    S_curr = entropy_update(d, DiscreteTriple(q_prev, q_curr, S_prev))
+    target = np.asarray(d.pi_plus(q_prev, q_curr, S_prev), dtype=float)
+    pi_minus, pi_minus_dq1 = d.pi_minus, d.pi_minus_dq1
+
+    def residual(x):
+        return pi_minus(q_curr, x, S_curr) - target
+
+    def jacobian(x):
+        return pi_minus_dq1(q_curr, x, S_curr)
+
+    q_next, _ = newton_solve(residual, jacobian, 2 * q_curr - q_prev, cfg)
+    return q_next, S_curr
 
 
 def integrate(d, q0, q1, S0, N, cfg=None):
     """Iterate the discrete flow N times from initial data (q0, q1, S0).
 
     Returns a DiscretePath with N+1 points; entropies are always computed
-    from the update constraint, never solved for.  Newton is warm-started
-    at the linear extrapolation 2 q_k - q_{k-1}; the loop is kept lean
-    (no per-step closures) because benchmark cells run 10^6 steps.
+    from the update constraint, never solved for.  A failure while taking
+    step k (the one from triple k = (q_{k-1}, q_k, S_{k-1})) is re-raised
+    with ``step_index = k``.
     """
     cfg = cfg or NewtonConfig()
-    q0 = np.atleast_1d(np.asarray(q0, dtype=float))
-    q1 = np.atleast_1d(np.asarray(q1, dtype=float))
-    n = d.n
-    qs = np.empty((N + 1, n))
+    qs = np.empty((N + 1, d.n))
     Ss = np.empty(N + 1)
     qs[0] = q0
     Ss[0] = float(S0)
     if N == 0:
         return DiscretePath(h=d.h, qs=qs, Ss=Ss)
     qs[1] = q1
-
-    # fused Legendre covectors when the discretization supplies them;
-    # the residual of the discrete equations is pi_plus(prev) - pi_minus(next)
-    if d.pi_minus is not None and d.pi_plus is not None:
-        def minus_cov(qa, x, S):
-            return -np.asarray(d.pi_minus(qa, x, S), dtype=float)
-
-        def plus_cov(qa, qb, S):
-            return np.asarray(d.pi_plus(qa, qb, S), dtype=float)
-    else:
-        def minus_cov(qa, x, S):
-            return (np.asarray(d.D1Ld(qa, x, S), dtype=float)
-                    + 0.5 * np.asarray(d.ffr_minus(qa, x, S), dtype=float))
-
-        def plus_cov(qa, qb, S):
-            return (np.asarray(d.D2Ld(qa, qb, S), dtype=float)
-                    + 0.5 * np.asarray(d.ffr_plus(qa, qb, S), dtype=float))
-
-    def newton_jac(qb, x, Sb):
-        return -semiregularity_matrix(d, DiscreteTriple(qb, x, Sb))
-
-    jac = d.pi_minus_dq1
-    tol, max_iter = cfg.tol, cfg.max_iter
-    eps = np.finfo(float).eps
-    scalar = n == 1
-
-    for k in range(1, N):
-        qa, qb = qs[k - 1], qs[k]
-        Sa = Ss[k - 1]
-        Sb = entropy_update(d, DiscreteTriple(qa, qb, Sa))
-        Ss[k] = Sb
-
-        const = plus_cov(qa, qb, Sa)
-        x = 2 * qb - qa
-        r = minus_cov(qb, x, Sb) + const
-        rnorm = abs(float(r[0])) if scalar else float(np.max(np.abs(r)))
-        converged = rnorm <= tol
-        for _ in range(max_iter):
-            if converged:
-                break
-            J = -jac(qb, x, Sb) if jac is not None else newton_jac(qb, x, Sb)
-            try:
-                if scalar:
-                    j00 = float(J[0, 0])
-                    if j00 == 0.0:
-                        raise np.linalg.LinAlgError("zero Jacobian")
-                    dx = r / j00
-                else:
-                    dx = np.linalg.solve(J, r)
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceError(f"step {k}: singular Newton Jacobian",
-                                       step_index=k) from exc
-            if not np.all(np.isfinite(dx)):
-                raise ConvergenceError(f"step {k}: non-finite Newton update",
-                                       step_index=k)
-            x = x - dx
-            dxn = abs(float(dx[0])) if scalar else float(np.max(np.abs(dx)))
-            xn = abs(float(x[0])) if scalar else float(np.max(np.abs(x)))
-            stalled = dxn <= 4.0 * eps * (1.0 + xn)
-            r = minus_cov(qb, x, Sb) + const
-            rnorm = abs(float(r[0])) if scalar else float(np.max(np.abs(r)))
-            converged = rnorm <= tol
-            if stalled:
-                break
-        if not converged:
-            raise ConvergenceError(
-                f"step {k}: Newton residual {rnorm:.3e} above tol {tol:.1e}",
-                step_index=k,
-            )
-        qs[k + 1] = x
-    Ss[N] = entropy_update(d, DiscreteTriple(qs[N - 1], qs[N], Ss[N - 1]))
+    try:
+        for k in range(1, N):
+            qs[k + 1], Ss[k] = solve_step(d, qs[k - 1], qs[k], Ss[k - 1], cfg)
+        k = N
+        Ss[N] = entropy_update(d, DiscreteTriple(qs[N - 1], qs[N], Ss[N - 1]))
+    except ThermintError as exc:
+        exc.step_index = k
+        raise
     return DiscretePath(h=d.h, qs=qs, Ss=Ss)
 
 
@@ -197,18 +162,12 @@ def initialize(entry, q0, v0, S0, h, mode="exact"):
     elif mode == "reference":
         from scipy.integrate import solve_ivp
 
-        state = ThermoState(q0, v0, S0)
-        n = sys.n
-
-        def fun(t, y):
-            qd, vd, Sd = continuous_rhs(sys, ThermoState(y[:n], y[n : 2 * n], y[2 * n]))
-            return np.concatenate([qd, vd, [Sd]])
-
-        y0 = np.concatenate([state.q, state.v, [state.S]])
-        sol = solve_ivp(fun, (0.0, h), y0, method="RK45", rtol=1e-10, atol=1e-10)
+        y0 = np.concatenate([q0, v0, [S0]])
+        sol = solve_ivp(first_order_rhs(sys), (0.0, h), y0, method="RK45",
+                        rtol=1e-10, atol=1e-10)
         if not sol.success:
             raise ConvergenceError(f"reference initialization failed: {sol.message}")
-        q1 = sol.y[:n, -1]
+        q1 = sol.y[: sys.n, -1]
     elif mode == "hold":
         q1 = q0.copy()
     elif mode == "taylor":

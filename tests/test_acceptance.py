@@ -6,8 +6,9 @@ high-precision computations: the closed-form damped-oscillator solution,
 adaptive quadrature of its exact velocity for the entropy reference, and
 tight-tolerance adaptive integration for the gas references.
 
-The h = 1e-4 oscillator cell (10^7 implicit steps) is tagged slow and
-deselected by default; run `pytest -m slow` to include it.
+The h = 1e-4 oscillator cell (10^7 implicit steps) is tagged slow.  The
+default run includes it; `pytest -m "not slow"` leaves it out and
+`pytest -m slow` runs it alone.
 """
 
 import time

@@ -56,3 +56,19 @@ def test_gas_table_smoke(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "ideal-gas" in out and "van-der-waals" in out
+
+
+def test_solver_failure_names_the_step_once(capsys):
+    code = main(["simulate", "--system", "ideal-gas", "--h", "0.3", "--t-final", "3"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure at step ")
+    assert err.count("at step") == 1
+
+
+def test_entropy_table_smoke(capsys):
+    code = main(["table", "--which", "entropy", "--h-list", "0.1", "--window", "50"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "h,variational,midpoint   (first 50 steps)"
+    assert len(lines) == 2 and lines[1].startswith("0.1,")

@@ -94,18 +94,22 @@ class TestMidpointDiscretize:
             midpoint_discretize(OSC.lagrangian, 0.0)
 
     def test_second_partials_match_finite_differences(self):
-        # analytic chain-rule assembly against the FD fallback
-        from thermint.discrete import _fd_dS, _fd_jac
+        # analytic chain-rule assembly against central differences
+        from thermint.continuous import fd_gradient
 
-        t = (np.array([0.9]), np.array([1.05]), 0.8)
+        q0, q1, S0 = np.array([0.9]), np.array([1.05]), 0.8
         for d in (D_OSC, D_GAS, D_VDW):
-            np.testing.assert_allclose(d.D2D1Ld(*t), _fd_jac(d.D1Ld, *t, slot=1),
+            np.testing.assert_allclose(d.D2D1Ld(q0, q1, S0),
+                                       fd_gradient(lambda x: d.D1Ld(q0, x, S0), q1),
                                        rtol=1e-5, atol=1e-4)
-            np.testing.assert_allclose(d.D1D2Ld(*t), _fd_jac(d.D2Ld, *t, slot=0),
+            np.testing.assert_allclose(d.D1D2Ld(q0, q1, S0),
+                                       fd_gradient(lambda x: d.D2Ld(x, q1, S0), q0),
                                        rtol=1e-5, atol=1e-4)
-            np.testing.assert_allclose(d.DSD1Ld(*t), _fd_dS(d.D1Ld, *t),
+            np.testing.assert_allclose(d.DSD1Ld(q0, q1, S0),
+                                       fd_gradient(lambda s: d.D1Ld(q0, q1, s[0]), [S0])[:, 0],
                                        rtol=1e-5, atol=1e-6)
-            np.testing.assert_allclose(d.DSD2Ld(*t), _fd_dS(d.D2Ld, *t),
+            np.testing.assert_allclose(d.DSD2Ld(q0, q1, S0),
+                                       fd_gradient(lambda s: d.D2Ld(q0, q1, s[0]), [S0])[:, 0],
                                        rtol=1e-5, atol=1e-6)
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,15 @@ from thermint import (
     ConfigError,
     ConvergenceError,
     DiscreteTriple,
+    DomainError,
+    ExperimentConfig,
     NewtonConfig,
     ThermoState,
     continuous_rhs,
+    discrete_flow,
     entropy_update,
     get_system,
+    ideal_gas,
     initialize,
     integrate,
     midpoint_discretize,
@@ -119,6 +125,13 @@ class TestIntegrate:
             integrate(d, [1.0], [1.0], 10.0, 200, NewtonConfig(tol=1e-15, max_iter=3))
         assert err.value.step_index is not None
 
+    def test_domain_error_reports_step_index(self):
+        # the predictor 2*0.1 - 0.5 of step 1 leaves the domain x > 0
+        d = midpoint_discretize(ideal_gas().lagrangian, 0.3)
+        with pytest.raises(DomainError) as err:
+            integrate(d, [0.5], [0.1], 10.0, 20)
+        assert err.value.step_index == 1
+
     def test_constraint_holds_exactly_by_construction(self):
         d = midpoint_discretize(GAS.lagrangian, 0.01)
         path = integrate(d, [1.0], [1.0], 10.0, 50, NewtonConfig(tol=1e-10))
@@ -134,6 +147,53 @@ class TestIntegrate:
         jac = lambda x: d.D2D1Ld(qb, x, S1) + 0.5 * d.D2ffr_minus(qb, x, S1)
         _, report = newton_solve(resid, jac, 2 * qb - qa, NewtonConfig(tol=1e-12))
         assert report.iterations <= 3
+
+
+def _catalog_start(name, h):
+    """Discretized catalog system and its default first two points."""
+    entry = get_system(name)
+    cfg = ExperimentConfig(system=name, h=h, t_final=h)
+    q0, q1, S0 = initialize(entry, cfg.q0, cfg.v0, cfg.S0, h, cfg.init_mode)
+    return midpoint_discretize(entry.lagrangian, h), (q0, q1, S0), NewtonConfig(tol=1e-9)
+
+
+CATALOG_CELLS = [("oscillator", 0.1), ("ideal-gas", 0.01), ("van-der-waals", 0.01),
+                 ("two-pistons", 0.01)]
+
+
+class TestSingleKernel:
+    @pytest.mark.parametrize("name,h", CATALOG_CELLS)
+    def test_integrate_is_repeated_discrete_flow(self, name, h):
+        d, (q0, q1, S0), cfg = _catalog_start(name, h)
+        N = 200
+        path = integrate(d, q0, q1, S0, N, cfg)
+        t = DiscreteTriple(q0, q1, S0)
+        for k in range(1, N):
+            t = discrete_flow(d, t, cfg)
+            np.testing.assert_array_equal(t.q1, path.qs[k + 1])
+            assert t.S0 == path.Ss[k]
+        assert entropy_update(d, t) == path.Ss[N]
+
+    @pytest.mark.parametrize("name,h", CATALOG_CELLS)
+    def test_generic_kernel_matches_fused(self, name, h):
+        # without the fused callables the system derives the generic ones
+        d, (q0, q1, S0), cfg = _catalog_start(name, h)
+        generic = dataclasses.replace(d, pi_minus=None, pi_plus=None, pi_minus_dq1=None,
+                                      entropy_increment=None)
+        assert generic.pi_minus is not None and generic.pi_minus is not d.pi_minus
+        a = integrate(d, q0, q1, S0, 300, cfg)
+        b = integrate(generic, q0, q1, S0, 300, cfg)
+        np.testing.assert_array_equal(a.qs, b.qs)
+        np.testing.assert_array_equal(a.Ss, b.Ss)
+
+    def test_derived_kernel_follows_replaced_fields(self):
+        d = midpoint_discretize(OSC.lagrangian, 0.01)
+        generic = dataclasses.replace(d, pi_minus=None)
+        doubled = dataclasses.replace(generic, D1Ld=lambda *a: 2.0 * d.D1Ld(*a))
+        t = (np.array([0.1]), np.array([0.2]), 0.0)
+        np.testing.assert_allclose(doubled.pi_minus(*t) + 0.5 * d.ffr_minus(*t),
+                                   2.0 * (generic.pi_minus(*t) + 0.5 * d.ffr_minus(*t)),
+                                   rtol=1e-15)
 
 
 class TestInitialize:
