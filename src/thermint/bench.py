@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .continuous import ThermoState, Trajectory, continuous_rhs, first_order_rhs
+from .continuous import ThermoState, Trajectory, equations_of_motion, first_order_rhs
 from .discrete import discrete_momenta, midpoint_discretize
 from .errors import ConfigError
 from .solve import NewtonConfig, initialize, integrate
@@ -40,9 +40,9 @@ METHODS = ("variational", "rk2", "reference")
 
 def _rk2_step(sys, q, v, S, h):
     """One explicit midpoint (RK2) step on raw (q, v, S)."""
-    k1q, k1v, k1S = continuous_rhs(sys, ThermoState(q, v, S))
-    k2q, k2v, k2S = continuous_rhs(
-        sys, ThermoState(q + 0.5 * h * k1q, v + 0.5 * h * k1v, S + 0.5 * h * k1S))
+    k1q, k1v, k1S = equations_of_motion(sys, q, v, S)
+    k2q, k2v, k2S = equations_of_motion(
+        sys, q + 0.5 * h * k1q, v + 0.5 * h * k1v, S + 0.5 * h * k1S)
     return q + h * k2q, v + h * k2v, S + h * k2S
 
 
@@ -266,14 +266,19 @@ class ErrorReport:
                 raise ValueError("error metrics must be nonnegative")
 
 
-def _reference_arrays(entry, cfg, ts):
-    """(q, v, S) reference arrays on the grid: exact when available."""
+def _reference(entry, cfg, ts):
+    """(q, v, S) reference arrays on the grid: exact when available.
+
+    The fourth item is None for the exact solution; otherwise it is the
+    RK45 trajectory with its runtime, for the "reference" method to reuse.
+    """
     if entry.exact_solution is not None:
         sol = entry.exact_solution(cfg.q0, cfg.v0, cfg.S0)
-        return sol.q(ts)[:, None], sol.v(ts)[:, None], sol.entropy(ts)
+        return sol.q(ts)[:, None], sol.v(ts)[:, None], sol.entropy(ts), None
+    t0 = time.perf_counter()
     traj = reference_integrate(entry.lagrangian, ThermoState(cfg.q0, cfg.v0, cfg.S0),
                                cfg.t_final, cfg.rtol, cfg.atol, h=cfg.h)
-    return traj.qs, traj.vs, traj.Ss
+    return traj.qs, traj.vs, traj.Ss, (traj, time.perf_counter() - t0)
 
 
 def _run_variational(entry, cfg):
@@ -304,7 +309,7 @@ def run_experiment(cfg):
     entry = get_system(cfg.system, **cfg.params)
     N = cfg.n_steps
     ts = cfg.h * np.arange(N + 1)
-    qref, vref, Sref = _reference_arrays(entry, cfg, ts)
+    qref, vref, Sref, rk45 = _reference(entry, cfg, ts)
     H0 = entry.H(cfg.q0, cfg.v0, cfg.S0)
 
     report = ErrorReport(system=cfg.system, h=cfg.h, t_final=cfg.t_final, methods={})
@@ -323,6 +328,10 @@ def run_experiment(cfg):
             state0 = ThermoState(cfg.q0, cfg.v0, cfg.S0)
             if method == "rk2":
                 traj = rk2_integrate(entry.lagrangian, state0, cfg.h, N)
+            elif rk45 is not None:
+                # the error reference is this method's trajectory: reuse it and its time
+                traj, seconds = rk45
+                t0 -= seconds
             else:
                 traj = reference_integrate(entry.lagrangian, state0, cfg.t_final,
                                            cfg.rtol, cfg.atol, h=cfg.h)
@@ -376,6 +385,10 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+#: rows formatted per write, which bounds the Python floats held at once
+_CSV_BLOCK_ROWS = 256
+
+
 def write_trajectory_csv(path, ts, qs, vs, Ss, Hp, Hm, Hv):
     """Trajectory CSV: t, q_1..q_n, v_1..v_n, S, H_plus, H_minus, H_vel."""
     qs = np.atleast_2d(qs)
@@ -383,12 +396,15 @@ def write_trajectory_csv(path, ts, qs, vs, Ss, Hp, Hm, Hv):
     n = qs.shape[1]
     header = (["t"] + [f"q_{i+1}" for i in range(n)] + [f"v_{i+1}" for i in range(n)]
               + ["S", "H_plus", "H_minus", "H_vel"])
+    # "%.17g" formats a float exactly as _fmt does
+    row = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for k in range(len(ts)):
-            row = ([_fmt(ts[k])] + [_fmt(x) for x in qs[k]] + [_fmt(x) for x in vs[k]]
-                   + [_fmt(Ss[k]), _fmt(Hp[k]), _fmt(Hm[k]), _fmt(Hv[k])])
-            fh.write(",".join(row) + "\n")
+        for start in range(0, len(ts), _CSV_BLOCK_ROWS):
+            rows = slice(start, start + _CSV_BLOCK_ROWS)
+            block = np.column_stack([ts[rows], qs[rows], vs[rows], Ss[rows],
+                                     Hp[rows], Hm[rows], Hv[rows]])
+            fh.writelines([row % tuple(values) for values in block.tolist()])
 
 
 def write_summary_csv(path, cfg, report):

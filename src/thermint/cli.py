@@ -90,16 +90,21 @@ def _cmd_table(args):
                   f"(variational / midpoint)")
         return 0
 
-    print({"position": "h,variational,midpoint",
-           "entropy": f"h,variational,midpoint   (first {args.window} steps)",
-           "hamiltonian": "h,H_p_plus,H_p_minus,H_velocity,H_midpoint"}[args.which])
     t_final = args.t_final or 1000.0
+    # the entropy table integrates only its window, cut to the horizon: the
+    # first steps of a path do not depend on the horizon
+    steps = {h: min(args.window, int(round(t_final / h))) for h in h_list}
+    if len(set(steps.values())) == 1:
+        window = f"first {steps[h_list[0]]} steps"
+    else:
+        window = "first " + ", ".join(f"{k} steps at h={h:g}" for h, k in steps.items())
+    print({"position": "h,variational,midpoint",
+           "entropy": f"h,variational,midpoint   ({window})",
+           "hamiltonian": "h,H_p_plus,H_p_minus,H_velocity,H_midpoint"}[args.which])
     for h in h_list:
         horizon, tol = t_final, None
         if args.which == "entropy":
-            # only the reported window is integrated: the first steps of a
-            # path do not depend on the horizon
-            horizon, tol = min(args.window, int(round(t_final / h))) * h, 1e-12
+            horizon, tol = steps[h] * h, 1e-12
         cfg = ExperimentConfig(system="oscillator", params={"gamma": gamma}, h=h,
                                t_final=horizon, methods=("variational", "rk2"),
                                newton_tol=tol)

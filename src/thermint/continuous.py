@@ -20,6 +20,7 @@ __all__ = [
     "energy",
     "temperature",
     "legendre",
+    "equations_of_motion",
     "continuous_rhs",
     "first_order_rhs",
     "noether_lift_check",
@@ -184,15 +185,15 @@ def _dLdv_S_derivative(sys, q, v, S):
     return fd_gradient(lambda s: sys.dLdv(q, v, s[0]), [S])[..., 0]
 
 
-def continuous_rhs(sys, state):
-    """Right-hand side (qdot, vdot, Sdot) of the equations of motion.
+def equations_of_motion(sys, q, v, S):
+    """Right-hand side (qdot, vdot, Sdot) of the equations of motion at raw (q, v, S).
 
-    Sdot solves the entropy equation; vdot either comes from the system's
+    ``q`` and ``v`` are float arrays of length n, ``S`` a float.  Sdot
+    solves the entropy equation; vdot either comes from the system's
     closed-form acceleration or from solving the velocity Hessian in
 
         d/dt (dL/dv) = dL/dq + Ffr + Fext.
     """
-    q, v, S = state.q, state.v, state.S
     sys.check_domain(q)
     dLdS = float(sys.dLdS(q, v, S))
     if dLdS == 0.0:
@@ -211,12 +212,17 @@ def continuous_rhs(sys, state):
     return v.copy(), vdot, Sdot
 
 
+def continuous_rhs(sys, state):
+    """Right-hand side (qdot, vdot, Sdot) of the equations of motion at a state."""
+    return equations_of_motion(sys, state.q, state.v, state.S)
+
+
 def first_order_rhs(sys):
     """The equations of motion as ``(t, y) -> dy/dt`` on y = (q, v, S), for ODE solvers."""
     n = sys.n
 
     def fun(t, y):
-        qd, vd, Sd = continuous_rhs(sys, ThermoState(y[:n], y[n : 2 * n], y[2 * n]))
+        qd, vd, Sd = equations_of_motion(sys, y[:n], y[n : 2 * n], float(y[2 * n]))
         return np.concatenate([qd, vd, [Sd]])
 
     return fun

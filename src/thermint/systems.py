@@ -87,13 +87,19 @@ class DampedOscillatorSolution:
     The entropy reference S(t) = S0 + int_0^t qdot^2 is evaluated by
     adaptive quadrature of the exact velocity, which keeps it free of the
     outliers a numerically integrated reference would carry.
+
+    ``q`` and ``v`` take a float or an array of times through one formula
+    that evaluates each transcendental once.  A float stays a numpy scalar
+    rather than a 0-d array, because the quadrature calls ``v`` 21 times
+    per grid interval and the array round trip dominated that cost; the
+    numpy functions keep the values bit-identical to the array case.
     """
 
     def __init__(self, gamma, q0, v0, S0=0.0):
         if not 0 < gamma < 2:
             raise ValueError("underdamped regime requires 0 < gamma < 2")
         self.gamma = float(gamma)
-        self.omega = np.sqrt(1.0 - (gamma / 2.0) ** 2)
+        self.omega = float(np.sqrt(1.0 - (gamma / 2.0) ** 2))
         self.q0 = float(np.atleast_1d(q0)[0])
         self.v0 = float(np.atleast_1d(v0)[0])
         self.S0 = float(S0)
@@ -101,17 +107,21 @@ class DampedOscillatorSolution:
         self._c = self.q0
         self._s = (self.v0 + 0.5 * gamma * self.q0) / self.omega
 
+    def _parts(self, t):
+        """e^{-gamma t/2}, cos(wt t), sin(wt t)."""
+        if not isinstance(t, float):
+            t = np.asarray(t, dtype=float)
+        wt = self.omega * t
+        return np.exp(-0.5 * self.gamma * t), np.cos(wt), np.sin(wt)
+
     def q(self, t):
-        t = np.asarray(t, dtype=float)
-        w = self.omega
-        return np.exp(-0.5 * self.gamma * t) * (self._c * np.cos(w * t) + self._s * np.sin(w * t))
+        damp, cos, sin = self._parts(t)
+        return damp * (self._c * cos + self._s * sin)
 
     def v(self, t):
-        t = np.asarray(t, dtype=float)
-        w = self.omega
-        damp = np.exp(-0.5 * self.gamma * t)
-        osc = self._c * np.cos(w * t) + self._s * np.sin(w * t)
-        dosc = w * (-self._c * np.sin(w * t) + self._s * np.cos(w * t))
+        damp, cos, sin = self._parts(t)
+        osc = self._c * cos + self._s * sin
+        dosc = self.omega * (-self._c * sin + self._s * cos)
         return damp * dosc - 0.5 * self.gamma * damp * osc
 
     def entropy(self, ts):

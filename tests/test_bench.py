@@ -16,7 +16,8 @@ from thermint import (
     rk2_midpoint,
     run_experiment,
 )
-from thermint.bench import default_newton_tol, load_config
+from thermint.bench import (_CSV_BLOCK_ROWS, default_newton_tol, load_config,
+                            write_trajectory_csv)
 from thermint.solve import initialize
 
 OSC = get_system("oscillator")
@@ -184,6 +185,38 @@ class TestExperiment:
         var = report.methods["variational"]
         rk2 = report.methods["rk2"]
         assert var.H_dev["p_plus"] < rk2.H_dev["velocity"]
+
+    def test_rk45_reference_integrated_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return reference_integrate(*args, **kwargs)
+
+        monkeypatch.setattr("thermint.bench.reference_integrate", counted)
+        cfg = ExperimentConfig(system="ideal-gas", h=0.01, t_final=5,
+                               methods=("variational", "reference"))
+        report = run_experiment(cfg)
+        assert len(calls) == 1
+        # the reused trajectory is the error reference itself
+        assert report.methods["reference"].max_pos_err == 0.0
+        assert report.methods["reference"].max_S_err == 0.0
+
+    def test_trajectory_csv_matches_per_value_format(self, tmp_path):
+        # several row blocks, with the values a float formatter special-cases
+        m = 2 * _CSV_BLOCK_ROWS + 3
+        rng = np.random.default_rng(3)
+        ts = 0.01 * np.arange(m)
+        qs, vs = rng.standard_normal((2, m, 2)) * 10.0 ** rng.integers(-300, 300, (2, m, 2))
+        Ss, Hp, Hm, Hv = rng.standard_normal((4, m))
+        Ss[:6] = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324]
+        write_trajectory_csv(tmp_path / "t.csv", ts, qs, vs, Ss, Hp, Hm, Hv)
+        lines = (tmp_path / "t.csv").read_text().splitlines()
+        assert lines[0] == "t,q_1,q_2,v_1,v_2,S,H_plus,H_minus,H_vel"
+        expected = [",".join(format(float(x), ".17g")
+                             for x in [ts[k], *qs[k], *vs[k], Ss[k], Hp[k], Hm[k], Hv[k]])
+                    for k in range(m)]
+        assert lines[1:] == expected
 
 
 class TestConvergence:

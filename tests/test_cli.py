@@ -72,3 +72,21 @@ def test_entropy_table_smoke(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "h,variational,midpoint   (first 50 steps)"
     assert len(lines) == 2 and lines[1].startswith("0.1,")
+
+
+def test_entropy_table_header_counts_the_steps_run(capsys):
+    code = main(["table", "--which", "entropy", "--t-final", "1", "--h-list", "0.1",
+                 "--window", "50"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "h,variational,midpoint   (first 10 steps)"
+    assert len(lines) == 2 and lines[1].startswith("0.1,")
+
+
+def test_entropy_table_header_names_each_count(capsys):
+    code = main(["table", "--which", "entropy", "--t-final", "1", "--h-list", "0.1,0.05",
+                 "--window", "15"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "h,variational,midpoint   (first 10 steps at h=0.1, 15 steps at h=0.05)"
+    assert len(lines) == 3
