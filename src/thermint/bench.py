@@ -14,7 +14,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .continuous import ThermoState, Trajectory, equations_of_motion, first_order_rhs
-from .discrete import discrete_momenta, midpoint_discretize
+from .discrete import midpoint_discretize, momenta
 from .errors import ConfigError
 from .solve import NewtonConfig, initialize, integrate
 from .systems import get_system
@@ -101,20 +101,14 @@ def hamiltonian_estimates(entry, d, path):
         H_vel[k-1]   = H(q_k, (q_k - q_{k-1})/h, S_k)
 
     using the h-scaled discrete momenta and the p = v identification of
-    the catalog systems for the velocity estimator.
+    the catalog systems for the velocity estimator.  Each series is one
+    call of ``entry.H`` on the stacked path, so ``entry.H`` and ``d`` must
+    take stacks of points (see `SystemCatalogEntry`).
     """
-    N = path.n_steps
+    q0, q1, S0, S1 = path.qs[:-1], path.qs[1:], path.Ss[:-1], path.Ss[1:]
+    p_minus, p_plus = momenta(d, q0, q1, S0)
     H = entry.H
-    hp = np.empty(N)
-    hm = np.empty(N)
-    hv = np.empty(N)
-    for k in range(1, N + 1):
-        t = path.triple(k)
-        p_minus, p_plus = discrete_momenta(d, t)
-        hp[k - 1] = H(t.q1, p_plus, path.Ss[k])
-        hm[k - 1] = H(t.q0, p_minus, t.S0)
-        hv[k - 1] = H(t.q1, (t.q1 - t.q0) / d.h, path.Ss[k])
-    return hp, hm, hv
+    return H(q1, p_plus, S1), H(q0, p_minus, S0), H(q1, (q1 - q0) / d.h, S1)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +330,7 @@ def run_experiment(cfg):
                 traj = reference_integrate(entry.lagrangian, state0, cfg.t_final,
                                            cfg.rtol, cfg.atol, h=cfg.h)
             qs, vs, Ss = traj.qs, traj.vs, traj.Ss
-            hseries = np.array([entry.H(qs[k], vs[k], Ss[k]) for k in range(N + 1)])
+            hseries = entry.H(qs, vs, Ss)
             series = {"velocity": hseries}
             Hcols = (hseries, hseries, hseries)
         runtime = time.perf_counter() - t0

@@ -43,6 +43,7 @@ __all__ = [
     "legendre_plus",
     "legendre_minus",
     "discrete_momenta",
+    "momenta",
     "discrete_flow",
     "omega_matrices",
     "omega_embedded",
@@ -87,6 +88,13 @@ class DiscreteThermoSystem:
     All callables take ``(q0, q1, S0)``.  The four stepping-kernel fields
     (``pi_minus``, ``pi_plus``, ``pi_minus_dq1``, ``entropy_increment``)
     may be left out; they are then derived from the slot derivatives.
+
+    ``D1Ld``, ``D2Ld``, ``DSLd``, ``ffr_minus``, ``ffr_plus`` and
+    ``entropy_increment`` also take a stack of triples, q0 and q1 of
+    shape (..., n) and S0 of shape (...), as `midpoint_discretize` builds
+    them from a stack-capable continuous system.  `discrete_momenta`'s
+    core `momenta`, `DiscretePath.constraint_residual` and
+    `bench.hamiltonian_estimates` evaluate a whole path that way.
     """
 
     n: int
@@ -170,13 +178,43 @@ class DiscretePath:
             yield self.triple(k)
 
     def constraint_residual(self, d):
-        """Max relative violation of the entropy-update constraint."""
-        worst = 0.0
-        for k in range(1, len(self)):
-            s_pred = entropy_update(d, self.triple(k))
-            err = abs(self.Ss[k] - s_pred) / max(1.0, abs(self.Ss[k]))
-            worst = max(worst, err)
-        return worst
+        """Max relative violation of the entropy-update constraint.
+
+        The entropy updates of all N triples are one call on the stacks
+        (q_{k-1}), (q_k), (S_{k-1}), so ``d`` must take stacks (see
+        `DiscreteThermoSystem`).  NaN violations are ignored.
+        """
+        S1 = self.Ss[1:]
+        s_pred = _updated_entropy(d, self.qs[:-1], self.qs[1:], self.Ss[:-1])
+        err = np.abs(S1 - s_pred) / np.maximum(1.0, np.abs(S1))
+        return float(np.fmax.reduce(err, initial=0.0))
+
+
+# ---------------------------------------------------------------------------
+# one triple or a stack of triples
+
+
+def _pair(f, dq):
+    """f . dq over the last axis: a float for one triple, an array for a
+    stack (`np.vecdot`, which sums as ``@`` does)."""
+    f = np.asarray(f)
+    return float(f @ dq) if f.ndim == 1 else np.vecdot(f, dq)
+
+
+def _quotient(num, den):
+    """num / den, with ZeroDivisionError for a zero den.  One triple keeps
+    float division; on a stack, where division by zero gives inf, any zero
+    row raises."""
+    if type(num) is float:
+        return num / float(den)
+    if np.any(den == 0.0):
+        raise ZeroDivisionError("float division by zero")
+    return num / den
+
+
+def _point_or_stack(x):
+    """A scalar field's value: a float at one triple, an array on a stack."""
+    return float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +263,12 @@ def _generic_kernel(d):
         # (ffr_plus . q1 - ffr_minus . q0) / DSLd; a shared covector f is
         # paired as f . (q1 - q0), the same quantity without cancellation
         # at large coordinates.  A zero DSLd raises ZeroDivisionError.
-        dsl = float(DSLd(q0, q1, S0))
+        dsl = DSLd(q0, q1, S0)
         if shared:
-            num = float(ffr_plus(q0, q1, S0) @ (q1 - q0))
+            num = _pair(ffr_plus(q0, q1, S0), q1 - q0)
         else:
-            num = float(ffr_plus(q0, q1, S0) @ q1 - ffr_minus(q0, q1, S0) @ q0)
-        return num / dsl
+            num = _pair(ffr_plus(q0, q1, S0), q1) - _pair(ffr_minus(q0, q1, S0), q0)
+        return _quotient(num, dsl)
 
     kernel = {"pi_minus": pi_minus, "pi_plus": pi_plus,
               "pi_minus_dq1": pi_minus_dq1, "entropy_increment": entropy_increment}
@@ -293,7 +331,7 @@ def midpoint_discretize(sys, h):
     def array(x):
         return np.asarray(x, dtype=float)
 
-    DSLd = at_mid(sys.dLdS, float)
+    DSLd = at_mid(sys.dLdS, _point_or_stack)
     ffr = at_mid(sys.Ffr, array)
     kw = {}
     if sys.d2Ldq2 is not None and sys.d2Ldv2 is not None:
@@ -367,7 +405,7 @@ def midpoint_discretize(sys, h):
 
     def entropy_increment(q0, q1, S0):
         m, w = mid(q0, q1)
-        return float(np.asarray(sys.Ffr(m, w, S0)) @ (q1 - q0)) / float(sys.dLdS(m, w, S0))
+        return _quotient(_pair(sys.Ffr(m, w, S0), q1 - q0), sys.dLdS(m, w, S0))
 
     return DiscreteThermoSystem(
         n=n, h=h, Ld=Ld, D1Ld=D1Ld, D2Ld=D2Ld, DSLd=DSLd,
@@ -387,8 +425,13 @@ def entropy_update(d, t):
 
     evaluated on the triple through the system's entropy increment.
     """
+    return _updated_entropy(d, t.q0, t.q1, t.S0)
+
+
+def _updated_entropy(d, q0, q1, S0):
+    """`entropy_update` on raw (q0, q1, S0): one triple or a stack."""
     try:
-        return t.S0 + d.entropy_increment(t.q0, t.q1, t.S0)
+        return S0 + d.entropy_increment(q0, q1, S0)
     except ZeroDivisionError:
         raise TemperatureDegenerateError(
             "D_S Ld vanishes: entropy update singular") from None
@@ -428,7 +471,12 @@ def legendre_plus(d, t):
 
 def discrete_momenta(d, t):
     """h-scaled momenta (p_minus, p_plus); these approximate p = dL/dv."""
-    q0, q1, S0 = t.q0, t.q1, t.S0
+    return momenta(d, t.q0, t.q1, t.S0)
+
+
+def momenta(d, q0, q1, S0):
+    """`discrete_momenta` on raw (q0, q1, S0): one triple, or a stack of
+    triples giving stacks of momenta."""
     p_plus = d.h * np.asarray(d.D2Ld(q0, q1, S0), dtype=float) + (d.h / 2) * np.asarray(
         d.ffr_plus(q0, q1, S0), dtype=float)
     p_minus = -d.h * np.asarray(d.D1Ld(q0, q1, S0), dtype=float) - (d.h / 2) * np.asarray(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuous import ThermoState, continuous_rhs, first_order_rhs, fd_gradient
-from .discrete import DiscretePath, DiscreteTriple, entropy_update
+from .discrete import DiscretePath, DiscreteTriple, _updated_entropy, entropy_update
 from .errors import ConfigError, ConvergenceError, ThermintError
 
 __all__ = ["NewtonConfig", "StepReport", "newton_solve", "solve_step", "integrate",
@@ -100,7 +100,7 @@ def solve_step(d, q_prev, q_curr, S_prev, cfg):
     q_prev, q_curr, S_prev), warm-started at the linear extrapolation
     2 q_curr - q_prev.  The Newton Jacobian is the semiregularity matrix.
     """
-    S_curr = entropy_update(d, DiscreteTriple(q_prev, q_curr, S_prev))
+    S_curr = _updated_entropy(d, q_prev, q_curr, S_prev)
     target = np.asarray(d.pi_plus(q_prev, q_curr, S_prev), dtype=float)
     pi_minus, pi_minus_dq1 = d.pi_minus, d.pi_minus_dq1
 

@@ -64,15 +64,39 @@ REFERENCE_INIT = {
 }
 
 
-@pytest.mark.parametrize("cell", sorted(DIGESTS))
-def test_csv_bytes_frozen(cell, tmp_path):
+# the Van der Waals cell, recorded like DIGESTS; it pins the gas's H columns
+VDW_DIGESTS = {
+    ("van-der-waals", 0.01, 5.0): {
+        "van-der-waals_reference.csv":
+            "1e078cc3fc8c2eee082fd73a00f7175606868f33b293874ba537e3d1677b0c7b",
+        "van-der-waals_rk2.csv":
+            "57edf07b21070efc24efb4e9f8598c60ba5fb093c2f97ff62a4a353aabcb0c0e",
+        "van-der-waals_variational.csv":
+            "fd3e63d8f55deccdb45e40fc0cc689b8cfc71fa240b90571203126d78925e41e",
+        "summary.csv":
+            "f2a2024e50c30e1080b39a65c1c95fa0632efa61ea82f89f39977540c8f96b8e",
+    },
+}
+
+
+def _assert_csv_digests(cell, digests, tmp_path):
     system, h, t_final = cell
     run_experiment(ExperimentConfig(system=system, h=h, t_final=t_final, methods=METHODS,
                                     out=str(tmp_path)))
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-           for name in DIGESTS[cell]}
-    assert got == DIGESTS[cell]
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(DIGESTS[cell])
+           for name in digests}
+    assert got == digests
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(digests)
+
+
+@pytest.mark.parametrize("cell", sorted(DIGESTS))
+def test_csv_bytes_frozen(cell, tmp_path):
+    _assert_csv_digests(cell, DIGESTS[cell], tmp_path)
+
+
+@pytest.mark.parametrize("cell", sorted(VDW_DIGESTS))
+def test_van_der_waals_csv_bytes_frozen(cell, tmp_path):
+    _assert_csv_digests(cell, VDW_DIGESTS[cell], tmp_path)
 
 
 @pytest.mark.parametrize("system", sorted(REFERENCE_INIT))
