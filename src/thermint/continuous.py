@@ -102,7 +102,6 @@ class LagrangianThermoSystem:
     d2Ldv2: callable = None          # (n, n)
     d2LdqdS: callable = None         # (n,)
     d2LdvdS: callable = None         # (n,)
-    d2LdS2: callable = None          # scalar
 
     # optional Jacobians of the friction covector
     dFfrdq: callable = None          # (n, n), [i, j] = dFfr_i/dq_j

@@ -113,7 +113,6 @@ class DiscreteThermoSystem:
     D2D2Ld: callable = None
     DSD1Ld: callable = None
     DSD2Ld: callable = None
-    DSDSLd: callable = None
 
     # Jacobians of the friction covectors, optional
     D1ffr_minus: callable = None
@@ -377,9 +376,6 @@ def midpoint_discretize(sys, h):
     if sys.d2LdqdS is not None and sys.d2LdvdS is not None:
         kw["DSD1Ld"] = chain(sys.d2LdqdS, sys.d2LdvdS, -1)
         kw["DSD2Ld"] = chain(sys.d2LdqdS, sys.d2LdvdS, 1)
-
-    if sys.d2LdS2 is not None:
-        kw["DSDSLd"] = at_mid(sys.d2LdS2, float)
 
     if sys.dFfrdq is not None and sys.dFfrdv is not None:
         kw["D1ffr_minus"] = kw["D1ffr_plus"] = chain(sys.dFfrdq, sys.dFfrdv, -1)

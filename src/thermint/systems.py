@@ -2,10 +2,14 @@
 
 Four systems: a damped harmonic oscillator, a piston compressing an ideal
 monoatomic gas, the same piston with a Van der Waals gas, and a cylinder
-closed by two pistons.  Each entry bundles the Lagrangian side (with
-analytic first and second partials), the Hamiltonian side (H and its
-partials plus the momentum-space friction covector), domain guards, and,
-where available, an exact solution and a closed-form discrete update.
+closed by two pistons.  All four are L = |v|^2/2 - V(q, S) with Rayleigh
+friction -gamma v, so each factory declares only its potential and
+`_separable` derives the entry: the Lagrangian side with its second
+partials, friction Jacobians and closed-form acceleration, and the
+Hamiltonian twin under p = v.  V is a sequence of terms, which L subtracts
+in order and H adds in order: float sums do not associate, and this order
+fixes the bits of the H columns of the CSVs.  Entries also carry, where
+available, an exact solution and a closed-form discrete update.
 """
 
 from dataclasses import dataclass, field
@@ -15,7 +19,7 @@ from scipy.integrate import quad
 
 from .continuous import LagrangianThermoSystem
 from .errors import DomainError
-from .geometry import HamiltonianPoint
+from .geometry import HamiltonianPoint, evolution_field_coordinates
 
 __all__ = [
     "SystemCatalogEntry",
@@ -34,6 +38,11 @@ __all__ = [
 @dataclass
 class SystemCatalogEntry:
     """A named system: Lagrangian side plus Hamiltonian side.
+
+    The catalog declares its entries by the terms of their potential
+    through `_separable`, where L subtracts the terms in order and H adds
+    them in order, because that order fixes the bits of the H columns of
+    the CSVs; a user-defined entry supplies every field itself.
 
     ``H`` takes one point, ``q`` and ``p`` of shape (n,) and ``S`` a
     float, or a stack of points, ``q`` and ``p`` of shape (..., n) and
@@ -79,16 +88,11 @@ def hamiltonian_point(entry, q, p, S, Fext=None):
 
 
 def hamiltonian_rhs(entry, q, p, S, Fext=None):
-    """First-order evolution equations on (q, p, S)."""
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    ffr = np.asarray(entry.Ffr_p(q, p, S), dtype=float)
-    fext = np.zeros_like(q) if Fext is None else np.asarray(Fext, dtype=float)
-    hp = np.atleast_1d(np.asarray(entry.dHdp(q, p, S), dtype=float))
-    qdot = hp
-    pdot = -np.atleast_1d(np.asarray(entry.dHdq(q, p, S), dtype=float)) + ffr + fext
-    Sdot = -float(hp @ ffr) / float(entry.dHdS(q, p, S))
-    return qdot, pdot, Sdot
+    """First-order evolution equations on (q, p, S): the coordinates of the
+    evolution field at the point, split as (qdot, pdot, Sdot)."""
+    n = entry.n
+    E = evolution_field_coordinates(hamiltonian_point(entry, q, p, S, Fext))
+    return E[:n], E[n : 2 * n], E[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +137,66 @@ def _covector(*parts):
     if isinstance(parts[0], np.ndarray):
         return np.stack(parts, axis=-1)
     return np.array(parts)
+
+
+# ---------------------------------------------------------------------------
+# the separable form L = |v|^2/2 - V(q, S) with Rayleigh friction -gamma v
+
+
+def _separable(name, n, gamma, params, potential, force, force_dq, force_dS, temperature,
+               domain_check=None, **entry_fields):
+    """The catalog entry of L = |v|^2/2 - V(q, S) with friction -gamma v.
+
+    ``potential`` holds the terms of V; ``force`` = -dV/dq, its q-Jacobian
+    ``force_dq``, ``force_dS`` = -d2V/dqdS and ``temperature`` = dV/dS are
+    callables of (q, S).  Every other field follows, the Hamiltonian side
+    with p = v.
+    """
+    eye = np.eye(n)
+
+    def L(q, v, S):
+        value = 0.5 * _sqnorm(v)
+        for term in potential:
+            value = value - term(q, S)
+        return value
+
+    def H(q, p, S):
+        q = _vec(q)
+        value = 0.5 * _sqnorm(_vec(p))
+        for term in potential:
+            value = value + term(q, S)
+        return value
+
+    lag = LagrangianThermoSystem(
+        n=n,
+        L=L,
+        dLdq=lambda q, v, S: force(q, S),
+        dLdv=lambda q, v, S: v,
+        dLdS=lambda q, v, S: -temperature(q, S),
+        Ffr=lambda q, v, S: -gamma * v,
+        name=name,
+        params=params,
+        d2Ldq2=lambda q, v, S: force_dq(q, S),
+        d2Ldv2=lambda q, v, S: eye,
+        d2LdqdS=lambda q, v, S: force_dS(q, S),
+        d2LdvdS=lambda q, v, S: np.zeros(n),
+        dFfrdq=lambda q, v, S: np.zeros((n, n)),
+        dFfrdv=lambda q, v, S: -gamma * eye,
+        dFfrdS=lambda q, v, S: np.zeros(n),
+        accel=lambda q, v, S: force(q, S) - gamma * v,
+        domain_check=domain_check,
+    )
+    return SystemCatalogEntry(
+        name=name,
+        lagrangian=lag,
+        H=H,
+        dHdq=lambda q, p, S: -force(_vec(q), S),
+        dHdp=lambda q, p, S: _vec(p),
+        dHdS=lambda q, p, S: temperature(_vec(q), S),
+        Ffr_p=lambda q, p, S: -gamma * _vec(p),
+        params=params,
+        **entry_fields,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -216,39 +280,17 @@ def oscillator(gamma=0.1):
     g = float(gamma)
     eye = np.eye(1)
 
-    lag = LagrangianThermoSystem(
-        n=1,
-        L=lambda q, v, S: 0.5 * _sqnorm(v) - 0.5 * _sqnorm(q) - g * S,
-        dLdq=lambda q, v, S: -q,
-        dLdv=lambda q, v, S: v,
-        dLdS=lambda q, v, S: -g,
-        Ffr=lambda q, v, S: -g * v,
-        name="oscillator",
-        params={"gamma": g},
-        d2Ldq2=lambda q, v, S: -eye,
-        d2Ldv2=lambda q, v, S: eye,
-        d2LdqdS=lambda q, v, S: np.zeros(1),
-        d2LdvdS=lambda q, v, S: np.zeros(1),
-        d2LdS2=lambda q, v, S: 0.0,
-        dFfrdq=lambda q, v, S: np.zeros((1, 1)),
-        dFfrdv=lambda q, v, S: -g * eye,
-        dFfrdS=lambda q, v, S: np.zeros(1),
-        accel=lambda q, v, S: -q - g * v,
-    )
-
     def coefficients(h):
         den = 4.0 + h * (h + 2.0 * g)
         return 2.0 * (4.0 - h * h) / den, (4.0 + h * h - 2.0 * h * g) / den
 
-    return SystemCatalogEntry(
-        name="oscillator",
-        lagrangian=lag,
-        H=lambda q, p, S: 0.5 * _sqnorm(_vec(p)) + 0.5 * _sqnorm(_vec(q)) + g * S,
-        dHdq=lambda q, p, S: _vec(q),
-        dHdp=lambda q, p, S: _vec(p),
-        dHdS=lambda q, p, S: g,
-        Ffr_p=lambda q, p, S: -g * _vec(p),
-        params={"gamma": g},
+    return _separable(
+        "oscillator", 1, g, {"gamma": g},
+        potential=(lambda q, S: 0.5 * _sqnorm(q), lambda q, S: g * S),
+        force=lambda q, S: -q,
+        force_dq=lambda q, S: -eye,
+        force_dS=lambda q, S: np.zeros(1),
+        temperature=lambda q, S: g,
         exact_solution=lambda q0, v0, S0: DampedOscillatorSolution(g, q0, v0, S0),
         update_coefficients=coefficients,
     )
@@ -267,47 +309,25 @@ def ideal_gas(gamma=0.1, c=1.5):
     if gamma <= 0 or c <= 0:
         raise ValueError("gamma and c must be positive")
     g, ex = float(gamma), 1.0 / float(c)
-    eye = np.eye(1)
 
     def xval(q):
         return _above(_coord(q, 0), 0.0, "piston position must stay positive")
 
-    def U(q, S):  # internal energy e^S x^{-1/c}
+    def U(q, S):  # internal energy e^S x^{-1/c}, also its own S-derivative
         return np.exp(S) * _power(xval(q), -ex)
 
-    def pressure_force(q, S):  # dL/dx = (1/c) e^S x^{-1/c - 1}
+    def pressure_force(q, S):  # -dU/dx = (1/c) e^S x^{-1/c - 1}, also its own S-derivative
         return _covector(ex * np.exp(S) * _power(xval(q), -ex - 1.0))
 
-    lag = LagrangianThermoSystem(
-        n=1,
-        L=lambda q, v, S: 0.5 * _sqnorm(v) - U(q, S),
-        dLdq=lambda q, v, S: pressure_force(q, S),
-        dLdv=lambda q, v, S: v,
-        dLdS=lambda q, v, S: -U(q, S),
-        Ffr=lambda q, v, S: -g * v,
-        name="ideal-gas",
-        params={"gamma": g, "c": float(c)},
-        d2Ldq2=lambda q, v, S: np.array([[-ex * (ex + 1.0) * np.exp(S) * xval(q) ** (-ex - 2.0)]]),
-        d2Ldv2=lambda q, v, S: eye,
-        d2LdqdS=lambda q, v, S: pressure_force(q, S),
-        d2LdvdS=lambda q, v, S: np.zeros(1),
-        d2LdS2=lambda q, v, S: -U(q, S),
-        dFfrdq=lambda q, v, S: np.zeros((1, 1)),
-        dFfrdv=lambda q, v, S: -g * eye,
-        dFfrdS=lambda q, v, S: np.zeros(1),
-        accel=lambda q, v, S: -g * v + pressure_force(q, S),
+    return _separable(
+        "ideal-gas", 1, g, {"gamma": g, "c": float(c)},
+        potential=(U,),
+        force=pressure_force,
+        force_dq=lambda q, S: np.array([[-ex * (ex + 1.0) * np.exp(S)
+                                         * xval(q) ** (-ex - 2.0)]]),
+        force_dS=pressure_force,
+        temperature=U,
         domain_check=xval,
-    )
-
-    return SystemCatalogEntry(
-        name="ideal-gas",
-        lagrangian=lag,
-        H=lambda q, p, S: 0.5 * _sqnorm(_vec(p)) + U(_vec(q), S),
-        dHdq=lambda q, p, S: -pressure_force(_vec(q), S),
-        dHdp=lambda q, p, S: _vec(p),
-        dHdS=lambda q, p, S: U(_vec(q), S),
-        Ffr_p=lambda q, p, S: -g * _vec(p),
-        params={"gamma": g, "c": float(c)},
     )
 
 
@@ -325,7 +345,6 @@ def van_der_waals(gamma=0.1, a_hat=1.0e3, b_hat=0.1):
     if gamma <= 0 or b_hat < 0:
         raise ValueError("gamma must be positive and b_hat nonnegative")
     g, ah, bh = float(gamma), float(a_hat), float(b_hat)
-    eye = np.eye(1)
 
     outside = f"position must exceed the excluded volume {bh}"
 
@@ -345,38 +364,15 @@ def van_der_waals(gamma=0.1, a_hat=1.0e3, b_hat=0.1):
         return np.array([[-(10.0 / 9.0) * np.exp(S) * (x - bh) ** (-8.0 / 3.0)
                           + 2.0 * ah / x ** 3]])
 
-    lag = LagrangianThermoSystem(
-        n=1,
-        L=lambda q, v, S: 0.5 * _sqnorm(v) - U(q, S) + ah / xval(q),
-        dLdq=lambda q, v, S: force(q, S),
-        dLdv=lambda q, v, S: v,
-        dLdS=lambda q, v, S: -U(q, S),
-        Ffr=lambda q, v, S: -g * v,
-        name="van-der-waals",
-        params={"gamma": g, "a_hat": ah, "b_hat": bh},
-        d2Ldq2=lambda q, v, S: stiffness(q, S),
-        d2Ldv2=lambda q, v, S: eye,
-        d2LdqdS=lambda q, v, S: np.array([
-            (2.0 / 3.0) * np.exp(S) * (xval(q) - bh) ** (-5.0 / 3.0)
-        ]),
-        d2LdvdS=lambda q, v, S: np.zeros(1),
-        d2LdS2=lambda q, v, S: -U(q, S),
-        dFfrdq=lambda q, v, S: np.zeros((1, 1)),
-        dFfrdv=lambda q, v, S: -g * eye,
-        dFfrdS=lambda q, v, S: np.zeros(1),
-        accel=lambda q, v, S: -g * v + force(q, S),
+    return _separable(
+        "van-der-waals", 1, g, {"gamma": g, "a_hat": ah, "b_hat": bh},
+        potential=(U, lambda q, S: -ah / xval(q)),
+        force=force,
+        force_dq=stiffness,
+        force_dS=lambda q, S: np.array([(2.0 / 3.0) * np.exp(S)
+                                        * (xval(q) - bh) ** (-5.0 / 3.0)]),
+        temperature=U,
         domain_check=xval,
-    )
-
-    return SystemCatalogEntry(
-        name="van-der-waals",
-        lagrangian=lag,
-        H=lambda q, p, S: 0.5 * _sqnorm(_vec(p)) + U(_vec(q), S) - ah / xval(_vec(q)),
-        dHdq=lambda q, p, S: -force(_vec(q), S),
-        dHdp=lambda q, p, S: _vec(p),
-        dHdS=lambda q, p, S: U(_vec(q), S),
-        Ffr_p=lambda q, p, S: -g * _vec(p),
-        params={"gamma": g, "a_hat": ah, "b_hat": bh},
     )
 
 
@@ -395,7 +391,6 @@ def two_pistons(gamma=0.1, c=1.5):
     if gamma < 0 or c <= 0:
         raise ValueError("gamma must be nonnegative and c positive")
     g, ex = float(gamma), 1.0 / float(c)
-    eye = np.eye(2)
 
     def uval(q):
         return _above(_coord(q, 0) + _coord(q, 1), 0.0,
@@ -404,46 +399,24 @@ def two_pistons(gamma=0.1, c=1.5):
     def U(q, S):
         return np.exp(S) * _power(uval(q), -ex)
 
-    def pressures(q, S):  # dL/dx = dL/dy = -dU/dx
+    def pressures(q, S):  # dL/dx = dL/dy = -dU/dx, also their own S-derivatives
         P = ex * np.exp(S) * _power(uval(q), -ex - 1.0)
         return _covector(P, P)
-
-    lag = LagrangianThermoSystem(
-        n=2,
-        L=lambda q, v, S: 0.5 * _sqnorm(v) - U(q, S),
-        dLdq=lambda q, v, S: pressures(q, S),
-        dLdv=lambda q, v, S: v,
-        dLdS=lambda q, v, S: -U(q, S),
-        Ffr=lambda q, v, S: -g * v,
-        name="two-pistons",
-        params={"gamma": g, "c": float(c)},
-        d2Ldq2=lambda q, v, S: -ex * (ex + 1.0) * np.exp(S)
-        * uval(q) ** (-ex - 2.0) * np.ones((2, 2)),
-        d2Ldv2=lambda q, v, S: eye,
-        d2LdqdS=lambda q, v, S: pressures(q, S),
-        d2LdvdS=lambda q, v, S: np.zeros(2),
-        d2LdS2=lambda q, v, S: -U(q, S),
-        dFfrdq=lambda q, v, S: np.zeros((2, 2)),
-        dFfrdv=lambda q, v, S: -g * eye,
-        dFfrdS=lambda q, v, S: np.zeros(2),
-        accel=lambda q, v, S: pressures(q, S) - g * v,
-        domain_check=uval,
-    )
 
     invariants = {
         "cartan": lambda st: g * (st.q[0] - st.q[1]) + st.v[0] - st.v[1],
         "relative-velocity": lambda st: st.v[0] - st.v[1],
     }
 
-    return SystemCatalogEntry(
-        name="two-pistons",
-        lagrangian=lag,
-        H=lambda q, p, S: 0.5 * _sqnorm(_vec(p)) + U(_vec(q), S),
-        dHdq=lambda q, p, S: -pressures(_vec(q), S),
-        dHdp=lambda q, p, S: _vec(p),
-        dHdS=lambda q, p, S: U(_vec(q), S),
-        Ffr_p=lambda q, p, S: -g * _vec(p),
-        params={"gamma": g, "c": float(c)},
+    return _separable(
+        "two-pistons", 2, g, {"gamma": g, "c": float(c)},
+        potential=(U,),
+        force=pressures,
+        force_dq=lambda q, S: -ex * (ex + 1.0) * np.exp(S)
+        * uval(q) ** (-ex - 2.0) * np.ones((2, 2)),
+        force_dS=pressures,
+        temperature=U,
+        domain_check=uval,
         invariants=invariants,
     )
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,6 +125,12 @@ class TestRhs:
             np.testing.assert_allclose(qd, qd2, atol=1e-12)
             np.testing.assert_allclose(vd, pd2, atol=1e-12)
             assert Sd == pytest.approx(Sd2, abs=1e-12)
+
+    def test_hamiltonian_zero_dHdS_rejected(self):
+        # the entropy equation divides by dH/dS, the temperature
+        bad = dataclasses.replace(get_system("oscillator"), dHdS=lambda q, p, S: 0.0)
+        with pytest.raises(TemperatureDegenerateError):
+            hamiltonian_rhs(bad, [0.5], [1.0], 0.0)
 
 
 @settings(max_examples=100, deadline=None)

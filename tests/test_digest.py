@@ -7,9 +7,10 @@ They also pin the exact oscillator reference (q, v and the quadrature
 entropy of ``DampedOscillatorSolution`` on a 2501-point grid, with a
 float time giving the same bits as an array time) and the RK2 and RK45
 trajectories of the Van der Waals gas and of a system whose right-hand
-side solves its velocity Hessian.  The digests depend on the numpy/scipy
-builds they were recorded with (numpy 2.4, scipy 1.17).  Horizons are
-short so the file runs in a few seconds.
+side solves its velocity Hessian, and the values of every catalog callable
+at seeded points.  The digests depend on the numpy/scipy builds they were
+recorded with (numpy 2.4, scipy 1.17).  Horizons are short so the file
+runs in a few seconds.
 """
 
 import hashlib
@@ -196,3 +197,47 @@ def test_baseline_trajectories_frozen(cell):
     else:
         traj = reference_integrate(make(), state0, 5.0, h=0.01)
     assert _sha256(traj.times, traj.qs, traj.vs, traj.Ss) == BASELINES[cell]
+
+
+LAGRANGIAN_FIELDS = ("L", "dLdq", "dLdv", "dLdS", "Ffr", "d2Ldq2", "d2Ldv2", "d2LdqdS",
+                     "d2LdvdS", "dFfrdq", "dFfrdv", "dFfrdS", "accel")
+HAMILTONIAN_FIELDS = ("H", "dHdq", "dHdp", "dHdS", "Ffr_p")
+STACK_FIELDS = ("L", "dLdq", "dLdv", "dLdS", "Ffr", "H")
+
+
+def _catalog_values(entry):
+    """Every catalog callable at 200 seeded points (p = v), then the
+    stack-capable ones on the same points as one stack."""
+    rng = np.random.default_rng(41)
+    q = rng.uniform(0.6, 1.6, (200, entry.n))
+    v = rng.uniform(-1.0, 1.0, (200, entry.n))
+    S = rng.uniform(0.0, 2.0, 200)
+    fns = {f: getattr(entry.lagrangian, f) for f in LAGRANGIAN_FIELDS}
+    fns.update((f, getattr(entry, f)) for f in HAMILTONIAN_FIELDS)
+    points = {f: np.array([fn(q[k], v[k], float(S[k])) for k in range(200)])
+              for f, fn in fns.items()}
+    # a value that does not depend on the point may come back unbroadcast
+    stacks = [np.broadcast_to(np.asarray(fns[f](q, v, S), dtype=float), points[f].shape)
+              for f in STACK_FIELDS]
+    return list(points.values()) + stacks
+
+
+# sha256 of _catalog_values(get_system(name)), recorded before the catalog
+# was declared through its potential terms: it pins the bits of the second
+# partials, the friction Jacobians and the closed-form acceleration, which
+# never reach a CSV, and of every Hamiltonian-side callable
+CATALOG_DIGESTS = {
+    "ideal-gas":
+        "b73c555cdd9215cd4f637e38b158a1257c76cdf94787ddbd2967c7a3ad6bb1f8",
+    "oscillator":
+        "26e337c80f091d63dacce961e73a6302d7ea184eb7a53f8988a8360c8179a5ef",
+    "two-pistons":
+        "94871ac09b7fa4c509e8de86e0f9819b4e8d35fa9e6c46d25d43dae16a448cc7",
+    "van-der-waals":
+        "e338589e2530ec6ed6c1d97e86ad856d8a7cdf633055b1ebba3c891f7de8dbea",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_DIGESTS))
+def test_catalog_callables_frozen(name):
+    assert _sha256(*_catalog_values(get_system(name))) == CATALOG_DIGESTS[name]

@@ -52,7 +52,6 @@ def free_particle(gamma=0.1):
         d2Ldv2=lambda q, v, S: np.eye(1),
         d2LdqdS=lambda q, v, S: np.zeros(1),
         d2LdvdS=lambda q, v, S: np.zeros(1),
-        d2LdS2=lambda q, v, S: 0.0,
         dFfrdq=lambda q, v, S: np.zeros((1, 1)),
         dFfrdv=lambda q, v, S: np.zeros((1, 1)),
         dFfrdS=lambda q, v, S: np.zeros(1),
