@@ -7,11 +7,11 @@ from .continuous import (LagrangianThermoSystem, ThermoState, Trajectory,
                          conserved_along, continuous_rhs, energy, legendre,
                          noether_lift_check, temperature)
 from .discrete import (DiscretePath, DiscreteThermoSystem, DiscreteTriple,
-                       boundary_forms, ddel_map, del_residual, discrete_action,
-                       discrete_flow, discrete_momenta, entropy_update,
-                       legendre_minus, legendre_plus, midpoint_discretize,
-                       momentum_map, noether_condition, omega_embedded,
-                       omega_matrices, pullback_check, semiregularity_matrix)
+                       del_residual, discrete_action, discrete_flow,
+                       discrete_momenta, entropy_update, legendre_minus,
+                       legendre_plus, midpoint_discretize, momentum_map,
+                       noether_condition, omega_embedded, omega_matrices,
+                       pullback_check, semiregularity_matrix)
 from .errors import (ConfigError, ConvergenceError, DomainError,
                      StructureDegenerateError, TemperatureDegenerateError,
                      ThermintError)

@@ -1,28 +1,27 @@
 """Discrete variational machinery for thermodynamic systems.
 
-A discrete system lives on triples (q0, q1, S0) in R^n x R^n x R.  It is
-described by a discrete Lagrangian Ld(q0, q1, S0), its slot derivatives
-D1Ld, D2Ld (covectors) and DSLd (scalar), and a pair of discrete friction
-covectors ffr_minus/ffr_plus.  On a vector space with linear coordinates
-both friction covectors share one value; `midpoint_discretize` builds them
-that way from a continuous system.
+A discrete system lives on triples x = (q0, q1, S0) in R^n x R^n x R.  It
+is described by a discrete Lagrangian Ld(q0, q1, S0), its slot
+derivatives D1Ld, D2Ld (covectors) and DSLd (scalar), and a pair of
+discrete friction covectors ffr_minus/ffr_plus.  On a vector space with
+linear coordinates both friction covectors share one value;
+`midpoint_discretize` builds them that way from a continuous system.
 
-Matrix/index conventions used for all second partials:
+Everything else comes from the two Legendre covectors
+pi_minus = -D1Ld - ffr_minus/2 and pi_plus = D2Ld + ffr_plus/2.  One step
+of the discrete equations needs the covectors, the semiregularity matrix
+d(pi_minus)/dq1 and the entropy increment.  The two-forms are the
+pullbacks of dq ^ dp by (q0, pi_minus) and (q1, pi_plus), so they need
+only the covector Jacobians, of shape (n, 2n+1) with columns
+[q0 | q1 | S0]:
 
-    (DaDbLd)[i, j] = d(DbLd)_i / d(q_a)_j      (a, b in {1, 2}; S analogous)
-    (Daffr)[i, j]  = d(ffr)_i  / d(q_a)_j
+    (dpi)[i, j] = d(pi)_i / d(x)_j,    x = (q0, q1, S0)
 
-so D1D2Ld is the transpose of D2D1Ld for a smooth Ld.  Every second
-partial is optional; consumers fall back to `continuous.fd_gradient`
-(central differences with step ``cbrt(eps) * (1 + |x|)``).
-
-One step of the discrete equations only needs the two Legendre
-covectors pi_minus = -D1Ld - ffr_minus/2 and pi_plus = D2Ld + ffr_plus/2,
-the semiregularity matrix d(pi_minus)/dq1 and the entropy increment.
-These four callables are always present on a `DiscreteThermoSystem`:
-`midpoint_discretize` supplies fused one-pass versions, and any other
-system gets the generic combinations of its slot derivatives at
-construction, with the finite-difference fallback for the matrix.
+These six callables are always present on a `DiscreteThermoSystem`:
+`midpoint_discretize` supplies fused one-pass and analytic versions, and
+any other system gets the generic combinations of its slot derivatives at
+construction, with Jacobians from `continuous.fd_gradient` (central
+differences with step ``cbrt(eps) * (1 + |x|)``).
 """
 
 from dataclasses import dataclass
@@ -39,7 +38,6 @@ __all__ = [
     "midpoint_discretize",
     "entropy_update",
     "del_residual",
-    "ddel_map",
     "legendre_plus",
     "legendre_minus",
     "discrete_momenta",
@@ -51,7 +49,6 @@ __all__ = [
     "momentum_map",
     "noether_condition",
     "discrete_action",
-    "boundary_forms",
     "semiregularity_matrix",
 ]
 
@@ -83,11 +80,15 @@ class DiscreteTriple:
 
 @dataclass
 class DiscreteThermoSystem:
-    """Discrete Lagrangian, friction covectors and optional second partials.
+    """Discrete Lagrangian, its slot derivatives and friction covectors.
 
-    All callables take ``(q0, q1, S0)``.  The four stepping-kernel fields
-    (``pi_minus``, ``pi_plus``, ``pi_minus_dq1``, ``entropy_increment``)
-    may be left out; they are then derived from the slot derivatives.
+    All callables take ``(q0, q1, S0)``.  A discretization must supply
+    ``Ld``, ``D1Ld``, ``D2Ld``, ``DSLd``, ``ffr_minus`` and ``ffr_plus``.
+    The covector Jacobians (``dpi_minus``, ``dpi_plus``) and the four
+    stepping-kernel fields (``pi_minus``, ``pi_plus``, ``pi_minus_dq1``,
+    ``entropy_increment``) may be left out; they are then derived from the
+    slot derivatives, the Jacobians by central differences of the
+    covectors.
 
     ``D1Ld``, ``D2Ld``, ``DSLd``, ``ffr_minus``, ``ffr_plus`` and
     ``entropy_increment`` also take a stack of triples, q0 and q1 of
@@ -106,21 +107,9 @@ class DiscreteThermoSystem:
     ffr_minus: callable
     ffr_plus: callable
 
-    # second partials of Ld, optional
-    D1D1Ld: callable = None
-    D2D1Ld: callable = None
-    D1D2Ld: callable = None
-    D2D2Ld: callable = None
-    DSD1Ld: callable = None
-    DSD2Ld: callable = None
-
-    # Jacobians of the friction covectors, optional
-    D1ffr_minus: callable = None
-    D2ffr_minus: callable = None
-    D1ffr_plus: callable = None
-    D2ffr_plus: callable = None
-    DSffr_minus: callable = None
-    DSffr_plus: callable = None
+    # Jacobians of the Legendre covectors in (q0, q1, S0), (n, 2n+1)
+    dpi_minus: callable = None
+    dpi_plus: callable = None
 
     # the stepping kernel; a fused version evaluates the combination it
     # names in one pass, a missing one is derived in __post_init__
@@ -217,33 +206,15 @@ def _point_or_stack(x):
 
 
 # ---------------------------------------------------------------------------
-# second partials with the finite-difference fallback, and the generic kernel
-
-
-def _partial(analytic, fn, slot):
-    """``analytic`` if supplied, else the central-difference partial of
-    ``fn`` in one argument slot ("q0", "q1" or "S0"),
-    [i, j] = d fn_i / d (slot)_j."""
-    if analytic is not None:
-        return analytic
-    if slot == "q0":
-        return lambda q0, q1, S0: fd_gradient(lambda x: fn(x, q1, S0), q0)
-    if slot == "q1":
-        return lambda q0, q1, S0: fd_gradient(lambda x: fn(q0, x, S0), q1)
-    return lambda q0, q1, S0: fd_gradient(lambda s: fn(q0, q1, s[0]), [S0])[..., 0]
-
-
-def _second(analytic, fn, slot, t):
-    """A second partial evaluated on the triple t."""
-    return np.asarray(_partial(analytic, fn, slot)(t.q0, t.q1, t.S0), dtype=float)
+# the generic kernel
 
 
 def _generic_kernel(d):
-    """The four stepping-kernel callables built from the slot derivatives."""
+    """The stepping-kernel callables and the covector Jacobians built from
+    the slot derivatives."""
+    n = d.n
     D1Ld, D2Ld, DSLd = d.D1Ld, d.D2Ld, d.DSLd
     ffr_minus, ffr_plus = d.ffr_minus, d.ffr_plus
-    d2d1 = _partial(d.D2D1Ld, D1Ld, "q1")
-    d2f = _partial(d.D2ffr_minus, ffr_minus, "q1")
     shared = ffr_minus is ffr_plus
 
     def pi_minus(q0, q1, S0):
@@ -254,9 +225,17 @@ def _generic_kernel(d):
         return (np.asarray(D2Ld(q0, q1, S0), dtype=float)
                 + 0.5 * np.asarray(ffr_plus(q0, q1, S0), dtype=float))
 
+    def covector_jacobian(side):
+        # central differences of the system's final pi_minus or pi_plus,
+        # looked up at call time so that a fused covector is the one used
+        def dpi(q0, q1, S0):
+            pi = getattr(d, side)
+            x = np.concatenate([q0, q1, [S0]])
+            return fd_gradient(lambda y: pi(y[:n], y[n : 2 * n], y[2 * n]), x)
+        return dpi
+
     def pi_minus_dq1(q0, q1, S0):
-        return (-np.asarray(d2d1(q0, q1, S0), dtype=float)
-                - 0.5 * np.asarray(d2f(q0, q1, S0), dtype=float))
+        return np.asarray(d.dpi_minus(q0, q1, S0), dtype=float)[:, n : 2 * n]
 
     def entropy_increment(q0, q1, S0):
         # (ffr_plus . q1 - ffr_minus . q0) / DSLd; a shared covector f is
@@ -270,7 +249,9 @@ def _generic_kernel(d):
         return _quotient(num, dsl)
 
     kernel = {"pi_minus": pi_minus, "pi_plus": pi_plus,
-              "pi_minus_dq1": pi_minus_dq1, "entropy_increment": entropy_increment}
+              "pi_minus_dq1": pi_minus_dq1, "entropy_increment": entropy_increment,
+              "dpi_minus": covector_jacobian("pi_minus"),
+              "dpi_plus": covector_jacobian("pi_plus")}
     for fn in kernel.values():
         fn.generic = True
     return kernel
@@ -286,8 +267,9 @@ def midpoint_discretize(sys, h):
     q -> (q0 + q1)/2 and v -> (q1 - q0)/h in L and in the friction
     covector; the single friction value acts on dq0 as ffr_minus and on
     dq1 as ffr_plus.  All discrete partials are assembled by the chain
-    rule from the system's analytic partials (second partials only where
-    the system supplies them).
+    rule from the system's analytic partials; the semiregularity matrix
+    and the covector Jacobians only where the system supplies the second
+    partials and friction Jacobians they need.
     """
     if h <= 0:
         raise ValueError(f"time step must be positive, got {h}")
@@ -354,13 +336,8 @@ def midpoint_discretize(sys, h):
                         + (cv0 * cv1 / (h * h)) * vv)
             return jac
 
-        kw["D1D1Ld"] = make_ldd(1, -1, 1, -1)
-        kw["D2D1Ld"] = make_ldd(1, -1, 1, 1)
-        kw["D1D2Ld"] = make_ldd(1, 1, 1, -1)
-        kw["D2D2Ld"] = make_ldd(1, 1, 1, 1)
-
         if sys.dFfrdq is not None and sys.dFfrdv is not None:
-            # fused semiregularity matrix -D2D1Ld - D2ffr_minus/2
+            # fused semiregularity matrix d(pi_minus)/dq1
             def pi_minus_dq1(q0, q1, S0):
                 m, w = mid(q0, q1)
                 qq = np.asarray(sys.d2Ldq2(m, w, S0), dtype=float)
@@ -373,16 +350,24 @@ def midpoint_discretize(sys, h):
 
             kw["pi_minus_dq1"] = pi_minus_dq1
 
-    if sys.d2LdqdS is not None and sys.d2LdvdS is not None:
-        kw["DSD1Ld"] = chain(sys.d2LdqdS, sys.d2LdvdS, -1)
-        kw["DSD2Ld"] = chain(sys.d2LdqdS, sys.d2LdvdS, 1)
+            if (sys.d2LdqdS is not None and sys.d2LdvdS is not None
+                    and sys.dFfrdS is not None):
+                dffr = (chain(sys.dFfrdq, sys.dFfrdv, -1), chain(sys.dFfrdq, sys.dFfrdv, 1),
+                        at_mid(sys.dFfrdS, array))
 
-    if sys.dFfrdq is not None and sys.dFfrdv is not None:
-        kw["D1ffr_minus"] = kw["D1ffr_plus"] = chain(sys.dFfrdq, sys.dFfrdv, -1)
-        kw["D2ffr_minus"] = kw["D2ffr_plus"] = chain(sys.dFfrdq, sys.dFfrdv, 1)
+                def covector_jacobian(cv):
+                    # d/dx of cv * (D_slot Ld + ffr/2), the slot being q0 for
+                    # pi_minus (cv = -1) and q1 for pi_plus (cv = 1)
+                    blocks = tuple(zip((make_ldd(1, cv, 1, -1), make_ldd(1, cv, 1, 1),
+                                        chain(sys.d2LdqdS, sys.d2LdvdS, cv)), dffr))
 
-    if sys.dFfrdS is not None:
-        kw["DSffr_minus"] = kw["DSffr_plus"] = at_mid(sys.dFfrdS, array)
+                    def dpi(q0, q1, S0):
+                        return np.column_stack([cv * (second(q0, q1, S0) + 0.5 * f(q0, q1, S0))
+                                                for second, f in blocks])
+                    return dpi
+
+                kw["dpi_minus"] = covector_jacobian(-1)
+                kw["dpi_plus"] = covector_jacobian(1)
 
     # fused covectors of the two Legendre maps (single midpoint pass)
     def pi_minus(q0, q1, S0):
@@ -447,11 +432,6 @@ def del_residual(d, q_prev, q_curr, S_prev, q_next, S_curr):
             - np.asarray(d.pi_minus(q_curr, q_next, S_curr), dtype=float))
 
 
-def ddel_map(d, q_prev, q_curr, q_next, S_prev, S_curr):
-    """The discrete Euler-Lagrange map; same formula as `del_residual`."""
-    return del_residual(d, q_prev, q_curr, S_prev, q_next, S_curr)
-
-
 def legendre_minus(d, t):
     """Minus Legendre transform: (q0, -D1Ld - ffr_minus/2, S0)."""
     cov = np.asarray(d.pi_minus(t.q0, t.q1, t.S0), dtype=float)
@@ -481,7 +461,7 @@ def momenta(d, q0, q1, S0):
 
 
 def semiregularity_matrix(d, t):
-    """-D2D1Ld - D2ffr_minus/2; invertibility makes the minus transform
+    """d(pi_minus)/dq1; invertibility makes the minus transform
     a local diffeomorphism.  Its negative is the Newton Jacobian of
     `del_residual` in q_next."""
     return np.asarray(d.pi_minus_dq1(t.q0, t.q1, t.S0), dtype=float)
@@ -507,15 +487,16 @@ def discrete_flow(d, t, cfg=None):
 def omega_matrices(d, t):
     """q0/q1 coefficient blocks of the two pulled-back two-forms.
 
-        Wplus  = D1D2Ld + D1ffr_plus / 2
-        Wminus = D1D2Ld + D2ffr_minus / 2
+        Wplus  = d(pi_plus)/dq0
+        Wminus = -(d(pi_minus)/dq1)^T
 
-    in the index convention of the module docstring.
+    in the index convention of the module docstring; each is
+    ``-omega_embedded(d, t, side)[:n, n:2n].T``.
     """
-    d1d2 = _second(d.D1D2Ld, d.D2Ld, "q0", t)
-    fplus = _second(d.D1ffr_plus, d.ffr_plus, "q0", t)
-    fminus = _second(d.D2ffr_minus, d.ffr_minus, "q1", t)
-    return d1d2 + 0.5 * fplus, d1d2 + 0.5 * fminus
+    n = d.n
+    dplus = np.asarray(d.dpi_plus(t.q0, t.q1, t.S0), dtype=float)
+    dminus = np.asarray(d.dpi_minus(t.q0, t.q1, t.S0), dtype=float)
+    return dplus[:, :n], -dminus[:, n : 2 * n].T
 
 
 def omega_embedded(d, t, side):
@@ -528,22 +509,16 @@ def omega_embedded(d, t, side):
     """
     n = d.n
     if side == "plus":
-        # the plus transform: q = q1, p = D2Ld + ffr_plus/2
-        sign, q_cols, cov, ffr = 1.0, slice(n, 2 * n), d.D2Ld, d.ffr_plus
-        seconds = ((d.D1D2Ld, d.D1ffr_plus), (d.D2D2Ld, d.D2ffr_plus), (d.DSD2Ld, d.DSffr_plus))
+        # the plus transform: q = q1, p = pi_plus
+        q_cols, dpi = slice(n, 2 * n), d.dpi_plus
     elif side == "minus":
-        # the minus transform: q = q0, p = -(D1Ld + ffr_minus/2)
-        sign, q_cols, cov, ffr = -1.0, slice(0, n), d.D1Ld, d.ffr_minus
-        seconds = ((d.D1D1Ld, d.D1ffr_minus), (d.D2D1Ld, d.D2ffr_minus),
-                   (d.DSD1Ld, d.DSffr_minus))
+        # the minus transform: q = q0, p = pi_minus
+        q_cols, dpi = slice(0, n), d.dpi_minus
     else:
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
     Aq = np.zeros((n, 2 * n + 1))
     Aq[:, q_cols] = np.eye(n)
-    Ap = np.empty((n, 2 * n + 1))
-    for cols, slot, (dcov, dffr) in zip((slice(0, n), slice(n, 2 * n), 2 * n),
-                                         ("q0", "q1", "S0"), seconds):
-        Ap[:, cols] = sign * (_second(dcov, cov, slot, t) + 0.5 * _second(dffr, ffr, slot, t))
+    Ap = np.asarray(dpi(t.q0, t.q1, t.S0), dtype=float)
     return Aq.T @ Ap - Ap.T @ Aq
 
 
@@ -612,7 +587,8 @@ def noether_condition(d, xi, samples, tol=1e-10):
     discrete motion.
     """
     for t in samples:
-        theta_minus, theta_plus = boundary_forms(d, t)
+        theta_minus = np.asarray(d.pi_minus(t.q0, t.q1, t.S0), dtype=float)
+        theta_plus = np.asarray(d.pi_plus(t.q0, t.q1, t.S0), dtype=float)
         val = (theta_plus @ np.asarray(xi(t.q1), dtype=float)
                - theta_minus @ np.asarray(xi(t.q0), dtype=float))
         if abs(val) > tol:
@@ -621,7 +597,7 @@ def noether_condition(d, xi, samples, tol=1e-10):
 
 
 # ---------------------------------------------------------------------------
-# action and boundary forms
+# the discrete action
 
 
 def raw_action(d, path):
@@ -638,10 +614,3 @@ def discrete_action(d, path, validate=True, constraint_tol=1e-12):
                 f"path violates the entropy-update constraint (relative residual {res:.3e})"
             )
     return raw_action(d, path)
-
-
-def boundary_forms(d, t):
-    """Boundary one-form coefficients (theta_minus on dq0, theta_plus on dq1):
-    the two Legendre covectors pi_minus and pi_plus."""
-    return (np.asarray(d.pi_minus(t.q0, t.q1, t.S0), dtype=float),
-            np.asarray(d.pi_plus(t.q0, t.q1, t.S0), dtype=float))

@@ -7,8 +7,9 @@ They also pin the exact oscillator reference (q, v and the quadrature
 entropy of ``DampedOscillatorSolution`` on a 2501-point grid, with a
 float time giving the same bits as an array time) and the RK2 and RK45
 trajectories of the Van der Waals gas and of a system whose right-hand
-side solves its velocity Hessian, and the values of every catalog callable
-at seeded points.  The digests depend on the numpy/scipy builds they were
+side solves its velocity Hessian, the values of every catalog callable
+at seeded points, and the discrete two-forms of every catalog system at
+seeded triples.  The digests depend on the numpy/scipy builds they were
 recorded with (numpy 2.4, scipy 1.17).  Horizons are short so the file
 runs in a few seconds.
 """
@@ -18,8 +19,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from thermint import (ExperimentConfig, LagrangianThermoSystem, ThermoState, get_system,
-                      initialize, reference_integrate, rk2_integrate, run_experiment)
+from thermint import (DiscreteTriple, ExperimentConfig, LagrangianThermoSystem, ThermoState,
+                      get_system, initialize, midpoint_discretize, omega_embedded,
+                      reference_integrate, rk2_integrate, run_experiment)
 from thermint.systems import DampedOscillatorSolution
 
 METHODS = ("variational", "rk2", "reference")
@@ -241,3 +243,34 @@ CATALOG_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(CATALOG_DIGESTS))
 def test_catalog_callables_frozen(name):
     assert _sha256(*_catalog_values(get_system(name))) == CATALOG_DIGESTS[name]
+
+
+def _two_forms(entry):
+    """omega_embedded on both sides at 15 seeded triples of the midpoint
+    discretization at h = 0.01; no Newton solve is involved."""
+    d = midpoint_discretize(entry.lagrangian, 0.01)
+    rng = np.random.default_rng(43)
+    q0 = rng.uniform(0.6, 1.6, (15, entry.n))
+    q1 = q0 + rng.uniform(-0.05, 0.05, (15, entry.n))
+    S0 = rng.uniform(0.0, 2.0, 15)
+    triples = [DiscreteTriple(q0[k], q1[k], S0[k]) for k in range(15)]
+    return [omega_embedded(d, t, side) for t in triples for side in ("plus", "minus")]
+
+
+# sha256 of _two_forms(get_system(name)), recorded while the two-forms were
+# assembled from twelve separate second-partial and friction-Jacobian fields
+TWOFORM_DIGESTS = {
+    "ideal-gas":
+        "297c97a6fe535ba176ae82b84e70b8beb602752bf1400cd7ec65838c2aef47e8",
+    "oscillator":
+        "90764da1989e98aec5a37b1aa95d1fbaba5a7db614a786fc8b06b937d1fc877d",
+    "two-pistons":
+        "6e2d6ab9063c7cc8d122ed09fad98f5a6a3f71d70ddacd9891a15ada4ba27572",
+    "van-der-waals":
+        "0b6604e1bf833bcebae6308346693197f7854712eb5a606fc65e75ac2965ef18",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWOFORM_DIGESTS))
+def test_two_forms_frozen(name):
+    assert _sha256(*_two_forms(get_system(name))) == TWOFORM_DIGESTS[name]

@@ -5,12 +5,11 @@ from hypothesis import strategies as st
 
 from thermint import (
     DiscretePath,
+    DiscreteThermoSystem,
     DiscreteTriple,
     LagrangianThermoSystem,
     NewtonConfig,
     TemperatureDegenerateError,
-    boundary_forms,
-    ddel_map,
     del_residual,
     discrete_action,
     discrete_flow,
@@ -23,6 +22,7 @@ from thermint import (
     midpoint_discretize,
     momentum_map,
     noether_condition,
+    omega_embedded,
     omega_matrices,
     pullback_check,
     semiregularity_matrix,
@@ -93,23 +93,19 @@ class TestMidpointDiscretize:
             midpoint_discretize(OSC.lagrangian, 0.0)
 
     def test_second_partials_match_finite_differences(self):
-        # analytic chain-rule assembly against central differences
+        # analytic chain-rule covector Jacobians against central differences
+        # of the covectors, in the q0, q1 and S0 blocks
         from thermint.continuous import fd_gradient
 
-        q0, q1, S0 = np.array([0.9]), np.array([1.05]), 0.8
-        for d in (D_OSC, D_GAS, D_VDW):
-            np.testing.assert_allclose(d.D2D1Ld(q0, q1, S0),
-                                       fd_gradient(lambda x: d.D1Ld(q0, x, S0), q1),
-                                       rtol=1e-5, atol=1e-4)
-            np.testing.assert_allclose(d.D1D2Ld(q0, q1, S0),
-                                       fd_gradient(lambda x: d.D2Ld(x, q1, S0), q0),
-                                       rtol=1e-5, atol=1e-4)
-            np.testing.assert_allclose(d.DSD1Ld(q0, q1, S0),
-                                       fd_gradient(lambda s: d.D1Ld(q0, q1, s[0]), [S0])[:, 0],
-                                       rtol=1e-5, atol=1e-6)
-            np.testing.assert_allclose(d.DSD2Ld(q0, q1, S0),
-                                       fd_gradient(lambda s: d.D2Ld(q0, q1, s[0]), [S0])[:, 0],
-                                       rtol=1e-5, atol=1e-6)
+        for d, q0, q1 in ((D_OSC, [0.9], [1.05]), (D_GAS, [0.9], [1.05]),
+                          (D_VDW, [0.9], [1.05]), (D_TP, [0.9, 1.2], [1.05, 1.15])):
+            q0, q1, S0, n = np.array(q0), np.array(q1), 0.8, d.n
+            x = np.concatenate([q0, q1, [S0]])
+            for pi, dpi in ((d.pi_minus, d.dpi_minus), (d.pi_plus, d.dpi_plus)):
+                got = dpi(q0, q1, S0)
+                fd = fd_gradient(lambda y: pi(y[:n], y[n : 2 * n], y[2 * n]), x)
+                np.testing.assert_allclose(got[:, : 2 * n], fd[:, : 2 * n], rtol=1e-5, atol=1e-4)
+                np.testing.assert_allclose(got[:, 2 * n], fd[:, 2 * n], rtol=1e-5, atol=1e-6)
 
 
 class TestEntropyUpdate:
@@ -206,15 +202,6 @@ class TestDelResidual:
         r = del_residual(D_GAS, t.q0, t.q1, t.S0, out.q1, out.S0)
         assert np.max(np.abs(r)) <= 1e-10
 
-    def test_ddel_map_is_alias(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            qp, qc, qn = rng.normal(size=3)
-            Sp, Sc = rng.normal(size=2)
-            np.testing.assert_array_equal(
-                ddel_map(D_OSC, [qp], [qc], [qn], Sp, Sc),
-                del_residual(D_OSC, [qp], [qc], Sp, [qn], Sc))
-
 
 class TestLegendreTransforms:
     def test_free_particle_momenta(self):
@@ -309,11 +296,17 @@ class TestOmegaMatrices:
         np.testing.assert_allclose(Wm, [[-1.0 / H ** 2]], rtol=1e-12)
 
     def test_zero_friction_plus_equals_minus(self):
+        # analytic second partials: the two blocks come from different
+        # covector Jacobians, which central differences match only to ~1e-12
+        zero = lambda q, v, S: np.zeros(1)
         sys = LagrangianThermoSystem(
             n=1,
             L=lambda q, v, S: 0.5 * float(v @ v) - 0.5 * float(q @ q) - 0.1 * S,
             dLdq=lambda q, v, S: -q, dLdv=lambda q, v, S: v,
-            dLdS=lambda q, v, S: -0.1)
+            dLdS=lambda q, v, S: -0.1,
+            d2Ldq2=lambda q, v, S: -np.eye(1), d2Ldv2=lambda q, v, S: np.eye(1),
+            d2LdqdS=zero, d2LdvdS=zero, dFfrdq=lambda q, v, S: np.zeros((1, 1)),
+            dFfrdv=lambda q, v, S: np.zeros((1, 1)), dFfrdS=zero)
         d = midpoint_discretize(sys, H)
         Wp, Wm = omega_matrices(d, DiscreteTriple([0.3], [0.5], 0.0))
         np.testing.assert_allclose(Wp, Wm, rtol=1e-14)
@@ -324,15 +317,32 @@ class TestOmegaMatrices:
         (D_TP, DiscreteTriple([1.0, 1.1], [1.01, 1.09], 1.0)),
     ])
     def test_analytic_matches_finite_differences(self, d, triple):
-        # strip the analytic second partials to force the FD fallback
+        # strip the analytic covector Jacobians to force the FD fallback
         import dataclasses
 
-        fd = dataclasses.replace(
-            d, D1D2Ld=None, D2D1Ld=None, D1ffr_plus=None, D2ffr_minus=None)
+        fd = dataclasses.replace(d, dpi_minus=None, dpi_plus=None)
         Wp, Wm = omega_matrices(d, triple)
         Wp_fd, Wm_fd = omega_matrices(fd, triple)
         np.testing.assert_allclose(Wp, Wp_fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(Wp)))
         np.testing.assert_allclose(Wm, Wm_fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(Wm)))
+
+    def test_blocks_match_embedded_two_forms(self):
+        # n = 2 with a non-symmetric friction Jacobian -A: each block is the
+        # q0 x q1 block of the embedded form, negated and transposed
+        A = np.array([[1.0, 0.7], [-0.2, 0.5]])
+        zero = lambda q, v, S: np.zeros(2)
+        sys = LagrangianThermoSystem(
+            n=2,
+            L=lambda q, v, S: 0.5 * float(v @ v) - S,
+            dLdq=zero, dLdv=lambda q, v, S: v, dLdS=lambda q, v, S: -1.0,
+            Ffr=lambda q, v, S: -A @ v,
+            d2Ldq2=lambda q, v, S: np.zeros((2, 2)), d2Ldv2=lambda q, v, S: np.eye(2),
+            d2LdqdS=zero, d2LdvdS=zero, dFfrdq=lambda q, v, S: np.zeros((2, 2)),
+            dFfrdv=lambda q, v, S: -A, dFfrdS=zero)
+        d = midpoint_discretize(sys, 0.1)
+        t = DiscreteTriple([0.3, -0.2], [0.35, -0.1], 0.5)
+        for W, side in zip(omega_matrices(d, t), ("plus", "minus")):
+            np.testing.assert_array_equal(W, -omega_embedded(d, t, side)[:2, 2:4].T)
 
 
 class TestPullback:
@@ -415,7 +425,8 @@ class TestActionAndBoundary:
 
     def test_boundary_forms_values(self):
         t = DiscreteTriple([0.3], [0.33], 0.2)
-        th_m, th_p = boundary_forms(D_OSC, t)
+        _, th_m, _ = legendre_minus(D_OSC, t)
+        _, th_p, _ = legendre_plus(D_OSC, t)
         np.testing.assert_allclose(
             th_m, -(D_OSC.D1Ld(t.q0, t.q1, t.S0) + 0.5 * D_OSC.ffr_minus(t.q0, t.q1, t.S0)))
         np.testing.assert_allclose(
@@ -449,7 +460,7 @@ class TestActionAndBoundary:
         fd = (raw_action(d, plus) - raw_action(d, minus)) / (2 * eps)
 
         inner = sum(
-            float(ddel_map(d, qs[k - 1], qs[k], qs[k + 1], Ss[k - 1], Ss[k]) @ dq[k])
+            float(del_residual(d, qs[k - 1], qs[k], Ss[k - 1], qs[k + 1], Ss[k]) @ dq[k])
             for k in range(1, N))
         assert fd == pytest.approx(inner, abs=1e-6)
 
@@ -469,8 +480,6 @@ class TestSemiregularity:
 
     def test_degenerate_lagrangian_flagged(self):
         # Ld independent of q1: the matrix vanishes identically
-        from thermint import DiscreteThermoSystem
-
         d = DiscreteThermoSystem(
             n=1, h=H,
             Ld=lambda q0, q1, S0: float(q0 @ q0) - 0.1 * S0,
@@ -498,3 +507,74 @@ class TestDiscretePath:
     def test_constraint_residual_of_solver_output(self):
         path = integrate(D_OSC, [0.0], [0.0099], 0.0, 100)
         assert path.constraint_residual(D_OSC) <= 1e-12
+
+
+def trapezoidal(sys, h):
+    """The trapezoidal discretization, Ld = (L(q0, w, S0) + L(q1, w, S0))/2
+    with w = (q1 - q0)/h, built from the six fields a discretization must
+    supply; the friction covector is the same average of Ffr."""
+    def w(q0, q1):
+        return (q1 - q0) / h
+
+    def Ld(q0, q1, S0):
+        v = w(q0, q1)
+        return 0.5 * (sys.L(q0, v, S0) + sys.L(q1, v, S0))
+
+    def dLdv(q0, q1, S0):
+        v = w(q0, q1)
+        return (np.asarray(sys.dLdv(q0, v, S0)) + np.asarray(sys.dLdv(q1, v, S0))) / (2 * h)
+
+    def D1Ld(q0, q1, S0):
+        return 0.5 * np.asarray(sys.dLdq(q0, w(q0, q1), S0)) - dLdv(q0, q1, S0)
+
+    def D2Ld(q0, q1, S0):
+        return 0.5 * np.asarray(sys.dLdq(q1, w(q0, q1), S0)) + dLdv(q0, q1, S0)
+
+    def DSLd(q0, q1, S0):
+        v = w(q0, q1)
+        return 0.5 * (sys.dLdS(q0, v, S0) + sys.dLdS(q1, v, S0))
+
+    def ffr(q0, q1, S0):
+        v = w(q0, q1)
+        return 0.5 * (np.asarray(sys.Ffr(q0, v, S0)) + np.asarray(sys.Ffr(q1, v, S0)))
+
+    return DiscreteThermoSystem(n=sys.n, h=h, Ld=Ld, D1Ld=D1Ld, D2Ld=D2Ld, DSLd=DSLd,
+                                ffr_minus=ffr, ffr_plus=ffr)
+
+
+class TestTrapezoidalDiscretization:
+    """A second discretization runs through the same kernel, with every
+    Jacobian from central differences of its covectors."""
+
+    CFG = NewtonConfig(tol=1e-9)
+    # (q0, v0, S0).  The ideal gas starts at S0 = 1: at S0 = 10 its e^10
+    # pressure lifts the Newton residual floor to ~1e-10, where a 1e-10
+    # tolerance stalls and, at 1e-9, the pullback defect reads 1.1e-5
+    STARTS = {"oscillator": ([1.0], [0.2], 0.5), "ideal-gas": ([1.0], [0.2], 1.0),
+              "two-pistons": ([1.0, 1.0], [0.2, -0.1], 0.5)}
+
+    @pytest.mark.parametrize("name", sorted(STARTS))
+    def test_path_guarantees(self, name):
+        d = trapezoidal(get_system(name).lagrangian, H)
+        q0, v0, S0 = (np.array(x) for x in self.STARTS[name])
+        path = integrate(d, q0, q0 + H * v0, S0, 500, self.CFG)
+        assert np.all(np.diff(path.Ss) >= 0.0)
+        worst = 0.0
+        for k in range(1, 500):
+            _, cov_p, S_p = legendre_plus(d, path.triple(k))
+            _, cov_m, S_m = legendre_minus(d, path.triple(k + 1))
+            worst = max(worst, float(np.max(np.abs(cov_p - cov_m))), abs(S_p - S_m))
+        assert worst <= 1e-10
+        for k in range(1, 51, 7):
+            assert pullback_check(d, path.triple(k), self.CFG) <= 1e-5
+
+    def test_frictionless_translation_momentum_conserved(self):
+        d = trapezoidal(get_system("two-pistons", gamma=0.0).lagrangian, H)
+        xi = lambda q: np.array([-1.0, 1.0])
+        N = 2000
+        path = integrate(d, [1.0, 1.0], [1.002, 0.997], 1.0, N, self.CFG)
+        assert noether_condition(d, xi, [path.triple(k) for k in range(1, N + 1, 100)])
+        j0 = momentum_map(d, path.triple(1), xi, "plus")
+        drift = max(abs(momentum_map(d, path.triple(k), xi, "plus") - j0)
+                    for k in range(1, N + 1))
+        assert drift <= 1e-10

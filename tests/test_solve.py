@@ -144,7 +144,7 @@ class TestIntegrate:
         S1 = entropy_update(d, DiscreteTriple(qa, qb, 0.0))
         const = d.D2Ld(qa, qb, 0.0) + 0.5 * d.ffr_plus(qa, qb, 0.0)
         resid = lambda x: d.D1Ld(qb, x, S1) + 0.5 * d.ffr_minus(qb, x, S1) + const
-        jac = lambda x: d.D2D1Ld(qb, x, S1) + 0.5 * d.D2ffr_minus(qb, x, S1)
+        jac = lambda x: -d.pi_minus_dq1(qb, x, S1)
         _, report = newton_solve(resid, jac, 2 * qb - qa, NewtonConfig(tol=1e-12))
         assert report.iterations <= 3
 
