@@ -1,10 +1,9 @@
 """Continuous Lagrangian thermodynamic systems.
 
 State space is (q, v, S) with q, v in R^n and a single entropy variable S.
-A system is described by a Lagrangian L(q, v, S), its analytic first
-partials, a friction covector field and an optional external force.  The
-equations of motion couple the forced Euler-Lagrange equations with the
-entropy equation (dL/dS) * Sdot = v . Ffr.
+A system is described by a Lagrangian L(q, v, S), its partials and a
+friction covector field.  The equations of motion couple the forced
+Euler-Lagrange equations with the entropy equation (dL/dS) * Sdot = v . Ffr.
 """
 
 from dataclasses import dataclass, field
@@ -28,7 +27,7 @@ __all__ = [
     "fd_gradient",
 ]
 
-#: central-difference step scale for derivative fallbacks
+#: central-difference step scale of `fd_gradient`
 FD_STEP = float(np.cbrt(np.finfo(float).eps))
 
 
@@ -63,9 +62,11 @@ class LagrangianThermoSystem:
     """Lagrangian L with analytic partials and force covector fields.
 
     All callables take raw ``(q, v, S)`` arguments (q, v arrays of length
-    n, S scalar).  Second derivatives are optional; when absent the
-    operations that need them fall back to central finite differences
-    with step ``FD_STEP * (1 + |x|)``.
+    n, S scalar).  Each of the eight second-order fields left as None is
+    derived once, in `__post_init__`, as `fd_gradient` of the matching
+    first partial or of ``Ffr``; ``d2Ldqdv[i, j]`` = d2L/dq_i dv_j is the
+    transpose of the q-Jacobian of ``dLdv``.  A derived callable is marked
+    ``generic``, so ``dataclasses.replace`` rebuilds it from the copy.
 
     ``accel`` may supply a closed-form acceleration; ``continuous_rhs``
     then uses it instead of solving the velocity Hessian.
@@ -92,24 +93,26 @@ class LagrangianThermoSystem:
     dLdv: callable
     dLdS: callable
     Ffr: callable = _zero_force
-    Fext: callable = _zero_force
     name: str = ""
     params: dict = field(default_factory=dict)
 
-    # optional second derivatives of L
+    # second derivatives of L, derived in __post_init__ when left out
     d2Ldq2: callable = None          # (n, n), d2L/dq_i dq_j
     d2Ldqdv: callable = None         # (n, n), [i, j] = d2L/dq_i dv_j
     d2Ldv2: callable = None          # (n, n)
     d2LdqdS: callable = None         # (n,)
     d2LdvdS: callable = None         # (n,)
 
-    # optional Jacobians of the friction covector
+    # Jacobians of the friction covector, derived likewise
     dFfrdq: callable = None          # (n, n), [i, j] = dFfr_i/dq_j
     dFfrdv: callable = None          # (n, n)
     dFfrdS: callable = None          # (n,)
 
     accel: callable = None           # closed-form (n,) acceleration
     domain_check: callable = None    # raises DomainError outside the domain
+
+    def __post_init__(self):
+        derive_missing(self, _second_partials(self))
 
     def check_domain(self, q):
         if self.domain_check is not None:
@@ -165,13 +168,12 @@ def legendre(sys, state):
     return state.q.copy(), p, state.S
 
 
-def fd_gradient(f, x, step=None):
+def fd_gradient(f, x):
     """Central-difference gradient of a scalar/vector function of x (1d)."""
     x = np.asarray(x, dtype=float)
-    step = FD_STEP if step is None else step
     cols = []
     for j in range(x.shape[0]):
-        d = step * (1.0 + abs(x[j]))
+        d = FD_STEP * (1.0 + abs(x[j]))
         xp = x.copy()
         xm = x.copy()
         xp[j] += d
@@ -180,23 +182,38 @@ def fd_gradient(f, x, step=None):
     return np.stack(cols, axis=-1)
 
 
-def _velocity_hessian(sys, q, v, S):
-    if sys.d2Ldv2 is not None:
-        return np.asarray(sys.d2Ldv2(q, v, S), dtype=float)
-    return fd_gradient(lambda vv: sys.dLdv(q, vv, S), v)
+def derive_missing(obj, derived):
+    """Set each field of ``obj`` that is None or marked ``generic`` to its
+    entry of ``derived``, marked ``generic``: a derived callable closes over
+    the fields it was built from, and ``dataclasses.replace`` rebuilds it."""
+    for attr, fn in derived.items():
+        current = getattr(obj, attr)
+        if current is None or getattr(current, "generic", False):
+            fn.generic = True
+            setattr(obj, attr, fn)
 
 
-def _dLdv_q_jacobian(sys, q, v, S):
-    # [i, j] = d2L / dv_i dq_j
-    if sys.d2Ldqdv is not None:
-        return np.asarray(sys.d2Ldqdv(q, v, S), dtype=float).T
-    return fd_gradient(lambda qq: sys.dLdv(qq, v, S), q)
+def _second_partials(sys):
+    """The second-order fields of a system as central differences of its
+    first partials and its friction covector."""
+    def over_q(f):  # [i, j] = df_i/dq_j
+        return lambda q, v, S: fd_gradient(lambda qq: f(qq, v, S), q)
 
+    def over_v(f):
+        return lambda q, v, S: fd_gradient(lambda vv: f(q, vv, S), v)
 
-def _dLdv_S_derivative(sys, q, v, S):
-    if sys.d2LdvdS is not None:
-        return np.asarray(sys.d2LdvdS(q, v, S), dtype=float)
-    return fd_gradient(lambda s: sys.dLdv(q, v, s[0]), [S])[..., 0]
+    def over_S(f):
+        return lambda q, v, S: fd_gradient(lambda s: f(q, v, s[0]), [S])[..., 0]
+
+    dLdv_q = over_q(sys.dLdv)
+    return {"d2Ldq2": over_q(sys.dLdq),
+            "d2Ldqdv": lambda q, v, S: dLdv_q(q, v, S).T,
+            "d2Ldv2": over_v(sys.dLdv),
+            "d2LdqdS": over_S(sys.dLdq),
+            "d2LdvdS": over_S(sys.dLdv),
+            "dFfrdq": over_q(sys.Ffr),
+            "dFfrdv": over_v(sys.Ffr),
+            "dFfrdS": over_S(sys.Ffr)}
 
 
 def equations_of_motion(sys, q, v, S):
@@ -206,7 +223,7 @@ def equations_of_motion(sys, q, v, S):
     solves the entropy equation; vdot either comes from the system's
     closed-form acceleration or from solving the velocity Hessian in
 
-        d/dt (dL/dv) = dL/dq + Ffr + Fext.
+        d/dt (dL/dv) = dL/dq + Ffr.
     """
     sys.check_domain(q)
     dLdS = float(sys.dLdS(q, v, S))
@@ -218,11 +235,9 @@ def equations_of_motion(sys, q, v, S):
         vdot = np.asarray(sys.accel(q, v, S), dtype=float)
     else:
         rhs = (np.asarray(sys.dLdq(q, v, S), dtype=float) + ffr
-               + np.asarray(sys.Fext(q, v, S), dtype=float)
-               - _dLdv_q_jacobian(sys, q, v, S) @ v
-               - _dLdv_S_derivative(sys, q, v, S) * Sdot)
-        W = _velocity_hessian(sys, q, v, S)
-        vdot = np.linalg.solve(W, rhs)
+               - np.asarray(sys.d2Ldqdv(q, v, S), dtype=float).T @ v
+               - np.asarray(sys.d2LdvdS(q, v, S), dtype=float) * Sdot)
+        vdot = np.linalg.solve(np.asarray(sys.d2Ldv2(q, v, S), dtype=float), rhs)
     return v.copy(), vdot, Sdot
 
 
@@ -243,7 +258,7 @@ def first_order_rhs(sys):
 
 
 def noether_lift_check(sys, X, X_jac, states, tol=1e-10):
-    """Check the lifted-symmetry condition X^C(L) = -(Ffr + Fext)(X^C).
+    """Check the lifted-symmetry condition X^C(L) = -Ffr(X^C).
 
     ``X`` maps q to the field value, ``X_jac`` to its Jacobian
     [i, j] = dX_i/dq_j.  Returns True when the condition holds at every
@@ -253,8 +268,8 @@ def noether_lift_check(sys, X, X_jac, states, tol=1e-10):
         q, v, S = st.q, st.v, st.S
         xc = (np.asarray(X(q)) @ sys.dLdq(q, v, S)
               + (np.asarray(X_jac(q)) @ v) @ sys.dLdv(q, v, S))
-        forces = (np.asarray(sys.Ffr(q, v, S)) + np.asarray(sys.Fext(q, v, S))) @ np.asarray(X(q))
-        if abs(xc + forces) > tol:
+        friction = np.asarray(sys.Ffr(q, v, S)) @ np.asarray(X(q))
+        if abs(xc + friction) > tol:
             return False
     return True
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuous import fd_gradient
+from .continuous import derive_missing, fd_gradient
 from .errors import TemperatureDegenerateError
 
 __all__ = [
@@ -121,12 +121,7 @@ class DiscreteThermoSystem:
     name: str = ""
 
     def __post_init__(self):
-        # a derived callable closes over the fields it was built from, so
-        # it is rebuilt when a copy (dataclasses.replace) changes them
-        for attr, fn in _generic_kernel(self).items():
-            current = getattr(self, attr)
-            if current is None or getattr(current, "generic", False):
-                setattr(self, attr, fn)
+        derive_missing(self, _generic_kernel(self))
 
 
 @dataclass
@@ -235,6 +230,10 @@ def _generic_kernel(d):
         return dpi
 
     def pi_minus_dq1(q0, q1, S0):
+        if getattr(d.dpi_minus, "generic", False):
+            # the q1 columns of the generic dpi_minus, without the others
+            pi = d.pi_minus
+            return fd_gradient(lambda y: pi(q0, y, S0), q1)
         return np.asarray(d.dpi_minus(q0, q1, S0), dtype=float)[:, n : 2 * n]
 
     def entropy_increment(q0, q1, S0):
@@ -248,13 +247,10 @@ def _generic_kernel(d):
             num = _pair(ffr_plus(q0, q1, S0), q1) - _pair(ffr_minus(q0, q1, S0), q0)
         return _quotient(num, dsl)
 
-    kernel = {"pi_minus": pi_minus, "pi_plus": pi_plus,
-              "pi_minus_dq1": pi_minus_dq1, "entropy_increment": entropy_increment,
-              "dpi_minus": covector_jacobian("pi_minus"),
-              "dpi_plus": covector_jacobian("pi_plus")}
-    for fn in kernel.values():
-        fn.generic = True
-    return kernel
+    return {"pi_minus": pi_minus, "pi_plus": pi_plus,
+            "pi_minus_dq1": pi_minus_dq1, "entropy_increment": entropy_increment,
+            "dpi_minus": covector_jacobian("pi_minus"),
+            "dpi_plus": covector_jacobian("pi_plus")}
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +262,9 @@ def midpoint_discretize(sys, h):
 
     q -> (q0 + q1)/2 and v -> (q1 - q0)/h in L and in the friction
     covector; the single friction value acts on dq0 as ffr_minus and on
-    dq1 as ffr_plus.  All discrete partials are assembled by the chain
-    rule from the system's analytic partials; the semiregularity matrix
-    and the covector Jacobians only where the system supplies the second
-    partials and friction Jacobians they need.
+    dq1 as ffr_plus.  All discrete partials, the semiregularity matrix
+    and the covector Jacobians are assembled by the chain rule from the
+    system's partials, second partials and friction Jacobians.
     """
     if h <= 0:
         raise ValueError(f"time step must be positive, got {h}")
@@ -300,74 +295,57 @@ def midpoint_discretize(sys, h):
             return cast(fn(m, w, S0))
         return f
 
+    def array(x):
+        return np.asarray(x, dtype=float)
+
     def chain(dq, dv, cv):
         # d/dq0 (cv = -1) or d/dq1 (cv = 1) of a field evaluated at the
         # midpoint: (1/2) d/dq + (cv/h) d/dv
         def jac(q0, q1, S0):
             m, w = mid(q0, q1)
-            return (0.5 * np.asarray(dq(m, w, S0), dtype=float)
-                    + (cv / h) * np.asarray(dv(m, w, S0), dtype=float))
+            return 0.5 * array(dq(m, w, S0)) + (cv / h) * array(dv(m, w, S0))
         return jac
-
-    def array(x):
-        return np.asarray(x, dtype=float)
 
     DSLd = at_mid(sys.dLdS, _point_or_stack)
     ffr = at_mid(sys.Ffr, array)
-    kw = {}
-    if sys.d2Ldq2 is not None and sys.d2Ldv2 is not None:
-        # d2L/dqdv defaults to zero when not supplied (true for all the
-        # shipped systems, whose kinetic term is |v|^2/2)
-        def lqv(m, w, S0):
-            if sys.d2Ldqdv is None:
-                return np.zeros((n, n))
-            return np.asarray(sys.d2Ldqdv(m, w, S0), dtype=float)
 
-        def make_ldd(cq0, cv0, cq1, cv1):
-            # d/dq0 ~ (cq0/2, cv0/h), d/dq1 ~ (cq1/2, cv1/h) on (m, w)
-            def jac(q0, q1, S0):
-                m, w = mid(q0, q1)
-                qq = np.asarray(sys.d2Ldq2(m, w, S0), dtype=float)
-                vv = np.asarray(sys.d2Ldv2(m, w, S0), dtype=float)
-                qv = lqv(m, w, S0)
-                return (0.25 * cq0 * cq1 * qq
-                        + (cq0 * cv1 / (2 * h)) * qv
-                        + (cq1 * cv0 / (2 * h)) * qv.T
-                        + (cv0 * cv1 / (h * h)) * vv)
-            return jac
+    def make_ldd(cq0, cv0, cq1, cv1):
+        # d/dq0 ~ (cq0/2, cv0/h), d/dq1 ~ (cq1/2, cv1/h) on (m, w)
+        def jac(q0, q1, S0):
+            m, w = mid(q0, q1)
+            qq = array(sys.d2Ldq2(m, w, S0))
+            vv = array(sys.d2Ldv2(m, w, S0))
+            qv = array(sys.d2Ldqdv(m, w, S0))
+            return (0.25 * cq0 * cq1 * qq
+                    + (cq0 * cv1 / (2 * h)) * qv
+                    + (cq1 * cv0 / (2 * h)) * qv.T
+                    + (cv0 * cv1 / (h * h)) * vv)
+        return jac
 
-        if sys.dFfrdq is not None and sys.dFfrdv is not None:
-            # fused semiregularity matrix d(pi_minus)/dq1
-            def pi_minus_dq1(q0, q1, S0):
-                m, w = mid(q0, q1)
-                qq = np.asarray(sys.d2Ldq2(m, w, S0), dtype=float)
-                vv = np.asarray(sys.d2Ldv2(m, w, S0), dtype=float)
-                qv = lqv(m, w, S0)
-                fq = np.asarray(sys.dFfrdq(m, w, S0), dtype=float)
-                fv = np.asarray(sys.dFfrdv(m, w, S0), dtype=float)
-                return (vv / (h * h) - 0.25 * qq - (0.5 / h) * qv + (0.5 / h) * qv.T
-                        - 0.25 * fq - (0.5 / h) * fv)
+    # fused semiregularity matrix d(pi_minus)/dq1
+    def pi_minus_dq1(q0, q1, S0):
+        m, w = mid(q0, q1)
+        qq = array(sys.d2Ldq2(m, w, S0))
+        vv = array(sys.d2Ldv2(m, w, S0))
+        qv = array(sys.d2Ldqdv(m, w, S0))
+        fq = array(sys.dFfrdq(m, w, S0))
+        fv = array(sys.dFfrdv(m, w, S0))
+        return (vv / (h * h) - 0.25 * qq - (0.5 / h) * qv + (0.5 / h) * qv.T
+                - 0.25 * fq - (0.5 / h) * fv)
 
-            kw["pi_minus_dq1"] = pi_minus_dq1
+    dffr = (chain(sys.dFfrdq, sys.dFfrdv, -1), chain(sys.dFfrdq, sys.dFfrdv, 1),
+            at_mid(sys.dFfrdS, array))
 
-            if (sys.d2LdqdS is not None and sys.d2LdvdS is not None
-                    and sys.dFfrdS is not None):
-                dffr = (chain(sys.dFfrdq, sys.dFfrdv, -1), chain(sys.dFfrdq, sys.dFfrdv, 1),
-                        at_mid(sys.dFfrdS, array))
+    def covector_jacobian(cv):
+        # d/dx of cv * (D_slot Ld + ffr/2), the slot being q0 for pi_minus
+        # (cv = -1) and q1 for pi_plus (cv = 1)
+        blocks = tuple(zip((make_ldd(1, cv, 1, -1), make_ldd(1, cv, 1, 1),
+                            chain(sys.d2LdqdS, sys.d2LdvdS, cv)), dffr))
 
-                def covector_jacobian(cv):
-                    # d/dx of cv * (D_slot Ld + ffr/2), the slot being q0 for
-                    # pi_minus (cv = -1) and q1 for pi_plus (cv = 1)
-                    blocks = tuple(zip((make_ldd(1, cv, 1, -1), make_ldd(1, cv, 1, 1),
-                                        chain(sys.d2LdqdS, sys.d2LdvdS, cv)), dffr))
-
-                    def dpi(q0, q1, S0):
-                        return np.column_stack([cv * (second(q0, q1, S0) + 0.5 * f(q0, q1, S0))
-                                                for second, f in blocks])
-                    return dpi
-
-                kw["dpi_minus"] = covector_jacobian(-1)
-                kw["dpi_plus"] = covector_jacobian(1)
+        def dpi(q0, q1, S0):
+            return np.column_stack([cv * (second(q0, q1, S0) + 0.5 * f(q0, q1, S0))
+                                    for second, f in blocks])
+        return dpi
 
     # fused covectors of the two Legendre maps (single midpoint pass)
     def pi_minus(q0, q1, S0):
@@ -390,8 +368,9 @@ def midpoint_discretize(sys, h):
 
     return DiscreteThermoSystem(
         n=n, h=h, Ld=Ld, D1Ld=D1Ld, D2Ld=D2Ld, DSLd=DSLd,
-        ffr_minus=ffr, ffr_plus=ffr, pi_minus=pi_minus, pi_plus=pi_plus,
-        entropy_increment=entropy_increment, name=sys.name, **kw,
+        ffr_minus=ffr, ffr_plus=ffr, dpi_minus=covector_jacobian(-1),
+        dpi_plus=covector_jacobian(1), pi_minus=pi_minus, pi_plus=pi_plus,
+        pi_minus_dq1=pi_minus_dq1, entropy_increment=entropy_increment, name=sys.name,
     )
 
 
@@ -522,8 +501,9 @@ def omega_embedded(d, t, side):
     return Aq.T @ Ap - Ap.T @ Aq
 
 
-def _flow_jacobian(d, t, cfg, step=1e-4):
+def _flow_jacobian(d, t, cfg):
     """Richardson-extrapolated central-difference Jacobian of the flow."""
+    step = 1e-4
     n = d.n
     dim = 2 * n + 1
     x0 = t.as_array()
@@ -546,7 +526,7 @@ def _flow_jacobian(d, t, cfg, step=1e-4):
     return (4.0 * fine - coarse) / 3.0
 
 
-def pullback_check(d, t, cfg=None, fd_step=1e-4):
+def pullback_check(d, t, cfg=None):
     """Defect of the flow-pullback identity on the two-forms.
 
     Returns ``max |J^T W^-(flow(t)) J - W^+(t)|`` with J the
@@ -558,7 +538,7 @@ def pullback_check(d, t, cfg=None, fd_step=1e-4):
 
     cfg = cfg or NewtonConfig()
     image = discrete_flow(d, t, cfg)
-    J = _flow_jacobian(d, t, cfg, step=fd_step)
+    J = _flow_jacobian(d, t, cfg)
     w_minus = omega_embedded(d, image, "minus")
     w_plus = omega_embedded(d, t, "plus")
     return float(np.max(np.abs(J.T @ w_minus @ J - w_plus)))

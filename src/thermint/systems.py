@@ -152,7 +152,7 @@ def _separable(name, n, gamma, params, potential, force, force_dq, force_dS, tem
     callables of (q, S).  Every other field follows, the Hamiltonian side
     with p = v.
     """
-    eye = np.eye(n)
+    eye, zeros = np.eye(n), np.zeros((n, n))
 
     def L(q, v, S):
         value = 0.5 * _sqnorm(v)
@@ -177,10 +177,11 @@ def _separable(name, n, gamma, params, potential, force, force_dq, force_dS, tem
         name=name,
         params=params,
         d2Ldq2=lambda q, v, S: force_dq(q, S),
+        d2Ldqdv=lambda q, v, S: zeros,
         d2Ldv2=lambda q, v, S: eye,
         d2LdqdS=lambda q, v, S: force_dS(q, S),
         d2LdvdS=lambda q, v, S: np.zeros(n),
-        dFfrdq=lambda q, v, S: np.zeros((n, n)),
+        dFfrdq=lambda q, v, S: zeros,
         dFfrdv=lambda q, v, S: -gamma * eye,
         dFfrdS=lambda q, v, S: np.zeros(n),
         accel=lambda q, v, S: force(q, S) - gamma * v,

@@ -99,6 +99,30 @@ class TestRhs:
                 np.testing.assert_allclose(vd_generic, vd_closed, rtol=1e-12, atol=1e-12)
                 assert Sd1 == Sd2
 
+    def test_derived_second_partials_match_analytic(self):
+        # every second-order field left out is derived from the first partials
+        second = ("d2Ldq2", "d2Ldqdv", "d2Ldv2", "d2LdqdS", "d2LdvdS",
+                  "dFfrdq", "dFfrdv", "dFfrdS")
+        rng = np.random.default_rng(1)
+        for entry in (OSC, GAS, TP):
+            sys = entry.lagrangian
+            derived = dataclasses.replace(sys, **dict.fromkeys(second))
+            for _ in range(10):
+                q, v = rng.uniform(0.8, 1.4, entry.n), rng.uniform(-1, 1, entry.n)
+                S = rng.uniform(0, 2)
+                for f in second:
+                    exact = np.asarray(getattr(sys, f)(q, v, S), dtype=float)
+                    np.testing.assert_allclose(getattr(derived, f)(q, v, S), exact, rtol=1e-6,
+                                               atol=1e-6 * max(1.0, np.max(np.abs(exact))))
+
+    def test_derived_second_partials_follow_replaced_fields(self):
+        sys = dataclasses.replace(OSC.lagrangian, d2Ldv2=None)
+        heavy = dataclasses.replace(sys, dLdv=lambda q, v, S: 2.0 * v)
+        assert heavy.d2Ldv2 is not sys.d2Ldv2 and heavy.d2Ldq2 is sys.d2Ldq2
+        q, v = np.array([0.3]), np.array([0.7])
+        np.testing.assert_allclose(heavy.d2Ldv2(q, v, 0.0), 2.0 * sys.d2Ldv2(q, v, 0.0),
+                                   rtol=1e-12)
+
     def test_zero_dLdS_rejected(self):
         import thermint
 
@@ -200,7 +224,7 @@ def test_fd_gradient_matches_analytic():
 
 
 def test_energy_rate_equals_external_power():
-    # with Fext = 0 the energy is conserved along the continuous flow
+    # the closed system conserves its energy along the continuous flow
     traj = reference_integrate(GAS.lagrangian, ThermoState([1.0], [0.0], 1.0),
                                10.0, h=0.01)
     drift = conserved_along(traj, lambda st: energy(GAS.lagrangian, st))

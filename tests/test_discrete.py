@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from thermint import (
     pullback_check,
     semiregularity_matrix,
 )
+from thermint.continuous import fd_gradient
 from thermint.discrete import raw_action
 
 H = 0.01
@@ -60,6 +63,29 @@ def free_particle(gamma=0.1):
 
 
 D_FREE = midpoint_discretize(free_particle(), H)
+
+B = 0.8
+#: [i, j] = d2L/dq_i dv_j of the gyroscopic system
+GYRO_QV = 0.5 * B * np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def gyroscopic(with_mixed_partial):
+    """n = 2 with a magnetic term, L = |v|^2/2 + (B/2)(q0 v1 - q1 v0) - |q|^2/2 - S
+    and friction -0.1 v: every second partial is supplied except, unless
+    asked for, the nonzero d2Ldqdv."""
+    zero = lambda q, v, S: np.zeros(2)
+    mixed = {"d2Ldqdv": lambda q, v, S: GYRO_QV} if with_mixed_partial else {}
+    return LagrangianThermoSystem(
+        n=2,
+        L=lambda q, v, S: (0.5 * float(v @ v) + 0.5 * B * (q[0] * v[1] - q[1] * v[0])
+                           - 0.5 * float(q @ q) - S),
+        dLdq=lambda q, v, S: 0.5 * B * np.array([v[1], -v[0]]) - q,
+        dLdv=lambda q, v, S: v + 0.5 * B * np.array([-q[1], q[0]]),
+        dLdS=lambda q, v, S: -1.0,
+        Ffr=lambda q, v, S: -0.1 * v,
+        d2Ldq2=lambda q, v, S: -np.eye(2), d2Ldv2=lambda q, v, S: np.eye(2),
+        d2LdqdS=zero, d2LdvdS=zero, dFfrdq=lambda q, v, S: np.zeros((2, 2)),
+        dFfrdv=lambda q, v, S: -0.1 * np.eye(2), dFfrdS=zero, **mixed)
 
 
 class TestMidpointDiscretize:
@@ -318,8 +344,6 @@ class TestOmegaMatrices:
     ])
     def test_analytic_matches_finite_differences(self, d, triple):
         # strip the analytic covector Jacobians to force the FD fallback
-        import dataclasses
-
         fd = dataclasses.replace(d, dpi_minus=None, dpi_plus=None)
         Wp, Wm = omega_matrices(d, triple)
         Wp_fd, Wm_fd = omega_matrices(fd, triple)
@@ -343,6 +367,26 @@ class TestOmegaMatrices:
         t = DiscreteTriple([0.3, -0.2], [0.35, -0.1], 0.5)
         for W, side in zip(omega_matrices(d, t), ("plus", "minus")):
             np.testing.assert_array_equal(W, -omega_embedded(d, t, side)[:2, 2:4].T)
+
+
+class TestDerivedSecondPartials:
+    @pytest.mark.parametrize("with_mixed_partial", [False, True])
+    def test_gyroscopic_covector_jacobians(self, with_mixed_partial):
+        # an omitted d2Ldqdv is derived, not read as zero
+        d = midpoint_discretize(gyroscopic(with_mixed_partial), H)
+        t = DiscreteTriple([0.3, -0.2], [0.31, -0.19], 0.5)
+        x = t.as_array()
+        J = fd_gradient(lambda y: d.pi_minus(y[:2], y[2:4], y[4]), x)
+        atol = 1e-6 * np.max(np.abs(J))
+        np.testing.assert_allclose(d.pi_minus_dq1(t.q0, t.q1, t.S0), J[:, 2:4],
+                                   rtol=1e-6, atol=atol)
+        np.testing.assert_allclose(d.dpi_minus(t.q0, t.q1, t.S0), J, rtol=1e-6, atol=atol)
+        assert pullback_check(d, t, NewtonConfig(tol=1e-10)) <= 1e-5
+
+    def test_derived_mixed_partial_index_convention(self):
+        sys = gyroscopic(False)
+        q, v = np.array([0.3, -0.2]), np.array([0.1, 0.4])
+        np.testing.assert_allclose(sys.d2Ldqdv(q, v, 0.5), GYRO_QV, rtol=1e-9, atol=1e-12)
 
 
 class TestPullback:
@@ -567,6 +611,19 @@ class TestTrapezoidalDiscretization:
         assert worst <= 1e-10
         for k in range(1, 51, 7):
             assert pullback_check(d, path.triple(k), self.CFG) <= 1e-5
+
+    @pytest.mark.parametrize("name", sorted(STARTS))
+    def test_semiregularity_differences_q1_only(self, name):
+        # one Newton iteration per step evaluates pi_minus once for the
+        # residual, 2n times for d(pi_minus)/dq1 and once for the final
+        # residual: D1Ld is not called for the q0 and S0 columns
+        d = trapezoidal(get_system(name).lagrangian, H)
+        calls = []
+        counted = dataclasses.replace(d, D1Ld=lambda *a: calls.append(1) or d.D1Ld(*a))
+        q0, v0, S0 = (np.array(x) for x in self.STARTS[name])
+        N = 100
+        integrate(counted, q0, q0 + H * v0, S0, N, self.CFG)
+        assert len(calls) == (2 * d.n + 2) * (N - 1)
 
     def test_frictionless_translation_momentum_conserved(self):
         d = trapezoidal(get_system("two-pistons", gamma=0.0).lagrangian, H)

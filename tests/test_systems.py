@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,16 @@ def test_hamiltonian_composes_with_legendre(name):
         qq, p, SS = legendre(entry.lagrangian, state)
         assert entry.H(qq, p, SS) == pytest.approx(energy(entry.lagrangian, state),
                                                    rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_catalog_derives_no_callable(name):
+    # every catalog callable, and every midpoint one, is analytic: the
+    # step does no finite differencing
+    sys = get_system(name).lagrangian
+    for obj in (sys, midpoint_discretize(sys, 0.01)):
+        for f in dataclasses.fields(obj):
+            assert not getattr(getattr(obj, f.name), "generic", False), f.name
 
 
 @pytest.mark.parametrize("name", ALL)
