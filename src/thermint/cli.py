@@ -1,6 +1,7 @@
 """Command-line interface: simulate, bench, table, geometry-check, convergence."""
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -45,6 +46,11 @@ def _experiment_config(args, default_system="oscillator", default_methods=("vari
     for key in ("q0", "v0", "q1"):
         if key in raw:
             raw[key] = np.atleast_1d(raw[key]).astype(float)
+    # params are the factory keys popped above, never a key of their own
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"params"}
+    unknown = sorted(set(raw) - fields)
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     return ExperimentConfig(system=system, params=params, methods=tuple(methods), **raw)
 
 
@@ -79,7 +85,7 @@ def _cmd_table(args):
 
     if args.which == "gas":
         for system in ("ideal-gas", "van-der-waals"):
-            cfg = ExperimentConfig(system=system, h=args.h or 0.01,
+            cfg = ExperimentConfig(system=system, params={"gamma": gamma}, h=args.h or 0.01,
                                    t_final=args.t_final or 100.0,
                                    methods=("variational", "rk2"))
             rep = run_experiment(cfg)

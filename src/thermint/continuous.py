@@ -35,6 +35,13 @@ def _zero_force(q, v, S):
     return np.zeros_like(q)
 
 
+def pair(a, b):
+    """a . b over the last axis: a float for one point, an array for a
+    stack (`np.vecdot`, which sums as ``@`` does; an einsum does not)."""
+    a = np.asarray(a)
+    return float(a @ b) if a.ndim == 1 else np.vecdot(a, b)
+
+
 @dataclass(frozen=True)
 class ThermoState:
     """A point (q, v, S) of the velocity-entropy phase space."""
@@ -145,10 +152,6 @@ class Trajectory:
 
     def state(self, k):
         return ThermoState(self.qs[k], self.vs[k], self.Ss[k])
-
-    @property
-    def states(self):
-        return [self.state(k) for k in range(len(self))]
 
 
 def energy(sys, state):

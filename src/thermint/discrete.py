@@ -17,18 +17,21 @@ only the covector Jacobians, of shape (n, 2n+1) with columns
 
     (dpi)[i, j] = d(pi)_i / d(x)_j,    x = (q0, q1, S0)
 
-These six callables are always present on a `DiscreteThermoSystem`:
-`midpoint_discretize` supplies fused one-pass and analytic versions, and
-any other system gets the generic combinations of its slot derivatives at
-construction, with Jacobians from `continuous.fd_gradient` (central
-differences with step ``cbrt(eps) * (1 + |x|)``).
+These six callables are always present on a `DiscreteThermoSystem`.
+`midpoint_discretize` builds each pair from one builder indexed by the
+side cv (-1: minus, slot q0; +1: plus, slot q1), pi = cv (D_slot Ld +
+ffr/2), with analytic Jacobians; its semiregularity matrix is the q1 block
+of dpi_minus, ``q_block(-1, 1)``.  Any other system gets the generic
+combinations of its slot derivatives at construction, with Jacobians from
+`continuous.fd_gradient` (central differences with step
+``cbrt(eps) * (1 + |x|)``).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .continuous import derive_missing, fd_gradient
+from .continuous import derive_missing, fd_gradient, pair
 from .errors import TemperatureDegenerateError
 
 __all__ = [
@@ -177,13 +180,6 @@ class DiscretePath:
 # one triple or a stack of triples
 
 
-def _pair(f, dq):
-    """f . dq over the last axis: a float for one triple, an array for a
-    stack (`np.vecdot`, which sums as ``@`` does)."""
-    f = np.asarray(f)
-    return float(f @ dq) if f.ndim == 1 else np.vecdot(f, dq)
-
-
 def _quotient(num, den):
     """num / den, with ZeroDivisionError for a zero den.  One triple keeps
     float division; on a stack, where division by zero gives inf, any zero
@@ -242,9 +238,9 @@ def _generic_kernel(d):
         # at large coordinates.  A zero DSLd raises ZeroDivisionError.
         dsl = DSLd(q0, q1, S0)
         if shared:
-            num = _pair(ffr_plus(q0, q1, S0), q1 - q0)
+            num = pair(ffr_plus(q0, q1, S0), q1 - q0)
         else:
-            num = _pair(ffr_plus(q0, q1, S0), q1) - _pair(ffr_minus(q0, q1, S0), q0)
+            num = pair(ffr_plus(q0, q1, S0), q1) - pair(ffr_minus(q0, q1, S0), q0)
         return _quotient(num, dsl)
 
     return {"pi_minus": pi_minus, "pi_plus": pi_plus,
@@ -262,9 +258,14 @@ def midpoint_discretize(sys, h):
 
     q -> (q0 + q1)/2 and v -> (q1 - q0)/h in L and in the friction
     covector; the single friction value acts on dq0 as ffr_minus and on
-    dq1 as ffr_plus.  All discrete partials, the semiregularity matrix
-    and the covector Jacobians are assembled by the chain rule from the
-    system's partials, second partials and friction Jacobians.
+    dq1 as ffr_plus.  The other callables come from four builders indexed
+    by the side ``cv``, -1 for the minus side (slot q0) and +1 for the plus
+    side (slot q1), each evaluating in one midpoint pass: ``slot(cv)`` is
+    D1Ld or D2Ld, ``covector(cv)`` pi_minus or pi_plus, and
+    ``q_block(cv, c)`` (c = -1: q0, c = 1: q1) and ``S_block(cv)`` are the
+    column blocks of its Jacobian, by the chain rule from the system's
+    second partials and friction Jacobians.  The semiregularity matrix
+    ``pi_minus_dq1`` is ``q_block(-1, 1)``, the q1 block of ``dpi_minus``.
     """
     if h <= 0:
         raise ValueError(f"time step must be positive, got {h}")
@@ -278,15 +279,26 @@ def midpoint_discretize(sys, h):
         sys.check_domain(m)
         return sys.L(m, w, S0)
 
-    def D1Ld(q0, q1, S0):
-        m, w = mid(q0, q1)
-        sys.check_domain(m)
-        return 0.5 * np.asarray(sys.dLdq(m, w, S0)) - np.asarray(sys.dLdv(m, w, S0)) / h
+    def slot(cv):
+        # the slot derivative: (1/2) dL/dq + (cv/h) dL/dv
+        cvh = cv * h
 
-    def D2Ld(q0, q1, S0):
-        m, w = mid(q0, q1)
-        sys.check_domain(m)
-        return 0.5 * np.asarray(sys.dLdq(m, w, S0)) + np.asarray(sys.dLdv(m, w, S0)) / h
+        def D(q0, q1, S0):
+            m, w = mid(q0, q1)
+            sys.check_domain(m)
+            return 0.5 * np.asarray(sys.dLdq(m, w, S0)) + np.asarray(sys.dLdv(m, w, S0)) / cvh
+        return D
+
+    def covector(cv):
+        # the Legendre covector cv * (slot(cv) + ffr/2)
+        k = 0.5 * cv
+
+        def pi(q0, q1, S0):
+            m, w = mid(q0, q1)
+            sys.check_domain(m)
+            return (np.asarray(sys.dLdv(m, w, S0)) / h + k * np.asarray(sys.dLdq(m, w, S0))
+                    + k * np.asarray(sys.Ffr(m, w, S0)))
+        return pi
 
     def at_mid(fn, cast):
         # a field of (q, v, S) evaluated at the midpoint substitution
@@ -298,79 +310,43 @@ def midpoint_discretize(sys, h):
     def array(x):
         return np.asarray(x, dtype=float)
 
-    def chain(dq, dv, cv):
-        # d/dq0 (cv = -1) or d/dq1 (cv = 1) of a field evaluated at the
-        # midpoint: (1/2) d/dq + (cv/h) d/dv
-        def jac(q0, q1, S0):
-            m, w = mid(q0, q1)
-            return 0.5 * array(dq(m, w, S0)) + (cv / h) * array(dv(m, w, S0))
-        return jac
+    def q_block(cv, c):
+        # d covector(cv) / dq0 (c = -1) or / dq1 (c = 1); L's terms, then
+        # the friction terms: this sum order fixes the bits of the two-forms
+        k_vv, k_q, k_qv, k_vq = c / (h * h), 0.25 * cv, cv * c / (2 * h), 1 / (2 * h)
 
-    DSLd = at_mid(sys.dLdS, _point_or_stack)
-    ffr = at_mid(sys.Ffr, array)
-
-    def make_ldd(cq0, cv0, cq1, cv1):
-        # d/dq0 ~ (cq0/2, cv0/h), d/dq1 ~ (cq1/2, cv1/h) on (m, w)
-        def jac(q0, q1, S0):
+        def block(q0, q1, S0):
             m, w = mid(q0, q1)
-            qq = array(sys.d2Ldq2(m, w, S0))
-            vv = array(sys.d2Ldv2(m, w, S0))
             qv = array(sys.d2Ldqdv(m, w, S0))
-            return (0.25 * cq0 * cq1 * qq
-                    + (cq0 * cv1 / (2 * h)) * qv
-                    + (cq1 * cv0 / (2 * h)) * qv.T
-                    + (cv0 * cv1 / (h * h)) * vv)
-        return jac
+            return (k_q * array(sys.d2Ldq2(m, w, S0)) + k_qv * qv + k_vq * qv.T
+                    + k_vv * array(sys.d2Ldv2(m, w, S0))
+                    + (k_q * array(sys.dFfrdq(m, w, S0)) + k_qv * array(sys.dFfrdv(m, w, S0))))
+        return block
 
-    # fused semiregularity matrix d(pi_minus)/dq1
-    def pi_minus_dq1(q0, q1, S0):
-        m, w = mid(q0, q1)
-        qq = array(sys.d2Ldq2(m, w, S0))
-        vv = array(sys.d2Ldv2(m, w, S0))
-        qv = array(sys.d2Ldqdv(m, w, S0))
-        fq = array(sys.dFfrdq(m, w, S0))
-        fv = array(sys.dFfrdv(m, w, S0))
-        return (vv / (h * h) - 0.25 * qq - (0.5 / h) * qv + (0.5 / h) * qv.T
-                - 0.25 * fq - (0.5 / h) * fv)
+    def S_block(cv):
+        # d covector(cv) / dS0
+        k, k_v = 0.5 * cv, 1 / h
 
-    dffr = (chain(sys.dFfrdq, sys.dFfrdv, -1), chain(sys.dFfrdq, sys.dFfrdv, 1),
-            at_mid(sys.dFfrdS, array))
+        def block(q0, q1, S0):
+            m, w = mid(q0, q1)
+            return (k * array(sys.d2LdqdS(m, w, S0)) + k_v * array(sys.d2LdvdS(m, w, S0))
+                    + k * array(sys.dFfrdS(m, w, S0)))
+        return block
 
     def covector_jacobian(cv):
-        # d/dx of cv * (D_slot Ld + ffr/2), the slot being q0 for pi_minus
-        # (cv = -1) and q1 for pi_plus (cv = 1)
-        blocks = tuple(zip((make_ldd(1, cv, 1, -1), make_ldd(1, cv, 1, 1),
-                            chain(sys.d2LdqdS, sys.d2LdvdS, cv)), dffr))
-
-        def dpi(q0, q1, S0):
-            return np.column_stack([cv * (second(q0, q1, S0) + 0.5 * f(q0, q1, S0))
-                                    for second, f in blocks])
-        return dpi
-
-    # fused covectors of the two Legendre maps (single midpoint pass)
-    def pi_minus(q0, q1, S0):
-        m, w = mid(q0, q1)
-        sys.check_domain(m)
-        return (np.asarray(sys.dLdv(m, w, S0)) / h
-                - 0.5 * np.asarray(sys.dLdq(m, w, S0))
-                - 0.5 * np.asarray(sys.Ffr(m, w, S0)))
-
-    def pi_plus(q0, q1, S0):
-        m, w = mid(q0, q1)
-        sys.check_domain(m)
-        return (np.asarray(sys.dLdv(m, w, S0)) / h
-                + 0.5 * np.asarray(sys.dLdq(m, w, S0))
-                + 0.5 * np.asarray(sys.Ffr(m, w, S0)))
+        blocks = (q_block(cv, -1), q_block(cv, 1), S_block(cv))
+        return lambda q0, q1, S0: np.column_stack([b(q0, q1, S0) for b in blocks])
 
     def entropy_increment(q0, q1, S0):
         m, w = mid(q0, q1)
-        return _quotient(_pair(sys.Ffr(m, w, S0), q1 - q0), sys.dLdS(m, w, S0))
+        return _quotient(pair(sys.Ffr(m, w, S0), q1 - q0), sys.dLdS(m, w, S0))
 
+    ffr = at_mid(sys.Ffr, array)
     return DiscreteThermoSystem(
-        n=n, h=h, Ld=Ld, D1Ld=D1Ld, D2Ld=D2Ld, DSLd=DSLd,
+        n=n, h=h, Ld=Ld, D1Ld=slot(-1), D2Ld=slot(1), DSLd=at_mid(sys.dLdS, _point_or_stack),
         ffr_minus=ffr, ffr_plus=ffr, dpi_minus=covector_jacobian(-1),
-        dpi_plus=covector_jacobian(1), pi_minus=pi_minus, pi_plus=pi_plus,
-        pi_minus_dq1=pi_minus_dq1, entropy_increment=entropy_increment, name=sys.name,
+        dpi_plus=covector_jacobian(1), pi_minus=covector(-1), pi_plus=covector(1),
+        pi_minus_dq1=q_block(-1, 1), entropy_increment=entropy_increment, name=sys.name,
     )
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .continuous import LagrangianThermoSystem
+from .continuous import LagrangianThermoSystem, pair
 from .errors import DomainError
 from .geometry import HamiltonianPoint, evolution_field_coordinates
 
@@ -119,11 +119,6 @@ def _power(x, e):
     return x ** e if type(x) is float else np.float_power(x, e)
 
 
-def _sqnorm(v):
-    """v . v over the last axis; `np.vecdot` on a stack (an einsum sums differently)."""
-    return float(v @ v) if v.ndim == 1 else np.vecdot(v, v)
-
-
 def _above(x, lo, what):
     """x, after checking that it exceeds lo (in every row of a stack)."""
     if (x <= lo) if type(x) is float else np.any(x <= lo):
@@ -155,14 +150,14 @@ def _separable(name, n, gamma, params, potential, force, force_dq, force_dS, tem
     eye, zeros = np.eye(n), np.zeros((n, n))
 
     def L(q, v, S):
-        value = 0.5 * _sqnorm(v)
+        value = 0.5 * pair(v, v)
         for term in potential:
             value = value - term(q, S)
         return value
 
     def H(q, p, S):
-        q = _vec(q)
-        value = 0.5 * _sqnorm(_vec(p))
+        q, p = _vec(q), _vec(p)
+        value = 0.5 * pair(p, p)
         for term in potential:
             value = value + term(q, S)
         return value
@@ -287,7 +282,7 @@ def oscillator(gamma=0.1):
 
     return _separable(
         "oscillator", 1, g, {"gamma": g},
-        potential=(lambda q, S: 0.5 * _sqnorm(q), lambda q, S: g * S),
+        potential=(lambda q, S: 0.5 * pair(q, q), lambda q, S: g * S),
         force=lambda q, S: -q,
         force_dq=lambda q, S: -eye,
         force_dS=lambda q, S: np.zeros(1),

@@ -90,3 +90,22 @@ def test_entropy_table_header_names_each_count(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "h,variational,midpoint   (first 10 steps at h=0.1, 15 steps at h=0.05)"
     assert len(lines) == 3
+
+
+def test_gas_table_reads_gamma(capsys):
+    argv = ["table", "--which", "gas", "--t-final", "1"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main(argv + ["--gamma", "0.1"]) == 0
+    assert capsys.readouterr().out == default
+    assert main(argv + ["--gamma", "0.3"]) == 0
+    assert capsys.readouterr().out != default
+
+
+def test_unknown_config_key_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cell.cfg"
+    cfg.write_text("system = oscillator\ntfinal = 2\n")
+    code = main(["simulate", "--config", str(cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "tfinal" in err

@@ -536,6 +536,29 @@ class TestSemiregularity:
         M = semiregularity_matrix(d, DiscreteTriple([0.3], [0.4], 0.0))
         np.testing.assert_allclose(M, [[0.0]], atol=1e-8)
 
+    @pytest.mark.parametrize("name", ["oscillator", "ideal-gas", "van-der-waals",
+                                      "two-pistons", "gyroscopic"])
+    @pytest.mark.parametrize("h", [0.3, 0.1, 0.01, 0.001])
+    def test_newton_matrix_is_q1_block_of_dpi_minus(self, name, h):
+        # bit for bit; the gyroscopic system adds a nonzero d2Ldqdv and a
+        # non-symmetric, q-dependent friction -A v - 0.3 q
+        if name == "gyroscopic":
+            A = np.array([[1.0, 0.7], [-0.2, 0.5]])
+            sys = dataclasses.replace(
+                gyroscopic(True), Ffr=lambda q, v, S: -A @ v - 0.3 * q,
+                dFfrdq=lambda q, v, S: -0.3 * np.eye(2), dFfrdv=lambda q, v, S: -A)
+        else:
+            sys = get_system(name).lagrangian
+        d = midpoint_discretize(sys, h)
+        n = d.n
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            q0 = rng.uniform(0.8, 1.2, n)
+            q1 = q0 + rng.uniform(-0.05, 0.05, n)
+            S0 = rng.uniform(0.0, 2.0)
+            np.testing.assert_array_equal(d.pi_minus_dq1(q0, q1, S0),
+                                          d.dpi_minus(q0, q1, S0)[:, n : 2 * n])
+
 
 class TestDiscretePath:
     def test_triple_indexing(self):
