@@ -181,19 +181,22 @@ class ExperimentConfig:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
         defaults = _DEFAULT_INITIAL[self.system]
+        n = len(defaults["q0"])
+        for key in ("q0", "v0", "q1"):
+            value = getattr(self, key)
+            if value is not None:
+                value = np.atleast_1d(np.asarray(value, dtype=float))
+                if value.shape != (n,):
+                    raise ConfigError(f"{key} must have {n} value(s) for system "
+                                      f"{self.system!r}, got shape {value.shape}")
+                setattr(self, key, value)
         if self.q0 is None:
             self.q0 = np.array(defaults["q0"], dtype=float)
-        else:
-            self.q0 = np.atleast_1d(np.asarray(self.q0, dtype=float))
-        if self.q1 is not None:
-            self.q1 = np.atleast_1d(np.asarray(self.q1, dtype=float))
         if self.v0 is None:
             if self.q1 is not None:
                 self.v0 = (self.q1 - self.q0) / self.h
             else:
                 self.v0 = np.array(defaults["v0"], dtype=float)
-        else:
-            self.v0 = np.atleast_1d(np.asarray(self.v0, dtype=float))
         if self.S0 is None:
             self.S0 = defaults["S0"]
         self.S0 = float(self.S0)

@@ -223,8 +223,10 @@ def main(argv=None):
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, DomainError) as exc:
-        step = getattr(exc, "step_index", None)
-        where = f" at step {step}" if step is not None else ""
+        where = f" at step {exc.step_index}" if exc.step_index is not None else ""
+        if exc.triple is not None:
+            t = exc.triple
+            where += f" from triple (q0={t.q0.tolist()}, q1={t.q1.tolist()}, S0={t.S0!r})"
         print(f"solver failure{where}: {exc}", file=sys.stderr)
         return 3
     except ThermintError as exc:

@@ -37,9 +37,21 @@ def _zero_force(q, v, S):
 
 def pair(a, b):
     """a . b over the last axis: a float for one point, an array for a
-    stack (`np.vecdot`, which sums as ``@`` does; an einsum does not)."""
+    stack (`np.vecdot`, which sums as ``@`` does; an einsum does not).
+
+    Two floats, the components at a float point of a one-dimensional
+    system, pair as ``0.0 + a * b``: the length-1 ``@`` starts its sum at
+    +0.0, so it gives 0.0 for (-0.0) * 1.0 where ``a * b`` gives -0.0.
+    """
+    if isinstance(a, float):
+        return 0.0 + a * b
     a = np.asarray(a)
     return float(a @ b) if a.ndim == 1 else np.vecdot(a, b)
+
+
+def transposed(x):
+    """x.T, or x itself at a float point (a 1x1 matrix as its one entry)."""
+    return x if isinstance(x, float) else x.T
 
 
 @dataclass(frozen=True)
@@ -92,6 +104,18 @@ class LagrangianThermoSystem:
     ``**`` and ``@`` do: array ``**`` differs in 1115 of 20 000 arguments
     (e = -2/3), and an einsum pairing in 3220 of 20 000 (n = 2).  The
     other callables take one point.
+
+    Float points: a one-dimensional system may declare ``float_points``.
+    ``L``, the first partials, ``Ffr``, ``d2Ldq2``, ``d2Ldqdv``,
+    ``d2Ldv2``, ``dFfrdq``, ``dFfrdv`` and ``domain_check`` then also
+    take a point whose q and v are Python floats, and return a float for
+    each covector and each 1x1 matrix, bit for bit the one entry of the
+    call on length-1 arrays (a derived one of these does so when the first
+    partials do).  `midpoint_discretize` then runs the stepping kernel on
+    floats.  The catalog's one-dimensional systems declare it.  A system
+    written on arrays (``q @ q``, ``q[0]``) leaves it False, and its
+    kernel takes float points through length-1 arrays; whether a callable
+    takes floats cannot be told without calling it, hence the field.
     """
 
     n: int
@@ -117,8 +141,11 @@ class LagrangianThermoSystem:
 
     accel: callable = None           # closed-form (n,) acceleration
     domain_check: callable = None    # raises DomainError outside the domain
+    float_points: bool = False       # n = 1 callables also take float q and v
 
     def __post_init__(self):
+        if self.float_points and self.n != 1:
+            raise ValueError("float_points declares a one-dimensional system")
         derive_missing(self, _second_partials(self))
 
     def check_domain(self, q):
@@ -172,7 +199,14 @@ def legendre(sys, state):
 
 
 def fd_gradient(f, x):
-    """Central-difference gradient of a scalar/vector function of x (1d)."""
+    """Central-difference gradient of a scalar/vector function of x (1d).
+
+    At a float x it is the derivative f'(x), bit for bit the one column of
+    the gradient at the length-1 array [x].
+    """
+    if isinstance(x, float):
+        d = FD_STEP * (1.0 + abs(x))
+        return (f(x + d) - f(x - d)) / (2 * d)
     x = np.asarray(x, dtype=float)
     cols = []
     for j in range(x.shape[0]):
@@ -210,7 +244,7 @@ def _second_partials(sys):
 
     dLdv_q = over_q(sys.dLdv)
     return {"d2Ldq2": over_q(sys.dLdq),
-            "d2Ldqdv": lambda q, v, S: dLdv_q(q, v, S).T,
+            "d2Ldqdv": lambda q, v, S: transposed(dLdv_q(q, v, S)),
             "d2Ldv2": over_v(sys.dLdv),
             "d2LdqdS": over_S(sys.dLdq),
             "d2LdvdS": over_S(sys.dLdv),

@@ -27,11 +27,12 @@ combinations of its slot derivatives at construction, with Jacobians from
 ``cbrt(eps) * (1 + |x|)``).
 """
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
 
-from .continuous import derive_missing, fd_gradient, pair
+from .continuous import derive_missing, fd_gradient, pair, transposed
 from .errors import TemperatureDegenerateError
 
 __all__ = [
@@ -99,6 +100,15 @@ class DiscreteThermoSystem:
     them from a stack-capable continuous system.  `discrete_momenta`'s
     core `momenta`, `DiscretePath.constraint_residual` and
     `bench.hamiltonian_estimates` evaluate a whole path that way.
+
+    At n = 1 the four kernel callables also take a float point: q0 and q1
+    Python floats and S0 a float.  Each then returns a float, bit for bit
+    the one entry of its value on length-1 arrays, and `integrate` steps
+    a one-dimensional path this way.  The midpoint rule of a system that
+    declares ``float_points`` computes on the floats.  Every other kernel
+    callable, the generic ones included, is wrapped at construction in an
+    adapter that calls it on length-1 arrays; a callable with the
+    attribute ``float_point = True`` is taken as it is.
     """
 
     n: int
@@ -125,6 +135,11 @@ class DiscreteThermoSystem:
 
     def __post_init__(self):
         derive_missing(self, _generic_kernel(self))
+        if self.n == 1:
+            for attr in _KERNEL:
+                fn = getattr(self, attr)
+                if not getattr(inspect.unwrap(fn), "float_point", False):
+                    setattr(self, attr, _at_float_point(fn))
 
 
 @dataclass
@@ -194,6 +209,32 @@ def _quotient(num, den):
 def _point_or_stack(x):
     """A scalar field's value: a float at one triple, an array on a stack."""
     return float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
+
+
+def _value(x):
+    """A covector or matrix term of the kernel: an array, or the float
+    itself at a float point."""
+    return x if isinstance(x, float) else np.asarray(x)
+
+
+# ---------------------------------------------------------------------------
+# float points of one-dimensional systems
+
+#: the stepping kernel; at n = 1 each also takes a float point
+_KERNEL = ("pi_minus", "pi_plus", "pi_minus_dq1", "entropy_increment")
+
+
+def _at_float_point(fn):
+    """The kernel callable ``fn`` of a one-dimensional system, also taking
+    a float point (q0, q1 floats): it calls ``fn`` on length-1 arrays and
+    returns the one entry of the value as a float.  Arrays pass through."""
+    def kernel(q0, q1, S0):
+        if type(q0) is float:
+            return np.asarray(fn(np.array([q0]), np.array([q1]), S0), dtype=float).item()
+        return fn(q0, q1, S0)
+    kernel.float_point = True
+    kernel.generic = getattr(fn, "generic", False)
+    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +307,17 @@ def midpoint_discretize(sys, h):
     column blocks of its Jacobian, by the chain rule from the system's
     second partials and friction Jacobians.  The semiregularity matrix
     ``pi_minus_dq1`` is ``q_block(-1, 1)``, the q1 block of ``dpi_minus``.
+
+    Each builder is one formula over points and arrays.  For a system that
+    declares ``float_points`` its cast `_value` and `continuous.transposed`
+    leave a float as it is, and the kernel callables (``covector(±1)``,
+    ``q_block(-1, 1)`` and the entropy increment) take float points.
     """
     if h <= 0:
         raise ValueError(f"time step must be positive, got {h}")
     n = sys.n
+    # the cast of a term: only a system with float points meets a float
+    value = _value if sys.float_points else np.asarray
 
     def mid(q0, q1):
         return 0.5 * (q0 + q1), (q1 - q0) / h
@@ -286,7 +334,7 @@ def midpoint_discretize(sys, h):
         def D(q0, q1, S0):
             m, w = mid(q0, q1)
             sys.check_domain(m)
-            return 0.5 * np.asarray(sys.dLdq(m, w, S0)) + np.asarray(sys.dLdv(m, w, S0)) / cvh
+            return 0.5 * value(sys.dLdq(m, w, S0)) + value(sys.dLdv(m, w, S0)) / cvh
         return D
 
     def covector(cv):
@@ -296,8 +344,8 @@ def midpoint_discretize(sys, h):
         def pi(q0, q1, S0):
             m, w = mid(q0, q1)
             sys.check_domain(m)
-            return (np.asarray(sys.dLdv(m, w, S0)) / h + k * np.asarray(sys.dLdq(m, w, S0))
-                    + k * np.asarray(sys.Ffr(m, w, S0)))
+            return (value(sys.dLdv(m, w, S0)) / h + k * value(sys.dLdq(m, w, S0))
+                    + k * value(sys.Ffr(m, w, S0)))
         return pi
 
     def at_mid(fn, cast):
@@ -307,9 +355,6 @@ def midpoint_discretize(sys, h):
             return cast(fn(m, w, S0))
         return f
 
-    def array(x):
-        return np.asarray(x, dtype=float)
-
     def q_block(cv, c):
         # d covector(cv) / dq0 (c = -1) or / dq1 (c = 1); L's terms, then
         # the friction terms: this sum order fixes the bits of the two-forms
@@ -317,10 +362,10 @@ def midpoint_discretize(sys, h):
 
         def block(q0, q1, S0):
             m, w = mid(q0, q1)
-            qv = array(sys.d2Ldqdv(m, w, S0))
-            return (k_q * array(sys.d2Ldq2(m, w, S0)) + k_qv * qv + k_vq * qv.T
-                    + k_vv * array(sys.d2Ldv2(m, w, S0))
-                    + (k_q * array(sys.dFfrdq(m, w, S0)) + k_qv * array(sys.dFfrdv(m, w, S0))))
+            qv = value(sys.d2Ldqdv(m, w, S0))
+            return (k_q * value(sys.d2Ldq2(m, w, S0)) + k_qv * qv + k_vq * transposed(qv)
+                    + k_vv * value(sys.d2Ldv2(m, w, S0))
+                    + (k_q * value(sys.dFfrdq(m, w, S0)) + k_qv * value(sys.dFfrdv(m, w, S0))))
         return block
 
     def S_block(cv):
@@ -329,8 +374,8 @@ def midpoint_discretize(sys, h):
 
         def block(q0, q1, S0):
             m, w = mid(q0, q1)
-            return (k * array(sys.d2LdqdS(m, w, S0)) + k_v * array(sys.d2LdvdS(m, w, S0))
-                    + k * array(sys.dFfrdS(m, w, S0)))
+            return (k * value(sys.d2LdqdS(m, w, S0)) + k_v * value(sys.d2LdvdS(m, w, S0))
+                    + k * value(sys.dFfrdS(m, w, S0)))
         return block
 
     def covector_jacobian(cv):
@@ -341,12 +386,15 @@ def midpoint_discretize(sys, h):
         m, w = mid(q0, q1)
         return _quotient(pair(sys.Ffr(m, w, S0), q1 - q0), sys.dLdS(m, w, S0))
 
-    ffr = at_mid(sys.Ffr, array)
+    kernel = {"pi_minus": covector(-1), "pi_plus": covector(1),
+              "pi_minus_dq1": q_block(-1, 1), "entropy_increment": entropy_increment}
+    for fn in kernel.values():
+        fn.float_point = sys.float_points
+    ffr = at_mid(sys.Ffr, value)
     return DiscreteThermoSystem(
         n=n, h=h, Ld=Ld, D1Ld=slot(-1), D2Ld=slot(1), DSLd=at_mid(sys.dLdS, _point_or_stack),
         ffr_minus=ffr, ffr_plus=ffr, dpi_minus=covector_jacobian(-1),
-        dpi_plus=covector_jacobian(1), pi_minus=covector(-1), pi_plus=covector(1),
-        pi_minus_dq1=q_block(-1, 1), entropy_increment=entropy_increment, name=sys.name,
+        dpi_plus=covector_jacobian(1), name=sys.name, **kernel,
     )
 
 

@@ -4,13 +4,15 @@
 class ThermintError(Exception):
     """Base class for all thermint errors.
 
-    Carries ``step_index`` when raised from a path integration so the
-    caller can tell where the run broke down.
+    Carries ``step_index`` and ``triple`` when raised from a path
+    integration so the caller can tell where the run broke down: step k
+    is the one from the `DiscreteTriple` (q_{k-1}, q_k, S_{k-1}).
     """
 
-    def __init__(self, *args, step_index=None):
+    def __init__(self, *args, step_index=None, triple=None):
         super().__init__(*args)
         self.step_index = step_index
+        self.triple = triple
 
 
 class StructureDegenerateError(ThermintError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuous import ThermoState, continuous_rhs, first_order_rhs, fd_gradient
-from .discrete import DiscretePath, DiscreteTriple, _updated_entropy, entropy_update
+from .discrete import DiscretePath, DiscreteTriple, _updated_entropy, _value
 from .errors import ConfigError, ConvergenceError, ThermintError
 
 __all__ = ["NewtonConfig", "StepReport", "newton_solve", "solve_step", "integrate",
@@ -52,44 +52,65 @@ def newton_solve(residual, jacobian, x0, cfg=None):
     then at its attainable floor).  Raises ConvergenceError on a singular
     Jacobian, a non-finite update, or a residual still above tol at the
     stop.
+
+    A float ``x0`` is a float point: the iterate, the residual and the
+    Jacobian are floats, each operation rounds as its length-1 array form
+    does, and the root comes back as a float.  Any other ``x0`` iterates
+    on a float array.
     """
     cfg = cfg or NewtonConfig()
-    x = np.array(x0, dtype=float, ndmin=1)
-    # for n = 1 norms are taken on a float, skipping the array reduction
-    # (the hot path of the one-dimensional systems); the value is the same
-    scalar = x.shape[0] == 1
-    r = np.array(residual(x), dtype=float, ndmin=1)
-    rnorm = abs(float(r[0])) if scalar else float(np.max(np.abs(r)))
+    point = isinstance(x0, float)
+    x = float(x0) if point else np.array(x0, dtype=float, ndmin=1)
+    vector = float if point else _vector
+    r = vector(residual(x))
+    rnorm = _max_norm(r)
     it = 0
     while rnorm > cfg.tol and it < cfg.max_iter:
         it += 1
-        J = np.array(fd_gradient(residual, x) if jacobian is None else jacobian(x),
-                     dtype=float, ndmin=2)
-        if scalar:
-            j00 = float(J[0, 0])
-            if j00 == 0.0:
-                raise ConvergenceError("singular Newton Jacobian: zero Jacobian")
-            dx = r / j00
-        else:
-            try:
-                dx = np.linalg.solve(J, r)
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceError(f"singular Newton Jacobian: {exc}") from exc
+        J = fd_gradient(residual, x) if jacobian is None else jacobian(x)
+        dx = _newton_update(J, r)
         # the max norm is NaN or inf exactly when some component is
-        dxn = abs(float(dx[0])) if scalar else float(np.max(np.abs(dx)))
+        dxn = _max_norm(dx)
         if not math.isfinite(dxn):
             raise ConvergenceError("non-finite Newton update (singular Jacobian?)")
         x = x - dx
-        xn = abs(float(x[0])) if scalar else float(np.max(np.abs(x)))
-        stalled = dxn <= 4.0 * _EPS * (1.0 + xn)
-        r = np.array(residual(x), dtype=float, ndmin=1)
-        rnorm = abs(float(r[0])) if scalar else float(np.max(np.abs(r)))
+        stalled = dxn <= 4.0 * _EPS * (1.0 + _max_norm(x))
+        r = vector(residual(x))
+        rnorm = _max_norm(r)
         if stalled:
             break
     if rnorm <= cfg.tol:
         return x, StepReport(iterations=it, residual_norm=rnorm, converged=True)
     raise ConvergenceError(
         f"Newton residual {rnorm:.3e} above tol {cfg.tol:.1e} after {it} iterations")
+
+
+def _vector(y):
+    """A residual as a float array with at least one axis."""
+    return np.array(y, dtype=float, ndmin=1)
+
+
+def _max_norm(y):
+    """max_i |y_i| as a float.  A float point and a length-1 array skip the
+    array reduction (the hot path of the one-dimensional systems); the
+    value is the same."""
+    if type(y) is float:
+        return abs(y)
+    return abs(float(y[0])) if y.shape[0] == 1 else float(np.max(np.abs(y)))
+
+
+def _newton_update(J, r):
+    """The Newton update J^{-1} r.  A float point and a length-1 array
+    divide by the one entry of J."""
+    if type(r) is float or r.shape[0] == 1:
+        j00 = float(J) if type(r) is float else float(np.asarray(J).flat[0])
+        if j00 == 0.0:
+            raise ConvergenceError("singular Newton Jacobian: zero Jacobian")
+        return r / j00
+    try:
+        return np.linalg.solve(np.array(J, dtype=float, ndmin=2), r)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"singular Newton Jacobian: {exc}") from exc
 
 
 def solve_step(d, q_prev, q_curr, S_prev, cfg):
@@ -99,9 +120,11 @@ def solve_step(d, q_prev, q_curr, S_prev, cfg):
     q_next is the Newton root of pi_minus(q_curr, x, S_curr) = pi_plus(
     q_prev, q_curr, S_prev), warm-started at the linear extrapolation
     2 q_curr - q_prev.  The Newton Jacobian is the semiregularity matrix.
+    The points are arrays, or floats at a float point of a one-dimensional
+    system (see `DiscreteThermoSystem`).
     """
     S_curr = _updated_entropy(d, q_prev, q_curr, S_prev)
-    target = np.asarray(d.pi_plus(q_prev, q_curr, S_prev), dtype=float)
+    target = _value(d.pi_plus(q_prev, q_curr, S_prev))
     pi_minus, pi_minus_dq1 = d.pi_minus, d.pi_minus_dq1
 
     def residual(x):
@@ -118,9 +141,11 @@ def integrate(d, q0, q1, S0, N, cfg=None):
     """Iterate the discrete flow N times from initial data (q0, q1, S0).
 
     Returns a DiscretePath with N+1 points; entropies are always computed
-    from the update constraint, never solved for.  A failure while taking
-    step k (the one from triple k = (q_{k-1}, q_k, S_{k-1})) is re-raised
-    with ``step_index = k``.
+    from the update constraint, never solved for.  A one-dimensional
+    system steps on float points and writes them into ``qs[:, 0]``, bit
+    for bit the path on length-1 arrays.  A failure while taking step k
+    (the one from triple k = (q_{k-1}, q_k, S_{k-1})) is re-raised with
+    ``step_index = k`` and ``triple`` that `DiscreteTriple`.
     """
     cfg = cfg or NewtonConfig()
     qs = np.empty((N + 1, d.n))
@@ -130,13 +155,23 @@ def integrate(d, q0, q1, S0, N, cfg=None):
     if N == 0:
         return DiscretePath(h=d.h, qs=qs, Ss=Ss)
     qs[1] = q1
+    if d.n == 1:
+        q_out = qs[:, 0]
+        q_prev, q_curr = float(q_out[0]), float(q_out[1])
+    else:
+        q_out, q_prev, q_curr = qs, qs[0], qs[1]
+    S_prev = float(S0)
     try:
         for k in range(1, N):
-            qs[k + 1], Ss[k] = solve_step(d, qs[k - 1], qs[k], Ss[k - 1], cfg)
+            q_next, S_prev = solve_step(d, q_prev, q_curr, S_prev, cfg)
+            q_out[k + 1] = q_next
+            Ss[k] = S_prev
+            q_prev, q_curr = q_curr, q_next
         k = N
-        Ss[N] = entropy_update(d, DiscreteTriple(qs[N - 1], qs[N], Ss[N - 1]))
+        Ss[N] = _updated_entropy(d, q_prev, q_curr, S_prev)
     except ThermintError as exc:
         exc.step_index = k
+        exc.triple = DiscreteTriple(qs[k - 1], qs[k], Ss[k - 1])
         raise
     return DiscretePath(h=d.h, qs=qs, Ss=Ss)
 

@@ -101,7 +101,9 @@ def hamiltonian_rhs(entry, q, p, S, Fext=None):
 # Each catalog formula is written once through these helpers, the only
 # places that tell a point from a stack (see `SystemCatalogEntry`): a
 # point stays on Python floats, a stack uses the numpy functions that
-# round as the float operations do.
+# round as the float operations do.  A one-dimensional system also takes
+# a float point, q itself a float (see `LagrangianThermoSystem`): there
+# a covector or a 1x1 matrix is its one entry.
 
 
 def _vec(x):
@@ -110,7 +112,10 @@ def _vec(x):
 
 
 def _coord(q, i):
-    """Coordinate i: a float at a point, an array of shape (...) on a stack."""
+    """Coordinate i: a float at a point (a float point is its own coordinate
+    0), an array of shape (...) on a stack."""
+    if type(q) is float:
+        return q
     return float(q[i]) if q.ndim == 1 else q[..., i]
 
 
@@ -127,11 +132,26 @@ def _above(x, lo, what):
     return x
 
 
-def _covector(*parts):
-    """The covector with these components: (n,) at a point, (..., n) on a stack."""
+def _covector(q, *parts):
+    """The covector with these components at q: the one component at a
+    float point, (n,) at a point, (..., n) on a stack."""
+    if type(q) is float:
+        return parts[0]
     if isinstance(parts[0], np.ndarray):
         return np.stack(parts, axis=-1)
     return np.array(parts)
+
+
+def _matrix1(q, x):
+    """The 1x1 matrix [[x]] at a point q; x itself at a float point."""
+    return x if type(q) is float else np.array([[x]])
+
+
+def _constant(value):
+    """A field of (q, v, S) that does not depend on the point: ``value``,
+    or its one entry at a float point."""
+    entry = float(value.flat[0])
+    return lambda q, v, S: entry if type(q) is float else value
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +167,7 @@ def _separable(name, n, gamma, params, potential, force, force_dq, force_dS, tem
     callables of (q, S).  Every other field follows, the Hamiltonian side
     with p = v.
     """
-    eye, zeros = np.eye(n), np.zeros((n, n))
+    eye, zeros, zero = np.eye(n), np.zeros((n, n)), np.zeros(n)
 
     def L(q, v, S):
         value = 0.5 * pair(v, v)
@@ -172,15 +192,16 @@ def _separable(name, n, gamma, params, potential, force, force_dq, force_dS, tem
         name=name,
         params=params,
         d2Ldq2=lambda q, v, S: force_dq(q, S),
-        d2Ldqdv=lambda q, v, S: zeros,
-        d2Ldv2=lambda q, v, S: eye,
+        d2Ldqdv=_constant(zeros),
+        d2Ldv2=_constant(eye),
         d2LdqdS=lambda q, v, S: force_dS(q, S),
-        d2LdvdS=lambda q, v, S: np.zeros(n),
-        dFfrdq=lambda q, v, S: zeros,
-        dFfrdv=lambda q, v, S: -gamma * eye,
-        dFfrdS=lambda q, v, S: np.zeros(n),
+        d2LdvdS=_constant(zero),
+        dFfrdq=_constant(zeros),
+        dFfrdv=_constant(-gamma * eye),
+        dFfrdS=_constant(zero),
         accel=lambda q, v, S: force(q, S) - gamma * v,
         domain_check=domain_check,
+        float_points=(n == 1),
     )
     return SystemCatalogEntry(
         name=name,
@@ -274,7 +295,6 @@ def oscillator(gamma=0.1):
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     g = float(gamma)
-    eye = np.eye(1)
 
     def coefficients(h):
         den = 4.0 + h * (h + 2.0 * g)
@@ -284,8 +304,8 @@ def oscillator(gamma=0.1):
         "oscillator", 1, g, {"gamma": g},
         potential=(lambda q, S: 0.5 * pair(q, q), lambda q, S: g * S),
         force=lambda q, S: -q,
-        force_dq=lambda q, S: -eye,
-        force_dS=lambda q, S: np.zeros(1),
+        force_dq=lambda q, S: _matrix1(q, -1.0),
+        force_dS=lambda q, S: _covector(q, 0.0),
         temperature=lambda q, S: g,
         exact_solution=lambda q0, v0, S0: DampedOscillatorSolution(g, q0, v0, S0),
         update_coefficients=coefficients,
@@ -313,14 +333,14 @@ def ideal_gas(gamma=0.1, c=1.5):
         return np.exp(S) * _power(xval(q), -ex)
 
     def pressure_force(q, S):  # -dU/dx = (1/c) e^S x^{-1/c - 1}, also its own S-derivative
-        return _covector(ex * np.exp(S) * _power(xval(q), -ex - 1.0))
+        return _covector(q, ex * np.exp(S) * _power(xval(q), -ex - 1.0))
 
     return _separable(
         "ideal-gas", 1, g, {"gamma": g, "c": float(c)},
         potential=(U,),
         force=pressure_force,
-        force_dq=lambda q, S: np.array([[-ex * (ex + 1.0) * np.exp(S)
-                                         * xval(q) ** (-ex - 2.0)]]),
+        force_dq=lambda q, S: _matrix1(q, -ex * (ex + 1.0) * np.exp(S)
+                                      * xval(q) ** (-ex - 2.0)),
         force_dS=pressure_force,
         temperature=U,
         domain_check=xval,
@@ -352,21 +372,21 @@ def van_der_waals(gamma=0.1, a_hat=1.0e3, b_hat=0.1):
 
     def force(q, S):  # dL/dx
         x = xval(q)
-        return _covector((2.0 / 3.0) * np.exp(S) * _power(x - bh, -5.0 / 3.0)
+        return _covector(q, (2.0 / 3.0) * np.exp(S) * _power(x - bh, -5.0 / 3.0)
                          - ah / _power(x, 2))
 
     def stiffness(q, S):  # d2L/dx2, at a point
         x = xval(q)
-        return np.array([[-(10.0 / 9.0) * np.exp(S) * (x - bh) ** (-8.0 / 3.0)
-                          + 2.0 * ah / x ** 3]])
+        return _matrix1(q, -(10.0 / 9.0) * np.exp(S) * (x - bh) ** (-8.0 / 3.0)
+                        + 2.0 * ah / x ** 3)
 
     return _separable(
         "van-der-waals", 1, g, {"gamma": g, "a_hat": ah, "b_hat": bh},
         potential=(U, lambda q, S: -ah / xval(q)),
         force=force,
         force_dq=stiffness,
-        force_dS=lambda q, S: np.array([(2.0 / 3.0) * np.exp(S)
-                                        * (xval(q) - bh) ** (-5.0 / 3.0)]),
+        force_dS=lambda q, S: _covector(q, (2.0 / 3.0) * np.exp(S)
+                                        * (xval(q) - bh) ** (-5.0 / 3.0)),
         temperature=U,
         domain_check=xval,
     )
@@ -397,7 +417,7 @@ def two_pistons(gamma=0.1, c=1.5):
 
     def pressures(q, S):  # dL/dx = dL/dy = -dU/dx, also their own S-derivatives
         P = ex * np.exp(S) * _power(uval(q), -ex - 1.0)
-        return _covector(P, P)
+        return _covector(q, P, P)
 
     invariants = {
         "cartan": lambda st: g * (st.q[0] - st.q[1]) + st.v[0] - st.v[1],

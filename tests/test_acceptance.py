@@ -11,6 +11,7 @@ default run includes it; `pytest -m "not slow"` leaves it out and
 `pytest -m slow` runs it alone.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -351,3 +352,8 @@ def test_slow_oscillator_h_1e4_cell():
     ok = report(6.2e-9 < err < 3e-7,
                 f"slow cell h=1e-4: error {err:.3e}, runtime {runtime:.0f}s")
     assert ok
+    # the error and the whole path, bit for bit as recorded before
+    # one-dimensional systems stepped on floats
+    assert err.hex() == "0x1.4258b189cea05p-26"
+    digest = hashlib.sha256(path.qs.tobytes() + path.Ss.tobytes()).hexdigest()
+    assert digest == "fec2121d65947857527d041cfebb6d5e19af062e17a2fc5a1e147da8b2bdec31"

@@ -166,6 +166,11 @@ class TestExperiment:
             ExperimentConfig(system="oscillator", h=0.01, t_final=1.0,
                              methods=("leapfrog",))
 
+    @pytest.mark.parametrize("key", ["q0", "v0", "q1"])
+    def test_initial_data_of_wrong_length_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"{key} must have 2 value"):
+            ExperimentConfig(system="two-pistons", h=0.1, t_final=1.0, **{key: [1.0]})
+
     def test_horizon_shorter_than_step_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(system="oscillator", h=0.1, t_final=0.01)

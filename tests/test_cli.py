@@ -1,3 +1,5 @@
+import pytest
+
 from thermint.cli import main
 
 
@@ -109,3 +111,21 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and "tfinal" in err
+
+
+@pytest.mark.parametrize("system,q0,n", [("two-pistons", "1.0", 2),
+                                         ("ideal-gas", "1.0, 2.0", 1)])
+def test_initial_data_of_wrong_length_is_config_error(tmp_path, capsys, system, q0, n):
+    cfg = tmp_path / "cell.cfg"
+    cfg.write_text(f"system = {system}\nq0 = {q0}\n")
+    code = main(["simulate", "--config", str(cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "q0" in err and f"{n} value" in err
+
+
+def test_solver_failure_prints_the_triple(capsys):
+    code = main(["simulate", "--system", "ideal-gas", "--h", "0.3", "--t-final", "3"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure at step 2 from triple (q0=[1.0], q1=[")

@@ -3,12 +3,17 @@ import dataclasses
 import numpy as np
 import pytest
 
+from thermint.bench import default_newton_tol
+from thermint.continuous import pair
+from thermint.errors import ThermintError
+
 from thermint import (
     ConfigError,
     ConvergenceError,
     DiscreteTriple,
     DomainError,
     ExperimentConfig,
+    LagrangianThermoSystem,
     NewtonConfig,
     ThermoState,
     continuous_rhs,
@@ -123,7 +128,8 @@ class TestIntegrate:
         d = midpoint_discretize(GAS.lagrangian, 0.01)
         with pytest.raises(ConvergenceError) as err:
             integrate(d, [1.0], [1.0], 10.0, 200, NewtonConfig(tol=1e-15, max_iter=3))
-        assert err.value.step_index is not None
+        assert err.value.step_index == 1
+        _assert_triple(err.value.triple, [1.0], [1.0], 10.0)
 
     def test_domain_error_reports_step_index(self):
         # the predictor 2*0.1 - 0.5 of step 1 leaves the domain x > 0
@@ -131,6 +137,7 @@ class TestIntegrate:
         with pytest.raises(DomainError) as err:
             integrate(d, [0.5], [0.1], 10.0, 20)
         assert err.value.step_index == 1
+        _assert_triple(err.value.triple, [0.5], [0.1], 10.0)
 
     def test_constraint_holds_exactly_by_construction(self):
         d = midpoint_discretize(GAS.lagrangian, 0.01)
@@ -147,6 +154,14 @@ class TestIntegrate:
         jac = lambda x: -d.pi_minus_dq1(qb, x, S1)
         _, report = newton_solve(resid, jac, 2 * qb - qa, NewtonConfig(tol=1e-12))
         assert report.iterations <= 3
+
+
+def _assert_triple(t, q0, q1, S0):
+    """The triple ``t`` is (q0, q1, S0), bit for bit."""
+    assert isinstance(t, DiscreteTriple)
+    np.testing.assert_array_equal(t.q0, q0, strict=True)
+    np.testing.assert_array_equal(t.q1, q1, strict=True)
+    assert t.S0 == S0
 
 
 def _catalog_start(name, h):
@@ -194,6 +209,112 @@ class TestSingleKernel:
         np.testing.assert_allclose(doubled.pi_minus(*t) + 0.5 * d.ffr_minus(*t),
                                    2.0 * (generic.pi_minus(*t) + 0.5 * d.ffr_minus(*t)),
                                    rtol=1e-15)
+
+
+def _run(d, start, N, cfg):
+    """``integrate``'s path as bytes, or its failure as (type, message,
+    step index, triple as bytes)."""
+    try:
+        path = integrate(d, *start, N, cfg)
+    except ThermintError as exc:
+        t = exc.triple
+        return (type(exc), str(exc), exc.step_index,
+                t.q0.tobytes() + t.q1.tobytes() + np.float64(t.S0).tobytes())
+    return path.qs.tobytes() + path.Ss.tobytes()
+
+
+FLOAT_CELLS = [(name, h, start) for name in ("oscillator", "ideal-gas", "van-der-waals")
+               for h in (0.3, 0.1, 0.01, 0.001)
+               for start in (("default", "q1=0.01") if name == "oscillator" else ("default",))]
+
+#: the cells that fail at the parent's array path, and how
+FLOAT_FAILURES = {
+    ("ideal-gas", 0.3, "default"): (ConvergenceError, 2, "9.546e+113"),
+    ("van-der-waals", 0.3, "default"): (ConvergenceError, 2, "1.189e+162"),
+    ("oscillator", 0.001, "q1=0.01"): (ConvergenceError, 106, "1.110e-10"),
+}
+
+
+class TestFloatPoints:
+    """A one-dimensional catalog system steps on floats, bit for bit the
+    length-1 arrays of the same system declared without float points."""
+
+    @pytest.mark.parametrize("name,h,start", FLOAT_CELLS)
+    def test_float_path_is_array_path(self, name, h, start):
+        entry = get_system(name)
+        cfg = ExperimentConfig(system=name, h=h, t_final=h)
+        if start == "default":
+            data = initialize(entry, cfg.q0, cfg.v0, cfg.S0, h, cfg.init_mode)
+        else:
+            data = (np.array([0.0]), np.array([0.01]), 0.0)
+        newton = NewtonConfig(tol=default_newton_tol(name, h))
+        arrays = dataclasses.replace(entry.lagrangian, float_points=False)
+        assert entry.lagrangian.float_points and not arrays.float_points
+        on_floats = _run(midpoint_discretize(entry.lagrangian, h), data, 2000, newton)
+        on_arrays = _run(midpoint_discretize(arrays, h), data, 2000, newton)
+        assert on_floats == on_arrays
+        failure = FLOAT_FAILURES.get((name, h, start))
+        if failure is None:
+            assert isinstance(on_floats, bytes)
+        else:
+            kind, step, residual = failure
+            assert on_floats[0] is kind and on_floats[2] == step
+            assert f"Newton residual {residual}" in on_floats[1]
+
+    def test_user_system_with_derived_second_partials(self):
+        # L = v^2/2 - q^4/4 - S with friction -0.1 v, written once for floats
+        # and arrays; every second partial is derived by central differences
+        def quartic(float_points):
+            return LagrangianThermoSystem(
+                n=1, L=lambda q, v, S: 0.5 * pair(v, v) - 0.25 * pair(q * q, q * q) - S,
+                dLdq=lambda q, v, S: -(q * q * q), dLdv=lambda q, v, S: v,
+                dLdS=lambda q, v, S: -1.0, Ffr=lambda q, v, S: -0.1 * v,
+                float_points=float_points)
+
+        runs = [_run(midpoint_discretize(quartic(fp), 0.01), ([0.5], [0.51], 0.0), 500,
+                     NewtonConfig(tol=1e-10)) for fp in (True, False)]
+        assert isinstance(runs[0], bytes) and runs[0] == runs[1]
+
+    def test_only_one_dimensional_systems_declare_float_points(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            dataclasses.replace(get_system("two-pistons").lagrangian, float_points=True)
+
+    def test_kernel_takes_float_point(self):
+        # every n = 1 kernel callable, fused, adapted or generic
+        d = midpoint_discretize(GAS.lagrangian, 0.01)
+        arrays = midpoint_discretize(dataclasses.replace(GAS.lagrangian, float_points=False),
+                                     0.01)
+        generic = dataclasses.replace(d, pi_minus=None, pi_plus=None, pi_minus_dq1=None,
+                                      entropy_increment=None)
+        point, vectors = (1.0, 1.25, 10.0), (np.array([1.0]), np.array([1.25]), 10.0)
+        for system in (d, arrays, generic):
+            for attr in ("pi_minus", "pi_plus", "pi_minus_dq1", "entropy_increment"):
+                fn = getattr(system, attr)
+                value = fn(*point)
+                assert type(value) in (float, np.float64)
+                assert value == np.asarray(fn(*vectors)).item()
+
+    def test_pair_keeps_sign_of_zero(self):
+        for a, b in ((-0.0, 1.0), (0.0, -1.0), (-0.0, -0.0), (-2.5, 0.5)):
+            dot = float(np.array([a]) @ np.array([b]))
+            assert pair(a, b).hex() == dot.hex()
+
+    @pytest.mark.parametrize("jacobian", [None, lambda x: 3 * x ** 2 - 2])
+    def test_newton_float_is_length_1_array(self, jacobian):
+        cubic = lambda x: x ** 3 - 2 * x - 5.0
+        on_arrays = (None if jacobian is None
+                     else lambda x: np.array([[float(jacobian(x[0]))]]))
+        x, report = newton_solve(cubic, jacobian, 2.5)
+        y, report_y = newton_solve(lambda x: np.array([cubic(x[0])]), on_arrays,
+                                   np.array([2.5]))
+        assert type(x) is float and x.hex() == float(y[0]).hex()
+        assert report == report_y
+
+    def test_newton_float_errors(self):
+        with pytest.raises(ConvergenceError, match="zero Jacobian"):
+            newton_solve(lambda x: x * x, lambda x: 0.0, 1.0)
+        with pytest.raises(ConvergenceError, match="above tol"):
+            newton_solve(lambda x: np.exp(x), None, 0.0, NewtonConfig(max_iter=5))
 
 
 class TestInitialize:
