@@ -7,6 +7,7 @@ tolerance with dense interpolation onto the benchmark grid.  All CSV
 output is deterministic: fixed float formatting, no timestamps.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -173,6 +174,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown system {self.system!r}")
         if not self.h > 0:
             raise ConfigError("h must be positive")
+        if not math.isfinite(self.t_final):
+            raise ConfigError("t_final must be finite")
         if self.t_final < self.h:
             raise ConfigError("t_final must be at least h")
         if not self.methods:
@@ -204,6 +207,10 @@ class ExperimentConfig:
             self.init_mode = defaults["init_mode"]
         if self.newton_tol is None:
             self.newton_tol = default_newton_tol(self.system, self.h)
+        try:
+            NewtonConfig(tol=self.newton_tol)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"newton_tol {self.newton_tol!r}: {exc}") from None
 
     @property
     def n_steps(self):

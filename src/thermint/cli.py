@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -24,6 +25,14 @@ def _add_common(p):
     p.add_argument("--method", default=None, help="comma-separated method list")
     p.add_argument("--out", default=None, help="output directory for CSV files")
     p.add_argument("--newton-tol", type=float, default=None)
+
+
+def _float_list(text):
+    """A comma-separated list of numbers, such as ``--h-list``."""
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
 def _experiment_config(args, default_system="oscillator", default_methods=("variational",)):
@@ -80,7 +89,7 @@ def _cmd_bench(args):
 
 
 def _cmd_table(args):
-    h_list = [float(x) for x in args.h_list.split(",")]
+    h_list = _float_list(args.h_list)
     gamma = args.gamma if args.gamma is not None else 0.1
 
     if args.which == "gas":
@@ -97,6 +106,8 @@ def _cmd_table(args):
         return 0
 
     t_final = args.t_final or 1000.0
+    if not math.isfinite(t_final):
+        raise ConfigError("t_final must be finite")
     # the entropy table integrates only its window, cut to the horizon: the
     # first steps of a path do not depend on the horizon
     steps = {h: min(args.window, int(round(t_final / h))) for h in h_list}
@@ -160,7 +171,7 @@ def _cmd_geometry_check(args):
 
 
 def _cmd_convergence(args):
-    h_list = [float(x) for x in args.h_list.split(",")]
+    h_list = _float_list(args.h_list)
     params = {"gamma": args.gamma} if args.gamma is not None else {}
     slope, errors = convergence_study(args.system or "oscillator", h_list,
                                       t_final=args.t_final or 1000.0, params=params)

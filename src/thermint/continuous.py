@@ -54,6 +54,11 @@ def transposed(x):
     return x if isinstance(x, float) else x.T
 
 
+def vec(x):
+    """A point, a stack or a residual as a float array with at least one axis."""
+    return np.atleast_1d(np.asarray(x, dtype=float))
+
+
 @dataclass(frozen=True)
 class ThermoState:
     """A point (q, v, S) of the velocity-entropy phase space."""

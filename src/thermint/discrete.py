@@ -101,14 +101,13 @@ class DiscreteThermoSystem:
     core `momenta`, `DiscretePath.constraint_residual` and
     `bench.hamiltonian_estimates` evaluate a whole path that way.
 
-    At n = 1 the four kernel callables also take a float point: q0 and q1
-    Python floats and S0 a float.  Each then returns a float, bit for bit
-    the one entry of its value on length-1 arrays, and `integrate` steps
-    a one-dimensional path this way.  The midpoint rule of a system that
-    declares ``float_points`` computes on the floats.  Every other kernel
-    callable, the generic ones included, is wrapped at construction in an
-    adapter that calls it on length-1 arrays; a callable with the
-    attribute ``float_point = True`` is taken as it is.
+    At n = 1 the four kernel callables also take a float point (q0, q1
+    and S0 floats) and return a float, bit for bit the one entry of their
+    value on length-1 arrays; every one-dimensional step runs on them.
+    The midpoint rule of a system that declares ``float_points`` computes
+    on the floats.  Any other kernel callable, the generic ones included,
+    is wrapped at construction in an adapter that calls it on length-1
+    arrays; one with the attribute ``float_point = True`` is taken as it is.
     """
 
     n: int
@@ -475,11 +474,11 @@ def discrete_flow(d, t, cfg=None):
 
     Maps (q0, q1, S0) to (q1, q2, S1) where S1 is the entropy update and
     q2 is the Newton root of the discrete Euler-Lagrange residual; the
-    step is the same one `integrate` takes (`solve.solve_step`).
+    step is the one `integrate` takes, `solve.solve_step` on floats at n = 1.
     """
-    from .solve import NewtonConfig, solve_step
+    from .solve import NewtonConfig, _point, solve_step
 
-    q2, S1 = solve_step(d, t.q0, t.q1, t.S0, cfg or NewtonConfig())
+    q2, S1 = solve_step(d, _point(d, t.q0), _point(d, t.q1), t.S0, cfg or NewtonConfig())
     return DiscreteTriple(t.q1, q2, S1)
 
 

@@ -6,7 +6,8 @@ One step of the discrete equations is the momentum match
 
 with S_k given explicitly by the entropy update; `solve_step` solves it
 for q_{k+1} with `newton_solve`, the package's only Newton loop.  Both
-`integrate` and `discrete.discrete_flow` take their steps through it.
+`integrate` and `discrete.discrete_flow` take their steps through it, on
+the points of `_point`: floats at n = 1.
 """
 
 import math
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuous import ThermoState, continuous_rhs, first_order_rhs, fd_gradient
+from .continuous import ThermoState, continuous_rhs, first_order_rhs, fd_gradient, vec
 from .discrete import DiscretePath, DiscreteTriple, _updated_entropy, _value
 from .errors import ConfigError, ConvergenceError, ThermintError
 
@@ -30,8 +31,8 @@ class NewtonConfig:
     max_iter: int = 50
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -53,15 +54,13 @@ def newton_solve(residual, jacobian, x0, cfg=None):
     Jacobian, a non-finite update, or a residual still above tol at the
     stop.
 
-    A float ``x0`` is a float point: the iterate, the residual and the
-    Jacobian are floats, each operation rounds as its length-1 array form
-    does, and the root comes back as a float.  Any other ``x0`` iterates
-    on a float array.
+    A float ``x0`` iterates on floats (residual and Jacobian too) and
+    returns a float root; any other ``x0`` iterates on a float array.
     """
     cfg = cfg or NewtonConfig()
     point = isinstance(x0, float)
     x = float(x0) if point else np.array(x0, dtype=float, ndmin=1)
-    vector = float if point else _vector
+    vector = float if point else vec
     r = vector(residual(x))
     rnorm = _max_norm(r)
     it = 0
@@ -85,28 +84,18 @@ def newton_solve(residual, jacobian, x0, cfg=None):
         f"Newton residual {rnorm:.3e} above tol {cfg.tol:.1e} after {it} iterations")
 
 
-def _vector(y):
-    """A residual as a float array with at least one axis."""
-    return np.array(y, dtype=float, ndmin=1)
-
-
 def _max_norm(y):
-    """max_i |y_i| as a float.  A float point and a length-1 array skip the
-    array reduction (the hot path of the one-dimensional systems); the
-    value is the same."""
-    if type(y) is float:
-        return abs(y)
-    return abs(float(y[0])) if y.shape[0] == 1 else float(np.max(np.abs(y)))
+    """max_i |y_i| as a float."""
+    return abs(y) if type(y) is float else float(np.max(np.abs(y)))
 
 
 def _newton_update(J, r):
-    """The Newton update J^{-1} r.  A float point and a length-1 array
-    divide by the one entry of J."""
-    if type(r) is float or r.shape[0] == 1:
-        j00 = float(J) if type(r) is float else float(np.asarray(J).flat[0])
-        if j00 == 0.0:
+    """The Newton update J^{-1} r; at a float point, r / J."""
+    if type(r) is float:
+        J = float(J)
+        if J == 0.0:
             raise ConvergenceError("singular Newton Jacobian: zero Jacobian")
-        return r / j00
+        return r / J
     try:
         return np.linalg.solve(np.array(J, dtype=float, ndmin=2), r)
     except np.linalg.LinAlgError as exc:
@@ -120,8 +109,7 @@ def solve_step(d, q_prev, q_curr, S_prev, cfg):
     q_next is the Newton root of pi_minus(q_curr, x, S_curr) = pi_plus(
     q_prev, q_curr, S_prev), warm-started at the linear extrapolation
     2 q_curr - q_prev.  The Newton Jacobian is the semiregularity matrix.
-    The points are arrays, or floats at a float point of a one-dimensional
-    system (see `DiscreteThermoSystem`).
+    The points are arrays, or floats at n = 1 (see `_point`).
     """
     S_curr = _updated_entropy(d, q_prev, q_curr, S_prev)
     target = _value(d.pi_plus(q_prev, q_curr, S_prev))
@@ -137,17 +125,27 @@ def solve_step(d, q_prev, q_curr, S_prev, cfg):
     return q_next, S_curr
 
 
+def _point(d, q):
+    """The point q as `solve_step` takes it: the float of its one entry at
+    n = 1, where every kernel callable takes a float point (see
+    `DiscreteThermoSystem`), else q itself."""
+    return float(q[0]) if d.n == 1 else q
+
+
 def integrate(d, q0, q1, S0, N, cfg=None):
     """Iterate the discrete flow N times from initial data (q0, q1, S0).
 
     Returns a DiscretePath with N+1 points; entropies are always computed
-    from the update constraint, never solved for.  A one-dimensional
-    system steps on float points and writes them into ``qs[:, 0]``, bit
-    for bit the path on length-1 arrays.  A failure while taking step k
-    (the one from triple k = (q_{k-1}, q_k, S_{k-1})) is re-raised with
-    ``step_index = k`` and ``triple`` that `DiscreteTriple`.
+    from the update constraint, never solved for.  A failure while taking
+    step k (the one from triple k = (q_{k-1}, q_k, S_{k-1})) is re-raised
+    with ``step_index = k`` and ``triple`` that `DiscreteTriple`.
     """
     cfg = cfg or NewtonConfig()
+    if N < 0:
+        raise ValueError(f"N must be non-negative, got {N}")
+    if np.size(q0) != d.n or np.size(q1) != d.n:
+        raise ValueError(f"start points must have {d.n} entries, got "
+                         f"{np.size(q0)} and {np.size(q1)}")
     qs = np.empty((N + 1, d.n))
     Ss = np.empty(N + 1)
     qs[0] = q0
@@ -155,12 +153,9 @@ def integrate(d, q0, q1, S0, N, cfg=None):
     if N == 0:
         return DiscretePath(h=d.h, qs=qs, Ss=Ss)
     qs[1] = q1
-    if d.n == 1:
-        q_out = qs[:, 0]
-        q_prev, q_curr = float(q_out[0]), float(q_out[1])
-    else:
-        q_out, q_prev, q_curr = qs, qs[0], qs[1]
-    S_prev = float(S0)
+    q_prev, q_curr, S_prev = _point(d, qs[0]), _point(d, qs[1]), float(S0)
+    # a float point goes into the one column: a scalar store, not a row's
+    q_out = qs[:, 0] if d.n == 1 else qs
     try:
         for k in range(1, N):
             q_next, S_prev = solve_step(d, q_prev, q_curr, S_prev, cfg)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .continuous import LagrangianThermoSystem, pair
+from .continuous import LagrangianThermoSystem, pair, vec
 from .errors import DomainError
 from .geometry import HamiltonianPoint, evolution_field_coordinates
 
@@ -106,11 +106,6 @@ def hamiltonian_rhs(entry, q, p, S, Fext=None):
 # a covector or a 1x1 matrix is its one entry.
 
 
-def _vec(x):
-    """A point or a stack as a float array with at least one axis."""
-    return np.atleast_1d(np.asarray(x, dtype=float))
-
-
 def _coord(q, i):
     """Coordinate i: a float at a point (a float point is its own coordinate
     0), an array of shape (...) on a stack."""
@@ -176,7 +171,7 @@ def _separable(name, n, gamma, params, potential, force, force_dq, force_dS, tem
         return value
 
     def H(q, p, S):
-        q, p = _vec(q), _vec(p)
+        q, p = vec(q), vec(p)
         value = 0.5 * pair(p, p)
         for term in potential:
             value = value + term(q, S)
@@ -207,10 +202,10 @@ def _separable(name, n, gamma, params, potential, force, force_dq, force_dS, tem
         name=name,
         lagrangian=lag,
         H=H,
-        dHdq=lambda q, p, S: -force(_vec(q), S),
-        dHdp=lambda q, p, S: _vec(p),
-        dHdS=lambda q, p, S: temperature(_vec(q), S),
-        Ffr_p=lambda q, p, S: -gamma * _vec(p),
+        dHdq=lambda q, p, S: -force(vec(q), S),
+        dHdp=lambda q, p, S: vec(p),
+        dHdS=lambda q, p, S: temperature(vec(q), S),
+        Ffr_p=lambda q, p, S: -gamma * vec(p),
         params=params,
         **entry_fields,
     )

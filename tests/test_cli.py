@@ -47,10 +47,15 @@ def test_convergence_command(capsys):
 
 
 def test_unknown_system_is_config_error(capsys):
-    code = main(["simulate", "--system", "oscillator", "--h", "-0.1",
-                 "--t-final", "1.0"])
-    assert code == 2
-    assert "configuration error" in capsys.readouterr().err
+    for argv in (["simulate", "--system", "oscillator", "--h", "-0.1", "--t-final", "1.0"],
+                 ["simulate", "--newton-tol", "inf"],
+                 ["simulate", "--newton-tol", "-1"],
+                 ["simulate", "--t-final", "nan"],
+                 ["simulate", "--t-final", "inf"],
+                 ["table", "--h-list", "0.1,abc"],
+                 ["table", "--t-final", "inf"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("configuration error:"), argv
 
 
 def test_gas_table_smoke(capsys):

@@ -6,6 +6,7 @@ import pytest
 from thermint.bench import default_newton_tol
 from thermint.continuous import pair
 from thermint.errors import ThermintError
+from thermint.solve import solve_step
 
 from thermint import (
     ConfigError,
@@ -79,8 +80,10 @@ class TestNewton:
         assert x[0] == 3.0
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            NewtonConfig(tol=0.0)
+        # tol = inf took any start guess as a root after 0 iterations
+        for tol in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                NewtonConfig(tol=tol)
         with pytest.raises(ValueError):
             NewtonConfig(max_iter=0)
 
@@ -92,6 +95,15 @@ class TestIntegrate:
         assert len(path) == 1
         np.testing.assert_array_equal(path.qs, [[0.3]])
         np.testing.assert_array_equal(path.Ss, [0.2])
+
+    @pytest.mark.parametrize("q0,q1,N", [(1.0, [1.0, 1.0], 3), ([1.0], [1.0, 1.0], 3),
+                                         ([1.0, 1.0], [1.0, 1.0], -1)],
+                             ids=["float-q0", "short-q0", "negative-N"])
+    def test_bad_start_rejected(self, q0, q1, N):
+        # numpy would broadcast a one-entry start point over both pistons
+        d = midpoint_discretize(get_system("two-pistons").lagrangian, 0.01)
+        with pytest.raises(ValueError):
+            integrate(d, q0, q1, 1.0, N)
 
     def test_one_step_is_initial_data(self):
         d = midpoint_discretize(OSC.lagrangian, 0.01)
@@ -260,6 +272,31 @@ class TestFloatPoints:
             kind, step, residual = failure
             assert on_floats[0] is kind and on_floats[2] == step
             assert f"Newton residual {residual}" in on_floats[1]
+
+    @pytest.mark.parametrize("name,h", [(name, h)
+                                        for name in ("oscillator", "ideal-gas", "van-der-waals")
+                                        for h in (0.1, 0.01)])
+    def test_flow_on_floats_is_length_1_array_step(self, name, h):
+        # discrete_flow steps on floats; the same step on length-1 arrays
+        # must give the same bits, with or without float points declared
+        rng = np.random.default_rng(11)
+        triples = []
+        for _ in range(20):
+            if name == "oscillator":
+                q0, q1, S0 = rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0, 1)
+            else:
+                q0 = rng.uniform(0.95, 1.05)
+                q1, S0 = q0 + rng.uniform(-0.01, 0.01), 10.0 + rng.uniform(-0.1, 0.1)
+            triples.append(DiscreteTriple([q0], [q1], S0))
+        cfg = NewtonConfig(tol=1e-10)
+        lag = get_system(name).lagrangian
+        for sys in (lag, dataclasses.replace(lag, float_points=False)):
+            d = midpoint_discretize(sys, h)
+            for t in triples:
+                q2, S1 = solve_step(d, t.q0, t.q1, t.S0, cfg)
+                assert type(q2) is np.ndarray
+                image = discrete_flow(d, t, cfg).as_array()
+                assert image.tobytes() == np.concatenate([t.q1, q2, [S1]]).tobytes()
 
     def test_user_system_with_derived_second_partials(self):
         # L = v^2/2 - q^4/4 - S with friction -0.1 v, written once for floats
