@@ -8,6 +8,7 @@ output is deterministic: fixed float formatting, no timestamps.
 """
 
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -116,11 +117,13 @@ def hamiltonian_estimates(entry, d, path):
 # experiment configuration
 
 
-_DEFAULT_INITIAL = {
-    "oscillator": dict(q0=[0.0], v0=[1.0], S0=0.0, init_mode="exact"),
-    "ideal-gas": dict(q0=[1.0], v0=[0.0], S0=10.0, init_mode="hold"),
-    "van-der-waals": dict(q0=[1.0], v0=[0.0], S0=10.0, init_mode="hold"),
-    "two-pistons": dict(q0=[1.0, 1.0], v0=[0.2, -0.3], S0=1.0, init_mode="taylor"),
+#: per-system defaults of the keys an ExperimentConfig leaves unset
+_DEFAULTS = {
+    "oscillator": dict(q0=[0.0], v0=[1.0], S0=0.0, init_mode="exact", t_final=1000.0),
+    "ideal-gas": dict(q0=[1.0], v0=[0.0], S0=10.0, init_mode="hold", t_final=100.0),
+    "van-der-waals": dict(q0=[1.0], v0=[0.0], S0=10.0, init_mode="hold", t_final=100.0),
+    "two-pistons": dict(q0=[1.0, 1.0], v0=[0.2, -0.3], S0=1.0, init_mode="taylor",
+                        t_final=100.0),
 }
 
 
@@ -144,9 +147,79 @@ def default_newton_tol(system, h):
     return base
 
 
+def _kind(what, parse, ok):
+    """A kind of config value: ``parse`` reads text or a value, ``ok`` accepts it.
+
+    The kind returns the parsed value, or raises a ConfigError saying that
+    the key must be ``what``.
+    """
+    def kind(value, key):
+        try:
+            x = parse(value)
+            if ok(x):
+                return x
+        except (TypeError, ValueError):
+            pass
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    return kind
+
+
+def _items(value):
+    """The entries of comma-separated text, or of a value or sequence."""
+    if isinstance(value, str):
+        return [part.strip() for part in value.split(",")]
+    return np.atleast_1d(value).tolist()
+
+
+def _not_a_number(value):
+    """``value``, unless it reads as a number."""
+    try:
+        float(value)
+    except (TypeError, ValueError):
+        return value
+    raise ValueError(value)
+
+
+def _one_of(*names):
+    """The kind of a key that takes one of ``names``."""
+    return _kind("one of " + ", ".join(names), str, names.__contains__)
+
+
+_finite = _kind("a finite number", float, math.isfinite)
+_positive = _kind("a positive finite number", float, lambda x: 0 < x < math.inf)
+_vector = _kind("comma-separated finite numbers",
+                lambda value: np.array([float(x) for x in _items(value)]),
+                lambda x: np.isfinite(x).all())
+_methods = _kind("a non-empty list of " + ", ".join(METHODS),
+                 lambda value: tuple(_items(value)), lambda x: x and all(m in METHODS for m in x))
+
+#: the parameters of the catalog factories, which ExperimentConfig keeps in ``params``
+FACTORY_KEYS = ("gamma", "c", "a_hat", "b_hat")
+
+#: the kind of every config key
+KINDS = {
+    "system": _one_of(*_DEFAULTS),
+    **dict.fromkeys(("h", "t_final", "newton_tol", "rtol", "atol"), _positive),
+    "S0": _finite,
+    **dict.fromkeys(("q0", "v0", "q1"), _vector),
+    "init_mode": _one_of("exact", "reference", "hold", "taylor"),
+    "methods": _methods,
+    "out": _kind("a path that is neither blank nor a number", _not_a_number,
+                 lambda path: os.fspath(path).strip()),
+    **dict.fromkeys(FACTORY_KEYS, _finite),
+}
+
+
 @dataclass
 class ExperimentConfig:
     """One benchmark cell: a system, a step size, a horizon, methods.
+
+    Every field takes text or a value: `KINDS` parses each field given,
+    so the config file, argv and Python callers meet the same checks, and
+    a bad value raises a ConfigError naming its key.  ``params`` holds the
+    `FACTORY_KEYS` (None keeps the factory default), and a value the
+    factory rejects is a ConfigError too.  Unset fields take the system's
+    defaults: h = 0.01, t_final 1000 (oscillator) or 100, `_DEFAULTS`.
 
     Initial data is either (q0, v0) plus an initialization mode, or an
     explicit second point q1 (the variational method then starts from it
@@ -154,9 +227,9 @@ class ExperimentConfig:
     given).
     """
 
-    system: str
-    h: float
-    t_final: float
+    system: str = "oscillator"
+    h: float = None
+    t_final: float = None
     params: dict = field(default_factory=dict)
     q0: np.ndarray = None
     v0: np.ndarray = None
@@ -170,47 +243,28 @@ class ExperimentConfig:
     atol: float = 1e-10
 
     def __post_init__(self):
-        if self.system not in _DEFAULT_INITIAL:
-            raise ConfigError(f"unknown system {self.system!r}")
-        if not self.h > 0:
-            raise ConfigError("h must be positive")
-        if not math.isfinite(self.t_final):
-            raise ConfigError("t_final must be finite")
-        if self.t_final < self.h:
-            raise ConfigError("t_final must be at least h")
-        if not self.methods:
-            raise ConfigError("methods list must not be empty")
-        for m in self.methods:
-            if m not in METHODS:
-                raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
-        defaults = _DEFAULT_INITIAL[self.system]
-        n = len(defaults["q0"])
+        for key, kind in KINDS.items():
+            if getattr(self, key, None) is not None:
+                setattr(self, key, kind(getattr(self, key), key))
+        self.params = {k: _finite(v, k) for k, v in self.params.items() if v is not None}
+        try:
+            n = get_system(self.system, **self.params).n
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{self.system} parameters {self.params}: {exc}") from None
         for key in ("q0", "v0", "q1"):
             value = getattr(self, key)
-            if value is not None:
-                value = np.atleast_1d(np.asarray(value, dtype=float))
-                if value.shape != (n,):
-                    raise ConfigError(f"{key} must have {n} value(s) for system "
-                                      f"{self.system!r}, got shape {value.shape}")
-                setattr(self, key, value)
-        if self.q0 is None:
-            self.q0 = np.array(defaults["q0"], dtype=float)
-        if self.v0 is None:
-            if self.q1 is not None:
-                self.v0 = (self.q1 - self.q0) / self.h
-            else:
-                self.v0 = np.array(defaults["v0"], dtype=float)
-        if self.S0 is None:
-            self.S0 = defaults["S0"]
-        self.S0 = float(self.S0)
-        if self.init_mode is None:
-            self.init_mode = defaults["init_mode"]
+            if value is not None and value.shape != (n,):
+                raise ConfigError(f"{key} must have {n} value(s) for system "
+                                  f"{self.system!r}, got shape {value.shape}")
+        for key, value in {"h": 0.01, **_DEFAULTS[self.system]}.items():
+            if getattr(self, key) is None:
+                if key == "v0" and self.q1 is not None:
+                    value = (self.q1 - self.q0) / self.h
+                setattr(self, key, KINDS[key](value, key))
+        if self.t_final < self.h:
+            raise ConfigError("t_final must be at least h")
         if self.newton_tol is None:
             self.newton_tol = default_newton_tol(self.system, self.h)
-        try:
-            NewtonConfig(tol=self.newton_tol)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"newton_tol {self.newton_tol!r}: {exc}") from None
 
     @property
     def n_steps(self):
@@ -218,7 +272,10 @@ class ExperimentConfig:
 
 
 def load_config(path):
-    """Read a key = value text file (# comments, comma-separated lists)."""
+    """Read a ``key = value`` file (# comments, t-final as t_final) into text values.
+
+    Every key must be one of `KINDS`; `ExperimentConfig` parses the text.
+    """
     out = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -228,19 +285,11 @@ def load_config(path):
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, val = (part.strip() for part in line.split("=", 1))
-            out[key.replace("-", "_")] = _parse_value(val)
+            key = key.replace("-", "_")
+            if key not in KINDS:
+                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            out[key] = val
     return out
-
-
-def _parse_value(text):
-    if "," in text:
-        return [_parse_value(part.strip()) for part in text.split(",") if part.strip()]
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            pass
-    return text
 
 
 @dataclass
@@ -252,10 +301,6 @@ class MethodErrors:
     H_dev: dict
     runtime: float
 
-    @property
-    def max_H_dev(self):
-        return max(self.H_dev.values())
-
 
 @dataclass
 class ErrorReport:
@@ -264,43 +309,20 @@ class ErrorReport:
     t_final: float
     methods: dict  # name -> MethodErrors
 
-    def __post_init__(self):
-        for me in self.methods.values():
-            if me.max_pos_err < 0 or me.max_S_err < 0:
-                raise ValueError("error metrics must be nonnegative")
-
 
 def _reference(entry, cfg, ts):
-    """(q, v, S) reference arrays on the grid: exact when available.
+    """(q, S) reference arrays on the grid: exact when available.
 
-    The fourth item is None for the exact solution; otherwise it is the
+    The third item is None for the exact solution; otherwise it is the
     RK45 trajectory with its runtime, for the "reference" method to reuse.
     """
     if entry.exact_solution is not None:
         sol = entry.exact_solution(cfg.q0, cfg.v0, cfg.S0)
-        return sol.q(ts)[:, None], sol.v(ts)[:, None], sol.entropy(ts), None
+        return sol.q(ts)[:, None], sol.entropy(ts), None
     t0 = time.perf_counter()
     traj = reference_integrate(entry.lagrangian, ThermoState(cfg.q0, cfg.v0, cfg.S0),
                                cfg.t_final, cfg.rtol, cfg.atol, h=cfg.h)
-    return traj.qs, traj.vs, traj.Ss, (traj, time.perf_counter() - t0)
-
-
-def _run_variational(entry, cfg):
-    d = midpoint_discretize(entry.lagrangian, cfg.h)
-    if cfg.q1 is not None:
-        q0, q1, S0 = cfg.q0, cfg.q1, cfg.S0
-    else:
-        q0, q1, S0 = initialize(entry, cfg.q0, cfg.v0, cfg.S0, cfg.h, cfg.init_mode)
-    path = integrate(d, q0, q1, S0, cfg.n_steps, NewtonConfig(tol=cfg.newton_tol))
-    return d, path
-
-
-def _velocity_estimate(path, v0):
-    """Velocity series of a discrete path: (q_k - q_{k-1})/h, v0 at k=0."""
-    vs = np.empty_like(path.qs)
-    vs[0] = v0
-    vs[1:] = np.diff(path.qs, axis=0) / path.h
-    return vs
+    return traj.qs, traj.Ss, (traj, time.perf_counter() - t0)
 
 
 def run_experiment(cfg):
@@ -313,7 +335,7 @@ def run_experiment(cfg):
     entry = get_system(cfg.system, **cfg.params)
     N = cfg.n_steps
     ts = cfg.h * np.arange(N + 1)
-    qref, vref, Sref, rk45 = _reference(entry, cfg, ts)
+    qref, Sref, rk45 = _reference(entry, cfg, ts)
     H0 = entry.H(cfg.q0, cfg.v0, cfg.S0)
 
     report = ErrorReport(system=cfg.system, h=cfg.h, t_final=cfg.t_final, methods={})
@@ -321,10 +343,15 @@ def run_experiment(cfg):
     for method in cfg.methods:
         t0 = time.perf_counter()
         if method == "variational":
-            d, path = _run_variational(entry, cfg)
-            qs = path.qs
-            Ss = path.Ss
-            vs = _velocity_estimate(path, cfg.v0)
+            d = midpoint_discretize(entry.lagrangian, cfg.h)
+            if cfg.q1 is not None:
+                q0, q1, S0 = cfg.q0, cfg.q1, cfg.S0
+            else:
+                q0, q1, S0 = initialize(entry, cfg.q0, cfg.v0, cfg.S0, cfg.h, cfg.init_mode)
+            path = integrate(d, q0, q1, S0, N, NewtonConfig(tol=cfg.newton_tol))
+            qs, Ss = path.qs, path.Ss
+            # velocity series (q_k - q_{k-1})/h, v0 at k = 0
+            vs = np.concatenate([cfg.v0[None], np.diff(qs, axis=0) / path.h])
             series = dict(zip(("p_plus", "p_minus", "velocity"),
                               hamiltonian_estimates(entry, d, path)))
             Hcols = tuple(np.concatenate([[H0], x]) for x in series.values())
@@ -353,8 +380,6 @@ def run_experiment(cfg):
         tables[method] = (ts, qs, vs, Ss) + Hcols
 
     if cfg.out is not None:
-        import os
-
         os.makedirs(cfg.out, exist_ok=True)
         for method, cols in tables.items():
             write_trajectory_csv(os.path.join(cfg.out, f"{cfg.system}_{method}.csv"), *cols)
@@ -395,8 +420,6 @@ _CSV_BLOCK_ROWS = 256
 
 def write_trajectory_csv(path, ts, qs, vs, Ss, Hp, Hm, Hv):
     """Trajectory CSV: t, q_1..q_n, v_1..v_n, S, H_plus, H_minus, H_vel."""
-    qs = np.atleast_2d(qs)
-    vs = np.atleast_2d(vs)
     n = qs.shape[1]
     header = (["t"] + [f"q_{i+1}" for i in range(n)] + [f"v_{i+1}" for i in range(n)]
               + ["S", "H_plus", "H_minus", "H_vel"])

@@ -311,7 +311,7 @@ def noether_lift_check(sys, X, X_jac, states, tol=1e-10):
         xc = (np.asarray(X(q)) @ sys.dLdq(q, v, S)
               + (np.asarray(X_jac(q)) @ v) @ sys.dLdv(q, v, S))
         friction = np.asarray(sys.Ffr(q, v, S)) @ np.asarray(X(q))
-        if abs(xc + friction) > tol:
+        if not abs(xc + friction) <= tol:
             return False
     return True
 

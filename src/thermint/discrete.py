@@ -594,7 +594,7 @@ def noether_condition(d, xi, samples, tol=1e-10):
         theta_plus = np.asarray(d.pi_plus(t.q0, t.q1, t.S0), dtype=float)
         val = (theta_plus @ np.asarray(xi(t.q1), dtype=float)
                - theta_minus @ np.asarray(xi(t.q0), dtype=float))
-        if abs(val) > tol:
+        if not abs(val) <= tol:
             return False
     return True
 

@@ -285,7 +285,8 @@ def oscillator(gamma=0.1):
         a = 2 (4 - h^2) / (4 + h (h + 2 gamma)),
         b = (4 + h^2 - 2 h gamma) / (4 + h (h + 2 gamma)),
 
-    together with S_k = S_{k-1} + (q_k - q_{k-1})^2 / h.
+    together with S_k = S_{k-1} + (q_k - q_{k-1})^2 / h.  The exact
+    solution is supplied in the underdamped regime 0 < gamma < 2 only.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -302,7 +303,8 @@ def oscillator(gamma=0.1):
         force_dq=lambda q, S: _matrix1(q, -1.0),
         force_dS=lambda q, S: _covector(q, 0.0),
         temperature=lambda q, S: g,
-        exact_solution=lambda q0, v0, S0: DampedOscillatorSolution(g, q0, v0, S0),
+        exact_solution=((lambda q0, v0, S0: DampedOscillatorSolution(g, q0, v0, S0))
+                        if g < 2 else None),
         update_coefficients=coefficients,
     )
 

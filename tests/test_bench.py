@@ -251,8 +251,11 @@ class TestConfigFile:
             "t-final = 2.0\n"
             "methods = variational, rk2\n")
         raw = load_config(cfgfile)
-        assert raw == {"system": "oscillator", "h": 0.05, "t_final": 2.0,
-                       "methods": ["variational", "rk2"]}
+        assert raw == {"system": "oscillator", "h": "0.05", "t_final": "2.0",
+                       "methods": "variational, rk2"}
+        cfg = ExperimentConfig(**raw)
+        assert (cfg.system, cfg.h, cfg.t_final, cfg.methods) == (
+            "oscillator", 0.05, 2.0, ("variational", "rk2"))
 
     def test_malformed_line(self, tmp_path):
         cfgfile = tmp_path / "bad.cfg"

@@ -175,6 +175,13 @@ class TestNoetherLift:
                   for _ in range(30)]
         assert noether_lift_check(entry.lagrangian, X, Xjac, states)
 
+    def test_nan_residual_fails(self):
+        entry = get_system("two-pistons", gamma=0.0)
+        X = lambda q: np.array([1.0, -1.0])
+        Xjac = lambda q: np.zeros((2, 2))
+        states = [ThermoState([1.0, 1.0], [0.2, -0.3], np.nan)]
+        assert not noether_lift_check(entry.lagrangian, X, Xjac, states)
+
     def test_oscillator_translation_broken(self):
         X = lambda q: np.array([1.0])
         Xjac = lambda q: np.zeros((1, 1))

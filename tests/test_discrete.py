@@ -433,6 +433,11 @@ class TestMomentumMapAndNoether:
                                   rng.uniform(0, 2)) for _ in range(30)]
         assert noether_condition(d, xi, samples)
 
+    def test_nan_residual_fails_condition(self):
+        d = midpoint_discretize(get_system("two-pistons", gamma=0.0).lagrangian, H)
+        xi = lambda q: np.array([-1.0, 1.0])
+        assert not noether_condition(d, xi, [DiscreteTriple([1.0, 1.0], [1.0, 1.0], np.nan)])
+
     def test_friction_breaks_condition(self):
         xi = lambda q: np.array([-1.0, 1.0])
         samples = [DiscreteTriple([1.0, 1.0], [1.02, 0.99], 1.0)]

@@ -98,6 +98,11 @@ class TestOscillator:
         assert sol.v(0.0) == pytest.approx(1.0, rel=1e-14)
         assert sol.entropy(np.array([0.0]))[0] == 2.0
 
+    def test_exact_solution_only_when_underdamped(self):
+        assert get_system("oscillator", gamma=1.9).exact_solution is not None
+        assert get_system("oscillator", gamma=2.0).exact_solution is None
+        assert get_system("oscillator", gamma=3.0).exact_solution is None
+
     def test_entropy_reference_is_monotone(self):
         entry = get_system("oscillator")
         sol = entry.exact_solution([0.0], [1.0], 0.0)
