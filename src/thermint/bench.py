@@ -16,7 +16,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .continuous import ThermoState, Trajectory, equations_of_motion, first_order_rhs
-from .discrete import midpoint_discretize, momenta
+from .discrete import discrete_momenta, midpoint_discretize
 from .errors import ConfigError
 from .solve import NewtonConfig, initialize, integrate
 from .systems import get_system
@@ -104,13 +104,13 @@ def hamiltonian_estimates(entry, d, path):
 
     using the h-scaled discrete momenta and the p = v identification of
     the catalog systems for the velocity estimator.  Each series is one
-    call of ``entry.H`` on the stacked path, so ``entry.H`` and ``d`` must
-    take stacks of points (see `SystemCatalogEntry`).
+    call of ``entry.H`` on `DiscretePath.stack`, so ``entry.H`` and ``d``
+    must take stacks of points (see `SystemCatalogEntry`).
     """
-    q0, q1, S0, S1 = path.qs[:-1], path.qs[1:], path.Ss[:-1], path.Ss[1:]
-    p_minus, p_plus = momenta(d, q0, q1, S0)
+    t, S1 = path.stack(), path.Ss[1:]
+    p_minus, p_plus = discrete_momenta(d, t)
     H = entry.H
-    return H(q1, p_plus, S1), H(q0, p_minus, S0), H(q1, (q1 - q0) / d.h, S1)
+    return H(t.q1, p_plus, S1), H(t.q0, p_minus, t.S0), H(t.q1, (t.q1 - t.q0) / d.h, S1)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +134,8 @@ def default_newton_tol(system, h):
     ulp(|q|) / h^2, so runs whose coordinates grow large (the expanding
     pistons reach |q| ~ 10^4 on the table horizons) cannot meet the
     oscillator-scale 1e-12; likewise smaller steps raise the floor
-    through the 1/h^2 factor.
+    through the 1/h^2 factor.  An h so small that this factor overflows
+    is a ConfigError.
     """
     if system in ("ideal-gas", "van-der-waals"):
         base = 3e-8
@@ -143,7 +144,13 @@ def default_newton_tol(system, h):
     else:
         base = 1e-12
     if h < 0.01:
-        base *= (0.01 / h) ** 2
+        try:
+            base *= (0.01 / h) ** 2
+        except OverflowError:
+            base = math.inf
+    if base == math.inf:
+        raise ConfigError(f"h = {h!r} is too small: the Newton tolerance "
+                          f"(0.01 / h)^2 overflows")
     return base
 
 
@@ -248,9 +255,10 @@ class ExperimentConfig:
                 setattr(self, key, kind(getattr(self, key), key))
         self.params = {k: _finite(v, k) for k, v in self.params.items() if v is not None}
         try:
-            n = get_system(self.system, **self.params).n
+            entry = get_system(self.system, **self.params)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{self.system} parameters {self.params}: {exc}") from None
+        n = entry.n
         for key in ("q0", "v0", "q1"):
             value = getattr(self, key)
             if value is not None and value.shape != (n,):
@@ -263,6 +271,11 @@ class ExperimentConfig:
                 setattr(self, key, KINDS[key](value, key))
         if self.t_final < self.h:
             raise ConfigError("t_final must be at least h")
+        if ("variational" in self.methods and self.q1 is None and self.init_mode == "exact"
+                and entry.exact_solution is None):
+            raise ConfigError(f"init_mode exact: system {self.system!r} with parameters "
+                              f"{self.params} has no exact solution; give q1 or another "
+                              f"init_mode")
         if self.newton_tol is None:
             self.newton_tol = default_newton_tol(self.system, self.h)
 

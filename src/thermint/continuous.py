@@ -95,10 +95,10 @@ class LagrangianThermoSystem:
     ``accel`` may supply a closed-form acceleration; ``continuous_rhs``
     then uses it instead of solving the velocity Hessian.
 
-    Stacks of points: the whole-path diagnostics
-    (`DiscretePath.constraint_residual`, `bench.hamiltonian_estimates`)
-    call ``dLdq``, ``dLdv``, ``dLdS``, ``Ffr`` and ``domain_check`` once
-    on a stack, q and v of shape (..., n) and S of shape (...).  A
+    Stacks of points: the whole-path diagnostics (those given
+    `DiscretePath.stack`, and `bench.hamiltonian_estimates`) call ``L``,
+    ``dLdq``, ``dLdv``, ``dLdS``, ``Ffr`` and ``domain_check`` once on a
+    stack, q and v of shape (..., n) and S of shape (...).  A
     system used there returns covectors of shape (..., n) and scalars of
     shape (...) (a value that does not depend on the point may stay a
     float), ``domain_check`` raises if any row is outside the domain, and
@@ -317,6 +317,7 @@ def noether_lift_check(sys, X, X_jac, states, tol=1e-10):
 
 
 def conserved_along(traj, g):
-    """Maximum drift of g (function of ThermoState) along a trajectory."""
+    """Maximum drift of g (function of ThermoState) along a trajectory;
+    NaN when g is NaN at any state."""
     g0 = g(traj.state(0))
-    return max(abs(g(traj.state(k)) - g0) for k in range(len(traj)))
+    return float(np.max([abs(g(traj.state(k)) - g0) for k in range(len(traj))]))

@@ -45,7 +45,6 @@ __all__ = [
     "legendre_plus",
     "legendre_minus",
     "discrete_momenta",
-    "momenta",
     "discrete_flow",
     "omega_matrices",
     "omega_embedded",
@@ -59,7 +58,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DiscreteTriple:
-    """A point (q0, q1, S0) of the discrete state space."""
+    """A point (q0, q1, S0) of the discrete state space, shapes (n,), (n,) and a float,
+    or a stack of points, shapes (..., n) and (...).  Row k of a diagnostic on a stack
+    is the bits of its call on row k; one marked "one triple only" raises ValueError."""
 
     q0: np.ndarray
     q1: np.ndarray
@@ -70,16 +71,15 @@ class DiscreteTriple:
         q1 = np.atleast_1d(np.asarray(self.q1, dtype=float))
         if q0.shape != q1.shape:
             raise ValueError("q0 and q1 must have the same shape")
+        S0 = float(self.S0) if q0.ndim == 1 else np.asarray(self.S0, dtype=float)
+        if q0.ndim > 1 and S0.shape != q0.shape[:-1]:
+            raise ValueError(f"S0 must have shape {q0.shape[:-1]}, got {S0.shape}")
         object.__setattr__(self, "q0", q0)
         object.__setattr__(self, "q1", q1)
-        object.__setattr__(self, "S0", float(self.S0))
+        object.__setattr__(self, "S0", S0)
 
     def as_array(self):
-        return np.concatenate([self.q0, self.q1, [self.S0]])
-
-    @classmethod
-    def from_array(cls, x, n):
-        return cls(x[:n], x[n : 2 * n], x[2 * n])
+        return np.concatenate([self.q0, self.q1, [_single(self).S0]])
 
 
 @dataclass
@@ -94,12 +94,10 @@ class DiscreteThermoSystem:
     slot derivatives, the Jacobians by central differences of the
     covectors.
 
-    ``D1Ld``, ``D2Ld``, ``DSLd``, ``ffr_minus``, ``ffr_plus`` and
-    ``entropy_increment`` also take a stack of triples, q0 and q1 of
-    shape (..., n) and S0 of shape (...), as `midpoint_discretize` builds
-    them from a stack-capable continuous system.  `discrete_momenta`'s
-    core `momenta`, `DiscretePath.constraint_residual` and
-    `bench.hamiltonian_estimates` evaluate a whole path that way.
+    All but ``dpi_minus``, ``dpi_plus`` and ``pi_minus_dq1`` also take a
+    stack of triples (see `DiscreteTriple`), as `midpoint_discretize`
+    builds them from a stack-capable continuous system; the diagnostics
+    evaluate a whole path, `DiscretePath.stack`, that way.
 
     At n = 1 the four kernel callables also take a float point (q0, q1
     and S0 floats) and return a float, bit for bit the one entry of their
@@ -177,21 +175,31 @@ class DiscretePath:
         for k in range(1, self.n_steps + 1):
             yield self.triple(k)
 
+    def stack(self):
+        """The N solver triples (q_{k-1}, q_k, S_{k-1}) as one stacked triple."""
+        return DiscreteTriple(self.qs[:-1], self.qs[1:], self.Ss[:-1])
+
     def constraint_residual(self, d):
         """Max relative violation of the entropy-update constraint.
 
-        The entropy updates of all N triples are one call on the stacks
-        (q_{k-1}), (q_k), (S_{k-1}), so ``d`` must take stacks (see
-        `DiscreteThermoSystem`).  NaN violations are ignored.
+        The entropy updates of all N triples are one call on `stack`, so
+        ``d`` must take stacks (see `DiscreteThermoSystem`).  NaN
+        violations are ignored.
         """
         S1 = self.Ss[1:]
-        s_pred = _updated_entropy(d, self.qs[:-1], self.qs[1:], self.Ss[:-1])
-        err = np.abs(S1 - s_pred) / np.maximum(1.0, np.abs(S1))
+        err = np.abs(S1 - entropy_update(d, self.stack())) / np.maximum(1.0, np.abs(S1))
         return float(np.fmax.reduce(err, initial=0.0))
 
 
 # ---------------------------------------------------------------------------
 # one triple or a stack of triples
+
+
+def _single(t):
+    """The triple t, which must be one triple, not a stack."""
+    if t.q0.ndim != 1:
+        raise ValueError(f"expected one triple, got a stack of shape {t.q0.shape[:-1]}")
+    return t
 
 
 def _quotient(num, den):
@@ -406,13 +414,13 @@ def entropy_update(d, t):
 
         S1 = S0 + (ffr_plus . q1 - ffr_minus . q0) / DSLd
 
-    evaluated on the triple through the system's entropy increment.
+    evaluated on each triple through the system's entropy increment.
     """
     return _updated_entropy(d, t.q0, t.q1, t.S0)
 
 
 def _updated_entropy(d, q0, q1, S0):
-    """`entropy_update` on raw (q0, q1, S0): one triple or a stack."""
+    """`entropy_update` on raw (q0, q1, S0), as `solve.solve_step` steps."""
     try:
         return S0 + d.entropy_increment(q0, q1, S0)
     except ZeroDivisionError:
@@ -449,12 +457,7 @@ def legendre_plus(d, t):
 
 def discrete_momenta(d, t):
     """h-scaled momenta (p_minus, p_plus); these approximate p = dL/dv."""
-    return momenta(d, t.q0, t.q1, t.S0)
-
-
-def momenta(d, q0, q1, S0):
-    """`discrete_momenta` on raw (q0, q1, S0): one triple, or a stack of
-    triples giving stacks of momenta."""
+    q0, q1, S0 = t.q0, t.q1, t.S0
     p_plus = d.h * np.asarray(d.D2Ld(q0, q1, S0), dtype=float) + (d.h / 2) * np.asarray(
         d.ffr_plus(q0, q1, S0), dtype=float)
     p_minus = -d.h * np.asarray(d.D1Ld(q0, q1, S0), dtype=float) - (d.h / 2) * np.asarray(
@@ -465,20 +468,22 @@ def momenta(d, q0, q1, S0):
 def semiregularity_matrix(d, t):
     """d(pi_minus)/dq1; invertibility makes the minus transform
     a local diffeomorphism.  Its negative is the Newton Jacobian of
-    `del_residual` in q_next."""
+    `del_residual` in q_next.  One triple only."""
+    t = _single(t)
     return np.asarray(d.pi_minus_dq1(t.q0, t.q1, t.S0), dtype=float)
 
 
 def discrete_flow(d, t, cfg=None):
     """One step of the discrete Lagrangian flow.
 
-    Maps (q0, q1, S0) to (q1, q2, S1) where S1 is the entropy update and
-    q2 is the Newton root of the discrete Euler-Lagrange residual; the
-    step is the one `integrate` takes, `solve.solve_step` on floats at n = 1.
+    Maps (q0, q1, S0) to (q1, q2, S1) where S1 is the entropy update and q2 is the
+    Newton root of the discrete Euler-Lagrange residual; the step is the one `integrate`
+    takes, `solve.solve_step` on floats at n = 1.  One triple only.
     """
-    from .solve import NewtonConfig, _point, solve_step
+    from .solve import _point, solve_step
 
-    q2, S1 = solve_step(d, _point(d, t.q0), _point(d, t.q1), t.S0, cfg or NewtonConfig())
+    t = _single(t)
+    q2, S1 = solve_step(d, _point(d, t.q0), _point(d, t.q1), t.S0, cfg)
     return DiscreteTriple(t.q1, q2, S1)
 
 
@@ -493,8 +498,9 @@ def omega_matrices(d, t):
         Wminus = -(d(pi_minus)/dq1)^T
 
     in the index convention of the module docstring; each is
-    ``-omega_embedded(d, t, side)[:n, n:2n].T``.
+    ``-omega_embedded(d, t, side)[:n, n:2n].T``.  One triple only.
     """
+    t = _single(t)
     n = d.n
     dplus = np.asarray(d.dpi_plus(t.q0, t.q1, t.S0), dtype=float)
     dminus = np.asarray(d.dpi_minus(t.q0, t.q1, t.S0), dtype=float)
@@ -507,8 +513,9 @@ def omega_embedded(d, t, side):
     Computed as the exact pullback of the canonical form dq^i ^ dp_i by
     the corresponding discrete Legendre transform, so it carries the
     dq ^ dS block produced by entropy-dependent momenta alongside the
-    dq0 ^ dq1 block of `omega_matrices`.
+    dq0 ^ dq1 block of `omega_matrices`.  One triple only.
     """
+    t = _single(t)
     n = d.n
     if side == "plus":
         # the plus transform: q = q1, p = pi_plus
@@ -526,13 +533,16 @@ def omega_embedded(d, t, side):
 
 def _flow_jacobian(d, t, cfg):
     """Richardson-extrapolated central-difference Jacobian of the flow."""
+    from .solve import _point, solve_step
+
     step = 1e-4
     n = d.n
     dim = 2 * n + 1
     x0 = t.as_array()
 
     def flow_vec(x):
-        return discrete_flow(d, DiscreteTriple.from_array(x, n), cfg).as_array()
+        q2, S1 = solve_step(d, _point(d, x[:n]), _point(d, x[n : 2 * n]), float(x[2 * n]), cfg)
+        return np.concatenate([x[n : 2 * n], np.atleast_1d(q2), [S1]])
 
     def central(delta):
         cols = []
@@ -555,11 +565,8 @@ def pullback_check(d, t, cfg=None):
     Returns ``max |J^T W^-(flow(t)) J - W^+(t)|`` with J the
     finite-difference Jacobian of the flow at t; the identity is exact
     for the analytic flow, so the value measures only discretization of
-    J (and Newton tolerance).
+    J (and Newton tolerance).  One triple only.
     """
-    from .solve import NewtonConfig
-
-    cfg = cfg or NewtonConfig()
     image = discrete_flow(d, t, cfg)
     J = _flow_jacobian(d, t, cfg)
     w_minus = omega_embedded(d, image, "minus")
@@ -572,48 +579,41 @@ def pullback_check(d, t, cfg=None):
 
 
 def momentum_map(d, t, xi, side):
-    """Pairing of a discrete momentum with the generator xi (callable q -> R^n)."""
+    """Pairing of a discrete momentum with the generator xi, a float at one triple
+    or an array on a stack; xi receives the q it is paired with, (n,) or (..., n)."""
     p_minus, p_plus = discrete_momenta(d, t)
     if side == "plus":
-        return float(p_plus @ np.asarray(xi(t.q1), dtype=float))
+        return pair(p_plus, xi(t.q1))
     if side == "minus":
-        return float(p_minus @ np.asarray(xi(t.q0), dtype=float))
+        return pair(p_minus, xi(t.q0))
     raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
 
 
-def noether_condition(d, xi, samples, tol=1e-10):
-    """Discrete Noether condition xi(Ld) + f_d(xi) = 0 on sample triples.
+def noether_condition(d, xi, t, tol=1e-10):
+    """Discrete Noether condition xi(Ld) + f_d(xi) = 0 at a triple, or at
+    every row of a stack; a NaN residual fails it.
 
     xi acts diagonally on (q0, q1) with zero S-component; the friction
     pairing carries the same 1/2 weights as the variational principle.
-    When the condition holds the momentum map is a constant of the
-    discrete motion.
+    ``xi`` receives q0 and q1 as in `momentum_map`.  When the condition
+    holds the momentum map is a constant of the discrete motion.
     """
-    for t in samples:
-        theta_minus = np.asarray(d.pi_minus(t.q0, t.q1, t.S0), dtype=float)
-        theta_plus = np.asarray(d.pi_plus(t.q0, t.q1, t.S0), dtype=float)
-        val = (theta_plus @ np.asarray(xi(t.q1), dtype=float)
-               - theta_minus @ np.asarray(xi(t.q0), dtype=float))
-        if not abs(val) <= tol:
-            return False
-    return True
+    val = (pair(np.asarray(d.pi_plus(t.q0, t.q1, t.S0), dtype=float), xi(t.q1))
+           - pair(np.asarray(d.pi_minus(t.q0, t.q1, t.S0), dtype=float), xi(t.q0)))
+    return bool(np.all(np.abs(val) <= tol))
 
 
 # ---------------------------------------------------------------------------
 # the discrete action
 
 
-def raw_action(d, path):
-    """Sum of Ld over the segments of a path (no membership check)."""
-    return float(sum(d.Ld(t.q0, t.q1, t.S0) for t in path.triples()))
-
-
 def discrete_action(d, path, validate=True, constraint_tol=1e-12):
-    """Discrete action of a path of the thermodynamic path space."""
+    """Discrete action of a path of the thermodynamic path space: Ld summed in path order."""
     if validate:
         res = path.constraint_residual(d)
         if res > constraint_tol:
             raise ValueError(
                 f"path violates the entropy-update constraint (relative residual {res:.3e})"
             )
-    return raw_action(d, path)
+    t = path.stack()
+    return float(sum(np.broadcast_to(d.Ld(t.q0, t.q1, t.S0), t.S0.shape)))

@@ -16,6 +16,7 @@ from thermint import (
     rk2_midpoint,
     run_experiment,
 )
+from thermint import bench
 from thermint.bench import (_CSV_BLOCK_ROWS, default_newton_tol, load_config,
                             write_trajectory_csv)
 from thermint.solve import initialize
@@ -269,3 +270,26 @@ def test_default_newton_tolerances():
     assert default_newton_tol("oscillator", 0.001) == pytest.approx(1e-10)
     assert default_newton_tol("ideal-gas", 0.01) == 3e-8
     assert default_newton_tol("two-pistons", 0.01) == 1e-9
+
+
+@pytest.mark.parametrize("h", [1e-160, 1e-320])
+def test_step_too_small_for_the_newton_tolerance(h):
+    # (0.01 / h)^2 overflows (1e-160) or is already inf (1e-320)
+    with pytest.raises(ConfigError, match="h = "):
+        default_newton_tol("oscillator", h)
+    with pytest.raises(ConfigError, match="h = "):
+        ExperimentConfig(h=h, t_final=10 * h)
+    # the largest tolerance short of the overflow is left as it was
+    assert default_newton_tol("oscillator", 1e-156) == 1e-12 * (0.01 / 1e-156) ** 2
+
+
+def test_exact_start_without_exact_solution_fails_before_any_run(monkeypatch):
+    def no_reference(*args, **kwargs):
+        raise AssertionError("the reference ran")
+
+    monkeypatch.setattr(bench, "reference_integrate", no_reference)
+    with pytest.raises(ConfigError, match="init_mode"):
+        ExperimentConfig(system="oscillator", params={"gamma": 3.0}, t_final=1.0)
+    # a given q1, another start or no variational method needs no exact solution
+    for ok in (dict(q1=[0.01]), dict(init_mode="reference"), dict(methods=("rk2",))):
+        ExperimentConfig(system="oscillator", params={"gamma": 3.0}, t_final=1.0, **ok)

@@ -205,6 +205,11 @@ def test_overdamped_oscillator(capsys):
     assert "max|q-ref|" in capsys.readouterr().out
 
 
+def test_step_too_small_for_the_newton_tolerance_is_a_config_error(capsys):
+    assert main(["simulate", "--h", "1e-160", "--t-final", "1e-159"]) == 2
+    assert "h = 1e-160" in capsys.readouterr().err
+
+
 def test_value_beyond_float_range_is_solver_failure(tmp_path, capsys):
     # from q0 - b_hat = 0.25 at S0 = 10 the piston flies off within a step of h = 0.1,
     # and exp(S) of the entropy it produces overflows

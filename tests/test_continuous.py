@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from thermint import (
     TemperatureDegenerateError,
     ThermoState,
+    Trajectory,
     conserved_along,
     continuous_rhs,
     energy,
@@ -206,6 +207,12 @@ class TestConservedAlong:
         traj = reference_integrate(OSC.lagrangian, ThermoState([0.0], [1.0], 0.0),
                                    5.0, h=0.05)
         assert conserved_along(traj, lambda st: 42.0) == 0.0
+
+    def test_nan_state_is_a_nan_drift(self):
+        # a NaN after a finite drift must not be skipped, so drift <= tol fails
+        traj = Trajectory(h=1.0, times=[0.0, 1.0, 2.0], qs=[[1.0], [np.nan], [1.0]],
+                          vs=np.zeros((3, 1)), Ss=np.zeros(3))
+        assert np.isnan(conserved_along(traj, lambda st: st.q[0]))
 
     def test_oscillator_energy(self):
         traj = reference_integrate(OSC.lagrangian, ThermoState([0.0], [1.0], 0.0),

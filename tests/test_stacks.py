@@ -14,10 +14,11 @@ import pytest
 
 from thermint import (DiscretePath, DiscreteTriple, DomainError, ExperimentConfig,
                       LagrangianThermoSystem, NewtonConfig, TemperatureDegenerateError,
-                      ThermoState, discrete_momenta, entropy_update, get_system,
-                      hamiltonian_estimates, initialize, integrate, midpoint_discretize,
-                      rk2_integrate, run_experiment)
-from thermint.discrete import momenta
+                      ThermoState, discrete_action, discrete_flow, discrete_momenta,
+                      entropy_update, get_system, hamiltonian_estimates, initialize,
+                      integrate, legendre_minus, legendre_plus, midpoint_discretize,
+                      momentum_map, noether_condition, omega_embedded, omega_matrices,
+                      pullback_check, rk2_integrate, run_experiment, semiregularity_matrix)
 
 ALL = ["oscillator", "ideal-gas", "van-der-waals", "two-pistons"]
 ROWS = 2000
@@ -75,9 +76,6 @@ def test_discrete_callables_take_stacks(name):
     q1 = q0 + np.random.default_rng(34).uniform(-0.02, 0.02, q0.shape)
     for fn in (d.D1Ld, d.D2Ld, d.DSLd, d.ffr_minus, d.ffr_plus, d.entropy_increment):
         _assert_same_bits(fn(q0, q1, S0), _rows(fn, q0, q1, S0))
-    p_minus, p_plus = momenta(d, q0, q1, S0)
-    _assert_same_bits(p_minus, _rows(lambda *t: momenta(d, *t)[0], q0, q1, S0))
-    _assert_same_bits(p_plus, _rows(lambda *t: momenta(d, *t)[1], q0, q1, S0))
 
 
 @pytest.mark.parametrize("name", ["ideal-gas", "van-der-waals", "two-pistons"])
@@ -93,6 +91,107 @@ def test_one_row_outside_the_domain_raises(name):
         sys.domain_check(q)
     with pytest.raises(DomainError):
         midpoint_discretize(sys, 0.01).D2Ld(q, q, S)
+
+
+# ---------------------------------------------------------------------------
+# stacked triples against per-triple loops
+
+
+def _triples(n, seed):
+    """A stacked DiscreteTriple of ROWS rows, and its rows one triple each."""
+    q0, _, S0 = _stack(n, seed)
+    q1 = q0 + np.random.default_rng(seed + 1).uniform(-0.02, 0.02, q0.shape)
+    return DiscreteTriple(q0, q1, S0), [DiscreteTriple(q0[k], q1[k], S0[k]) for k in range(ROWS)]
+
+
+def _xi(q):
+    # a generator that depends on the point, so a stack must reach it whole
+    return q * q
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_stacked_triple_matches_per_triple_loop(name):
+    d = midpoint_discretize(get_system(name).lagrangian, 0.01)
+    stack, rows = _triples(d.n, 38)
+    _assert_same_bits(entropy_update(d, stack), np.array([entropy_update(d, t) for t in rows]))
+    for fn in (legendre_minus, legendre_plus, discrete_momenta):
+        for i, part in enumerate(fn(d, stack)):
+            _assert_same_bits(part, np.array([fn(d, t)[i] for t in rows]))
+    for side in ("plus", "minus"):
+        _assert_same_bits(momentum_map(d, stack, _xi, side),
+                          np.array([momentum_map(d, t, _xi, side) for t in rows]))
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_noether_condition_on_a_stack_is_the_worst_row(name):
+    d = midpoint_discretize(get_system(name).lagrangian, 0.01)
+    stack, rows = _triples(d.n, 39)
+    worst = max(abs(float(d.pi_plus(t.q0, t.q1, t.S0) @ _xi(t.q1)
+                          - d.pi_minus(t.q0, t.q1, t.S0) @ _xi(t.q0))) for t in rows)
+    # the stacked residual's maximum is the loop's, bit for bit
+    assert noether_condition(d, _xi, stack, tol=worst)
+    assert not noether_condition(d, _xi, stack, tol=np.nextafter(worst, 0.0))
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_discrete_action_sums_the_loop_in_path_order(name):
+    d = midpoint_discretize(get_system(name).lagrangian, 0.01)
+    qs, _, Ss = _stack(d.n, 40)
+    path = DiscretePath(h=0.01, qs=qs, Ss=Ss)
+    loop = float(sum(d.Ld(t.q0, t.q1, t.S0) for t in path.triples()))
+    assert discrete_action(d, path, validate=False).hex() == loop.hex()
+
+
+def test_path_stack_rows_are_its_triples():
+    qs, _, Ss = _stack(2, 41)
+    path = DiscretePath(h=0.01, qs=qs[:50], Ss=Ss[:50])
+    stack = path.stack()
+    assert stack.q0.shape == (49, 2) and stack.S0.shape == (49,)
+    for k, t in enumerate(path.triples()):
+        for a, b in ((stack.q0[k], t.q0), (stack.q1[k], t.q1), (stack.S0[k], t.S0)):
+            assert np.asarray(a).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def test_triple_shapes_must_agree():
+    with pytest.raises(ValueError):
+        DiscreteTriple([1.0, 2.0], [1.0], 0.0)
+    with pytest.raises(ValueError):
+        DiscreteTriple(np.ones((3, 2)), np.ones((3, 2)), 0.0)
+    with pytest.raises(ValueError):
+        DiscreteTriple(np.ones((3, 2)), np.ones((3, 2)), np.zeros(2))
+    t = DiscreteTriple([0.5], [0.6], 1)
+    assert t.q0.shape == (1,) and type(t.S0) is float
+
+
+_ONE_TRIPLE = {
+    "discrete_flow": lambda d, t: discrete_flow(d, t, NewtonConfig(tol=1e-10)),
+    "pullback_check": lambda d, t: pullback_check(d, t, NewtonConfig(tol=1e-10)),
+    "omega_matrices": omega_matrices,
+    "omega_embedded plus": lambda d, t: omega_embedded(d, t, "plus"),
+    "omega_embedded minus": lambda d, t: omega_embedded(d, t, "minus"),
+    "semiregularity_matrix": semiregularity_matrix,
+    "as_array": lambda d, t: t.as_array(),
+}
+
+
+@pytest.mark.parametrize("fn", _ONE_TRIPLE.values(), ids=_ONE_TRIPLE.keys())
+@pytest.mark.parametrize("name", ALL)
+def test_one_triple_functions_reject_a_stack(name, fn):
+    d = midpoint_discretize(get_system(name).lagrangian, 0.01)
+    stack, rows = _triples(d.n, 42)
+    fn(d, rows[0])
+    with pytest.raises(ValueError, match="one triple"):
+        fn(d, DiscreteTriple(stack.q0[:2], stack.q1[:2], stack.S0[:2]))
+
+
+def test_two_form_blocks_of_a_two_row_stack_raise():
+    # a (2, 2) stack of two-pistons triples once gave one non-symmetric
+    # block mixing the two rows
+    d = midpoint_discretize(get_system("two-pistons").lagrangian, 0.01)
+    q0 = np.array([[1.0, 1.0], [1.1, 0.9]])
+    t = DiscreteTriple(q0, q0 + 0.01, [1.0, 1.0])
+    with pytest.raises(ValueError):
+        omega_matrices(d, t)
 
 
 # ---------------------------------------------------------------------------
@@ -190,3 +289,57 @@ def test_zero_temperature_row_raises(kernel):
         cold.constraint_residual(d)
     with pytest.raises(TemperatureDegenerateError):
         entropy_update(d, cold.triple(2))
+
+
+# ---------------------------------------------------------------------------
+# one-triple functions
+
+
+#: (q centre, S0 centre, S0 half-width) of the seeded pullback triples
+_PULLBACK_STARTS = {"oscillator": (0.0, 0.5, 0.5), "ideal-gas": (1.0, 10.0, 0.1),
+                    "van-der-waals": (1.0, 10.0, 0.1), "two-pistons": (1.0, 1.0, 0.1)}
+
+#: pullback_check on the seeded triples, as recorded before DiscreteTriple took stacks
+_PULLBACK_HEX = {
+    "oscillator": [
+        "0x1.8500000000000p-31", "0x1.ee00000000000p-31", "0x1.6000000000000p-35",
+        "0x1.0700000000000p-30", "0x1.e000000000000p-36", "0x1.3800000000000p-33",
+        "0x1.3680000000000p-30", "0x1.af00000000000p-31", "0x1.6000000000000p-32",
+        "0x1.ee00000000000p-31"],
+    "ideal-gas": [
+        "0x1.5baec00000000p-20", "0x1.6650000000000p-24", "0x1.6f84000000000p-24",
+        "0x1.1d4c000000000p-24", "0x1.b6de000000000p-25", "0x1.6c50000000000p-25",
+        "0x1.685e000000000p-25", "0x1.dfdc000000000p-25", "0x1.94e8000000000p-25",
+        "0x1.9ece000000000p-24"],
+    "van-der-waals": [
+        "0x1.6f28000000000p-25", "0x1.d2b0000000000p-25", "0x1.4608000000000p-24",
+        "0x1.9ac2000000000p-23", "0x1.5b40000000000p-25", "0x1.b8c8000000000p-25",
+        "0x1.4228000000000p-24", "0x1.cb88000000000p-23", "0x1.92c8000000000p-25",
+        "0x1.a3c8000000000p-24"],
+    "two-pistons": [
+        "0x1.0966000000000p-24", "0x1.302a000000000p-24", "0x1.b388000000000p-26",
+        "0x1.ad64000000000p-25", "0x1.30ba000000000p-24", "0x1.98b0000000000p-25",
+        "0x1.0f10000000000p-24", "0x1.55d0000000000p-25", "0x1.495422f000000p-27",
+        "0x1.4464000000000p-24"],
+}
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_pullback_check_keeps_its_bits(name):
+    entry = get_system(name)
+    d = midpoint_discretize(entry.lagrangian, 0.01)
+    qc, Sc, dS = _PULLBACK_STARTS[name]
+    rng = np.random.default_rng(12)
+    got = []
+    for _ in range(10):
+        q0 = qc + rng.uniform(-0.05, 0.05, entry.n)
+        t = DiscreteTriple(q0, q0 + rng.uniform(-0.01, 0.01, entry.n), Sc + rng.uniform(-dS, dS))
+        got.append(pullback_check(d, t, NewtonConfig(tol=1e-10)).hex())
+    assert got == _PULLBACK_HEX[name]
+
+
+def test_action_of_a_lagrangian_that_stays_a_float_on_a_stack():
+    # L = 0 does not depend on the point, so one float comes back for the stack
+    d = midpoint_discretize(_cold_system(), 0.1)
+    path = DiscretePath(h=0.1, qs=[[0.0], [0.1], [0.2]], Ss=[0.5, 1.5, 2.0])
+    assert discrete_action(d, path, validate=False) == 0.0
