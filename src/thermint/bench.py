@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .continuous import ThermoState, Trajectory, equations_of_motion, first_order_rhs
 from .discrete import discrete_momenta, midpoint_discretize
@@ -81,6 +80,8 @@ def reference_integrate(sys, state0, t_final, rtol=1e-10, atol=1e-10, h=None):
                           vs=state0.v[None, :].copy(), Ss=np.array([state0.S]))
     if h is None:
         raise ConfigError("a grid step h is required when t_final > 0")
+
+    from scipy.integrate import solve_ivp
 
     y0 = np.concatenate([state0.q, state0.v, [state0.S]])
     sol = solve_ivp(first_order_rhs(sys), (0.0, t_final), y0, method="RK45", rtol=rtol,

@@ -6,7 +6,7 @@ friction covector field.  The equations of motion couple the forced
 Euler-Lagrange equations with the entropy equation (dL/dS) * Sdot = v . Ffr.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,7 +130,6 @@ class LagrangianThermoSystem:
     dLdS: callable
     Ffr: callable = _zero_force
     name: str = ""
-    params: dict = field(default_factory=dict)
 
     # second derivatives of L, derived in __post_init__ when left out
     d2Ldq2: callable = None          # (n, n), d2L/dq_i dq_j
@@ -204,7 +203,8 @@ def legendre(sys, state):
 
 
 def fd_gradient(f, x):
-    """Central-difference gradient of a scalar/vector function of x (1d).
+    """Central-difference gradient of a scalar/vector function of x (1d),
+    with step ``FD_STEP * (1 + |x_j|)`` in coordinate j.
 
     At a float x it is the derivative f'(x), bit for bit the one column of
     the gradient at the length-1 array [x].
@@ -213,9 +213,14 @@ def fd_gradient(f, x):
         d = FD_STEP * (1.0 + abs(x))
         return (f(x + d) - f(x - d)) / (2 * d)
     x = np.asarray(x, dtype=float)
+    return _central_differences(f, x, FD_STEP * (1.0 + np.abs(x)))
+
+
+def _central_differences(f, x, steps):
+    """The central differences (f(x + d e_j) - f(x - d e_j)) / 2d of f at the
+    float array x, d = steps[j], as the columns j of one array."""
     cols = []
-    for j in range(x.shape[0]):
-        d = FD_STEP * (1.0 + abs(x[j]))
+    for j, d in enumerate(steps):
         xp = x.copy()
         xm = x.copy()
         xp[j] += d
@@ -245,7 +250,7 @@ def _second_partials(sys):
         return lambda q, v, S: fd_gradient(lambda vv: f(q, vv, S), v)
 
     def over_S(f):
-        return lambda q, v, S: fd_gradient(lambda s: f(q, v, s[0]), [S])[..., 0]
+        return lambda q, v, S: fd_gradient(lambda s: f(q, v, s), float(S))
 
     dLdv_q = over_q(sys.dLdv)
     return {"d2Ldq2": over_q(sys.dLdq),

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuous import derive_missing, fd_gradient, pair, transposed
+from .continuous import _central_differences, derive_missing, fd_gradient, pair, transposed
 from .errors import TemperatureDegenerateError
 
 __all__ = [
@@ -183,12 +183,12 @@ class DiscretePath:
         """Max relative violation of the entropy-update constraint.
 
         The entropy updates of all N triples are one call on `stack`, so
-        ``d`` must take stacks (see `DiscreteThermoSystem`).  NaN
-        violations are ignored.
+        ``d`` must take stacks (see `DiscreteThermoSystem`).  A NaN
+        violation makes the residual NaN.
         """
         S1 = self.Ss[1:]
         err = np.abs(S1 - entropy_update(d, self.stack())) / np.maximum(1.0, np.abs(S1))
-        return float(np.fmax.reduce(err, initial=0.0))
+        return float(np.max(err, initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -532,30 +532,19 @@ def omega_embedded(d, t, side):
 
 
 def _flow_jacobian(d, t, cfg):
-    """Richardson-extrapolated central-difference Jacobian of the flow."""
+    """Richardson-extrapolated central-difference Jacobian of the flow at the fixed
+    steps 1e-4 and 5e-5, larger than `fd_gradient`'s for the Newton-tolerance noise."""
     from .solve import _point, solve_step
 
-    step = 1e-4
     n = d.n
-    dim = 2 * n + 1
     x0 = t.as_array()
 
     def flow_vec(x):
         q2, S1 = solve_step(d, _point(d, x[:n]), _point(d, x[n : 2 * n]), float(x[2 * n]), cfg)
         return np.concatenate([x[n : 2 * n], np.atleast_1d(q2), [S1]])
 
-    def central(delta):
-        cols = []
-        for j in range(dim):
-            xp = x0.copy()
-            xm = x0.copy()
-            xp[j] += delta
-            xm[j] -= delta
-            cols.append((flow_vec(xp) - flow_vec(xm)) / (2 * delta))
-        return np.stack(cols, axis=-1)
-
-    coarse = central(step)
-    fine = central(step / 2)
+    coarse = _central_differences(flow_vec, x0, [1e-4] * x0.size)
+    fine = _central_differences(flow_vec, x0, [5e-5] * x0.size)
     return (4.0 * fine - coarse) / 3.0
 
 
@@ -611,7 +600,7 @@ def discrete_action(d, path, validate=True, constraint_tol=1e-12):
     """Discrete action of a path of the thermodynamic path space: Ld summed in path order."""
     if validate:
         res = path.constraint_residual(d)
-        if res > constraint_tol:
+        if not res <= constraint_tol:
             raise ValueError(
                 f"path violates the entropy-update constraint (relative residual {res:.3e})"
             )

@@ -5,21 +5,21 @@ monoatomic gas, the same piston with a Van der Waals gas, and a cylinder
 closed by two pistons.  All four are L = |v|^2/2 - V(q, S) with Rayleigh
 friction -gamma v, so each factory declares only its potential and
 `_separable` derives the entry: the Lagrangian side with its second
-partials, friction Jacobians and closed-form acceleration, and the
-Hamiltonian twin under p = v.  V is a sequence of terms, which L subtracts
-in order and H adds in order: float sums do not associate, and this order
-fixes the bits of the H columns of the CSVs.  Entries also carry, where
-available, an exact solution and a closed-form discrete update.
+partials, friction Jacobians and closed-form acceleration, and H.  V is a
+sequence of terms, which L subtracts in order and H adds in order: float
+sums do not associate, and this order fixes the bits of the H columns of
+the CSVs.  Entries also carry, where available, an exact solution and a
+closed-form discrete update.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .continuous import LagrangianThermoSystem, pair, vec
 from .errors import DomainError
 from .geometry import HamiltonianPoint, evolution_field_coordinates
+from .solve import newton_solve
 
 __all__ = [
     "SystemCatalogEntry",
@@ -37,12 +37,14 @@ __all__ = [
 
 @dataclass
 class SystemCatalogEntry:
-    """A named system: Lagrangian side plus Hamiltonian side.
+    """A system: its Lagrangian plus the Hamiltonian ``H``.
 
-    The catalog declares its entries by the terms of their potential
-    through `_separable`, where L subtracts the terms in order and H adds
-    them in order, because that order fixes the bits of the H columns of
-    the CSVs; a user-defined entry supplies every field itself.
+    The Lagrangian is the model; `hamiltonian_point` reads the Hamiltonian
+    partials and the momentum-space friction from it through the Legendre
+    transform.  The catalog declares its entries by the terms of their
+    potential through `_separable`, where L subtracts the terms in order
+    and H adds them in order, because that order fixes the bits of the H
+    columns of the CSVs.
 
     ``H`` takes one point, ``q`` and ``p`` of shape (n,) and ``S`` a
     float, or a stack of points, ``q`` and ``p`` of shape (..., n) and
@@ -54,18 +56,11 @@ class SystemCatalogEntry:
     point.  A stack takes powers with ``np.float_power`` and pairs with
     ``np.vecdot``: they round as float ``**`` and ``@`` do, where array
     ``**`` differs in 1115 of 20 000 arguments (e = -2/3) and an einsum
-    pairing in 3220 of 20 000 (n = 2).  The other Hamiltonian callables
-    take one point.
+    pairing in 3220 of 20 000 (n = 2).
     """
 
-    name: str
     lagrangian: LagrangianThermoSystem
     H: callable            # (q, p, S) -> float
-    dHdq: callable         # (q, p, S) -> (n,)
-    dHdp: callable         # (q, p, S) -> (n,)
-    dHdS: callable         # (q, p, S) -> float
-    Ffr_p: callable        # momentum-space friction covector, (q, p, S) -> (n,)
-    params: dict = field(default_factory=dict)
     exact_solution: callable = None      # (q0, v0, S0) -> solution handle
     update_coefficients: callable = None  # h -> (a, b) of the explicit recurrence
     invariants: dict = field(default_factory=dict)
@@ -74,17 +69,25 @@ class SystemCatalogEntry:
     def n(self):
         return self.lagrangian.n
 
+    @property
+    def name(self):
+        return self.lagrangian.name
+
 
 def hamiltonian_point(entry, q, p, S, Fext=None):
-    """Assemble the geometry-side data of a phase-space point."""
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    dH = np.concatenate([
-        np.atleast_1d(entry.dHdq(q, p, S)),
-        np.atleast_1d(entry.dHdp(q, p, S)),
-        [entry.dHdS(q, p, S)],
-    ])
-    return HamiltonianPoint(q=q, p=p, S=S, dH=dH, Ffr=entry.Ffr_p(q, p, S), Fext=Fext)
+    """Assemble the geometry-side data of a phase-space point.
+
+    The velocity v solves dL/dv(q, v, S) = p, by `solve.newton_solve`
+    from v = p with the Jacobian d2L/dv2; the Hamiltonian partials are
+    dH = (-dL/dq, v, -dL/dS) and the friction is Ffr, both at (q, v, S).
+    Where dL/dv is v, as on the catalog, the start is the root: Newton
+    takes no iteration and v is p.
+    """
+    sys = entry.lagrangian
+    q, p = vec(q), vec(p)
+    v, _ = newton_solve(lambda w: sys.dLdv(q, w, S) - p, lambda w: sys.d2Ldv2(q, w, S), p)
+    dH = np.concatenate([-vec(sys.dLdq(q, v, S)), v, [-sys.dLdS(q, v, S)]])
+    return HamiltonianPoint(q=q, p=p, S=S, dH=dH, Ffr=sys.Ffr(q, v, S), Fext=Fext)
 
 
 def hamiltonian_rhs(entry, q, p, S, Fext=None):
@@ -153,14 +156,13 @@ def _constant(value):
 # the separable form L = |v|^2/2 - V(q, S) with Rayleigh friction -gamma v
 
 
-def _separable(name, n, gamma, params, potential, force, force_dq, force_dS, temperature,
+def _separable(name, n, gamma, potential, force, force_dq, force_dS, temperature,
                domain_check=None, **entry_fields):
     """The catalog entry of L = |v|^2/2 - V(q, S) with friction -gamma v.
 
     ``potential`` holds the terms of V; ``force`` = -dV/dq, its q-Jacobian
     ``force_dq``, ``force_dS`` = -d2V/dqdS and ``temperature`` = dV/dS are
-    callables of (q, S).  Every other field follows, the Hamiltonian side
-    with p = v.
+    callables of (q, S).  Every other field of L follows, and H = |p|^2/2 + V.
     """
     eye, zeros, zero = np.eye(n), np.zeros((n, n)), np.zeros(n)
 
@@ -185,7 +187,6 @@ def _separable(name, n, gamma, params, potential, force, force_dq, force_dS, tem
         dLdS=lambda q, v, S: -temperature(q, S),
         Ffr=lambda q, v, S: -gamma * v,
         name=name,
-        params=params,
         d2Ldq2=lambda q, v, S: force_dq(q, S),
         d2Ldqdv=_constant(zeros),
         d2Ldv2=_constant(eye),
@@ -198,17 +199,7 @@ def _separable(name, n, gamma, params, potential, force, force_dq, force_dS, tem
         domain_check=domain_check,
         float_points=(n == 1),
     )
-    return SystemCatalogEntry(
-        name=name,
-        lagrangian=lag,
-        H=H,
-        dHdq=lambda q, p, S: -force(vec(q), S),
-        dHdp=lambda q, p, S: vec(p),
-        dHdS=lambda q, p, S: temperature(vec(q), S),
-        Ffr_p=lambda q, p, S: -gamma * vec(p),
-        params=params,
-        **entry_fields,
-    )
+    return SystemCatalogEntry(lagrangian=lag, H=H, **entry_fields)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +251,8 @@ class DampedOscillatorSolution:
 
     def entropy(self, ts):
         """S on an increasing time grid, by cumulative adaptive quadrature."""
+        from scipy.integrate import quad
+
         ts = np.asarray(ts, dtype=float)
         out = np.empty(ts.shape)
         acc = self.S0
@@ -297,7 +290,7 @@ def oscillator(gamma=0.1):
         return 2.0 * (4.0 - h * h) / den, (4.0 + h * h - 2.0 * h * g) / den
 
     return _separable(
-        "oscillator", 1, g, {"gamma": g},
+        "oscillator", 1, g,
         potential=(lambda q, S: 0.5 * pair(q, q), lambda q, S: g * S),
         force=lambda q, S: -q,
         force_dq=lambda q, S: _matrix1(q, -1.0),
@@ -333,7 +326,7 @@ def ideal_gas(gamma=0.1, c=1.5):
         return _covector(q, ex * np.exp(S) * _power(xval(q), -ex - 1.0))
 
     return _separable(
-        "ideal-gas", 1, g, {"gamma": g, "c": float(c)},
+        "ideal-gas", 1, g,
         potential=(U,),
         force=pressure_force,
         force_dq=lambda q, S: _matrix1(q, -ex * (ex + 1.0) * np.exp(S)
@@ -378,7 +371,7 @@ def van_der_waals(gamma=0.1, a_hat=1.0e3, b_hat=0.1):
                         + 2.0 * ah / x ** 3)
 
     return _separable(
-        "van-der-waals", 1, g, {"gamma": g, "a_hat": ah, "b_hat": bh},
+        "van-der-waals", 1, g,
         potential=(U, lambda q, S: -ah / xval(q)),
         force=force,
         force_dq=stiffness,
@@ -422,7 +415,7 @@ def two_pistons(gamma=0.1, c=1.5):
     }
 
     return _separable(
-        "two-pistons", 2, g, {"gamma": g, "c": float(c)},
+        "two-pistons", 2, g,
         potential=(U,),
         force=pressures,
         force_dq=lambda q, S: -ex * (ex + 1.0) * np.exp(S)

@@ -152,8 +152,9 @@ class TestRhs:
             assert Sd == pytest.approx(Sd2, abs=1e-12)
 
     def test_hamiltonian_zero_dHdS_rejected(self):
-        # the entropy equation divides by dH/dS, the temperature
-        bad = dataclasses.replace(get_system("oscillator"), dHdS=lambda q, p, S: 0.0)
+        # the entropy equation divides by dH/dS = -dL/dS, the temperature
+        lag = dataclasses.replace(OSC.lagrangian, dLdS=lambda q, v, S: 0.0)
+        bad = dataclasses.replace(OSC, lagrangian=lag)
         with pytest.raises(TemperatureDegenerateError):
             hamiltonian_rhs(bad, [0.5], [1.0], 0.0)
 

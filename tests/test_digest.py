@@ -22,7 +22,7 @@ import pytest
 from thermint import (DiscreteTriple, ExperimentConfig, LagrangianThermoSystem, ThermoState,
                       get_system, initialize, midpoint_discretize, omega_embedded,
                       reference_integrate, rk2_integrate, run_experiment)
-from thermint.systems import DampedOscillatorSolution
+from thermint.systems import DampedOscillatorSolution, hamiltonian_point
 
 METHODS = ("variational", "rk2", "reference")
 
@@ -203,25 +203,30 @@ def test_baseline_trajectories_frozen(cell):
 
 LAGRANGIAN_FIELDS = ("L", "dLdq", "dLdv", "dLdS", "Ffr", "d2Ldq2", "d2Ldv2", "d2LdqdS",
                      "d2LdvdS", "dFfrdq", "dFfrdv", "dFfrdS", "accel")
-HAMILTONIAN_FIELDS = ("H", "dHdq", "dHdp", "dHdS", "Ffr_p")
 STACK_FIELDS = ("L", "dLdq", "dLdv", "dLdS", "Ffr", "H")
 
 
 def _catalog_values(entry):
     """Every catalog callable at 200 seeded points (p = v), then the
-    stack-capable ones on the same points as one stack."""
+    Hamiltonian partials dH/dq, dH/dp, dH/dS and the friction of
+    `hamiltonian_point` at those points, then the stack-capable callables
+    on the same points as one stack."""
     rng = np.random.default_rng(41)
     q = rng.uniform(0.6, 1.6, (200, entry.n))
     v = rng.uniform(-1.0, 1.0, (200, entry.n))
     S = rng.uniform(0.0, 2.0, 200)
     fns = {f: getattr(entry.lagrangian, f) for f in LAGRANGIAN_FIELDS}
-    fns.update((f, getattr(entry, f)) for f in HAMILTONIAN_FIELDS)
+    fns["H"] = entry.H
     points = {f: np.array([fn(q[k], v[k], float(S[k])) for k in range(200)])
               for f, fn in fns.items()}
+    n = entry.n
+    pts = [hamiltonian_point(entry, q[k], v[k], float(S[k])) for k in range(200)]
+    partials = [np.array([pt.dH[:n] for pt in pts]), np.array([pt.dH[n : 2 * n] for pt in pts]),
+                np.array([pt.dH[-1] for pt in pts]), np.array([pt.Ffr for pt in pts])]
     # a value that does not depend on the point may come back unbroadcast
     stacks = [np.broadcast_to(np.asarray(fns[f](q, v, S), dtype=float), points[f].shape)
               for f in STACK_FIELDS]
-    return list(points.values()) + stacks
+    return list(points.values()) + partials + stacks
 
 
 # sha256 of _catalog_values(get_system(name)), recorded before the catalog

@@ -174,18 +174,27 @@ class TestEntropyUpdate:
             entropy_update(d, DiscreteTriple([0.0], [0.1], 0.0))
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.floats(-2, 2), st.floats(-2, 2), st.floats(-1, 1))
-def test_entropy_dissipativity_oscillator(q0, q1, S0):
-    """Rayleigh friction at positive temperature never destroys entropy."""
-    assert entropy_update(D_OSC, DiscreteTriple([q0], [q1], S0)) >= S0
+#: each catalog system with coordinate and entropy ranges inside its domain
+DISSIPATIVITY_CASES = [(OSC, (-2.0, 2.0), (-1.0, 1.0)), (GAS, (0.3, 3.0), (0.0, 4.0)),
+                       (VDW, (0.3, 3.0), (0.0, 4.0)), (TP, (0.3, 3.0), (0.0, 4.0))]
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.floats(0.3, 3.0), st.floats(0.3, 3.0), st.floats(0, 4))
-def test_entropy_dissipativity_gases(q0, q1, S0):
-    for d in (D_GAS, D_VDW):
-        assert entropy_update(d, DiscreteTriple([q0], [q1], S0)) >= S0
+@st.composite
+def dissipativity_cases(draw):
+    entry, (lo, hi), (s_lo, s_hi) = draw(st.sampled_from(DISSIPATIVITY_CASES))
+    point = st.lists(st.floats(lo, hi), min_size=entry.n, max_size=entry.n)
+    h = draw(st.floats(1e-3, 1.0))
+    t = DiscreteTriple(draw(point), draw(point), draw(st.floats(s_lo, s_hi)))
+    return midpoint_discretize(entry.lagrangian, h), t
+
+
+@settings(max_examples=200)
+@given(dissipativity_cases())
+def test_entropy_dissipativity(case):
+    """Rayleigh friction at positive temperature never destroys entropy, at
+    any step size, on every catalog system."""
+    d, t = case
+    assert entropy_update(d, t) >= t.S0
 
 
 class TestDelResidual:
@@ -578,6 +587,12 @@ class TestDiscretePath:
     def test_constraint_residual_of_solver_output(self):
         path = integrate(D_OSC, [0.0], [0.0099], 0.0, 100)
         assert path.constraint_residual(D_OSC) <= 1e-12
+
+    def test_nan_entropy_violates_the_constraint(self):
+        path = DiscretePath(h=H, qs=[[0.0], [0.01], [0.02]], Ss=[0.0, np.nan, np.nan])
+        assert np.isnan(path.constraint_residual(D_OSC))
+        with pytest.raises(ValueError, match="entropy-update constraint"):
+            discrete_action(D_OSC, path)
 
 
 def trapezoidal(sys, h):

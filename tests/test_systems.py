@@ -6,7 +6,10 @@ import pytest
 from thermint import (
     DiscreteTriple,
     DomainError,
+    LagrangianThermoSystem,
+    SystemCatalogEntry,
     ThermoState,
+    continuous_rhs,
     del_residual,
     energy,
     entropy_update,
@@ -16,7 +19,7 @@ from thermint import (
     reference_integrate,
 )
 from thermint.continuous import fd_gradient
-from thermint.systems import CATALOG
+from thermint.systems import CATALOG, hamiltonian_point, hamiltonian_rhs
 
 ALL = ["oscillator", "ideal-gas", "van-der-waals", "two-pistons"]
 
@@ -61,14 +64,56 @@ def test_analytic_partials_match_finite_differences(name):
         d = 1e-6 * (1 + abs(S))
         dS = (sys.L(q, v, S + d) - sys.L(q, v, S - d)) / (2 * d)
         assert sys.dLdS(q, v, S) == pytest.approx(dS, rel=1e-6, abs=1e-6 * scale)
-        # Hamiltonian-side partials
+        # Hamiltonian-side partials, through the Legendre transform
         p = np.asarray(sys.dLdv(q, v, S))
+        dH = hamiltonian_point(entry, q, p, S).dH
         dHq = fd_gradient(lambda x: entry.H(x, p, S), q)
         dHp = fd_gradient(lambda x: entry.H(q, x, S), p)
-        np.testing.assert_allclose(entry.dHdq(q, p, S), dHq, rtol=1e-6, atol=1e-6 * scale)
-        np.testing.assert_allclose(entry.dHdp(q, p, S), dHp, rtol=1e-6, atol=1e-6 * scale)
+        np.testing.assert_allclose(dH[: sys.n], dHq, rtol=1e-6, atol=1e-6 * scale)
+        np.testing.assert_allclose(dH[sys.n : 2 * sys.n], dHp, rtol=1e-6, atol=1e-6 * scale)
         dHS = (entry.H(q, p, S + d) - entry.H(q, p, S - d)) / (2 * d)
-        assert entry.dHdS(q, p, S) == pytest.approx(dHS, rel=1e-6, abs=1e-6 * scale)
+        assert dH[-1] == pytest.approx(dHS, rel=1e-6, abs=1e-6 * scale)
+
+
+def variable_mass():
+    """L = m v^2/2 - q^2/2 - S with mass m = 1 + q^2 + S/10, so p = m v is not
+    v; H = p^2/2m + q^2/2 + S is its Legendre transform."""
+    def mass(q, S):
+        return 1.0 + q[0] ** 2 + 0.1 * S
+
+    lag = LagrangianThermoSystem(
+        n=1,
+        L=lambda q, v, S: 0.5 * mass(q, S) * v[0] ** 2 - 0.5 * q[0] ** 2 - S,
+        dLdq=lambda q, v, S: q * v[0] ** 2 - q,
+        dLdv=lambda q, v, S: mass(q, S) * v,
+        dLdS=lambda q, v, S: 0.05 * v[0] ** 2 - 1.0,
+        Ffr=lambda q, v, S: -0.1 * v,
+        name="variable-mass",
+    )
+    return SystemCatalogEntry(
+        lagrangian=lag, H=lambda q, p, S: 0.5 * p[0] ** 2 / mass(q, S) + 0.5 * q[0] ** 2 + S)
+
+
+def test_hamiltonian_point_inverts_the_legendre_transform():
+    entry = variable_mass()
+    sys = entry.lagrangian
+    q, v, S = np.array([0.5]), np.array([0.4]), 0.3
+    p = sys.dLdv(q, v, S)
+    pt = hamiltonian_point(entry, q, p, S)
+    # dH/dp is the velocity with dL/dv(q, v, S) = p, not p itself
+    assert pt.dH[1] != p[0]
+    assert pt.dH[1] == pytest.approx(0.4, abs=1e-12)
+    np.testing.assert_allclose(sys.dLdv(q, pt.dH[1:2], S), p, rtol=0, atol=1e-12)
+    # the partials are those of H at (q, p, S)
+    np.testing.assert_allclose(pt.dH[:1], fd_gradient(lambda x: entry.H(x, p, S), q), rtol=1e-7)
+    np.testing.assert_allclose(pt.dH[1:2], fd_gradient(lambda x: entry.H(q, x, S), p), rtol=1e-7)
+    assert pt.dH[2] == pytest.approx(fd_gradient(lambda s: entry.H(q, p, s), S), rel=1e-7)
+    # the (q, p, S) equations are the Lagrangian ones: pdot = dL/dq + Ffr
+    qdot, pdot, Sdot = hamiltonian_rhs(entry, q, p, S)
+    assert qdot[0] == pytest.approx(0.4, abs=1e-12)
+    assert pdot[0] == pytest.approx(-0.46, abs=1e-12)
+    _, _, Sd = continuous_rhs(sys, ThermoState(q, v, S))
+    assert Sdot == pytest.approx(Sd, rel=1e-12)
 
 
 class TestOscillator:
