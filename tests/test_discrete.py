@@ -174,25 +174,34 @@ class TestEntropyUpdate:
             entropy_update(d, DiscreteTriple([0.0], [0.1], 0.0))
 
 
-#: each catalog system with coordinate and entropy ranges inside its domain
-DISSIPATIVITY_CASES = [(OSC, (-2.0, 2.0), (-1.0, 1.0)), (GAS, (0.3, 3.0), (0.0, 4.0)),
-                       (VDW, (0.3, 3.0), (0.0, 4.0)), (TP, (0.3, 3.0), (0.0, 4.0))]
+#: catalog systems with coordinate and entropy ranges inside their domains
+OSC_CASES = [(OSC, (-2.0, 2.0), (-1.0, 1.0))]
+GAS_CASES = [(GAS, (0.3, 3.0), (0.0, 4.0)), (VDW, (0.3, 3.0), (0.0, 4.0)),
+             (TP, (0.3, 3.0), (0.0, 4.0))]
 
 
 @st.composite
-def dissipativity_cases(draw):
-    entry, (lo, hi), (s_lo, s_hi) = draw(st.sampled_from(DISSIPATIVITY_CASES))
+def dissipativity_cases(draw, cases):
+    entry, (lo, hi), (s_lo, s_hi) = draw(st.sampled_from(cases))
     point = st.lists(st.floats(lo, hi), min_size=entry.n, max_size=entry.n)
     h = draw(st.floats(1e-3, 1.0))
     t = DiscreteTriple(draw(point), draw(point), draw(st.floats(s_lo, s_hi)))
     return midpoint_discretize(entry.lagrangian, h), t
 
 
-@settings(max_examples=200)
-@given(dissipativity_cases())
-def test_entropy_dissipativity(case):
+@settings(max_examples=100)
+@given(dissipativity_cases(OSC_CASES))
+def test_entropy_dissipativity_oscillator(case):
     """Rayleigh friction at positive temperature never destroys entropy, at
-    any step size, on every catalog system."""
+    any step size."""
+    d, t = case
+    assert entropy_update(d, t) >= t.S0
+
+
+@settings(max_examples=100)
+@given(dissipativity_cases(GAS_CASES))
+def test_entropy_dissipativity_gases(case):
+    """The same on the ideal gas, the van der Waals gas and the two pistons."""
     d, t = case
     assert entropy_update(d, t) >= t.S0
 
