@@ -95,6 +95,12 @@ class LagrangianThermoSystem:
     ``accel`` may supply a closed-form acceleration; ``continuous_rhs``
     then uses it instead of solving the velocity Hessian.
 
+    Return contract: a callable returns a float at a float point (below)
+    and a float ndarray otherwise, except that a scalar field (``L``,
+    ``dLdS``) returns a float at one point; a value that is the same at
+    every point may stay a float.  The midpoint rule and the equations of
+    motion use each value as it comes, without a cast.
+
     Stacks of points: the whole-path diagnostics (those given
     `DiscretePath.stack`, and `bench.hamiltonian_estimates`) call ``L``,
     ``dLdq``, ``dLdv``, ``dLdS``, ``Ffr`` and ``domain_check`` once on a
@@ -273,18 +279,17 @@ def equations_of_motion(sys, q, v, S):
         d/dt (dL/dv) = dL/dq + Ffr.
     """
     sys.check_domain(q)
-    dLdS = float(sys.dLdS(q, v, S))
+    dLdS = sys.dLdS(q, v, S)
     if dLdS == 0.0:
         raise TemperatureDegenerateError("dL/dS vanishes: entropy equation singular")
-    ffr = np.asarray(sys.Ffr(q, v, S), dtype=float)
-    Sdot = float(v @ ffr) / dLdS
+    ffr = sys.Ffr(q, v, S)
+    Sdot = pair(v, ffr) / dLdS
     if sys.accel is not None:
-        vdot = np.asarray(sys.accel(q, v, S), dtype=float)
+        vdot = sys.accel(q, v, S)
     else:
-        rhs = (np.asarray(sys.dLdq(q, v, S), dtype=float) + ffr
-               - np.asarray(sys.d2Ldqdv(q, v, S), dtype=float).T @ v
-               - np.asarray(sys.d2LdvdS(q, v, S), dtype=float) * Sdot)
-        vdot = np.linalg.solve(np.asarray(sys.d2Ldv2(q, v, S), dtype=float), rhs)
+        rhs = (sys.dLdq(q, v, S) + ffr - sys.d2Ldqdv(q, v, S).T @ v
+               - sys.d2LdvdS(q, v, S) * Sdot)
+        vdot = np.linalg.solve(sys.d2Ldv2(q, v, S), rhs)
     return v.copy(), vdot, Sdot
 
 

@@ -27,7 +27,6 @@ combinations of its slot derivatives at construction, with Jacobians from
 ``cbrt(eps) * (1 + |x|)``).
 """
 
-import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,18 +93,24 @@ class DiscreteThermoSystem:
     slot derivatives, the Jacobians by central differences of the
     covectors.
 
+    The return contract is that of `continuous.LagrangianThermoSystem`:
+    a callable returns a float at a float point and a float ndarray
+    otherwise, and a value that is the same at every point may stay a
+    float.  The step and the diagnostics use each value as it comes,
+    without a cast.
+
     All but ``dpi_minus``, ``dpi_plus`` and ``pi_minus_dq1`` also take a
     stack of triples (see `DiscreteTriple`), as `midpoint_discretize`
     builds them from a stack-capable continuous system; the diagnostics
     evaluate a whole path, `DiscretePath.stack`, that way.
 
-    At n = 1 the four kernel callables also take a float point (q0, q1
-    and S0 floats) and return a float, bit for bit the one entry of their
-    value on length-1 arrays; every one-dimensional step runs on them.
-    The midpoint rule of a system that declares ``float_points`` computes
-    on the floats.  Any other kernel callable, the generic ones included,
-    is wrapped at construction in an adapter that calls it on length-1
-    arrays; one with the attribute ``float_point = True`` is taken as it is.
+    At n = 1 every step runs on float points (q0, q1 and S0 floats), so a
+    kernel callable handed to the constructor at n = 1 takes float points
+    and returns a float, bit for bit the one entry of its value on
+    length-1 arrays.  The midpoint rule of a system that declares
+    ``float_points`` computes on the floats; the midpoint rule of any other
+    one-dimensional system and the generic kernel wrap theirs in an
+    adapter that calls them on length-1 arrays.
     """
 
     n: int
@@ -132,11 +137,6 @@ class DiscreteThermoSystem:
 
     def __post_init__(self):
         derive_missing(self, _generic_kernel(self))
-        if self.n == 1:
-            for attr in _KERNEL:
-                fn = getattr(self, attr)
-                if not getattr(inspect.unwrap(fn), "float_point", False):
-                    setattr(self, attr, _at_float_point(fn))
 
 
 @dataclass
@@ -213,34 +213,19 @@ def _quotient(num, den):
     return num / den
 
 
-def _point_or_stack(x):
-    """A scalar field's value: a float at one triple, an array on a stack."""
-    return float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
-
-
-def _value(x):
-    """A covector or matrix term of the kernel: an array, or the float
-    itself at a float point."""
-    return x if isinstance(x, float) else np.asarray(x)
-
-
 # ---------------------------------------------------------------------------
 # float points of one-dimensional systems
 
-#: the stepping kernel; at n = 1 each also takes a float point
-_KERNEL = ("pi_minus", "pi_plus", "pi_minus_dq1", "entropy_increment")
-
 
 def _at_float_point(fn):
-    """The kernel callable ``fn`` of a one-dimensional system, also taking
-    a float point (q0, q1 floats): it calls ``fn`` on length-1 arrays and
-    returns the one entry of the value as a float.  Arrays pass through."""
+    """The kernel callable ``fn`` of a one-dimensional system, which takes
+    only arrays, adapted to also take a float point (q0, q1 floats): it
+    calls ``fn`` on length-1 arrays and returns the one entry of the value
+    as a float.  Arrays pass through."""
     def kernel(q0, q1, S0):
         if type(q0) is float:
             return np.asarray(fn(np.array([q0]), np.array([q1]), S0), dtype=float).item()
         return fn(q0, q1, S0)
-    kernel.float_point = True
-    kernel.generic = getattr(fn, "generic", False)
     return kernel
 
 
@@ -257,12 +242,10 @@ def _generic_kernel(d):
     shared = ffr_minus is ffr_plus
 
     def pi_minus(q0, q1, S0):
-        return (-np.asarray(D1Ld(q0, q1, S0), dtype=float)
-                - 0.5 * np.asarray(ffr_minus(q0, q1, S0), dtype=float))
+        return -D1Ld(q0, q1, S0) - 0.5 * ffr_minus(q0, q1, S0)
 
     def pi_plus(q0, q1, S0):
-        return (np.asarray(D2Ld(q0, q1, S0), dtype=float)
-                + 0.5 * np.asarray(ffr_plus(q0, q1, S0), dtype=float))
+        return D2Ld(q0, q1, S0) + 0.5 * ffr_plus(q0, q1, S0)
 
     def covector_jacobian(side):
         # central differences of the system's final pi_minus or pi_plus,
@@ -278,7 +261,7 @@ def _generic_kernel(d):
             # the q1 columns of the generic dpi_minus, without the others
             pi = d.pi_minus
             return fd_gradient(lambda y: pi(q0, y, S0), q1)
-        return np.asarray(d.dpi_minus(q0, q1, S0), dtype=float)[:, n : 2 * n]
+        return d.dpi_minus(q0, q1, S0)[:, n : 2 * n]
 
     def entropy_increment(q0, q1, S0):
         # (ffr_plus . q1 - ffr_minus . q0) / DSLd; a shared covector f is
@@ -291,9 +274,11 @@ def _generic_kernel(d):
             num = pair(ffr_plus(q0, q1, S0), q1) - pair(ffr_minus(q0, q1, S0), q0)
         return _quotient(num, dsl)
 
-    return {"pi_minus": pi_minus, "pi_plus": pi_plus,
-            "pi_minus_dq1": pi_minus_dq1, "entropy_increment": entropy_increment,
-            "dpi_minus": covector_jacobian("pi_minus"),
+    kernel = {"pi_minus": pi_minus, "pi_plus": pi_plus,
+              "pi_minus_dq1": pi_minus_dq1, "entropy_increment": entropy_increment}
+    if n == 1:
+        kernel = {attr: _at_float_point(fn) for attr, fn in kernel.items()}
+    return {**kernel, "dpi_minus": covector_jacobian("pi_minus"),
             "dpi_plus": covector_jacobian("pi_plus")}
 
 
@@ -315,16 +300,15 @@ def midpoint_discretize(sys, h):
     second partials and friction Jacobians.  The semiregularity matrix
     ``pi_minus_dq1`` is ``q_block(-1, 1)``, the q1 block of ``dpi_minus``.
 
-    Each builder is one formula over points and arrays.  For a system that
-    declares ``float_points`` its cast `_value` and `continuous.transposed`
-    leave a float as it is, and the kernel callables (``covector(±1)``,
-    ``q_block(-1, 1)`` and the entropy increment) take float points.
+    Each builder is one formula over float points and arrays, which takes
+    the values of ``sys`` as they come (see `LagrangianThermoSystem`).  For
+    a system that declares ``float_points`` the kernel callables
+    (``covector(±1)``, ``q_block(-1, 1)`` and the entropy increment) take
+    float points; for any other one-dimensional system they are adapted.
     """
     if h <= 0:
         raise ValueError(f"time step must be positive, got {h}")
     n = sys.n
-    # the cast of a term: only a system with float points meets a float
-    value = _value if sys.float_points else np.asarray
 
     def mid(q0, q1):
         return 0.5 * (q0 + q1), (q1 - q0) / h
@@ -341,7 +325,7 @@ def midpoint_discretize(sys, h):
         def D(q0, q1, S0):
             m, w = mid(q0, q1)
             sys.check_domain(m)
-            return 0.5 * value(sys.dLdq(m, w, S0)) + value(sys.dLdv(m, w, S0)) / cvh
+            return 0.5 * sys.dLdq(m, w, S0) + sys.dLdv(m, w, S0) / cvh
         return D
 
     def covector(cv):
@@ -351,15 +335,14 @@ def midpoint_discretize(sys, h):
         def pi(q0, q1, S0):
             m, w = mid(q0, q1)
             sys.check_domain(m)
-            return (value(sys.dLdv(m, w, S0)) / h + k * value(sys.dLdq(m, w, S0))
-                    + k * value(sys.Ffr(m, w, S0)))
+            return sys.dLdv(m, w, S0) / h + k * sys.dLdq(m, w, S0) + k * sys.Ffr(m, w, S0)
         return pi
 
-    def at_mid(fn, cast):
+    def at_mid(fn):
         # a field of (q, v, S) evaluated at the midpoint substitution
         def f(q0, q1, S0):
             m, w = mid(q0, q1)
-            return cast(fn(m, w, S0))
+            return fn(m, w, S0)
         return f
 
     def q_block(cv, c):
@@ -369,10 +352,10 @@ def midpoint_discretize(sys, h):
 
         def block(q0, q1, S0):
             m, w = mid(q0, q1)
-            qv = value(sys.d2Ldqdv(m, w, S0))
-            return (k_q * value(sys.d2Ldq2(m, w, S0)) + k_qv * qv + k_vq * transposed(qv)
-                    + k_vv * value(sys.d2Ldv2(m, w, S0))
-                    + (k_q * value(sys.dFfrdq(m, w, S0)) + k_qv * value(sys.dFfrdv(m, w, S0))))
+            qv = sys.d2Ldqdv(m, w, S0)
+            return (k_q * sys.d2Ldq2(m, w, S0) + k_qv * qv + k_vq * transposed(qv)
+                    + k_vv * sys.d2Ldv2(m, w, S0)
+                    + (k_q * sys.dFfrdq(m, w, S0) + k_qv * sys.dFfrdv(m, w, S0)))
         return block
 
     def S_block(cv):
@@ -381,8 +364,8 @@ def midpoint_discretize(sys, h):
 
         def block(q0, q1, S0):
             m, w = mid(q0, q1)
-            return (k * value(sys.d2LdqdS(m, w, S0)) + k_v * value(sys.d2LdvdS(m, w, S0))
-                    + k * value(sys.dFfrdS(m, w, S0)))
+            return (k * sys.d2LdqdS(m, w, S0) + k_v * sys.d2LdvdS(m, w, S0)
+                    + k * sys.dFfrdS(m, w, S0))
         return block
 
     def covector_jacobian(cv):
@@ -395,11 +378,11 @@ def midpoint_discretize(sys, h):
 
     kernel = {"pi_minus": covector(-1), "pi_plus": covector(1),
               "pi_minus_dq1": q_block(-1, 1), "entropy_increment": entropy_increment}
-    for fn in kernel.values():
-        fn.float_point = sys.float_points
-    ffr = at_mid(sys.Ffr, value)
+    if n == 1 and not sys.float_points:
+        kernel = {attr: _at_float_point(fn) for attr, fn in kernel.items()}
+    ffr = at_mid(sys.Ffr)
     return DiscreteThermoSystem(
-        n=n, h=h, Ld=Ld, D1Ld=slot(-1), D2Ld=slot(1), DSLd=at_mid(sys.dLdS, _point_or_stack),
+        n=n, h=h, Ld=Ld, D1Ld=slot(-1), D2Ld=slot(1), DSLd=at_mid(sys.dLdS),
         ffr_minus=ffr, ffr_plus=ffr, dpi_minus=covector_jacobian(-1),
         dpi_plus=covector_jacobian(1), name=sys.name, **kernel,
     )
@@ -438,30 +421,25 @@ def del_residual(d, q_prev, q_curr, S_prev, q_next, S_curr):
     q_prev = np.atleast_1d(np.asarray(q_prev, dtype=float))
     q_curr = np.atleast_1d(np.asarray(q_curr, dtype=float))
     q_next = np.atleast_1d(np.asarray(q_next, dtype=float))
-    return (np.asarray(d.pi_plus(q_prev, q_curr, S_prev), dtype=float)
-            - np.asarray(d.pi_minus(q_curr, q_next, S_curr), dtype=float))
+    return d.pi_plus(q_prev, q_curr, S_prev) - d.pi_minus(q_curr, q_next, S_curr)
 
 
 def legendre_minus(d, t):
     """Minus Legendre transform: (q0, -D1Ld - ffr_minus/2, S0)."""
-    cov = np.asarray(d.pi_minus(t.q0, t.q1, t.S0), dtype=float)
-    return t.q0.copy(), cov, t.S0
+    return t.q0.copy(), d.pi_minus(t.q0, t.q1, t.S0), t.S0
 
 
 def legendre_plus(d, t):
     """Plus Legendre transform: (q1, D2Ld + ffr_plus/2, entropy update)."""
     S1 = entropy_update(d, t)
-    cov = np.asarray(d.pi_plus(t.q0, t.q1, t.S0), dtype=float)
-    return t.q1.copy(), cov, S1
+    return t.q1.copy(), d.pi_plus(t.q0, t.q1, t.S0), S1
 
 
 def discrete_momenta(d, t):
     """h-scaled momenta (p_minus, p_plus); these approximate p = dL/dv."""
     q0, q1, S0 = t.q0, t.q1, t.S0
-    p_plus = d.h * np.asarray(d.D2Ld(q0, q1, S0), dtype=float) + (d.h / 2) * np.asarray(
-        d.ffr_plus(q0, q1, S0), dtype=float)
-    p_minus = -d.h * np.asarray(d.D1Ld(q0, q1, S0), dtype=float) - (d.h / 2) * np.asarray(
-        d.ffr_minus(q0, q1, S0), dtype=float)
+    p_plus = d.h * d.D2Ld(q0, q1, S0) + (d.h / 2) * d.ffr_plus(q0, q1, S0)
+    p_minus = -d.h * d.D1Ld(q0, q1, S0) - (d.h / 2) * d.ffr_minus(q0, q1, S0)
     return p_minus, p_plus
 
 
@@ -470,7 +448,7 @@ def semiregularity_matrix(d, t):
     a local diffeomorphism.  Its negative is the Newton Jacobian of
     `del_residual` in q_next.  One triple only."""
     t = _single(t)
-    return np.asarray(d.pi_minus_dq1(t.q0, t.q1, t.S0), dtype=float)
+    return d.pi_minus_dq1(t.q0, t.q1, t.S0)
 
 
 def discrete_flow(d, t, cfg=None):
@@ -502,8 +480,7 @@ def omega_matrices(d, t):
     """
     t = _single(t)
     n = d.n
-    dplus = np.asarray(d.dpi_plus(t.q0, t.q1, t.S0), dtype=float)
-    dminus = np.asarray(d.dpi_minus(t.q0, t.q1, t.S0), dtype=float)
+    dplus, dminus = d.dpi_plus(t.q0, t.q1, t.S0), d.dpi_minus(t.q0, t.q1, t.S0)
     return dplus[:, :n], -dminus[:, n : 2 * n].T
 
 
@@ -527,7 +504,7 @@ def omega_embedded(d, t, side):
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
     Aq = np.zeros((n, 2 * n + 1))
     Aq[:, q_cols] = np.eye(n)
-    Ap = np.asarray(dpi(t.q0, t.q1, t.S0), dtype=float)
+    Ap = dpi(t.q0, t.q1, t.S0)
     return Aq.T @ Ap - Ap.T @ Aq
 
 
@@ -587,8 +564,8 @@ def noether_condition(d, xi, t, tol=1e-10):
     ``xi`` receives q0 and q1 as in `momentum_map`.  When the condition
     holds the momentum map is a constant of the discrete motion.
     """
-    val = (pair(np.asarray(d.pi_plus(t.q0, t.q1, t.S0), dtype=float), xi(t.q1))
-           - pair(np.asarray(d.pi_minus(t.q0, t.q1, t.S0), dtype=float), xi(t.q0)))
+    val = (pair(d.pi_plus(t.q0, t.q1, t.S0), xi(t.q1))
+           - pair(d.pi_minus(t.q0, t.q1, t.S0), xi(t.q0)))
     return bool(np.all(np.abs(val) <= tol))
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuous import ThermoState, continuous_rhs, first_order_rhs, fd_gradient, vec
-from .discrete import DiscretePath, DiscreteTriple, _updated_entropy, _value
+from .discrete import DiscretePath, DiscreteTriple, _updated_entropy
 from .errors import ConfigError, ConvergenceError, ThermintError
 
 __all__ = ["NewtonConfig", "StepReport", "newton_solve", "solve_step", "integrate",
@@ -112,7 +112,7 @@ def solve_step(d, q_prev, q_curr, S_prev, cfg):
     The points are arrays, or floats at n = 1 (see `_point`).
     """
     S_curr = _updated_entropy(d, q_prev, q_curr, S_prev)
-    target = _value(d.pi_plus(q_prev, q_curr, S_prev))
+    target = d.pi_plus(q_prev, q_curr, S_prev)
     pi_minus, pi_minus_dq1 = d.pi_minus, d.pi_minus_dq1
 
     def residual(x):

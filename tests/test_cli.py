@@ -47,6 +47,19 @@ def test_geometry_check(capsys):
     assert "max geometric defect" in out
 
 
+def test_geometry_check_gives_each_system_its_verdict(capsys):
+    assert main(["geometry-check", "--points", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == sorted(CATALOG)
+    assert all(": ok, max defect " in line for line in lines[:-1])
+    # every defect is above 1e-300, so every system fails
+    assert main(["geometry-check", "--points", "3", "--tol", "1e-300"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert all(": FAIL, max defect " in line for line in lines[:4])
+    assert lines[4].startswith("max geometric defect: ")
+    assert lines[5] == "FAIL: defect above tolerance 1e-300"
+
+
 def test_convergence_command(capsys):
     code = main(["convergence", "--system", "oscillator",
                  "--h-list", "0.2,0.1,0.05", "--t-final", "10.0"])
@@ -87,6 +100,14 @@ def test_entropy_table_smoke(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "h,variational,midpoint   (first 50 steps)"
     assert len(lines) == 2 and lines[1].startswith("0.1,")
+
+
+def test_entropy_table_takes_the_default_newton_tolerance(capsys):
+    # at h = 0.001 the residual floor lies above 1e-12, the tolerance of h >= 0.01
+    code = main(["table", "--which", "entropy", "--h-list", "0.001", "--window", "50"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[1].startswith("0.001,")
 
 
 def test_entropy_table_header_counts_the_steps_run(capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+from sys import setprofile
 
 import numpy as np
 import pytest
@@ -330,6 +331,55 @@ class TestFloatPoints:
                 value = fn(*point)
                 assert type(value) in (float, np.float64)
                 assert value == np.asarray(fn(*vectors)).item()
+
+    @pytest.mark.parametrize("name", ["oscillator", "ideal-gas"])
+    def test_swapped_kernel_is_called_on_floats(self, name):
+        # a profiler swaps each kernel callable, through dataclasses.replace,
+        # for a plain wrapper carrying __wrapped__: the wrapper is kept as it
+        # is, called with float points, and the path keeps its bytes
+        entry = get_system(name)
+        cfg = ExperimentConfig(system=name, h=0.01, t_final=0.01)
+        data = initialize(entry, cfg.q0, cfg.v0, cfg.S0, cfg.h, cfg.init_mode)
+        d = midpoint_discretize(entry.lagrangian, cfg.h)
+        seen = set()
+
+        def traced(fn):
+            def wrapper(q0, q1, S0):
+                seen.add((type(q0), type(q1)))
+                return fn(q0, q1, S0)
+            wrapper.__wrapped__ = fn
+            return wrapper
+
+        wrappers = {attr: traced(getattr(d, attr)) for attr in
+                    ("pi_minus", "pi_plus", "pi_minus_dq1", "entropy_increment")}
+        swapped = dataclasses.replace(d, **wrappers)
+        for attr, wrapper in wrappers.items():
+            assert getattr(swapped, attr) is wrapper
+        newton = NewtonConfig(tol=default_newton_tol(name, cfg.h))
+        on_wrappers = _run(swapped, data, 500, newton)
+        assert isinstance(on_wrappers, bytes) and on_wrappers == _run(d, data, 500, newton)
+        assert seen == {(float, float)}
+
+    def test_warm_oscillator_step_call_count(self):
+        # the Python calls of one warm n = 1 step, counted deterministically:
+        # a cast creeping back into the kernel raises the count
+        cfg = ExperimentConfig(h=0.01, t_final=0.01)
+        q0, q1, S0 = initialize(OSC, cfg.q0, cfg.v0, cfg.S0, cfg.h, cfg.init_mode)
+        d = midpoint_discretize(OSC.lagrangian, cfg.h)
+        args = (d, float(q0[0]), float(q1[0]), S0, NewtonConfig(tol=cfg.newton_tol))
+        solve_step(*args)
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        setprofile(profile)
+        try:
+            solve_step(*args)
+        finally:
+            setprofile(None)
+        assert len(calls) == 50, calls
 
     def test_pair_keeps_sign_of_zero(self):
         for a, b in ((-0.0, 1.0), (0.0, -1.0), (-0.0, -0.0), (-2.5, 0.5)):
