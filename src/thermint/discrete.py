@@ -25,6 +25,12 @@ of dpi_minus, ``q_block(-1, 1)``.  Any other system gets the generic
 combinations of its slot derivatives at construction, with Jacobians from
 `continuous.fd_gradient` (central differences with step
 ``cbrt(eps) * (1 + |x|)``).
+
+The covectors and the entropy increment of one triple share one pass, the
+``triple_pass``: it returns pi_minus and what forms pi_plus and the
+increment of the same triple on demand.  In the midpoint rule that is one
+midpoint evaluation (m, w, dL/dv, dL/dq, Ffr, with dL/dS for the
+increment); `integrate` carries it from the root of one step to the next.
 """
 
 from dataclasses import dataclass
@@ -87,11 +93,15 @@ class DiscreteThermoSystem:
 
     All callables take ``(q0, q1, S0)``.  A discretization must supply
     ``Ld``, ``D1Ld``, ``D2Ld``, ``DSLd``, ``ffr_minus`` and ``ffr_plus``.
-    The covector Jacobians (``dpi_minus``, ``dpi_plus``) and the four
+    The covector Jacobians (``dpi_minus``, ``dpi_plus``) and the five
     stepping-kernel fields (``pi_minus``, ``pi_plus``, ``pi_minus_dq1``,
-    ``entropy_increment``) may be left out; they are then derived from the
-    slot derivatives, the Jacobians by central differences of the
-    covectors.
+    ``entropy_increment``, ``triple_pass``) may be left out; they are then
+    derived from the slot derivatives, the Jacobians by central differences
+    of the covectors, and ``triple_pass`` as the plain composition of the
+    three callables it fuses.  A fused field is kept by
+    ``dataclasses.replace``, so a copy that replaces ``pi_minus``,
+    ``pi_plus`` or ``entropy_increment`` replaces ``triple_pass`` too
+    (None derives the composition).
 
     The return contract is that of `continuous.LagrangianThermoSystem`:
     a callable returns a float at a float point and a float ndarray
@@ -99,18 +109,20 @@ class DiscreteThermoSystem:
     float.  The step and the diagnostics use each value as it comes,
     without a cast.
 
-    All but ``dpi_minus``, ``dpi_plus`` and ``pi_minus_dq1`` also take a
-    stack of triples (see `DiscreteTriple`), as `midpoint_discretize`
-    builds them from a stack-capable continuous system; the diagnostics
-    evaluate a whole path, `DiscretePath.stack`, that way.
+    All but ``dpi_minus``, ``dpi_plus``, ``pi_minus_dq1`` and
+    ``triple_pass`` also take a stack of triples (see `DiscreteTriple`), as
+    `midpoint_discretize` builds them from a stack-capable continuous
+    system; the diagnostics evaluate a whole path, `DiscretePath.stack`,
+    that way.
 
     At n = 1 every step runs on float points (q0, q1 and S0 floats), so a
     kernel callable handed to the constructor at n = 1 takes float points
-    and returns a float, bit for bit the one entry of its value on
-    length-1 arrays.  The midpoint rule of a system that declares
-    ``float_points`` computes on the floats; the midpoint rule of any other
-    one-dimensional system and the generic kernel wrap theirs in an
-    adapter that calls them on length-1 arrays.
+    and returns a float (a triple pass: pi_minus and, from its rest, two),
+    bit for bit the one entry of its value on length-1 arrays.  The
+    midpoint rule of a system that declares ``float_points`` computes on
+    the floats; the midpoint rule of any other one-dimensional system and
+    the generic kernel wrap theirs in an adapter that calls them on
+    length-1 arrays, and compose their triple pass from the adapted ones.
     """
 
     n: int
@@ -132,6 +144,9 @@ class DiscreteThermoSystem:
     pi_plus: callable = None            # D2Ld + ffr_plus/2
     pi_minus_dq1: callable = None       # d(pi_minus)/dq1, the semiregularity matrix
     entropy_increment: callable = None  # S1 - S0 on a triple
+    # (pi_minus, rest, args) of one pass; rest(*args) = (pi_plus, S1 - S0)
+    # of the same triple, TemperatureDegenerateError for a zero DSLd
+    triple_pass: callable = None
 
     name: str = ""
 
@@ -202,14 +217,22 @@ def _single(t):
     return t
 
 
+#: a vanishing D_S Ld in an entropy update
+_SINGULAR = "D_S Ld vanishes: entropy update singular"
+
+
 def _quotient(num, den):
-    """num / den, with ZeroDivisionError for a zero den.  One triple keeps
-    float division; on a stack, where division by zero gives inf, any zero
-    row raises."""
+    """The entropy increment num / den, den being D_S Ld, with
+    TemperatureDegenerateError for a zero den.  One triple keeps float
+    division; on a stack, where division by zero gives inf, any zero row
+    raises."""
     if type(num) is float:
-        return num / float(den)
+        try:
+            return num / float(den)
+        except ZeroDivisionError:
+            raise TemperatureDegenerateError(_SINGULAR) from None
     if np.any(den == 0.0):
-        raise ZeroDivisionError("float division by zero")
+        raise TemperatureDegenerateError(_SINGULAR)
     return num / den
 
 
@@ -266,7 +289,7 @@ def _generic_kernel(d):
     def entropy_increment(q0, q1, S0):
         # (ffr_plus . q1 - ffr_minus . q0) / DSLd; a shared covector f is
         # paired as f . (q1 - q0), the same quantity without cancellation
-        # at large coordinates.  A zero DSLd raises ZeroDivisionError.
+        # at large coordinates.  A zero DSLd raises TemperatureDegenerateError.
         dsl = DSLd(q0, q1, S0)
         if shared:
             num = pair(ffr_plus(q0, q1, S0), q1 - q0)
@@ -274,12 +297,24 @@ def _generic_kernel(d):
             num = pair(ffr_plus(q0, q1, S0), q1) - pair(ffr_minus(q0, q1, S0), q0)
         return _quotient(num, dsl)
 
+    def triple_pass(q0, q1, S0):
+        # the plain composition of the system's final kernel callables
+        return d.pi_minus(q0, q1, S0), _triple_rest, (d, q0, q1, S0)
+
     kernel = {"pi_minus": pi_minus, "pi_plus": pi_plus,
               "pi_minus_dq1": pi_minus_dq1, "entropy_increment": entropy_increment}
     if n == 1:
         kernel = {attr: _at_float_point(fn) for attr, fn in kernel.items()}
-    return {**kernel, "dpi_minus": covector_jacobian("pi_minus"),
+    return {**kernel, "triple_pass": triple_pass,
+            "dpi_minus": covector_jacobian("pi_minus"),
             "dpi_plus": covector_jacobian("pi_plus")}
+
+
+def _triple_rest(d, q0, q1, S0):
+    """The rest of a triple's pass from the kernel callables, uncarried:
+    (pi_plus, S1 - S0), the increment evaluated first."""
+    dS = _nondegenerate(d.entropy_increment, q0, q1, S0)
+    return d.pi_plus(q0, q1, S0), dS
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +334,8 @@ def midpoint_discretize(sys, h):
     column blocks of its Jacobian, by the chain rule from the system's
     second partials and friction Jacobians.  The semiregularity matrix
     ``pi_minus_dq1`` is ``q_block(-1, 1)``, the q1 block of ``dpi_minus``.
+    ``triple_pass`` keeps the midpoint values of ``covector(-1)`` and forms
+    ``covector(1)`` and the entropy increment from them, bit for bit.
 
     Each builder is one formula over float points and arrays, which takes
     the values of ``sys`` as they come (see `LagrangianThermoSystem`).  For
@@ -376,10 +413,25 @@ def midpoint_discretize(sys, h):
         m, w = mid(q0, q1)
         return _quotient(pair(sys.Ffr(m, w, S0), q1 - q0), sys.dLdS(m, w, S0))
 
+    # one midpoint pass: covector(-1) and the values that form covector(1)
+    # and the entropy increment, in the sums and order of the builders above
+    def triple_pass(q0, q1, S0):
+        m, w = 0.5 * (q0 + q1), (q1 - q0) / h  # mid(q0, q1), one call less per residual
+        sys.check_domain(m)
+        dv, dq, f = sys.dLdv(m, w, S0) / h, sys.dLdq(m, w, S0), sys.Ffr(m, w, S0)
+        return dv + -0.5 * dq + -0.5 * f, rest, (q0, q1, S0, m, w, dv, dq, f)
+
+    def rest(q0, q1, S0, m, w, dv, dq, f):
+        dS = _quotient(pair(f, q1 - q0), sys.dLdS(m, w, S0))
+        return dv + 0.5 * dq + 0.5 * f, dS
+
     kernel = {"pi_minus": covector(-1), "pi_plus": covector(1),
               "pi_minus_dq1": q_block(-1, 1), "entropy_increment": entropy_increment}
     if n == 1 and not sys.float_points:
+        # adapted to float points; the generic kernel composes their pass
         kernel = {attr: _at_float_point(fn) for attr, fn in kernel.items()}
+    else:
+        kernel["triple_pass"] = triple_pass
     ffr = at_mid(sys.Ffr)
     return DiscreteThermoSystem(
         n=n, h=h, Ld=Ld, D1Ld=slot(-1), D2Ld=slot(1), DSLd=at_mid(sys.dLdS),
@@ -399,16 +451,17 @@ def entropy_update(d, t):
 
     evaluated on each triple through the system's entropy increment.
     """
-    return _updated_entropy(d, t.q0, t.q1, t.S0)
+    return t.S0 + _nondegenerate(d.entropy_increment, t.q0, t.q1, t.S0)
 
 
-def _updated_entropy(d, q0, q1, S0):
-    """`entropy_update` on raw (q0, q1, S0), as `solve.solve_step` steps."""
+def _nondegenerate(fn, *args):
+    """fn(*args) for a system's entropy increment, where a hand-written one
+    may divide a float by a vanishing D_S Ld: its ZeroDivisionError is
+    raised as TemperatureDegenerateError, as `_quotient` raises it."""
     try:
-        return S0 + d.entropy_increment(q0, q1, S0)
+        return fn(*args)
     except ZeroDivisionError:
-        raise TemperatureDegenerateError(
-            "D_S Ld vanishes: entropy update singular") from None
+        raise TemperatureDegenerateError(_SINGULAR) from None
 
 
 def del_residual(d, q_prev, q_curr, S_prev, q_next, S_curr):
@@ -455,8 +508,8 @@ def discrete_flow(d, t, cfg=None):
     """One step of the discrete Lagrangian flow.
 
     Maps (q0, q1, S0) to (q1, q2, S1) where S1 is the entropy update and q2 is the
-    Newton root of the discrete Euler-Lagrange residual; the step is the one `integrate`
-    takes, `solve.solve_step` on floats at n = 1.  One triple only.
+    Newton root of the discrete Euler-Lagrange residual: the cold step `solve.solve_step`,
+    on floats at n = 1, bit for bit the step `integrate` takes.  One triple only.
     """
     from .solve import _point, solve_step
 

@@ -4,25 +4,35 @@ One step of the discrete equations is the momentum match
 
     pi_minus(q_k, q_{k+1}, S_k) = pi_plus(q_{k-1}, q_k, S_{k-1})
 
-with S_k given explicitly by the entropy update; `solve_step` solves it
-for q_{k+1} with `newton_solve`, the package's only Newton loop.  Both
-`integrate` and `discrete.discrete_flow` take their steps through it, on
-the points of `_point`: floats at n = 1.
+with S_k given explicitly by the entropy update; `newton_solve`, the
+package's only Newton loop, solves it for q_{k+1}.  `integrate` steps one
+path with one residual and one Jacobian, built once per path.  The
+residual evaluates the triple (q_k, x, S_k) through the system's
+``triple_pass``, and `newton_solve` makes its last residual call at the
+root, so the next step takes its target pi_plus and its entropy update
+from that pass: the pass is carried, and a one-iteration step makes two
+residual passes, one Jacobian and one dL/dS call.  `solve_step` is the
+cold step of `discrete.discrete_flow` and the flow Jacobian: the triple's
+target and entropy from the kernel callables, then the same Newton solve.
+The points are those of `_point`: floats at n = 1.
 """
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from .continuous import ThermoState, continuous_rhs, first_order_rhs, fd_gradient, vec
-from .discrete import DiscretePath, DiscreteTriple, _updated_entropy
+from .discrete import DiscretePath, DiscreteTriple, _triple_rest
 from .errors import ConfigError, ConvergenceError, ThermintError
 
 __all__ = ["NewtonConfig", "StepReport", "newton_solve", "solve_step", "integrate",
            "initialize"]
 
-_EPS = np.finfo(float).eps
+#: a Newton update at most this times 1 + |x| is at roundoff level
+_STALL = 4.0 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -37,8 +47,7 @@ class NewtonConfig:
             raise ValueError("max_iter must be at least 1")
 
 
-@dataclass(frozen=True)
-class StepReport:
+class StepReport(NamedTuple):
     iterations: int
     residual_norm: float
     converged: bool
@@ -52,81 +61,111 @@ def newton_solve(residual, jacobian, x0, cfg=None):
     ``cfg.tol``, or when an update is at roundoff level (the residual is
     then at its attainable floor).  Raises ConvergenceError on a singular
     Jacobian, a non-finite update, or a residual still above tol at the
-    stop.
+    stop.  On either stop the last residual call is made at the returned
+    root, which `integrate` relies on.
 
     A float ``x0`` iterates on floats (residual and Jacobian too) and
     returns a float root; any other ``x0`` iterates on a float array.
     """
     cfg = cfg or NewtonConfig()
-    point = isinstance(x0, float)
-    x = float(x0) if point else np.array(x0, dtype=float, ndmin=1)
-    vector = float if point else vec
-    r = vector(residual(x))
-    rnorm = _max_norm(r)
+    tol = cfg.tol
+    if isinstance(x0, float):
+        x, value, norm, update = float(x0), float, abs, _quotient_update
+    else:
+        x, value, norm, update = np.array(x0, dtype=float, ndmin=1), vec, _max_norm, _solve_update
+    if jacobian is None:
+        jacobian = partial(fd_gradient, residual)
+    r = value(residual(x))
+    rnorm = norm(r)
     it = 0
-    while rnorm > cfg.tol and it < cfg.max_iter:
+    while rnorm > tol and it < cfg.max_iter:
         it += 1
-        J = fd_gradient(residual, x) if jacobian is None else jacobian(x)
-        dx = _newton_update(J, r)
+        dx = update(jacobian(x), r)
         # the max norm is NaN or inf exactly when some component is
-        dxn = _max_norm(dx)
+        dxn = norm(dx)
         if not math.isfinite(dxn):
             raise ConvergenceError("non-finite Newton update (singular Jacobian?)")
         x = x - dx
-        stalled = dxn <= 4.0 * _EPS * (1.0 + _max_norm(x))
-        r = vector(residual(x))
-        rnorm = _max_norm(r)
+        stalled = dxn <= _STALL * (1.0 + norm(x))
+        r = value(residual(x))
+        rnorm = norm(r)
         if stalled:
             break
-    if rnorm <= cfg.tol:
-        return x, StepReport(iterations=it, residual_norm=rnorm, converged=True)
+    if rnorm <= tol:
+        # StepReport(it, rnorm, True) without its Python-level __new__
+        return x, tuple.__new__(StepReport, (it, rnorm, True))
     raise ConvergenceError(
-        f"Newton residual {rnorm:.3e} above tol {cfg.tol:.1e} after {it} iterations")
+        f"Newton residual {rnorm:.3e} above tol {tol:.1e} after {it} iterations")
 
 
 def _max_norm(y):
-    """max_i |y_i| as a float."""
-    return abs(y) if type(y) is float else float(np.max(np.abs(y)))
+    """max_i |y_i| of an array, as a float."""
+    return float(np.max(np.abs(y)))
 
 
-def _newton_update(J, r):
-    """The Newton update J^{-1} r; at a float point, r / J."""
-    if type(r) is float:
-        J = float(J)
-        if J == 0.0:
-            raise ConvergenceError("singular Newton Jacobian: zero Jacobian")
-        return r / J
+def _quotient_update(J, r):
+    """The Newton update at a float point, r / J."""
+    J = float(J)
+    if J == 0.0:
+        raise ConvergenceError("singular Newton Jacobian: zero Jacobian")
+    return r / J
+
+
+def _solve_update(J, r):
+    """The Newton update J^{-1} r on arrays."""
     try:
         return np.linalg.solve(np.array(J, dtype=float, ndmin=2), r)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"singular Newton Jacobian: {exc}") from exc
 
 
-def solve_step(d, q_prev, q_curr, S_prev, cfg):
-    """One step of the discrete equations: ``(q_next, S_curr)``.
+def _stepper(d, cfg):
+    """The Newton solves of one path, with its residual and Jacobian built once.
 
-    S_curr is the entropy update of the triple (q_prev, q_curr, S_prev);
-    q_next is the Newton root of pi_minus(q_curr, x, S_curr) = pi_plus(
-    q_prev, q_curr, S_prev), warm-started at the linear extrapolation
-    2 q_curr - q_prev.  The Newton Jacobian is the semiregularity matrix.
-    The points are arrays, or floats at n = 1 (see `_point`).
+    ``step(q_prev, q_curr, S_curr, target)`` returns the root q_next of
+    pi_minus(q_curr, x, S_curr) = target, warm-started at the linear
+    extrapolation 2 q_curr - q_prev, and the ``rest, args`` of the pass of
+    the last residual call.  That call is at q_next, so ``rest(*args)`` is
+    (pi_plus, S increment) of the next triple (q_curr, q_next, S_curr).
+    The Newton Jacobian is the semiregularity matrix.
     """
-    S_curr = _updated_entropy(d, q_prev, q_curr, S_prev)
-    target = d.pi_plus(q_prev, q_curr, S_prev)
-    pi_minus, pi_minus_dq1 = d.pi_minus, d.pi_minus_dq1
+    triple_pass, pi_minus_dq1 = d.triple_pass, d.pi_minus_dq1
+    q = S = target = last = None
 
     def residual(x):
-        return pi_minus(q_curr, x, S_curr) - target
+        nonlocal last
+        last = triple_pass(q, x, S)
+        return last[0] - target
 
     def jacobian(x):
-        return pi_minus_dq1(q_curr, x, S_curr)
+        return pi_minus_dq1(q, x, S)
 
-    q_next, _ = newton_solve(residual, jacobian, 2 * q_curr - q_prev, cfg)
+    def step(q_prev, q_curr, S_curr, target_curr):
+        nonlocal q, S, target
+        q, S, target = q_curr, S_curr, target_curr
+        q_next, _ = newton_solve(residual, jacobian, 2 * q_curr - q_prev, cfg)
+        _, rest, args = last
+        return q_next, rest, args
+
+    return step
+
+
+def solve_step(d, q_prev, q_curr, S_prev, cfg):
+    """One cold step of the discrete equations: ``(q_next, S_curr)``.
+
+    S_curr is the entropy update and the target pi_plus that of the triple
+    (q_prev, q_curr, S_prev), both from the kernel callables; q_next is the
+    root of `integrate`'s Newton solve.  The points are arrays, or floats
+    at n = 1 (see `_point`).
+    """
+    target, dS = _triple_rest(d, q_prev, q_curr, S_prev)
+    S_curr = S_prev + dS
+    q_next, _, _ = _stepper(d, cfg)(q_prev, q_curr, S_curr, target)
     return q_next, S_curr
 
 
 def _point(d, q):
-    """The point q as `solve_step` takes it: the float of its one entry at
+    """The point q as the stepper takes it: the float of its one entry at
     n = 1, where every kernel callable takes a float point (see
     `DiscreteThermoSystem`), else q itself."""
     return float(q[0]) if d.n == 1 else q
@@ -136,9 +175,12 @@ def integrate(d, q0, q1, S0, N, cfg=None):
     """Iterate the discrete flow N times from initial data (q0, q1, S0).
 
     Returns a DiscretePath with N+1 points; entropies are always computed
-    from the update constraint, never solved for.  A failure while taking
-    step k (the one from triple k = (q_{k-1}, q_k, S_{k-1})) is re-raised
-    with ``step_index = k`` and ``triple`` that `DiscreteTriple`.
+    from the update constraint, never solved for.  Step 1 starts cold, as
+    `solve_step` does; every later step takes its target and entropy from
+    the pass carried from the root of the step before, bit for bit the
+    cold values.  A failure while taking step k (the one from triple k =
+    (q_{k-1}, q_k, S_{k-1}), its entropy update included) is re-raised with
+    ``step_index = k`` and ``triple`` that `DiscreteTriple`.
     """
     cfg = cfg or NewtonConfig()
     if N < 0:
@@ -156,14 +198,18 @@ def integrate(d, q0, q1, S0, N, cfg=None):
     q_prev, q_curr, S_prev = _point(d, qs[0]), _point(d, qs[1]), float(S0)
     # a float point goes into the one column: a scalar store, not a row's
     q_out = qs[:, 0] if d.n == 1 else qs
+    step = _stepper(d, cfg)
+    # no root has left a pass of triple 1: its rest is cold
+    rest, args = _triple_rest, (d, q_prev, q_curr, S_prev)
     try:
-        for k in range(1, N):
-            q_next, S_prev = solve_step(d, q_prev, q_curr, S_prev, cfg)
+        for k in range(1, N + 1):
+            target, dS = rest(*args)
+            Ss[k] = S_curr = S_prev + dS
+            if k == N:
+                break
+            q_next, rest, args = step(q_prev, q_curr, S_curr, target)
             q_out[k + 1] = q_next
-            Ss[k] = S_prev
-            q_prev, q_curr = q_curr, q_next
-        k = N
-        Ss[N] = _updated_entropy(d, q_prev, q_curr, S_prev)
+            q_prev, q_curr, S_prev = q_curr, q_next, S_curr
     except ThermintError as exc:
         exc.step_index = k
         exc.triple = DiscreteTriple(qs[k - 1], qs[k], Ss[k - 1])

@@ -122,6 +122,12 @@ def _power(x, e):
     return x ** e if type(x) is float else np.float_power(x, e)
 
 
+def _exp(x):
+    """e^x: a float at a float, `np.exp` on an array.  ``float()`` keeps the
+    bits of `np.exp`; `math.exp` rounds differently on some arguments."""
+    return float(np.exp(x)) if isinstance(x, float) else np.exp(x)
+
+
 def _above(x, lo, what):
     """x, after checking that it exceeds lo (in every row of a stack)."""
     if (x <= lo) if type(x) is float else np.any(x <= lo):
@@ -320,16 +326,16 @@ def ideal_gas(gamma=0.1, c=1.5):
         return _above(_coord(q, 0), 0.0, "piston position must stay positive")
 
     def U(q, S):  # internal energy e^S x^{-1/c}, also its own S-derivative
-        return np.exp(S) * _power(xval(q), -ex)
+        return _exp(S) * _power(xval(q), -ex)
 
     def pressure_force(q, S):  # -dU/dx = (1/c) e^S x^{-1/c - 1}, also its own S-derivative
-        return _covector(q, ex * np.exp(S) * _power(xval(q), -ex - 1.0))
+        return _covector(q, ex * _exp(S) * _power(xval(q), -ex - 1.0))
 
     return _separable(
         "ideal-gas", 1, g,
         potential=(U,),
         force=pressure_force,
-        force_dq=lambda q, S: _matrix1(q, -ex * (ex + 1.0) * np.exp(S)
+        force_dq=lambda q, S: _matrix1(q, -ex * (ex + 1.0) * _exp(S)
                                       * xval(q) ** (-ex - 2.0)),
         force_dS=pressure_force,
         temperature=U,
@@ -358,16 +364,16 @@ def van_der_waals(gamma=0.1, a_hat=1.0e3, b_hat=0.1):
         return _above(_coord(q, 0), bh, outside)
 
     def U(q, S):
-        return np.exp(S) * _power(xval(q) - bh, -2.0 / 3.0)
+        return _exp(S) * _power(xval(q) - bh, -2.0 / 3.0)
 
     def force(q, S):  # dL/dx
         x = xval(q)
-        return _covector(q, (2.0 / 3.0) * np.exp(S) * _power(x - bh, -5.0 / 3.0)
+        return _covector(q, (2.0 / 3.0) * _exp(S) * _power(x - bh, -5.0 / 3.0)
                          - ah / _power(x, 2))
 
     def stiffness(q, S):  # d2L/dx2, at a point
         x = xval(q)
-        return _matrix1(q, -(10.0 / 9.0) * np.exp(S) * (x - bh) ** (-8.0 / 3.0)
+        return _matrix1(q, -(10.0 / 9.0) * _exp(S) * (x - bh) ** (-8.0 / 3.0)
                         + 2.0 * ah / x ** 3)
 
     return _separable(
@@ -375,7 +381,7 @@ def van_der_waals(gamma=0.1, a_hat=1.0e3, b_hat=0.1):
         potential=(U, lambda q, S: -ah / xval(q)),
         force=force,
         force_dq=stiffness,
-        force_dS=lambda q, S: _covector(q, (2.0 / 3.0) * np.exp(S)
+        force_dS=lambda q, S: _covector(q, (2.0 / 3.0) * _exp(S)
                                         * (xval(q) - bh) ** (-5.0 / 3.0)),
         temperature=U,
         domain_check=xval,
@@ -403,10 +409,10 @@ def two_pistons(gamma=0.1, c=1.5):
                       "total volume x + y must stay positive")
 
     def U(q, S):
-        return np.exp(S) * _power(uval(q), -ex)
+        return _exp(S) * _power(uval(q), -ex)
 
     def pressures(q, S):  # dL/dx = dL/dy = -dU/dx, also their own S-derivatives
-        P = ex * np.exp(S) * _power(uval(q), -ex - 1.0)
+        P = ex * _exp(S) * _power(uval(q), -ex - 1.0)
         return _covector(q, P, P)
 
     invariants = {
@@ -418,7 +424,7 @@ def two_pistons(gamma=0.1, c=1.5):
         "two-pistons", 2, g,
         potential=(U,),
         force=pressures,
-        force_dq=lambda q, S: -ex * (ex + 1.0) * np.exp(S)
+        force_dq=lambda q, S: -ex * (ex + 1.0) * _exp(S)
         * uval(q) ** (-ex - 2.0) * np.ones((2, 2)),
         force_dS=pressures,
         temperature=U,

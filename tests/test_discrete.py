@@ -662,6 +662,24 @@ class TestTrapezoidalDiscretization:
             assert pullback_check(d, path.triple(k), self.CFG) <= 1e-5
 
     @pytest.mark.parametrize("name", sorted(STARTS))
+    def test_integrate_is_repeated_discrete_flow(self, name):
+        # integrate carries the generic kernel's composed pass into the next
+        # step; the cold steps of discrete_flow give the same bytes
+        d = trapezoidal(get_system(name).lagrangian, H)
+        q0, v0, S0 = (np.array(x) for x in self.STARTS[name])
+        N = 100
+        path = integrate(d, q0, q0 + H * v0, S0, N, self.CFG)
+        t = DiscreteTriple(q0, q0 + H * v0, S0)
+        qs, Ss = [t.q0, t.q1], [t.S0]
+        for _ in range(1, N):
+            t = discrete_flow(d, t, self.CFG)
+            qs.append(t.q1)
+            Ss.append(t.S0)
+        Ss.append(entropy_update(d, t))
+        assert path.qs.tobytes() == np.array(qs).tobytes()
+        assert path.Ss.tobytes() == np.array(Ss).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(STARTS))
     def test_semiregularity_differences_q1_only(self, name):
         # one Newton iteration per step evaluates pi_minus once for the
         # residual, 2n times for d(pi_minus)/dq1 and once for the final

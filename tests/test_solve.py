@@ -6,7 +6,7 @@ import pytest
 
 from thermint.bench import default_newton_tol
 from thermint.continuous import pair
-from thermint.errors import ThermintError
+from thermint.errors import TemperatureDegenerateError, ThermintError
 from thermint.solve import solve_step
 
 from thermint import (
@@ -79,6 +79,31 @@ class TestNewton:
         x, report = newton_solve(f, None, np.array([3.0]))
         assert report.iterations == 0
         assert x[0] == 3.0
+
+    @pytest.mark.parametrize("point", [float, np.atleast_1d], ids=["float", "array"])
+    @pytest.mark.parametrize("stop", ["zero-iterations", "tol", "stall"])
+    def test_last_residual_call_is_at_the_root(self, point, stop):
+        # integrate takes the pass of the last residual call for the pass at
+        # the root: on every return that call is made at the returned point
+        seen = []
+        if stop == "stall":
+            # the second update, 1e-21, is at roundoff level: the loop stops
+            # on it, and the residual there meets tol
+            values = iter([1.0, 1e-11, 0.0])
+            residual, x0 = lambda x: point(next(values)), 0.0
+            jacobian = lambda x: point(1.0 if len(seen) == 1 else 1e10)
+        else:
+            residual = lambda x: 2.0 * x - 1.0
+            jacobian = lambda x: point(2.0)
+            x0 = 0.5 if stop == "zero-iterations" else 0.0
+
+        def recorded(x):
+            seen.append(x)
+            return residual(x)
+
+        x, report = newton_solve(recorded, jacobian, point(x0), NewtonConfig(tol=1e-12))
+        assert report.iterations == {"zero-iterations": 0, "tol": 1, "stall": 2}[stop]
+        assert x is seen[-1]
 
     def test_config_validation(self):
         # tol = inf took any start guess as a root after 0 iterations
@@ -169,6 +194,54 @@ class TestIntegrate:
         assert report.iterations <= 3
 
 
+def _cooling():
+    """L = v^2/2 - q^2/2 - T(q) S with friction -0.1 v on float points, where
+    the temperature T is 1 below q = 0.5 and 0 from there on: the entropy
+    update of the first triple whose midpoint reaches 0.5 divides by zero."""
+    T = lambda q: 1.0 if q < 0.5 else 0.0
+    return LagrangianThermoSystem(
+        n=1, L=lambda q, v, S: 0.5 * v * v - 0.5 * q * q - T(q) * S,
+        dLdq=lambda q, v, S: -q, dLdv=lambda q, v, S: v, dLdS=lambda q, v, S: -T(q),
+        Ffr=lambda q, v, S: -0.1 * v, float_points=True)
+
+
+#: (system, h, Newton tolerance) of a path from (0, 0.01, 0) that fails at a
+#: warm step: a Newton stop above tol (a FLOAT_FAILURES cell), and a vanishing
+#: temperature in an entropy update
+WARM_FAILURES = {
+    ConvergenceError: (OSC.lagrangian, 0.001, default_newton_tol("oscillator", 0.001)),
+    TemperatureDegenerateError: (_cooling(), 0.01, 1e-12),
+}
+
+
+@pytest.mark.parametrize("kind", list(WARM_FAILURES), ids=lambda kind: kind.__name__)
+def test_warm_failure_reports_its_step_and_triple(kind):
+    # the failing step k >= 2 took its target and its entropy update from the
+    # pass carried from the root of step k - 1: it fails as the cold step
+    # `discrete_flow` does on triple k of the cold path, and names that
+    # step and that triple, bit for bit
+    sys, h, tol = WARM_FAILURES[kind]
+    d, cfg = midpoint_discretize(sys, h), NewtonConfig(tol=tol)
+    t, k = DiscreteTriple([0.0], [0.01], 0.0), 1
+    while True:
+        try:
+            image = discrete_flow(d, t, cfg)
+        except kind as exc:
+            cold = exc
+            break
+        t, k = image, k + 1
+    assert k >= 2
+    with pytest.raises(kind) as err:
+        integrate(d, [0.0], [0.01], 0.0, k + 10, cfg)
+    assert str(err.value) == str(cold)
+    assert err.value.step_index == k
+    assert _triple_bytes(err.value.triple) == _triple_bytes(t)
+
+
+def _triple_bytes(t):
+    return t.q0.tobytes() + t.q1.tobytes() + np.float64(t.S0).tobytes()
+
+
 def _assert_triple(t, q0, q1, S0):
     """The triple ``t`` is (q0, q1, S0), bit for bit."""
     assert isinstance(t, DiscreteTriple)
@@ -192,23 +265,29 @@ CATALOG_CELLS = [("oscillator", 0.1), ("ideal-gas", 0.01), ("van-der-waals", 0.0
 class TestSingleKernel:
     @pytest.mark.parametrize("name,h", CATALOG_CELLS)
     def test_integrate_is_repeated_discrete_flow(self, name, h):
-        d, (q0, q1, S0), cfg = _catalog_start(name, h)
-        N = 200
-        path = integrate(d, q0, q1, S0, N, cfg)
-        t = DiscreteTriple(q0, q1, S0)
-        for k in range(1, N):
-            t = discrete_flow(d, t, cfg)
-            np.testing.assert_array_equal(t.q1, path.qs[k + 1])
-            assert t.S0 == path.Ss[k]
-        assert entropy_update(d, t) == path.Ss[N]
+        # integrate carries each triple's pass into the next step; the cold
+        # steps of discrete_flow give the same bytes
+        d, start, cfg = _catalog_start(name, h)
+        assert _run(d, start, 200, cfg) == _cold_path(d, start, 200, cfg)
+
+    @pytest.mark.parametrize("name,h", [("oscillator", 0.1), ("ideal-gas", 0.01)])
+    def test_array_kernel_is_repeated_discrete_flow(self, name, h):
+        # without float points the kernel is adapted and its triple pass is
+        # the generic composition, carried the same way
+        _, start, cfg = _catalog_start(name, h)
+        d = midpoint_discretize(dataclasses.replace(get_system(name).lagrangian,
+                                                    float_points=False), h)
+        assert getattr(d.triple_pass, "generic", False)
+        assert _run(d, start, 200, cfg) == _cold_path(d, start, 200, cfg)
 
     @pytest.mark.parametrize("name,h", CATALOG_CELLS)
     def test_generic_kernel_matches_fused(self, name, h):
         # without the fused callables the system derives the generic ones
         d, (q0, q1, S0), cfg = _catalog_start(name, h)
         generic = dataclasses.replace(d, pi_minus=None, pi_plus=None, pi_minus_dq1=None,
-                                      entropy_increment=None)
+                                      entropy_increment=None, triple_pass=None)
         assert generic.pi_minus is not None and generic.pi_minus is not d.pi_minus
+        assert getattr(generic.triple_pass, "generic", False)
         a = integrate(d, q0, q1, S0, 300, cfg)
         b = integrate(generic, q0, q1, S0, 300, cfg)
         np.testing.assert_array_equal(a.qs, b.qs)
@@ -222,6 +301,19 @@ class TestSingleKernel:
         np.testing.assert_allclose(doubled.pi_minus(*t) + 0.5 * d.ffr_minus(*t),
                                    2.0 * (generic.pi_minus(*t) + 0.5 * d.ffr_minus(*t)),
                                    rtol=1e-15)
+
+
+def _cold_path(d, start, N, cfg):
+    """The path of N - 1 cold `discrete_flow` steps from ``start`` = (q0, q1,
+    S0) and the entropy update after them, as the bytes `_run` gives."""
+    t = DiscreteTriple(*start)
+    qs, Ss = [t.q0, t.q1], [t.S0]
+    for _ in range(1, N):
+        t = discrete_flow(d, t, cfg)
+        qs.append(t.q1)
+        Ss.append(t.S0)
+    Ss.append(entropy_update(d, t))
+    return np.array(qs).tobytes() + np.array(Ss).tobytes()
 
 
 def _run(d, start, N, cfg):
@@ -351,7 +443,8 @@ class TestFloatPoints:
             return wrapper
 
         wrappers = {attr: traced(getattr(d, attr)) for attr in
-                    ("pi_minus", "pi_plus", "pi_minus_dq1", "entropy_increment")}
+                    ("pi_minus", "pi_plus", "pi_minus_dq1", "entropy_increment",
+                     "triple_pass")}
         swapped = dataclasses.replace(d, **wrappers)
         for attr, wrapper in wrappers.items():
             assert getattr(swapped, attr) is wrapper
@@ -361,25 +454,28 @@ class TestFloatPoints:
         assert seen == {(float, float)}
 
     def test_warm_oscillator_step_call_count(self):
-        # the Python calls of one warm n = 1 step, counted deterministically:
-        # a cast creeping back into the kernel raises the count
+        # the Python calls of one cold n = 1 step with a warm interpreter,
+        # counted deterministically: a cast creeping back into the kernel
+        # raises the count
         cfg = ExperimentConfig(h=0.01, t_final=0.01)
         q0, q1, S0 = initialize(OSC, cfg.q0, cfg.v0, cfg.S0, cfg.h, cfg.init_mode)
         d = midpoint_discretize(OSC.lagrangian, cfg.h)
         args = (d, float(q0[0]), float(q1[0]), S0, NewtonConfig(tol=cfg.newton_tol))
         solve_step(*args)
-        calls = []
+        calls = _python_calls(solve_step, *args)
+        assert len(calls) == 46, calls
 
-        def profile(frame, event, arg):
-            if event == "call":
-                calls.append(frame.f_code.co_name)
-
-        setprofile(profile)
-        try:
-            solve_step(*args)
-        finally:
-            setprofile(None)
-        assert len(calls) == 50, calls
+    @pytest.mark.parametrize("name,count", [("oscillator", 33), ("ideal-gas", 98.4)])
+    def test_integrate_step_call_count(self, name, count):
+        # the Python calls of a step of integrate, which carries each pass:
+        # those of a 12-step path less those of a 2-step one, over 10 steps
+        entry = get_system(name)
+        cfg = ExperimentConfig(system=name, h=0.01, t_final=0.01)
+        q0, q1, S0 = initialize(entry, cfg.q0, cfg.v0, cfg.S0, cfg.h, cfg.init_mode)
+        d = midpoint_discretize(entry.lagrangian, cfg.h)
+        newton = NewtonConfig(tol=cfg.newton_tol)
+        calls = [len(_python_calls(integrate, d, q0, q1, S0, N, newton)) for N in (12, 2)]
+        assert (calls[0] - calls[1]) / 10 == count
 
     def test_pair_keeps_sign_of_zero(self):
         for a, b in ((-0.0, 1.0), (0.0, -1.0), (-0.0, -0.0), (-2.5, 0.5)):
@@ -402,6 +498,22 @@ class TestFloatPoints:
             newton_solve(lambda x: x * x, lambda x: 0.0, 1.0)
         with pytest.raises(ConvergenceError, match="above tol"):
             newton_solve(lambda x: np.exp(x), None, 0.0, NewtonConfig(max_iter=5))
+
+
+def _python_calls(fn, *args):
+    """The names of the Python functions that ``fn(*args)`` calls, in order."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        setprofile(None)
+    return calls
 
 
 class TestInitialize:

@@ -51,6 +51,30 @@ def test_catalog_derives_no_callable(name):
             assert not getattr(getattr(obj, f.name), "generic", False), f.name
 
 
+@pytest.mark.parametrize("name", ["oscillator", "ideal-gas", "van-der-waals"])
+def test_float_point_values_are_python_floats(name):
+    # the return contract taken literally: at a float point every callable of
+    # a one-dimensional entry, H included, and every callable of its midpoint
+    # rule returns a Python float, not a numpy scalar, so that an iterate
+    # never turns into one; a triple pass returns floats and its rest too
+    entry = get_system(name)
+    sys = entry.lagrangian
+    q, v, S = 1.25, 0.5, 10.0
+    for f in dataclasses.fields(sys):
+        fn = getattr(sys, f.name)
+        if callable(fn):
+            args = (q,) if f.name == "domain_check" else (q, v, S)
+            assert type(fn(*args)) is float, f.name
+    assert type(entry.H(q, v, S)) is float
+    d = midpoint_discretize(sys, 0.01)
+    triple = (1.25, 1.26, 10.0)
+    for attr in ("Ld", "D1Ld", "D2Ld", "DSLd", "ffr_minus", "ffr_plus", "pi_minus",
+                 "pi_plus", "pi_minus_dq1", "entropy_increment"):
+        assert type(getattr(d, attr)(*triple)) is float, attr
+    pi, rest, args = d.triple_pass(*triple)
+    assert [type(x) for x in (pi, *rest(*args))] == [float] * 3
+
+
 @pytest.mark.parametrize("name", ALL)
 def test_analytic_partials_match_finite_differences(name):
     entry = get_system(name)
