@@ -52,17 +52,42 @@ def rk2_midpoint(sys, state, h):
     return ThermoState(*_rk2_step(sys, state.q, state.v, state.S, h))
 
 
+def _rk2_float_step(sys, q, v, S, h):
+    """`_rk2_step` at a float point.  Float ``*`` and ``+`` overflow to inf
+    silently, so a step whose new state is not finite is redone on
+    length-1 arrays, where numpy reports the overflow as the array step
+    does under any errstate.  A finite state whose sum overflows is redone
+    too, which costs time, not bits."""
+    q1, v1, S1 = _rk2_step(sys, q, v, S, h)
+    if math.isfinite(q1 + v1 + S1):
+        return q1, v1, S1
+    q1, v1, S1 = _rk2_step(sys, np.array([q]), np.array([v]), S, h)
+    return float(q1[0]), float(v1[0]), S1
+
+
 def rk2_integrate(sys, state0, h, N):
-    """N RK2 midpoint steps; returns the trajectory on the uniform grid."""
+    """N RK2 midpoint steps; returns the trajectory on the uniform grid.
+
+    A system with ``float_points`` and a closed-form ``accel`` steps q and
+    v as Python floats (`_rk2_float_step`), bit for bit the step on
+    length-1 arrays, and stores them into the one column of the output;
+    any other system steps on arrays.
+    """
     n = sys.n
     qs = np.empty((N + 1, n))
     vs = np.empty((N + 1, n))
     Ss = np.empty(N + 1)
-    q, v, S = state0.q.copy(), state0.v.copy(), state0.S
-    qs[0], vs[0], Ss[0] = q, v, S
-    for k in range(N):
-        q, v, S = _rk2_step(sys, q, v, S, h)
-        qs[k + 1], vs[k + 1], Ss[k + 1] = q, v, S
+    qs[0], vs[0], Ss[0] = state0.q, state0.v, state0.S
+    if sys.float_points and sys.accel is not None:
+        step, q_out, v_out = _rk2_float_step, qs[:, 0], vs[:, 0]
+        q, v = float(state0.q[0]), float(state0.v[0])
+    else:
+        step, q_out, v_out = _rk2_step, qs, vs
+        q, v = state0.q, state0.v
+    S = state0.S
+    for k in range(1, N + 1):
+        q, v, S = step(sys, q, v, S, h)
+        q_out[k], v_out[k], Ss[k] = q, v, S
     return Trajectory(h=h, times=h * np.arange(N + 1), qs=qs, vs=vs, Ss=Ss)
 
 

@@ -118,15 +118,17 @@ class LagrangianThermoSystem:
 
     Float points: a one-dimensional system may declare ``float_points``.
     ``L``, the first partials, ``Ffr``, ``d2Ldq2``, ``d2Ldqdv``,
-    ``d2Ldv2``, ``dFfrdq``, ``dFfrdv`` and ``domain_check`` then also
-    take a point whose q and v are Python floats, and return a float for
-    each covector and each 1x1 matrix, bit for bit the one entry of the
-    call on length-1 arrays (a derived one of these does so when the first
-    partials do).  `midpoint_discretize` then runs the stepping kernel on
-    floats.  The catalog's one-dimensional systems declare it.  A system
-    written on arrays (``q @ q``, ``q[0]``) leaves it False, and its
-    kernel takes float points through length-1 arrays; whether a callable
-    takes floats cannot be told without calling it, hence the field.
+    ``d2Ldv2``, ``dFfrdq``, ``dFfrdv``, ``accel`` and ``domain_check``
+    then also take a point whose q and v are Python floats, and return a
+    float for each covector and each 1x1 matrix, bit for bit the one entry
+    of the call on length-1 arrays (a derived one of these does so when
+    the first partials do).  `midpoint_discretize` then runs the stepping
+    kernel on floats, and `bench.rk2_integrate` steps on floats if the
+    system has ``accel``.  The catalog's one-dimensional systems declare
+    it.  A system written on arrays (``q @ q``, ``q[0]``) leaves it False,
+    and its kernel takes float points through length-1 arrays; whether a
+    callable takes floats cannot be told without calling it, hence the
+    field.
     """
 
     n: int
@@ -272,7 +274,8 @@ def _second_partials(sys):
 def equations_of_motion(sys, q, v, S):
     """Right-hand side (qdot, vdot, Sdot) of the equations of motion at raw (q, v, S).
 
-    ``q`` and ``v`` are float arrays of length n, ``S`` a float.  Sdot
+    ``q`` and ``v`` are float arrays of length n, or Python floats for a
+    system with ``float_points`` and ``accel``; ``S`` is a float.  Sdot
     solves the entropy equation; vdot either comes from the system's
     closed-form acceleration or from solving the velocity Hessian in
 
@@ -290,7 +293,8 @@ def equations_of_motion(sys, q, v, S):
         rhs = (sys.dLdq(q, v, S) + ffr - sys.d2Ldqdv(q, v, S).T @ v
                - sys.d2LdvdS(q, v, S) * Sdot)
         vdot = np.linalg.solve(sys.d2Ldv2(q, v, S), rhs)
-    return v.copy(), vdot, Sdot
+    # +v: a copy of an array, the float itself at a float point
+    return +v, vdot, Sdot
 
 
 def continuous_rhs(sys, state):

@@ -166,9 +166,11 @@ def _separable(name, n, gamma, potential, force, force_dq, force_dS, temperature
                domain_check=None, **entry_fields):
     """The catalog entry of L = |v|^2/2 - V(q, S) with friction -gamma v.
 
-    ``potential`` holds the terms of V; ``force`` = -dV/dq, its q-Jacobian
-    ``force_dq``, ``force_dS`` = -d2V/dqdS and ``temperature`` = dV/dS are
-    callables of (q, S).  Every other field of L follows, and H = |p|^2/2 + V.
+    ``potential`` holds the terms of V and ``temperature`` = dV/dS, callables
+    of (q, S); ``force`` = -dV/dq, its q-Jacobian ``force_dq`` and
+    ``force_dS`` = -d2V/dqdS are callables of (q, v, S), the fields dL/dq,
+    d2L/dq2 and d2L/dqdS themselves.  Every other field of L follows, and
+    H = |p|^2/2 + V.
     """
     eye, zeros, zero = np.eye(n), np.zeros((n, n)), np.zeros(n)
 
@@ -188,20 +190,20 @@ def _separable(name, n, gamma, potential, force, force_dq, force_dS, temperature
     lag = LagrangianThermoSystem(
         n=n,
         L=L,
-        dLdq=lambda q, v, S: force(q, S),
+        dLdq=force,
         dLdv=lambda q, v, S: v,
         dLdS=lambda q, v, S: -temperature(q, S),
         Ffr=lambda q, v, S: -gamma * v,
         name=name,
-        d2Ldq2=lambda q, v, S: force_dq(q, S),
+        d2Ldq2=force_dq,
         d2Ldqdv=_constant(zeros),
         d2Ldv2=_constant(eye),
-        d2LdqdS=lambda q, v, S: force_dS(q, S),
+        d2LdqdS=force_dS,
         d2LdvdS=_constant(zero),
         dFfrdq=_constant(zeros),
         dFfrdv=_constant(-gamma * eye),
         dFfrdS=_constant(zero),
-        accel=lambda q, v, S: force(q, S) - gamma * v,
+        accel=lambda q, v, S: force(q, v, S) - gamma * v,
         domain_check=domain_check,
         float_points=(n == 1),
     )
@@ -210,6 +212,36 @@ def _separable(name, n, gamma, potential, force, force_dq, force_dS, temperature
 
 # ---------------------------------------------------------------------------
 # damped harmonic oscillator
+
+
+#: grid intervals whose quadrature nodes `DampedOscillatorSolution.entropy`
+#: tables at once, which bounds the table
+_QUAD_BLOCK_INTERVALS = 256
+
+#: abscissae of QUADPACK's 21-point Gauss-Kronrod rule (dqk21) on [-1, 1],
+#: the first rule `quad` applies to an interval [a, b]: its nodes are
+#: c -/+ hl * x with c = (a + b)/2 and hl = (b - a)/2, computed in that order
+_XGK21 = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+])
+
+
+class _Tabled(dict):
+    """The values of ``f`` at tabled points, from one array call of ``f``;
+    at any other point, ``f`` itself."""
+
+    def __init__(self, f, points):
+        points = points.ravel()
+        super().__init__(zip(points.tolist(), f(points).tolist()))
+        self.f = f
+
+    def __missing__(self, x):
+        return self.f(x)
 
 
 class DampedOscillatorSolution:
@@ -221,9 +253,17 @@ class DampedOscillatorSolution:
 
     ``q`` and ``v`` take a float or an array of times through one formula
     that evaluates each transcendental once.  A float stays a numpy scalar
-    rather than a 0-d array, because the quadrature calls ``v`` 21 times
-    per grid interval and the array round trip dominated that cost; the
-    numpy functions keep the values bit-identical to the array case.
+    rather than a 0-d array; the numpy functions keep the values
+    bit-identical to the array case, so v of an array of times is v at
+    each of them.
+
+    ``entropy`` hands `quad` a table of the integrand v^2: for each block
+    of `_QUAD_BLOCK_INTERVALS` grid intervals, one array call of v and of
+    the square (`_power`) at the 21 Gauss-Kronrod nodes QUADPACK takes
+    first on each interval, computed as it computes them.  A node outside
+    the table, such as a bisection point of an interval the first rule
+    does not settle, falls back to the integrand at that float, so the
+    table decides the time and never a bit.
     """
 
     def __init__(self, gamma, q0, v0, S0=0.0):
@@ -256,20 +296,29 @@ class DampedOscillatorSolution:
         return damp * dosc - 0.5 * self.gamma * damp * osc
 
     def entropy(self, ts):
-        """S on an increasing time grid, by cumulative adaptive quadrature."""
+        """S on an increasing time grid, by cumulative adaptive quadrature:
+        one `quad` call per grid interval [ts[i-1], ts[i]] (from 0 at i = 0)
+        that is not empty."""
         from scipy.integrate import quad
 
+        # v(u) ** 2: at a float time v is a numpy scalar, which squares by
+        # pow; array ``**`` squares as np.square, which rounds differently
+        sq = lambda u: _power(self.v(u), 2.0)
         ts = np.asarray(ts, dtype=float)
+        lows = np.concatenate([[0.0], ts[:-1]])
         out = np.empty(ts.shape)
         acc = self.S0
-        prev = 0.0
-        sq = lambda u: self.v(u) ** 2
-        for i, t in enumerate(ts):
-            if t != prev:
-                val, _ = quad(sq, prev, t, epsabs=1e-13, epsrel=1e-13, limit=200)
-                acc += val
-                prev = t
-            out[i] = acc
+        for start in range(0, len(ts), _QUAD_BLOCK_INTERVALS):
+            a = lows[start : start + _QUAD_BLOCK_INTERVALS]
+            b = ts[start : start + _QUAD_BLOCK_INTERVALS]
+            c, hl = (0.5 * (a + b))[:, None], (0.5 * (b - a))[:, None]
+            absc = hl * _XGK21
+            integrand = _Tabled(sq, np.concatenate([c - absc, c + absc])).__getitem__
+            for i, (lo, hi) in enumerate(zip(a.tolist(), b.tolist()), start):
+                if hi != lo:
+                    val, _ = quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)
+                    acc += val
+                out[i] = acc
         return out
 
 
@@ -298,9 +347,9 @@ def oscillator(gamma=0.1):
     return _separable(
         "oscillator", 1, g,
         potential=(lambda q, S: 0.5 * pair(q, q), lambda q, S: g * S),
-        force=lambda q, S: -q,
-        force_dq=lambda q, S: _matrix1(q, -1.0),
-        force_dS=lambda q, S: _covector(q, 0.0),
+        force=lambda q, v, S: -q,
+        force_dq=lambda q, v, S: _matrix1(q, -1.0),
+        force_dS=lambda q, v, S: _covector(q, 0.0),
         temperature=lambda q, S: g,
         exact_solution=((lambda q0, v0, S0: DampedOscillatorSolution(g, q0, v0, S0))
                         if g < 2 else None),
@@ -328,15 +377,15 @@ def ideal_gas(gamma=0.1, c=1.5):
     def U(q, S):  # internal energy e^S x^{-1/c}, also its own S-derivative
         return _exp(S) * _power(xval(q), -ex)
 
-    def pressure_force(q, S):  # -dU/dx = (1/c) e^S x^{-1/c - 1}, also its own S-derivative
+    def pressure_force(q, v, S):  # -dU/dx = (1/c) e^S x^{-1/c - 1}, also its own S-derivative
         return _covector(q, ex * _exp(S) * _power(xval(q), -ex - 1.0))
 
     return _separable(
         "ideal-gas", 1, g,
         potential=(U,),
         force=pressure_force,
-        force_dq=lambda q, S: _matrix1(q, -ex * (ex + 1.0) * _exp(S)
-                                      * xval(q) ** (-ex - 2.0)),
+        force_dq=lambda q, v, S: _matrix1(q, -ex * (ex + 1.0) * _exp(S)
+                                         * xval(q) ** (-ex - 2.0)),
         force_dS=pressure_force,
         temperature=U,
         domain_check=xval,
@@ -366,12 +415,12 @@ def van_der_waals(gamma=0.1, a_hat=1.0e3, b_hat=0.1):
     def U(q, S):
         return _exp(S) * _power(xval(q) - bh, -2.0 / 3.0)
 
-    def force(q, S):  # dL/dx
+    def force(q, v, S):  # dL/dx
         x = xval(q)
         return _covector(q, (2.0 / 3.0) * _exp(S) * _power(x - bh, -5.0 / 3.0)
                          - ah / _power(x, 2))
 
-    def stiffness(q, S):  # d2L/dx2, at a point
+    def stiffness(q, v, S):  # d2L/dx2, at a point
         x = xval(q)
         return _matrix1(q, -(10.0 / 9.0) * _exp(S) * (x - bh) ** (-8.0 / 3.0)
                         + 2.0 * ah / x ** 3)
@@ -381,8 +430,8 @@ def van_der_waals(gamma=0.1, a_hat=1.0e3, b_hat=0.1):
         potential=(U, lambda q, S: -ah / xval(q)),
         force=force,
         force_dq=stiffness,
-        force_dS=lambda q, S: _covector(q, (2.0 / 3.0) * _exp(S)
-                                        * (xval(q) - bh) ** (-5.0 / 3.0)),
+        force_dS=lambda q, v, S: _covector(q, (2.0 / 3.0) * _exp(S)
+                                           * (xval(q) - bh) ** (-5.0 / 3.0)),
         temperature=U,
         domain_check=xval,
     )
@@ -411,7 +460,7 @@ def two_pistons(gamma=0.1, c=1.5):
     def U(q, S):
         return _exp(S) * _power(uval(q), -ex)
 
-    def pressures(q, S):  # dL/dx = dL/dy = -dU/dx, also their own S-derivatives
+    def pressures(q, v, S):  # dL/dx = dL/dy = -dU/dx, also their own S-derivatives
         P = ex * _exp(S) * _power(uval(q), -ex - 1.0)
         return _covector(q, P, P)
 
@@ -424,7 +473,7 @@ def two_pistons(gamma=0.1, c=1.5):
         "two-pistons", 2, g,
         potential=(U,),
         force=pressures,
-        force_dq=lambda q, S: -ex * (ex + 1.0) * _exp(S)
+        force_dq=lambda q, v, S: -ex * (ex + 1.0) * _exp(S)
         * uval(q) ** (-ex - 2.0) * np.ones((2, 2)),
         force_dS=pressures,
         temperature=U,

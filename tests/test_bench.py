@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,48 @@ class TestRk2:
             errs.append(np.hypot(out.q[0] - np.cos(h), out.v[0] + np.sin(h)))
         rates = [errs[i] / errs[i + 1] for i in range(2)]
         assert all(6.0 <= r <= 10.0 for r in rates)  # ~2^3 per halving
+
+    @pytest.mark.parametrize("h", [0.1, 0.01])
+    @pytest.mark.parametrize("name,start", [("oscillator", ([1.0], [0.2], 0.5)),
+                                            ("ideal-gas", ([1.0], [0.2], 0.5)),
+                                            ("van-der-waals", ([1.0], [0.0], 8.0))])
+    def test_float_path_is_array_path(self, name, start, h):
+        # a float_points system steps on floats, bit for bit the same system
+        # stepped on length-1 arrays, over a path that stays finite (from the
+        # gases' default S0 = 10, RK2 at h = 0.1 overflows in four steps)
+        state0 = ThermoState(*start)
+        lag = get_system(name).lagrangian
+        runs, seen = [], []
+        for sys in (lag, dataclasses.replace(lag, float_points=False)):
+            accel = sys.accel
+            traced = dataclasses.replace(
+                sys, accel=lambda q, v, S: seen.append(type(q)) or accel(q, v, S))
+            traj = rk2_integrate(traced, state0, h, 10_000)
+            assert np.isfinite(traj.qs).all() and np.isfinite(traj.Ss).all()
+            runs.append(b"".join(x.tobytes() for x in (traj.qs, traj.vs, traj.Ss)))
+            assert set(seen) == {float if sys.float_points else np.ndarray}
+            seen.clear()
+        assert runs[0] == runs[1]
+
+    def test_float_step_overflow_raises_at_its_step(self):
+        # float arithmetic overflows silently; the float path redoes the step
+        # that left the float range on arrays, so numpy raises there, as the
+        # array path does
+        state0 = ThermoState([0.0], [1.0], 0.0)
+        lag = OSC.lagrangian
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = rk2_integrate(lag, state0, 1000.0, 100)
+        finite = np.isfinite(np.column_stack([traj.qs, traj.vs, traj.Ss])).all(axis=1)
+        k = int(np.argmin(finite))
+        assert k > 1 and finite[:k].all()
+        messages = []
+        for sys in (lag, dataclasses.replace(lag, float_points=False)):
+            with np.errstate(over="raise"):
+                rk2_integrate(sys, state0, 1000.0, k - 1)
+                with pytest.raises(FloatingPointError, match="overflow") as info:
+                    rk2_integrate(sys, state0, 1000.0, k)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
     def test_oscillator_frozen_error_value(self):
         sol = OSC.exact_solution([0.0], [1.0], 0.0)

@@ -3,10 +3,12 @@ import io
 import re
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thermint import ThermoState, get_system, rk2_integrate
 from thermint.cli import main
 from thermint.systems import CATALOG
 
@@ -92,6 +94,19 @@ def test_solver_failure_names_the_step_once(capsys):
     err = capsys.readouterr().err
     assert err.startswith("solver failure at step ")
     assert err.count("at step") == 1
+
+
+def test_rk2_overflow_is_a_solver_failure(capsys):
+    # the oscillator at h = 1000 overflows in the RK2 step: the run stops
+    # there, with the step's numpy error, not later in the H series
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        with pytest.raises(FloatingPointError) as info:
+            rk2_integrate(get_system("oscillator").lagrangian, ThermoState([0.0], [1.0], 0.0),
+                          1000.0, 100)
+    code = main(["simulate", "--method", "rk2", "--system", "oscillator", "--h", "1000",
+                 "--t-final", "1e5"])
+    assert code == 3
+    assert capsys.readouterr().err == f"solver failure: {info.value}\n"
 
 
 def test_entropy_table_smoke(capsys):

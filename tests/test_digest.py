@@ -148,11 +148,82 @@ def test_exact_reference_frozen(start):
 
 
 def test_exact_reference_scalar_matches_array():
+    # entropy tables the integrand v ** 2 from one array call, which must give
+    # the bits of each float call: squared by np.float_power, as a numpy
+    # scalar's ** squares (array ** squares as np.square, which differs)
     sol = DampedOscillatorSolution(0.1, 0.3, -0.7, 1.5)
     for t in np.random.default_rng(7).uniform(0.0, 1000.0, 1000):
         t = float(t)
         assert sol.v(t).hex() == sol.v(np.array([t]))[0].hex()
         assert sol.q(t).hex() == sol.q(np.array([t]))[0].hex()
+        assert (sol.v(t) ** 2).hex() == np.float_power(sol.v(np.array([t])), 2)[0].hex()
+
+
+def _count_float_calls_of_v(sol):
+    """Wrap ``sol.v`` on the instance; the returned list grows by one at each
+    call with a float time, which the integrand table of ``entropy`` serves
+    for every node it holds."""
+    calls, v = [], sol.v
+
+    def counted(t):
+        if isinstance(t, float):
+            calls.append(t)
+        return v(t)
+
+    sol.v = counted
+    return calls
+
+
+def _entropy_per_interval(sol, ts):
+    """The entropy reference as one plain `quad` call per grid interval."""
+    from scipy.integrate import quad
+
+    out, acc, prev = [], sol.S0, 0.0
+    for t in ts.tolist():
+        if t != prev:
+            val, _ = quad(lambda u: sol.v(u) ** 2, prev, t, epsabs=1e-13, epsrel=1e-13,
+                          limit=200)
+            acc += val
+            prev = t
+        out.append(acc)
+    return np.array(out)
+
+
+def test_exact_entropy_matches_per_interval_quadrature():
+    # an irregular grid over more than one table block: a first time above 0,
+    # repeated times, unequal spacing and a few long intervals, which quad
+    # bisects, so some of its nodes fall outside the table
+    rng = np.random.default_rng(17)
+    ts = np.sort(np.concatenate([rng.uniform(0.25, 60.0, 500), [3.0, 3.0, 3.0, 60.0],
+                                 [70.0, 78.5, 90.0]]))
+    ts = np.repeat(ts, rng.integers(1, 3, ts.size))
+    assert ts[0] > 0 and np.any(np.diff(ts) == 0) and ts.size > 600
+    sol = DampedOscillatorSolution(0.1, 0.3, -0.7, 1.5)
+    oracle = _entropy_per_interval(sol, ts)
+    fallbacks = _count_float_calls_of_v(sol)
+    assert sol.entropy(ts).tobytes() == oracle.tobytes()
+    assert fallbacks
+
+
+@pytest.mark.parametrize("start", sorted(EXACT_REFERENCE))
+def test_exact_entropy_nodes_are_tabled(start, monkeypatch):
+    # every node quad takes on the EXACT_TIMES intervals is one QUADPACK
+    # computes as the table does, so a scipy whose nodes moved fails here
+    # instead of only running slower; and each value quad reads there has
+    # the bits of the float integrand v(u) ** 2
+    import scipy.integrate
+
+    quad, read = scipy.integrate.quad, []
+
+    def recording_quad(f, a, b, **kwargs):
+        return quad(lambda u: read.append((u, f(u))) or read[-1][1], a, b, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", recording_quad)
+    sol = DampedOscillatorSolution(0.1, *start)
+    fallbacks = _count_float_calls_of_v(sol)
+    sol.entropy(EXACT_TIMES)
+    assert fallbacks == [] and len(read) == 21 * (EXACT_TIMES.size - 1)
+    assert all(float(value).hex() == float(sol.v(u) ** 2).hex() for u, value in read)
 
 
 def _variable_mass():
