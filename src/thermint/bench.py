@@ -71,7 +71,8 @@ def rk2_integrate(sys, state0, h, N):
     A system with ``float_points`` and a closed-form ``accel`` steps q and
     v as Python floats (`_rk2_float_step`), bit for bit the step on
     length-1 arrays, and stores them into the one column of the output;
-    any other system steps on arrays.
+    any other system steps on arrays.  Whatever step k raises, numpy's
+    FloatingPointError included, is re-raised with ``step_index = k``.
     """
     n = sys.n
     qs = np.empty((N + 1, n))
@@ -85,9 +86,13 @@ def rk2_integrate(sys, state0, h, N):
         step, q_out, v_out = _rk2_step, qs, vs
         q, v = state0.q, state0.v
     S = state0.S
-    for k in range(1, N + 1):
-        q, v, S = step(sys, q, v, S, h)
-        q_out[k], v_out[k], Ss[k] = q, v, S
+    try:
+        for k in range(1, N + 1):
+            q, v, S = step(sys, q, v, S, h)
+            q_out[k], v_out[k], Ss[k] = q, v, S
+    except Exception as exc:
+        exc.step_index = k
+        raise
     return Trajectory(h=h, times=h * np.arange(N + 1), qs=qs, vs=vs, Ss=Ss)
 
 

@@ -17,20 +17,18 @@ only the covector Jacobians, of shape (n, 2n+1) with columns
 
     (dpi)[i, j] = d(pi)_i / d(x)_j,    x = (q0, q1, S0)
 
-These six callables are always present on a `DiscreteThermoSystem`.
-`midpoint_discretize` builds each pair from one builder indexed by the
-side cv (-1: minus, slot q0; +1: plus, slot q1), pi = cv (D_slot Ld +
-ffr/2), with analytic Jacobians; its semiregularity matrix is the q1 block
-of dpi_minus, ``q_block(-1, 1)``.  Any other system gets the generic
-combinations of its slot derivatives at construction, with Jacobians from
+The covectors and the entropy increment of one triple are formed in one
+place, its ``triple_pass``: it returns pi_minus and a rest that forms
+pi_plus and the increment of the same triple on demand.  In the midpoint
+rule that is one midpoint evaluation (m, w, dL/dv, dL/dq, Ffr, with dL/dS
+for the increment); `integrate` carries it from the root of one step to
+the next.  The callables pi_minus, pi_plus and entropy_increment of a
+`DiscreteThermoSystem` are read off the pass.  `midpoint_discretize`
+supplies the pass with analytic Jacobians; its semiregularity matrix is
+the q1 block of dpi_minus, ``q_block(-1, 1)``.  Any other system gets the
+generic pass of its slot derivatives at construction, with Jacobians from
 `continuous.fd_gradient` (central differences with step
 ``cbrt(eps) * (1 + |x|)``).
-
-The covectors and the entropy increment of one triple share one pass, the
-``triple_pass``: it returns pi_minus and what forms pi_plus and the
-increment of the same triple on demand.  In the midpoint rule that is one
-midpoint evaluation (m, w, dL/dv, dL/dq, Ffr, with dL/dS for the
-increment); `integrate` carries it from the root of one step to the next.
 """
 
 from dataclasses import dataclass
@@ -92,16 +90,16 @@ class DiscreteThermoSystem:
     """Discrete Lagrangian, its slot derivatives and friction covectors.
 
     All callables take ``(q0, q1, S0)``.  A discretization must supply
-    ``Ld``, ``D1Ld``, ``D2Ld``, ``DSLd``, ``ffr_minus`` and ``ffr_plus``.
-    The covector Jacobians (``dpi_minus``, ``dpi_plus``) and the five
-    stepping-kernel fields (``pi_minus``, ``pi_plus``, ``pi_minus_dq1``,
-    ``entropy_increment``, ``triple_pass``) may be left out; they are then
-    derived from the slot derivatives, the Jacobians by central differences
-    of the covectors, and ``triple_pass`` as the plain composition of the
-    three callables it fuses.  A fused field is kept by
-    ``dataclasses.replace``, so a copy that replaces ``pi_minus``,
-    ``pi_plus`` or ``entropy_increment`` replaces ``triple_pass`` too
-    (None derives the composition).
+    ``Ld``, ``D1Ld``, ``D2Ld``, ``DSLd``, ``ffr_minus`` and ``ffr_plus``,
+    and may supply ``triple_pass``, ``pi_minus_dq1`` and the covector
+    Jacobians ``dpi_minus`` and ``dpi_plus``; one left out is derived from
+    the slot derivatives: the generic pass, and the Jacobians by central
+    differences of the covectors.  ``pi_minus``, ``pi_plus`` and
+    ``entropy_increment`` are then derived from the final ``triple_pass``,
+    each from one pass.  Every derived field is marked ``generic`` and
+    rebuilt by ``dataclasses.replace``, so a copy that replaces
+    ``triple_pass`` reads its covectors off the new pass; a callable handed
+    in for a derived field (a profiler's wrapper) is kept as it is.
 
     The return contract is that of `continuous.LagrangianThermoSystem`:
     a callable returns a float at a float point and a float ndarray
@@ -109,20 +107,17 @@ class DiscreteThermoSystem:
     float.  The step and the diagnostics use each value as it comes,
     without a cast.
 
-    All but ``dpi_minus``, ``dpi_plus``, ``pi_minus_dq1`` and
-    ``triple_pass`` also take a stack of triples (see `DiscreteTriple`), as
-    `midpoint_discretize` builds them from a stack-capable continuous
-    system; the diagnostics evaluate a whole path, `DiscretePath.stack`,
-    that way.
+    All but the three Jacobians also take a stack of triples (see
+    `DiscreteTriple`), as `midpoint_discretize` builds them from a
+    stack-capable continuous system; the diagnostics evaluate a whole path,
+    `DiscretePath.stack`, that way.
 
     At n = 1 every step runs on float points (q0, q1 and S0 floats), so a
-    kernel callable handed to the constructor at n = 1 takes float points
-    and returns a float (a triple pass: pi_minus and, from its rest, two),
-    bit for bit the one entry of its value on length-1 arrays.  The
-    midpoint rule of a system that declares ``float_points`` computes on
-    the floats; the midpoint rule of any other one-dimensional system and
-    the generic kernel wrap theirs in an adapter that calls them on
-    length-1 arrays, and compose their triple pass from the adapted ones.
+    pass or ``pi_minus_dq1`` handed to the constructor at n = 1 takes float
+    points and returns floats, bit for bit the one entry of its value on
+    length-1 arrays.  The midpoint rule of a system that declares
+    ``float_points`` computes on the floats; any other midpoint rule at
+    n = 1 and the generic kernel adapt theirs to length-1 arrays.
     """
 
     n: int
@@ -138,8 +133,7 @@ class DiscreteThermoSystem:
     dpi_minus: callable = None
     dpi_plus: callable = None
 
-    # the stepping kernel; a fused version evaluates the combination it
-    # names in one pass, a missing one is derived in __post_init__
+    # the stepping kernel; the first three are read off triple_pass
     pi_minus: callable = None           # -D1Ld - ffr_minus/2
     pi_plus: callable = None            # D2Ld + ffr_plus/2
     pi_minus_dq1: callable = None       # d(pi_minus)/dq1, the semiregularity matrix
@@ -152,6 +146,7 @@ class DiscreteThermoSystem:
 
     def __post_init__(self):
         derive_missing(self, _generic_kernel(self))
+        derive_missing(self, _from_pass(self.triple_pass))
 
 
 @dataclass
@@ -240,39 +235,63 @@ def _quotient(num, den):
 # float points of one-dimensional systems
 
 
-def _at_float_point(fn):
-    """The kernel callable ``fn`` of a one-dimensional system, which takes
-    only arrays, adapted to also take a float point (q0, q1 floats): it
-    calls ``fn`` on length-1 arrays and returns the one entry of the value
-    as a float.  Arrays pass through."""
-    def kernel(q0, q1, S0):
+def _item(x):
+    """The one entry of a value on length-1 arrays, as a float."""
+    return np.asarray(x, dtype=float).item()
+
+
+def _at_float_points(triple_pass, pi_minus_dq1):
+    """The triple pass and the semiregularity matrix of a one-dimensional
+    system, which take only arrays, adapted to also take a float point (q0,
+    q1 floats): they are called on length-1 arrays, and each value, the
+    pass's pi_minus and the two of its rest included, is the one entry as
+    a float.  Arrays pass through."""
+    def adapted_pass(q0, q1, S0):
         if type(q0) is float:
-            return np.asarray(fn(np.array([q0]), np.array([q1]), S0), dtype=float).item()
-        return fn(q0, q1, S0)
-    return kernel
+            pi, rest, args = triple_pass(np.array([q0]), np.array([q1]), S0)
+            return _item(pi), _float_rest, (rest, args)
+        return triple_pass(q0, q1, S0)
+
+    def adapted_dq1(q0, q1, S0):
+        if type(q0) is float:
+            return _item(pi_minus_dq1(np.array([q0]), np.array([q1]), S0))
+        return pi_minus_dq1(q0, q1, S0)
+    return adapted_pass, adapted_dq1
+
+
+def _float_rest(rest, args):
+    """The rest of an adapted pass: its two values as floats."""
+    return tuple(map(_item, rest(*args)))
 
 
 # ---------------------------------------------------------------------------
-# the generic kernel
+# the generic kernel and the callables derived from the pass
 
 
 def _generic_kernel(d):
-    """The stepping-kernel callables and the covector Jacobians built from
-    the slot derivatives."""
+    """The triple pass, the semiregularity matrix and the covector
+    Jacobians built from the slot derivatives."""
     n = d.n
     D1Ld, D2Ld, DSLd = d.D1Ld, d.D2Ld, d.DSLd
     ffr_minus, ffr_plus = d.ffr_minus, d.ffr_plus
     shared = ffr_minus is ffr_plus
 
-    def pi_minus(q0, q1, S0):
-        return -D1Ld(q0, q1, S0) - 0.5 * ffr_minus(q0, q1, S0)
+    def triple_pass(q0, q1, S0):
+        fm = ffr_minus(q0, q1, S0)
+        return -D1Ld(q0, q1, S0) - 0.5 * fm, rest, (q0, q1, S0, fm)
 
-    def pi_plus(q0, q1, S0):
-        return D2Ld(q0, q1, S0) + 0.5 * ffr_plus(q0, q1, S0)
+    def rest(q0, q1, S0, fm):
+        # S1 - S0 = (ffr_plus . q1 - ffr_minus . q0) / DSLd; a shared
+        # covector f is paired as f . (q1 - q0), the same quantity without
+        # cancellation at large coordinates
+        fp = fm if shared else ffr_plus(q0, q1, S0)
+        num = pair(fm, q1 - q0) if shared else pair(fp, q1) - pair(fm, q0)
+        dS = _quotient(num, DSLd(q0, q1, S0))
+        return D2Ld(q0, q1, S0) + 0.5 * fp, dS
 
     def covector_jacobian(side):
         # central differences of the system's final pi_minus or pi_plus,
-        # looked up at call time so that a fused covector is the one used
+        # looked up at call time: they are read off the pass built here
         def dpi(q0, q1, S0):
             pi = getattr(d, side)
             x = np.concatenate([q0, q1, [S0]])
@@ -286,35 +305,30 @@ def _generic_kernel(d):
             return fd_gradient(lambda y: pi(q0, y, S0), q1)
         return d.dpi_minus(q0, q1, S0)[:, n : 2 * n]
 
-    def entropy_increment(q0, q1, S0):
-        # (ffr_plus . q1 - ffr_minus . q0) / DSLd; a shared covector f is
-        # paired as f . (q1 - q0), the same quantity without cancellation
-        # at large coordinates.  A zero DSLd raises TemperatureDegenerateError.
-        dsl = DSLd(q0, q1, S0)
-        if shared:
-            num = pair(ffr_plus(q0, q1, S0), q1 - q0)
-        else:
-            num = pair(ffr_plus(q0, q1, S0), q1) - pair(ffr_minus(q0, q1, S0), q0)
-        return _quotient(num, dsl)
-
-    def triple_pass(q0, q1, S0):
-        # the plain composition of the system's final kernel callables
-        return d.pi_minus(q0, q1, S0), _triple_rest, (d, q0, q1, S0)
-
-    kernel = {"pi_minus": pi_minus, "pi_plus": pi_plus,
-              "pi_minus_dq1": pi_minus_dq1, "entropy_increment": entropy_increment}
     if n == 1:
-        kernel = {attr: _at_float_point(fn) for attr, fn in kernel.items()}
-    return {**kernel, "triple_pass": triple_pass,
+        triple_pass, pi_minus_dq1 = _at_float_points(triple_pass, pi_minus_dq1)
+    return {"triple_pass": triple_pass, "pi_minus_dq1": pi_minus_dq1,
             "dpi_minus": covector_jacobian("pi_minus"),
             "dpi_plus": covector_jacobian("pi_plus")}
 
 
-def _triple_rest(d, q0, q1, S0):
-    """The rest of a triple's pass from the kernel callables, uncarried:
-    (pi_plus, S1 - S0), the increment evaluated first."""
-    dS = _nondegenerate(d.entropy_increment, q0, q1, S0)
-    return d.pi_plus(q0, q1, S0), dS
+def _from_pass(triple_pass):
+    """pi_minus, pi_plus and the entropy increment, each from one pass."""
+    return {"pi_minus": lambda q0, q1, S0: triple_pass(q0, q1, S0)[0],
+            "pi_plus": lambda q0, q1, S0: _pass_values(triple_pass, q0, q1, S0)[1],
+            "entropy_increment": lambda q0, q1, S0: _pass_values(triple_pass, q0, q1, S0)[2]}
+
+
+def _pass_values(triple_pass, q0, q1, S0):
+    """(pi_minus, pi_plus, S1 - S0) of a triple from one pass.  A
+    hand-written rest may divide a float by a vanishing D_S Ld: its
+    ZeroDivisionError is raised as TemperatureDegenerateError, as
+    `_quotient` raises it."""
+    pi, rest, args = triple_pass(q0, q1, S0)
+    try:
+        return (pi, *rest(*args))
+    except ZeroDivisionError:
+        raise TemperatureDegenerateError(_SINGULAR) from None
 
 
 # ---------------------------------------------------------------------------
@@ -326,22 +340,20 @@ def midpoint_discretize(sys, h):
 
     q -> (q0 + q1)/2 and v -> (q1 - q0)/h in L and in the friction
     covector; the single friction value acts on dq0 as ffr_minus and on
-    dq1 as ffr_plus.  The other callables come from four builders indexed
-    by the side ``cv``, -1 for the minus side (slot q0) and +1 for the plus
-    side (slot q1), each evaluating in one midpoint pass: ``slot(cv)`` is
-    D1Ld or D2Ld, ``covector(cv)`` pi_minus or pi_plus, and
+    dq1 as ffr_plus.  The stepping kernel is one midpoint pass,
+    ``triple_pass``: pi_minus from the midpoint values dL/dv, dL/dq and
+    Ffr, and a rest that forms pi_plus and, with dL/dS, the entropy
+    increment from the same values.  The rest of the system comes from
+    builders indexed by the side ``cv``, -1 for the minus side (slot q0)
+    and +1 for the plus side (slot q1): ``slot(cv)`` is D1Ld or D2Ld, and
     ``q_block(cv, c)`` (c = -1: q0, c = 1: q1) and ``S_block(cv)`` are the
-    column blocks of its Jacobian, by the chain rule from the system's
-    second partials and friction Jacobians.  The semiregularity matrix
-    ``pi_minus_dq1`` is ``q_block(-1, 1)``, the q1 block of ``dpi_minus``.
-    ``triple_pass`` keeps the midpoint values of ``covector(-1)`` and forms
-    ``covector(1)`` and the entropy increment from them, bit for bit.
+    column blocks of d(pi)/dx, by the chain rule from the system's second
+    partials and friction Jacobians; ``pi_minus_dq1`` is ``q_block(-1, 1)``.
 
     Each builder is one formula over float points and arrays, which takes
-    the values of ``sys`` as they come (see `LagrangianThermoSystem`).  For
-    a system that declares ``float_points`` the kernel callables
-    (``covector(±1)``, ``q_block(-1, 1)`` and the entropy increment) take
-    float points; for any other one-dimensional system they are adapted.
+    the values of ``sys`` as they come (see `LagrangianThermoSystem`); at
+    n = 1 without ``float_points`` the pass and ``pi_minus_dq1`` are
+    adapted to float points.
     """
     if h <= 0:
         raise ValueError(f"time step must be positive, got {h}")
@@ -365,16 +377,6 @@ def midpoint_discretize(sys, h):
             return 0.5 * sys.dLdq(m, w, S0) + sys.dLdv(m, w, S0) / cvh
         return D
 
-    def covector(cv):
-        # the Legendre covector cv * (slot(cv) + ffr/2)
-        k = 0.5 * cv
-
-        def pi(q0, q1, S0):
-            m, w = mid(q0, q1)
-            sys.check_domain(m)
-            return sys.dLdv(m, w, S0) / h + k * sys.dLdq(m, w, S0) + k * sys.Ffr(m, w, S0)
-        return pi
-
     def at_mid(fn):
         # a field of (q, v, S) evaluated at the midpoint substitution
         def f(q0, q1, S0):
@@ -383,7 +385,7 @@ def midpoint_discretize(sys, h):
         return f
 
     def q_block(cv, c):
-        # d covector(cv) / dq0 (c = -1) or / dq1 (c = 1); L's terms, then
+        # d pi / dq0 (c = -1) or / dq1 (c = 1) on side cv; L's terms, then
         # the friction terms: this sum order fixes the bits of the two-forms
         k_vv, k_q, k_qv, k_vq = c / (h * h), 0.25 * cv, cv * c / (2 * h), 1 / (2 * h)
 
@@ -396,7 +398,7 @@ def midpoint_discretize(sys, h):
         return block
 
     def S_block(cv):
-        # d covector(cv) / dS0
+        # d pi / dS0 on side cv
         k, k_v = 0.5 * cv, 1 / h
 
         def block(q0, q1, S0):
@@ -409,12 +411,9 @@ def midpoint_discretize(sys, h):
         blocks = (q_block(cv, -1), q_block(cv, 1), S_block(cv))
         return lambda q0, q1, S0: np.column_stack([b(q0, q1, S0) for b in blocks])
 
-    def entropy_increment(q0, q1, S0):
-        m, w = mid(q0, q1)
-        return _quotient(pair(sys.Ffr(m, w, S0), q1 - q0), sys.dLdS(m, w, S0))
-
-    # one midpoint pass: covector(-1) and the values that form covector(1)
-    # and the entropy increment, in the sums and order of the builders above
+    # the Legendre covectors cv * (slot(cv) + ffr/2) and the entropy
+    # increment; the sum order dL/dv / h + (cv/2) dL/dq + (cv/2) Ffr fixes
+    # the covectors' bits
     def triple_pass(q0, q1, S0):
         m, w = 0.5 * (q0 + q1), (q1 - q0) / h  # mid(q0, q1), one call less per residual
         sys.check_domain(m)
@@ -425,18 +424,15 @@ def midpoint_discretize(sys, h):
         dS = _quotient(pair(f, q1 - q0), sys.dLdS(m, w, S0))
         return dv + 0.5 * dq + 0.5 * f, dS
 
-    kernel = {"pi_minus": covector(-1), "pi_plus": covector(1),
-              "pi_minus_dq1": q_block(-1, 1), "entropy_increment": entropy_increment}
+    pi_minus_dq1 = q_block(-1, 1)
     if n == 1 and not sys.float_points:
-        # adapted to float points; the generic kernel composes their pass
-        kernel = {attr: _at_float_point(fn) for attr, fn in kernel.items()}
-    else:
-        kernel["triple_pass"] = triple_pass
+        triple_pass, pi_minus_dq1 = _at_float_points(triple_pass, pi_minus_dq1)
     ffr = at_mid(sys.Ffr)
     return DiscreteThermoSystem(
         n=n, h=h, Ld=Ld, D1Ld=slot(-1), D2Ld=slot(1), DSLd=at_mid(sys.dLdS),
         ffr_minus=ffr, ffr_plus=ffr, dpi_minus=covector_jacobian(-1),
-        dpi_plus=covector_jacobian(1), name=sys.name, **kernel,
+        dpi_plus=covector_jacobian(1), pi_minus_dq1=pi_minus_dq1, triple_pass=triple_pass,
+        name=sys.name,
     )
 
 
@@ -451,17 +447,7 @@ def entropy_update(d, t):
 
     evaluated on each triple through the system's entropy increment.
     """
-    return t.S0 + _nondegenerate(d.entropy_increment, t.q0, t.q1, t.S0)
-
-
-def _nondegenerate(fn, *args):
-    """fn(*args) for a system's entropy increment, where a hand-written one
-    may divide a float by a vanishing D_S Ld: its ZeroDivisionError is
-    raised as TemperatureDegenerateError, as `_quotient` raises it."""
-    try:
-        return fn(*args)
-    except ZeroDivisionError:
-        raise TemperatureDegenerateError(_SINGULAR) from None
+    return t.S0 + d.entropy_increment(t.q0, t.q1, t.S0)
 
 
 def del_residual(d, q_prev, q_curr, S_prev, q_next, S_curr):
@@ -484,8 +470,8 @@ def legendre_minus(d, t):
 
 def legendre_plus(d, t):
     """Plus Legendre transform: (q1, D2Ld + ffr_plus/2, entropy update)."""
-    S1 = entropy_update(d, t)
-    return t.q1.copy(), d.pi_plus(t.q0, t.q1, t.S0), S1
+    _, pi_plus, dS = _pass_values(d.triple_pass, t.q0, t.q1, t.S0)
+    return t.q1.copy(), pi_plus, t.S0 + dS
 
 
 def discrete_momenta(d, t):
@@ -617,8 +603,8 @@ def noether_condition(d, xi, t, tol=1e-10):
     ``xi`` receives q0 and q1 as in `momentum_map`.  When the condition
     holds the momentum map is a constant of the discrete motion.
     """
-    val = (pair(d.pi_plus(t.q0, t.q1, t.S0), xi(t.q1))
-           - pair(d.pi_minus(t.q0, t.q1, t.S0), xi(t.q0)))
+    pi_minus, pi_plus, _ = _pass_values(d.triple_pass, t.q0, t.q1, t.S0)
+    val = pair(pi_plus, xi(t.q1)) - pair(pi_minus, xi(t.q0))
     return bool(np.all(np.abs(val) <= tol))
 
 

@@ -13,7 +13,8 @@ root, so the next step takes its target pi_plus and its entropy update
 from that pass: the pass is carried, and a one-iteration step makes two
 residual passes, one Jacobian and one dL/dS call.  `solve_step` is the
 cold step of `discrete.discrete_flow` and the flow Jacobian: the triple's
-target and entropy from the kernel callables, then the same Newton solve.
+target and entropy from the rest of its own pass, then the same Newton
+solve.
 The points are those of `_point`: floats at n = 1.
 """
 
@@ -25,8 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .continuous import ThermoState, continuous_rhs, first_order_rhs, fd_gradient, vec
-from .discrete import DiscretePath, DiscreteTriple, _triple_rest
-from .errors import ConfigError, ConvergenceError, ThermintError
+from .discrete import _SINGULAR, DiscretePath, DiscreteTriple, _pass_values
+from .errors import ConfigError, ConvergenceError, TemperatureDegenerateError, ThermintError
 
 __all__ = ["NewtonConfig", "StepReport", "newton_solve", "solve_step", "integrate",
            "initialize"]
@@ -154,11 +155,11 @@ def solve_step(d, q_prev, q_curr, S_prev, cfg):
     """One cold step of the discrete equations: ``(q_next, S_curr)``.
 
     S_curr is the entropy update and the target pi_plus that of the triple
-    (q_prev, q_curr, S_prev), both from the kernel callables; q_next is the
+    (q_prev, q_curr, S_prev), both from the rest of its pass; q_next is the
     root of `integrate`'s Newton solve.  The points are arrays, or floats
     at n = 1 (see `_point`).
     """
-    target, dS = _triple_rest(d, q_prev, q_curr, S_prev)
+    _, target, dS = _pass_values(d.triple_pass, q_prev, q_curr, S_prev)
     S_curr = S_prev + dS
     q_next, _, _ = _stepper(d, cfg)(q_prev, q_curr, S_curr, target)
     return q_next, S_curr
@@ -175,12 +176,13 @@ def integrate(d, q0, q1, S0, N, cfg=None):
     """Iterate the discrete flow N times from initial data (q0, q1, S0).
 
     Returns a DiscretePath with N+1 points; entropies are always computed
-    from the update constraint, never solved for.  Step 1 starts cold, as
-    `solve_step` does; every later step takes its target and entropy from
-    the pass carried from the root of the step before, bit for bit the
-    cold values.  A failure while taking step k (the one from triple k =
-    (q_{k-1}, q_k, S_{k-1}), its entropy update included) is re-raised with
-    ``step_index = k`` and ``triple`` that `DiscreteTriple`.
+    from the update constraint, never solved for.  Every step takes its
+    target and entropy from the rest of its triple's pass: step 1 from a
+    cold pass, as `solve_step` does, every later step from the pass carried
+    from the root of the step before, bit for bit the cold values.  A
+    failure while taking step k (the one from triple k = (q_{k-1}, q_k,
+    S_{k-1}), its entropy update included) is re-raised with ``step_index =
+    k`` and ``triple`` that `DiscreteTriple`.
     """
     cfg = cfg or NewtonConfig()
     if N < 0:
@@ -199,11 +201,16 @@ def integrate(d, q0, q1, S0, N, cfg=None):
     # a float point goes into the one column: a scalar store, not a row's
     q_out = qs[:, 0] if d.n == 1 else qs
     step = _stepper(d, cfg)
-    # no root has left a pass of triple 1: its rest is cold
-    rest, args = _triple_rest, (d, q_prev, q_curr, S_prev)
+    k = 1
     try:
+        # no root has left a pass of triple 1: it is passed cold
+        _, rest, args = d.triple_pass(q_prev, q_curr, S_prev)
         for k in range(1, N + 1):
-            target, dS = rest(*args)
+            try:
+                target, dS = rest(*args)
+            except ZeroDivisionError:
+                # a hand-written rest dividing a float by a zero D_S Ld
+                raise TemperatureDegenerateError(_SINGULAR) from None
             Ss[k] = S_curr = S_prev + dS
             if k == N:
                 break

@@ -97,16 +97,18 @@ def test_solver_failure_names_the_step_once(capsys):
 
 
 def test_rk2_overflow_is_a_solver_failure(capsys):
-    # the oscillator at h = 1000 overflows in the RK2 step: the run stops
-    # there, with the step's numpy error, not later in the H series
+    # the oscillator at h = 1000 overflows in RK2 step 28: the run stops
+    # there, with the step's numpy error and its index, not later in the H
+    # series
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         with pytest.raises(FloatingPointError) as info:
             rk2_integrate(get_system("oscillator").lagrangian, ThermoState([0.0], [1.0], 0.0),
                           1000.0, 100)
+    assert info.value.step_index == 28
     code = main(["simulate", "--method", "rk2", "--system", "oscillator", "--h", "1000",
                  "--t-final", "1e5"])
     assert code == 3
-    assert capsys.readouterr().err == f"solver failure: {info.value}\n"
+    assert capsys.readouterr().err == f"solver failure at step 28: {info.value}\n"
 
 
 def test_entropy_table_smoke(capsys):

@@ -9,11 +9,13 @@ float time giving the same bits as an array time) and the RK2 and RK45
 trajectories of the Van der Waals gas and of a system whose right-hand
 side solves its velocity Hessian, the values of every catalog callable
 at seeded points, and the discrete two-forms of every catalog system at
-seeded triples.  The digests depend on the numpy/scipy builds they were
+seeded triples, and the two Legendre covectors, the entropy increment and the
+triple pass of every catalog system at seeded triples.  The digests depend on the numpy/scipy builds they were
 recorded with (numpy 2.4, scipy 1.17).  Horizons are short so the file
 runs in a few seconds.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -350,3 +352,75 @@ TWOFORM_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(TWOFORM_DIGESTS))
 def test_two_forms_frozen(name):
     assert _sha256(*_two_forms(get_system(name))) == TWOFORM_DIGESTS[name]
+
+
+def _covector_values(d):
+    """pi_minus, pi_plus and the entropy increment, then the triple pass's
+    pi_minus and its rest (pi_plus, S1 - S0), at 30 seeded triples of the
+    discretization d: as float points (n = 1 only), as arrays, then as one
+    stack of the same 30 triples."""
+    n = d.n
+    rng = np.random.default_rng(47)
+    q0 = rng.uniform(0.6, 1.6, (30, n))
+    q1 = q0 + rng.uniform(-0.05, 0.05, (30, n))
+    S0 = rng.uniform(0.0, 2.0, 30)
+
+    def values(a, b, s):
+        pi, rest, args = d.triple_pass(a, b, s)
+        return [d.pi_minus(a, b, s), d.pi_plus(a, b, s), d.entropy_increment(a, b, s), pi,
+                *rest(*args)]
+
+    points = [(q0[k], q1[k], float(S0[k])) for k in range(30)]
+    if n == 1:
+        points = [(float(a[0]), float(b[0]), s) for a, b, s in points] + points
+    return [x for p in points for x in values(*p)] + values(q0, q1, S0)
+
+
+def _covector_systems(name):
+    """The midpoint rule of a catalog system at h = 0.01, the same without
+    float points (the oscillator and the ideal gas) and its generic kernel."""
+    d = midpoint_discretize(get_system(name).lagrangian, 0.01)
+    systems = {"midpoint": d,
+               "generic": dataclasses.replace(d, pi_minus=None, pi_plus=None, pi_minus_dq1=None,
+                                              entropy_increment=None, triple_pass=None)}
+    if name in ("oscillator", "ideal-gas"):
+        arrays = dataclasses.replace(get_system(name).lagrangian, float_points=False)
+        systems["arrays"] = midpoint_discretize(arrays, 0.01)
+    return systems
+
+
+# sha256 of _covector_values per discretization, recorded while each
+# covector and the entropy increment had a builder of its own beside the
+# triple pass; the three kinds of one system agree in every bit
+COVECTOR_DIGESTS = {
+    ("ideal-gas", "arrays"):
+        "e02ae685f2f42da8e1c18c7c3dfa6234ae07dbee4cfd2302111fad0bc853d696",
+    ("ideal-gas", "generic"):
+        "e02ae685f2f42da8e1c18c7c3dfa6234ae07dbee4cfd2302111fad0bc853d696",
+    ("ideal-gas", "midpoint"):
+        "e02ae685f2f42da8e1c18c7c3dfa6234ae07dbee4cfd2302111fad0bc853d696",
+    ("oscillator", "arrays"):
+        "94f8d53347eb89cc242c758cd2fd72c73c0b6301becbc8ed116a405f365e8ea3",
+    ("oscillator", "generic"):
+        "94f8d53347eb89cc242c758cd2fd72c73c0b6301becbc8ed116a405f365e8ea3",
+    ("oscillator", "midpoint"):
+        "94f8d53347eb89cc242c758cd2fd72c73c0b6301becbc8ed116a405f365e8ea3",
+    ("two-pistons", "generic"):
+        "e52df09df49477ce2ceb6d32c26716550bf68490e5253f1dd15b7d8464729cba",
+    ("two-pistons", "midpoint"):
+        "e52df09df49477ce2ceb6d32c26716550bf68490e5253f1dd15b7d8464729cba",
+    ("van-der-waals", "generic"):
+        "c9181259906b84f3fa2812b5b6808c286bd1fe4e5e94a098f57ecc28661bcc27",
+    ("van-der-waals", "midpoint"):
+        "c9181259906b84f3fa2812b5b6808c286bd1fe4e5e94a098f57ecc28661bcc27",
+}
+
+
+@pytest.mark.parametrize("name,kind", sorted(COVECTOR_DIGESTS))
+def test_covectors_frozen(name, kind):
+    d = _covector_systems(name)[kind]
+    values = _covector_values(d)
+    if d.n == 1:
+        # the 30 float points come first, six values each
+        assert {type(x) for x in values[:180]} == {float}
+    assert _sha256(*values) == COVECTOR_DIGESTS[name, kind]

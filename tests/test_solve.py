@@ -221,7 +221,33 @@ def test_warm_failure_reports_its_step_and_triple(kind):
     # `discrete_flow` does on triple k of the cold path, and names that
     # step and that triple, bit for bit
     sys, h, tol = WARM_FAILURES[kind]
-    d, cfg = midpoint_discretize(sys, h), NewtonConfig(tol=tol)
+    _assert_located_as_cold(kind, midpoint_discretize(sys, h), NewtonConfig(tol=tol))
+
+
+def _dividing_pass(d):
+    """The triple pass of ``d`` with a hand-written rest whose entropy
+    increment divides a float by a D_S Ld of 1 below q1 = 0.05 and 0 from
+    there on."""
+    def triple_pass(q0, q1, S0):
+        pi, rest, args = d.triple_pass(q0, q1, S0)
+        dsl = 1.0 if q1 < 0.05 else 0.0
+        return pi, lambda *a: (rest(*a)[0], (q1 - q0) / dsl), args
+    return triple_pass
+
+
+def test_carried_zero_division_reports_its_step_and_triple():
+    # the ZeroDivisionError of a carried rest is a TemperatureDegenerateError
+    # located at its step, as the cold step raises it
+    d = midpoint_discretize(OSC.lagrangian, 0.01)
+    _assert_located_as_cold(TemperatureDegenerateError,
+                            dataclasses.replace(d, triple_pass=_dividing_pass(d)),
+                            NewtonConfig(tol=1e-12))
+
+
+def _assert_located_as_cold(kind, d, cfg):
+    """The path from (0, 0.01, 0) fails at a warm step k with ``kind``, as
+    `discrete_flow` fails on triple k of the cold path, and names that step
+    and that triple, bit for bit."""
     t, k = DiscreteTriple([0.0], [0.01], 0.0), 1
     while True:
         try:
@@ -272,20 +298,20 @@ class TestSingleKernel:
 
     @pytest.mark.parametrize("name,h", [("oscillator", 0.1), ("ideal-gas", 0.01)])
     def test_array_kernel_is_repeated_discrete_flow(self, name, h):
-        # without float points the kernel is adapted and its triple pass is
-        # the generic composition, carried the same way
+        # without float points the midpoint pass is adapted to float
+        # points, carried the same way
         _, start, cfg = _catalog_start(name, h)
         d = midpoint_discretize(dataclasses.replace(get_system(name).lagrangian,
                                                     float_points=False), h)
-        assert getattr(d.triple_pass, "generic", False)
+        assert not getattr(d.triple_pass, "generic", False)
         assert _run(d, start, 200, cfg) == _cold_path(d, start, 200, cfg)
 
     @pytest.mark.parametrize("name,h", CATALOG_CELLS)
     def test_generic_kernel_matches_fused(self, name, h):
-        # without the fused callables the system derives the generic ones
+        # without the midpoint pass and Newton matrix the system derives the
+        # generic ones from its slot derivatives
         d, (q0, q1, S0), cfg = _catalog_start(name, h)
-        generic = dataclasses.replace(d, pi_minus=None, pi_plus=None, pi_minus_dq1=None,
-                                      entropy_increment=None, triple_pass=None)
+        generic = dataclasses.replace(d, pi_minus_dq1=None, triple_pass=None)
         assert generic.pi_minus is not None and generic.pi_minus is not d.pi_minus
         assert getattr(generic.triple_pass, "generic", False)
         a = integrate(d, q0, q1, S0, 300, cfg)
@@ -293,9 +319,23 @@ class TestSingleKernel:
         np.testing.assert_array_equal(a.qs, b.qs)
         np.testing.assert_array_equal(a.Ss, b.Ss)
 
+    def test_derived_kernel_follows_replaced_pass(self):
+        # pi_minus, pi_plus and the entropy increment are read off the final
+        # triple pass, so a copy with another pass has their values
+        d = midpoint_discretize(GAS.lagrangian, 0.01)
+
+        def doubled(q0, q1, S0):
+            pi, rest, args = d.triple_pass(q0, q1, S0)
+            return 2.0 * pi, lambda *a: tuple(2.0 * x for x in rest(*a)), args
+
+        e = dataclasses.replace(d, triple_pass=doubled)
+        for t in ((1.0, 1.25, 10.0), (np.array([1.0]), np.array([1.25]), 10.0)):
+            for attr in ("pi_minus", "pi_plus", "entropy_increment"):
+                assert getattr(e, attr)(*t) == 2.0 * getattr(d, attr)(*t), attr
+
     def test_derived_kernel_follows_replaced_fields(self):
         d = midpoint_discretize(OSC.lagrangian, 0.01)
-        generic = dataclasses.replace(d, pi_minus=None)
+        generic = dataclasses.replace(d, triple_pass=None)
         doubled = dataclasses.replace(generic, D1Ld=lambda *a: 2.0 * d.D1Ld(*a))
         t = (np.array([0.1]), np.array([0.2]), 0.0)
         np.testing.assert_allclose(doubled.pi_minus(*t) + 0.5 * d.ffr_minus(*t),
@@ -410,12 +450,12 @@ class TestFloatPoints:
             dataclasses.replace(get_system("two-pistons").lagrangian, float_points=True)
 
     def test_kernel_takes_float_point(self):
-        # every n = 1 kernel callable, fused, adapted or generic
+        # every n = 1 kernel callable, of the midpoint pass on floats, adapted
+        # or generic
         d = midpoint_discretize(GAS.lagrangian, 0.01)
         arrays = midpoint_discretize(dataclasses.replace(GAS.lagrangian, float_points=False),
                                      0.01)
-        generic = dataclasses.replace(d, pi_minus=None, pi_plus=None, pi_minus_dq1=None,
-                                      entropy_increment=None)
+        generic = dataclasses.replace(d, pi_minus_dq1=None, triple_pass=None)
         point, vectors = (1.0, 1.25, 10.0), (np.array([1.0]), np.array([1.25]), 10.0)
         for system in (d, arrays, generic):
             for attr in ("pi_minus", "pi_plus", "pi_minus_dq1", "entropy_increment"):
@@ -463,7 +503,7 @@ class TestFloatPoints:
         args = (d, float(q0[0]), float(q1[0]), S0, NewtonConfig(tol=cfg.newton_tol))
         solve_step(*args)
         calls = _python_calls(solve_step, *args)
-        assert len(calls) == 42, calls
+        assert len(calls) == 38, calls
 
     @pytest.mark.parametrize("name,count", [("oscillator", 30), ("ideal-gas", 93.0)])
     def test_integrate_step_call_count(self, name, count):

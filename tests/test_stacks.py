@@ -280,7 +280,7 @@ def _cold_system():
 def test_zero_temperature_row_raises(kernel):
     d = midpoint_discretize(_cold_system(), 0.1)
     if kernel == "generic":
-        d = dataclasses.replace(d, entropy_increment=None)
+        d = dataclasses.replace(d, triple_pass=None)
     qs = [[0.0], [0.1], [0.2], [0.3]]
     warm = DiscretePath(h=0.1, qs=qs, Ss=[0.5, 1.5, 2.0, 2.5])
     assert np.isfinite(warm.constraint_residual(d))
@@ -289,6 +289,10 @@ def test_zero_temperature_row_raises(kernel):
         cold.constraint_residual(d)
     with pytest.raises(TemperatureDegenerateError):
         entropy_update(d, cold.triple(2))
+    # pi_plus is read off the same pass, whose rest forms the increment too
+    t = cold.triple(2)
+    with pytest.raises(TemperatureDegenerateError):
+        d.pi_plus(t.q0, t.q1, t.S0)
 
 
 # ---------------------------------------------------------------------------
