@@ -2,14 +2,16 @@
 
 Four systems: a damped harmonic oscillator, a piston compressing an ideal
 monoatomic gas, the same piston with a Van der Waals gas, and a cylinder
-closed by two pistons.  All four are L = |v|^2/2 - V(q, S) with Rayleigh
-friction -gamma v, so each factory declares only its potential and
-`_separable` derives the entry: the Lagrangian side with its second
-partials, friction Jacobians and closed-form acceleration, and H.  V is a
-sequence of terms, which L subtracts in order and H adds in order: float
-sums do not associate, and this order fixes the bits of the H columns of
-the CSVs.  Entries also carry, where available, an exact solution and a
-closed-form discrete update.
+closed by two pistons; the two ideal-gas cylinders are one declaration,
+`_ideal_gas`, over their volumes x and x + y.  All four are
+L = |v|^2/2 - V(q, S) with Rayleigh friction -gamma v, so each factory
+declares only its potential and `_separable` derives the entry: the
+Lagrangian side with its second partials, friction Jacobians and
+closed-form acceleration, and H.  V is a sequence of terms, which L
+subtracts in order and H adds in order: float sums do not associate, and
+this order fixes the bits of the H columns of the CSVs.  Entries also
+carry, where available, an exact solution and a closed-form discrete
+update.
 """
 
 from dataclasses import dataclass, field
@@ -146,9 +148,16 @@ def _covector(q, *parts):
     return np.array(parts)
 
 
-def _matrix1(q, x):
-    """The 1x1 matrix [[x]] at a point q; x itself at a float point."""
-    return x if type(q) is float else np.array([[x]])
+def _uniform(q, x):
+    """The covector whose components all equal x at q: x itself at a float
+    point, else as `_covector` forms it."""
+    return x if type(q) is float else _covector(q, *[x] * q.shape[-1])
+
+
+def _matrix(q, x):
+    """The n x n matrix whose entries all equal x at a point q of shape (n,);
+    x itself at a float point."""
+    return x if type(q) is float else np.full((q.shape[-1],) * 2, x)
 
 
 def _constant(value):
@@ -348,7 +357,7 @@ def oscillator(gamma=0.1):
         "oscillator", 1, g,
         potential=(lambda q, S: 0.5 * pair(q, q), lambda q, S: g * S),
         force=lambda q, v, S: -q,
-        force_dq=lambda q, v, S: _matrix1(q, -1.0),
+        force_dq=lambda q, v, S: _matrix(q, -1.0),
         force_dS=lambda q, v, S: _covector(q, 0.0),
         temperature=lambda q, S: g,
         exact_solution=((lambda q0, v0, S0: DampedOscillatorSolution(g, q0, v0, S0))
@@ -358,38 +367,62 @@ def oscillator(gamma=0.1):
 
 
 # ---------------------------------------------------------------------------
-# ideal gas compressed by a piston
+# ideal gas in a cylinder: one piston, or two
+
+
+def _ideal_gas(name, n, gamma, c, volume, **entry_fields):
+    """The entry of a monoatomic ideal gas, L = |v|^2/2 - U with U = e^S
+    V^{-1/c} and friction -gamma v, in the volume V = ``volume(q)`` after its
+    guard: a sum of the n coordinates, so every pressure is -dU/dV and every
+    entry of their q-Jacobian -d2U/dV2."""
+    ex = 1.0 / float(c)
+
+    def U(q, S):  # internal energy e^S V^{-1/c}, also its own S-derivative
+        return _exp(S) * _power(volume(q), -ex)
+
+    def pressures(q, v, S):  # dL/dq_i = -dU/dV, also their own S-derivatives
+        return _uniform(q, ex * _exp(S) * _power(volume(q), -ex - 1.0))
+
+    def stiffness(q, v, S):  # d2L/dq_i dq_j = -d2U/dV2, at a point
+        return _matrix(q, -ex * (ex + 1.0) * _exp(S) * volume(q) ** (-ex - 2.0))
+
+    return _separable(name, n, float(gamma), potential=(U,), force=pressures,
+                      force_dq=stiffness, force_dS=pressures, temperature=U,
+                      domain_check=volume, **entry_fields)
 
 
 def ideal_gas(gamma=0.1, c=1.5):
-    """Monoatomic ideal gas in a cylinder closed by a piston.
+    """Monoatomic ideal gas in a cylinder closed by a piston: `_ideal_gas`
+    of the volume V = x.
 
     L = v^2/2 - e^S x^{-1/c} with c the scaled molar heat capacity;
     friction -gamma v dx.  The piston position must stay positive.
     """
     if gamma <= 0 or c <= 0:
         raise ValueError("gamma and c must be positive")
-    g, ex = float(gamma), 1.0 / float(c)
+    return _ideal_gas("ideal-gas", 1, gamma, c, lambda q: _above(
+        _coord(q, 0), 0.0, "piston position must stay positive"))
 
-    def xval(q):
-        return _above(_coord(q, 0), 0.0, "piston position must stay positive")
 
-    def U(q, S):  # internal energy e^S x^{-1/c}, also its own S-derivative
-        return _exp(S) * _power(xval(q), -ex)
+def two_pistons(gamma=0.1, c=1.5):
+    """Ideal gas in a cylinder closed by two pistons (coordinates x, y):
+    `_ideal_gas` of the volume V = x + y.
 
-    def pressure_force(q, v, S):  # -dU/dx = (1/c) e^S x^{-1/c - 1}, also its own S-derivative
-        return _covector(q, ex * _exp(S) * _power(xval(q), -ex - 1.0))
-
-    return _separable(
-        "ideal-gas", 1, g,
-        potential=(U,),
-        force=pressure_force,
-        force_dq=lambda q, v, S: _matrix1(q, -ex * (ex + 1.0) * _exp(S)
-                                         * xval(q) ** (-ex - 2.0)),
-        force_dS=pressure_force,
-        temperature=U,
-        domain_check=xval,
-    )
+    L = (vx^2 + vy^2)/2 - e^S (x + y)^{-1/c}, friction -gamma vx dx
+    - gamma vy dy.  With friction, gamma (x - y) + vx - vy is a Cartan
+    invariant; without it, vx - vy is the Noether charge of the
+    translation generator (-1, 1).
+    """
+    if gamma < 0 or c <= 0:
+        raise ValueError("gamma must be nonnegative and c positive")
+    g = float(gamma)
+    invariants = {
+        "cartan": lambda st: g * (st.q[0] - st.q[1]) + st.v[0] - st.v[1],
+        "relative-velocity": lambda st: st.v[0] - st.v[1],
+    }
+    return _ideal_gas("two-pistons", 2, g, c, lambda q: _above(
+        _coord(q, 0) + _coord(q, 1), 0.0, "total volume x + y must stay positive"),
+        invariants=invariants)
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +455,8 @@ def van_der_waals(gamma=0.1, a_hat=1.0e3, b_hat=0.1):
 
     def stiffness(q, v, S):  # d2L/dx2, at a point
         x = xval(q)
-        return _matrix1(q, -(10.0 / 9.0) * _exp(S) * (x - bh) ** (-8.0 / 3.0)
-                        + 2.0 * ah / x ** 3)
+        return _matrix(q, -(10.0 / 9.0) * _exp(S) * (x - bh) ** (-8.0 / 3.0)
+                       + 2.0 * ah / x ** 3)
 
     return _separable(
         "van-der-waals", 1, g,
@@ -434,51 +467,6 @@ def van_der_waals(gamma=0.1, a_hat=1.0e3, b_hat=0.1):
                                            * (xval(q) - bh) ** (-5.0 / 3.0)),
         temperature=U,
         domain_check=xval,
-    )
-
-
-# ---------------------------------------------------------------------------
-# cylinder with two pistons
-
-
-def two_pistons(gamma=0.1, c=1.5):
-    """Ideal gas in a cylinder closed by two pistons (coordinates x, y).
-
-    L = (vx^2 + vy^2)/2 - e^S (x + y)^{-1/c}, friction -gamma vx dx
-    - gamma vy dy.  With friction, gamma (x - y) + vx - vy is a Cartan
-    invariant; without it, vx - vy is the Noether charge of the
-    translation generator (-1, 1).
-    """
-    if gamma < 0 or c <= 0:
-        raise ValueError("gamma must be nonnegative and c positive")
-    g, ex = float(gamma), 1.0 / float(c)
-
-    def uval(q):
-        return _above(_coord(q, 0) + _coord(q, 1), 0.0,
-                      "total volume x + y must stay positive")
-
-    def U(q, S):
-        return _exp(S) * _power(uval(q), -ex)
-
-    def pressures(q, v, S):  # dL/dx = dL/dy = -dU/dx, also their own S-derivatives
-        P = ex * _exp(S) * _power(uval(q), -ex - 1.0)
-        return _covector(q, P, P)
-
-    invariants = {
-        "cartan": lambda st: g * (st.q[0] - st.q[1]) + st.v[0] - st.v[1],
-        "relative-velocity": lambda st: st.v[0] - st.v[1],
-    }
-
-    return _separable(
-        "two-pistons", 2, g,
-        potential=(U,),
-        force=pressures,
-        force_dq=lambda q, v, S: -ex * (ex + 1.0) * _exp(S)
-        * uval(q) ** (-ex - 2.0) * np.ones((2, 2)),
-        force_dS=pressures,
-        temperature=U,
-        domain_check=uval,
-        invariants=invariants,
     )
 
 

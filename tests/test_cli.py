@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermint import ThermoState, get_system, rk2_integrate
+from thermint import ExperimentConfig, ThermoState, get_system, rk2_integrate, run_experiment
 from thermint.cli import main
 from thermint.systems import CATALOG
 
@@ -109,6 +109,28 @@ def test_rk2_overflow_is_a_solver_failure(capsys):
                  "--t-final", "1e5"])
     assert code == 3
     assert capsys.readouterr().err == f"solver failure at step 28: {info.value}\n"
+
+
+@pytest.mark.parametrize("which,header,columns", [
+    ("position", "h,variational,midpoint",
+     lambda var, rk2: (var.max_pos_err, rk2.max_pos_err)),
+    ("hamiltonian", "h,H_p_plus,H_p_minus,H_velocity,H_midpoint",
+     lambda var, rk2: (var.H_dev["p_plus"], var.H_dev["p_minus"], var.H_dev["velocity"],
+                       rk2.H_dev["velocity"])),
+], ids=["position", "hamiltonian"])
+def test_error_table_rows_are_the_cells(capsys, which, header, columns):
+    # the header, then one row per h of the cell's errors as run_experiment
+    # reports them
+    code = main(["table", "--which", which, "--h-list", "0.1,0.05", "--t-final", "5"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == header
+    rows = []
+    for h in (0.1, 0.05):
+        methods = run_experiment(ExperimentConfig(h=h, t_final=5.0)).methods
+        rows.append(",".join([f"{h:g}"] + [f"{x:.4e}" for x in
+                                            columns(methods["variational"], methods["rk2"])]))
+    assert lines[1:] == rows
 
 
 def test_entropy_table_smoke(capsys):

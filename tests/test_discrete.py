@@ -189,21 +189,35 @@ def dissipativity_cases(draw, cases):
     return midpoint_discretize(entry.lagrangian, h), t
 
 
+def entropy_never_decreases(case):
+    d, t = case
+    assert entropy_update(d, t) >= t.S0
+
+
 @settings(max_examples=100)
 @given(dissipativity_cases(OSC_CASES))
 def test_entropy_dissipativity_oscillator(case):
     """Rayleigh friction at positive temperature never destroys entropy, at
     any step size."""
-    d, t = case
-    assert entropy_update(d, t) >= t.S0
+    entropy_never_decreases(case)
 
 
 @settings(max_examples=100)
 @given(dissipativity_cases(GAS_CASES))
 def test_entropy_dissipativity_gases(case):
     """The same on the ideal gas, the van der Waals gas and the two pistons."""
-    d, t = case
-    assert entropy_update(d, t) >= t.S0
+    entropy_never_decreases(case)
+
+
+def test_entropy_dissipativity_catches_a_friction_of_the_wrong_sign():
+    # the property run on two pistons whose friction +0.1 v feeds energy in:
+    # it must report a falsifying example, or it could not see the defect
+    pushed = dataclasses.replace(TP.lagrangian, Ffr=lambda q, v, S: 0.1 * v)
+    cases = [(dataclasses.replace(TP, lagrangian=pushed), (0.3, 3.0), (0.0, 4.0))]
+    prop = settings(max_examples=100)(given(dissipativity_cases(cases))(entropy_never_decreases))
+    with pytest.raises(AssertionError) as info:
+        prop()
+    assert any(note.startswith("Falsifying example") for note in info.value.__notes__)
 
 
 class TestDelResidual:

@@ -337,6 +337,23 @@ class TestTwoPistons:
                                    5.0, h=0.01)
         np.testing.assert_allclose(traj.qs[:, 0], traj.qs[:, 1], atol=1e-10)
 
+    def test_second_piston_at_zero_is_the_ideal_gas_bit_for_bit(self):
+        # at q = (x, 0), v = (v, 0) the two-piston cylinder encloses the
+        # volume of the one-piston cylinder at x: every value, partial and
+        # stiffness entry has the bits of the ideal gas's
+        tp, gas = get_system("two-pistons"), get_system("ideal-gas")
+        hexes = lambda x: [float(y).hex() for y in np.ravel(x)]
+        rng = np.random.default_rng(16)
+        for _ in range(250):
+            x, w, S = rng.uniform(0.3, 3.0), rng.uniform(-1.0, 1.0), rng.uniform(0.0, 4.0)
+            one = (np.array([x]), np.array([w]), S)
+            two = (np.array([x, 0.0]), np.array([w, 0.0]), S)
+            assert hexes(tp.H(*two)) == hexes(gas.H(*one))
+            for f, entries in (("L", 1), ("dLdS", 1), ("dLdq", 2), ("d2LdqdS", 2),
+                               ("d2Ldq2", 4)):
+                tp_value = getattr(tp.lagrangian, f)(*two)
+                assert hexes(tp_value) == hexes(getattr(gas.lagrangian, f)(*one)) * entries, f
+
     def test_domain_guard(self):
         entry = get_system("two-pistons")
         with pytest.raises(DomainError):
