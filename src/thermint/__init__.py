@@ -10,14 +10,15 @@ from .discrete import (DiscretePath, DiscreteThermoSystem, DiscreteTriple,
                        del_residual, discrete_action, discrete_flow,
                        discrete_momenta, entropy_update, legendre_minus,
                        legendre_plus, midpoint_discretize, momentum_map,
-                       noether_condition, omega_embedded, omega_matrices,
-                       pullback_check, semiregularity_matrix)
+                       noether_condition, omega_embedded, pullback_check,
+                       semiregularity_matrix)
 from .errors import (ConfigError, ConvergenceError, DomainError,
                      StructureDegenerateError, TemperatureDegenerateError,
                      ThermintError)
 from .geometry import (HamiltonianPoint, PointStructure, assemble_structure,
                        contact_evolution_field, evolution_field,
-                       evolution_field_coordinates, flat_matrix, reeb_field)
+                       evolution_field_coordinates, flat_matrix, reeb_field,
+                       structure_defect)
 from .solve import NewtonConfig, StepReport, initialize, integrate, newton_solve
 from .systems import (CATALOG, SystemCatalogEntry, get_system, hamiltonian_point,
                       hamiltonian_rhs, ideal_gas, oscillator, two_pistons,

@@ -438,14 +438,16 @@ def convergence_study(system, h_list, t_final=1000.0, method="variational",
     Returns ``(slope, errors)`` with one error per step size.
     """
     h_list = list(h_list)
-    if len(h_list) < 2:
-        raise ConfigError("convergence study needs at least two step sizes")
+    if len(set(h_list)) < 2:
+        raise ConfigError("convergence study needs at least two distinct step sizes")
     errors = []
     for h in h_list:
         cfg = ExperimentConfig(system=system, h=h, t_final=t_final,
                                methods=(method,), params=params or {}, **overrides)
         rep = run_experiment(cfg)
         errors.append(rep.methods[method].max_pos_err)
+    if min(errors) == 0.0:
+        raise ConfigError("a zero position error has no order to fit; lengthen t_final")
     slope = np.polyfit(np.log(h_list), np.log(errors), 1)[0]
     return float(slope), errors
 

@@ -12,8 +12,7 @@ import numpy as np
 from .bench import (FACTORY_KEYS, KINDS, ExperimentConfig, _kind, _positive,
                     convergence_study, load_config, run_experiment)
 from .errors import ConfigError, ConvergenceError, DomainError, ThermintError
-from .geometry import (assemble_structure, evolution_field,
-                       evolution_field_coordinates, flat_matrix, reeb_field)
+from .geometry import structure_defect
 from .systems import CATALOG, get_system, hamiltonian_point
 
 # the kinds of the integer flags, which no config key takes
@@ -118,26 +117,12 @@ def _cmd_geometry_check(args):
     worst = 0.0
     for name in sorted(CATALOG):
         entry = get_system(name)
-        n = entry.n
         system_worst = 0.0
         for _ in range(points):
-            q = rng.uniform(0.5, 1.5, size=n)
-            p = rng.uniform(-1.0, 1.0, size=n)
+            q = rng.uniform(0.5, 1.5, size=entry.n)
+            p = rng.uniform(-1.0, 1.0, size=entry.n)
             S = rng.uniform(0.0, 2.0)
-            pt = hamiltonian_point(entry, q, p, S)
-            s = assemble_structure(pt)
-            E1 = evolution_field(s, pt)
-            E2 = evolution_field_coordinates(pt)
-            R = reeb_field(s)
-            B = flat_matrix(s)
-            defects = [
-                np.max(np.abs(E1 - E2)),
-                abs(s.eta @ E1),
-                np.max(np.abs(s.W.T @ R)),
-                abs(s.eta @ R - 1.0),
-                np.max(np.abs(B @ R - s.eta)),
-            ]
-            system_worst = max(system_worst, max(defects))
+            system_worst = max(system_worst, structure_defect(hamiltonian_point(entry, q, p, S)))
         verdict = "FAIL" if system_worst > tol else "ok"
         print(f"{name}: {verdict}, max defect {system_worst:.3e} ({points} random points)")
         worst = max(worst, system_worst)

@@ -49,7 +49,6 @@ __all__ = [
     "legendre_minus",
     "discrete_momenta",
     "discrete_flow",
-    "omega_matrices",
     "omega_embedded",
     "pullback_check",
     "momentum_map",
@@ -508,28 +507,13 @@ def discrete_flow(d, t, cfg=None):
 # two-forms and the pullback theorem
 
 
-def omega_matrices(d, t):
-    """q0/q1 coefficient blocks of the two pulled-back two-forms.
-
-        Wplus  = d(pi_plus)/dq0
-        Wminus = -(d(pi_minus)/dq1)^T
-
-    in the index convention of the module docstring; each is
-    ``-omega_embedded(d, t, side)[:n, n:2n].T``.  One triple only.
-    """
-    t = _single(t)
-    n = d.n
-    dplus, dminus = d.dpi_plus(t.q0, t.q1, t.S0), d.dpi_minus(t.q0, t.q1, t.S0)
-    return dplus[:, :n], -dminus[:, n : 2 * n].T
-
-
 def omega_embedded(d, t, side):
     """Full (2n+1)-dimensional antisymmetric matrix of omega^{+/-} at t.
 
     Computed as the exact pullback of the canonical form dq^i ^ dp_i by
     the corresponding discrete Legendre transform, so it carries the
     dq ^ dS block produced by entropy-dependent momenta alongside the
-    dq0 ^ dq1 block of `omega_matrices`.  One triple only.
+    dq0 ^ dq1 block ``[:n, n:2n]``.  One triple only.
     """
     t = _single(t)
     n = d.n

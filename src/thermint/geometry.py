@@ -32,6 +32,7 @@ __all__ = [
     "evolution_field",
     "evolution_field_coordinates",
     "contact_evolution_field",
+    "structure_defect",
 ]
 
 #: relative condition-number bound beyond which a flat matrix is treated
@@ -192,3 +193,17 @@ def contact_evolution_field(pt):
     Y[n : 2 * n] = -(Hq + pt.p * pt.dHdS)
     Y[-1] = pt.p @ Hp
     return Y
+
+
+def structure_defect(pt):
+    """Largest defect of the structure identities at a Hamiltonian point.
+
+    The identities are: the flat-map evolution field equals its coordinate
+    form, eta(E) = 0, iota_R omega = 0, eta(R) = 1 and flat(R) = eta.
+    """
+    s = assemble_structure(pt)
+    E = evolution_field(s, pt)
+    R = reeb_field(s)
+    return float(max(np.max(np.abs(E - evolution_field_coordinates(pt))), abs(s.eta @ E),
+                     np.max(np.abs(s.W.T @ R)), abs(s.eta @ R - 1.0),
+                     np.max(np.abs(flat_matrix(s) @ R - s.eta))))

@@ -69,6 +69,22 @@ def test_convergence_command(capsys):
     assert "fitted order" in capsys.readouterr().out
 
 
+def test_convergence_refuses_a_single_distinct_step_size(capsys):
+    assert main(["convergence", "--h-list", "0.1,0.1", "--t-final", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "two distinct step sizes" in err
+    # a repeated step size among others still fits
+    assert main(["convergence", "--h-list", "0.1,0.1,0.05", "--t-final", "5"]) == 0
+    assert "fitted order" in capsys.readouterr().out
+
+
+def test_convergence_refuses_a_zero_error(capsys):
+    # one step of h = 0.1 from exact data holds only exact positions
+    assert main(["convergence", "--h-list", "0.1,0.05", "--t-final", "0.1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "zero position error" in err
+
+
 def test_unknown_system_is_config_error(capsys):
     for argv in (["simulate", "--system", "oscillator", "--h", "-0.1", "--t-final", "1.0"],
                  ["simulate", "--newton-tol", "inf"],

@@ -18,6 +18,7 @@ from thermint import (
     discrete_momenta,
     entropy_update,
     get_system,
+    hamiltonian_estimates,
     integrate,
     legendre_minus,
     legendre_plus,
@@ -25,7 +26,6 @@ from thermint import (
     momentum_map,
     noether_condition,
     omega_embedded,
-    omega_matrices,
     pullback_check,
     semiregularity_matrix,
 )
@@ -220,6 +220,27 @@ def test_entropy_dissipativity_catches_a_friction_of_the_wrong_sign():
     assert any(note.startswith("Falsifying example") for note in info.value.__notes__)
 
 
+def legendre_hamiltonian_stays_flat(d):
+    # the oscillator's friction turns its motion into heat, so the total
+    # energy H_plus stays put along 2000 steps of h = 0.01
+    path = integrate(d, [0.3], [0.302], 0.2, 2000)
+    assert np.ptp(hamiltonian_estimates(OSC, d, path)[0]) <= 1e-12
+
+
+def test_legendre_hamiltonian_stays_flat_oscillator():
+    legendre_hamiltonian_stays_flat(D_OSC)
+
+
+def test_legendre_hamiltonian_catches_a_whole_friction_weight():
+    # pi_minus subtracting the whole of ffr_minus instead of half, with the
+    # analytic Jacobians kept: H_plus drifts by ~2e-2
+    def whole_weight(q0, q1, S0):
+        pi, rest, args = D_OSC.triple_pass(q0, q1, S0)
+        return pi - 0.5 * D_OSC.ffr_minus(q0, q1, S0), rest, args
+    with pytest.raises(AssertionError):
+        legendre_hamiltonian_stays_flat(dataclasses.replace(D_OSC, triple_pass=whole_weight))
+
+
 class TestDelResidual:
     def test_frictionless_recurrence_root(self):
         # gamma = 0: residual vanishes iff q2 = 2(4-h^2)/(4+h^2) q1 - q0.
@@ -347,13 +368,16 @@ class TestDiscreteFlow:
 
 
 class TestOmegaMatrices:
+    """The matrices of the two-forms omega^{+/-}, as `omega_embedded` forms them."""
+
     def test_free_particle(self):
-        Wp, Wm = omega_matrices(D_FREE, DiscreteTriple([0.1], [0.2], 0.0))
-        np.testing.assert_allclose(Wp, [[-1.0 / H ** 2]], rtol=1e-12)
-        np.testing.assert_allclose(Wm, [[-1.0 / H ** 2]], rtol=1e-12)
+        t = DiscreteTriple([0.1], [0.2], 0.0)
+        for side in ("plus", "minus"):
+            np.testing.assert_allclose(omega_embedded(D_FREE, t, side)[:1, 1:2],
+                                       [[1.0 / H ** 2]], rtol=1e-12)
 
     def test_zero_friction_plus_equals_minus(self):
-        # analytic second partials: the two blocks come from different
+        # analytic second partials: the two forms come from different
         # covector Jacobians, which central differences match only to ~1e-12
         zero = lambda q, v, S: np.zeros(1)
         sys = LagrangianThermoSystem(
@@ -365,8 +389,9 @@ class TestOmegaMatrices:
             d2LdqdS=zero, d2LdvdS=zero, dFfrdq=lambda q, v, S: np.zeros((1, 1)),
             dFfrdv=lambda q, v, S: np.zeros((1, 1)), dFfrdS=zero)
         d = midpoint_discretize(sys, H)
-        Wp, Wm = omega_matrices(d, DiscreteTriple([0.3], [0.5], 0.0))
-        np.testing.assert_allclose(Wp, Wm, rtol=1e-14)
+        t = DiscreteTriple([0.3], [0.5], 0.0)
+        np.testing.assert_allclose(omega_embedded(d, t, "plus"), omega_embedded(d, t, "minus"),
+                                   rtol=1e-14)
 
     @pytest.mark.parametrize("d,triple", [
         (D_OSC, DiscreteTriple([0.4], [0.42], 0.3)),
@@ -376,14 +401,13 @@ class TestOmegaMatrices:
     def test_analytic_matches_finite_differences(self, d, triple):
         # strip the analytic covector Jacobians to force the FD fallback
         fd = dataclasses.replace(d, dpi_minus=None, dpi_plus=None)
-        Wp, Wm = omega_matrices(d, triple)
-        Wp_fd, Wm_fd = omega_matrices(fd, triple)
-        np.testing.assert_allclose(Wp, Wp_fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(Wp)))
-        np.testing.assert_allclose(Wm, Wm_fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(Wm)))
+        for side in ("plus", "minus"):
+            W, W_fd = omega_embedded(d, triple, side), omega_embedded(fd, triple, side)
+            np.testing.assert_allclose(W, W_fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(W)))
 
     def test_blocks_match_embedded_two_forms(self):
-        # n = 2 with a non-symmetric friction Jacobian -A: each block is the
-        # q0 x q1 block of the embedded form, negated and transposed
+        # n = 2 with a non-symmetric friction Jacobian -A, where a transposed
+        # friction block in the analytic covector Jacobians would show
         A = np.array([[1.0, 0.7], [-0.2, 0.5]])
         zero = lambda q, v, S: np.zeros(2)
         sys = LagrangianThermoSystem(
@@ -395,9 +419,11 @@ class TestOmegaMatrices:
             d2LdqdS=zero, d2LdvdS=zero, dFfrdq=lambda q, v, S: np.zeros((2, 2)),
             dFfrdv=lambda q, v, S: -A, dFfrdS=zero)
         d = midpoint_discretize(sys, 0.1)
+        fd = dataclasses.replace(d, dpi_minus=None, dpi_plus=None)
         t = DiscreteTriple([0.3, -0.2], [0.35, -0.1], 0.5)
-        for W, side in zip(omega_matrices(d, t), ("plus", "minus")):
-            np.testing.assert_array_equal(W, -omega_embedded(d, t, side)[:2, 2:4].T)
+        for side in ("plus", "minus"):
+            W, W_fd = omega_embedded(d, t, side), omega_embedded(fd, t, side)
+            np.testing.assert_allclose(W, W_fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(W)))
 
 
 class TestDerivedSecondPartials:

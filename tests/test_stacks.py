@@ -17,8 +17,8 @@ from thermint import (DiscretePath, DiscreteTriple, DomainError, ExperimentConfi
                       ThermoState, discrete_action, discrete_flow, discrete_momenta,
                       entropy_update, get_system, hamiltonian_estimates, initialize,
                       integrate, legendre_minus, legendre_plus, midpoint_discretize,
-                      momentum_map, noether_condition, omega_embedded, omega_matrices,
-                      pullback_check, rk2_integrate, run_experiment, semiregularity_matrix)
+                      momentum_map, noether_condition, omega_embedded, pullback_check,
+                      rk2_integrate, run_experiment, semiregularity_matrix)
 
 ALL = ["oscillator", "ideal-gas", "van-der-waals", "two-pistons"]
 ROWS = 2000
@@ -166,7 +166,6 @@ def test_triple_shapes_must_agree():
 _ONE_TRIPLE = {
     "discrete_flow": lambda d, t: discrete_flow(d, t, NewtonConfig(tol=1e-10)),
     "pullback_check": lambda d, t: pullback_check(d, t, NewtonConfig(tol=1e-10)),
-    "omega_matrices": omega_matrices,
     "omega_embedded plus": lambda d, t: omega_embedded(d, t, "plus"),
     "omega_embedded minus": lambda d, t: omega_embedded(d, t, "minus"),
     "semiregularity_matrix": semiregularity_matrix,
@@ -190,8 +189,9 @@ def test_two_form_blocks_of_a_two_row_stack_raise():
     d = midpoint_discretize(get_system("two-pistons").lagrangian, 0.01)
     q0 = np.array([[1.0, 1.0], [1.1, 0.9]])
     t = DiscreteTriple(q0, q0 + 0.01, [1.0, 1.0])
-    with pytest.raises(ValueError):
-        omega_matrices(d, t)
+    for side in ("plus", "minus"):
+        with pytest.raises(ValueError):
+            omega_embedded(d, t, side)
 
 
 # ---------------------------------------------------------------------------
