@@ -49,6 +49,18 @@ def pair(a, b):
     return float(a @ b) if a.ndim == 1 else np.vecdot(a, b)
 
 
+def _constant(value):
+    """A field of (q, v, S) that does not depend on the point and declares
+    it: ``value``, an array (made read-only, as every call returns it), or
+    its one entry at a float point; the callable's ``constant`` is
+    ``value`` (see `LagrangianThermoSystem`)."""
+    value.flags.writeable = False
+    entry = float(value.flat[0])
+    field = lambda q, v, S: entry if type(q) is float else value
+    field.constant = value
+    return field
+
+
 def transposed(x):
     """x.T, or x itself at a float point (a 1x1 matrix as its one entry)."""
     return x if isinstance(x, float) else x.T
@@ -94,6 +106,13 @@ class LagrangianThermoSystem:
 
     ``accel`` may supply a closed-form acceleration; ``continuous_rhs``
     then uses it instead of solving the velocity Hessian.
+
+    A second-order field whose value does not depend on the point may
+    declare it: an attribute ``constant`` on the callable holds its value
+    on arrays, and its one entry is its value at a float point (`_constant`
+    builds such a field).
+    `discrete.midpoint_discretize` then forms the field's products in the
+    Newton matrix and the covector Jacobians once.
 
     Return contract: a callable returns a float at a float point (below)
     and a float ndarray otherwise, except that a scalar field (``L``,

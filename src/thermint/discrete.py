@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuous import _central_differences, derive_missing, fd_gradient, pair, transposed
+from .continuous import (_central_differences, _constant, derive_missing, fd_gradient, pair,
+                         transposed)
 from .errors import TemperatureDegenerateError
 
 __all__ = [
@@ -288,11 +289,18 @@ def _generic_kernel(d):
         dS = _quotient(num, DSLd(q0, q1, S0))
         return D2Ld(q0, q1, S0) + 0.5 * fp, dS
 
+    def plus(q0, q1, S0):
+        # pi_plus as the generic rest forms it, without the entropy increment
+        return D2Ld(q0, q1, S0) + 0.5 * ffr_plus(q0, q1, S0)
+
     def covector_jacobian(side):
         # central differences of the system's final pi_minus or pi_plus,
-        # looked up at call time: they are read off the pass built here
+        # looked up at call time: they are read off the pass built here, and
+        # a generic pass's pi_plus is differenced without its D_S Ld
         def dpi(q0, q1, S0):
             pi = getattr(d, side)
+            if side == "pi_plus" and getattr(d.triple_pass, "generic", False):
+                pi = plus
             x = np.concatenate([q0, q1, [S0]])
             return fd_gradient(lambda y: pi(y[:n], y[n : 2 * n], y[2 * n]), x)
         return dpi
@@ -331,6 +339,63 @@ def _pass_values(triple_pass, q0, q1, S0):
 
 
 # ---------------------------------------------------------------------------
+# sums of products whose constant terms are formed once
+
+
+def _sum_of_products(terms):
+    """The field (m, w, S0) -> the sum of ``terms`` in their order.
+
+    A term is ``(k, field)``, the product k * field(m, w, S0), ``(k, field,
+    transposed)``, k * transposed(field(m, w, S0)), or a bare field, its
+    value.  The addend of a field declared constant (see
+    `continuous.LagrangianThermoSystem`) is formed here, once, as an array
+    and as its one entry, the float a float point takes; so is the sum of
+    the constant addends that lead.  A call evaluates the other fields, one
+    call for adjacent terms of one field, and adds the addends in order:
+    the bits of the sum formed term by term at the point.  A sum of
+    constant addends only is itself a `_constant` field.
+    """
+    lead, segments = None, []  # the leading constants' sum; (k, field, shape, constants after)
+    for term in terms:
+        k, field, *shape = (None, term) if callable(term) else term
+        shape = shape[0] if shape else None
+        value = getattr(field, "constant", None)
+        if value is None:
+            segments.append((k, field, shape, []))
+            continue
+        if shape is not None:
+            value = shape(value)
+        if k is not None:
+            value = k * value
+        if segments:
+            segments[-1][3].append(value)
+        else:
+            lead = value if lead is None else lead + value
+    if not segments:
+        return _constant(lead)
+    # a constant as (the float of a float point, the array), indexed by
+    # `type(m) is not float`
+    lead = None if lead is None else (float(lead.flat[0]), lead)
+    segments = [(k, f, shape, ([float(c.flat[0]) for c in run], run))
+                for k, f, shape, run in segments]
+
+    def total(m, w, S0):
+        form = type(m) is not float
+        acc = None if lead is None else lead[form]
+        last = None
+        for k, f, shape, run in segments:
+            if f is not last:
+                last, value = f, f(m, w, S0)
+            x = value if shape is None else shape(value)
+            x = x if k is None else k * x
+            acc = x if acc is None else acc + x
+            for c in run[form]:
+                acc = acc + c
+        return acc
+    return total
+
+
+# ---------------------------------------------------------------------------
 # midpoint discretization of a continuous system
 
 
@@ -348,6 +413,8 @@ def midpoint_discretize(sys, h):
     ``q_block(cv, c)`` (c = -1: q0, c = 1: q1) and ``S_block(cv)`` are the
     column blocks of d(pi)/dx, by the chain rule from the system's second
     partials and friction Jacobians; ``pi_minus_dq1`` is ``q_block(-1, 1)``.
+    Each block is a `_sum_of_products`, which forms the products of the
+    fields the system declares constant once, when the block is built.
 
     Each builder is one formula over float points and arrays, which takes
     the values of ``sys`` as they come (see `LagrangianThermoSystem`); at
@@ -387,24 +454,16 @@ def midpoint_discretize(sys, h):
         # d pi / dq0 (c = -1) or / dq1 (c = 1) on side cv; L's terms, then
         # the friction terms: this sum order fixes the bits of the two-forms
         k_vv, k_q, k_qv, k_vq = c / (h * h), 0.25 * cv, cv * c / (2 * h), 1 / (2 * h)
-
-        def block(q0, q1, S0):
-            m, w = mid(q0, q1)
-            qv = sys.d2Ldqdv(m, w, S0)
-            return (k_q * sys.d2Ldq2(m, w, S0) + k_qv * qv + k_vq * transposed(qv)
-                    + k_vv * sys.d2Ldv2(m, w, S0)
-                    + (k_q * sys.dFfrdq(m, w, S0) + k_qv * sys.dFfrdv(m, w, S0)))
-        return block
+        friction = _sum_of_products([(k_q, sys.dFfrdq), (k_qv, sys.dFfrdv)])
+        return at_mid(_sum_of_products([
+            (k_q, sys.d2Ldq2), (k_qv, sys.d2Ldqdv), (k_vq, sys.d2Ldqdv, transposed),
+            (k_vv, sys.d2Ldv2), friction]))
 
     def S_block(cv):
         # d pi / dS0 on side cv
         k, k_v = 0.5 * cv, 1 / h
-
-        def block(q0, q1, S0):
-            m, w = mid(q0, q1)
-            return (k * sys.d2LdqdS(m, w, S0) + k_v * sys.d2LdvdS(m, w, S0)
-                    + k * sys.dFfrdS(m, w, S0))
-        return block
+        return at_mid(_sum_of_products([
+            (k, sys.d2LdqdS), (k_v, sys.d2LdvdS), (k, sys.dFfrdS)]))
 
     def covector_jacobian(cv):
         blocks = (q_block(cv, -1), q_block(cv, 1), S_block(cv))
@@ -412,16 +471,18 @@ def midpoint_discretize(sys, h):
 
     # the Legendre covectors cv * (slot(cv) + ffr/2) and the entropy
     # increment; the sum order dL/dv / h + (cv/2) dL/dq + (cv/2) Ffr fixes
-    # the covectors' bits
+    # the covectors' bits.  The halves are formed once for both sides: x - y
+    # is x + (-y) and -0.5 * y is -(0.5 * y), bit for bit
     def triple_pass(q0, q1, S0):
         m, w = 0.5 * (q0 + q1), (q1 - q0) / h  # mid(q0, q1), one call less per residual
         sys.check_domain(m)
-        dv, dq, f = sys.dLdv(m, w, S0) / h, sys.dLdq(m, w, S0), sys.Ffr(m, w, S0)
-        return dv + -0.5 * dq + -0.5 * f, rest, (q0, q1, S0, m, w, dv, dq, f)
+        f = sys.Ffr(m, w, S0)
+        dv, dq, df = sys.dLdv(m, w, S0) / h, 0.5 * sys.dLdq(m, w, S0), 0.5 * f
+        return dv - dq - df, rest, (q0, q1, S0, m, w, dv, dq, df, f)
 
-    def rest(q0, q1, S0, m, w, dv, dq, f):
+    def rest(q0, q1, S0, m, w, dv, dq, df, f):
         dS = _quotient(pair(f, q1 - q0), sys.dLdS(m, w, S0))
-        return dv + 0.5 * dq + 0.5 * f, dS
+        return dv + dq + df, dS
 
     pi_minus_dq1 = q_block(-1, 1)
     if n == 1 and not sys.float_points:

@@ -24,8 +24,9 @@ from functools import partial
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1 as _solve1
 
-from .continuous import ThermoState, continuous_rhs, first_order_rhs, fd_gradient, vec
+from .continuous import ThermoState, continuous_rhs, first_order_rhs, fd_gradient
 from .discrete import _SINGULAR, DiscretePath, DiscreteTriple, _pass_values
 from .errors import ConfigError, ConvergenceError, TemperatureDegenerateError, ThermintError
 
@@ -73,7 +74,7 @@ def newton_solve(residual, jacobian, x0, cfg=None):
     if isinstance(x0, float):
         x, value, norm, update = float(x0), float, abs, _quotient_update
     else:
-        x, value, norm, update = np.array(x0, dtype=float, ndmin=1), vec, _max_norm, _solve_update
+        x, value, norm, update = np.array(x0, dtype=float, ndmin=1), _vector, _max_norm, _solve_update
     if jacobian is None:
         jacobian = partial(fd_gradient, residual)
     r = value(residual(x))
@@ -87,10 +88,10 @@ def newton_solve(residual, jacobian, x0, cfg=None):
         if not math.isfinite(dxn):
             raise ConvergenceError("non-finite Newton update (singular Jacobian?)")
         x = x - dx
-        stalled = dxn <= _STALL * (1.0 + norm(x))
         r = value(residual(x))
         rnorm = norm(r)
-        if stalled:
+        # a stalled update ends the loop; one that met tol ends it anyway
+        if rnorm > tol and dxn <= _STALL * (1.0 + norm(x)):
             break
     if rnorm <= tol:
         # StepReport(it, rnorm, True) without its Python-level __new__
@@ -99,9 +100,18 @@ def newton_solve(residual, jacobian, x0, cfg=None):
         f"Newton residual {rnorm:.3e} above tol {tol:.1e} after {it} iterations")
 
 
+#: a residual as a float array with at least one axis, itself if it is one
+_vector = partial(np.array, dtype=float, ndmin=1, copy=None)
+
+
 def _max_norm(y):
-    """max_i |y_i| of an array, as a float."""
-    return float(np.max(np.abs(y)))
+    """max_i |y_i| of an array, as a float, taken on Python floats: NaN
+    when any component is NaN (where ``max`` alone would skip it), the
+    value of ``np.max(np.abs(y))`` otherwise."""
+    sizes = list(map(abs, y.tolist()))
+    # a sum of magnitudes is NaN exactly when one of them is
+    total = sum(sizes)
+    return total if total != total else max(sizes)
 
 
 def _quotient_update(J, r):
@@ -112,12 +122,18 @@ def _quotient_update(J, r):
     return r / J
 
 
+def _singular(err, flag):
+    """The error call of `_solve_update`: LAPACK flagged a singular matrix,
+    where `np.linalg.solve` raises ``LinAlgError("Singular matrix")``."""
+    raise ConvergenceError("singular Newton Jacobian: Singular matrix")
+
+
+@np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
 def _solve_update(J, r):
-    """The Newton update J^{-1} r on arrays."""
-    try:
-        return np.linalg.solve(np.array(J, dtype=float, ndmin=2), r)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"singular Newton Jacobian: {exc}") from exc
+    """The Newton update J^{-1} r on arrays, by numpy's own solve gufunc in
+    the error state `np.linalg.solve` runs it in, without that wrapper's
+    checks and casts: its bits for a square J and a vector r."""
+    return _solve1(np.array(J, dtype=float, ndmin=2, copy=None), r, signature="dd->d")
 
 
 def _stepper(d, cfg):

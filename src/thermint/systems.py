@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .continuous import LagrangianThermoSystem, pair, vec
+from .continuous import LagrangianThermoSystem, _constant, pair, vec
 from .errors import DomainError
 from .geometry import HamiltonianPoint, evolution_field_coordinates
 from .solve import newton_solve
@@ -158,13 +158,6 @@ def _matrix(q, x):
     """The n x n matrix whose entries all equal x at a point q of shape (n,);
     x itself at a float point."""
     return x if type(q) is float else np.full((q.shape[-1],) * 2, x)
-
-
-def _constant(value):
-    """A field of (q, v, S) that does not depend on the point: ``value``,
-    or its one entry at a float point."""
-    entry = float(value.flat[0])
-    return lambda q, v, S: entry if type(q) is float else value
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +350,8 @@ def oscillator(gamma=0.1):
         "oscillator", 1, g,
         potential=(lambda q, S: 0.5 * pair(q, q), lambda q, S: g * S),
         force=lambda q, v, S: -q,
-        force_dq=lambda q, v, S: _matrix(q, -1.0),
-        force_dS=lambda q, v, S: _covector(q, 0.0),
+        force_dq=_constant(-np.eye(1)),
+        force_dS=_constant(np.zeros(1)),
         temperature=lambda q, S: g,
         exact_solution=((lambda q0, v0, S0: DampedOscillatorSolution(g, q0, v0, S0))
                         if g < 2 else None),

@@ -29,7 +29,7 @@ from thermint import (
     pullback_check,
     semiregularity_matrix,
 )
-from thermint.continuous import fd_gradient
+from thermint.continuous import _constant, fd_gradient
 
 H = 0.01
 GAMMA = 0.1
@@ -426,6 +426,59 @@ class TestOmegaMatrices:
             np.testing.assert_allclose(W, W_fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(W)))
 
 
+def _generic_two_pistons():
+    """Two-pistons at h = 0.01 with the generic pass and Jacobians."""
+    return dataclasses.replace(D_TP, triple_pass=None, pi_minus_dq1=None, dpi_minus=None,
+                               dpi_plus=None)
+
+
+class TestGenericCovectorJacobians:
+    T = DiscreteTriple([1.0, 1.1], [1.01, 1.09], 0.5)
+
+    def test_dpi_plus_makes_no_DSLd_call(self):
+        # the generic pi_plus is read off the pass, whose rest also forms
+        # the entropy increment; its Jacobian differences D2Ld + ffr_plus/2
+        calls = []
+        d = _generic_two_pistons()
+        counted = dataclasses.replace(d, DSLd=lambda *a: calls.append(1) or d.DSLd(*a))
+        t = self.T
+        counted.dpi_plus(t.q0, t.q1, t.S0)
+        assert calls == []
+        counted.dpi_minus(t.q0, t.q1, t.S0)
+        assert calls == []
+
+    def test_dpi_plus_is_differenced_pi_plus(self):
+        # D2Ld + ffr_plus/2 is the rest's expression: the bits of the
+        # central differences of the pass's pi_plus
+        d, t = _generic_two_pistons(), self.T
+        fd = fd_gradient(lambda y: d.pi_plus(y[:2], y[2:4], y[4]), t.as_array())
+        assert d.dpi_plus(t.q0, t.q1, t.S0).tobytes() == fd.tobytes()
+
+    def test_two_form_where_DSLd_vanishes_off_the_triple(self):
+        # D_S Ld is zero at every perturbed S0: no entropy increment is needed
+        t = self.T
+        d = _generic_two_pistons()
+        degenerate = dataclasses.replace(
+            d, DSLd=lambda q0, q1, S0: d.DSLd(q0, q1, S0) if S0 == t.S0 else 0.0)
+        with pytest.raises(TemperatureDegenerateError):
+            degenerate.entropy_increment(t.q0, t.q1, t.S0 + 1e-3)
+        np.testing.assert_array_equal(omega_embedded(degenerate, t, "plus"),
+                                      omega_embedded(d, t, "plus"))
+
+    def test_replaced_pass_keeps_its_own_pi_plus(self):
+        # a copy that replaces the pass (a mutant) differences its own pi_plus
+        d, t = _generic_two_pistons(), self.T
+
+        def doubled_pass(q0, q1, S0):
+            pi, rest, args = d.triple_pass(q0, q1, S0)
+            pi_plus, dS = rest(*args)
+            return pi, lambda: (2.0 * pi_plus, dS), ()
+
+        doubled = dataclasses.replace(d, triple_pass=doubled_pass)
+        np.testing.assert_allclose(doubled.dpi_plus(t.q0, t.q1, t.S0),
+                                   2.0 * d.dpi_plus(t.q0, t.q1, t.S0), rtol=1e-6)
+
+
 class TestDerivedSecondPartials:
     @pytest.mark.parametrize("with_mixed_partial", [False, True])
     def test_gyroscopic_covector_jacobians(self, with_mixed_partial):
@@ -620,6 +673,62 @@ class TestSemiregularity:
             S0 = rng.uniform(0.0, 2.0)
             np.testing.assert_array_equal(d.pi_minus_dq1(q0, q1, S0),
                                           d.dpi_minus(q0, q1, S0)[:, n : 2 * n])
+
+
+#: the fields of a Lagrangian that the Newton matrix and the covector Jacobians read
+JACOBIAN_FIELDS = ("d2Ldq2", "d2Ldqdv", "d2Ldv2", "d2LdqdS", "d2LdvdS", "dFfrdq", "dFfrdv",
+                   "dFfrdS")
+
+
+def _jacobian_values(d, rng):
+    """pi_minus_dq1 (also at float points, n = 1), dpi_minus and dpi_plus at
+    50 seeded triples."""
+    n, values = d.n, []
+    for _ in range(50):
+        q0 = rng.uniform(0.8, 1.2, n)
+        q1 = q0 + rng.uniform(-0.05, 0.05, n)
+        S0 = rng.uniform(0.0, 2.0)
+        values += [d.pi_minus_dq1(q0, q1, S0), d.dpi_minus(q0, q1, S0), d.dpi_plus(q0, q1, S0)]
+        if n == 1:
+            values.append(d.pi_minus_dq1(float(q0[0]), float(q1[0]), S0))
+    return values
+
+
+def _scrambled_constants():
+    """n = 2 with point-dependent d2Ldq2 and d2LdqdS and seeded constants
+    for the other six fields, none of them zero or an identity, so that a
+    reordered sum of the constant products changes bits."""
+    rng = np.random.default_rng(2103)
+    constants = {f: _constant(rng.uniform(-3.0, 3.0, (2, 2) if f[-1] != "S" else 2))
+                 for f in JACOBIAN_FIELDS if f not in ("d2Ldq2", "d2LdqdS")}
+    return dataclasses.replace(
+        TP.lagrangian, d2Ldq2=lambda q, v, S: np.outer(q, q) * np.exp(S),
+        d2LdqdS=lambda q, v, S: q * np.exp(S), **constants)
+
+
+@pytest.mark.parametrize("name", ["oscillator", "ideal-gas", "van-der-waals", "two-pistons",
+                                  "scrambled"])
+@pytest.mark.parametrize("h", [0.1, 0.01])
+def test_constant_products_keep_every_bit(name, h):
+    # midpoint_discretize forms the products of the fields marked constant
+    # once; a copy whose marked fields are plain lambdas forms every product
+    # at the point.  Unmarking all of them, then each one alone, covers
+    # leading constants, constants after a varying term and a varying group
+    lag = _scrambled_constants() if name == "scrambled" else get_system(name).lagrangian
+    marked = [f for f in JACOBIAN_FIELDS if hasattr(getattr(lag, f), "constant")]
+    assert marked
+
+    def unmarked(*fields):
+        return dataclasses.replace(lag, **{
+            f: (lambda fn: lambda q, v, S: fn(q, v, S))(getattr(lag, f)) for f in fields})
+
+    expected = _jacobian_values(midpoint_discretize(unmarked(*marked), h),
+                                np.random.default_rng(2102))
+    for sys in (lag, *(unmarked(f) for f in marked)):
+        values = _jacobian_values(midpoint_discretize(sys, h), np.random.default_rng(2102))
+        assert [type(x) for x in values] == [type(x) for x in expected]
+        assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes()
+                   for a, b in zip(values, expected))
 
 
 class TestDiscretePath:

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 from sys import setprofile
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from thermint.bench import default_newton_tol
 from thermint.continuous import pair
 from thermint.errors import TemperatureDegenerateError, ThermintError
-from thermint.solve import solve_step
+from thermint.solve import _solve_update, solve_step
 
 from thermint import (
     ConfigError,
@@ -112,6 +113,32 @@ class TestNewton:
                 NewtonConfig(tol=tol)
         with pytest.raises(ValueError):
             NewtonConfig(max_iter=0)
+
+    @pytest.mark.parametrize("bad", [[np.nan, 0.0], [0.0, np.nan], [1e-20, np.nan]],
+                             ids=["nan-first", "nan-last", "tiny-then-nan"])
+    @pytest.mark.parametrize("stage", ["start", "update"])
+    def test_array_newton_never_accepts_nan(self, bad, stage):
+        # the max norm runs on Python floats, where max(0.0, nan) is 0.0: a
+        # NaN component must still make the norm NaN, never a root
+        values = iter([[1.0, 1.0], bad] if stage == "update" else [bad])
+        residual = lambda x: np.array(next(values))
+        with pytest.raises(ConvergenceError, match="residual nan"):
+            newton_solve(residual, lambda x: np.eye(2), np.zeros(2))
+
+    def test_solve_update_is_lapack_solve(self):
+        # the Newton update calls numpy's solve gufunc without the
+        # np.linalg.solve wrapper: the same bits, pinned against a numpy upgrade
+        rng = np.random.default_rng(2101)
+        for J, r in zip(rng.standard_normal((10_000, 2, 2)), rng.standard_normal((10_000, 2))):
+            assert _solve_update(J, r).tobytes() == np.linalg.solve(J, r).tobytes()
+
+    @pytest.mark.parametrize("J", [np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 4.0]])],
+                             ids=["zero", "rank-1"])
+    def test_singular_jacobian_on_arrays(self, J):
+        # LAPACK's singular flag reaches the caller as a ConvergenceError,
+        # with no RuntimeWarning (the suite turns one into an error)
+        with pytest.raises(ConvergenceError, match="singular Newton Jacobian"):
+            newton_solve(lambda x: x - 1.0, lambda x: J, np.zeros(2))
 
 
 class TestIntegrate:
@@ -503,9 +530,13 @@ class TestFloatPoints:
         args = (d, float(q0[0]), float(q1[0]), S0, NewtonConfig(tol=cfg.newton_tol))
         solve_step(*args)
         calls = _python_calls(solve_step, *args)
-        assert len(calls) == 38, calls
+        assert len(calls) == 32, calls
 
-    @pytest.mark.parametrize("name,count", [("oscillator", 30), ("ideal-gas", 93.0)])
+    @pytest.mark.parametrize("name,count", [
+        pytest.param("oscillator", 24, id="oscillator"),
+        pytest.param("ideal-gas", 84.2, id="ideal-gas"),
+        pytest.param("two-pistons", 67, id="two-pistons"),
+    ])
     def test_integrate_step_call_count(self, name, count):
         # the Python calls of a step of integrate, which carries each pass:
         # those of a 12-step path less those of a 2-step one, over 10 steps
@@ -541,18 +572,24 @@ class TestFloatPoints:
 
 
 def _python_calls(fn, *args):
-    """The names of the Python functions that ``fn(*args)`` calls, in order."""
+    """The names of the Python functions that ``fn(*args)`` calls, in order.
+    The garbage collector is off meanwhile: a collection would add the calls
+    of any gc callback that a loaded library has registered."""
     calls = []
 
     def profile(frame, event, arg):
         if event == "call":
             calls.append(frame.f_code.co_name)
 
+    collecting = gc.isenabled()
+    gc.disable()
     setprofile(profile)
     try:
         fn(*args)
     finally:
         setprofile(None)
+        if collecting:
+            gc.enable()
     return calls
 
 
