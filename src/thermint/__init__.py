@@ -2,16 +2,15 @@
 
 from .bench import (ErrorReport, ExperimentConfig, convergence_study,
                     hamiltonian_estimates, reference_integrate, rk2_integrate,
-                    rk2_midpoint, run_experiment)
+                    run_experiment)
 from .continuous import (LagrangianThermoSystem, ThermoState, Trajectory,
-                         conserved_along, continuous_rhs, energy, legendre,
+                         conserved_along, continuous_rhs, energy,
                          noether_lift_check, temperature)
 from .discrete import (DiscretePath, DiscreteThermoSystem, DiscreteTriple,
-                       del_residual, discrete_action, discrete_flow,
-                       discrete_momenta, entropy_update, legendre_minus,
-                       legendre_plus, midpoint_discretize, momentum_map,
-                       noether_condition, omega_embedded, pullback_check,
-                       semiregularity_matrix)
+                       discrete_action, discrete_flow, discrete_momenta,
+                       entropy_update, legendre_minus, legendre_plus,
+                       midpoint_discretize, momentum_map, noether_condition,
+                       omega_embedded, pullback_check)
 from .errors import (ConfigError, ConvergenceError, DomainError,
                      StructureDegenerateError, TemperatureDegenerateError,
                      ThermintError)
@@ -21,7 +20,6 @@ from .geometry import (HamiltonianPoint, PointStructure, assemble_structure,
                        structure_defect)
 from .solve import NewtonConfig, StepReport, initialize, integrate, newton_solve
 from .systems import (CATALOG, SystemCatalogEntry, get_system, hamiltonian_point,
-                      hamiltonian_rhs, ideal_gas, oscillator, two_pistons,
-                      van_der_waals)
+                      ideal_gas, oscillator, two_pistons, van_der_waals)
 
 __version__ = "0.1.0"

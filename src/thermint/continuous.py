@@ -7,6 +7,7 @@ Euler-Lagrange equations with the entropy equation (dL/dS) * Sdot = v . Ffr.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -18,7 +19,6 @@ __all__ = [
     "Trajectory",
     "energy",
     "temperature",
-    "legendre",
     "equations_of_motion",
     "continuous_rhs",
     "first_order_rhs",
@@ -66,9 +66,9 @@ def transposed(x):
     return x if isinstance(x, float) else x.T
 
 
-def vec(x):
-    """A point, a stack or a residual as a float array with at least one axis."""
-    return np.atleast_1d(np.asarray(x, dtype=float))
+#: a point, a stack or a residual as a float array with at least one axis,
+#: itself if it is one
+vec = partial(np.array, dtype=float, ndmin=1, copy=None)
 
 
 @dataclass(frozen=True)
@@ -202,7 +202,8 @@ class Trajectory:
         m = len(self.times)
         if not (len(self.qs) == len(self.vs) == len(self.Ss) == m):
             raise ValueError("times/states length mismatch")
-        if m > 1 and np.max(np.abs(np.diff(self.times) - self.h)) > 1e-9 * max(1.0, self.h):
+        # a NaN time makes the spread NaN, which fails the check
+        if m > 1 and not (np.max(np.abs(np.diff(self.times) - self.h)) <= 1e-9 * max(1.0, self.h)):
             raise ValueError("times not uniformly spaced with step h")
 
     def __len__(self):
@@ -221,12 +222,6 @@ def energy(sys, state):
 def temperature(sys, state):
     """Temperature T = -dL/dS (positive on the physical domain)."""
     return -float(sys.dLdS(state.q, state.v, state.S))
-
-
-def legendre(sys, state):
-    """Legendre transform (q, v, S) -> (q, p, S) with p = dL/dv."""
-    p = np.asarray(sys.dLdv(state.q, state.v, state.S), dtype=float)
-    return state.q.copy(), p, state.S
 
 
 def fd_gradient(f, x):

@@ -45,7 +45,6 @@ __all__ = [
     "DiscretePath",
     "midpoint_discretize",
     "entropy_update",
-    "del_residual",
     "legendre_plus",
     "legendre_minus",
     "discrete_momenta",
@@ -55,7 +54,6 @@ __all__ = [
     "momentum_map",
     "noether_condition",
     "discrete_action",
-    "semiregularity_matrix",
 ]
 
 
@@ -510,19 +508,6 @@ def entropy_update(d, t):
     return t.S0 + d.entropy_increment(t.q0, t.q1, t.S0)
 
 
-def del_residual(d, q_prev, q_curr, S_prev, q_next, S_curr):
-    """Residual covector of the discrete Euler-Lagrange equations,
-    pi_plus(q_prev, q_curr, S_prev) - pi_minus(q_curr, q_next, S_curr).
-
-    Zero exactly when (q_prev, q_curr, q_next) with entropies
-    (S_prev, S_curr) is a solution step.
-    """
-    q_prev = np.atleast_1d(np.asarray(q_prev, dtype=float))
-    q_curr = np.atleast_1d(np.asarray(q_curr, dtype=float))
-    q_next = np.atleast_1d(np.asarray(q_next, dtype=float))
-    return d.pi_plus(q_prev, q_curr, S_prev) - d.pi_minus(q_curr, q_next, S_curr)
-
-
 def legendre_minus(d, t):
     """Minus Legendre transform: (q0, -D1Ld - ffr_minus/2, S0)."""
     return t.q0.copy(), d.pi_minus(t.q0, t.q1, t.S0), t.S0
@@ -540,14 +525,6 @@ def discrete_momenta(d, t):
     p_plus = d.h * d.D2Ld(q0, q1, S0) + (d.h / 2) * d.ffr_plus(q0, q1, S0)
     p_minus = -d.h * d.D1Ld(q0, q1, S0) - (d.h / 2) * d.ffr_minus(q0, q1, S0)
     return p_minus, p_plus
-
-
-def semiregularity_matrix(d, t):
-    """d(pi_minus)/dq1; invertibility makes the minus transform
-    a local diffeomorphism.  Its negative is the Newton Jacobian of
-    `del_residual` in q_next.  One triple only."""
-    t = _single(t)
-    return d.pi_minus_dq1(t.q0, t.q1, t.S0)
 
 
 def discrete_flow(d, t, cfg=None):
@@ -657,11 +634,11 @@ def noether_condition(d, xi, t, tol=1e-10):
 # the discrete action
 
 
-def discrete_action(d, path, validate=True, constraint_tol=1e-12):
+def discrete_action(d, path, validate=True):
     """Discrete action of a path of the thermodynamic path space: Ld summed in path order."""
     if validate:
         res = path.constraint_residual(d)
-        if not res <= constraint_tol:
+        if not res <= 1e-12:
             raise ValueError(
                 f"path violates the entropy-update constraint (relative residual {res:.3e})"
             )

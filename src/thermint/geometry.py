@@ -50,19 +50,19 @@ def canonical_omega(n):
 
 @dataclass(frozen=True)
 class PointStructure:
-    """(omega, eta) at a single point: antisymmetric matrix plus covector."""
+    """(omega, eta) at a single point: an antisymmetric matrix of odd size plus a covector."""
 
-    dim: int
     W: np.ndarray
     eta: np.ndarray
 
     def __post_init__(self):
         W = np.asarray(self.W, dtype=float)
         eta = np.asarray(self.eta, dtype=float)
-        if self.dim % 2 != 1:
-            raise ValueError(f"dimension must be odd, got {self.dim}")
-        if W.shape != (self.dim, self.dim) or eta.shape != (self.dim,):
-            raise ValueError("W/eta shapes inconsistent with dim")
+        size = W.shape[0] if W.ndim == 2 else -1
+        if W.shape != (size, size) or eta.shape != (size,):
+            raise ValueError("W must be a square matrix and eta a covector of its size")
+        if size % 2 != 1:
+            raise ValueError(f"dimension must be odd, got {size}")
         if np.max(np.abs(W + W.T)) > 1e-14 * max(1.0, np.max(np.abs(W))):
             raise ValueError("W is not antisymmetric")
         object.__setattr__(self, "W", W)
@@ -70,7 +70,7 @@ class PointStructure:
 
     @property
     def n(self):
-        return (self.dim - 1) // 2
+        return (self.W.shape[0] - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def assemble_structure(pt):
     eta = np.zeros(2 * n + 1)
     eta[:n] = -pt.Ffr
     eta[-1] = -pt.dHdS
-    return PointStructure(dim=2 * n + 1, W=canonical_omega(n), eta=eta)
+    return PointStructure(W=canonical_omega(n), eta=eta)
 
 
 def flat_matrix(s):

@@ -20,13 +20,12 @@ The points are those of `_point`: floats at n = 1.
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _solve1
 
-from .continuous import ThermoState, continuous_rhs, first_order_rhs, fd_gradient
+from .continuous import ThermoState, continuous_rhs, first_order_rhs, vec
 from .discrete import _SINGULAR, DiscretePath, DiscreteTriple, _pass_values
 from .errors import ConfigError, ConvergenceError, TemperatureDegenerateError, ThermintError
 
@@ -58,10 +57,9 @@ class StepReport(NamedTuple):
 def newton_solve(residual, jacobian, x0, cfg=None):
     """Newton iteration for residual(x) = 0 with max-norm convergence.
 
-    ``jacobian`` may be None, in which case a central-difference Jacobian
-    is built from the residual.  Iteration stops when the residual meets
-    ``cfg.tol``, or when an update is at roundoff level (the residual is
-    then at its attainable floor).  Raises ConvergenceError on a singular
+    ``jacobian(x)`` is the Jacobian of the residual at x.  Iteration stops
+    when the residual meets ``cfg.tol``, or when an update is at roundoff
+    level (the residual is then at its attainable floor).  Raises ConvergenceError on a singular
     Jacobian, a non-finite update, or a residual still above tol at the
     stop.  On either stop the last residual call is made at the returned
     root, which `integrate` relies on.
@@ -74,9 +72,7 @@ def newton_solve(residual, jacobian, x0, cfg=None):
     if isinstance(x0, float):
         x, value, norm, update = float(x0), float, abs, _quotient_update
     else:
-        x, value, norm, update = np.array(x0, dtype=float, ndmin=1), _vector, _max_norm, _solve_update
-    if jacobian is None:
-        jacobian = partial(fd_gradient, residual)
+        x, value, norm, update = np.array(x0, dtype=float, ndmin=1), vec, _max_norm, _solve_update
     r = value(residual(x))
     rnorm = norm(r)
     it = 0
@@ -98,10 +94,6 @@ def newton_solve(residual, jacobian, x0, cfg=None):
         return x, tuple.__new__(StepReport, (it, rnorm, True))
     raise ConvergenceError(
         f"Newton residual {rnorm:.3e} above tol {tol:.1e} after {it} iterations")
-
-
-#: a residual as a float array with at least one axis, itself if it is one
-_vector = partial(np.array, dtype=float, ndmin=1, copy=None)
 
 
 def _max_norm(y):

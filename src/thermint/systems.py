@@ -20,7 +20,7 @@ import numpy as np
 
 from .continuous import LagrangianThermoSystem, _constant, pair, vec
 from .errors import DomainError
-from .geometry import HamiltonianPoint, evolution_field_coordinates
+from .geometry import HamiltonianPoint
 from .solve import newton_solve
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "CATALOG",
     "get_system",
     "hamiltonian_point",
-    "hamiltonian_rhs",
 ]
 
 
@@ -76,7 +75,7 @@ class SystemCatalogEntry:
         return self.lagrangian.name
 
 
-def hamiltonian_point(entry, q, p, S, Fext=None):
+def hamiltonian_point(entry, q, p, S):
     """Assemble the geometry-side data of a phase-space point.
 
     The velocity v solves dL/dv(q, v, S) = p, by `solve.newton_solve`
@@ -89,15 +88,7 @@ def hamiltonian_point(entry, q, p, S, Fext=None):
     q, p = vec(q), vec(p)
     v, _ = newton_solve(lambda w: sys.dLdv(q, w, S) - p, lambda w: sys.d2Ldv2(q, w, S), p)
     dH = np.concatenate([-vec(sys.dLdq(q, v, S)), v, [-sys.dLdS(q, v, S)]])
-    return HamiltonianPoint(q=q, p=p, S=S, dH=dH, Ffr=sys.Ffr(q, v, S), Fext=Fext)
-
-
-def hamiltonian_rhs(entry, q, p, S, Fext=None):
-    """First-order evolution equations on (q, p, S): the coordinates of the
-    evolution field at the point, split as (qdot, pdot, Sdot)."""
-    n = entry.n
-    E = evolution_field_coordinates(hamiltonian_point(entry, q, p, S, Fext))
-    return E[:n], E[n : 2 * n], E[-1]
+    return HamiltonianPoint(q=q, p=p, S=S, dH=dH, Ffr=sys.Ffr(q, v, S))
 
 
 # ---------------------------------------------------------------------------

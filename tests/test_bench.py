@@ -15,7 +15,6 @@ from thermint import (
     midpoint_discretize,
     reference_integrate,
     rk2_integrate,
-    rk2_midpoint,
     run_experiment,
 )
 from thermint import bench
@@ -33,7 +32,7 @@ class TestRk2:
             dLdq=lambda q, v, S: np.zeros(1), dLdv=lambda q, v, S: np.zeros(1),
             dLdS=lambda q, v, S: -1.0,
             accel=lambda q, v, S: np.zeros(1))
-        out = rk2_midpoint(still, ThermoState([1.0], [0.0], 2.0), 0.1)
+        out = rk2_integrate(still, ThermoState([1.0], [0.0], 2.0), 0.1, 1).state(1)
         np.testing.assert_array_equal(out.q, [1.0])
         assert out.S == 2.0
 
@@ -46,7 +45,7 @@ class TestRk2:
             accel=lambda q, v, S: -q)
         errs = []
         for h in (0.1, 0.05, 0.025):
-            out = rk2_midpoint(sys, ThermoState([1.0], [0.0], 0.0), h)
+            out = rk2_integrate(sys, ThermoState([1.0], [0.0], 0.0), h, 1).state(1)
             # the h^3 defect of one midpoint step sits in the velocity here
             errs.append(np.hypot(out.q[0] - np.cos(h), out.v[0] + np.sin(h)))
         rates = [errs[i] / errs[i + 1] for i in range(2)]
@@ -122,6 +121,17 @@ class TestReference:
         dev = max(abs(entry.H(traj.qs[k], traj.vs[k], traj.Ss[k]) - H0)
                   for k in range(len(traj)))
         assert dev <= 1e-7
+
+    def test_grid_past_t_final_is_integrated_not_extrapolated(self):
+        # t_final / h = 3.5 rounds up to a grid ending at 1.2: its last row is
+        # the run integrated to 1.2, bit for bit
+        entry = get_system("two-pistons")
+        state0 = ThermoState([1.0, 1.0], [0.2, -0.3], 1.0)
+        short = reference_integrate(entry.lagrangian, state0, 1.05, h=0.3)
+        full = reference_integrate(entry.lagrangian, state0, 1.2, h=0.3)
+        assert short.times[-1] == full.times[-1] == 1.2
+        for a, b in ((short.qs, full.qs), (short.vs, full.vs), (short.Ss, full.Ss)):
+            assert a[-1].tobytes() == b[-1].tobytes()
 
     def test_invalid_tolerances(self):
         with pytest.raises(ConfigError):

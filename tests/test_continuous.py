@@ -12,14 +12,14 @@ from thermint import (
     conserved_along,
     continuous_rhs,
     energy,
+    evolution_field_coordinates,
     get_system,
-    legendre,
+    hamiltonian_point,
     noether_lift_check,
     reference_integrate,
     temperature,
 )
 from thermint.continuous import fd_gradient
-from thermint.systems import hamiltonian_rhs
 
 OSC = get_system("oscillator")
 GAS = get_system("ideal-gas")
@@ -59,14 +59,17 @@ class TestTemperature:
 
 
 class TestLegendre:
+    # the Legendre transform (q, v, S) -> (q, dL/dv, S)
     def test_quadratic_kinetic(self):
-        q, p, S = legendre(OSC.lagrangian, ThermoState([0.0], [1.0], 0.0))
+        state = ThermoState([0.0], [1.0], 0.0)
+        q, p, S = state.q, OSC.lagrangian.dLdv(state.q, state.v, state.S), state.S
         np.testing.assert_allclose(q, [0.0])
         np.testing.assert_allclose(p, [1.0])
         assert S == 0.0
 
     def test_two_pistons(self):
-        _, p, _ = legendre(TP.lagrangian, ThermoState([1.0, 1.0], [1.0, 2.0], 0.0))
+        state = ThermoState([1.0, 1.0], [1.0, 2.0], 0.0)
+        p = TP.lagrangian.dLdv(state.q, state.v, state.S)
         np.testing.assert_allclose(p, [1.0, 2.0])
 
 
@@ -146,7 +149,8 @@ class TestRhs:
             v = rng.uniform(-1, 1, entry.n)
             S = rng.uniform(0, 2)
             qd, vd, Sd = continuous_rhs(entry.lagrangian, ThermoState(q, v, S))
-            qd2, pd2, Sd2 = hamiltonian_rhs(entry, q, v, S)
+            E = evolution_field_coordinates(hamiltonian_point(entry, q, v, S))
+            qd2, pd2, Sd2 = E[: entry.n], E[entry.n : 2 * entry.n], E[-1]
             np.testing.assert_allclose(qd, qd2, atol=1e-12)
             np.testing.assert_allclose(vd, pd2, atol=1e-12)
             assert Sd == pytest.approx(Sd2, abs=1e-12)
@@ -156,7 +160,7 @@ class TestRhs:
         lag = dataclasses.replace(OSC.lagrangian, dLdS=lambda q, v, S: 0.0)
         bad = dataclasses.replace(OSC, lagrangian=lag)
         with pytest.raises(TemperatureDegenerateError):
-            hamiltonian_rhs(bad, [0.5], [1.0], 0.0)
+            evolution_field_coordinates(hamiltonian_point(bad, [0.5], [1.0], 0.0))
 
 
 @settings(max_examples=100, deadline=None)
@@ -201,6 +205,19 @@ class TestNoetherLift:
         Xjac = lambda q: np.zeros((1, 1))
         states = [ThermoState([x], [x + 1], 0.0) for x in np.linspace(-2, 2, 9)]
         assert noether_lift_check(free, X, Xjac, states)
+
+
+class TestTrajectory:
+    def test_non_uniform_times_rejected(self):
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            Trajectory(h=0.1, times=[0.0, 0.1, 0.3], qs=np.zeros((3, 1)),
+                       vs=np.zeros((3, 1)), Ss=np.zeros(3))
+
+    def test_nan_time_rejected(self):
+        # a NaN spacing is not within the tolerance of h
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            Trajectory(h=0.1, times=[0.0, np.nan, 0.2], qs=np.zeros((3, 1)),
+                       vs=np.zeros((3, 1)), Ss=np.zeros(3))
 
 
 class TestConservedAlong:

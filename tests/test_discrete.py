@@ -12,7 +12,6 @@ from thermint import (
     LagrangianThermoSystem,
     NewtonConfig,
     TemperatureDegenerateError,
-    del_residual,
     discrete_action,
     discrete_flow,
     discrete_momenta,
@@ -27,7 +26,6 @@ from thermint import (
     noether_condition,
     omega_embedded,
     pullback_check,
-    semiregularity_matrix,
 )
 from thermint.continuous import _constant, fd_gradient
 
@@ -242,6 +240,9 @@ def test_legendre_hamiltonian_catches_a_whole_friction_weight():
 
 
 class TestDelResidual:
+    """The discrete Euler-Lagrange residual
+    pi_plus(q_prev, q_curr, S_prev) - pi_minus(q_curr, q_next, S_curr)."""
+
     def test_frictionless_recurrence_root(self):
         # gamma = 0: residual vanishes iff q2 = 2(4-h^2)/(4+h^2) q1 - q0.
         # The rounded q2 is a few ulps off the true root, which the h^-2
@@ -254,7 +255,8 @@ class TestDelResidual:
         d = midpoint_discretize(sys, H)
         q0, q1 = 0.3, 0.35
         q2 = 2 * (4 - H * H) / (4 + H * H) * q1 - q0
-        r = del_residual(d, [q0], [q1], 0.0, [q2], 0.0)
+        qa, qb, qc = np.array([q0]), np.array([q1]), np.array([q2])
+        r = d.pi_plus(qa, qb, 0.0) - d.pi_minus(qb, qc, 0.0)
         assert np.max(np.abs(r)) * H * H <= 5e-15
 
     def test_damped_closed_form_is_root(self):
@@ -263,7 +265,8 @@ class TestDelResidual:
         S0 = 0.1
         S1 = entropy_update(D_OSC, DiscreteTriple([q0], [q1], S0))
         q2 = a * q1 - b * q0
-        r = del_residual(D_OSC, [q0], [q1], S0, [q2], S1)
+        qa, qb, qc = np.array([q0]), np.array([q1]), np.array([q2])
+        r = D_OSC.pi_plus(qa, qb, S0) - D_OSC.pi_minus(qb, qc, S1)
         assert np.max(np.abs(r)) * H * H <= 5e-15
 
     def test_closed_form_residual_at_path_scale(self):
@@ -271,13 +274,14 @@ class TestDelResidual:
         a, b = OSC.update_coefficients(H)
         q0, q1 = 0.0, 0.0099
         S1 = entropy_update(D_OSC, DiscreteTriple([q0], [q1], 0.0))
-        r = del_residual(D_OSC, [q0], [q1], 0.0, [a * q1 - b * q0], S1)
+        qa, qb, qc = np.array([q0]), np.array([q1]), np.array([a * q1 - b * q0])
+        r = D_OSC.pi_plus(qa, qb, 0.0) - D_OSC.pi_minus(qb, qc, S1)
         assert np.max(np.abs(r)) <= 1e-13
 
     def test_newton_root_has_small_residual(self):
         t = DiscreteTriple([1.0], [1.001], 10.0)
         out = discrete_flow(D_GAS, t, NewtonConfig(tol=1e-10))
-        r = del_residual(D_GAS, t.q0, t.q1, t.S0, out.q1, out.S0)
+        r = D_GAS.pi_plus(t.q0, t.q1, t.S0) - D_GAS.pi_minus(t.q1, out.q1, out.S0)
         assert np.max(np.abs(r)) <= 1e-10
 
 
@@ -358,7 +362,7 @@ class TestDiscreteFlow:
         S1 = entropy_update(D_GAS, t)
 
         def resid(x):
-            return del_residual(D_GAS, t.q0, t.q1, t.S0, [x], S1)[0]
+            return (D_GAS.pi_plus(t.q0, t.q1, t.S0) - D_GAS.pi_minus(t.q1, np.array([x]), S1))[0]
 
         # the e^10 pressure pushes the first step over a unit of travel
         root = bisect(resid, 1.0, 5.0, xtol=1e-13)
@@ -619,7 +623,8 @@ class TestActionAndBoundary:
               - discrete_action(d, minus, validate=False)) / (2 * eps)
 
         inner = sum(
-            float(del_residual(d, qs[k - 1], qs[k], Ss[k - 1], qs[k + 1], Ss[k]) @ dq[k])
+            float((d.pi_plus(qs[k - 1], qs[k], Ss[k - 1]) - d.pi_minus(qs[k], qs[k + 1], Ss[k]))
+                  @ dq[k])
             for k in range(1, N))
         assert fd == pytest.approx(inner, abs=1e-6)
 
@@ -628,13 +633,15 @@ class TestSemiregularity:
     def test_oscillator_invertible_for_small_steps(self):
         for h in (0.001, 0.01, 0.1):
             d = midpoint_discretize(OSC.lagrangian, h)
-            M = semiregularity_matrix(d, DiscreteTriple([0.5], [0.52], 0.0))
+            t = DiscreteTriple([0.5], [0.52], 0.0)
+            M = d.pi_minus_dq1(t.q0, t.q1, t.S0)
             expected = 1.0 / h ** 2 + 0.25 + GAMMA / (2 * h)
             np.testing.assert_allclose(M, [[expected]], rtol=1e-12)
             assert abs(np.linalg.det(M)) > 1e-12
 
     def test_free_particle(self):
-        M = semiregularity_matrix(D_FREE, DiscreteTriple([0.0], [0.1], 0.0))
+        t = DiscreteTriple([0.0], [0.1], 0.0)
+        M = D_FREE.pi_minus_dq1(t.q0, t.q1, t.S0)
         np.testing.assert_allclose(M, [[1.0 / H ** 2]], rtol=1e-12)
 
     def test_degenerate_lagrangian_flagged(self):
@@ -648,7 +655,8 @@ class TestSemiregularity:
             ffr_minus=lambda q0, q1, S0: np.zeros(1),
             ffr_plus=lambda q0, q1, S0: np.zeros(1),
         )
-        M = semiregularity_matrix(d, DiscreteTriple([0.3], [0.4], 0.0))
+        t = DiscreteTriple([0.3], [0.4], 0.0)
+        M = d.pi_minus_dq1(t.q0, t.q1, t.S0)
         np.testing.assert_allclose(M, [[0.0]], atol=1e-8)
 
     @pytest.mark.parametrize("name", ["oscillator", "ideal-gas", "van-der-waals",

@@ -45,7 +45,7 @@ class TestAssemble:
 
 class TestFlat:
     def test_cosymplectic_block_matrix(self):
-        s = PointStructure(dim=3, W=canonical_omega(1), eta=np.array([0.0, 0.0, 1.0]))
+        s = PointStructure(W=canonical_omega(1), eta=np.array([0.0, 0.0, 1.0]))
         B = flat_matrix(s)
         expected = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         np.testing.assert_array_equal(B, expected)
@@ -58,7 +58,7 @@ class TestFlat:
         assert det == pytest.approx(0.01)
 
     def test_zero_eta_singular(self):
-        s = PointStructure(dim=3, W=canonical_omega(1), eta=np.zeros(3))
+        s = PointStructure(W=canonical_omega(1), eta=np.zeros(3))
         assert abs(np.linalg.det(flat_matrix(s))) < 1e-15
         with pytest.raises(StructureDegenerateError):
             reeb_field(s)
@@ -66,7 +66,7 @@ class TestFlat:
 
 class TestReeb:
     def test_cosymplectic_reeb_is_dS(self):
-        s = PointStructure(dim=3, W=canonical_omega(1), eta=np.array([0.0, 0.0, 1.0]))
+        s = PointStructure(W=canonical_omega(1), eta=np.array([0.0, 0.0, 1.0]))
         np.testing.assert_allclose(reeb_field(s), [0.0, 0.0, 1.0], atol=1e-15)
 
     def test_oscillator_reeb(self):
@@ -94,7 +94,7 @@ def test_flat_reeb_roundtrip(n, seed):
     """flat(reeb) = eta whenever the flat map is invertible."""
     rng = np.random.default_rng(seed)
     eta = rng.normal(size=2 * n + 1)
-    s = PointStructure(dim=2 * n + 1, W=canonical_omega(n), eta=eta)
+    s = PointStructure(W=canonical_omega(n), eta=eta)
     B = flat_matrix(s)
     if np.linalg.cond(B) > 1e8:
         return
@@ -169,11 +169,21 @@ class TestEvolutionField:
 class TestPointStructureValidation:
     def test_rejects_even_dimension(self):
         with pytest.raises(ValueError):
-            PointStructure(dim=4, W=np.zeros((4, 4)), eta=np.zeros(4))
+            PointStructure(W=np.zeros((4, 4)), eta=np.zeros(4))
+
+    def test_rejects_inconsistent_shapes(self):
+        # the size is read off W: W must be square and eta of its size
+        for W, eta in ((np.zeros((3, 5)), np.zeros(3)), (np.zeros((3, 3)), np.zeros(5)),
+                       (np.zeros(3), np.zeros(3))):
+            with pytest.raises(ValueError, match="square"):
+                PointStructure(W=W, eta=eta)
+
+    def test_size_read_off_W(self):
+        assert PointStructure(W=canonical_omega(2), eta=np.zeros(5)).n == 2
 
     def test_rejects_nonantisymmetric(self):
         with pytest.raises(ValueError):
-            PointStructure(dim=3, W=np.eye(3), eta=np.zeros(3))
+            PointStructure(W=np.eye(3), eta=np.zeros(3))
 
     def test_rank_is_2n(self):
         s = assemble_structure(oscillator_point())

@@ -1,12 +1,13 @@
 import dataclasses
 import gc
+from functools import partial
 from sys import setprofile
 
 import numpy as np
 import pytest
 
 from thermint.bench import default_newton_tol
-from thermint.continuous import pair
+from thermint.continuous import fd_gradient, pair
 from thermint.errors import TemperatureDegenerateError, ThermintError
 from thermint.solve import _solve_update, solve_step
 
@@ -51,7 +52,7 @@ class TestNewton:
         S1 = entropy_update(d, DiscreteTriple(qa, qb, 0.0))
         const = d.D2Ld(qa, qb, 0.0) + 0.5 * d.ffr_plus(qa, qb, 0.0)
         resid = lambda x: d.D1Ld(qb, x, S1) + 0.5 * d.ffr_minus(qb, x, S1) + const
-        x, _ = newton_solve(resid, None, 2 * qb - qa)
+        x, _ = newton_solve(resid, partial(fd_gradient, resid), 2 * qb - qa)
         assert x[0] == pytest.approx(a * 0.12 - b * 0.1, abs=1e-12)
 
     def test_cubic_against_bisection(self):
@@ -59,7 +60,8 @@ class TestNewton:
 
         f = lambda x: np.array([x[0] ** 3 - 2 * x[0] - 5.0])
         root = bisect(lambda x: x ** 3 - 2 * x - 5.0, 2.0, 3.0, xtol=1e-14)
-        x, report = newton_solve(f, None, np.array([2.5]), NewtonConfig(tol=1e-12))
+        x, report = newton_solve(f, partial(fd_gradient, f), np.array([2.5]),
+                                 NewtonConfig(tol=1e-12))
         assert x[0] == pytest.approx(root, abs=1e-12)
         assert report.converged
 
@@ -67,7 +69,8 @@ class TestNewton:
         # gradient pushes the iterate away from the flat region's root
         f = lambda x: np.array([np.exp(x[0]) ])
         with pytest.raises(ConvergenceError):
-            newton_solve(f, None, np.array([0.0]), NewtonConfig(tol=1e-12, max_iter=5))
+            newton_solve(f, partial(fd_gradient, f), np.array([0.0]),
+                         NewtonConfig(tol=1e-12, max_iter=5))
 
     def test_singular_jacobian(self):
         f = lambda x: np.array([x[0] ** 2])
@@ -77,7 +80,7 @@ class TestNewton:
 
     def test_already_converged_zero_iterations(self):
         f = lambda x: np.zeros(1)
-        x, report = newton_solve(f, None, np.array([3.0]))
+        x, report = newton_solve(f, partial(fd_gradient, f), np.array([3.0]))
         assert report.iterations == 0
         assert x[0] == 3.0
 
@@ -553,14 +556,17 @@ class TestFloatPoints:
             dot = float(np.array([a]) @ np.array([b]))
             assert pair(a, b).hex() == dot.hex()
 
+    # None: the central-difference Jacobian of the residual
     @pytest.mark.parametrize("jacobian", [None, lambda x: 3 * x ** 2 - 2])
     def test_newton_float_is_length_1_array(self, jacobian):
         cubic = lambda x: x ** 3 - 2 * x - 5.0
-        on_arrays = (None if jacobian is None
-                     else lambda x: np.array([[float(jacobian(x[0]))]]))
+        cubic_array = lambda x: np.array([cubic(x[0])])
+        if jacobian is None:
+            jacobian, on_arrays = partial(fd_gradient, cubic), partial(fd_gradient, cubic_array)
+        else:
+            on_arrays = lambda x: np.array([[float(jacobian(x[0]))]])
         x, report = newton_solve(cubic, jacobian, 2.5)
-        y, report_y = newton_solve(lambda x: np.array([cubic(x[0])]), on_arrays,
-                                   np.array([2.5]))
+        y, report_y = newton_solve(cubic_array, on_arrays, np.array([2.5]))
         assert type(x) is float and x.hex() == float(y[0]).hex()
         assert report == report_y
 
@@ -568,7 +574,7 @@ class TestFloatPoints:
         with pytest.raises(ConvergenceError, match="zero Jacobian"):
             newton_solve(lambda x: x * x, lambda x: 0.0, 1.0)
         with pytest.raises(ConvergenceError, match="above tol"):
-            newton_solve(lambda x: np.exp(x), None, 0.0, NewtonConfig(max_iter=5))
+            newton_solve(np.exp, partial(fd_gradient, np.exp), 0.0, NewtonConfig(max_iter=5))
 
 
 def _python_calls(fn, *args):

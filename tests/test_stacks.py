@@ -18,7 +18,7 @@ from thermint import (DiscretePath, DiscreteTriple, DomainError, ExperimentConfi
                       entropy_update, get_system, hamiltonian_estimates, initialize,
                       integrate, legendre_minus, legendre_plus, midpoint_discretize,
                       momentum_map, noether_condition, omega_embedded, pullback_check,
-                      rk2_integrate, run_experiment, semiregularity_matrix)
+                      rk2_integrate, run_experiment)
 
 ALL = ["oscillator", "ideal-gas", "van-der-waals", "two-pistons"]
 ROWS = 2000
@@ -168,7 +168,6 @@ _ONE_TRIPLE = {
     "pullback_check": lambda d, t: pullback_check(d, t, NewtonConfig(tol=1e-10)),
     "omega_embedded plus": lambda d, t: omega_embedded(d, t, "plus"),
     "omega_embedded minus": lambda d, t: omega_embedded(d, t, "minus"),
-    "semiregularity_matrix": semiregularity_matrix,
     "as_array": lambda d, t: t.as_array(),
 }
 

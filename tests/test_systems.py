@@ -10,16 +10,15 @@ from thermint import (
     SystemCatalogEntry,
     ThermoState,
     continuous_rhs,
-    del_residual,
     energy,
     entropy_update,
+    evolution_field_coordinates,
     get_system,
-    legendre,
     midpoint_discretize,
     reference_integrate,
 )
 from thermint.continuous import fd_gradient
-from thermint.systems import CATALOG, hamiltonian_point, hamiltonian_rhs
+from thermint.systems import CATALOG, hamiltonian_point
 
 ALL = ["oscillator", "ideal-gas", "van-der-waals", "two-pistons"]
 
@@ -36,8 +35,8 @@ def test_hamiltonian_composes_with_legendre(name):
     entry = get_system(name)
     for q, v, S in random_states(entry, 100, 10):
         state = ThermoState(q, v, S)
-        qq, p, SS = legendre(entry.lagrangian, state)
-        assert entry.H(qq, p, SS) == pytest.approx(energy(entry.lagrangian, state),
+        p = entry.lagrangian.dLdv(state.q, state.v, state.S)
+        assert entry.H(state.q, p, state.S) == pytest.approx(energy(entry.lagrangian, state),
                                                    rel=1e-12)
 
 
@@ -137,7 +136,8 @@ def test_hamiltonian_point_inverts_the_legendre_transform():
     np.testing.assert_allclose(pt.dH[1:2], fd_gradient(lambda x: entry.H(q, x, S), p), rtol=1e-7)
     assert pt.dH[2] == pytest.approx(fd_gradient(lambda s: entry.H(q, p, s), S), rel=1e-7)
     # the (q, p, S) equations are the Lagrangian ones: pdot = dL/dq + Ffr
-    qdot, pdot, Sdot = hamiltonian_rhs(entry, q, p, S)
+    E = evolution_field_coordinates(pt)
+    qdot, pdot, Sdot = E[:1], E[1:2], E[-1]
     assert qdot[0] == pytest.approx(0.4, abs=1e-12)
     assert pdot[0] == pytest.approx(-0.46, abs=1e-12)
     _, _, Sd = continuous_rhs(sys, ThermoState(q, v, S))
@@ -198,7 +198,9 @@ class TestOscillator:
             S0 = rng.uniform(0, 1)
             S1 = entropy_update(d, DiscreteTriple([q0], [q1], S0))
             assert S1 == pytest.approx(S0 + (q1 - q0) ** 2 / h, rel=1e-12)
-            r = del_residual(d, [q0], [q1], S0, [a * q1 - b * q0], S1)
+            # the discrete Euler-Lagrange residual pi_plus - pi_minus
+            qa, qb, qc = np.array([q0]), np.array([q1]), np.array([a * q1 - b * q0])
+            r = d.pi_plus(qa, qb, S0) - d.pi_minus(qb, qc, S1)
             # defect measured in q units (the residual scale is h^-2)
             assert np.max(np.abs(r)) * h * h <= 5e-15
 
@@ -253,7 +255,8 @@ class TestIdealGas:
                         + (1 / (2 * c)) * (np.exp(Sc) * ((qn + qc) / 2) ** (-(1 + 1 / c))
                                            + np.exp(Sm) * ((qc + qm) / 2) ** (-(1 + 1 / c))))
 
-            mine = del_residual(d, [qm], [qc], Sm, [qn], Sc)[0]
+            mine = (d.pi_plus(np.array([qm]), np.array([qc]), Sm)
+                    - d.pi_minus(np.array([qc]), np.array([qn]), Sc))[0]
             scale = max(1.0, abs(printed(qn)))
             assert mine == pytest.approx(printed(qn), rel=1e-12, abs=1e-12 * scale)
 
@@ -306,7 +309,8 @@ class TestVanDerWaals:
                         + (np.exp(Sm) / 3) * (2 / (qc + qm - 2 * b)) ** (5 / 3)
                         - 2 * a * (1 / (qn + qc) ** 2 + 1 / (qc + qm) ** 2))
 
-            mine = del_residual(d, [qm], [qc], Sm, [qn], Sc)[0]
+            mine = (d.pi_plus(np.array([qm]), np.array([qc]), Sm)
+                    - d.pi_minus(np.array([qc]), np.array([qn]), Sc))[0]
             scale = max(1.0, abs(printed(qn)))
             assert mine == pytest.approx(printed(qn), rel=1e-12, abs=1e-12 * scale)
 
