@@ -62,8 +62,9 @@ def _constant(value):
 
 
 def transposed(x):
-    """x.T, or x itself at a float point (a 1x1 matrix as its one entry)."""
-    return x if isinstance(x, float) else x.T
+    """x with its last two axes swapped, each matrix of a stack transposed, or
+    x itself at a float point (a 1x1 matrix as its one entry)."""
+    return x if isinstance(x, float) else x.mT
 
 
 #: a point, a stack or a residual as a float array with at least one axis,
@@ -123,11 +124,15 @@ class LagrangianThermoSystem:
     Stacks of points: the whole-path diagnostics (those given
     `DiscretePath.stack`, and `bench.hamiltonian_estimates`) call ``L``,
     ``dLdq``, ``dLdv``, ``dLdS``, ``Ffr`` and ``domain_check`` once on a
-    stack, q and v of shape (..., n) and S of shape (...).  A
-    system used there returns covectors of shape (..., n) and scalars of
-    shape (...) (a value that does not depend on the point may stay a
-    float), ``domain_check`` raises if any row is outside the domain, and
-    row k gives the bits of the single-point call on row k.  The catalog
+    stack, q and v of shape (..., n) and S of shape (...), and the stacked
+    cold step of a pullback check calls the five (n, n) fields of the Newton
+    matrix (``d2Ldq2``, ``d2Ldqdv``, ``d2Ldv2``, ``dFfrdq``, ``dFfrdv``) so.
+    A system used there returns covectors of shape (..., n), matrices of
+    shape (..., n, n) and scalars of shape (...) (a value that does not
+    depend on the point may stay a float, or one (n, n) matrix),
+    ``domain_check`` raises if any row is outside the domain, and row k
+    gives the bits of the single-point call on row k; a derived one of the
+    five does so when the first partials do.  The catalog
     systems do; a single point keeps float arithmetic, because `integrate`
     calls every callable once per point.  On arrays they take powers with
     ``np.float_power`` and pair with ``np.vecdot``, which round as float
@@ -225,29 +230,31 @@ def temperature(sys, state):
 
 
 def fd_gradient(f, x):
-    """Central-difference gradient of a scalar/vector function of x (1d),
-    with step ``FD_STEP * (1 + |x_j|)`` in coordinate j.
+    """Central-difference gradient of a scalar/vector function of x, with
+    step ``FD_STEP * (1 + |x_j|)`` in coordinate j.
 
-    At a float x it is the derivative f'(x), bit for bit the one column of
-    the gradient at the length-1 array [x].
+    x is one point, shape (m,), or a stack of points, shape (..., m), that
+    ``f`` takes whole; row k of the gradient of a stack is the bits of the
+    gradient at row k.  At a float x it is the derivative f'(x), bit for
+    bit the one column of the gradient at the length-1 array [x].
     """
     if isinstance(x, float):
         d = FD_STEP * (1.0 + abs(x))
         return (f(x + d) - f(x - d)) / (2 * d)
     x = np.asarray(x, dtype=float)
-    return _central_differences(f, x, FD_STEP * (1.0 + np.abs(x)))
-
-
-def _central_differences(f, x, steps):
-    """The central differences (f(x + d e_j) - f(x - d e_j)) / 2d of f at the
-    float array x, d = steps[j], as the columns j of one array."""
+    steps = FD_STEP * (1.0 + np.abs(x))
+    # column j along the last axis: (out..., m) at a point, (..., out..., m)
+    # on a stack
     cols = []
-    for j, d in enumerate(steps):
+    for j in range(x.shape[-1]):
+        d = steps[..., j]
         xp = x.copy()
         xm = x.copy()
-        xp[j] += d
-        xm[j] -= d
-        cols.append((np.asarray(f(xp)) - np.asarray(f(xm))) / (2 * d))
+        xp[..., j] += d
+        xm[..., j] -= d
+        fp, fm = np.asarray(f(xp)), np.asarray(f(xm))
+        # a row's step divides that row's value, whatever its shape
+        cols.append((fp - fm) / np.reshape(2 * d, d.shape + (1,) * (fp.ndim - d.ndim)))
     return np.stack(cols, axis=-1)
 
 

@@ -35,8 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuous import (_central_differences, _constant, derive_missing, fd_gradient, pair,
-                         transposed)
+from .continuous import _constant, derive_missing, fd_gradient, pair, transposed
 from .errors import TemperatureDegenerateError
 
 __all__ = [
@@ -105,10 +104,12 @@ class DiscreteThermoSystem:
     float.  The step and the diagnostics use each value as it comes,
     without a cast.
 
-    All but the three Jacobians also take a stack of triples (see
-    `DiscreteTriple`), as `midpoint_discretize` builds them from a
-    stack-capable continuous system; the diagnostics evaluate a whole path,
-    `DiscretePath.stack`, that way.
+    All but ``dpi_minus``/``dpi_plus`` also take a stack of triples (see
+    `DiscreteTriple`), ``pi_minus_dq1`` returning (..., n, n) (or one
+    (n, n) matrix that serves every row), as `midpoint_discretize` builds
+    them from a stack-capable continuous system; the diagnostics evaluate a
+    whole path, `DiscretePath.stack`, that way, and `solve.solve_step` the
+    flows of a pullback check.
 
     At n = 1 every step runs on float points (q0, q1 and S0 floats), so a
     pass or ``pi_minus_dq1`` handed to the constructor at n = 1 takes float
@@ -308,7 +309,7 @@ def _generic_kernel(d):
             # the q1 columns of the generic dpi_minus, without the others
             pi = d.pi_minus
             return fd_gradient(lambda y: pi(q0, y, S0), q1)
-        return d.dpi_minus(q0, q1, S0)[:, n : 2 * n]
+        return d.dpi_minus(q0, q1, S0)[..., n : 2 * n]
 
     if n == 1:
         triple_pass, pi_minus_dq1 = _at_float_points(triple_pass, pi_minus_dq1)
@@ -521,10 +522,19 @@ def legendre_plus(d, t):
 
 def discrete_momenta(d, t):
     """h-scaled momenta (p_minus, p_plus); these approximate p = dL/dv."""
+    return _momentum(d, t, "minus")[0], _momentum(d, t, "plus")[0]
+
+
+def _momentum(d, t, side):
+    """The h-scaled momentum of one side of t and the q it pairs with:
+    (h D2Ld + (h/2) ffr_plus, q1) for "plus", (-h D1Ld - (h/2) ffr_minus,
+    q0) for "minus"."""
     q0, q1, S0 = t.q0, t.q1, t.S0
-    p_plus = d.h * d.D2Ld(q0, q1, S0) + (d.h / 2) * d.ffr_plus(q0, q1, S0)
-    p_minus = -d.h * d.D1Ld(q0, q1, S0) - (d.h / 2) * d.ffr_minus(q0, q1, S0)
-    return p_minus, p_plus
+    if side == "plus":
+        return d.h * d.D2Ld(q0, q1, S0) + (d.h / 2) * d.ffr_plus(q0, q1, S0), q1
+    if side == "minus":
+        return -d.h * d.D1Ld(q0, q1, S0) - (d.h / 2) * d.ffr_minus(q0, q1, S0), q0
+    raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
 
 
 def discrete_flow(d, t, cfg=None):
@@ -569,21 +579,46 @@ def omega_embedded(d, t, side):
     return Aq.T @ Ap - Ap.T @ Aq
 
 
+#: the central-difference steps of the flow Jacobian, coarse then fine:
+#: larger than `fd_gradient`'s for the Newton-tolerance noise
+_FLOW_STEPS = (1e-4, 5e-5)
+
+
 def _flow_jacobian(d, t, cfg):
-    """Richardson-extrapolated central-difference Jacobian of the flow at the fixed
-    steps 1e-4 and 5e-5, larger than `fd_gradient`'s for the Newton-tolerance noise."""
-    from .solve import _point, solve_step
+    """The flow of t and the Richardson-extrapolated central-difference
+    Jacobian of the flow at t, at the steps `_FLOW_STEPS`.
+
+    The 4(2n+1) perturbed triples, in `continuous.fd_gradient`'s order
+    (each step, each coordinate j, x + d e_j then x - d e_j), and t
+    itself after them are one stack of cold steps: one `solve.solve_step`
+    on the stack at array points, one float step per row at float points
+    (n = 1, see `solve._point`).  Either way each flow is the bits of
+    `discrete_flow` on its triple alone.  One triple only.
+    """
+    from .solve import solve_step
 
     n = d.n
     x0 = t.as_array()
-
-    def flow_vec(x):
-        q2, S1 = solve_step(d, _point(d, x[:n]), _point(d, x[n : 2 * n]), float(x[2 * n]), cfg)
-        return np.concatenate([x[n : 2 * n], np.atleast_1d(q2), [S1]])
-
-    coarse = _central_differences(flow_vec, x0, [1e-4] * x0.size)
-    fine = _central_differences(flow_vec, x0, [5e-5] * x0.size)
-    return (4.0 * fine - coarse) / 3.0
+    m = x0.size
+    steps = np.repeat(_FLOW_STEPS, m)
+    plus = 2 * np.arange(2 * m)   # row of x + d e_j; x - d e_j follows it
+    cols = np.tile(np.arange(m), 2)
+    X = np.tile(x0, (4 * m + 1, 1))
+    X[plus, cols] += steps
+    X[plus + 1, cols] -= steps
+    q0, q1, S0 = X[:, :n], X[:, n : 2 * n], X[:, 2 * n]
+    if n == 1:
+        # float points: one float step per row
+        q2, S1 = np.array([solve_step(d, *x, cfg) for x in X.tolist()]).T
+        q2 = q2[:, None]
+    else:
+        q2, S1 = solve_step(d, q0, q1, S0, cfg)
+    flows = np.column_stack([q1, q2, S1])
+    # row s m + j of the differences is column j of the Jacobian at step s
+    diffs = (flows[plus] - flows[plus + 1]) / (2 * steps)[:, None]
+    coarse, fine = diffs[:m].T, diffs[m:].T
+    image = DiscreteTriple(t.q1, flows[-1, n : 2 * n], flows[-1, 2 * n])
+    return image, (4.0 * fine - coarse) / 3.0
 
 
 def pullback_check(d, t, cfg=None):
@@ -592,10 +627,12 @@ def pullback_check(d, t, cfg=None):
     Returns ``max |J^T W^-(flow(t)) J - W^+(t)|`` with J the
     finite-difference Jacobian of the flow at t; the identity is exact
     for the analytic flow, so the value measures only discretization of
-    J (and Newton tolerance).  One triple only.
+    J (and Newton tolerance).  The flow of t and the perturbed flows of J
+    are one stack of cold steps (see `_flow_jacobian`), so at n >= 2 ``d``
+    must take stacks, as for `DiscretePath.constraint_residual`.  One
+    triple only.
     """
-    image = discrete_flow(d, t, cfg)
-    J = _flow_jacobian(d, t, cfg)
+    image, J = _flow_jacobian(d, t, cfg)
     w_minus = omega_embedded(d, image, "minus")
     w_plus = omega_embedded(d, t, "plus")
     return float(np.max(np.abs(J.T @ w_minus @ J - w_plus)))
@@ -606,14 +643,12 @@ def pullback_check(d, t, cfg=None):
 
 
 def momentum_map(d, t, xi, side):
-    """Pairing of a discrete momentum with the generator xi, a float at one triple
-    or an array on a stack; xi receives the q it is paired with, (n,) or (..., n)."""
-    p_minus, p_plus = discrete_momenta(d, t)
-    if side == "plus":
-        return pair(p_plus, xi(t.q1))
-    if side == "minus":
-        return pair(p_minus, xi(t.q0))
-    raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
+    """Pairing of the discrete momentum of one side with the generator xi, a float
+    at one triple or an array on a stack; xi receives the q it is paired with, (n,)
+    or (..., n).  Only that side's momentum is formed, bit for bit its entry of
+    `discrete_momenta`."""
+    p, q = _momentum(d, t, side)
+    return pair(p, xi(q))
 
 
 def noether_condition(d, xi, t, tol=1e-10):

@@ -63,7 +63,8 @@ class PointStructure:
             raise ValueError("W must be a square matrix and eta a covector of its size")
         if size % 2 != 1:
             raise ValueError(f"dimension must be odd, got {size}")
-        if np.max(np.abs(W + W.T)) > 1e-14 * max(1.0, np.max(np.abs(W))):
+        # a NaN entry makes the defect NaN, which fails the check
+        if not np.max(np.abs(W + W.T)) <= 1e-14 * max(1.0, np.max(np.abs(W))):
             raise ValueError("W is not antisymmetric")
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "eta", eta)

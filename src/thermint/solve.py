@@ -14,7 +14,11 @@ from that pass: the pass is carried, and a one-iteration step makes two
 residual passes, one Jacobian and one dL/dS call.  `solve_step` is the
 cold step of `discrete.discrete_flow` and the flow Jacobian: the triple's
 target and entropy from the rest of its own pass, then the same Newton
-solve.
+solve.  At array points it also takes a stack of B triples, (B, n), (B, n)
+and (B,), as one pass and one Newton loop over the rows, `_newton_rows`,
+which stops each row by `newton_solve`'s rules: row k is the bits of the
+step on row k alone.  The flow Jacobian of a pullback check is one such
+stack.
 The points are those of `_point`: floats at n = 1.
 """
 
@@ -165,12 +169,63 @@ def solve_step(d, q_prev, q_curr, S_prev, cfg):
     S_curr is the entropy update and the target pi_plus that of the triple
     (q_prev, q_curr, S_prev), both from the rest of its pass; q_next is the
     root of `integrate`'s Newton solve.  The points are arrays, or floats
-    at n = 1 (see `_point`).
+    at n = 1 (see `_point`).  A stack of B triples, q_prev and q_curr of
+    shape (B, n) and S_prev of shape (B,), is one pass and one Newton loop
+    (`_newton_rows`), ``d`` taking stacks (see `DiscreteThermoSystem`): row
+    k of q_next and S_curr is the bits of the step on row k alone, and a
+    row that fails raises as that step would.
     """
     _, target, dS = _pass_values(d.triple_pass, q_prev, q_curr, S_prev)
     S_curr = S_prev + dS
+    if type(q_curr) is not float and q_curr.ndim == 2:
+        return _newton_rows(d, q_curr, S_curr, target, 2 * q_curr - q_prev, cfg), S_curr
     q_next, _, _ = _stepper(d, cfg)(q_prev, q_curr, S_curr, target)
     return q_next, S_curr
+
+
+def _newton_rows(d, q, S, target, x, cfg):
+    """The roots x_k of pi_minus(q_k, x_k, S_k) = target_k of a stack of rows,
+    from the start x: the Newton loop of `_stepper`'s residual and Jacobian
+    on all rows at once.
+
+    Each row stops by `newton_solve`'s rules: it leaves the loop when its
+    residual meets ``cfg.tol`` (its x then frozen), when its update is at
+    roundoff level or when its residual is NaN, and after ``cfg.max_iter``
+    updates; a non-finite update raises.  A row that left above tol, or
+    NaN, raises ConvergenceError.  Each iteration solves the rows still in
+    the loop by the gufunc of `_solve_update`, whose matrices broadcast, so
+    a constant (n, n) Newton matrix serves every row.  Max norms are
+    ``np.max`` of magnitudes, NaN when a component is, as `_max_norm`.
+    """
+    cfg = cfg or NewtonConfig()
+    tol = cfg.tol
+    triple_pass, pi_minus_dq1 = d.triple_pass, d.pi_minus_dq1
+    r = triple_pass(q, x, S)[0] - target
+    rnorm = np.max(np.abs(r), axis=-1)
+    iters = np.zeros(len(x), dtype=int)
+    live = np.flatnonzero(rnorm > tol)
+    for _ in range(cfg.max_iter):
+        if not live.size:
+            break
+        q_l, x_l, S_l = q[live], x[live], S[live]
+        dx = _solve_update(pi_minus_dq1(q_l, x_l, S_l), r[live])
+        dxn = np.max(np.abs(dx), axis=-1)
+        if not np.all(np.isfinite(dxn)):
+            raise ConvergenceError("non-finite Newton update (singular Jacobian?)")
+        x_l = x_l - dx
+        r_l = triple_pass(q_l, x_l, S_l)[0] - target[live]
+        rn = np.max(np.abs(r_l), axis=-1)
+        x[live], r[live], rnorm[live] = x_l, r_l, rn
+        iters[live] += 1
+        # the rows above tol whose update was not at roundoff level go on
+        stalled = dxn <= _STALL * (1.0 + np.max(np.abs(x_l), axis=-1))
+        live = live[(rn > tol) & ~stalled]
+    failed = np.flatnonzero(~(rnorm <= tol))
+    if failed.size:
+        k = failed[0]
+        raise ConvergenceError(f"Newton residual {rnorm[k]:.3e} above tol {tol:.1e} after "
+                               f"{iters[k]} iterations (row {k} of {len(x)})")
+    return x
 
 
 def _point(d, q):

@@ -146,9 +146,12 @@ def _uniform(q, x):
 
 
 def _matrix(q, x):
-    """The n x n matrix whose entries all equal x at a point q of shape (n,);
-    x itself at a float point."""
-    return x if type(q) is float else np.full((q.shape[-1],) * 2, x)
+    """The n x n matrix whose entries all equal x at q: (n, n) at a point
+    of shape (n,), (..., n, n) on a stack (x of shape (...)), x itself at a
+    float point."""
+    if type(q) is float:
+        return x
+    return np.full(q.shape + q.shape[-1:], x if q.ndim == 1 else x[..., None, None])
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +370,11 @@ def _ideal_gas(name, n, gamma, c, volume, **entry_fields):
     def pressures(q, v, S):  # dL/dq_i = -dU/dV, also their own S-derivatives
         return _uniform(q, ex * _exp(S) * _power(volume(q), -ex - 1.0))
 
-    def stiffness(q, v, S):  # d2L/dq_i dq_j = -d2U/dV2, at a point
-        return _matrix(q, -ex * (ex + 1.0) * _exp(S) * volume(q) ** (-ex - 2.0))
+    def stiffness(q, v, S):  # d2L/dq_i dq_j = -d2U/dV2
+        # `_power` inlined: a point makes no call for the power
+        V = volume(q)
+        power = V ** (-ex - 2.0) if type(V) is float else np.float_power(V, -ex - 2.0)
+        return _matrix(q, -ex * (ex + 1.0) * _exp(S) * power)
 
     return _separable(name, n, float(gamma), potential=(U,), force=pressures,
                       force_dq=stiffness, force_dS=pressures, temperature=U,
@@ -437,10 +443,14 @@ def van_der_waals(gamma=0.1, a_hat=1.0e3, b_hat=0.1):
         return _covector(q, (2.0 / 3.0) * _exp(S) * _power(x - bh, -5.0 / 3.0)
                          - ah / _power(x, 2))
 
-    def stiffness(q, v, S):  # d2L/dx2, at a point
+    def stiffness(q, v, S):  # d2L/dx2
         x = xval(q)
-        return _matrix(q, -(10.0 / 9.0) * _exp(S) * (x - bh) ** (-8.0 / 3.0)
-                       + 2.0 * ah / x ** 3)
+        # `_power` inlined: a point makes no call for the powers
+        if type(x) is float:
+            powers = (x - bh) ** (-8.0 / 3.0), x ** 3
+        else:
+            powers = np.float_power(x - bh, -8.0 / 3.0), np.float_power(x, 3)
+        return _matrix(q, -(10.0 / 9.0) * _exp(S) * powers[0] + 2.0 * ah / powers[1])
 
     return _separable(
         "van-der-waals", 1, g,

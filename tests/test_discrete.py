@@ -27,7 +27,7 @@ from thermint import (
     omega_embedded,
     pullback_check,
 )
-from thermint.continuous import _constant, fd_gradient
+from thermint.continuous import _constant, fd_gradient, pair
 
 H = 0.01
 GAMMA = 0.1
@@ -69,15 +69,17 @@ GYRO_QV = 0.5 * B * np.array([[0.0, 1.0], [-1.0, 0.0]])
 def gyroscopic(with_mixed_partial):
     """n = 2 with a magnetic term, L = |v|^2/2 + (B/2)(q0 v1 - q1 v0) - |q|^2/2 - S
     and friction -0.1 v: every second partial is supplied except, unless
-    asked for, the nonzero d2Ldqdv."""
+    asked for, the nonzero d2Ldqdv.  The callables take a point or a stack of
+    points, (..., 2), so its Newton matrix takes stacks, derived d2Ldqdv included."""
     zero = lambda q, v, S: np.zeros(2)
     mixed = {"d2Ldqdv": lambda q, v, S: GYRO_QV} if with_mixed_partial else {}
     return LagrangianThermoSystem(
         n=2,
-        L=lambda q, v, S: (0.5 * float(v @ v) + 0.5 * B * (q[0] * v[1] - q[1] * v[0])
-                           - 0.5 * float(q @ q) - S),
-        dLdq=lambda q, v, S: 0.5 * B * np.array([v[1], -v[0]]) - q,
-        dLdv=lambda q, v, S: v + 0.5 * B * np.array([-q[1], q[0]]),
+        L=lambda q, v, S: (0.5 * pair(v, v) + 0.5 * B * (q[..., 0] * v[..., 1]
+                                                         - q[..., 1] * v[..., 0])
+                           - 0.5 * pair(q, q) - S),
+        dLdq=lambda q, v, S: 0.5 * B * np.stack([v[..., 1], -v[..., 0]], axis=-1) - q,
+        dLdv=lambda q, v, S: v + 0.5 * B * np.stack([-q[..., 1], q[..., 0]], axis=-1),
         dLdS=lambda q, v, S: -1.0,
         Ffr=lambda q, v, S: -0.1 * v,
         d2Ldq2=lambda q, v, S: -np.eye(2), d2Ldv2=lambda q, v, S: np.eye(2),
@@ -530,6 +532,29 @@ class TestMomentumMapAndNoether:
         assert momentum_map(D_TP, DiscreteTriple([1.0, 1.0], [1.01, 0.99], 1.0),
                             xi, "plus") == 0.0
 
+    @pytest.mark.parametrize("name", ["oscillator", "ideal-gas", "van-der-waals",
+                                      "two-pistons"])
+    def test_each_side_is_its_discrete_momentum_paired(self, name):
+        # momentum_map forms the momentum of the side it pairs and no other:
+        # the other slot derivative raises if called
+        d = midpoint_discretize(get_system(name).lagrangian, H)
+        rng = np.random.default_rng(2303)
+        q0 = rng.uniform(0.9, 1.1, (40, d.n))
+        q1, S0 = q0 + rng.uniform(-0.01, 0.01, q0.shape), rng.uniform(0.0, 2.0, 40)
+        xi = lambda q: q * q
+
+        def never(*args):
+            raise AssertionError("the other side's momentum was formed")
+
+        one_side = {"minus": dataclasses.replace(d, D2Ld=never),
+                    "plus": dataclasses.replace(d, D1Ld=never)}
+        for t in (DiscreteTriple(q0, q1, S0), DiscreteTriple(q0[0], q1[0], S0[0])):
+            p_minus, p_plus = discrete_momenta(d, t)
+            for side, p, q in (("minus", p_minus, t.q0), ("plus", p_plus, t.q1)):
+                got = momentum_map(one_side[side], t, xi, side)
+                assert type(got) is type(pair(p, xi(q)))
+                assert np.asarray(got).tobytes() == np.asarray(pair(p, xi(q))).tobytes()
+
     def test_matching_transfers_momentum_map(self):
         d = midpoint_discretize(get_system("two-pistons", gamma=0.0).lagrangian, H)
         xi = lambda q: np.array([-1.0, 1.0])
@@ -858,3 +883,104 @@ class TestTrapezoidalDiscretization:
         assert noether_condition(d, xi, path.stack())
         J = momentum_map(d, path.stack(), xi, "plus")
         assert np.max(np.abs(J - J[0])) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# stacked cold steps against per-row loops
+
+
+def _stacked_cases():
+    """(system, q centre, S0 centre, Newton tolerance) of the stacked-step
+    checks: two-pistons, the two float-point systems declared without float
+    points (their kernels then take stacks of length-1 arrays), the
+    trapezoidal two-pistons (generic kernel, differenced Newton matrix) and
+    the gyroscopic system (derived, non-symmetric d2Ldqdv)."""
+    def on_arrays(name):
+        lag = dataclasses.replace(get_system(name).lagrangian, float_points=False)
+        return midpoint_discretize(lag, H)
+
+    return {"two-pistons": (D_TP, 1.0, 1.0, 1e-10),
+            "oscillator-arrays": (on_arrays("oscillator"), 0.0, 0.5, 1e-10),
+            "ideal-gas-arrays": (on_arrays("ideal-gas"), 1.0, 10.0, 1e-10),
+            "trapezoidal-two-pistons": (trapezoidal(TP.lagrangian, H), 1.0, 1.0, 1e-9),
+            "gyroscopic": (midpoint_discretize(gyroscopic(False), H), 0.0, 0.5, 1e-10)}
+
+
+STACKED_CASES = _stacked_cases()
+
+
+def _seeded_stack(n, qc, Sc, rows=60):
+    """Seeded triples near (qc, Sc) whose velocities span three decades, so
+    that their Newton solves stop after different numbers of updates.
+    Around the rest point q = 0 of the linear systems the first row rests
+    there: its start is its root, and it takes no update."""
+    rng = np.random.default_rng(2302)
+    q0 = qc + rng.uniform(-0.05, 0.05, (rows, n))
+    scale = np.array([1e-4, 1e-2, 1e-1])[np.arange(rows) % 3, None]
+    q1 = q0 + scale * rng.uniform(-1.0, 1.0, (rows, n))
+    if qc == 0.0:
+        q0[0] = q1[0] = 0.0
+    return q0, q1, Sc + rng.uniform(-0.1, 0.1, rows)
+
+
+def _flow_jacobian_loop(d, t, cfg):
+    """The flow Jacobian as the per-triple loop forms it: the Richardson
+    combination of two central differences, each flow one cold step on
+    array points."""
+    from thermint.solve import solve_step
+
+    n, x0 = d.n, t.as_array()
+
+    def flow(x):
+        q2, S1 = solve_step(d, x[:n], x[n : 2 * n], float(x[2 * n]), cfg)
+        return np.concatenate([x[n : 2 * n], q2, [S1]])
+
+    def central(step):
+        cols = []
+        for j in range(x0.size):
+            xp, xm = x0.copy(), x0.copy()
+            xp[j] += step
+            xm[j] -= step
+            cols.append((flow(xp) - flow(xm)) / (2 * step))
+        return np.stack(cols, axis=-1)
+
+    return (4.0 * central(5e-5) - central(1e-4)) / 3.0
+
+
+@pytest.mark.parametrize("name", sorted(STACKED_CASES))
+def test_stacked_step_rows_are_single_steps(name):
+    from thermint.solve import solve_step
+
+    d, qc, Sc, tol = STACKED_CASES[name]
+    cfg = NewtonConfig(tol=tol)
+    q0, q1, S0 = _seeded_stack(d.n, qc, Sc)
+    rows_per_pass = []
+
+    def counted(a, b, S):
+        rows_per_pass.append(len(b))
+        return d.triple_pass(a, b, S)
+
+    q2, S1 = solve_step(dataclasses.replace(d, triple_pass=counted), q0, q1, S0, cfg)
+    assert q2.shape == q0.shape and S1.shape == S0.shape
+    if name != "trapezoidal-two-pistons":
+        # rows that met tol were frozen while others went on; every row of
+        # the trapezoidal stack meets tol after one update
+        assert min(rows_per_pass) < len(S0)
+    for k in range(len(S0)):
+        q, S = solve_step(d, q0[k], q1[k], float(S0[k]), cfg)
+        assert q2[k].tobytes() == q.tobytes()
+        assert S1[k].tobytes() == np.float64(S).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(STACKED_CASES))
+def test_flow_jacobian_columns_are_single_steps(name):
+    from thermint.discrete import _flow_jacobian
+
+    d, qc, Sc, tol = STACKED_CASES[name]
+    cfg = NewtonConfig(tol=tol)
+    q0, q1, S0 = _seeded_stack(d.n, qc, Sc, rows=50)
+    for k in range(len(S0)):
+        t = DiscreteTriple(q0[k], q1[k], S0[k])
+        image, J = _flow_jacobian(d, t, cfg)
+        assert J.tobytes() == _flow_jacobian_loop(d, t, cfg).tobytes()
+        assert image.as_array().tobytes() == discrete_flow(d, t, cfg).as_array().tobytes()

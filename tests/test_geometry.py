@@ -185,6 +185,11 @@ class TestPointStructureValidation:
         with pytest.raises(ValueError):
             PointStructure(W=np.eye(3), eta=np.zeros(3))
 
+    def test_rejects_nan(self):
+        # a NaN defect compares False with the bound; it must still fail
+        with pytest.raises(ValueError, match="antisymmetric"):
+            PointStructure(W=np.full((3, 3), np.nan), eta=np.zeros(3))
+
     def test_rank_is_2n(self):
         s = assemble_structure(oscillator_point())
         assert np.linalg.matrix_rank(s.W) == 2

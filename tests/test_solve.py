@@ -144,6 +144,86 @@ class TestNewton:
             newton_solve(lambda x: x - 1.0, lambda x: J, np.zeros(2))
 
 
+class TestStackedStep:
+    """A stacked cold step fails when one of its rows fails, with the error
+    of the step on that row alone; row 3 of eight two-pistons triples is the
+    bad one, rows 0 and 7 step alone."""
+
+    D = midpoint_discretize(get_system("two-pistons").lagrangian, 0.01)
+    CFG = NewtonConfig(tol=1e-10)
+
+    @staticmethod
+    def _stack():
+        rng = np.random.default_rng(2301)
+        q0 = rng.uniform(0.95, 1.05, (8, 2))
+        return q0, q0 + rng.uniform(-0.01, 0.01, (8, 2)), 1.0 + rng.uniform(-0.1, 0.1, 8)
+
+    def _assert_row_3_fails(self, d, stack, kind, match, cfg=CFG):
+        q0, q1, S0 = stack
+        with pytest.raises(kind, match=match) as alone:
+            solve_step(d, q0[3], q1[3], S0[3], cfg)
+        for k in (0, 7):
+            solve_step(d, q0[k], q1[k], S0[k], cfg)
+        with pytest.raises(kind, match=match) as stacked:
+            solve_step(d, q0, q1, S0, cfg)
+        assert str(stacked.value).startswith(str(alone.value))
+
+    @pytest.mark.parametrize("where", ["pass", "predictor"])
+    def test_one_row_outside_the_domain(self, where):
+        # "pass": the midpoint of (q0, q1) is outside x + y > 0; "predictor":
+        # (q0, q1) is inside, the Newton start 2 q1 - q0 is not
+        q0, q1, S0 = self._stack()
+        bad = {"pass": ([1.0, 1.0], [-1.0, -1.5]), "predictor": ([2.0, 2.0], [0.5, 0.5])}
+        q0[3], q1[3] = bad[where]
+        self._assert_row_3_fails(self.D, (q0, q1, S0), DomainError, "total volume")
+
+    def test_one_singular_row(self):
+        # the Newton matrix vanishes where q_curr is row 3's
+        stack = self._stack()
+        marker = stack[1][3, 0]
+        dq1 = self.D.pi_minus_dq1
+
+        def newton_matrix(q, x, S):
+            J = np.array(dq1(q, x, S))
+            J[q[..., 0] == marker] = 0.0
+            return J
+
+        d = dataclasses.replace(self.D, pi_minus_dq1=newton_matrix)
+        self._assert_row_3_fails(d, stack, ConvergenceError, "singular Newton Jacobian")
+
+    @pytest.mark.parametrize("bad", [[np.nan, 0.0], [0.0, np.nan], [1e-20, np.nan]],
+                             ids=["nan-first", "nan-last", "tiny-then-nan"])
+    @pytest.mark.parametrize("stage", ["start", "update"])
+    def test_nan_row_never_accepted(self, bad, stage):
+        # pi_minus of row 3 is NaN at the Newton start 2 q1 - q0, or after it
+        stack = self._stack()
+        q0, q1, _ = stack
+        start = 2 * q1[3, 0] - q0[3, 0]
+
+        def triple_pass(q, x, S):
+            pi, rest, args = self.D.triple_pass(q, x, S)
+            at_start = x[..., 0] == start
+            nan = (q[..., 0] == q1[3, 0]) & (at_start if stage == "start" else ~at_start)
+            if np.any(nan):
+                pi = np.array(pi)
+                pi[nan] = bad
+            return pi, rest, args
+
+        d = dataclasses.replace(self.D, triple_pass=triple_pass)
+        self._assert_row_3_fails(d, stack, ConvergenceError, "residual nan")
+
+    @pytest.mark.parametrize("max_iter,stop", [(50, 7), (5, 5)], ids=["stall", "max_iter"])
+    def test_row_above_tol(self, max_iter, stop):
+        # at S0 = 20 the pressure e^20 lifts row 3's residual floor above
+        # tol: its updates reach roundoff level after 7 of them, and the row
+        # stops there, or at max_iter before; the other rows take two
+        q0, q1, S0 = self._stack()
+        S0[3] = 20.0
+        self._assert_row_3_fails(self.D, (q0, q1, S0), ConvergenceError,
+                                 f"above tol 1.0e-10 after {stop} iterations",
+                                 NewtonConfig(tol=1e-10, max_iter=max_iter))
+
+
 class TestIntegrate:
     def test_zero_steps_returns_initial_point(self):
         d = midpoint_discretize(OSC.lagrangian, 0.01)

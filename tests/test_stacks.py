@@ -19,6 +19,7 @@ from thermint import (DiscretePath, DiscreteTriple, DomainError, ExperimentConfi
                       integrate, legendre_minus, legendre_plus, midpoint_discretize,
                       momentum_map, noether_condition, omega_embedded, pullback_check,
                       rk2_integrate, run_experiment)
+from thermint.continuous import fd_gradient
 
 ALL = ["oscillator", "ideal-gas", "van-der-waals", "two-pistons"]
 ROWS = 2000
@@ -76,6 +77,37 @@ def test_discrete_callables_take_stacks(name):
     q1 = q0 + np.random.default_rng(34).uniform(-0.02, 0.02, q0.shape)
     for fn in (d.D1Ld, d.D2Ld, d.DSLd, d.ffr_minus, d.ffr_plus, d.entropy_increment):
         _assert_same_bits(fn(q0, q1, S0), _rows(fn, q0, q1, S0))
+
+
+#: the catalog, and its float-point systems declared without float points
+NEWTON_MATRIX_SYSTEMS = ALL + ["oscillator-arrays", "ideal-gas-arrays", "van-der-waals-arrays"]
+
+
+@pytest.mark.parametrize("name", NEWTON_MATRIX_SYSTEMS)
+def test_newton_matrix_takes_stacks(name):
+    # the stacked cold step solves every row with one call of pi_minus_dq1;
+    # a constant matrix may come back once for the stack
+    lag = get_system(name.removesuffix("-arrays")).lagrangian
+    if name.endswith("-arrays"):
+        lag = dataclasses.replace(lag, float_points=False)
+    d = midpoint_discretize(lag, 0.01)
+    q0, _, S0 = _stack(d.n, 43)
+    q1 = q0 + np.random.default_rng(44).uniform(-0.02, 0.02, q0.shape)
+    _assert_same_bits(d.pi_minus_dq1(q0, q1, S0), _rows(d.pi_minus_dq1, q0, q1, S0))
+
+
+def test_fd_gradient_of_a_stack_is_its_rows():
+    # the derived second partials and the generic kernel's Newton matrix
+    # difference a stack along its last axis
+    q, v, S = _stack(2, 45)
+    dLdq = get_system("two-pistons").lagrangian.dLdq
+    f = lambda x: dLdq(x, v, S)
+    rows = np.array([fd_gradient(lambda x: dLdq(x, v[k], float(S[k])), q[k])
+                     for k in range(ROWS)])
+    assert fd_gradient(f, q).tobytes() == rows.tobytes()
+    scalar = lambda x: np.vecdot(x, x)
+    rows = np.array([fd_gradient(scalar, q[k]) for k in range(ROWS)])
+    assert fd_gradient(scalar, q).tobytes() == rows.tobytes()
 
 
 @pytest.mark.parametrize("name", ["ideal-gas", "van-der-waals", "two-pistons"])
