@@ -90,20 +90,15 @@ def rk2_integrate(sys, state0, h, N):
     return Trajectory(h=h, times=h * np.arange(N + 1), qs=qs, vs=vs, Ss=Ss)
 
 
-def reference_integrate(sys, state0, t_final, rtol=1e-10, atol=1e-10, h=None):
+def reference_integrate(sys, state0, t_final, rtol=1e-10, atol=1e-10, *, h):
     """Adaptive embedded RK 4(5) reference, densely interpolated onto the grid.
 
-    ``h`` fixes the output grid spacing; with ``t_final = 0`` the initial
-    state is returned alone.
+    ``h`` fixes the output grid spacing.
     """
-    if rtol <= 0 or atol <= 0:
-        raise ConfigError("rtol and atol must be positive")
+    # solve_ivp does not end on a NaN or infinite tolerance
+    if not all(0 < x < math.inf for x in (rtol, atol, h, t_final)):
+        raise ConfigError("rtol, atol, h and t_final must be positive and finite")
     n = sys.n
-    if t_final == 0:
-        return Trajectory(h=h or 1.0, times=np.zeros(1), qs=state0.q[None, :].copy(),
-                          vs=state0.v[None, :].copy(), Ss=np.array([state0.S]))
-    if h is None:
-        raise ConfigError("a grid step h is required when t_final > 0")
 
     from scipy.integrate import solve_ivp
 

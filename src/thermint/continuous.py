@@ -89,10 +89,6 @@ class ThermoState:
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "S", float(self.S))
 
-    @property
-    def n(self):
-        return self.q.shape[0]
-
 
 @dataclass
 class LagrangianThermoSystem:
@@ -133,12 +129,13 @@ class LagrangianThermoSystem:
     ``domain_check`` raises if any row is outside the domain, and row k
     gives the bits of the single-point call on row k; a derived one of the
     five does so when the first partials do.  The catalog
-    systems do; a single point keeps float arithmetic, because `integrate`
-    calls every callable once per point.  On arrays they take powers with
-    ``np.float_power`` and pair with ``np.vecdot``, which round as float
-    ``**`` and ``@`` do: array ``**`` differs in 1115 of 20 000 arguments
-    (e = -2/3), and an einsum pairing in 3220 of 20 000 (n = 2).  The
-    other callables take one point.
+    systems do, and their S-derivative fields (``d2LdqdS``, ``d2LdvdS``,
+    ``dFfrdS``) take stacks so too; a single point keeps float arithmetic,
+    because `integrate` calls every callable once per point.  On arrays
+    they take powers with ``np.float_power`` and pair with ``np.vecdot``,
+    which round as float ``**`` and ``@`` do: array ``**`` differs in 1115
+    of 20 000 arguments (e = -2/3), and an einsum pairing in 3220 of 20 000
+    (n = 2).  The contract asks no other callable to take a stack.
 
     Float points: a one-dimensional system may declare ``float_points``.
     ``L``, the first partials, ``Ffr``, ``d2Ldq2``, ``d2Ldqdv``,

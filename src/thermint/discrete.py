@@ -420,8 +420,8 @@ def midpoint_discretize(sys, h):
     n = 1 without ``float_points`` the pass and ``pi_minus_dq1`` are
     adapted to float points.
     """
-    if h <= 0:
-        raise ValueError(f"time step must be positive, got {h}")
+    if not 0 < h < np.inf:
+        raise ValueError(f"time step must be positive and finite, got {h}")
     n = sys.n
 
     def mid(q0, q1):

@@ -9,10 +9,8 @@ class ThermintError(Exception):
     is the one from the `DiscreteTriple` (q_{k-1}, q_k, S_{k-1}).
     """
 
-    def __init__(self, *args, step_index=None, triple=None):
-        super().__init__(*args)
-        self.step_index = step_index
-        self.triple = triple
+    step_index = None
+    triple = None
 
 
 class StructureDegenerateError(ThermintError):

@@ -39,34 +39,34 @@ __all__ = ["NewtonConfig", "StepReport", "newton_solve", "solve_step", "integrat
 #: a Newton update at most this times 1 + |x| is at roundoff level
 _STALL = 4.0 * float(np.finfo(float).eps)
 
+#: Newton updates after which a residual still above tol fails
+_MAX_ITER = 50
+
 
 @dataclass(frozen=True)
 class NewtonConfig:
     tol: float = 1e-12        # absolute max-norm residual tolerance
-    max_iter: int = 50
 
     def __post_init__(self):
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 class StepReport(NamedTuple):
     iterations: int
     residual_norm: float
-    converged: bool
 
 
 def newton_solve(residual, jacobian, x0, cfg=None):
     """Newton iteration for residual(x) = 0 with max-norm convergence.
 
     ``jacobian(x)`` is the Jacobian of the residual at x.  Iteration stops
-    when the residual meets ``cfg.tol``, or when an update is at roundoff
-    level (the residual is then at its attainable floor).  Raises ConvergenceError on a singular
-    Jacobian, a non-finite update, or a residual still above tol at the
-    stop.  On either stop the last residual call is made at the returned
-    root, which `integrate` relies on.
+    when the residual meets ``cfg.tol``, when an update is at roundoff
+    level (the residual is then at its attainable floor), or after
+    `_MAX_ITER` updates.  Raises ConvergenceError on a singular Jacobian,
+    a non-finite update, or a residual still above tol at the stop.  On
+    every return the last residual call is made at the returned root,
+    which `integrate` relies on.
 
     A float ``x0`` iterates on floats (residual and Jacobian too) and
     returns a float root; any other ``x0`` iterates on a float array.
@@ -80,7 +80,7 @@ def newton_solve(residual, jacobian, x0, cfg=None):
     r = value(residual(x))
     rnorm = norm(r)
     it = 0
-    while rnorm > tol and it < cfg.max_iter:
+    while rnorm > tol and it < _MAX_ITER:
         it += 1
         dx = update(jacobian(x), r)
         # the max norm is NaN or inf exactly when some component is
@@ -94,8 +94,8 @@ def newton_solve(residual, jacobian, x0, cfg=None):
         if rnorm > tol and dxn <= _STALL * (1.0 + norm(x)):
             break
     if rnorm <= tol:
-        # StepReport(it, rnorm, True) without its Python-level __new__
-        return x, tuple.__new__(StepReport, (it, rnorm, True))
+        # StepReport(it, rnorm) without its Python-level __new__
+        return x, tuple.__new__(StepReport, (it, rnorm))
     raise ConvergenceError(
         f"Newton residual {rnorm:.3e} above tol {tol:.1e} after {it} iterations")
 
@@ -190,7 +190,7 @@ def _newton_rows(d, q, S, target, x, cfg):
 
     Each row stops by `newton_solve`'s rules: it leaves the loop when its
     residual meets ``cfg.tol`` (its x then frozen), when its update is at
-    roundoff level or when its residual is NaN, and after ``cfg.max_iter``
+    roundoff level or when its residual is NaN, and after `_MAX_ITER`
     updates; a non-finite update raises.  A row that left above tol, or
     NaN, raises ConvergenceError.  Each iteration solves the rows still in
     the loop by the gufunc of `_solve_update`, whose matrices broadcast, so
@@ -204,7 +204,7 @@ def _newton_rows(d, q, S, target, x, cfg):
     rnorm = np.max(np.abs(r), axis=-1)
     iters = np.zeros(len(x), dtype=int)
     live = np.flatnonzero(rnorm > tol)
-    for _ in range(cfg.max_iter):
+    for _ in range(_MAX_ITER):
         if not live.size:
             break
         q_l, x_l, S_l = q[live], x[live], S[live]
@@ -288,7 +288,7 @@ def integrate(d, q0, q1, S0, N, cfg=None):
 
 
 def initialize(entry, q0, v0, S0, h, mode="exact"):
-    """Produce the first two path points (q0, q1, S0) for a given mode.
+    """Produce the first two path points (q0, q1, S0) of a catalog entry.
 
     exact      q1 = exact solution at t = h (needs an exact-solution handle);
     reference  q1 from one adaptive reference step at tolerance 1e-10;
@@ -298,13 +298,12 @@ def initialize(entry, q0, v0, S0, h, mode="exact"):
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
     v0 = np.atleast_1d(np.asarray(v0, dtype=float))
     S0 = float(S0)
-    sys = getattr(entry, "lagrangian", entry)
+    sys = entry.lagrangian
 
     if mode == "exact":
-        maker = getattr(entry, "exact_solution", None)
-        if maker is None:
+        if entry.exact_solution is None:
             raise ConfigError(f"system {sys.name!r} has no exact solution handle")
-        q1 = np.atleast_1d(np.asarray(maker(q0, v0, S0).q(h), dtype=float))
+        q1 = np.atleast_1d(np.asarray(entry.exact_solution(q0, v0, S0).q(h), dtype=float))
     elif mode == "reference":
         from scipy.integrate import solve_ivp
 

@@ -70,10 +70,6 @@ class SystemCatalogEntry:
     def n(self):
         return self.lagrangian.n
 
-    @property
-    def name(self):
-        return self.lagrangian.name
-
 
 def hamiltonian_point(entry, q, p, S):
     """Assemble the geometry-side data of a phase-space point.
@@ -458,7 +454,7 @@ def van_der_waals(gamma=0.1, a_hat=1.0e3, b_hat=0.1):
         force=force,
         force_dq=stiffness,
         force_dS=lambda q, v, S: _covector(q, (2.0 / 3.0) * _exp(S)
-                                           * (xval(q) - bh) ** (-5.0 / 3.0)),
+                                           * _power(xval(q) - bh, -5.0 / 3.0)),
         temperature=U,
         domain_check=xval,
     )

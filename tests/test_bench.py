@@ -109,9 +109,8 @@ class TestReference:
         assert np.max(np.abs(traj.qs[:, 0] - sol.q(traj.times))) <= 1e-7
 
     def test_zero_horizon(self):
-        traj = reference_integrate(OSC.lagrangian, ThermoState([0.3], [0.4], 0.5), 0.0)
-        assert len(traj) == 1
-        np.testing.assert_array_equal(traj.qs, [[0.3]])
+        with pytest.raises(ConfigError):
+            reference_integrate(OSC.lagrangian, ThermoState([0.3], [0.4], 0.5), 0.0, h=0.1)
 
     def test_frictionless_two_piston_energy(self):
         entry = get_system("two-pistons", gamma=0.0)
@@ -134,9 +133,14 @@ class TestReference:
             assert a[-1].tobytes() == b[-1].tobytes()
 
     def test_invalid_tolerances(self):
-        with pytest.raises(ConfigError):
-            reference_integrate(OSC.lagrangian, ThermoState([0.0], [1.0], 0.0),
-                                1.0, rtol=0.0, h=0.1)
+        # solve_ivp does not end on a NaN or infinite tolerance, and a step of
+        # 0, -0.1 or NaN failed as ZeroDivisionError, IndexError or ValueError
+        good = dict(t_final=1.0, rtol=1e-10, atol=1e-10, h=0.1)
+        for key in good:
+            for bad in (0.0, -0.1, np.nan, np.inf):
+                with pytest.raises(ConfigError):
+                    reference_integrate(OSC.lagrangian, ThermoState([0.0], [1.0], 0.0),
+                                        **{**good, key: bad})
 
 
 @pytest.fixture(scope="module")

@@ -114,8 +114,10 @@ class TestMidpointDiscretize:
                 entry.lagrangian.L(q, np.zeros(entry.n), S), rel=1e-13)
 
     def test_rejects_nonpositive_step(self):
-        with pytest.raises(ValueError):
-            midpoint_discretize(OSC.lagrangian, 0.0)
+        # h <= 0 is False for NaN: a NaN or infinite step failed at step 1
+        for h in (0.0, -0.1, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                midpoint_discretize(OSC.lagrangian, h)
 
     def test_second_partials_match_finite_differences(self):
         # analytic chain-rule covector Jacobians against central differences

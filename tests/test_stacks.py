@@ -48,7 +48,8 @@ def test_lagrangian_and_hamiltonian_callables_take_stacks(name):
     entry = get_system(name)
     sys = entry.lagrangian
     q, v, S = _stack(entry.n, 31)
-    for fn in (sys.L, sys.dLdq, sys.dLdv, sys.dLdS, sys.Ffr, entry.H):
+    for fn in (sys.L, sys.dLdq, sys.dLdv, sys.dLdS, sys.Ffr, sys.d2LdqdS, sys.d2LdvdS,
+               sys.dFfrdS, entry.H):
         _assert_same_bits(fn(q, v, S), _rows(fn, q, v, S))
     if sys.domain_check is not None:
         sys.domain_check(q)
