@@ -67,7 +67,12 @@ def rk2_integrate(sys, state0, h, N):
     length-1 arrays, and stores them into the one column of the output;
     any other system steps on arrays.  Whatever step k raises, numpy's
     FloatingPointError included, is re-raised with ``step_index = k``.
+    ``h`` must be positive and finite and ``N`` non-negative.
     """
+    if not 0 < h < math.inf:
+        raise ConfigError(f"time step must be positive and finite, got {h}")
+    if N < 0:
+        raise ValueError(f"N must be non-negative, got {N}")
     n = sys.n
     qs = np.empty((N + 1, n))
     vs = np.empty((N + 1, n))

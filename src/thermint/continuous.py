@@ -119,14 +119,13 @@ class LagrangianThermoSystem:
 
     Stacks of points: the whole-path diagnostics (those given
     `DiscretePath.stack`, and `bench.hamiltonian_estimates`) call ``L``,
-    ``dLdq``, ``dLdv``, ``dLdS``, ``Ffr`` and ``domain_check`` once on a
-    stack, q and v of shape (..., n) and S of shape (...), and the stacked
-    cold step of a pullback check calls the five (n, n) fields of the Newton
-    matrix (``d2Ldq2``, ``d2Ldqdv``, ``d2Ldv2``, ``dFfrdq``, ``dFfrdv``) so.
-    A system used there returns covectors of shape (..., n), matrices of
+    ``dLdq``, ``dLdv``, ``dLdS`` and ``Ffr`` once on a stack, q and v of
+    shape (..., n) and S of shape (...), and the stacked cold step of a
+    pullback check calls the five (n, n) fields of the Newton matrix
+    (``d2Ldq2``, ``d2Ldqdv``, ``d2Ldv2``, ``dFfrdq``, ``dFfrdv``) so.  A
+    system used there returns covectors of shape (..., n), matrices of
     shape (..., n, n) and scalars of shape (...) (a value that does not
-    depend on the point may stay a float, or one (n, n) matrix),
-    ``domain_check`` raises if any row is outside the domain, and row k
+    depend on the point may stay a float, or one (n, n) matrix), and row k
     gives the bits of the single-point call on row k; a derived one of the
     five does so when the first partials do.  The catalog
     systems do, and their S-derivative fields (``d2LdqdS``, ``d2LdvdS``,
@@ -139,9 +138,9 @@ class LagrangianThermoSystem:
 
     Float points: a one-dimensional system may declare ``float_points``.
     ``L``, the first partials, ``Ffr``, ``d2Ldq2``, ``d2Ldqdv``,
-    ``d2Ldv2``, ``dFfrdq``, ``dFfrdv``, ``accel`` and ``domain_check``
-    then also take a point whose q and v are Python floats, and return a
-    float for each covector and each 1x1 matrix, bit for bit the one entry
+    ``d2Ldv2``, ``dFfrdq``, ``dFfrdv`` and ``accel`` then also take a
+    point whose q and v are Python floats, and return a float for each
+    covector and each 1x1 matrix, bit for bit the one entry
     of the call on length-1 arrays (a derived one of these does so when
     the first partials do).  `midpoint_discretize` then runs the stepping
     kernel on floats, and `bench.rk2_integrate` steps on floats if the
@@ -150,6 +149,10 @@ class LagrangianThermoSystem:
     and its kernel takes float points through length-1 arrays; whether a
     callable takes floats cannot be told without calling it, hence the
     field.
+
+    Domain: each callable that reads q raises `DomainError` outside the
+    system's domain, at any point and on a stack with any row outside;
+    neither the midpoint rule nor `equations_of_motion` checks it again.
     """
 
     n: int
@@ -173,17 +176,12 @@ class LagrangianThermoSystem:
     dFfrdS: callable = None          # (n,)
 
     accel: callable = None           # closed-form (n,) acceleration
-    domain_check: callable = None    # raises DomainError outside the domain
     float_points: bool = False       # n = 1 callables also take float q and v
 
     def __post_init__(self):
         if self.float_points and self.n != 1:
             raise ValueError("float_points declares a one-dimensional system")
         derive_missing(self, _second_partials(self))
-
-    def check_domain(self, q):
-        if self.domain_check is not None:
-            self.domain_check(q)
 
 
 @dataclass
@@ -299,7 +297,6 @@ def equations_of_motion(sys, q, v, S):
 
         d/dt (dL/dv) = dL/dq + Ffr.
     """
-    sys.check_domain(q)
     dLdS = sys.dLdS(q, v, S)
     if dLdS == 0.0:
         raise TemperatureDegenerateError("dL/dS vanishes: entropy equation singular")

@@ -427,18 +427,12 @@ def midpoint_discretize(sys, h):
     def mid(q0, q1):
         return 0.5 * (q0 + q1), (q1 - q0) / h
 
-    def Ld(q0, q1, S0):
-        m, w = mid(q0, q1)
-        sys.check_domain(m)
-        return sys.L(m, w, S0)
-
     def slot(cv):
         # the slot derivative: (1/2) dL/dq + (cv/h) dL/dv
         cvh = cv * h
 
         def D(q0, q1, S0):
             m, w = mid(q0, q1)
-            sys.check_domain(m)
             return 0.5 * sys.dLdq(m, w, S0) + sys.dLdv(m, w, S0) / cvh
         return D
 
@@ -474,7 +468,6 @@ def midpoint_discretize(sys, h):
     # is x + (-y) and -0.5 * y is -(0.5 * y), bit for bit
     def triple_pass(q0, q1, S0):
         m, w = 0.5 * (q0 + q1), (q1 - q0) / h  # mid(q0, q1), one call less per residual
-        sys.check_domain(m)
         f = sys.Ffr(m, w, S0)
         dv, dq, df = sys.dLdv(m, w, S0) / h, 0.5 * sys.dLdq(m, w, S0), 0.5 * f
         return dv - dq - df, rest, (q0, q1, S0, m, w, dv, dq, df, f)
@@ -488,7 +481,7 @@ def midpoint_discretize(sys, h):
         triple_pass, pi_minus_dq1 = _at_float_points(triple_pass, pi_minus_dq1)
     ffr = at_mid(sys.Ffr)
     return DiscreteThermoSystem(
-        n=n, h=h, Ld=Ld, D1Ld=slot(-1), D2Ld=slot(1), DSLd=at_mid(sys.dLdS),
+        n=n, h=h, Ld=at_mid(sys.L), D1Ld=slot(-1), D2Ld=slot(1), DSLd=at_mid(sys.dLdS),
         ffr_minus=ffr, ffr_plus=ffr, dpi_minus=covector_jacobian(-1),
         dpi_plus=covector_jacobian(1), pi_minus_dq1=pi_minus_dq1, triple_pass=triple_pass,
         name=sys.name,

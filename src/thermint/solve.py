@@ -295,6 +295,9 @@ def initialize(entry, q0, v0, S0, h, mode="exact"):
     hold       q1 = q0 (the zero-initial-velocity choice for the gases);
     taylor     q1 = q0 + h v0 + (h^2/2) a(q0, v0, S0).
     """
+    # every mode; the reference's solve_ivp does not end on a NaN or infinite h
+    if not 0 < h < math.inf:
+        raise ConfigError(f"time step must be positive and finite, got {h}")
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
     v0 = np.atleast_1d(np.asarray(v0, dtype=float))
     S0 = float(S0)

@@ -155,7 +155,7 @@ def _matrix(q, x):
 
 
 def _separable(name, n, gamma, potential, force, force_dq, force_dS, temperature,
-               domain_check=None, **entry_fields):
+               **entry_fields):
     """The catalog entry of L = |v|^2/2 - V(q, S) with friction -gamma v.
 
     ``potential`` holds the terms of V and ``temperature`` = dV/dS, callables
@@ -196,7 +196,6 @@ def _separable(name, n, gamma, potential, force, force_dq, force_dS, temperature
         dFfrdv=_constant(-gamma * eye),
         dFfrdS=_constant(zero),
         accel=lambda q, v, S: force(q, v, S) - gamma * v,
-        domain_check=domain_check,
         float_points=(n == 1),
     )
     return SystemCatalogEntry(lagrangian=lag, H=H, **entry_fields)
@@ -374,7 +373,7 @@ def _ideal_gas(name, n, gamma, c, volume, **entry_fields):
 
     return _separable(name, n, float(gamma), potential=(U,), force=pressures,
                       force_dq=stiffness, force_dS=pressures, temperature=U,
-                      domain_check=volume, **entry_fields)
+                      **entry_fields)
 
 
 def ideal_gas(gamma=0.1, c=1.5):
@@ -456,7 +455,6 @@ def van_der_waals(gamma=0.1, a_hat=1.0e3, b_hat=0.1):
         force_dS=lambda q, v, S: _covector(q, (2.0 / 3.0) * _exp(S)
                                            * _power(xval(q) - bh, -5.0 / 3.0)),
         temperature=U,
-        domain_check=xval,
     )
 
 

@@ -36,6 +36,18 @@ class TestRk2:
         np.testing.assert_array_equal(out.q, [1.0])
         assert out.S == 2.0
 
+    @pytest.mark.parametrize("h", [0.0, -0.1, np.nan, np.inf])
+    def test_rejects_bad_step(self, h):
+        # a negative h ran backward, h = 0 stood still, and a NaN or infinite
+        # h ran every step before Trajectory rejected the times
+        with pytest.raises(ConfigError, match="positive and finite"):
+            rk2_integrate(OSC.lagrangian, ThermoState([0.0], [1.0], 0.0), h, 5)
+
+    def test_rejects_negative_step_count(self):
+        # N = -1 raised IndexError on the empty output
+        with pytest.raises(ValueError, match="N must be non-negative"):
+            rk2_integrate(OSC.lagrangian, ThermoState([0.0], [1.0], 0.0), 0.1, -1)
+
     def test_third_order_local_error(self):
         # one step on qdot = v, vdot = -q from (1, 0): local error is O(h^3)
         sys = LagrangianThermoSystem(

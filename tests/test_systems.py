@@ -66,8 +66,7 @@ def test_float_point_values_are_python_floats(name):
     for f in dataclasses.fields(sys):
         fn = getattr(sys, f.name)
         if callable(fn):
-            args = (q,) if f.name == "domain_check" else (q, v, S)
-            assert type(fn(*args)) is float, f.name
+            assert type(fn(q, v, S)) is float, f.name
     assert type(entry.H(q, v, S)) is float
     d = midpoint_discretize(sys, 0.01)
     triple = (1.25, 1.26, 10.0)
