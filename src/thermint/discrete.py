@@ -437,7 +437,11 @@ def midpoint_discretize(sys, h):
         return D
 
     def at_mid(fn):
-        # a field of (q, v, S) evaluated at the midpoint substitution
+        # a field of (q, v, S) evaluated at the midpoint substitution; a
+        # constant one is its own value there, with no midpoint formed
+        if hasattr(fn, "constant"):
+            return fn
+
         def f(q0, q1, S0):
             m, w = mid(q0, q1)
             return fn(m, w, S0)

@@ -4,22 +4,23 @@ One step of the discrete equations is the momentum match
 
     pi_minus(q_k, q_{k+1}, S_k) = pi_plus(q_{k-1}, q_k, S_{k-1})
 
-with S_k given explicitly by the entropy update; `newton_solve`, the
-package's only Newton loop, solves it for q_{k+1}.  `integrate` steps one
-path with one residual and one Jacobian, built once per path.  The
-residual evaluates the triple (q_k, x, S_k) through the system's
-``triple_pass``, and `newton_solve` makes its last residual call at the
-root, so the next step takes its target pi_plus and its entropy update
-from that pass: the pass is carried, and a one-iteration step makes two
-residual passes, one Jacobian and one dL/dS call.  `solve_step` is the
-cold step of `discrete.discrete_flow` and the flow Jacobian: the triple's
-target and entropy from the rest of its own pass, then the same Newton
-solve.  At array points it also takes a stack of B triples, (B, n), (B, n)
-and (B,), as one pass and one Newton loop over the rows, `_newton_rows`,
-which stops each row by `newton_solve`'s rules: row k is the bits of the
-step on row k alone.  The flow Jacobian of a pullback check is one such
-stack.
-The points are those of `_point`: floats at n = 1.
+with S_k given explicitly by the entropy update; a Newton solve with the
+semiregularity matrix as its Jacobian finds q_{k+1}.  `integrate` steps
+one path with one stepper, `_stepper`, built once per path.  Each Newton
+iterate x is a pass of the triple (q_k, x, S_k) through the system's
+``triple_pass``, and the solve stops with its last pass at the root, so
+the next step takes its target pi_plus and its entropy update from that
+pass: the pass is carried, and a one-iteration step makes two passes, one
+Jacobian and one dL/dS call.  At float points (n = 1, see `_point`) the
+stepper runs its own float Newton loop; at array points it runs
+`newton_solve`, the Newton loop on arrays, whose stop rules the float loop
+keeps.  `solve_step` is the cold step of `discrete.discrete_flow` and the
+flow Jacobian: the triple's target and entropy from the rest of its own
+pass, then the same Newton solve.  At array points it also takes a stack
+of B triples, (B, n), (B, n) and (B,), as one pass and one Newton loop
+over the rows, `_newton_rows`, which stops each row by `newton_solve`'s
+rules: row k is the bits of the step on row k alone.  The flow Jacobian of
+a pullback check is one such stack.
 """
 
 import math
@@ -58,7 +59,8 @@ class StepReport(NamedTuple):
 
 
 def newton_solve(residual, jacobian, x0, cfg=None):
-    """Newton iteration for residual(x) = 0 with max-norm convergence.
+    """Newton iteration for residual(x) = 0 with max-norm convergence, on a
+    float array: ``x0`` is taken as one, a float as a length-1 array.
 
     ``jacobian(x)`` is the Jacobian of the residual at x.  Iteration stops
     when the residual meets ``cfg.tol``, when an update is at roundoff
@@ -66,32 +68,27 @@ def newton_solve(residual, jacobian, x0, cfg=None):
     `_MAX_ITER` updates.  Raises ConvergenceError on a singular Jacobian,
     a non-finite update, or a residual still above tol at the stop.  On
     every return the last residual call is made at the returned root,
-    which `integrate` relies on.
-
-    A float ``x0`` iterates on floats (residual and Jacobian too) and
-    returns a float root; any other ``x0`` iterates on a float array.
+    which `integrate` relies on.  The float loop of `_stepper` stops by the
+    same rules.
     """
     cfg = cfg or NewtonConfig()
     tol = cfg.tol
-    if isinstance(x0, float):
-        x, value, norm, update = float(x0), float, abs, _quotient_update
-    else:
-        x, value, norm, update = np.array(x0, dtype=float, ndmin=1), vec, _max_norm, _solve_update
-    r = value(residual(x))
-    rnorm = norm(r)
+    x = np.array(x0, dtype=float, ndmin=1)
+    r = vec(residual(x))
+    rnorm = _max_norm(r)
     it = 0
     while rnorm > tol and it < _MAX_ITER:
         it += 1
-        dx = update(jacobian(x), r)
+        dx = _solve_update(jacobian(x), r)
         # the max norm is NaN or inf exactly when some component is
-        dxn = norm(dx)
+        dxn = _max_norm(dx)
         if not math.isfinite(dxn):
             raise ConvergenceError("non-finite Newton update (singular Jacobian?)")
         x = x - dx
-        r = value(residual(x))
-        rnorm = norm(r)
+        r = vec(residual(x))
+        rnorm = _max_norm(r)
         # a stalled update ends the loop; one that met tol ends it anyway
-        if rnorm > tol and dxn <= _STALL * (1.0 + norm(x)):
+        if rnorm > tol and dxn <= _STALL * (1.0 + _max_norm(x)):
             break
     if rnorm <= tol:
         # StepReport(it, rnorm) without its Python-level __new__
@@ -108,14 +105,6 @@ def _max_norm(y):
     # a sum of magnitudes is NaN exactly when one of them is
     total = sum(sizes)
     return total if total != total else max(sizes)
-
-
-def _quotient_update(J, r):
-    """The Newton update at a float point, r / J."""
-    J = float(J)
-    if J == 0.0:
-        raise ConvergenceError("singular Newton Jacobian: zero Jacobian")
-    return r / J
 
 
 def _singular(err, flag):
@@ -137,11 +126,15 @@ def _stepper(d, cfg):
 
     ``step(q_prev, q_curr, S_curr, target)`` returns the root q_next of
     pi_minus(q_curr, x, S_curr) = target, warm-started at the linear
-    extrapolation 2 q_curr - q_prev, and the ``rest, args`` of the pass of
-    the last residual call.  That call is at q_next, so ``rest(*args)`` is
-    (pi_plus, S increment) of the next triple (q_curr, q_next, S_curr).
-    The Newton Jacobian is the semiregularity matrix.
+    extrapolation 2 q_curr - q_prev, and the ``rest, args`` of the pass at
+    q_next, so ``rest(*args)`` is (pi_plus, S increment) of the next triple
+    (q_curr, q_next, S_curr).  The Newton Jacobian is the semiregularity
+    matrix.  The points pick the loop: arrays run `newton_solve`, whose
+    last residual call is at the root, and a float point (n = 1) runs the
+    float loop here, which calls the pass and the matrix directly, keeps
+    the last pass, updates by r / J and stops by `newton_solve`'s rules.
     """
+    tol = (cfg or NewtonConfig()).tol
     triple_pass, pi_minus_dq1 = d.triple_pass, d.pi_minus_dq1
     q = S = target = last = None
 
@@ -155,10 +148,35 @@ def _stepper(d, cfg):
 
     def step(q_prev, q_curr, S_curr, target_curr):
         nonlocal q, S, target
-        q, S, target = q_curr, S_curr, target_curr
-        q_next, _ = newton_solve(residual, jacobian, 2 * q_curr - q_prev, cfg)
-        _, rest, args = last
-        return q_next, rest, args
+        if type(q_curr) is not float:
+            q, S, target = q_curr, S_curr, target_curr
+            q_next, _ = newton_solve(residual, jacobian, 2 * q_curr - q_prev, cfg)
+            _, rest, args = last
+            return q_next, rest, args
+        x = 2 * q_curr - q_prev
+        pi, rest, args = triple_pass(q_curr, x, S_curr)
+        r = pi - target_curr
+        rnorm = abs(r)
+        it = 0
+        while rnorm > tol and it < _MAX_ITER:
+            it += 1
+            J = pi_minus_dq1(q_curr, x, S_curr)
+            if J == 0.0:
+                raise ConvergenceError("singular Newton Jacobian: zero Jacobian")
+            dx = r / J
+            dxn = abs(dx)
+            if not math.isfinite(dxn):
+                raise ConvergenceError("non-finite Newton update (singular Jacobian?)")
+            x = x - dx
+            pi, rest, args = triple_pass(q_curr, x, S_curr)
+            r = pi - target_curr
+            rnorm = abs(r)
+            if rnorm > tol and dxn <= _STALL * (1.0 + abs(x)):
+                break
+        if rnorm <= tol:
+            return x, rest, args
+        raise ConvergenceError(
+            f"Newton residual {rnorm:.3e} above tol {tol:.1e} after {it} iterations")
 
     return step
 

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -764,6 +765,34 @@ def test_constant_products_keep_every_bit(name, h):
         assert [type(x) for x in values] == [type(x) for x in expected]
         assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes()
                    for a, b in zip(values, expected))
+
+
+def test_constant_blocks_form_no_midpoint():
+    # the oscillator's Newton matrix and its two S blocks are sums of
+    # constant products only: each is a constant field, called at (q0, q1,
+    # S0) with no midpoint formed.  It gives the bits of the same block of a
+    # copy whose fields are unmarked, which forms the midpoint and every
+    # product at the point: at a float point, at an array point and on a stack
+    def blocks(d):
+        # the S block is the last of the three column blocks of each side
+        return [d.pi_minus_dq1, *(inspect.getclosurevars(dpi).nonlocals["blocks"][2]
+                                  for dpi in (d.dpi_minus, d.dpi_plus))]
+
+    lag = OSC.lagrangian
+    assert all(hasattr(getattr(lag, f), "constant") for f in JACOBIAN_FIELDS)
+    unmarked = dataclasses.replace(lag, **{
+        f: (lambda fn: lambda q, v, S: fn(q, v, S))(getattr(lag, f)) for f in JACOBIAN_FIELDS})
+    rng = np.random.default_rng(2601)
+    q0, q1 = rng.uniform(-1.0, 1.0, (2, 6, 1))
+    S0 = rng.uniform(0.0, 2.0, 6)
+    points = [(float(q0[0, 0]), float(q1[0, 0]), float(S0[0])), (q0[0], q1[0], float(S0[0])),
+              (q0, q1, S0)]
+    for block, reference in zip(blocks(D_OSC), blocks(midpoint_discretize(unmarked, H))):
+        assert hasattr(block, "constant") and not hasattr(reference, "constant")
+        for t in points:
+            value, expected = block(*t), reference(*t)
+            assert type(value) is type(expected)
+            assert np.asarray(value).tobytes() == np.asarray(expected).tobytes()
 
 
 class TestDiscretePath:
