@@ -350,9 +350,9 @@ def _sum_of_products(terms):
     `continuous.LagrangianThermoSystem`) is formed here, once, as an array
     and as its one entry, the float a float point takes; so is the sum of
     the constant addends that lead.  A call evaluates the other fields, one
-    call for adjacent terms of one field, and adds the addends in order:
-    the bits of the sum formed term by term at the point.  A sum of
-    constant addends only is itself a `_constant` field.
+    call for adjacent terms of one field, and adds the addends in order but
+    the zeros that `_exact_addends` drops: the bits of the sum formed term
+    by term at the point.  A sum of constant addends only is a `_constant`.
     """
     lead, segments = None, []  # the leading constants' sum; (k, field, shape, constants after)
     for term in terms:
@@ -375,8 +375,7 @@ def _sum_of_products(terms):
     # a constant as (the float of a float point, the array), indexed by
     # `type(m) is not float`
     lead = None if lead is None else (float(lead.flat[0]), lead)
-    segments = [(k, f, shape, ([float(c.flat[0]) for c in run], run))
-                for k, f, shape, run in segments]
+    segments = [(k, f, shape, _exact_addends(run)) for k, f, shape, run in segments]
 
     def total(m, w, S0):
         form = type(m) is not float
@@ -392,6 +391,21 @@ def _sum_of_products(terms):
                 acc = acc + c
         return acc
     return total
+
+
+def _exact_addends(run):
+    """The constant addends of ``run``, which follow one another in a sum, as
+    (their floats, the arrays), less those that change no bit of the sum:
+    one that is -0.0 in every entry (x + -0.0 is x), and one that is +0.0 in
+    every entry where in each entry a later addend is not -0.0 (an
+    accumulated +0.0 and -0.0 then reach one value).  Decided entry by entry."""
+    kept, covered = [], False  # covered: a later addend is not -0.0 there
+    for c in reversed(run):
+        negative = (c == 0.0) & np.signbit(c)
+        if not (negative.all() or not c.any() and not negative.any() and np.all(covered)):
+            kept.insert(0, c)
+        covered = covered | ~negative
+    return [float(c.flat[0]) for c in kept], kept
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +424,11 @@ def midpoint_discretize(sys, h):
     builders indexed by the side ``cv``, -1 for the minus side (slot q0)
     and +1 for the plus side (slot q1): ``slot(cv)`` is D1Ld or D2Ld, and
     ``q_block(cv, c)`` (c = -1: q0, c = 1: q1) and ``S_block(cv)`` are the
-    column blocks of d(pi)/dx, by the chain rule from the system's second
-    partials and friction Jacobians; ``pi_minus_dq1`` is ``q_block(-1, 1)``.
-    Each block is a `_sum_of_products`, which forms the products of the
-    fields the system declares constant once, when the block is built.
+    column blocks of d(pi)/dx at the midpoint (m, w, S0), by the chain rule
+    from the system's second partials and friction Jacobians; a covector
+    Jacobian forms the midpoint once for its three blocks.  Each block is a
+    `_sum_of_products`, which forms the products of the fields the system
+    declares constant once, when the block is built.
 
     Each builder is one formula over float points and arrays, which takes
     the values of ``sys`` as they come (see `LagrangianThermoSystem`); at
@@ -448,23 +463,22 @@ def midpoint_discretize(sys, h):
         return f
 
     def q_block(cv, c):
-        # d pi / dq0 (c = -1) or / dq1 (c = 1) on side cv; L's terms, then
-        # the friction terms: this sum order fixes the bits of the two-forms
+        # d pi / dq0 (c = -1) or / dq1 (c = 1) on side cv at the midpoint; L's
+        # terms, then the friction terms: this sum order fixes the two-forms' bits
         k_vv, k_q, k_qv, k_vq = c / (h * h), 0.25 * cv, cv * c / (2 * h), 1 / (2 * h)
         friction = _sum_of_products([(k_q, sys.dFfrdq), (k_qv, sys.dFfrdv)])
-        return at_mid(_sum_of_products([
+        return _sum_of_products([
             (k_q, sys.d2Ldq2), (k_qv, sys.d2Ldqdv), (k_vq, sys.d2Ldqdv, transposed),
-            (k_vv, sys.d2Ldv2), friction]))
+            (k_vv, sys.d2Ldv2), friction])
 
     def S_block(cv):
-        # d pi / dS0 on side cv
+        # d pi / dS0 on side cv, at the midpoint
         k, k_v = 0.5 * cv, 1 / h
-        return at_mid(_sum_of_products([
-            (k, sys.d2LdqdS), (k_v, sys.d2LdvdS), (k, sys.dFfrdS)]))
+        return _sum_of_products([(k, sys.d2LdqdS), (k_v, sys.d2LdvdS), (k, sys.dFfrdS)])
 
     def covector_jacobian(cv):
         blocks = (q_block(cv, -1), q_block(cv, 1), S_block(cv))
-        return lambda q0, q1, S0: np.column_stack([b(q0, q1, S0) for b in blocks])
+        return at_mid(lambda m, w, S0: np.column_stack([b(m, w, S0) for b in blocks]))
 
     # the Legendre covectors cv * (slot(cv) + ffr/2) and the entropy
     # increment; the sum order dL/dv / h + (cv/2) dL/dq + (cv/2) Ffr fixes
@@ -480,7 +494,7 @@ def midpoint_discretize(sys, h):
         dS = _quotient(pair(f, q1 - q0), sys.dLdS(m, w, S0))
         return dv + dq + df, dS
 
-    pi_minus_dq1 = q_block(-1, 1)
+    pi_minus_dq1 = at_mid(q_block(-1, 1))
     if n == 1 and not sys.float_points:
         triple_pass, pi_minus_dq1 = _at_float_points(triple_pass, pi_minus_dq1)
     ffr = at_mid(sys.Ffr)

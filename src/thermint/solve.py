@@ -11,16 +11,16 @@ iterate x is a pass of the triple (q_k, x, S_k) through the system's
 ``triple_pass``, and the solve stops with its last pass at the root, so
 the next step takes its target pi_plus and its entropy update from that
 pass: the pass is carried, and a one-iteration step makes two passes, one
-Jacobian and one dL/dS call.  At float points (n = 1, see `_point`) the
-stepper runs its own float Newton loop; at array points it runs
-`newton_solve`, the Newton loop on arrays, whose stop rules the float loop
-keeps.  `solve_step` is the cold step of `discrete.discrete_flow` and the
-flow Jacobian: the triple's target and entropy from the rest of its own
-pass, then the same Newton solve.  At array points it also takes a stack
-of B triples, (B, n), (B, n) and (B,), as one pass and one Newton loop
-over the rows, `_newton_rows`, which stops each row by `newton_solve`'s
-rules: row k is the bits of the step on row k alone.  The flow Jacobian of
-a pullback check is one such stack.
+Jacobian and one dL/dS call.  The stepper runs one Newton loop, on float
+points (n = 1, see `_point`) and on arrays alike, with the stop rules of
+`newton_solve`, the generic loop on arrays that `hamiltonian_point` uses.
+`solve_step` is the cold step of `discrete.discrete_flow` and the flow
+Jacobian: the triple's target and entropy from the rest of its own pass,
+then the same Newton solve.  At array points it also takes a stack of B
+triples, (B, n), (B, n) and (B,), as one pass and one Newton loop over the
+rows, `_newton_rows`, which stops each row by the same rules: row k is the
+bits of the step on row k alone.  The flow Jacobian of a pullback check is
+one such stack.
 """
 
 import math
@@ -67,9 +67,9 @@ def newton_solve(residual, jacobian, x0, cfg=None):
     level (the residual is then at its attainable floor), or after
     `_MAX_ITER` updates.  Raises ConvergenceError on a singular Jacobian,
     a non-finite update, or a residual still above tol at the stop.  On
-    every return the last residual call is made at the returned root,
-    which `integrate` relies on.  The float loop of `_stepper` stops by the
-    same rules.
+    every return the last residual call is made at the returned root.  It
+    serves `systems.hamiltonian_point`; the steps of a path run the loop of
+    `_stepper`, which stops by the same rules.
     """
     cfg = cfg or NewtonConfig()
     tol = cfg.tol
@@ -122,56 +122,46 @@ def _solve_update(J, r):
 
 
 def _stepper(d, cfg):
-    """The Newton solves of one path, with its residual and Jacobian built once.
+    """The Newton solves of one path, with its pass and matrix looked up once.
 
     ``step(q_prev, q_curr, S_curr, target)`` returns the root q_next of
     pi_minus(q_curr, x, S_curr) = target, warm-started at the linear
     extrapolation 2 q_curr - q_prev, and the ``rest, args`` of the pass at
     q_next, so ``rest(*args)`` is (pi_plus, S increment) of the next triple
     (q_curr, q_next, S_curr).  The Newton Jacobian is the semiregularity
-    matrix.  The points pick the loop: arrays run `newton_solve`, whose
-    last residual call is at the root, and a float point (n = 1) runs the
-    float loop here, which calls the pass and the matrix directly, keeps
-    the last pass, updates by r / J and stops by `newton_solve`'s rules.
+    matrix.  One loop serves both kinds of point, with `newton_solve`'s stop
+    rules: it calls the pass and the matrix directly and keeps the last
+    pass, which is at the root on every return.  A float point (n = 1)
+    takes norms by ``abs`` and updates by r / J, an array point by
+    `_max_norm` and `_solve_update`.
     """
     tol = (cfg or NewtonConfig()).tol
     triple_pass, pi_minus_dq1 = d.triple_pass, d.pi_minus_dq1
-    q = S = target = last = None
 
-    def residual(x):
-        nonlocal last
-        last = triple_pass(q, x, S)
-        return last[0] - target
-
-    def jacobian(x):
-        return pi_minus_dq1(q, x, S)
-
-    def step(q_prev, q_curr, S_curr, target_curr):
-        nonlocal q, S, target
-        if type(q_curr) is not float:
-            q, S, target = q_curr, S_curr, target_curr
-            q_next, _ = newton_solve(residual, jacobian, 2 * q_curr - q_prev, cfg)
-            _, rest, args = last
-            return q_next, rest, args
+    def step(q_prev, q_curr, S_curr, target):
+        on_floats = type(q_curr) is float
+        norm = abs if on_floats else _max_norm
         x = 2 * q_curr - q_prev
         pi, rest, args = triple_pass(q_curr, x, S_curr)
-        r = pi - target_curr
-        rnorm = abs(r)
+        r = pi - target
+        rnorm = norm(r)
         it = 0
         while rnorm > tol and it < _MAX_ITER:
             it += 1
             J = pi_minus_dq1(q_curr, x, S_curr)
-            if J == 0.0:
+            if on_floats and J == 0.0:
                 raise ConvergenceError("singular Newton Jacobian: zero Jacobian")
-            dx = r / J
-            dxn = abs(dx)
+            # the update inline: a helper call would cost every float step
+            dx = r / J if on_floats else _solve_update(J, r)
+            dxn = norm(dx)
             if not math.isfinite(dxn):
                 raise ConvergenceError("non-finite Newton update (singular Jacobian?)")
             x = x - dx
             pi, rest, args = triple_pass(q_curr, x, S_curr)
-            r = pi - target_curr
-            rnorm = abs(r)
-            if rnorm > tol and dxn <= _STALL * (1.0 + abs(x)):
+            r = pi - target
+            rnorm = norm(r)
+            # a stalled update ends the loop; one that met tol ends it anyway
+            if rnorm > tol and dxn <= _STALL * (1.0 + norm(x)):
                 break
         if rnorm <= tol:
             return x, rest, args
@@ -203,17 +193,17 @@ def solve_step(d, q_prev, q_curr, S_prev, cfg):
 
 def _newton_rows(d, q, S, target, x, cfg):
     """The roots x_k of pi_minus(q_k, x_k, S_k) = target_k of a stack of rows,
-    from the start x: the Newton loop of `_stepper`'s residual and Jacobian
-    on all rows at once.
+    from the start x: the Newton loop of `_stepper` on all rows at once.
 
-    Each row stops by `newton_solve`'s rules: it leaves the loop when its
+    Each row stops by `_stepper`'s rules: it leaves the loop when its
     residual meets ``cfg.tol`` (its x then frozen), when its update is at
     roundoff level or when its residual is NaN, and after `_MAX_ITER`
-    updates; a non-finite update raises.  A row that left above tol, or
-    NaN, raises ConvergenceError.  Each iteration solves the rows still in
-    the loop by the gufunc of `_solve_update`, whose matrices broadcast, so
-    a constant (n, n) Newton matrix serves every row.  Max norms are
-    ``np.max`` of magnitudes, NaN when a component is, as `_max_norm`.
+    updates; a singular Jacobian or a non-finite update raises.  A row that
+    left above tol, or NaN, raises ConvergenceError.  Each iteration solves
+    the rows still in the loop by the gufunc of `_solve_update`, whose
+    matrices broadcast, so a constant (n, n) Newton matrix serves every
+    row.  Max norms are ``np.max`` of magnitudes, NaN when a component is,
+    as `_max_norm`.  Every error names the first row that fails.
     """
     cfg = cfg or NewtonConfig()
     tol = cfg.tol
@@ -226,10 +216,14 @@ def _newton_rows(d, q, S, target, x, cfg):
         if not live.size:
             break
         q_l, x_l, S_l = q[live], x[live], S[live]
-        dx = _solve_update(pi_minus_dq1(q_l, x_l, S_l), r[live])
-        dxn = np.max(np.abs(dx), axis=-1)
-        if not np.all(np.isfinite(dxn)):
-            raise ConvergenceError("non-finite Newton update (singular Jacobian?)")
+        J, r_l = pi_minus_dq1(q_l, x_l, S_l), r[live]
+        try:
+            dx = _solve_update(J, r_l)
+            dxn = np.max(np.abs(dx), axis=-1)
+            if not np.all(np.isfinite(dxn)):
+                raise ConvergenceError("non-finite Newton update (singular Jacobian?)")
+        except ConvergenceError as exc:
+            raise (_failing_row(J, r_l, live, len(x)) or exc) from None
         x_l = x_l - dx
         r_l = triple_pass(q_l, x_l, S_l)[0] - target[live]
         rn = np.max(np.abs(r_l), axis=-1)
@@ -244,6 +238,17 @@ def _newton_rows(d, q, S, target, x, cfg):
         raise ConvergenceError(f"Newton residual {rnorm[k]:.3e} above tol {tol:.1e} after "
                                f"{iters[k]} iterations (row {k} of {len(x)})")
     return x
+
+
+def _failing_row(J, r, rows, size):
+    """The error of the first of ``rows`` whose Newton update, solved alone
+    from its row of J and r, is singular or non-finite, with the row named."""
+    for J_k, r_k, k in zip(np.broadcast_to(J, r.shape + r.shape[-1:]), r, rows):
+        try:
+            if not math.isfinite(_max_norm(_solve_update(J_k, r_k))):
+                raise ConvergenceError("non-finite Newton update (singular Jacobian?)")
+        except ConvergenceError as exc:
+            return ConvergenceError(f"{exc} (row {k} of {size})")
 
 
 def _point(d, q):

@@ -137,17 +137,20 @@ def _covector(q, *parts):
 
 def _uniform(q, x):
     """The covector whose components all equal x at q: x itself at a float
-    point, else as `_covector` forms it."""
-    return x if type(q) is float else _covector(q, *[x] * q.shape[-1])
+    point, from a list at a point of shape (n,), else by `_covector`."""
+    if type(q) is float:
+        return x
+    return np.array([x] * len(q)) if q.ndim == 1 else _covector(q, *[x] * q.shape[-1])
 
 
 def _matrix(q, x):
-    """The n x n matrix whose entries all equal x at q: (n, n) at a point
-    of shape (n,), (..., n, n) on a stack (x of shape (...)), x itself at a
-    float point."""
+    """The n x n matrix whose entries all equal x at q: (n, n) from a list at
+    a point of shape (n,), (..., n, n) on a stack (x of shape (...)), x
+    itself at a float point."""
     if type(q) is float:
         return x
-    return np.full(q.shape + q.shape[-1:], x if q.ndim == 1 else x[..., None, None])
+    n = q.shape[-1]
+    return np.array([[x] * n] * n) if q.ndim == 1 else np.full(q.shape + (n,), x[..., None, None])
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +408,12 @@ def two_pistons(gamma=0.1, c=1.5):
         "cartan": lambda st: g * (st.q[0] - st.q[1]) + st.v[0] - st.v[1],
         "relative-velocity": lambda st: st.v[0] - st.v[1],
     }
-    return _ideal_gas("two-pistons", 2, g, c, lambda q: _above(
-        _coord(q, 0) + _coord(q, 1), 0.0, "total volume x + y must stay positive"),
-        invariants=invariants)
+
+    def volume(q):  # a point read in one call, a stack by its columns
+        x, y = q.tolist() if q.ndim == 1 else (q[..., 0], q[..., 1])
+        return _above(x + y, 0.0, "total volume x + y must stay positive")
+
+    return _ideal_gas("two-pistons", 2, g, c, volume, invariants=invariants)
 
 
 # ---------------------------------------------------------------------------

@@ -774,9 +774,12 @@ def test_constant_blocks_form_no_midpoint():
     # copy whose fields are unmarked, which forms the midpoint and every
     # product at the point: at a float point, at an array point and on a stack
     def blocks(d):
-        # the S block is the last of the three column blocks of each side
-        return [d.pi_minus_dq1, *(inspect.getclosurevars(dpi).nonlocals["blocks"][2]
-                                  for dpi in (d.dpi_minus, d.dpi_plus))]
+        # the S block is the last of the three column blocks of each side,
+        # which its covector Jacobian evaluates at one midpoint, `at_mid`
+        def column_blocks(dpi):
+            at_midpoint = inspect.getclosurevars(dpi).nonlocals["fn"]
+            return inspect.getclosurevars(at_midpoint).nonlocals["blocks"]
+        return [d.pi_minus_dq1, *(column_blocks(dpi)[2] for dpi in (d.dpi_minus, d.dpi_plus))]
 
     lag = OSC.lagrangian
     assert all(hasattr(getattr(lag, f), "constant") for f in JACOBIAN_FIELDS)
@@ -793,6 +796,81 @@ def test_constant_blocks_form_no_midpoint():
             value, expected = block(*t), reference(*t)
             assert type(value) is type(expected)
             assert np.asarray(value).tobytes() == np.asarray(expected).tobytes()
+
+
+_NZ, _PZ = -0.0, 0.0
+
+
+@pytest.mark.parametrize("run", [
+    [[_NZ, _NZ], [_NZ, _NZ]],
+    [[_PZ, _PZ]],
+    [[_PZ, _PZ], [_NZ, _NZ]],
+    [[_PZ, _PZ], [_PZ, _PZ]],
+    [[_NZ, _NZ], [_PZ, _PZ], [1.5, -2.0]],
+    [[_NZ, _PZ], [_PZ, _PZ]],
+    [[_PZ, _PZ], [_NZ, _PZ]],
+    [[_PZ, _PZ], [_NZ, 5.0], [_NZ, _NZ]],
+    [[0.25, _PZ], [_PZ, _PZ], [_NZ, _NZ], [-3.0, 7.0], [_PZ, _PZ], [_NZ, _NZ]],
+], ids=["neg", "pos-last", "pos-then-neg", "pos-pos", "neg-pos-value", "mixed-pos",
+        "pos-mixed", "pos-half-covered", "interleaved"])
+def test_zero_addends_fold_exactly(run):
+    # a field followed by a run of constants, zeros among them: the block
+    # gives the bits of the sum formed term by term, at float points, at
+    # array points and on a stack, whatever the field's value (+-0, +-inf,
+    # NaN and random values), with each constant's entries in either order
+    from thermint.discrete import _sum_of_products
+
+    rng = np.random.default_rng(2701)
+    pool = [0.0, -0.0, np.inf, -np.inf, np.nan, *rng.normal(size=3).tolist()]
+    stack = np.array([[a, b] for a in pool for b in pool])
+    for flip in (False, True):
+        constants = [np.array(c[::-1] if flip else c) for c in run]
+        value = {}
+        block = _sum_of_products([lambda m, w, S0: value["acc"],
+                                  *(_constant(c.copy()) for c in constants)])
+        points = [(a, a) for a in pool] + [(row, row) for row in stack] + [(stack, stack)]
+        for m, acc in points:
+            value["acc"] = acc
+            expected = acc
+            for c in constants:
+                expected = expected + (float(c[0]) if type(m) is float else c)
+            got = block(m, m, 0.0)
+            assert type(got) is type(expected)
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), (m, run)
+
+
+def test_two_pistons_newton_matrix_drops_zero_addends():
+    # the constant products after the stiffness: d2L/dqdv twice (all zeros),
+    # d2L/dv2 / h^2 and the friction block; the zeros change no bit and go
+    from thermint.discrete import _exact_addends
+
+    for gamma in (0.0, GAMMA):
+        lag = get_system("two-pistons", gamma=gamma).lagrangian
+        k_q, k_qv, k_vq, k_vv = -0.25, -1 / (2 * H), 1 / (2 * H), 1 / (H * H)
+        run = [k_qv * lag.d2Ldqdv.constant, k_vq * lag.d2Ldqdv.constant.T,
+               k_vv * lag.d2Ldv2.constant,
+               k_q * lag.dFfrdq.constant + k_qv * lag.dFfrdv.constant]
+        floats, kept = _exact_addends(run)
+        assert len(kept) == 2 and kept[0] is run[2] and kept[1] is run[3]
+        assert floats == [float(run[2][0, 0]), float(run[3][0, 0])]
+
+
+def test_covector_jacobian_forms_one_midpoint():
+    # the three column blocks of a covector Jacobian are evaluated at one
+    # midpoint, formed once per call
+    from sys import setprofile
+
+    d = midpoint_discretize(TP.lagrangian, H)
+    t = (np.array([1.0, 1.1]), np.array([1.01, 1.09]), 0.5)
+    for dpi in (d.dpi_minus, d.dpi_plus):
+        calls = []
+        setprofile(lambda frame, event, arg: calls.append(frame.f_code.co_name)
+                   if event == "call" else None)
+        try:
+            dpi(*t)
+        finally:
+            setprofile(None)
+        assert calls.count("mid") == 1
 
 
 class TestDiscretePath:

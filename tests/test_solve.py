@@ -84,24 +84,27 @@ class TestNewton:
         assert report.iterations == 0
         assert x[0] == 3.0
 
-    @pytest.mark.parametrize("point", [float, np.atleast_1d], ids=["float", "array"])
+    @pytest.mark.parametrize("n", [1, 2], ids=["float", "array"])
     @pytest.mark.parametrize("stop", ["zero-iterations", "tol", "stall"])
-    def test_last_residual_call_is_at_the_root(self, point, stop):
+    def test_last_residual_call_is_at_the_root(self, n, stop):
         # integrate takes the pass of the last residual call for the pass at
         # the root: on every return that call is made at the returned point.
-        # Arrays run newton_solve; floats run the stepper's float loop, here
-        # through solve_step and integrate on a scripted system
+        # The stepper's loop runs on float points (n = 1) and on arrays,
+        # here through solve_step and integrate on a scripted system
+        vector = (lambda v: v) if n == 1 else (lambda v: np.full(2, v))
+        matrix = (lambda v: v) if n == 1 else (lambda v: v * np.eye(2))
+
         def script():
             seen = []
             if stop == "stall":
                 # the second update, 1e-21, is at roundoff level: the loop
                 # stops on it, and the residual there meets tol
                 values = iter([1.0, 1e-11, 0.0])
-                residual, x0 = lambda x: point(next(values)), 0.0
-                jacobian = lambda x: point(1.0 if len(seen) == 1 else 1e10)
+                residual, x0 = lambda x: vector(next(values)), 0.0
+                jacobian = lambda x: matrix(1.0 if len(seen) == 1 else 1e10)
             else:
                 residual = lambda x: 2.0 * x - 1.0
-                jacobian = lambda x: point(2.0)
+                jacobian = lambda x: matrix(2.0)
                 x0 = 0.5 if stop == "zero-iterations" else 0.0
 
             def recorded(x):
@@ -112,19 +115,52 @@ class TestNewton:
         iterations = {"zero-iterations": 0, "tol": 1, "stall": 2}[stop]
         cfg = NewtonConfig(tol=1e-12)
         recorded, jacobian, x0, seen = script()
-        if point is np.atleast_1d:
-            x, report = newton_solve(recorded, jacobian, point(x0), cfg)
-            assert report.iterations == iterations
-            assert x is seen[-1]
-            return
         # the Newton start 2 q1 - q0 is x0
-        x, _ = solve_step(_scripted(recorded, jacobian), 0.0, 0.5 * x0, 0.0, cfg)
+        x, _ = solve_step(_scripted(recorded, jacobian, n), vector(0.0), vector(0.5 * x0),
+                          0.0, cfg)
         assert len(seen) == iterations + 1 and x is seen[-1]
         recorded, jacobian, x0, seen = script()
-        path = integrate(_scripted(recorded, jacobian), [0.0], [0.5 * x0], 0.0, 2, cfg)
+        path = integrate(_scripted(recorded, jacobian, n), [0.0] * n, [0.5 * x0] * n, 0.0, 2,
+                         cfg)
         # the entropy increment of the carried pass is the point of that pass
         assert len(seen) == iterations + 1
-        assert path.qs[2, 0] == seen[-1] == path.Ss[2]
+        np.testing.assert_array_equal(path.qs[2], seen[-1], strict=n == 2)
+        assert path.Ss[2] == path.qs[2, 0]
+
+    def test_newton_array_errors(self):
+        # every failing stop of the stepper's loop at array points, through
+        # solve_step and through integrate, which names step 1 and its triple
+        nan, eye = float("nan"), np.eye(2)
+        start = lambda x: x[0] == 0.5
+        failures = [
+            (lambda x: x * x, lambda x: np.zeros((2, 2)),
+             "singular Newton Jacobian: Singular matrix"),
+            # no root and no stall (see test_max_iter_exceeded)
+            (lambda x: x * x + 1.0, lambda x: np.diag(2.0 * x),
+             "above tol 1.0e-12 after 50 iterations"),
+            (lambda x: np.full(2, 1e300), lambda x: 1e-300 * eye, "non-finite Newton update"),
+            (lambda x: np.ones(2), lambda x: nan * eye, "non-finite Newton update"),
+            # the residual floor 1e-10 is above tol: the second update, 1e-22,
+            # is at roundoff level and stops the loop
+            (lambda x: np.full(2, 1.0 if start(x) else 1e-10),
+             lambda x: (1.0 if start(x) else 1e12) * eye,
+             "Newton residual 1.000e-10 above tol 1.0e-12 after 2 iterations"),
+            # a NaN in the last component, which max alone would skip
+            (lambda x: np.array([0.0, nan]), lambda x: eye,
+             "Newton residual nan above tol 1.0e-12 after 0 iterations"),
+            (lambda x: np.ones(2) if start(x) else np.array([0.0, nan]), lambda x: eye,
+             "Newton residual nan above tol 1.0e-12 after 1 iterations"),
+        ]
+        cfg = NewtonConfig(tol=1e-12)
+        q0, q1 = np.zeros(2), np.full(2, 0.25)
+        for residual, jacobian, message in failures:
+            # the Newton start 2 q1 - q0 is (0.5, 0.5)
+            with pytest.raises(ConvergenceError, match=message):
+                solve_step(_scripted(residual, jacobian, 2), q0, q1, 0.0, cfg)
+            with pytest.raises(ConvergenceError, match=message) as err:
+                integrate(_scripted(residual, jacobian, 2), q0, q1, 0.0, 3, cfg)
+            assert err.value.step_index == 1
+            _assert_triple(err.value.triple, q0, q1, 0.0)
 
     def test_float_start_iterates_on_a_length_1_array(self):
         seen = []
@@ -194,6 +230,7 @@ class TestStackedStep:
         with pytest.raises(kind, match=match) as stacked:
             solve_step(d, q0, q1, S0, cfg)
         assert str(stacked.value).startswith(str(alone.value))
+        return str(stacked.value)
 
     @pytest.mark.parametrize("where", ["pass", "predictor"])
     def test_one_row_outside_the_domain(self, where):
@@ -204,19 +241,31 @@ class TestStackedStep:
         q0[3], q1[3] = bad[where]
         self._assert_row_3_fails(self.D, (q0, q1, S0), DomainError, "total volume")
 
-    def test_one_singular_row(self):
-        # the Newton matrix vanishes where q_curr is row 3's
-        stack = self._stack()
+    def _newton_matrix_at_row_3(self, stack, value):
+        # the system whose Newton matrix is value * I where q_curr is row 3's
         marker = stack[1][3, 0]
         dq1 = self.D.pi_minus_dq1
 
         def newton_matrix(q, x, S):
             J = np.array(dq1(q, x, S))
-            J[q[..., 0] == marker] = 0.0
+            J[q[..., 0] == marker] = value * np.eye(2)
             return J
+        return dataclasses.replace(self.D, pi_minus_dq1=newton_matrix)
 
-        d = dataclasses.replace(self.D, pi_minus_dq1=newton_matrix)
-        self._assert_row_3_fails(d, stack, ConvergenceError, "singular Newton Jacobian")
+    def test_one_singular_row(self):
+        stack = self._stack()
+        d = self._newton_matrix_at_row_3(stack, 0.0)
+        message = self._assert_row_3_fails(d, stack, ConvergenceError,
+                                           "singular Newton Jacobian: Singular matrix")
+        assert message.endswith("(row 3 of 8)")
+
+    def test_one_non_finite_row(self):
+        # a subnormal Newton matrix passes LAPACK's check; its update overflows
+        stack = self._stack()
+        d = self._newton_matrix_at_row_3(stack, 1e-320)
+        message = self._assert_row_3_fails(d, stack, ConvergenceError,
+                                           r"non-finite Newton update \(singular Jacobian\?\)")
+        assert message.endswith("(row 3 of 8)")
 
     @pytest.mark.parametrize("bad", [[np.nan, 0.0], [0.0, np.nan], [1e-20, np.nan]],
                              ids=["nan-first", "nan-last", "tiny-then-nan"])
@@ -646,7 +695,7 @@ class TestFloatPoints:
         pytest.param("oscillator", 15, id="oscillator"),
         pytest.param("ideal-gas", 62.8, id="ideal-gas"),
         pytest.param("van-der-waals", 64.0, id="van-der-waals"),
-        pytest.param("two-pistons", 57, id="two-pistons"),
+        pytest.param("two-pistons", 41, id="two-pistons"),
     ])
     def test_integrate_step_call_count(self, name, count):
         # the Python calls of a step of integrate, which carries each pass:
@@ -729,27 +778,28 @@ class TestFloatPoints:
         _assert_triple(err.value.triple, [0.0], [q1], 0.0)
 
 
-def _scripted(pi_minus, newton_matrix):
-    """A one-dimensional system on float points with a scripted Newton
-    solve: after the cold pass of the first triple, whose target pi_plus and
-    entropy increment are 0, the pass of (q, x, S) gives pi_minus(x) and a
-    rest whose target is 0 and whose entropy increment is x, and the Newton
-    matrix there is newton_matrix(x)."""
+def _scripted(pi_minus, newton_matrix, n=1):
+    """A system with a scripted Newton solve, on float points at n = 1 and
+    on arrays at n = 2: after the cold pass of the first triple, whose
+    target pi_plus and entropy increment are 0, the pass of (q, x, S) gives
+    pi_minus(x) and a rest whose target is 0 and whose entropy increment is
+    the first entry of x, and the Newton matrix there is newton_matrix(x)."""
     cold = True
-    rest = lambda x: (0.0, x)
+    zero = 0.0 if n == 1 else np.zeros(n)
+    rest = (lambda x: (zero, x)) if n == 1 else (lambda x: (zero, float(x[0])))
 
     def triple_pass(q0, q1, S0):
         nonlocal cold
         if cold:
             cold = False
-            return 0.0, rest, (0.0,)
+            return zero, rest, (zero,)
         return pi_minus(q1), rest, (q1,)
 
     def unused(q0, q1, S0):
         raise AssertionError("a scripted system steps by its pass and matrix only")
 
     return DiscreteThermoSystem(
-        n=1, h=1.0, Ld=unused, D1Ld=unused, D2Ld=unused, DSLd=unused, ffr_minus=unused,
+        n=n, h=1.0, Ld=unused, D1Ld=unused, D2Ld=unused, DSLd=unused, ffr_minus=unused,
         ffr_plus=unused, triple_pass=triple_pass,
         pi_minus_dq1=lambda q0, q1, S0: newton_matrix(q1))
 
