@@ -268,7 +268,8 @@ def integrate(d, q0, q1, S0, N, cfg=None):
     from the root of the step before, bit for bit the cold values.  A
     failure while taking step k (the one from triple k = (q_{k-1}, q_k,
     S_{k-1}), its entropy update included) is re-raised with ``step_index =
-    k`` and ``triple`` that `DiscreteTriple`.
+    k`` and ``triple`` that `DiscreteTriple`: a `ThermintError`, or an
+    `ArithmeticError` such as the OverflowError of a float ``**``.
     """
     cfg = cfg or NewtonConfig()
     if N < 0:
@@ -303,7 +304,7 @@ def integrate(d, q0, q1, S0, N, cfg=None):
             q_next, rest, args = step(q_prev, q_curr, S_curr, target)
             q_out[k + 1] = q_next
             q_prev, q_curr, S_prev = q_curr, q_next, S_curr
-    except ThermintError as exc:
+    except (ThermintError, ArithmeticError) as exc:
         exc.step_index = k
         exc.triple = DiscreteTriple(qs[k - 1], qs[k], Ss[k - 1])
         raise

@@ -111,10 +111,28 @@ def _power(x, e):
     return x ** e if type(x) is float else np.float_power(x, e)
 
 
+#: the last float argument of `_exp` and its value, one tuple so a hit
+#: returns that argument's own value (NaN never hits); and the normal floats
+_exp_last = (np.nan, np.nan)
+_TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
+
+
 def _exp(x):
     """e^x: a float at a float, `np.exp` on an array.  ``float()`` keeps the
-    bits of `np.exp`; `math.exp` rounds differently on some arguments."""
-    return float(np.exp(x)) if isinstance(x, float) else np.exp(x)
+    bits of `np.exp`; `math.exp` rounds differently on some arguments.  e^S
+    is formed once per distinct float S, which every callable of a step
+    reads: the last argument is kept with its value if that is normal, so
+    its evaluation raised no flag that a later error state would report."""
+    global _exp_last
+    if not isinstance(x, float):
+        return np.exp(x)
+    key, value = _exp_last
+    if x == key:
+        return value
+    value = float(np.exp(x))
+    if _TINY <= value <= _HUGE:
+        _exp_last = (x, value)
+    return value
 
 
 def _above(x, lo, what):
@@ -123,6 +141,16 @@ def _above(x, lo, what):
         bad = x if type(x) is float else float(x[x <= lo].flat[0])
         raise DomainError(f"{what}, got {bad}")
     return x
+
+
+def _coordinate_above(lo, what):
+    """The guard of a one-dimensional system: `_above` on coordinate 0 of q,
+    in one call at a float point above lo (NaN takes `_above`, as all else)."""
+
+    def guard(q):
+        return q if type(q) is float and q > lo else _above(_coord(q, 0), lo, what)
+
+    return guard
 
 
 def _covector(q, *parts):
@@ -388,8 +416,8 @@ def ideal_gas(gamma=0.1, c=1.5):
     """
     if gamma <= 0 or c <= 0:
         raise ValueError("gamma and c must be positive")
-    return _ideal_gas("ideal-gas", 1, gamma, c, lambda q: _above(
-        _coord(q, 0), 0.0, "piston position must stay positive"))
+    return _ideal_gas("ideal-gas", 1, gamma, c,
+                      _coordinate_above(0.0, "piston position must stay positive"))
 
 
 def two_pistons(gamma=0.1, c=1.5):
@@ -431,10 +459,8 @@ def van_der_waals(gamma=0.1, a_hat=1.0e3, b_hat=0.1):
         raise ValueError("gamma must be positive and b_hat nonnegative")
     g, ah, bh = float(gamma), float(a_hat), float(b_hat)
 
-    outside = f"position must exceed the excluded volume {bh}"
-
-    def xval(q):  # bh >= 0, so x > bh also keeps x positive
-        return _above(_coord(q, 0), bh, outside)
+    # bh >= 0, so x > bh also keeps x positive
+    xval = _coordinate_above(bh, f"position must exceed the excluded volume {bh}")
 
     def U(q, S):
         return _exp(S) * _power(xval(q) - bh, -2.0 / 3.0)

@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from thermint import (
     reference_integrate,
 )
 from thermint.continuous import fd_gradient
-from thermint.systems import CATALOG, hamiltonian_point
+from thermint.systems import CATALOG, _exp, hamiltonian_point
 
 ALL = ["oscillator", "ideal-gas", "van-der-waals", "two-pistons"]
 
@@ -361,6 +363,122 @@ class TestTwoPistons:
         entry = get_system("two-pistons")
         with pytest.raises(DomainError):
             entry.lagrangian.L(np.array([1.0, -1.5]), np.zeros(2), 0.0)
+
+
+class TestExpMemo:
+    """`_exp` keeps its last float argument and value: a hit and a miss both
+    give the bits of ``float(np.exp(x))``, and a flagged value is never kept."""
+
+    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.inf, -np.inf,
+               np.nan, 709.78, 709.782712893384, np.nextafter(709.782712893384, np.inf),
+               -708.0, -745.0, -745.2, -800.0, 800.0]
+
+    @staticmethod
+    def _assert_exact(x):
+        with np.errstate(all="ignore"):
+            got, want = _exp(x), float(np.exp(x))
+        assert type(got) is float and got.hex() == want.hex(), x
+
+    def test_miss_and_hit_are_exact(self):
+        rng = np.random.default_rng(17)
+        args = rng.uniform(-750.0, 750.0, 500).tolist() + rng.normal(0.0, 3.0, 500).tolist()
+        for x in args + self.SPECIAL:
+            self._assert_exact(x)  # a miss
+            self._assert_exact(x)  # a hit, if its value was kept
+
+    def test_interleaved_repeats_are_exact(self):
+        rng = np.random.default_rng(18)
+        pool = rng.uniform(-5.0, 5.0, 4).tolist() + [0.0, -0.0, np.nan, 800.0, -800.0]
+        for i in rng.integers(0, len(pool), 2000).tolist():
+            self._assert_exact(pool[i])
+
+    def test_arrays_are_unaffected(self):
+        x = np.array([0.5, 1.5, -0.0, 800.0, np.nan])
+        for _ in range(2):
+            _exp(0.5)
+            with np.errstate(all="ignore"):
+                got = _exp(x)
+                assert got.tobytes() == np.exp(x).tobytes()
+                assert _exp(x[:1]).tobytes() == np.exp(x[:1]).tobytes()
+
+    @pytest.mark.parametrize("x,flag", [(800.0, "over"), (-800.0, "under"),
+                                        (-745.0, "under")])
+    def test_a_flagged_value_is_never_kept(self, x, flag):
+        # the error state of each call decides, as it does for np.exp
+        for _ in range(3):
+            with np.errstate(**{flag: "ignore"}):
+                _exp(x)
+            with np.errstate(**{flag: "raise"}):
+                with pytest.raises(FloatingPointError):
+                    np.exp(x)
+                with pytest.raises(FloatingPointError):
+                    _exp(x)
+                with pytest.raises(FloatingPointError):
+                    _exp(x)
+        with np.errstate(**{flag: "warn"}):
+            with pytest.warns(RuntimeWarning):
+                _exp(x)
+
+    def test_a_hit_is_its_own_arguments_value_across_threads(self):
+        # a thread switch between the key test and the read of the value must
+        # not hand one thread the value of another's argument
+        args = [[k + 0.25 * t for k in range(8)] for t in range(4)]
+        want = {x: float(np.exp(x)) for xs in args for x in xs}
+        wrong = []
+
+        def run(xs):
+            for _ in range(500):
+                for x in xs:
+                    if _exp(x) != want[x] or _exp(x) != want[x]:
+                        wrong.append(x)
+
+        threads = [threading.Thread(target=run, args=(xs,)) for xs in args]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
+
+    def test_a_normal_value_raises_nothing(self):
+        with np.errstate(all="raise"):
+            for x in (1.5, 1.5, -708.0, -708.0, 709.78, 709.78):
+                assert _exp(x) == float(np.exp(x))
+
+
+#: the guards of the one-dimensional gases: system, lo and today's message
+GUARDS = [("ideal-gas", 0.0, "piston position must stay positive"),
+          ("van-der-waals", 0.1, "position must exceed the excluded volume 0.1")]
+
+
+@pytest.mark.parametrize("name,lo,what", GUARDS)
+def test_one_dimensional_guard_at_its_boundary(name, lo, what):
+    # lo and the float below it raise, the float above it passes, and NaN
+    # passes, at a float point, at an array point and as a row of a stack
+    entry = get_system(name)
+    L = entry.lagrangian.L
+    outside = [lo, float(np.nextafter(lo, -np.inf))] + ([-0.0] if lo == 0.0 else [])
+    inside = [float(np.nextafter(lo, np.inf)), np.nan]
+
+    def points(x):
+        stack = np.full((3, 1), 1.0)
+        stack[1, 0] = x
+        return [(x, 0.0, 0.5), (np.array([x]), np.array([0.0]), 0.5),
+                (stack, np.zeros((3, 1)), np.full(3, 0.5))]
+
+    for x in outside:
+        for q, v, S in points(x):
+            with pytest.raises(DomainError) as err:
+                L(q, v, S)
+            assert str(err.value) == f"{what}, got {x}"
+    for x in inside:
+        for q, v, S in points(x):
+            L(q, v, S)
 
 
 def test_catalog_names():
