@@ -18,7 +18,7 @@ from .geometry import (HamiltonianPoint, PointStructure, assemble_structure,
                        contact_evolution_field, evolution_field,
                        evolution_field_coordinates, flat_matrix, reeb_field,
                        structure_defect)
-from .solve import NewtonConfig, StepReport, initialize, integrate, newton_solve
+from .solve import NewtonConfig, initialize, integrate
 from .systems import (CATALOG, SystemCatalogEntry, get_system, hamiltonian_point,
                       ideal_gas, oscillator, two_pistons, van_der_waals)
 

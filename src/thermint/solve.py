@@ -5,37 +5,34 @@ One step of the discrete equations is the momentum match
     pi_minus(q_k, q_{k+1}, S_k) = pi_plus(q_{k-1}, q_k, S_{k-1})
 
 with S_k given explicitly by the entropy update; a Newton solve with the
-semiregularity matrix as its Jacobian finds q_{k+1}.  `integrate` steps
-one path with one stepper, `_stepper`, built once per path.  Each Newton
-iterate x is a pass of the triple (q_k, x, S_k) through the system's
-``triple_pass``, and the solve stops with its last pass at the root, so
-the next step takes its target pi_plus and its entropy update from that
-pass: the pass is carried, and a one-iteration step makes two passes, one
-Jacobian and one dL/dS call.  The stepper runs one Newton loop, on float
-points (n = 1, see `_point`) and on arrays alike, with the stop rules of
-`newton_solve`, the generic loop on arrays that `hamiltonian_point` uses.
-`solve_step` is the cold step of `discrete.discrete_flow` and the flow
-Jacobian: the triple's target and entropy from the rest of its own pass,
-then the same Newton solve.  At array points it also takes a stack of B
-triples, (B, n), (B, n) and (B,), as one pass and one Newton loop over the
-rows, `_newton_rows`, which stops each row by the same rules: row k is the
-bits of the step on row k alone.  The flow Jacobian of a pullback check is
-one such stack.
+semiregularity matrix as its Jacobian finds q_{k+1}.  Two Newton loops
+solve every root of the package, with one set of stop rules: `_newton`
+at one point, a float (n = 1, see `_point`) or an array, and
+`_newton_rows` on a stack of points, row by row.  Each Newton iterate x is
+a pass of the triple (q_k, x, S_k) through the system's ``triple_pass``,
+and `_newton` stops with its last pass at the root, so `integrate` takes
+the next step's target pi_plus and entropy update from that pass: the
+pass is carried, and a one-iteration step makes two passes, one Jacobian
+and one dL/dS call.  `solve_step` is the cold step of
+`discrete.discrete_flow` and the flow Jacobian: the triple's target and
+entropy from the rest of its own pass, then the same `_newton`, or one
+`_newton_rows` on a stack of B triples, (B, n), (B, n) and (B,), whose
+row k is the bits of the step on row k alone.  The flow Jacobian of a
+pullback check is one such stack.  `systems.hamiltonian_point` inverts
+the Legendre transform with `_newton` too.
 """
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _solve1
 
-from .continuous import ThermoState, continuous_rhs, first_order_rhs, vec
+from .continuous import ThermoState, continuous_rhs, first_order_rhs
 from .discrete import _SINGULAR, DiscretePath, DiscreteTriple, _pass_values
 from .errors import ConfigError, ConvergenceError, TemperatureDegenerateError, ThermintError
 
-__all__ = ["NewtonConfig", "StepReport", "newton_solve", "solve_step", "integrate",
-           "initialize"]
+__all__ = ["NewtonConfig", "solve_step", "integrate", "initialize"]
 
 #: a Newton update at most this times 1 + |x| is at roundoff level
 _STALL = 4.0 * float(np.finfo(float).eps)
@@ -51,50 +48,6 @@ class NewtonConfig:
     def __post_init__(self):
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
-
-
-class StepReport(NamedTuple):
-    iterations: int
-    residual_norm: float
-
-
-def newton_solve(residual, jacobian, x0, cfg=None):
-    """Newton iteration for residual(x) = 0 with max-norm convergence, on a
-    float array: ``x0`` is taken as one, a float as a length-1 array.
-
-    ``jacobian(x)`` is the Jacobian of the residual at x.  Iteration stops
-    when the residual meets ``cfg.tol``, when an update is at roundoff
-    level (the residual is then at its attainable floor), or after
-    `_MAX_ITER` updates.  Raises ConvergenceError on a singular Jacobian,
-    a non-finite update, or a residual still above tol at the stop.  On
-    every return the last residual call is made at the returned root.  It
-    serves `systems.hamiltonian_point`; the steps of a path run the loop of
-    `_stepper`, which stops by the same rules.
-    """
-    cfg = cfg or NewtonConfig()
-    tol = cfg.tol
-    x = np.array(x0, dtype=float, ndmin=1)
-    r = vec(residual(x))
-    rnorm = _max_norm(r)
-    it = 0
-    while rnorm > tol and it < _MAX_ITER:
-        it += 1
-        dx = _solve_update(jacobian(x), r)
-        # the max norm is NaN or inf exactly when some component is
-        dxn = _max_norm(dx)
-        if not math.isfinite(dxn):
-            raise ConvergenceError("non-finite Newton update (singular Jacobian?)")
-        x = x - dx
-        r = vec(residual(x))
-        rnorm = _max_norm(r)
-        # a stalled update ends the loop; one that met tol ends it anyway
-        if rnorm > tol and dxn <= _STALL * (1.0 + _max_norm(x)):
-            break
-    if rnorm <= tol:
-        # StepReport(it, rnorm) without its Python-level __new__
-        return x, tuple.__new__(StepReport, (it, rnorm))
-    raise ConvergenceError(
-        f"Newton residual {rnorm:.3e} above tol {tol:.1e} after {it} iterations")
 
 
 def _max_norm(y):
@@ -121,54 +74,47 @@ def _solve_update(J, r):
     return _solve1(np.array(J, dtype=float, ndmin=2, copy=None), r, signature="dd->d")
 
 
-def _stepper(d, cfg):
-    """The Newton solves of one path, with its pass and matrix looked up once.
+def _newton(triple_pass, pi_minus_dq1, tol, q, S, target, x):
+    """The root x of pi_minus(q, x, S) = target by Newton from the start x,
+    and the ``rest, args`` of the pass at the root.
 
-    ``step(q_prev, q_curr, S_curr, target)`` returns the root q_next of
-    pi_minus(q_curr, x, S_curr) = target, warm-started at the linear
-    extrapolation 2 q_curr - q_prev, and the ``rest, args`` of the pass at
-    q_next, so ``rest(*args)`` is (pi_plus, S increment) of the next triple
-    (q_curr, q_next, S_curr).  The Newton Jacobian is the semiregularity
-    matrix.  One loop serves both kinds of point, with `newton_solve`'s stop
-    rules: it calls the pass and the matrix directly and keeps the last
-    pass, which is at the root on every return.  A float point (n = 1)
-    takes norms by ``abs`` and updates by r / J, an array point by
-    `_max_norm` and `_solve_update`.
+    pi_minus is the first value of ``triple_pass(q, x, S)`` and the Newton
+    Jacobian ``pi_minus_dq1(q, x, S)``.  Iteration stops when the residual
+    meets ``tol``, when an update is at roundoff level (the residual is
+    then at its attainable floor), or after `_MAX_ITER` updates.  Raises
+    ConvergenceError on a singular Jacobian, a non-finite update, or a
+    residual still above tol, or NaN, at the stop.  The last pass is at
+    the returned root on every return.  One loop serves both kinds of
+    point: a float point (n = 1, see `_point`) takes norms by ``abs`` and
+    updates by r / J, an array point by `_max_norm` and `_solve_update`.
     """
-    tol = (cfg or NewtonConfig()).tol
-    triple_pass, pi_minus_dq1 = d.triple_pass, d.pi_minus_dq1
-
-    def step(q_prev, q_curr, S_curr, target):
-        on_floats = type(q_curr) is float
-        norm = abs if on_floats else _max_norm
-        x = 2 * q_curr - q_prev
-        pi, rest, args = triple_pass(q_curr, x, S_curr)
+    on_floats = type(q) is float
+    norm = abs if on_floats else _max_norm
+    pi, rest, args = triple_pass(q, x, S)
+    r = pi - target
+    rnorm = norm(r)
+    it = 0
+    while rnorm > tol and it < _MAX_ITER:
+        it += 1
+        J = pi_minus_dq1(q, x, S)
+        if on_floats and J == 0.0:
+            raise ConvergenceError("singular Newton Jacobian: zero Jacobian")
+        # the update inline: a helper call would cost every float step
+        dx = r / J if on_floats else _solve_update(J, r)
+        dxn = norm(dx)
+        if not math.isfinite(dxn):
+            raise ConvergenceError("non-finite Newton update (singular Jacobian?)")
+        x = x - dx
+        pi, rest, args = triple_pass(q, x, S)
         r = pi - target
         rnorm = norm(r)
-        it = 0
-        while rnorm > tol and it < _MAX_ITER:
-            it += 1
-            J = pi_minus_dq1(q_curr, x, S_curr)
-            if on_floats and J == 0.0:
-                raise ConvergenceError("singular Newton Jacobian: zero Jacobian")
-            # the update inline: a helper call would cost every float step
-            dx = r / J if on_floats else _solve_update(J, r)
-            dxn = norm(dx)
-            if not math.isfinite(dxn):
-                raise ConvergenceError("non-finite Newton update (singular Jacobian?)")
-            x = x - dx
-            pi, rest, args = triple_pass(q_curr, x, S_curr)
-            r = pi - target
-            rnorm = norm(r)
-            # a stalled update ends the loop; one that met tol ends it anyway
-            if rnorm > tol and dxn <= _STALL * (1.0 + norm(x)):
-                break
-        if rnorm <= tol:
-            return x, rest, args
-        raise ConvergenceError(
-            f"Newton residual {rnorm:.3e} above tol {tol:.1e} after {it} iterations")
-
-    return step
+        # a stalled update ends the loop; one that met tol ends it anyway
+        if rnorm > tol and dxn <= _STALL * (1.0 + norm(x)):
+            break
+    if rnorm <= tol:
+        return x, rest, args
+    raise ConvergenceError(
+        f"Newton residual {rnorm:.3e} above tol {tol:.1e} after {it} iterations")
 
 
 def solve_step(d, q_prev, q_curr, S_prev, cfg):
@@ -176,27 +122,29 @@ def solve_step(d, q_prev, q_curr, S_prev, cfg):
 
     S_curr is the entropy update and the target pi_plus that of the triple
     (q_prev, q_curr, S_prev), both from the rest of its pass; q_next is the
-    root of `integrate`'s Newton solve.  The points are arrays, or floats
-    at n = 1 (see `_point`).  A stack of B triples, q_prev and q_curr of
-    shape (B, n) and S_prev of shape (B,), is one pass and one Newton loop
-    (`_newton_rows`), ``d`` taking stacks (see `DiscreteThermoSystem`): row
-    k of q_next and S_curr is the bits of the step on row k alone, and a
-    row that fails raises as that step would.
+    root of pi_minus(q_curr, x, S_curr) = target by `_newton` from the
+    linear extrapolation 2 q_curr - q_prev, as `integrate` steps.  The
+    points are arrays, or floats at n = 1 (see `_point`).  A stack of B
+    triples, q_prev and q_curr of shape (B, n) and S_prev of shape (B,), is
+    one pass and one Newton loop (`_newton_rows`), ``d`` taking stacks (see
+    `DiscreteThermoSystem`): row k of q_next and S_curr is the bits of the
+    step on row k alone, and a row that fails raises as that step would.
     """
     _, target, dS = _pass_values(d.triple_pass, q_prev, q_curr, S_prev)
     S_curr = S_prev + dS
+    solve = (d.triple_pass, d.pi_minus_dq1, (cfg or NewtonConfig()).tol, q_curr, S_curr, target,
+             2 * q_curr - q_prev)
     if type(q_curr) is not float and q_curr.ndim == 2:
-        return _newton_rows(d, q_curr, S_curr, target, 2 * q_curr - q_prev, cfg), S_curr
-    q_next, _, _ = _stepper(d, cfg)(q_prev, q_curr, S_curr, target)
-    return q_next, S_curr
+        return _newton_rows(*solve), S_curr
+    return _newton(*solve)[0], S_curr
 
 
-def _newton_rows(d, q, S, target, x, cfg):
+def _newton_rows(triple_pass, pi_minus_dq1, tol, q, S, target, x):
     """The roots x_k of pi_minus(q_k, x_k, S_k) = target_k of a stack of rows,
-    from the start x: the Newton loop of `_stepper` on all rows at once.
+    from the start x: the loop of `_newton` on all rows at once.
 
-    Each row stops by `_stepper`'s rules: it leaves the loop when its
-    residual meets ``cfg.tol`` (its x then frozen), when its update is at
+    Each row stops by `_newton`'s rules: it leaves the loop when its
+    residual meets ``tol`` (its x then frozen), when its update is at
     roundoff level or when its residual is NaN, and after `_MAX_ITER`
     updates; a singular Jacobian or a non-finite update raises.  A row that
     left above tol, or NaN, raises ConvergenceError.  Each iteration solves
@@ -205,9 +153,6 @@ def _newton_rows(d, q, S, target, x, cfg):
     row.  Max norms are ``np.max`` of magnitudes, NaN when a component is,
     as `_max_norm`.  Every error names the first row that fails.
     """
-    cfg = cfg or NewtonConfig()
-    tol = cfg.tol
-    triple_pass, pi_minus_dq1 = d.triple_pass, d.pi_minus_dq1
     r = triple_pass(q, x, S)[0] - target
     rnorm = np.max(np.abs(r), axis=-1)
     iters = np.zeros(len(x), dtype=int)
@@ -252,7 +197,7 @@ def _failing_row(J, r, rows, size):
 
 
 def _point(d, q):
-    """The point q as the stepper takes it: the float of its one entry at
+    """The point q as `_newton` takes it: the float of its one entry at
     n = 1, where every kernel callable takes a float point (see
     `DiscreteThermoSystem`), else q itself."""
     return float(q[0]) if d.n == 1 else q
@@ -271,7 +216,7 @@ def integrate(d, q0, q1, S0, N, cfg=None):
     k`` and ``triple`` that `DiscreteTriple`: a `ThermintError`, or an
     `ArithmeticError` such as the OverflowError of a float ``**``.
     """
-    cfg = cfg or NewtonConfig()
+    tol = (cfg or NewtonConfig()).tol
     if N < 0:
         raise ValueError(f"N must be non-negative, got {N}")
     if np.size(q0) != d.n or np.size(q1) != d.n:
@@ -287,11 +232,11 @@ def integrate(d, q0, q1, S0, N, cfg=None):
     q_prev, q_curr, S_prev = _point(d, qs[0]), _point(d, qs[1]), float(S0)
     # a float point goes into the one column: a scalar store, not a row's
     q_out = qs[:, 0] if d.n == 1 else qs
-    step = _stepper(d, cfg)
+    triple_pass, pi_minus_dq1 = d.triple_pass, d.pi_minus_dq1
     k = 1
     try:
         # no root has left a pass of triple 1: it is passed cold
-        _, rest, args = d.triple_pass(q_prev, q_curr, S_prev)
+        _, rest, args = triple_pass(q_prev, q_curr, S_prev)
         for k in range(1, N + 1):
             try:
                 target, dS = rest(*args)
@@ -301,7 +246,8 @@ def integrate(d, q0, q1, S0, N, cfg=None):
             Ss[k] = S_curr = S_prev + dS
             if k == N:
                 break
-            q_next, rest, args = step(q_prev, q_curr, S_curr, target)
+            q_next, rest, args = _newton(triple_pass, pi_minus_dq1, tol, q_curr, S_curr, target,
+                                         2 * q_curr - q_prev)
             q_out[k + 1] = q_next
             q_prev, q_curr, S_prev = q_curr, q_next, S_curr
     except (ThermintError, ArithmeticError) as exc:

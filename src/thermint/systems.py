@@ -14,6 +14,8 @@ carry, where available, an exact solution and a closed-form discrete
 update.
 """
 
+import errno
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +23,7 @@ import numpy as np
 from .continuous import LagrangianThermoSystem, _constant, pair, vec
 from .errors import DomainError
 from .geometry import HamiltonianPoint
-from .solve import newton_solve
+from .solve import NewtonConfig, _newton
 
 __all__ = [
     "SystemCatalogEntry",
@@ -74,15 +76,17 @@ class SystemCatalogEntry:
 def hamiltonian_point(entry, q, p, S):
     """Assemble the geometry-side data of a phase-space point.
 
-    The velocity v solves dL/dv(q, v, S) = p, by `solve.newton_solve`
-    from v = p with the Jacobian d2L/dv2; the Hamiltonian partials are
-    dH = (-dL/dq, v, -dL/dS) and the friction is Ffr, both at (q, v, S).
-    Where dL/dv is v, as on the catalog, the start is the root: Newton
-    takes no iteration and v is p.
+    The velocity v solves dL/dv(q, v, S) = p, by the step's Newton loop
+    `solve._newton` from v = p, its pass dL/dv and its matrix d2L/dv2, at
+    the default tolerance and with the step's stop rules and errors; the
+    Hamiltonian partials are dH = (-dL/dq, v, -dL/dS) and the friction is
+    Ffr, both at (q, v, S).  Where dL/dv is v, as on the catalog, the start
+    is the root: Newton takes no iteration and v is p.
     """
     sys = entry.lagrangian
     q, p = vec(q), vec(p)
-    v, _ = newton_solve(lambda w: sys.dLdv(q, w, S) - p, lambda w: sys.d2Ldv2(q, w, S), p)
+    v, _, _ = _newton(lambda q, w, S: (sys.dLdv(q, w, S), None, None), sys.d2Ldv2,
+                      NewtonConfig().tol, q, S, p, p)
     dH = np.concatenate([-vec(sys.dLdq(q, v, S)), v, [-sys.dLdS(q, v, S)]])
     return HamiltonianPoint(q=q, p=p, S=S, dH=dH, Ffr=sys.Ffr(q, v, S))
 
@@ -106,9 +110,18 @@ def _coord(q, i):
     return float(q[i]) if q.ndim == 1 else q[..., i]
 
 
+def _overflow(err, flag):
+    """The error call of `_power`: float ``**``'s error where it overflows."""
+    raise OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))
+
+
 def _power(x, e):
-    """x ** e; `np.float_power` on an array (array ``**`` rounds differently)."""
-    return x ** e if type(x) is float else np.float_power(x, e)
+    """x ** e; `np.float_power` on an array (array ``**`` rounds differently),
+    which raises the OverflowError of float ``**`` where that overflows."""
+    if type(x) is float:
+        return x ** e
+    with np.errstate(over="call", call=_overflow):
+        return np.float_power(x, e)
 
 
 #: the last float argument of `_exp` and its value, one tuple so a hit
@@ -397,9 +410,9 @@ def _ideal_gas(name, n, gamma, c, volume, **entry_fields):
         return _uniform(q, ex * _exp(S) * _power(volume(q), -ex - 1.0))
 
     def stiffness(q, v, S):  # d2L/dq_i dq_j = -d2U/dV2
-        # `_power` inlined: a point makes no call for the power
+        # `_power` inlined at a point, which makes no call for the power
         V = volume(q)
-        power = V ** (-ex - 2.0) if type(V) is float else np.float_power(V, -ex - 2.0)
+        power = V ** (-ex - 2.0) if type(V) is float else _power(V, -ex - 2.0)
         return _matrix(q, -ex * (ex + 1.0) * _exp(S) * power)
 
     return _separable(name, n, float(gamma), potential=(U,), force=pressures,
@@ -472,11 +485,11 @@ def van_der_waals(gamma=0.1, a_hat=1.0e3, b_hat=0.1):
 
     def stiffness(q, v, S):  # d2L/dx2
         x = xval(q)
-        # `_power` inlined: a point makes no call for the powers
+        # `_power` inlined at a point, which makes no call for the powers
         if type(x) is float:
             powers = (x - bh) ** (-8.0 / 3.0), x ** 3
         else:
-            powers = np.float_power(x - bh, -8.0 / 3.0), np.float_power(x, 3)
+            powers = _power(x - bh, -8.0 / 3.0), _power(x, 3)
         return _matrix(q, -(10.0 / 9.0) * _exp(S) * powers[0] + 2.0 * ah / powers[1])
 
     return _separable(

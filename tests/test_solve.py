@@ -10,7 +10,7 @@ from thermint import systems
 from thermint.bench import default_newton_tol
 from thermint.continuous import fd_gradient, pair
 from thermint.errors import TemperatureDegenerateError, ThermintError
-from thermint.solve import _solve_update, solve_step
+from thermint.solve import _newton, _solve_update, solve_step
 
 from thermint import (
     ConfigError,
@@ -30,30 +30,44 @@ from thermint import (
     initialize,
     integrate,
     midpoint_discretize,
-    newton_solve,
 )
 
 OSC = get_system("oscillator")
 GAS = get_system("ideal-gas")
 
 
+def _newton_on(residual, jacobian, x0, tol=1e-12):
+    """`_newton` on residual(x) = 0 from x0, a float or an array, with
+    ``residual`` as its pass and ``jacobian`` as its Newton matrix: the root
+    and the number of updates, one per matrix call."""
+    updates = []
+
+    def matrix(q, x, S):
+        updates.append(x)
+        return jacobian(x)
+
+    q = 0.0 if type(x0) is float else np.zeros_like(x0)
+    x, _, _ = _newton(lambda q, x, S: (residual(x), None, None), matrix, tol, q, 0.0, 0.0, x0)
+    return x, len(updates)
+
+
 class TestNewton:
     def test_linear_single_iteration(self):
         A = np.array([[2.0, 1.0], [0.0, 3.0]])
         b = np.array([1.0, -2.0])
-        x, report = newton_solve(lambda x: A @ x - b, lambda x: A, np.zeros(2))
+        x, iterations = _newton_on(lambda x: A @ x - b, lambda x: A, np.zeros(2))
         np.testing.assert_allclose(x, np.linalg.solve(A, b), atol=1e-14)
-        assert report.iterations == 1
+        assert iterations == 1
 
     def test_oscillator_step_matches_closed_form(self):
+        # the step's own solve on length-1 arrays, from the linear extrapolation
         h = 0.01
         d = midpoint_discretize(OSC.lagrangian, h)
         a, b = OSC.update_coefficients(h)
         qa, qb = np.array([0.1]), np.array([0.12])
         S1 = entropy_update(d, DiscreteTriple(qa, qb, 0.0))
-        const = d.D2Ld(qa, qb, 0.0) + 0.5 * d.ffr_plus(qa, qb, 0.0)
-        resid = lambda x: d.D1Ld(qb, x, S1) + 0.5 * d.ffr_minus(qb, x, S1) + const
-        x, _ = newton_solve(resid, partial(fd_gradient, resid), 2 * qb - qa)
+        x, _, _ = _newton(d.triple_pass, d.pi_minus_dq1, 1e-12, qb, S1, d.pi_plus(qa, qb, 0.0),
+                          2 * qb - qa)
         assert x[0] == pytest.approx(a * 0.12 - b * 0.1, abs=1e-12)
 
     def test_cubic_against_bisection(self):
@@ -61,28 +75,27 @@ class TestNewton:
 
         f = lambda x: np.array([x[0] ** 3 - 2 * x[0] - 5.0])
         root = bisect(lambda x: x ** 3 - 2 * x - 5.0, 2.0, 3.0, xtol=1e-14)
-        x, report = newton_solve(f, partial(fd_gradient, f), np.array([2.5]),
-                                 NewtonConfig(tol=1e-12))
+        x, _ = _newton_on(f, partial(fd_gradient, f), np.array([2.5]))
         assert x[0] == pytest.approx(root, abs=1e-12)
-        assert report.residual_norm <= 1e-12
+        assert abs(f(x)[0]) <= 1e-12
 
     def test_max_iter_exceeded(self):
         # x^2 + 1 has no real root, and each update (x^2 + 1)/(2x) is at
         # least 1 in size, so it never stalls: the loop stops after 50
         with pytest.raises(ConvergenceError, match="after 50 iterations"):
-            newton_solve(lambda x: x ** 2 + 1.0, lambda x: np.array([[2.0 * x[0]]]),
-                         np.array([0.5]), NewtonConfig(tol=1e-12))
+            _newton_on(lambda x: x ** 2 + 1.0, lambda x: np.array([[2.0 * x[0]]]),
+                       np.array([0.5]))
 
     def test_singular_jacobian(self):
         f = lambda x: np.array([x[0] ** 2])
         J = lambda x: np.array([[0.0]])
-        with pytest.raises(ConvergenceError):
-            newton_solve(f, J, np.array([1.0]))
+        with pytest.raises(ConvergenceError, match="singular Newton Jacobian"):
+            _newton_on(f, J, np.array([1.0]))
 
     def test_already_converged_zero_iterations(self):
         f = lambda x: np.zeros(1)
-        x, report = newton_solve(f, partial(fd_gradient, f), np.array([3.0]))
-        assert report.iterations == 0
+        x, iterations = _newton_on(f, partial(fd_gradient, f), np.array([3.0]))
+        assert iterations == 0
         assert x[0] == 3.0
 
     @pytest.mark.parametrize("n", [1, 2], ids=["float", "array"])
@@ -90,7 +103,7 @@ class TestNewton:
     def test_last_residual_call_is_at_the_root(self, n, stop):
         # integrate takes the pass of the last residual call for the pass at
         # the root: on every return that call is made at the returned point.
-        # The stepper's loop runs on float points (n = 1) and on arrays,
+        # The point loop `_newton` runs on float points (n = 1) and on arrays,
         # here through solve_step and integrate on a scripted system
         vector = (lambda v: v) if n == 1 else (lambda v: np.full(2, v))
         matrix = (lambda v: v) if n == 1 else (lambda v: v * np.eye(2))
@@ -129,7 +142,7 @@ class TestNewton:
         assert path.Ss[2] == path.qs[2, 0]
 
     def test_newton_array_errors(self):
-        # every failing stop of the stepper's loop at array points, through
+        # every failing stop of `_newton` at array points, through
         # solve_step and through integrate, which names step 1 and its triple
         nan, eye = float("nan"), np.eye(2)
         start = lambda x: x[0] == 0.5
@@ -163,18 +176,6 @@ class TestNewton:
             assert err.value.step_index == 1
             _assert_triple(err.value.triple, q0, q1, 0.0)
 
-    def test_float_start_iterates_on_a_length_1_array(self):
-        seen = []
-
-        def residual(x):
-            seen.append(x)
-            return x * x - 2.0
-
-        x, _ = newton_solve(residual, lambda x: np.array([[2.0 * x[0]]]), 1.5)
-        assert type(x) is np.ndarray and x.shape == (1,)
-        assert all(type(y) is np.ndarray and y.shape == (1,) for y in seen)
-        assert x[0] == pytest.approx(2.0 ** 0.5, abs=1e-12)
-
     def test_config_validation(self):
         # tol = inf took any start guess as a root after 0 iterations
         for tol in (0.0, np.inf, np.nan):
@@ -190,7 +191,7 @@ class TestNewton:
         values = iter([[1.0, 1.0], bad] if stage == "update" else [bad])
         residual = lambda x: np.array(next(values))
         with pytest.raises(ConvergenceError, match="residual nan"):
-            newton_solve(residual, lambda x: np.eye(2), np.zeros(2))
+            _newton_on(residual, lambda x: np.eye(2), np.zeros(2))
 
     def test_solve_update_is_lapack_solve(self):
         # the Newton update calls numpy's solve gufunc without the
@@ -205,7 +206,7 @@ class TestNewton:
         # LAPACK's singular flag reaches the caller as a ConvergenceError,
         # with no RuntimeWarning (the suite turns one into an error)
         with pytest.raises(ConvergenceError, match="singular Newton Jacobian"):
-            newton_solve(lambda x: x - 1.0, lambda x: J, np.zeros(2))
+            _newton_on(lambda x: x - 1.0, lambda x: J, np.zeros(2))
 
 
 class TestStackedStep:
@@ -367,8 +368,9 @@ class TestIntegrate:
     @pytest.mark.parametrize("name,q", [("ideal-gas", [1e-250]),
                                         ("two-pistons", [1e-250, 0.0])])
     def test_arithmetic_error_reports_step_index(self, name, q):
-        # a float ``**`` overflows at volume 1e-250 (a stack's np.float_power
-        # gives inf); the error keeps its type and names step 1 and its triple
+        # a float ``**`` overflows at volume 1e-250, as a stack's power does
+        # (see test_stacks); the error keeps its type and names step 1 and
+        # its triple
         d = midpoint_discretize(get_system(name).lagrangian, 0.01)
         with pytest.raises(OverflowError) as err:
             integrate(d, q, q, 0.0, 5)
@@ -381,15 +383,18 @@ class TestIntegrate:
         assert path.constraint_residual(d) == 0.0
 
     def test_warm_start_keeps_newton_short(self):
-        h = 0.1
-        d = midpoint_discretize(OSC.lagrangian, h)
-        qa, qb = np.array([0.0]), np.array([0.099])
-        S1 = entropy_update(d, DiscreteTriple(qa, qb, 0.0))
-        const = d.D2Ld(qa, qb, 0.0) + 0.5 * d.ffr_plus(qa, qb, 0.0)
-        resid = lambda x: d.D1Ld(qb, x, S1) + 0.5 * d.ffr_minus(qb, x, S1) + const
-        jac = lambda x: -d.pi_minus_dq1(qb, x, S1)
-        _, report = newton_solve(resid, jac, 2 * qb - qa, NewtonConfig(tol=1e-12))
-        assert report.iterations <= 3
+        # the Newton updates of a step from the linear extrapolation, one per
+        # call of the Newton matrix
+        d = midpoint_discretize(OSC.lagrangian, 0.1)
+        updates = []
+
+        def newton_matrix(q0, q1, S0):
+            updates.append(q1)
+            return d.pi_minus_dq1(q0, q1, S0)
+
+        counted = dataclasses.replace(d, pi_minus_dq1=newton_matrix)
+        solve_step(counted, np.array([0.0]), np.array([0.099]), 0.0, NewtonConfig(tol=1e-12))
+        assert 1 <= len(updates) <= 3
 
 
 def _cooling():
@@ -701,7 +706,7 @@ class TestFloatPoints:
         args = (d, float(q0[0]), float(q1[0]), S0, NewtonConfig(tol=cfg.newton_tol))
         solve_step(*args)
         calls = _python_calls(solve_step, *args)
-        assert len(calls) == 22, calls
+        assert len(calls) == 21, calls
 
     @pytest.mark.parametrize("name,count", [
         pytest.param("oscillator", 15, id="oscillator"),
@@ -747,8 +752,8 @@ class TestFloatPoints:
     # None: the central-difference Jacobian of the residual
     @pytest.mark.parametrize("jacobian", [None, lambda x: 3 * x ** 2 - 2])
     def test_newton_float_is_length_1_array(self, jacobian):
-        # the stepper's float loop and newton_solve on length-1 arrays give
-        # the same root, bit for bit, from the same residual evaluations
+        # the float loop of a step and `_newton` on length-1 arrays give the
+        # same root, bit for bit, pass for pass
         cubic = lambda x: x ** 3 - 2 * x - 5.0
         cubic_array = lambda x: np.array([cubic(x[0])])
         if jacobian is None:
@@ -761,11 +766,18 @@ class TestFloatPoints:
             seen.append(x)
             return cubic(x)
 
+        seen_arrays = []
+
+        def recorded_array(x):
+            seen_arrays.append(x)
+            return cubic_array(x)
+
         # the Newton start 2 q1 - q0 is 2.5
         x, _ = solve_step(_scripted(recorded, jacobian), 0.0, 1.25, 0.0, None)
-        y, report = newton_solve(cubic_array, on_arrays, np.array([2.5]))
+        y, iterations = _newton_on(recorded_array, on_arrays, np.array([2.5]))
         assert type(x) is float and x.hex() == float(y[0]).hex()
-        assert len(seen) == report.iterations + 1
+        assert len(seen) == len(seen_arrays) == iterations + 1
+        assert [x.hex() for x in seen] == [float(y[0]).hex() for y in seen_arrays]
 
     def test_newton_float_errors(self):
         # every failing stop of the float loop, through solve_step and

@@ -20,6 +20,7 @@ from thermint import (DiscretePath, DiscreteTriple, DomainError, ExperimentConfi
                       momentum_map, noether_condition, omega_embedded, pullback_check,
                       rk2_integrate, run_experiment)
 from thermint.continuous import fd_gradient
+from thermint.solve import solve_step
 
 ALL = ["oscillator", "ideal-gas", "van-der-waals", "two-pistons"]
 ROWS = 2000
@@ -131,6 +132,40 @@ def test_one_row_outside_the_domain_raises(name):
         for fn in (d.Ld, d.D1Ld, d.D2Ld, d.DSLd, d.triple_pass, d.pi_minus_dq1):
             with pytest.raises(DomainError, match=bad):
                 fn(q, q, S)
+
+
+@pytest.mark.parametrize("name,point", [("ideal-gas", [1e-250]),
+                                        ("two-pistons", [1e-250, 0.0]),
+                                        ("van-der-waals", [1e200])],
+                         ids=["ideal-gas", "two-pistons", "van-der-waals"])
+def test_one_overflowing_row_raises(name, point):
+    # a float ``**`` raises OverflowError where its value leaves the float
+    # range: each callable that raises it at a point raises it with that
+    # point as a row of a stack, and so does the stacked cold step
+    entry = get_system(name)
+    sys = entry.lagrangian
+    q, v, S = _stack(entry.n, 36)
+    q[7] = point
+    points = [(q[7], v[7], float(S[7]))]
+    if entry.n == 1:
+        points.append((point[0], float(v[7, 0]), float(S[7])))
+    overflowing = {}
+    for fn in (sys.L, sys.dLdq, sys.dLdv, sys.dLdS, sys.Ffr, sys.d2Ldq2, sys.d2Ldqdv,
+               sys.d2Ldv2, sys.d2LdqdS, sys.d2LdvdS, sys.dFfrdq, sys.dFfrdv, sys.dFfrdS,
+               entry.H):
+        for p in points:
+            try:
+                fn(*p)
+            except OverflowError as exc:
+                overflowing[fn] = str(exc)
+    assert len(overflowing) >= 2
+    for fn, message in overflowing.items():
+        with pytest.raises(OverflowError) as err:
+            fn(q, v, S)
+        assert str(err.value) == message
+    # the midpoint of (q, q) is q
+    with pytest.raises(OverflowError):
+        solve_step(midpoint_discretize(sys, 0.01), q, q, S, NewtonConfig(tol=1e-10))
 
 
 # ---------------------------------------------------------------------------

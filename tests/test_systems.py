@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from thermint import (
+    ConvergenceError,
     DiscreteTriple,
     DomainError,
     LagrangianThermoSystem,
@@ -143,6 +144,23 @@ def test_hamiltonian_point_inverts_the_legendre_transform():
     assert pdot[0] == pytest.approx(-0.46, abs=1e-12)
     _, _, Sd = continuous_rhs(sys, ThermoState(q, v, S))
     assert Sdot == pytest.approx(Sd, rel=1e-12)
+
+
+@pytest.mark.parametrize("d2Ldv2,message", [
+    # v^2 + 1 = 0.5 has no real root, and from v = p = 0.5 no update stalls
+    (lambda q, v, S: np.diag(2.0 * v), "Newton residual .* above tol 1.0e-12 after 50 iterations"),
+    (lambda q, v, S: np.zeros((1, 1)), "singular Newton Jacobian: Singular matrix"),
+], ids=["no-root", "singular"])
+def test_hamiltonian_point_fails_as_the_newton_loop(d2Ldv2, message):
+    # the velocity of a momentum is the root of the step's Newton loop, which
+    # stops and fails by the step's rules
+    lag = LagrangianThermoSystem(
+        n=1, L=lambda q, v, S: v[0] ** 3 / 3.0 + v[0] - 0.5 * q[0] ** 2 - S,
+        dLdq=lambda q, v, S: -q, dLdv=lambda q, v, S: v * v + 1.0, dLdS=lambda q, v, S: -1.0,
+        d2Ldv2=d2Ldv2, name="no-legendre-root")
+    entry = SystemCatalogEntry(lagrangian=lag, H=lambda q, p, S: 0.0)
+    with pytest.raises(ConvergenceError, match=message):
+        hamiltonian_point(entry, [0.5], [0.5], 0.0)
 
 
 class TestOscillator:
