@@ -62,10 +62,10 @@ def _rk2_float_step(sys, q, v, S, h):
 def rk2_integrate(sys, state0, h, N):
     """N RK2 midpoint steps; returns the trajectory on the uniform grid.
 
-    A system with ``float_points`` and a closed-form ``accel`` steps q and
-    v as Python floats (`_rk2_float_step`), bit for bit the step on
-    length-1 arrays, and stores them into the one column of the output;
-    any other system steps on arrays.  Whatever step k raises, numpy's
+    A one-dimensional system with ``float_points`` and a closed-form
+    ``accel`` steps q and v as Python floats (`_rk2_float_step`), bit for
+    bit the step on length-1 arrays, and stores them into the one column of
+    the output; any other system steps on arrays, two-pistons included.  Whatever step k raises, numpy's
     FloatingPointError included, is re-raised with ``step_index = k``.
     ``h`` must be positive and finite and ``N`` non-negative.
     """
@@ -78,7 +78,7 @@ def rk2_integrate(sys, state0, h, N):
     vs = np.empty((N + 1, n))
     Ss = np.empty(N + 1)
     qs[0], vs[0], Ss[0] = state0.q, state0.v, state0.S
-    if sys.float_points and sys.accel is not None:
+    if sys.n == 1 and sys.float_points and sys.accel is not None:
         step, q_out, v_out = _rk2_float_step, qs[:, 0], vs[:, 0]
         q, v = float(state0.q[0]), float(state0.v[0])
     else:

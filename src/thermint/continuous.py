@@ -6,6 +6,7 @@ friction covector field.  The equations of motion couple the forced
 Euler-Lagrange equations with the entropy equation (dL/dS) * Sdot = v . Ffr.
 """
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -42,29 +43,85 @@ def pair(a, b):
     Two floats, the components at a float point of a one-dimensional
     system, pair as ``0.0 + a * b``: the length-1 ``@`` starts its sum at
     +0.0, so it gives 0.0 for (-0.0) * 1.0 where ``a * b`` gives -0.0.
+    Two pairs of floats, covectors at a point of two floats, pair as
+    ``fma(a1, b1, 0.0 + a0 * b0)``, the bits of ``@`` on 2-vectors.
     """
     if isinstance(a, float):
         return 0.0 + a * b
+    if type(a) is tuple:
+        return fma(a[1], b[1], 0.0 + a[0] * b[0])
     a = np.asarray(a)
     return float(a @ b) if a.ndim == 1 else np.vecdot(a, b)
+
+
+#: Veltkamp's splitting factor 2^27 + 1, and the magnitudes of a * b (and c)
+#: within which the split of a and b and the error of their product are exact
+_SPLIT, _EXACT = 134217729.0, (2.0 ** -960, 2.0 ** 996)
+
+
+def _fsum_fma(a, b, c):
+    """a * b + c rounded once to nearest, ties to even: IEEE 754's
+    fusedMultiplyAdd, whose exact zero is -0.0 only when a * b is a zero of
+    negative sign and c is -0.0.  Where |a * b| and |c| lie in `_EXACT`,
+    a * b is p + e exactly, p = a * b rounded and e its error by Veltkamp's
+    split of a and b, and ``math.fsum`` rounds p + e + c once; elsewhere (a
+    split that overflows, a product that underflows or overflows, a
+    non-finite argument, a c that could overflow ``fsum``) `Fraction`
+    arithmetic does."""
+    p = a * b
+    if _EXACT[0] < abs(p) < _EXACT[1] and abs(c) < _EXACT[1]:
+        t = _SPLIT * a
+        ah = t - (t - a)
+        t = _SPLIT * b
+        bh = t - (t - b)
+        al, bl = a - ah, b - bh
+        r = math.fsum((p, ((ah * bh - p) + ah * bl + al * bh) + al * bl, c))
+        if r == r:  # NaN where a split overflows
+            # a zero here is a cancellation of the nonzero a * b: +0.0
+            return r or 0.0
+    if not (a and b and math.isfinite(a) and math.isfinite(b)):
+        return p + c  # the product is exact: a signed zero, inf or NaN
+    if not math.isfinite(c):
+        return c
+    from fractions import Fraction  # imported on the first fallback only
+
+    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    try:
+        return float(exact) if exact else 0.0
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
+#: a * b + c rounded once: `math.fma` where Python has it (3.13 on)
+fma = getattr(math, "fma", _fsum_fma)
 
 
 def _constant(value):
     """A field of (q, v, S) that does not depend on the point and declares
     it: ``value``, an array (made read-only, as every call returns it), or
-    its one entry at a float point; the callable's ``constant`` is
-    ``value`` (see `LagrangianThermoSystem`)."""
+    as a float point or a point of two floats takes it (see `_forms`); the
+    callable's ``constant`` is ``value`` (see `LagrangianThermoSystem`)."""
     value.flags.writeable = False
-    entry = float(value.flat[0])
-    field = lambda q, v, S: entry if type(q) is float else value
+    entry, _, flat = _forms(value)
+    field = lambda q, v, S: entry if type(q) is float else flat if type(q) is tuple else value
     field.constant = value
     return field
 
 
+def _forms(value):
+    """A constant array as each kind of point takes it, indexed by ``type(q)
+    is not float`` or 2: its one entry at a float point, the array itself,
+    and its entries as one flat tuple at a point of two floats."""
+    return float(value.flat[0]), value, tuple(value.ravel().tolist())
+
+
 def transposed(x):
     """x with its last two axes swapped, each matrix of a stack transposed, or
-    x itself at a float point (a 1x1 matrix as its one entry)."""
-    return x if isinstance(x, float) else x.mT
+    x itself at a float point (a 1x1 matrix as its one entry); at a point of
+    two floats a 2x2 matrix is the flat tuple (x00, x01, x10, x11)."""
+    if isinstance(x, float):
+        return x
+    return (x[0], x[2], x[1], x[3]) if type(x) is tuple else x.mT
 
 
 #: a point, a stack or a residual as a float array with at least one axis,
@@ -136,19 +193,24 @@ class LagrangianThermoSystem:
     of 20 000 arguments (e = -2/3), and an einsum pairing in 3220 of 20 000
     (n = 2).  The contract asks no other callable to take a stack.
 
-    Float points: a one-dimensional system may declare ``float_points``.
-    ``L``, the first partials, ``Ffr``, ``d2Ldq2``, ``d2Ldqdv``,
-    ``d2Ldv2``, ``dFfrdq``, ``dFfrdv`` and ``accel`` then also take a
-    point whose q and v are Python floats, and return a float for each
-    covector and each 1x1 matrix, bit for bit the one entry
-    of the call on length-1 arrays (a derived one of these does so when
-    the first partials do).  `midpoint_discretize` then runs the stepping
-    kernel on floats, and `bench.rk2_integrate` steps on floats if the
-    system has ``accel``.  The catalog's one-dimensional systems declare
-    it.  A system written on arrays (``q @ q``, ``q[0]``) leaves it False,
-    and its kernel takes float points through length-1 arrays; whether a
-    callable takes floats cannot be told without calling it, hence the
-    field.
+    Float points: a system of one or two dimensions may declare
+    ``float_points``.  At n = 1, ``L``, the first partials, ``Ffr``,
+    ``d2Ldq2``, ``d2Ldqdv``, ``d2Ldv2``, ``dFfrdq``, ``dFfrdv`` and
+    ``accel`` then also take a point whose q and v are Python floats, and
+    return a float for each covector and each 1x1 matrix, bit for bit the
+    one entry of the call on length-1 arrays (a derived one of these does
+    so when the first partials do).  At n = 2 the same fields but ``accel``
+    take a point whose q and v are tuples of two floats, and return a tuple
+    for each covector and the flat tuple (x00, x01, x10, x11) for each 2x2
+    matrix, bit for bit the entries of the call on arrays; a derived one
+    takes arrays only.  `midpoint_discretize` then runs the stepping kernel
+    on floats, at n = 2 when none of the five fields of the Newton matrix
+    (``d2Ldq2`` to ``dFfrdv`` below) is derived, and `bench.rk2_integrate`
+    steps a one-dimensional system on floats if it has ``accel``.  The catalog
+    declares it.  A system written on arrays (``q @ q``, ``q[0]``) leaves it
+    False: at n = 1 its kernel takes float points through length-1 arrays,
+    at n = 2 it steps on arrays.  Whether a callable takes floats cannot be
+    told without calling it, hence the field.
 
     Domain: each callable that reads q raises `DomainError` outside the
     system's domain, at any point and on a stack with any row outside;
@@ -176,11 +238,11 @@ class LagrangianThermoSystem:
     dFfrdS: callable = None          # (n,)
 
     accel: callable = None           # closed-form (n,) acceleration
-    float_points: bool = False       # n = 1 callables also take float q and v
+    float_points: bool = False       # callables also take q and v of n <= 2 floats
 
     def __post_init__(self):
-        if self.float_points and self.n != 1:
-            raise ValueError("float_points declares a one-dimensional system")
+        if self.float_points and self.n > 2:
+            raise ValueError("float_points declares a system of one or two dimensions")
         derive_missing(self, _second_partials(self))
 
 

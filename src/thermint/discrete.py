@@ -32,10 +32,11 @@ generic pass of its slot derivatives at construction, with Jacobians from
 """
 
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
-from .continuous import _constant, derive_missing, fd_gradient, pair, transposed
+from .continuous import _constant, _forms, derive_missing, fd_gradient, pair, transposed
 from .errors import TemperatureDegenerateError
 
 __all__ = [
@@ -116,7 +117,13 @@ class DiscreteThermoSystem:
     points and returns floats, bit for bit the one entry of its value on
     length-1 arrays.  The midpoint rule of a system that declares
     ``float_points`` computes on the floats; any other midpoint rule at
-    n = 1 and the generic kernel adapt theirs to length-1 arrays.
+    n = 1 and the generic kernel adapt theirs to length-1 arrays.  At n = 2
+    a step runs on points of two floats (q0, q1 tuples) where the pass and
+    ``pi_minus_dq1`` are marked ``float_points`` (see `solve._point`), as
+    the midpoint rule of a system that declares it marks its own: they
+    return a tuple for each covector and a flat tuple for the matrix, bit
+    for bit the entries of their values on arrays.  Any other kernel at
+    n = 2 steps on arrays.
     """
 
     n: int
@@ -347,12 +354,13 @@ def _sum_of_products(terms):
     A term is ``(k, field)``, the product k * field(m, w, S0), ``(k, field,
     transposed)``, k * transposed(field(m, w, S0)), or a bare field, its
     value.  The addend of a field declared constant (see
-    `continuous.LagrangianThermoSystem`) is formed here, once, as an array
-    and as its one entry, the float a float point takes; so is the sum of
-    the constant addends that lead.  A call evaluates the other fields, one
+    `continuous.LagrangianThermoSystem`) is formed here, once, in the form
+    each kind of point takes (`continuous._forms`); so is the sum of the
+    constant addends that lead.  A call evaluates the other fields, one
     call for adjacent terms of one field, and adds the addends in order but
     the zeros that `_exact_addends` drops: the bits of the sum formed term
-    by term at the point.  A sum of constant addends only is a `_constant`.
+    by term at the point, entry by entry at a point of two floats.  A sum
+    of constant addends only is a `_constant`.
     """
     lead, segments = None, []  # the leading constants' sum; (k, field, shape, constants after)
     for term in terms:
@@ -372,12 +380,15 @@ def _sum_of_products(terms):
             lead = value if lead is None else lead + value
     if not segments:
         return _constant(lead)
-    # a constant as (the float of a float point, the array), indexed by
-    # `type(m) is not float`
-    lead = None if lead is None else (float(lead.flat[0]), lead)
+    lead = None if lead is None else _forms(lead)
     segments = [(k, f, shape, _exact_addends(run)) for k, f, shape, run in segments]
+    # with the flat tuples of a point of two floats (see `_forms`)
+    segments = [(k, f, shape, (*run, [_forms(c)[2] for c in run[1]]))
+                for k, f, shape, run in segments]
 
     def total(m, w, S0):
+        if type(m) is tuple:
+            return pair_total(m, w, S0)
         form = type(m) is not float
         acc = None if lead is None else lead[form]
         last = None
@@ -389,6 +400,19 @@ def _sum_of_products(terms):
             acc = x if acc is None else acc + x
             for c in run[form]:
                 acc = acc + c
+        return acc
+
+    def pair_total(m, w, S0):
+        acc = None if lead is None else lead[2]
+        last = None
+        for k, f, shape, run in segments:
+            if f is not last:
+                last, value = f, f(m, w, S0)
+            x = value if shape is None else shape(value)
+            x = x if k is None else tuple(map(k.__mul__, x))
+            acc = x if acc is None else tuple(map(add, acc, x))
+            for c in run[2]:
+                acc = tuple(map(add, acc, c))
         return acc
     return total
 
@@ -433,7 +457,10 @@ def midpoint_discretize(sys, h):
     Each builder is one formula over float points and arrays, which takes
     the values of ``sys`` as they come (see `LagrangianThermoSystem`); at
     n = 1 without ``float_points`` the pass and ``pi_minus_dq1`` are
-    adapted to float points.
+    adapted to float points.  At n = 2 with ``float_points`` the pass and
+    ``pi_minus_dq1`` also take points of two floats: the midpoint, the pass
+    and its rest entry by entry and the matrix by `_sum_of_products`, the
+    bits of the array formulas (``pair`` reproduces ``@``).
     """
     if not 0 < h < np.inf:
         raise ValueError(f"time step must be positive and finite, got {h}")
@@ -494,14 +521,47 @@ def midpoint_discretize(sys, h):
         dS = _quotient(pair(f, q1 - q0), sys.dLdS(m, w, S0))
         return dv + dq + df, dS
 
-    pi_minus_dq1 = at_mid(q_block(-1, 1))
+    # the pass at a point of two floats (q0, q1 tuples): that of arrays
+    # entry by entry, the same bits; arrays go on to that
+    def pair_pass(q0, q1, S0):
+        if type(q0) is not tuple:
+            return triple_pass(q0, q1, S0)
+        (a0, a1), (b0, b1) = q0, q1  # mid(q0, q1) entry by entry
+        m, w = (0.5 * (a0 + b0), 0.5 * (a1 + b1)), ((b0 - a0) / h, (b1 - a1) / h)
+        f = sys.Ffr(m, w, S0)
+        v, g = sys.dLdv(m, w, S0), sys.dLdq(m, w, S0)
+        dv, dq, df = (v[0] / h, v[1] / h), (0.5 * g[0], 0.5 * g[1]), (0.5 * f[0], 0.5 * f[1])
+        return ((dv[0] - dq[0] - df[0], dv[1] - dq[1] - df[1]), pair_rest,
+                ((b0 - a0, b1 - a1), S0, m, w, dv, dq, df, f))
+
+    def pair_rest(dq1, S0, m, w, dv, dq, df, f):
+        # a zero D_S Ld raises ZeroDivisionError, which the callers report
+        pi = (dv[0] + dq[0] + df[0], dv[1] + dq[1] + df[1])
+        return pi, pair(f, dq1) / sys.dLdS(m, w, S0)
+
+    block = q_block(-1, 1)
+    pi_minus_dq1 = at_mid(block)
+
+    def pair_dq1(q0, q1, S0):
+        if type(q0) is not tuple:
+            return pi_minus_dq1(q0, q1, S0)
+        (a0, a1), (b0, b1) = q0, q1
+        return block((0.5 * (a0 + b0), 0.5 * (a1 + b1)), ((b0 - a0) / h, (b1 - a1) / h), S0)
+
+    kernel = triple_pass, pi_minus_dq1
     if n == 1 and not sys.float_points:
-        triple_pass, pi_minus_dq1 = _at_float_points(triple_pass, pi_minus_dq1)
+        kernel = _at_float_points(*kernel)
+    elif n == 2 and sys.float_points and not any(getattr(f, "generic", False) for f in (
+            sys.d2Ldq2, sys.d2Ldqdv, sys.d2Ldv2, sys.dFfrdq, sys.dFfrdv)):
+        # a constant Newton matrix takes the point itself
+        kernel = pair_pass, block if pi_minus_dq1 is block else pair_dq1
+        for f in kernel:
+            f.float_points = True
     ffr = at_mid(sys.Ffr)
     return DiscreteThermoSystem(
         n=n, h=h, Ld=at_mid(sys.L), D1Ld=slot(-1), D2Ld=slot(1), DSLd=at_mid(sys.dLdS),
         ffr_minus=ffr, ffr_plus=ffr, dpi_minus=covector_jacobian(-1),
-        dpi_plus=covector_jacobian(1), pi_minus_dq1=pi_minus_dq1, triple_pass=triple_pass,
+        dpi_plus=covector_jacobian(1), pi_minus_dq1=kernel[1], triple_pass=kernel[0],
         name=sys.name,
     )
 

@@ -7,8 +7,12 @@ One step of the discrete equations is the momentum match
 with S_k given explicitly by the entropy update; a Newton solve with the
 semiregularity matrix as its Jacobian finds q_{k+1}.  Two Newton loops
 solve every root of the package, with one set of stop rules: `_newton`
-at one point, a float (n = 1, see `_point`) or an array, and
-`_newton_rows` on a stack of points, row by row.  Each Newton iterate x is
+at one point, a float (n = 1), a tuple of two floats (n = 2, see
+`_point`) or an array, and `_newton_rows` on a stack of points, row by
+row.  At two floats the update is `_solve_pair`, which gives the bits of
+numpy's solve where OpenBLAS runs its SkylakeX kernel; a stacked step
+still calls numpy's, so on another kernel a flow and its stacked row
+may differ in their last bits.  Each Newton iterate x is
 a pass of the triple (q_k, x, S_k) through the system's ``triple_pass``,
 and `_newton` stops with its last pass at the root, so `integrate` takes
 the next step's target pi_plus and entropy update from that pass: the
@@ -22,13 +26,14 @@ pullback check is one such stack.  `systems.hamiltonian_point` inverts
 the Legendre transform with `_newton` too.
 """
 
+import inspect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _solve1
 
-from .continuous import ThermoState, continuous_rhs, first_order_rhs
+from .continuous import ThermoState, continuous_rhs, first_order_rhs, fma
 from .discrete import _SINGULAR, DiscretePath, DiscreteTriple, _pass_values
 from .errors import ConfigError, ConvergenceError, TemperatureDegenerateError, ThermintError
 
@@ -36,6 +41,9 @@ __all__ = ["NewtonConfig", "solve_step", "integrate", "initialize"]
 
 #: a Newton update at most this times 1 + |x| is at roundoff level
 _STALL = 4.0 * float(np.finfo(float).eps)
+
+#: the smallest normal float
+_TINY = float(np.finfo(float).tiny)
 
 #: Newton updates after which a residual still above tol fails
 _MAX_ITER = 50
@@ -51,9 +59,12 @@ class NewtonConfig:
 
 
 def _max_norm(y):
-    """max_i |y_i| of an array, as a float, taken on Python floats: NaN
-    when any component is NaN (where ``max`` alone would skip it), the
-    value of ``np.max(np.abs(y))`` otherwise."""
+    """max_i |y_i| of an array or a pair of floats, as a float, taken on
+    Python floats: NaN when any component is NaN (where ``max`` alone would
+    skip it), the value of ``np.max(np.abs(y))`` otherwise."""
+    if type(y) is tuple:
+        a, b = map(abs, y)
+        return a if a > b or a != a else b
     sizes = list(map(abs, y.tolist()))
     # a sum of magnitudes is NaN exactly when one of them is
     total = sum(sizes)
@@ -74,6 +85,49 @@ def _solve_update(J, r):
     return _solve1(np.array(J, dtype=float, ndmin=2, copy=None), r, signature="dd->d")
 
 
+def _solve_pair(J, r):
+    """The Newton update J^{-1} r at a point of two floats, J the flat tuple
+    (a00, a01, a10, a11) and r = (b0, b1): LAPACK's dgesv as OpenBLAS's
+    SkylakeX kernels round it, whose bits `_solve_update` gives there.  The
+    rows swap where |a10| > |a00|; then l = a10 * (1 / a00) (a10 itself, the
+    column left unscaled, below the smallest normal pivot), u11 = a11 -
+    l * a01 unfused, x1 = fma(-l, b0, b1) / u11 and x0 = fma(-a01, x1, b0) /
+    a00, with `continuous.fma`.  A zero pivot raises the ConvergenceError
+    of `_singular`."""
+    a00, a01, a10, a11 = J
+    b0, b1 = r
+    if abs(a10) > abs(a00):
+        a00, a01, a10, a11, b0, b1 = a10, a11, a00, a01, b1, b0
+    if a00 == 0.0:
+        _singular(None, None)
+    l = a10 * (1.0 / a00) if abs(a00) >= _TINY else a10
+    u11 = a11 - l * a01
+    if u11 == 0.0:
+        _singular(None, None)
+    x1 = fma(-l, b0, b1) / u11
+    return fma(-a01, x1, b0) / a00, x1
+
+
+def _residual(pi, target):
+    """pi - target and its max norm, inline at a point of two floats."""
+    if type(pi) is not tuple:
+        r = pi - target
+        return r, _max_norm(r)
+    r = (pi[0] - target[0], pi[1] - target[1])
+    a, b = abs(r[0]), abs(r[1])
+    return r, a if a > b or a != a else b
+
+
+def _update(J, r, x):
+    """x - J^{-1} r and the update's max norm: `_solve_pair` at two floats."""
+    if type(x) is not tuple:
+        dx = _solve_update(J, r)
+        return x - dx, _max_norm(dx)
+    d0, d1 = _solve_pair(J, r)
+    a, b = abs(d0), abs(d1)
+    return (x[0] - d0, x[1] - d1), a if a > b or a != a else b
+
+
 def _newton(triple_pass, pi_minus_dq1, tol, q, S, target, x):
     """The root x of pi_minus(q, x, S) = target by Newton from the start x,
     and the ``rest, args`` of the pass at the root.
@@ -84,30 +138,40 @@ def _newton(triple_pass, pi_minus_dq1, tol, q, S, target, x):
     then at its attainable floor), or after `_MAX_ITER` updates.  Raises
     ConvergenceError on a singular Jacobian, a non-finite update, or a
     residual still above tol, or NaN, at the stop.  The last pass is at
-    the returned root on every return.  One loop serves both kinds of
-    point: a float point (n = 1, see `_point`) takes norms by ``abs`` and
-    updates by r / J, an array point by `_max_norm` and `_solve_update`.
+    the returned root on every return.  One loop serves the three kinds of
+    point (see `_point`): a float point takes norms by ``abs`` and updates
+    by r / J, inline, and a point of two floats and an array point by
+    `_residual` and `_update`.
     """
     on_floats = type(q) is float
     norm = abs if on_floats else _max_norm
     pi, rest, args = triple_pass(q, x, S)
-    r = pi - target
-    rnorm = norm(r)
+    if on_floats:
+        r = pi - target
+        rnorm = norm(r)
+    else:
+        r, rnorm = _residual(pi, target)
     it = 0
     while rnorm > tol and it < _MAX_ITER:
         it += 1
         J = pi_minus_dq1(q, x, S)
-        if on_floats and J == 0.0:
+        if not on_floats:
+            x, dxn = _update(J, r, x)
+        elif J == 0.0:
             raise ConvergenceError("singular Newton Jacobian: zero Jacobian")
-        # the update inline: a helper call would cost every float step
-        dx = r / J if on_floats else _solve_update(J, r)
-        dxn = norm(dx)
+        else:
+            # the update inline: a helper call would cost every float step
+            dx = r / J
+            dxn = norm(dx)
+            x = x - dx
         if not math.isfinite(dxn):
             raise ConvergenceError("non-finite Newton update (singular Jacobian?)")
-        x = x - dx
         pi, rest, args = triple_pass(q, x, S)
-        r = pi - target
-        rnorm = norm(r)
+        if on_floats:
+            r = pi - target
+            rnorm = norm(r)
+        else:
+            r, rnorm = _residual(pi, target)
         # a stalled update ends the loop; one that met tol ends it anyway
         if rnorm > tol and dxn <= _STALL * (1.0 + norm(x)):
             break
@@ -133,8 +197,10 @@ def solve_step(d, q_prev, q_curr, S_prev, cfg):
     _, target, dS = _pass_values(d.triple_pass, q_prev, q_curr, S_prev)
     S_curr = S_prev + dS
     solve = (d.triple_pass, d.pi_minus_dq1, (cfg or NewtonConfig()).tol, q_curr, S_curr, target,
-             2 * q_curr - q_prev)
-    if type(q_curr) is not float and q_curr.ndim == 2:
+             # per entry at a point of two floats
+             (2 * q_curr[0] - q_prev[0], 2 * q_curr[1] - q_prev[1]) if type(q_curr) is tuple
+             else 2 * q_curr - q_prev)
+    if isinstance(q_curr, np.ndarray) and q_curr.ndim == 2:
         return _newton_rows(*solve), S_curr
     return _newton(*solve)[0], S_curr
 
@@ -199,8 +265,14 @@ def _failing_row(J, r, rows, size):
 def _point(d, q):
     """The point q as `_newton` takes it: the float of its one entry at
     n = 1, where every kernel callable takes a float point (see
-    `DiscreteThermoSystem`), else q itself."""
-    return float(q[0]) if d.n == 1 else q
+    `DiscreteThermoSystem`); at n = 2 the tuple of its two entries where
+    the pass and the Newton matrix, or the callables they wrap
+    (``__wrapped__``), are marked ``float_points``; else q itself."""
+    if d.n == 1:
+        return float(q[0])
+    pairs = d.n == 2 and all(getattr(inspect.unwrap(f), "float_points", False)
+                             for f in (d.triple_pass, d.pi_minus_dq1))
+    return tuple(q.tolist()) if pairs else q
 
 
 def integrate(d, q0, q1, S0, N, cfg=None):
@@ -230,6 +302,7 @@ def integrate(d, q0, q1, S0, N, cfg=None):
         return DiscretePath(h=d.h, qs=qs, Ss=Ss)
     qs[1] = q1
     q_prev, q_curr, S_prev = _point(d, qs[0]), _point(d, qs[1]), float(S0)
+    pairs = type(q_curr) is tuple
     # a float point goes into the one column: a scalar store, not a row's
     q_out = qs[:, 0] if d.n == 1 else qs
     triple_pass, pi_minus_dq1 = d.triple_pass, d.pi_minus_dq1
@@ -247,7 +320,8 @@ def integrate(d, q0, q1, S0, N, cfg=None):
             if k == N:
                 break
             q_next, rest, args = _newton(triple_pass, pi_minus_dq1, tol, q_curr, S_curr, target,
-                                         2 * q_curr - q_prev)
+                                         2 * q_curr - q_prev if not pairs else
+                                         (2 * q_curr[0] - q_prev[0], 2 * q_curr[1] - q_prev[1]))
             q_out[k + 1] = q_next
             q_prev, q_curr, S_prev = q_curr, q_next, S_curr
     except (ThermintError, ArithmeticError) as exc:

@@ -98,8 +98,9 @@ def hamiltonian_point(entry, q, p, S):
 # places that tell a point from a stack (see `SystemCatalogEntry`): a
 # point stays on Python floats, a stack uses the numpy functions that
 # round as the float operations do.  A one-dimensional system also takes
-# a float point, q itself a float (see `LagrangianThermoSystem`): there
-# a covector or a 1x1 matrix is its one entry.
+# a float point, q itself a float, and two-pistons a point of two floats,
+# q a tuple (see `LagrangianThermoSystem`): there a covector or a 1x1
+# matrix is its one entry, and a covector a tuple and a 2x2 matrix a flat one.
 
 
 def _coord(q, i):
@@ -107,7 +108,7 @@ def _coord(q, i):
     0), an array of shape (...) on a stack."""
     if type(q) is float:
         return q
-    return float(q[i]) if q.ndim == 1 else q[..., i]
+    return float(q[i]) if type(q) is tuple or q.ndim == 1 else q[..., i]
 
 
 def _overflow(err, flag):
@@ -168,9 +169,12 @@ def _coordinate_above(lo, what):
 
 def _covector(q, *parts):
     """The covector with these components at q: the one component at a
-    float point, (n,) at a point, (..., n) on a stack."""
+    float point, their tuple at a point of two floats, (n,) at a point,
+    (..., n) on a stack."""
     if type(q) is float:
         return parts[0]
+    if type(q) is tuple:
+        return parts
     if isinstance(parts[0], np.ndarray):
         return np.stack(parts, axis=-1)
     return np.array(parts)
@@ -178,18 +182,23 @@ def _covector(q, *parts):
 
 def _uniform(q, x):
     """The covector whose components all equal x at q: x itself at a float
-    point, from a list at a point of shape (n,), else by `_covector`."""
+    point, (x, x) at a point of two floats, from a list at a point of shape
+    (n,), else by `_covector`."""
     if type(q) is float:
         return x
+    if type(q) is tuple:
+        return (x, x)
     return np.array([x] * len(q)) if q.ndim == 1 else _covector(q, *[x] * q.shape[-1])
 
 
 def _matrix(q, x):
     """The n x n matrix whose entries all equal x at q: (n, n) from a list at
     a point of shape (n,), (..., n, n) on a stack (x of shape (...)), x
-    itself at a float point."""
+    itself at a float point, (x, x, x, x) at a point of two floats."""
     if type(q) is float:
         return x
+    if type(q) is tuple:
+        return (x, x, x, x)
     n = q.shape[-1]
     return np.array([[x] * n] * n) if q.ndim == 1 else np.full(q.shape + (n,), x[..., None, None])
 
@@ -229,7 +238,9 @@ def _separable(name, n, gamma, potential, force, force_dq, force_dS, temperature
         dLdq=force,
         dLdv=lambda q, v, S: v,
         dLdS=lambda q, v, S: -temperature(q, S),
-        Ffr=lambda q, v, S: -gamma * v,
+        # per entry at a point of two floats
+        Ffr=(lambda q, v, S: -gamma * v) if n == 1 else (
+            lambda q, v, S: (-gamma * v[0], -gamma * v[1]) if type(v) is tuple else -gamma * v),
         name=name,
         d2Ldq2=force_dq,
         d2Ldqdv=_constant(zeros),
@@ -240,7 +251,7 @@ def _separable(name, n, gamma, potential, force, force_dq, force_dS, temperature
         dFfrdv=_constant(-gamma * eye),
         dFfrdS=_constant(zero),
         accel=lambda q, v, S: force(q, v, S) - gamma * v,
-        float_points=(n == 1),
+        float_points=True,
     )
     return SystemCatalogEntry(lagrangian=lag, H=H, **entry_fields)
 
@@ -450,9 +461,11 @@ def two_pistons(gamma=0.1, c=1.5):
         "relative-velocity": lambda st: st.v[0] - st.v[1],
     }
 
-    def volume(q):  # a point read in one call, a stack by its columns
-        x, y = q.tolist() if q.ndim == 1 else (q[..., 0], q[..., 1])
-        return _above(x + y, 0.0, "total volume x + y must stay positive")
+    def volume(q):  # one call at a point inside the domain, a stack by its columns
+        x, y = q if type(q) is tuple else q.tolist() if q.ndim == 1 else (q[..., 0], q[..., 1])
+        V = x + y
+        return V if type(V) is float and V > 0.0 else _above(V, 0.0, "total volume x + y "
+                                                                 "must stay positive")
 
     return _ideal_gas("two-pistons", 2, g, c, volume, invariants=invariants)
 

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from thermint import (
     reference_integrate,
     temperature,
 )
-from thermint.continuous import fd_gradient
+from thermint.continuous import _fsum_fma, fd_gradient, pair
 
 OSC = get_system("oscillator")
 GAS = get_system("ideal-gas")
@@ -261,3 +263,85 @@ def test_energy_rate_equals_external_power():
                                10.0, h=0.01)
     drift = conserved_along(traj, lambda st: energy(GAS.lagrangian, st))
     assert drift <= 1e-7
+
+
+def _exact_fma(a, b, c):
+    """a * b + c of finite floats rounded once, by `Fraction` arithmetic: an
+    exact zero is -0.0 when a * b is a negative zero and c is -0.0, else
+    +0.0; a result past the float range is an infinity of its sign."""
+    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    if not exact:
+        product_sign = math.copysign(1.0, a) * math.copysign(1.0, b)
+        negative = not (a and b) and product_sign < 0 and math.copysign(1.0, c) < 0
+        return -0.0 if negative else 0.0
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
+def _fma_arguments(rng, size):
+    """Triples spanning the fast range of `_fsum_fma` and its fallbacks:
+    products that underflow or overflow, splits that overflow, subnormals,
+    sums that overflow ``fsum``, exact cancellations and signed zeros."""
+    def floats(lo, hi):
+        return rng.choice([-1.0, 1.0], size) * 2.0 ** rng.uniform(lo, hi, size)
+    cases = []
+    for lo, hi in ((-20, 20), (-1074, -900), (-600, -450), (900, 1023), (280, 520)):
+        a, b, c = floats(lo, hi), floats(lo, hi), floats(lo, hi)
+        cases += zip(a.tolist(), b.tolist(), c.tolist())
+    a, b = floats(-30, 30), floats(-30, 30)
+    cases += zip(a.tolist(), b.tolist(), (-a * b).tolist())    # c = -(a * b rounded)
+    a, b = floats(990, 1023), floats(-1074, -1000)             # a split that overflows
+    cases += zip(a.tolist(), b.tolist(), floats(-60, 60).tolist())
+    c = floats(1020, 1023.99)                                  # an fsum that overflows
+    cases += zip(floats(490, 497).tolist(), floats(490, 497).tolist(), c.tolist())
+    # either side of the split's overflow at |a| ~ 1.3e300 and of |a * b| = 2^996, 2^-960
+    edges = [1.3e300, 1.35e300, 2.0 ** 996, 2.0 ** -960, 2.0 ** -959]
+    b = 1.0 + 2.0 ** -30
+    cases += [(s * x * f, b, c) for x in edges for f in (1 - 2.0 ** -52, 1.0, 1 + 2.0 ** -52)
+              for s in (1.0, -1.0) for c in (x / 3, -x * b, 1.0)]
+    return cases
+
+
+#: (a, b, c, fma(a, b, c)) where the sign of a zero decides
+SIGNED_ZEROS = [
+    (-0.0, 1.0, -0.0, -0.0), (0.0, -1.0, -0.0, -0.0), (-0.0, -1.0, -0.0, 0.0),
+    (-0.0, 1.0, 0.0, 0.0), (0.0, 1.0, -0.0, 0.0), (-0.0, 0.0, -0.0, -0.0),
+    (1.0, 1.0, -1.0, 0.0), (-1.0, 1.0, 1.0, 0.0), (3.0, 1 / 3, -1.0, -(2.0 ** -54)),
+    (1e-200, -1e-200, 0.0, -0.0), (1e-200, -1e-200, -0.0, -0.0),
+    (-1e-200, -1e-200, -0.0, 0.0), (5e-324, 0.5, 0.0, 0.0), (5e-324, -0.5, 0.0, -0.0),
+    (5e-324, -0.5, -0.0, -0.0), (-0.0, 5.0, 1e-300, 1e-300),
+]
+
+
+#: the fsum fma, and math.fma where Python has it (3.13 on)
+FMAS = [_fsum_fma] + ([math.fma] if hasattr(math, "fma") else [])
+
+
+class TestFma:
+    def test_fsum_fma_is_exact_arithmetic_rounded_once(self):
+        rng = np.random.default_rng(17)
+        for a, b, c in _fma_arguments(rng, 2000):
+            assert _fsum_fma(a, b, c).hex() == _exact_fma(a, b, c).hex(), (a, b, c)
+
+    # math.fma, where Python has it (3.13 on), keeps the same table
+    @pytest.mark.parametrize("fma", FMAS)
+    @pytest.mark.parametrize("a,b,c,expected", SIGNED_ZEROS)
+    def test_signed_zeros(self, fma, a, b, c, expected):
+        assert fma(a, b, c).hex() == expected.hex()
+
+    def test_non_finite_arguments(self):
+        inf, nan = math.inf, math.nan
+        for a, b, c, expected in [(inf, 2.0, 1.0, inf), (inf, 0.0, 1.0, nan),
+                                  (inf, -1.0, inf, nan), (1e300, 1e300, -inf, -inf),
+                                  (1e300, 1e300, 1.0, inf), (-1e300, 1e300, 1.0, -inf),
+                                  (2.0, 3.0, nan, nan), (nan, 0.0, 1.0, nan)]:
+            got = _fsum_fma(a, b, c)
+            assert got == expected or got != got and expected != expected, (a, b, c)
+
+    def test_pair_of_two_floats(self):
+        # ``0.0 + a0 * b0``: the sum of ``@`` starts at +0.0
+        assert pair((-0.0, -0.0), (1.0, 1.0)).hex() == (0.0).hex()
+        assert pair((-0.0, 2.0), (1.0, -0.0)).hex() == (0.0).hex()
+        assert pair((0.1, 3.0), (0.7, 1 / 3)) == _exact_fma(3.0, 1 / 3, 0.1 * 0.7)

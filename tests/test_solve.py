@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 from functools import partial
 from sys import setprofile
 
@@ -10,7 +11,7 @@ from thermint import systems
 from thermint.bench import default_newton_tol
 from thermint.continuous import fd_gradient, pair
 from thermint.errors import TemperatureDegenerateError, ThermintError
-from thermint.solve import _newton, _solve_update, solve_step
+from thermint.solve import _newton, _point, _solve_pair, _solve_update, solve_step
 
 from thermint import (
     ConfigError,
@@ -207,6 +208,52 @@ class TestNewton:
         # with no RuntimeWarning (the suite turns one into an error)
         with pytest.raises(ConvergenceError, match="singular Newton Jacobian"):
             _newton_on(lambda x: x - 1.0, lambda x: J, np.zeros(2))
+
+
+def _seeded_systems(kind, seed, size=5000):
+    """Seeded 2x2 systems (J, r): standard normal ("general"), with |J10| >
+    |J00| so that every row swaps ("swaps"), or near the Newton matrix 1e4 I
+    of a step at h = 0.01 ("newton").  Only exactly rounded operations form
+    them, so they are the same on every CPU (array ``**`` is not)."""
+    rng = np.random.default_rng(seed)
+    r = np.ldexp(rng.standard_normal((size, 2)), rng.integers(-27, 10, (size, 1)))
+    J = rng.standard_normal((size, 2, 2))
+    if kind == "swaps":
+        J[:, 1, 0] = J[:, 0, 0] * rng.uniform(1.01, 1e3, size) * rng.choice([-1, 1], size)
+    elif kind == "newton":
+        J = 1e4 * np.eye(2) + rng.uniform(-50, 50, (size, 1, 1)) * rng.uniform(0.9, 1.1,
+                                                                                 (size, 2, 2))
+    return J, r
+
+
+class TestSolvePair:
+    """The 2x2 update of a point of two floats, pinned by its bits on seeded
+    systems: they are those of `_solve_update` where OpenBLAS runs its
+    SkylakeX kernels, but numpy's own bits depend on the host's kernel."""
+
+    @pytest.mark.parametrize("kind,seed,digest", [
+        ("general", 170, "a5ce30e11da76de1d77462f9296b9c94990a2be11bb8be9934f076b4fd0b1847"),
+        ("swaps", 171, "19029ce53d9745eb03ea21ca54bf2e50a58402a404f00896733a59392d30930f"),
+        ("newton", 172, "8f6f1ca9be7e681476f4100138078b1f4af81f9abf5c3895b87f4297aaea05d9"),
+    ])
+    def test_pinned_bits(self, kind, seed, digest):
+        J, r = _seeded_systems(kind, seed)
+        x = np.array([_solve_pair(tuple(j.ravel().tolist()), tuple(b.tolist()))
+                      for j, b in zip(J, r)])
+        assert hashlib.sha256(x.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("J", [(0.0, 0.0, 0.0, 0.0), (1.0, 2.0, 2.0, 4.0),
+                                   (0.0, 1.0, 0.0, 1.0), (-0.0, 1.0, 0.0, 3.0),
+                                   (3.0, 0.0, 1.0, 0.0), (0.0, 1.0, float("nan"), 1.0)])
+    def test_singular(self, J):
+        with pytest.raises(ConvergenceError, match="^singular Newton Jacobian: Singular matrix$"):
+            _solve_pair(J, (1.0, 2.0))
+
+    def test_pivot_below_the_normal_range(self):
+        # the kernel leaves the column unscaled below the smallest normal pivot
+        # (l = 1.3e-308, not 1.3 / 2.2): x1 = 2 - l = 2 and x0 = (1 - x1) / 2.2e-308
+        x = _solve_pair((2.2e-308, 1.0, 1.3e-308, 1.0), (1.0, 2.0))
+        assert x == (-1.0 / 2.2e-308, 2.0)
 
 
 class TestStackedStep:
@@ -571,7 +618,8 @@ def _run(d, start, N, cfg):
     return path.qs.tobytes() + path.Ss.tobytes()
 
 
-FLOAT_CELLS = [(name, h, start) for name in ("oscillator", "ideal-gas", "van-der-waals")
+FLOAT_CELLS = [(name, h, start)
+               for name in ("oscillator", "ideal-gas", "van-der-waals", "two-pistons")
                for h in (0.3, 0.1, 0.01, 0.001)
                for start in (("default", "q1=0.01") if name == "oscillator" else ("default",))]
 
@@ -583,9 +631,16 @@ FLOAT_FAILURES = {
 }
 
 
+#: seeded Taylor starts of two-pistons, each drawn once
+TWO_PISTON_STARTS = [(q0.tolist(), v0.tolist(), float(S0)) for q0, v0, S0 in (
+    (rng.uniform(0.5, 1.5, 2), rng.uniform(-1.0, 1.0, 2), rng.uniform(0.0, 2.0))
+    for rng in [np.random.default_rng(31)] for _ in range(5))]
+
+
 class TestFloatPoints:
-    """A one-dimensional catalog system steps on floats, bit for bit the
-    length-1 arrays of the same system declared without float points."""
+    """A catalog system steps on floats, bit for bit the arrays of the same
+    system declared without float points: length-1 arrays at n = 1, and
+    two-pistons on points of two floats."""
 
     @pytest.mark.parametrize("name,h,start", FLOAT_CELLS)
     def test_float_path_is_array_path(self, name, h, start):
@@ -648,30 +703,122 @@ class TestFloatPoints:
                      NewtonConfig(tol=1e-10)) for fp in (True, False)]
         assert isinstance(runs[0], bytes) and runs[0] == runs[1]
 
+    @pytest.mark.parametrize("h", [0.1, 0.01, 1e-3])
+    @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.5])
+    def test_two_pistons_float_path_is_array_path(self, gamma, h):
+        # from the default start and five seeded Taylor starts
+        entry = get_system("two-pistons", gamma=gamma)
+        cfg = ExperimentConfig(system="two-pistons", h=h, t_final=h)
+        starts = [initialize(entry, cfg.q0, cfg.v0, cfg.S0, h, cfg.init_mode)]
+        starts += [initialize(entry, *start, h, "taylor") for start in TWO_PISTON_STARTS]
+        newton = NewtonConfig(tol=default_newton_tol("two-pistons", h))
+        arrays = midpoint_discretize(dataclasses.replace(entry.lagrangian, float_points=False), h)
+        on_floats = midpoint_discretize(entry.lagrangian, h)
+        for data in starts:
+            path = _run(on_floats, data, 2000, newton)
+            assert isinstance(path, bytes) and path == _run(arrays, data, 2000, newton)
+
+    @pytest.mark.parametrize("h,start,tol,failure", [
+        (0.1, ([0.05, 0.05], [0.0, -0.02], 1.0), 1e-10,
+         (DomainError, 1, "total volume x + y must stay positive, got -0.08")),
+        (0.01, ([1.0, 1.0], [1.002, 0.997], 1.0), 1e-300,
+         (ConvergenceError, 1, "Newton residual 5.720e-13 above tol 1.0e-300 after 3 iterations")),
+        (0.01, ([1.0, 1.0], [1.002, 0.997], 705.0), 1e-9,
+         (ConvergenceError, 1, "singular Newton Jacobian: Singular matrix")),
+        (0.01, ([1.0, np.nan], [1.0, 1.0], 1.0), 1e-9,
+         (ConvergenceError, 1, "Newton residual nan above tol 1.0e-09 after 0 iterations")),
+        (0.01, ([1e-300, 1e-300], [1e-300, 1.1e-300], 1.0), 1e-9,
+         (OverflowError, 1, "(34, 'Numerical result out of range')")),
+    ], ids=["outside-the-domain", "above-tol", "singular", "nan-start", "overflow"])
+    def test_two_pistons_float_failure_is_array_failure(self, h, start, tol, failure):
+        lag = get_system("two-pistons").lagrangian
+        runs = []
+        for sys in (lag, dataclasses.replace(lag, float_points=False)):
+            with pytest.raises(failure[0]) as err:
+                integrate(midpoint_discretize(sys, h), *start, 2000, NewtonConfig(tol=tol))
+            t = err.value.triple
+            runs.append((err.value.step_index, str(err.value),
+                         t.q0.tobytes() + t.q1.tobytes() + np.float64(t.S0).tobytes()))
+        assert runs[0] == runs[1] and runs[0][:2] == failure[1:]
+
+    def test_two_pistons_flow_on_floats_is_array_step(self):
+        # discrete_flow hands the kernel points of two floats; the flows keep
+        # the bits of the same system stepped on arrays
+        rng = np.random.default_rng(12)
+        triples = [DiscreteTriple(q0, q0 + rng.uniform(-0.01, 0.01, 2), rng.uniform(0.9, 1.1))
+                   for q0 in rng.uniform(0.95, 1.05, (20, 2))]
+        cfg = NewtonConfig(tol=1e-10)
+        lag = get_system("two-pistons").lagrangian
+        arrays = midpoint_discretize(dataclasses.replace(lag, float_points=False), 0.01)
+        d = midpoint_discretize(lag, 0.01)
+        seen = set()
+        pass_ = d.triple_pass
+
+        def traced(q0, q1, S0):
+            seen.add((type(q0), type(q1)))
+            return pass_(q0, q1, S0)
+        traced.__wrapped__ = pass_
+        swapped = dataclasses.replace(d, triple_pass=traced)
+        for t in triples:
+            image = discrete_flow(swapped, t, cfg).as_array()
+            assert image.tobytes() == discrete_flow(arrays, t, cfg).as_array().tobytes()
+        assert seen == {(tuple, tuple)}
+
+    def test_derived_newton_matrix_steps_on_arrays(self):
+        # a derived field of the Newton matrix takes arrays only: two-pistons
+        # with its stiffness left to central differences steps on arrays,
+        # with or without float points declared
+        lag = dataclasses.replace(get_system("two-pistons").lagrangian, d2Ldq2=None)
+        runs = []
+        for sys in (lag, dataclasses.replace(lag, float_points=False)):
+            d = midpoint_discretize(sys, 0.01)
+            assert type(_point(d, np.array([1.0, 1.0]))) is np.ndarray
+            runs.append(_run(d, ([1.0, 1.0], [1.002, 0.997], 1.0), 200, NewtonConfig(tol=1e-9)))
+        assert isinstance(runs[0], bytes) and runs[0] == runs[1]
+
     def test_only_one_dimensional_systems_declare_float_points(self):
-        with pytest.raises(ValueError, match="one-dimensional"):
-            dataclasses.replace(get_system("two-pistons").lagrangian, float_points=True)
+        # float points are one or two floats; a system of three dimensions
+        # cannot declare them
+        lag = get_system("two-pistons").lagrangian
+        three = LagrangianThermoSystem(n=3, L=lag.L, dLdq=lag.dLdq, dLdv=lag.dLdv,
+                                       dLdS=lag.dLdS, float_points=False)
+        with pytest.raises(ValueError, match="one or two dimensions"):
+            dataclasses.replace(three, float_points=True)
 
     def test_kernel_takes_float_point(self):
-        # every n = 1 kernel callable, of the midpoint pass on floats, adapted
-        # or generic
-        d = midpoint_discretize(GAS.lagrangian, 0.01)
-        arrays = midpoint_discretize(dataclasses.replace(GAS.lagrangian, float_points=False),
-                                     0.01)
-        generic = dataclasses.replace(d, pi_minus_dq1=None, triple_pass=None)
-        point, vectors = (1.0, 1.25, 10.0), (np.array([1.0]), np.array([1.25]), 10.0)
-        for system in (d, arrays, generic):
+        # every kernel callable at a float point (the ideal gas: the midpoint
+        # pass on floats, adapted or generic) or at a point of two floats
+        # (two-pistons, with and without friction), bit for bit its value on
+        # arrays; bytes tell -0.0 from +0.0
+        cases = []
+        for entry in (GAS, get_system("two-pistons", gamma=0.0), get_system("two-pistons")):
+            d = midpoint_discretize(entry.lagrangian, 0.01)
+            arrays = midpoint_discretize(
+                dataclasses.replace(entry.lagrangian, float_points=False), 0.01)
+            if entry.n == 1:
+                generic = dataclasses.replace(d, pi_minus_dq1=None, triple_pass=None)
+                vectors = (np.array([1.0]), np.array([1.25]), 10.0)
+                cases += [(system, (1.0, 1.25, 10.0), system, vectors)
+                          for system in (d, arrays, generic)]
+            else:
+                vectors = (np.array([1.0, 1.1]), np.array([1.25, 0.95]), 1.0)
+                cases.append((d, ((1.0, 1.1), (1.25, 0.95), 1.0), arrays, vectors))
+        for system, point, reference, vectors in cases:
             for attr in ("pi_minus", "pi_plus", "pi_minus_dq1", "entropy_increment"):
-                fn = getattr(system, attr)
-                value = fn(*point)
-                assert type(value) in (float, np.float64)
-                assert value == np.asarray(fn(*vectors)).item()
+                value = getattr(system, attr)(*point)
+                if type(value) is tuple:
+                    assert set(map(type, value)) == {float}
+                else:
+                    assert type(value) in (float, np.float64)
+                expected = getattr(reference, attr)(*vectors)
+                assert np.array(value).tobytes() == np.array(expected).tobytes(), (attr, point)
 
-    @pytest.mark.parametrize("name", ["oscillator", "ideal-gas"])
+    @pytest.mark.parametrize("name", ["oscillator", "ideal-gas", "two-pistons"])
     def test_swapped_kernel_is_called_on_floats(self, name):
         # a profiler swaps each kernel callable, through dataclasses.replace,
         # for a plain wrapper carrying __wrapped__: the wrapper is kept as it
-        # is, called with float points, and the path keeps its bytes
+        # is, called with float points (tuples of two floats at n = 2), and
+        # the path keeps its bytes
         entry = get_system(name)
         cfg = ExperimentConfig(system=name, h=0.01, t_final=0.01)
         data = initialize(entry, cfg.q0, cfg.v0, cfg.S0, cfg.h, cfg.init_mode)
@@ -694,7 +841,8 @@ class TestFloatPoints:
         newton = NewtonConfig(tol=default_newton_tol(name, cfg.h))
         on_wrappers = _run(swapped, data, 500, newton)
         assert isinstance(on_wrappers, bytes) and on_wrappers == _run(d, data, 500, newton)
-        assert seen == {(float, float)}
+        point = tuple if entry.n == 2 else float
+        assert seen == {(point, point)}
 
     def test_warm_oscillator_step_call_count(self):
         # the Python calls of one cold n = 1 step with a warm interpreter,
@@ -712,7 +860,7 @@ class TestFloatPoints:
         pytest.param("oscillator", 15, id="oscillator"),
         pytest.param("ideal-gas", 50.0, id="ideal-gas"),
         pytest.param("van-der-waals", 51.6, id="van-der-waals"),
-        pytest.param("two-pistons", 41, id="two-pistons"),
+        pytest.param("two-pistons", 38, id="two-pistons"),
     ])
     def test_integrate_step_call_count(self, name, count):
         # the Python calls of a step of integrate, which carries each pass:
