@@ -208,9 +208,8 @@ class LagrangianThermoSystem:
     (``d2Ldq2`` to ``dFfrdv`` below) is derived, and `bench.rk2_integrate`
     steps a one-dimensional system on floats if it has ``accel``.  The catalog
     declares it.  A system written on arrays (``q @ q``, ``q[0]``) leaves it
-    False: at n = 1 its kernel takes float points through length-1 arrays,
-    at n = 2 it steps on arrays.  Whether a callable takes floats cannot be
-    told without calling it, hence the field.
+    False, and its kernel steps on arrays.  Whether a callable takes floats
+    cannot be told without calling it, hence the field.
 
     Domain: each callable that reads q raises `DomainError` outside the
     system's domain, at any point and on a stack with any row outside;

@@ -112,18 +112,13 @@ class DiscreteThermoSystem:
     whole path, `DiscretePath.stack`, that way, and `solve.solve_step` the
     flows of a pullback check.
 
-    At n = 1 every step runs on float points (q0, q1 and S0 floats), so a
-    pass or ``pi_minus_dq1`` handed to the constructor at n = 1 takes float
-    points and returns floats, bit for bit the one entry of its value on
-    length-1 arrays.  The midpoint rule of a system that declares
-    ``float_points`` computes on the floats; any other midpoint rule at
-    n = 1 and the generic kernel adapt theirs to length-1 arrays.  At n = 2
-    a step runs on points of two floats (q0, q1 tuples) where the pass and
-    ``pi_minus_dq1`` are marked ``float_points`` (see `solve._point`), as
-    the midpoint rule of a system that declares it marks its own: they
-    return a tuple for each covector and a flat tuple for the matrix, bit
-    for bit the entries of their values on arrays.  Any other kernel at
-    n = 2 steps on arrays.
+    A step runs on float points where the pass and ``pi_minus_dq1`` are
+    marked ``float_points`` (see `solve._point`), as the midpoint rule of a
+    system that declares it marks its own: q0 and q1 are floats at n = 1
+    and tuples of two floats at n = 2, and the two return a float or a
+    tuple for each covector and a float or a flat tuple for the matrix, bit
+    for bit the entries of their values on arrays.  Any other kernel, the
+    generic one included, steps on arrays.
     """
 
     n: int
@@ -238,39 +233,6 @@ def _quotient(num, den):
 
 
 # ---------------------------------------------------------------------------
-# float points of one-dimensional systems
-
-
-def _item(x):
-    """The one entry of a value on length-1 arrays, as a float."""
-    return np.asarray(x, dtype=float).item()
-
-
-def _at_float_points(triple_pass, pi_minus_dq1):
-    """The triple pass and the semiregularity matrix of a one-dimensional
-    system, which take only arrays, adapted to also take a float point (q0,
-    q1 floats): they are called on length-1 arrays, and each value, the
-    pass's pi_minus and the two of its rest included, is the one entry as
-    a float.  Arrays pass through."""
-    def adapted_pass(q0, q1, S0):
-        if type(q0) is float:
-            pi, rest, args = triple_pass(np.array([q0]), np.array([q1]), S0)
-            return _item(pi), _float_rest, (rest, args)
-        return triple_pass(q0, q1, S0)
-
-    def adapted_dq1(q0, q1, S0):
-        if type(q0) is float:
-            return _item(pi_minus_dq1(np.array([q0]), np.array([q1]), S0))
-        return pi_minus_dq1(q0, q1, S0)
-    return adapted_pass, adapted_dq1
-
-
-def _float_rest(rest, args):
-    """The rest of an adapted pass: its two values as floats."""
-    return tuple(map(_item, rest(*args)))
-
-
-# ---------------------------------------------------------------------------
 # the generic kernel and the callables derived from the pass
 
 
@@ -318,8 +280,6 @@ def _generic_kernel(d):
             return fd_gradient(lambda y: pi(q0, y, S0), q1)
         return d.dpi_minus(q0, q1, S0)[..., n : 2 * n]
 
-    if n == 1:
-        triple_pass, pi_minus_dq1 = _at_float_points(triple_pass, pi_minus_dq1)
     return {"triple_pass": triple_pass, "pi_minus_dq1": pi_minus_dq1,
             "dpi_minus": covector_jacobian("pi_minus"),
             "dpi_plus": covector_jacobian("pi_plus")}
@@ -455,12 +415,13 @@ def midpoint_discretize(sys, h):
     declares constant once, when the block is built.
 
     Each builder is one formula over float points and arrays, which takes
-    the values of ``sys`` as they come (see `LagrangianThermoSystem`); at
-    n = 1 without ``float_points`` the pass and ``pi_minus_dq1`` are
-    adapted to float points.  At n = 2 with ``float_points`` the pass and
-    ``pi_minus_dq1`` also take points of two floats: the midpoint, the pass
-    and its rest entry by entry and the matrix by `_sum_of_products`, the
-    bits of the array formulas (``pair`` reproduces ``@``).
+    the values of ``sys`` as they come (see `LagrangianThermoSystem`).
+    With ``float_points`` the pass and ``pi_minus_dq1`` are marked
+    ``float_points``, at n = 2 only when no field of the Newton matrix is
+    derived: at n = 1 they take float points through those formulas, and
+    at n = 2 points of two floats, the midpoint, the pass and its rest
+    entry by entry and the matrix by `_sum_of_products`, the bits of the
+    array formulas (``pair`` reproduces ``@``).
     """
     if not 0 < h < np.inf:
         raise ValueError(f"time step must be positive and finite, got {h}")
@@ -549,12 +510,12 @@ def midpoint_discretize(sys, h):
         return block((0.5 * (a0 + b0), 0.5 * (a1 + b1)), ((b0 - a0) / h, (b1 - a1) / h), S0)
 
     kernel = triple_pass, pi_minus_dq1
-    if n == 1 and not sys.float_points:
-        kernel = _at_float_points(*kernel)
-    elif n == 2 and sys.float_points and not any(getattr(f, "generic", False) for f in (
-            sys.d2Ldq2, sys.d2Ldqdv, sys.d2Ldv2, sys.dFfrdq, sys.dFfrdv)):
-        # a constant Newton matrix takes the point itself
-        kernel = pair_pass, block if pi_minus_dq1 is block else pair_dq1
+    # at n = 1 a derived second partial takes floats too
+    if sys.float_points and (n == 1 or not any(getattr(f, "generic", False) for f in (
+            sys.d2Ldq2, sys.d2Ldqdv, sys.d2Ldv2, sys.dFfrdq, sys.dFfrdv))):
+        if n == 2:
+            # a constant Newton matrix takes the point itself
+            kernel = pair_pass, block if pi_minus_dq1 is block else pair_dq1
         for f in kernel:
             f.float_points = True
     ffr = at_mid(sys.Ffr)
@@ -613,7 +574,8 @@ def discrete_flow(d, t, cfg=None):
 
     Maps (q0, q1, S0) to (q1, q2, S1) where S1 is the entropy update and q2 is the
     Newton root of the discrete Euler-Lagrange residual: the cold step `solve.solve_step`,
-    on floats at n = 1, bit for bit the step `integrate` takes.  One triple only.
+    on the kind of point `integrate` steps on (see `solve._point`), bit for bit its step.
+    One triple only.
     """
     from .solve import _point, solve_step
 
@@ -661,12 +623,15 @@ def _flow_jacobian(d, t, cfg):
 
     The 4(2n+1) perturbed triples, in `continuous.fd_gradient`'s order
     (each step, each coordinate j, x + d e_j then x - d e_j), and t
-    itself after them are one stack of cold steps: one `solve.solve_step`
-    on the stack at array points, one float step per row at float points
-    (n = 1, see `solve._point`).  Either way each flow is the bits of
-    `discrete_flow` on its triple alone.  One triple only.
+    itself after them are one stack of cold steps: one float step per row
+    where the kernel steps on floats at n = 1 (see `solve._point`), else
+    one `solve.solve_step` on the stack.  Each flow is the bits of
+    `discrete_flow` on its triple alone, but where that steps on two
+    floats: its update `solve._solve_pair` gives the bits of numpy's solve,
+    which the stacked rows call, only where OpenBLAS runs its SkylakeX
+    kernel (see `solve`).  One triple only.
     """
-    from .solve import solve_step
+    from .solve import _point, solve_step
 
     n = d.n
     x0 = t.as_array()
@@ -678,8 +643,8 @@ def _flow_jacobian(d, t, cfg):
     X[plus, cols] += steps
     X[plus + 1, cols] -= steps
     q0, q1, S0 = X[:, :n], X[:, n : 2 * n], X[:, 2 * n]
-    if n == 1:
-        # float points: one float step per row
+    if type(_point(d, x0[:n])) is float:
+        # one float step per row
         q2, S1 = np.array([solve_step(d, *x, cfg) for x in X.tolist()]).T
         q2 = q2[:, None]
     else:

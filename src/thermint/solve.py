@@ -7,17 +7,18 @@ One step of the discrete equations is the momentum match
 with S_k given explicitly by the entropy update; a Newton solve with the
 semiregularity matrix as its Jacobian finds q_{k+1}.  Two Newton loops
 solve every root of the package, with one set of stop rules: `_newton`
-at one point, a float (n = 1), a tuple of two floats (n = 2, see
-`_point`) or an array, and `_newton_rows` on a stack of points, row by
-row.  At two floats the update is `_solve_pair`, which gives the bits of
-numpy's solve where OpenBLAS runs its SkylakeX kernel; a stacked step
-still calls numpy's, so on another kernel a flow and its stacked row
-may differ in their last bits.  Each Newton iterate x is
-a pass of the triple (q_k, x, S_k) through the system's ``triple_pass``,
-and `_newton` stops with its last pass at the root, so `integrate` takes
-the next step's target pi_plus and entropy update from that pass: the
-pass is carried, and a one-iteration step makes two passes, one Jacobian
-and one dL/dS call.  `solve_step` is the cold step of
+at one point, a float (n = 1) or a tuple of two floats (n = 2) where the
+kernel is marked ``float_points`` (see `_point`) and an array otherwise,
+and `_newton_rows` on a stack of points, row by row.  At two floats the
+update is `_solve_pair`, which gives the bits of numpy's solve where
+OpenBLAS runs its SkylakeX kernel; a stacked step still calls numpy's, so
+on another kernel a flow and its stacked row may differ in their last
+bits.  Each Newton iterate x is a pass of the triple (q_k, x, S_k)
+through the system's ``triple_pass``, and `_newton` stops with its last
+pass at the root, so `integrate` takes the next step's target pi_plus and
+entropy update from that pass: the pass is carried, and a one-iteration
+step makes two passes, one Jacobian and one dL/dS call.  `solve_step` is
+the cold step of
 `discrete.discrete_flow` and the flow Jacobian: the triple's target and
 entropy from the rest of its own pass, then the same `_newton`, or one
 `_newton_rows` on a stack of B triples, (B, n), (B, n) and (B,), whose
@@ -188,11 +189,12 @@ def solve_step(d, q_prev, q_curr, S_prev, cfg):
     (q_prev, q_curr, S_prev), both from the rest of its pass; q_next is the
     root of pi_minus(q_curr, x, S_curr) = target by `_newton` from the
     linear extrapolation 2 q_curr - q_prev, as `integrate` steps.  The
-    points are arrays, or floats at n = 1 (see `_point`).  A stack of B
-    triples, q_prev and q_curr of shape (B, n) and S_prev of shape (B,), is
-    one pass and one Newton loop (`_newton_rows`), ``d`` taking stacks (see
-    `DiscreteThermoSystem`): row k of q_next and S_curr is the bits of the
-    step on row k alone, and a row that fails raises as that step would.
+    points are arrays, or float points where the kernel takes them (see
+    `_point`).  A stack of B triples, q_prev and q_curr of shape (B, n) and
+    S_prev of shape (B,), is one pass and one Newton loop (`_newton_rows`),
+    ``d`` taking stacks (see `DiscreteThermoSystem`): row k of q_next and
+    S_curr is the bits of the step on row k alone, and a row that fails
+    raises as that step would.
     """
     _, target, dS = _pass_values(d.triple_pass, q_prev, q_curr, S_prev)
     S_curr = S_prev + dS
@@ -263,16 +265,16 @@ def _failing_row(J, r, rows, size):
 
 
 def _point(d, q):
-    """The point q as `_newton` takes it: the float of its one entry at
-    n = 1, where every kernel callable takes a float point (see
-    `DiscreteThermoSystem`); at n = 2 the tuple of its two entries where
-    the pass and the Newton matrix, or the callables they wrap
-    (``__wrapped__``), are marked ``float_points``; else q itself."""
-    if d.n == 1:
-        return float(q[0])
-    pairs = d.n == 2 and all(getattr(inspect.unwrap(f), "float_points", False)
-                             for f in (d.triple_pass, d.pi_minus_dq1))
-    return tuple(q.tolist()) if pairs else q
+    """The point q as `_newton` takes it: where the pass and the Newton
+    matrix, or the callables they wrap (``__wrapped__``), are marked
+    ``float_points`` (see `DiscreteThermoSystem`), the float of its one
+    entry at n = 1 and the tuple of its two entries at n = 2; else q
+    itself."""
+    if not (d.n <= 2 and all(getattr(inspect.unwrap(f), "float_points", False)
+                             for f in (d.triple_pass, d.pi_minus_dq1))):
+        return q
+    x = q.tolist()
+    return tuple(x) if len(x) == 2 else x[0]
 
 
 def integrate(d, q0, q1, S0, N, cfg=None):
@@ -304,7 +306,7 @@ def integrate(d, q0, q1, S0, N, cfg=None):
     q_prev, q_curr, S_prev = _point(d, qs[0]), _point(d, qs[1]), float(S0)
     pairs = type(q_curr) is tuple
     # a float point goes into the one column: a scalar store, not a row's
-    q_out = qs[:, 0] if d.n == 1 else qs
+    q_out = qs[:, 0] if type(q_curr) is float else qs
     triple_pass, pi_minus_dq1 = d.triple_pass, d.pi_minus_dq1
     k = 1
     try:
