@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .continuous import ThermoState, Trajectory, equations_of_motion, first_order_rhs
+from .continuous import (ThermoState, Trajectory, _on_floats, equations_of_motion,
+                         first_order_rhs)
 from .discrete import discrete_momenta, midpoint_discretize
 from .errors import ConfigError
 from .solve import NewtonConfig, initialize, integrate
@@ -62,11 +63,14 @@ def _rk2_float_step(sys, q, v, S, h):
 def rk2_integrate(sys, state0, h, N):
     """N RK2 midpoint steps; returns the trajectory on the uniform grid.
 
-    A one-dimensional system with ``float_points`` and a closed-form
-    ``accel`` steps q and v as Python floats (`_rk2_float_step`), bit for
-    bit the step on length-1 arrays, and stores them into the one column of
-    the output; any other system steps on arrays, two-pistons included.  Whatever step k raises, numpy's
-    FloatingPointError included, is re-raised with ``step_index = k``.
+    Where `continuous._on_floats` holds (a one-dimensional system with
+    ``float_points`` and a closed-form ``accel``), q and v step as Python
+    floats (`_rk2_float_step`), bit for bit the step on length-1 arrays,
+    and are stored into the one column of the output; any other system
+    steps on arrays, two-pistons included.  The RK45 reference
+    (`reference_integrate`) evaluates its right-hand side by the same rule.
+    Whatever step k raises, numpy's FloatingPointError included, is
+    re-raised with ``step_index = k``.
     ``h`` must be positive and finite and ``N`` non-negative.
     """
     if not 0 < h < math.inf:
@@ -78,7 +82,7 @@ def rk2_integrate(sys, state0, h, N):
     vs = np.empty((N + 1, n))
     Ss = np.empty(N + 1)
     qs[0], vs[0], Ss[0] = state0.q, state0.v, state0.S
-    if sys.n == 1 and sys.float_points and sys.accel is not None:
+    if _on_floats(sys):
         step, q_out, v_out = _rk2_float_step, qs[:, 0], vs[:, 0]
         q, v = float(state0.q[0]), float(state0.v[0])
     else:
@@ -98,7 +102,10 @@ def rk2_integrate(sys, state0, h, N):
 def reference_integrate(sys, state0, t_final, rtol=1e-10, atol=1e-10, *, h):
     """Adaptive embedded RK 4(5) reference, densely interpolated onto the grid.
 
-    ``h`` fixes the output grid spacing.
+    ``h`` fixes the output grid spacing.  The right-hand side is
+    `continuous.first_order_rhs`: on Python floats where
+    `continuous._on_floats` holds, as `rk2_integrate` steps, bit for bit the
+    evaluation on length-1 arrays, and on arrays otherwise.
     """
     # solve_ivp does not end on a NaN or infinite tolerance
     if not all(0 < x < math.inf for x in (rtol, atol, h, t_final)):

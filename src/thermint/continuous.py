@@ -205,11 +205,13 @@ class LagrangianThermoSystem:
     matrix, bit for bit the entries of the call on arrays; a derived one
     takes arrays only.  `midpoint_discretize` then runs the stepping kernel
     on floats, at n = 2 when none of the five fields of the Newton matrix
-    (``d2Ldq2`` to ``dFfrdv`` below) is derived, and `bench.rk2_integrate`
-    steps a one-dimensional system on floats if it has ``accel``.  The catalog
-    declares it.  A system written on arrays (``q @ q``, ``q[0]``) leaves it
-    False, and its kernel steps on arrays.  Whether a callable takes floats
-    cannot be told without calling it, hence the field.
+    (``d2Ldq2`` to ``dFfrdv`` below) is derived; a one-dimensional system
+    with ``accel`` is also stepped by `bench.rk2_integrate` and evaluated by
+    `first_order_rhs`, the RK45 reference's right-hand side, on floats
+    (`_on_floats`).  The catalog declares it.  A system written on arrays
+    (``q @ q``, ``q[0]``) leaves it False, and its kernel steps on arrays.
+    Whether a callable takes floats cannot be told without calling it, hence
+    the field.
 
     Domain: each callable that reads q raises `DomainError` outside the
     system's domain, at any point and on a stack with any row outside;
@@ -378,13 +380,37 @@ def continuous_rhs(sys, state):
     return equations_of_motion(sys, state.q, state.v, state.S)
 
 
+def _on_floats(sys):
+    """Whether `equations_of_motion` runs ``sys`` at float points: a
+    one-dimensional system with ``float_points`` and a closed-form
+    ``accel``.  `first_order_rhs` evaluates it so, and
+    `bench.rk2_integrate` steps it so."""
+    return sys.n == 1 and sys.float_points and sys.accel is not None
+
+
 def first_order_rhs(sys):
-    """The equations of motion as ``(t, y) -> dy/dt`` on y = (q, v, S), for ODE solvers."""
+    """The equations of motion as ``(t, y) -> dy/dt`` on y = (q, v, S), for ODE solvers.
+
+    Where `_on_floats` holds, y is evaluated as three Python floats, bit for
+    bit the call on length-1 arrays.  Float ``*`` and ``+`` overflow to inf
+    silently, so a value that is not finite is computed again on arrays,
+    where numpy reports the overflow or invalid operation as it does under
+    any errstate.  Any other system is evaluated on arrays.
+    """
     n = sys.n
 
-    def fun(t, y):
+    def on_arrays(t, y):
         qd, vd, Sd = equations_of_motion(sys, y[:n], y[n : 2 * n], float(y[2 * n]))
         return np.concatenate([qd, vd, [Sd]])
+
+    if not _on_floats(sys):
+        return on_arrays
+
+    def fun(t, y):
+        dy = equations_of_motion(sys, *y.tolist())
+        # a finite right-hand side whose sum overflows is computed again too,
+        # which costs time, not bits
+        return np.array(dy) if math.isfinite(sum(dy)) else on_arrays(t, y)
 
     return fun
 

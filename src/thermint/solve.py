@@ -269,8 +269,10 @@ def _point(d, q):
     matrix, or the callables they wrap (``__wrapped__``), are marked
     ``float_points`` (see `DiscreteThermoSystem`), the float of its one
     entry at n = 1 and the tuple of its two entries at n = 2; else q
-    itself."""
-    if not (d.n <= 2 and all(getattr(inspect.unwrap(f), "float_points", False)
+    itself.  A callable's own mark is read first: only one without it, such
+    as a profiler's wrapper, is unwrapped."""
+    if not (d.n <= 2 and all(getattr(f, "float_points", False)
+                             or getattr(inspect.unwrap(f), "float_points", False)
                              for f in (d.triple_pass, d.pi_minus_dq1))):
         return q
     x = q.tolist()
@@ -337,7 +339,9 @@ def initialize(entry, q0, v0, S0, h, mode="exact"):
     """Produce the first two path points (q0, q1, S0) of a catalog entry.
 
     exact      q1 = exact solution at t = h (needs an exact-solution handle);
-    reference  q1 from one adaptive reference step at tolerance 1e-10;
+    reference  q1 from one adaptive RK45 run to t = h at tolerance 1e-10, on
+               `continuous.first_order_rhs` (on Python floats where
+               `continuous._on_floats` holds, with the bits of arrays);
     hold       q1 = q0 (the zero-initial-velocity choice for the gases);
     taylor     q1 = q0 + h v0 + (h^2/2) a(q0, v0, S0).
     """

@@ -146,6 +146,22 @@ class TestReference:
         for a, b in ((short.qs, full.qs), (short.vs, full.vs), (short.Ss, full.Ss)):
             assert a[-1].tobytes() == b[-1].tobytes()
 
+    @pytest.mark.parametrize("name", ["oscillator", "ideal-gas", "van-der-waals"])
+    def test_float_rhs_is_array_rhs(self, name):
+        # the RK45 reference of a one-dimensional float_points system runs on
+        # a float right-hand side, bit for bit the same system on length-1
+        # arrays, from the gas cells' seeded rest starts to t = 25
+        lag = get_system(name).lagrangian
+        rng = np.random.default_rng(3301)
+        for _ in range(2):
+            state0 = ThermoState([rng.uniform(0.95, 1.05)], [0.0], rng.uniform(9.9, 10.1))
+            runs = []
+            for sys in (lag, dataclasses.replace(lag, float_points=False)):
+                traj = reference_integrate(sys, state0, 25.0, h=0.01)
+                assert np.isfinite(traj.qs).all() and np.isfinite(traj.Ss).all()
+                runs.append(b"".join(x.tobytes() for x in (traj.qs, traj.vs, traj.Ss)))
+            assert runs[0] == runs[1]
+
     def test_invalid_tolerances(self):
         # solve_ivp does not end on a NaN or infinite tolerance, and a step of
         # 0, -0.1 or NaN failed as ZeroDivisionError, IndexError or ValueError

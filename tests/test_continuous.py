@@ -21,7 +21,7 @@ from thermint import (
     reference_integrate,
     temperature,
 )
-from thermint.continuous import _fsum_fma, fd_gradient, pair
+from thermint.continuous import _fsum_fma, fd_gradient, first_order_rhs, pair
 
 OSC = get_system("oscillator")
 GAS = get_system("ideal-gas")
@@ -156,6 +156,46 @@ class TestRhs:
             np.testing.assert_allclose(qd, qd2, atol=1e-12)
             np.testing.assert_allclose(vd, pd2, atol=1e-12)
             assert Sd == pytest.approx(Sd2, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["oscillator", "ideal-gas", "van-der-waals",
+                                      "two-pistons"])
+    def test_first_order_rhs_on_floats_is_on_arrays(self, name):
+        # a one-dimensional float_points system with accel is evaluated on
+        # floats, bit for bit its float_points=False copy on length-1 arrays;
+        # bytes tell -0.0 from +0.0.  Two-pistons is evaluated on arrays
+        lag = get_system(name).lagrangian
+        n = lag.n
+        rng = np.random.default_rng(33)
+        ys = np.column_stack([rng.uniform(0.5, 2.0, (200, n)), rng.uniform(-1.0, 1.0, (200, n)),
+                              rng.uniform(0.0, 12.0, 200)])
+        ys[:20, n : 2 * n] = -0.0
+        ys[20:40, n : 2 * n] = 0.0
+        values, seen = [], []
+        for sys in (lag, dataclasses.replace(lag, float_points=False)):
+            accel = sys.accel
+            traced = dataclasses.replace(
+                sys, accel=lambda q, v, S: seen.append(type(q)) or accel(q, v, S))
+            fun = first_order_rhs(traced)
+            values.append([fun(0.0, y) for y in ys])
+            assert set(seen) == {float if sys.float_points and n == 1 else np.ndarray}
+            seen.clear()
+        for a, b in zip(*values):
+            assert a.dtype == b.dtype and a.shape == b.shape == (2 * n + 1,)
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("name", ["oscillator", "ideal-gas", "van-der-waals"])
+    def test_first_order_rhs_overflow_raises_as_on_arrays(self, name):
+        # float arithmetic overflows silently; a right-hand side on floats
+        # that is not finite is computed again on arrays, so numpy reports
+        # the overflow of v . Ffr as the array evaluation does
+        lag = get_system(name).lagrangian
+        y = np.array([1.0, 1e200, 1.0])
+        messages = []
+        for sys in (lag, dataclasses.replace(lag, float_points=False)):
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError) as info:
+                first_order_rhs(sys)(0.0, y)
+            messages.append(str(info.value))
+        assert messages == ["overflow encountered in matmul"] * 2
 
     def test_hamiltonian_zero_dHdS_rejected(self):
         # the entropy equation divides by dH/dS = -dL/dS, the temperature

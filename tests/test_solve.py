@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+import inspect
 from functools import partial
 from sys import setprofile
 
@@ -9,7 +10,7 @@ import pytest
 
 from thermint import systems
 from thermint.bench import default_newton_tol
-from thermint.continuous import fd_gradient, pair
+from thermint.continuous import fd_gradient, first_order_rhs, pair
 from thermint.errors import TemperatureDegenerateError, ThermintError
 from thermint.solve import _newton, _point, _solve_pair, _solve_update, solve_step
 
@@ -881,6 +882,19 @@ class TestFloatPoints:
         point = tuple if entry.n == 2 else float
         assert seen == {(point, point)}
 
+    @pytest.mark.parametrize("name,h", CATALOG_CELLS)
+    def test_marked_kernel_is_not_unwrapped(self, name, h, monkeypatch):
+        # a catalog kernel carries its own mark, so choosing its point reads
+        # the mark and unwraps nothing; a wrapper without the mark is still
+        # unwrapped (test_swapped_kernel_is_called_on_floats)
+        d, start, cfg = _catalog_start(name, h)
+        expected = _triple_bytes(discrete_flow(d, DiscreteTriple(*start), cfg))
+        unwrapped = []
+        monkeypatch.setattr(inspect, "unwrap", lambda f, **kw: unwrapped.append(f) or f)
+        image = discrete_flow(d, DiscreteTriple(*start), cfg)
+        assert unwrapped == []
+        assert _triple_bytes(image) == expected
+
     def test_warm_oscillator_step_call_count(self):
         # the Python calls of one cold n = 1 step with a warm interpreter,
         # counted deterministically: a cast creeping back into the kernel
@@ -909,6 +923,22 @@ class TestFloatPoints:
         newton = NewtonConfig(tol=cfg.newton_tol)
         calls = [len(_python_calls(integrate, d, q0, q1, S0, N, newton)) for N in (12, 2)]
         assert (calls[0] - calls[1]) / 10 == count
+
+    @pytest.mark.parametrize("name,y,count", [
+        pytest.param("oscillator", [1.0, 0.2, 0.5], 8, id="oscillator"),
+        pytest.param("ideal-gas", [1.0, 0.0, 10.0], 15, id="ideal-gas"),
+        pytest.param("van-der-waals", [1.0, 0.0, 10.0], 16, id="van-der-waals"),
+        pytest.param("two-pistons", [1.0, 1.1, 0.2, -0.3, 1.0], 16, id="two-pistons"),
+    ])
+    def test_rhs_call_count(self, name, y, count):
+        # the Python calls of one right-hand-side evaluation of the RK45
+        # reference, warm: a one-dimensional system evaluated on arrays again
+        # raises the count
+        fun = first_order_rhs(get_system(name).lagrangian)
+        y = np.array(y)
+        fun(0.0, y)
+        calls = _python_calls(fun, 0.0, y)
+        assert len(calls) == count, calls
 
     @pytest.mark.parametrize("name", ["ideal-gas", "van-der-waals", "two-pistons"])
     def test_integrate_step_forms_e_to_the_S_once(self, name, monkeypatch):
