@@ -33,7 +33,10 @@ FD_STEP = float(np.cbrt(np.finfo(float).eps))
 
 
 def _zero_force(q, v, S):
-    return np.zeros_like(q)
+    # a float point's zero covector is a float, a point of two floats' a pair
+    if type(q) is float:
+        return 0.0
+    return (0.0, 0.0) if type(q) is tuple else np.zeros_like(q)
 
 
 def pair(a, b):
@@ -194,18 +197,19 @@ class LagrangianThermoSystem:
     (n = 2).  The contract asks no other callable to take a stack.
 
     Float points: a system of one or two dimensions may declare
-    ``float_points``.  At n = 1, ``L``, the first partials, ``Ffr``,
-    ``d2Ldq2``, ``d2Ldqdv``, ``d2Ldv2``, ``dFfrdq``, ``dFfrdv`` and
-    ``accel`` then also take a point whose q and v are Python floats, and
-    return a float for each covector and each 1x1 matrix, bit for bit the
-    one entry of the call on length-1 arrays (a derived one of these does
-    so when the first partials do).  At n = 2 the same fields but ``accel``
-    take a point whose q and v are tuples of two floats, and return a tuple
-    for each covector and the flat tuple (x00, x01, x10, x11) for each 2x2
-    matrix, bit for bit the entries of the call on arrays; a derived one
-    takes arrays only.  `midpoint_discretize` then runs the stepping kernel
-    on floats, at n = 2 when none of the five fields of the Newton matrix
-    (``d2Ldq2`` to ``dFfrdv`` below) is derived; a one-dimensional system
+    ``float_points``.  At n = 1, ``L``, the first partials, ``Ffr``, the
+    eight second-order fields and ``accel`` then also take a point whose q
+    and v are Python floats, and return a float for each covector and each
+    1x1 matrix, bit for bit the one entry of the call on length-1 arrays (a
+    derived one of these does so when the first partials do).  At n = 2 the
+    same fields but ``accel`` take a point whose q and v are tuples of two
+    floats, and return a tuple for each covector and the flat tuple (x00,
+    x01, x10, x11) for each 2x2 matrix, bit for bit the entries of the call
+    on arrays; a derived one takes arrays only.  `midpoint_discretize` then
+    runs the stepping kernel and the one-triple diagnostics on floats, at
+    n = 2 the kernel when none of the five fields of the Newton matrix
+    (``d2Ldq2`` to ``dFfrdv`` below) is derived and the covector Jacobians
+    when none of the eight is; a one-dimensional system
     with ``accel`` is also stepped by `bench.rk2_integrate` and evaluated by
     `first_order_rhs`, the RK45 reference's right-hand side, on floats
     (`_on_floats`).  The catalog declares it.  A system written on arrays

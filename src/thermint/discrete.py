@@ -31,8 +31,10 @@ generic pass of its slot derivatives at construction, with Jacobians from
 ``cbrt(eps) * (1 + |x|)``).
 """
 
+import inspect
+import math
 from dataclasses import dataclass
-from operator import add
+from operator import add, sub
 
 import numpy as np
 
@@ -68,8 +70,12 @@ class DiscreteTriple:
     S0: float
 
     def __post_init__(self):
-        q0 = np.atleast_1d(np.asarray(self.q0, dtype=float))
-        q1 = np.atleast_1d(np.asarray(self.q1, dtype=float))
+        q0, q1 = self.q0, self.q1
+        # 1-D float arrays are kept as they are, which `np.asarray` would return
+        if not (type(q0) is np.ndarray is type(q1) and q0.ndim == 1 == q1.ndim
+                and q0.dtype == float == q1.dtype):
+            q0 = np.atleast_1d(np.asarray(q0, dtype=float))
+            q1 = np.atleast_1d(np.asarray(q1, dtype=float))
         if q0.shape != q1.shape:
             raise ValueError("q0 and q1 must have the same shape")
         S0 = float(self.S0) if q0.ndim == 1 else np.asarray(self.S0, dtype=float)
@@ -118,7 +124,15 @@ class DiscreteThermoSystem:
     and tuples of two floats at n = 2, and the two return a float or a
     tuple for each covector and a float or a flat tuple for the matrix, bit
     for bit the entries of their values on arrays.  Any other kernel, the
-    generic one included, steps on arrays.
+    generic one included, steps on arrays.  The same rule serves the
+    diagnostics at one triple (`momentum_map`, `discrete_momenta`,
+    `legendre_plus`, `legendre_minus`, `omega_embedded`): each hands a
+    callable the triple's float points only where that callable is marked,
+    ``D1Ld``/``D2Ld`` and ``ffr_minus``/``ffr_plus`` returning a float or a
+    tuple and ``dpi_minus``/``dpi_plus`` the flat tuple of their (n, 2n+1)
+    entries row by row, and returns the arrays (a float for
+    `momentum_map`) of the call on arrays, bit for bit.  ``pi_minus``,
+    ``pi_plus`` and ``entropy_increment`` read off a marked pass are marked.
     """
 
     n: int
@@ -213,6 +227,45 @@ def _single(t):
     return t
 
 
+# ---------------------------------------------------------------------------
+# float points
+
+
+def _marked(f):
+    """Whether the callable f, or the callable it wraps (``__wrapped__``),
+    is marked ``float_points``.  Its own mark is read first: only one
+    without it, such as a profiler's wrapper, is unwrapped."""
+    return getattr(f, "float_points", False) or (
+        hasattr(f, "__wrapped__") and getattr(inspect.unwrap(f), "float_points", False))
+
+
+def _float_point(q):
+    """The point q of one or two entries as floats: the float of its one
+    entry, the tuple of its two."""
+    x = q.tolist()
+    return tuple(x) if len(x) == 2 else x[0]
+
+
+def _floats(d, t, *callables):
+    """The triple t as float points (q0, q1, S0), the kind of point a step
+    takes (see `solve._point`), where t is one triple of a system of one or
+    two dimensions and each of ``callables`` is `_marked`; None elsewhere."""
+    if d.n <= 2 and t.q0.ndim == 1 and all(map(_marked, callables)):
+        q0, q1 = t.q0.tolist(), t.q1.tolist()  # `_float_point` of each, inline
+        return (tuple(q0), tuple(q1), t.S0) if len(q0) == 2 else (q0[0], q1[0], t.S0)
+    return None
+
+
+def _entries(x):
+    """A value at float points, a float or a tuple of floats, as the array
+    of its entries: the bits of the value on arrays.  None where an entry is
+    not finite, for float arithmetic overflows silently: such a value is
+    formed again on arrays, where numpy reports an overflow or an invalid
+    operation as it does under any errstate."""
+    x = (x,) if type(x) is float else x
+    return np.array(x) if all(map(math.isfinite, x)) else None
+
+
 #: a vanishing D_S Ld in an entropy update
 _SINGULAR = "D_S Ld vanishes: entropy update singular"
 
@@ -286,10 +339,16 @@ def _generic_kernel(d):
 
 
 def _from_pass(triple_pass):
-    """pi_minus, pi_plus and the entropy increment, each from one pass."""
-    return {"pi_minus": lambda q0, q1, S0: triple_pass(q0, q1, S0)[0],
-            "pi_plus": lambda q0, q1, S0: _pass_values(triple_pass, q0, q1, S0)[1],
-            "entropy_increment": lambda q0, q1, S0: _pass_values(triple_pass, q0, q1, S0)[2]}
+    """pi_minus, pi_plus and the entropy increment, each from one pass, and
+    marked ``float_points`` where the pass is."""
+    derived = {"pi_minus": lambda q0, q1, S0: triple_pass(q0, q1, S0)[0],
+               "pi_plus": lambda q0, q1, S0: _pass_values(triple_pass, q0, q1, S0)[1],
+               "entropy_increment":
+                   lambda q0, q1, S0: _pass_values(triple_pass, q0, q1, S0)[2]}
+    if _marked(triple_pass):
+        for f in derived.values():
+            f.float_points = True
+    return derived
 
 
 def _pass_values(triple_pass, q0, q1, S0):
@@ -416,18 +475,25 @@ def midpoint_discretize(sys, h):
 
     Each builder is one formula over float points and arrays, which takes
     the values of ``sys`` as they come (see `LagrangianThermoSystem`).
-    With ``float_points`` the pass and ``pi_minus_dq1`` are marked
-    ``float_points``, at n = 2 only when no field of the Newton matrix is
+    With ``float_points`` the pass, ``pi_minus_dq1``, ``D1Ld``, ``D2Ld`` and
+    the friction covector are marked ``float_points``, at n = 2 only when no
+    field of the Newton matrix is derived, and the covector Jacobians too,
+    at n = 2 only when no field they read (the S blocks' included) is
     derived: at n = 1 they take float points through those formulas, and
-    at n = 2 points of two floats, the midpoint, the pass and its rest
-    entry by entry and the matrix by `_sum_of_products`, the bits of the
-    array formulas (``pair`` reproduces ``@``).
+    at n = 2 points of two floats, the midpoint, the pass and its rest, the
+    slot derivatives and the Jacobians' columns entry by entry and the
+    blocks by `_sum_of_products`, the bits of the array formulas (``pair``
+    reproduces ``@``).  A Jacobian at float points is the flat tuple of its
+    (n, 2n+1) entries, row by row.
     """
     if not 0 < h < np.inf:
         raise ValueError(f"time step must be positive and finite, got {h}")
     n = sys.n
 
     def mid(q0, q1):
+        if type(q0) is tuple:  # entry by entry at a point of two floats
+            (a0, a1), (b0, b1) = q0, q1
+            return (0.5 * (a0 + b0), 0.5 * (a1 + b1)), ((b0 - a0) / h, (b1 - a1) / h)
         return 0.5 * (q0 + q1), (q1 - q0) / h
 
     def slot(cv):
@@ -436,7 +502,10 @@ def midpoint_discretize(sys, h):
 
         def D(q0, q1, S0):
             m, w = mid(q0, q1)
-            return 0.5 * sys.dLdq(m, w, S0) + sys.dLdv(m, w, S0) / cvh
+            g, v = sys.dLdq(m, w, S0), sys.dLdv(m, w, S0)
+            if type(m) is tuple:
+                return 0.5 * g[0] + v[0] / cvh, 0.5 * g[1] + v[1] / cvh
+            return 0.5 * g + v / cvh
         return D
 
     def at_mid(fn):
@@ -466,7 +535,15 @@ def midpoint_discretize(sys, h):
 
     def covector_jacobian(cv):
         blocks = (q_block(cv, -1), q_block(cv, 1), S_block(cv))
-        return at_mid(lambda m, w, S0: np.column_stack([b(m, w, S0) for b in blocks]))
+
+        def columns(m, w, S0):
+            a, b, c = [blk(m, w, S0) for blk in blocks]
+            if type(m) is float:
+                return a, b, c
+            if type(m) is tuple:  # the 2x2 blocks are flat tuples, row by row
+                return a[0], a[1], b[0], b[1], c[0], a[2], a[3], b[2], b[3], c[1]
+            return np.column_stack([a, b, c])
+        return at_mid(columns)
 
     # the Legendre covectors cv * (slot(cv) + ffr/2) and the entropy
     # increment; the sum order dL/dv / h + (cv/2) dL/dq + (cv/2) Ffr fixes
@@ -510,20 +587,26 @@ def midpoint_discretize(sys, h):
         return block((0.5 * (a0 + b0), 0.5 * (a1 + b1)), ((b0 - a0) / h, (b1 - a1) / h), S0)
 
     kernel = triple_pass, pi_minus_dq1
-    # at n = 1 a derived second partial takes floats too
-    if sys.float_points and (n == 1 or not any(getattr(f, "generic", False) for f in (
-            sys.d2Ldq2, sys.d2Ldqdv, sys.d2Ldv2, sys.dFfrdq, sys.dFfrdv))):
+    slots, ffr = (slot(-1), slot(1)), at_mid(sys.Ffr)
+    jacobians = covector_jacobian(-1), covector_jacobian(1)
+    # the Newton matrix's fields, then the S blocks'; at n = 1 a derived
+    # second partial takes floats too
+    derived = [getattr(f, "generic", False) for f in (
+        sys.d2Ldq2, sys.d2Ldqdv, sys.d2Ldv2, sys.dFfrdq, sys.dFfrdv,
+        sys.d2LdqdS, sys.d2LdvdS, sys.dFfrdS)]
+    if sys.float_points and (n == 1 or not any(derived[:5])):
         if n == 2:
             # a constant Newton matrix takes the point itself
             kernel = pair_pass, block if pi_minus_dq1 is block else pair_dq1
-        for f in kernel:
+        marked = [*kernel, *slots, ffr]
+        if n == 1 or not any(derived):
+            marked += jacobians
+        for f in marked:
             f.float_points = True
-    ffr = at_mid(sys.Ffr)
     return DiscreteThermoSystem(
-        n=n, h=h, Ld=at_mid(sys.L), D1Ld=slot(-1), D2Ld=slot(1), DSLd=at_mid(sys.dLdS),
-        ffr_minus=ffr, ffr_plus=ffr, dpi_minus=covector_jacobian(-1),
-        dpi_plus=covector_jacobian(1), pi_minus_dq1=kernel[1], triple_pass=kernel[0],
-        name=sys.name,
+        n=n, h=h, Ld=at_mid(sys.L), D1Ld=slots[0], D2Ld=slots[1], DSLd=at_mid(sys.dLdS),
+        ffr_minus=ffr, ffr_plus=ffr, dpi_minus=jacobians[0], dpi_plus=jacobians[1],
+        pi_minus_dq1=kernel[1], triple_pass=kernel[0], name=sys.name,
     )
 
 
@@ -542,31 +625,59 @@ def entropy_update(d, t):
 
 
 def legendre_minus(d, t):
-    """Minus Legendre transform: (q0, -D1Ld - ffr_minus/2, S0)."""
-    return t.q0.copy(), d.pi_minus(t.q0, t.q1, t.S0), t.S0
+    """Minus Legendre transform: (q0, -D1Ld - ffr_minus/2, S0).  At one
+    triple pi_minus takes float points where it is marked (see
+    `DiscreteThermoSystem`)."""
+    x = _floats(d, t, d.pi_minus)
+    pi = x and _entries(d.pi_minus(*x))
+    return t.q0.copy(), d.pi_minus(t.q0, t.q1, t.S0) if pi is None else pi, t.S0
 
 
 def legendre_plus(d, t):
-    """Plus Legendre transform: (q1, D2Ld + ffr_plus/2, entropy update)."""
-    _, pi_plus, dS = _pass_values(d.triple_pass, t.q0, t.q1, t.S0)
-    return t.q1.copy(), pi_plus, t.S0 + dS
+    """Plus Legendre transform: (q1, D2Ld + ffr_plus/2, entropy update).  At
+    one triple the pass takes float points where it is marked."""
+    x = _floats(d, t, d.triple_pass)
+    pi = None
+    if x:
+        _, pi, dS = _pass_values(d.triple_pass, *x)
+        pi = _entries(pi) if math.isfinite(dS) else None
+    if pi is None:
+        _, pi, dS = _pass_values(d.triple_pass, t.q0, t.q1, t.S0)
+    return t.q1.copy(), pi, t.S0 + dS
 
 
 def discrete_momenta(d, t):
     """h-scaled momenta (p_minus, p_plus); these approximate p = dL/dv."""
-    return _momentum(d, t, "minus")[0], _momentum(d, t, "plus")[0]
+    return _momentum_array(d, t, "minus"), _momentum_array(d, t, "plus")
 
 
-def _momentum(d, t, side):
+def _momentum(d, t, side, on_floats=True):
     """The h-scaled momentum of one side of t and the q it pairs with:
     (h D2Ld + (h/2) ffr_plus, q1) for "plus", (-h D1Ld - (h/2) ffr_minus,
-    q0) for "minus"."""
-    q0, q1, S0 = t.q0, t.q1, t.S0
+    q0) for "minus".  Where the side's slot derivative and friction covector
+    take t's float points (`_floats`), and ``on_floats``, the momentum is a
+    float or a tuple of two, the array formula entry by entry."""
     if side == "plus":
-        return d.h * d.D2Ld(q0, q1, S0) + (d.h / 2) * d.ffr_plus(q0, q1, S0), q1
-    if side == "minus":
-        return -d.h * d.D1Ld(q0, q1, S0) - (d.h / 2) * d.ffr_minus(q0, q1, S0), q0
-    raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
+        D, f, k, op, q = d.D2Ld, d.ffr_plus, d.h, add, t.q1
+    elif side == "minus":
+        D, f, k, op, q = d.D1Ld, d.ffr_minus, -d.h, sub, t.q0
+    else:
+        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
+    x = on_floats and _floats(d, t, D, f) or (t.q0, t.q1, t.S0)
+    a, b, half = D(*x), f(*x), d.h / 2
+    if type(a) is tuple:
+        return (op(k * a[0], half * b[0]), op(k * a[1], half * b[1])), q
+    return op(k * a, half * b), q
+
+
+def _momentum_array(d, t, side):
+    """The momentum of `_momentum` as an array."""
+    p, _ = _momentum(d, t, side)
+    if type(p) is float or type(p) is tuple:
+        p = _entries(p)
+        if p is None:
+            p, _ = _momentum(d, t, side, on_floats=False)
+    return p
 
 
 def discrete_flow(d, t, cfg=None):
@@ -594,7 +705,11 @@ def omega_embedded(d, t, side):
     Computed as the exact pullback of the canonical form dq^i ^ dp_i by
     the corresponding discrete Legendre transform, so it carries the
     dq ^ dS block produced by entropy-dependent momenta alongside the
-    dq0 ^ dq1 block ``[:n, n:2n]``.  One triple only.
+    dq0 ^ dq1 block ``[:n, n:2n]``.  One triple only.  The side's covector
+    Jacobian is evaluated at t's float points where it is marked (see
+    `DiscreteThermoSystem`), its flat tuple of entries as the (n, 2n+1)
+    array of its call on arrays, bit for bit; a generic or unmarked one
+    takes arrays.
     """
     t = _single(t)
     n = d.n
@@ -608,7 +723,9 @@ def omega_embedded(d, t, side):
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
     Aq = np.zeros((n, 2 * n + 1))
     Aq[:, q_cols] = np.eye(n)
-    Ap = dpi(t.q0, t.q1, t.S0)
+    x = _floats(d, t, dpi)
+    Ap = x and _entries(dpi(*x))
+    Ap = dpi(t.q0, t.q1, t.S0) if Ap is None else Ap.reshape(n, 2 * n + 1)
     return Aq.T @ Ap - Ap.T @ Aq
 
 
@@ -682,9 +799,20 @@ def momentum_map(d, t, xi, side):
     """Pairing of the discrete momentum of one side with the generator xi, a float
     at one triple or an array on a stack; xi receives the q it is paired with, (n,)
     or (..., n).  Only that side's momentum is formed, bit for bit its entry of
-    `discrete_momenta`."""
+    `discrete_momenta`.  At one triple it is formed on float points where the
+    side's slot derivative and friction covector are marked (see
+    `DiscreteThermoSystem`), and paired with a float64 value of xi on floats,
+    bit for bit the pairing of arrays."""
     p, q = _momentum(d, t, side)
-    return pair(p, xi(q))
+    v = xi(q)
+    if type(p) is float or type(p) is tuple:
+        x = np.asarray(v)
+        if x.dtype == float and x.shape == q.shape:
+            value = pair(p, _float_point(x))
+            if math.isfinite(value):
+                return value
+        p, _ = _momentum(d, t, side, on_floats=False)
+    return pair(p, v)
 
 
 def noether_condition(d, xi, t, tol=1e-10):

@@ -17,6 +17,7 @@ the tests):
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,7 +51,9 @@ def canonical_omega(n):
 
 @dataclass(frozen=True)
 class PointStructure:
-    """(omega, eta) at a single point: an antisymmetric matrix of odd size plus a covector."""
+    """(omega, eta) at a single point: an antisymmetric matrix of odd size plus a covector.
+    Its flat matrix is formed once, at the first field solved from it, so W and eta
+    are not changed in place after that."""
 
     W: np.ndarray
     eta: np.ndarray
@@ -72,6 +75,18 @@ class PointStructure:
     @property
     def n(self):
         return (self.W.shape[0] - 1) // 2
+
+    @cached_property
+    def _flat(self):
+        """`flat_matrix` of the structure, formed and checked once:
+        StructureDegenerateError where its condition number exceeds
+        `_COND_LIMIT` (a degenerate structure raises at every reading)."""
+        B = flat_matrix(self)
+        if np.linalg.cond(B) > _COND_LIMIT:
+            raise StructureDegenerateError(
+                "flat map singular: (omega, eta) not almost cosymplectic here"
+            )
+        return B
 
 
 @dataclass(frozen=True)
@@ -138,18 +153,9 @@ def flat_matrix(s):
     return s.W.T + np.outer(s.eta, s.eta)
 
 
-def _flat_solve(s, rhs):
-    B = flat_matrix(s)
-    if np.linalg.cond(B) > _COND_LIMIT:
-        raise StructureDegenerateError(
-            "flat map singular: (omega, eta) not almost cosymplectic here"
-        )
-    return np.linalg.solve(B, rhs)
-
-
 def reeb_field(s):
     """Reeb vector R with iota_R omega = 0 and eta(R) = 1 (= flat^-1 eta)."""
-    return _flat_solve(s, s.eta)
+    return np.linalg.solve(s._flat, s.eta)
 
 
 def evolution_field(s, pt):
@@ -160,7 +166,7 @@ def evolution_field(s, pt):
     """
     rhs = pt.dH + s.eta
     rhs[: pt.n] -= pt.Fext
-    return _flat_solve(s, rhs)
+    return np.linalg.solve(s._flat, rhs)
 
 
 def evolution_field_coordinates(pt):
@@ -200,11 +206,12 @@ def structure_defect(pt):
     """Largest defect of the structure identities at a Hamiltonian point.
 
     The identities are: the flat-map evolution field equals its coordinate
-    form, eta(E) = 0, iota_R omega = 0, eta(R) = 1 and flat(R) = eta.
+    form, eta(E) = 0, iota_R omega = 0, eta(R) = 1 and flat(R) = eta.  The
+    flat matrix is formed and checked once for E and R.
     """
     s = assemble_structure(pt)
     E = evolution_field(s, pt)
     R = reeb_field(s)
     return float(max(np.max(np.abs(E - evolution_field_coordinates(pt))), abs(s.eta @ E),
                      np.max(np.abs(s.W.T @ R)), abs(s.eta @ R - 1.0),
-                     np.max(np.abs(flat_matrix(s) @ R - s.eta))))
+                     np.max(np.abs(s._flat @ R - s.eta))))

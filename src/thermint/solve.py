@@ -27,7 +27,6 @@ pullback check is one such stack.  `systems.hamiltonian_point` inverts
 the Legendre transform with `_newton` too.
 """
 
-import inspect
 import math
 from dataclasses import dataclass
 
@@ -35,7 +34,8 @@ import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .continuous import ThermoState, continuous_rhs, first_order_rhs, fma
-from .discrete import _SINGULAR, DiscretePath, DiscreteTriple, _pass_values
+from .discrete import (_SINGULAR, DiscretePath, DiscreteTriple, _float_point, _marked,
+                       _pass_values)
 from .errors import ConfigError, ConvergenceError, TemperatureDegenerateError, ThermintError
 
 __all__ = ["NewtonConfig", "solve_step", "integrate", "initialize"]
@@ -267,16 +267,12 @@ def _failing_row(J, r, rows, size):
 def _point(d, q):
     """The point q as `_newton` takes it: where the pass and the Newton
     matrix, or the callables they wrap (``__wrapped__``), are marked
-    ``float_points`` (see `DiscreteThermoSystem`), the float of its one
-    entry at n = 1 and the tuple of its two entries at n = 2; else q
-    itself.  A callable's own mark is read first: only one without it, such
-    as a profiler's wrapper, is unwrapped."""
-    if not (d.n <= 2 and all(getattr(f, "float_points", False)
-                             or getattr(inspect.unwrap(f), "float_points", False)
-                             for f in (d.triple_pass, d.pi_minus_dq1))):
-        return q
-    x = q.tolist()
-    return tuple(x) if len(x) == 2 else x[0]
+    ``float_points`` (`discrete._marked`, see `DiscreteThermoSystem`), the
+    float of its one entry at n = 1 and the tuple of its two entries at
+    n = 2; else q itself."""
+    if d.n <= 2 and _marked(d.triple_pass) and _marked(d.pi_minus_dq1):
+        return _float_point(q)
+    return q
 
 
 def integrate(d, q0, q1, S0, N, cfg=None):

@@ -29,6 +29,7 @@ from thermint import (
     pullback_check,
 )
 from thermint.continuous import _constant, fd_gradient, pair
+from thermint.discrete import _marked
 
 H = 0.01
 GAMMA = 0.1
@@ -598,6 +599,129 @@ class TestMomentumMapAndNoether:
         path = integrate(d, [1.0, 1.0], [1.002, 0.997], 1.0, N, NewtonConfig(tol=1e-11))
         J = momentum_map(d, path.stack(), xi, "plus")
         assert np.max(np.abs(J - J[0])) <= N * 1e-11
+
+
+#: the callables the one-triple diagnostics hand float points where they are marked
+DIAGNOSTIC_FIELDS = ("D1Ld", "D2Ld", "ffr_minus", "ffr_plus", "pi_minus", "triple_pass",
+                     "dpi_minus", "dpi_plus")
+
+
+def _one_triple_cases(name, rows=24):
+    """Seeded triples of a catalog system, (rows, n), (rows, n) and (rows,):
+    every fourth with q1 = q0, a velocity of +0.0 entries, and where the
+    domain holds a zero coordinate every fourth from the second with q0 = 0
+    and q1 = -0.0 in coordinate 0, a velocity entry of -0.0."""
+    n = get_system(name).n
+    rng = np.random.default_rng(3401)
+    q0 = rng.uniform(-1.0 if name == "oscillator" else 0.6, 1.6, (rows, n))
+    q1 = q0 + rng.uniform(-0.05, 0.05, (rows, n))
+    q1[::4] = q0[::4]
+    if name in ("oscillator", "two-pistons"):
+        q0[1::4, 0], q1[1::4, 0] = 0.0, -0.0
+    return q0, q1, rng.uniform(0.0, 2.0, rows)
+
+
+def _diagnostics(d, t):
+    """momentum_map (both sides, two generators), discrete_momenta and the
+    two Legendre transforms at t, one triple or a stack."""
+    values = [momentum_map(d, t, xi, side) for side in ("plus", "minus")
+              for xi in (np.ones_like, lambda q: q)]
+    return values + [*discrete_momenta(d, t), *legendre_plus(d, t), *legendre_minus(d, t)]
+
+
+def _bytes(values):
+    return [(type(x), np.asarray(x).tobytes()) for x in values]
+
+
+class TestOneTripleOnFloats:
+    """The diagnostics at one triple hand each marked callable the float
+    points of a step, bit for bit the diagnostics on arrays."""
+
+    @pytest.mark.parametrize("name", ["oscillator", "ideal-gas", "van-der-waals",
+                                      "two-pistons"])
+    def test_float_points_keep_every_bit(self, name):
+        # against the copy declared without float points and against row k
+        # of the stacked call; bytes tell -0.0 from +0.0
+        lag = get_system(name).lagrangian
+        d = midpoint_discretize(lag, H)
+        arrays = midpoint_discretize(dataclasses.replace(lag, float_points=False), H)
+        assert all(_marked(getattr(d, f)) for f in DIAGNOSTIC_FIELDS)
+        assert not any(_marked(getattr(arrays, f)) for f in DIAGNOSTIC_FIELDS)
+        q0, q1, S0 = _one_triple_cases(name)
+        stacked = _diagnostics(d, DiscreteTriple(q0, q1, S0))
+        for k in range(len(S0)):
+            t = DiscreteTriple(q0[k], q1[k], S0[k])
+            got, expected = (_diagnostics(e, t) + [omega_embedded(e, t, side)
+                                                   for side in ("plus", "minus")]
+                             for e in (d, arrays))
+            assert _bytes(got) == _bytes(expected)
+            assert [x for _, x in _bytes(got[:len(stacked)])] == [
+                x for _, x in _bytes([value[k] for value in stacked])]
+
+    @pytest.mark.parametrize("name", ["ideal-gas", "two-pistons"])
+    def test_wrapped_callables_get_float_points(self, name):
+        # a profiler's wrapper (``__wrapped__``) of a marked callable gets the
+        # float points; a hand-written callable without the mark gets arrays
+        d = midpoint_discretize(get_system(name).lagrangian, H)
+        seen = {}
+
+        def traced(attr, fn):
+            def wrapper(q0, q1, S0):
+                seen.setdefault(attr, set()).add(type(q0))
+                return fn(q0, q1, S0)
+            wrapper.__wrapped__ = fn
+            return wrapper
+
+        wrapped = dataclasses.replace(d, **{f: traced(f, getattr(d, f))
+                                            for f in DIAGNOSTIC_FIELDS})
+        q0, q1, S0 = _one_triple_cases(name)
+        t = DiscreteTriple(q0[2], q1[2], S0[2])
+        assert _bytes(_diagnostics(wrapped, t)) == _bytes(_diagnostics(d, t))
+        omega_embedded(wrapped, t, "plus")
+        omega_embedded(wrapped, t, "minus")
+        point = tuple if d.n == 2 else float
+        assert seen == {f: {point} for f in DIAGNOSTIC_FIELDS}
+
+        seen.clear()
+        by_hand = dataclasses.replace(d, D2Ld=traced("by hand", lambda *x: d.D2Ld(*x)))
+        got = momentum_map(by_hand, t, np.ones_like, "plus")
+        assert seen == {"by hand": {np.ndarray}}
+        assert _bytes([got]) == _bytes([momentum_map(d, t, np.ones_like, "plus")])
+
+    def test_overflow_is_reported_as_on_arrays(self):
+        # float arithmetic overflows silently: a value that is not finite is
+        # formed again on arrays, where numpy reports the overflow under the
+        # errstate in force (here the velocity (q1 - q0)/h overflows)
+        arrays = midpoint_discretize(dataclasses.replace(OSC.lagrangian, float_points=False), H)
+        t = DiscreteTriple([1e308], [-1e308], 0.0)
+        for d in (D_OSC, arrays):
+            for diagnostic in (lambda: momentum_map(d, t, np.ones_like, "plus"),
+                               lambda: discrete_momenta(d, t), lambda: legendre_plus(d, t),
+                               lambda: legendre_minus(d, t)):
+                with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                    diagnostic()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _bytes(_diagnostics(D_OSC, t)) == _bytes(_diagnostics(arrays, t))
+
+    def test_derived_S_block_field_keeps_the_jacobians_on_arrays(self):
+        # two-pistons declaring float points with d2L/dqdS derived by central
+        # differences, which take arrays only at n = 2: the pass, the slot
+        # derivatives and the friction covector take pairs of floats, the
+        # covector Jacobians arrays, with the bits of the copy without float
+        # points, and they match the finite-difference Jacobians as ever
+        lag = dataclasses.replace(TP.lagrangian, d2LdqdS=None)
+        assert lag.float_points and lag.d2LdqdS.generic
+        d = midpoint_discretize(lag, H)
+        assert all(_marked(getattr(d, f)) for f in DIAGNOSTIC_FIELDS[:6] + ("pi_minus_dq1",))
+        assert not _marked(d.dpi_minus) and not _marked(d.dpi_plus)
+        arrays = midpoint_discretize(dataclasses.replace(lag, float_points=False), H)
+        fd = dataclasses.replace(d, dpi_minus=None, dpi_plus=None)
+        t = DiscreteTriple([1.0, 1.1], [1.01, 1.09], 1.0)
+        for side in ("plus", "minus"):
+            W = omega_embedded(d, t, side)
+            assert W.tobytes() == omega_embedded(arrays, t, side).tobytes()
+            W_fd = omega_embedded(fd, t, side)
+            np.testing.assert_allclose(W, W_fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(W)))
 
 
 class TestActionAndBoundary:

@@ -16,6 +16,7 @@ from thermint import (
     get_system,
     hamiltonian_point,
     reeb_field,
+    structure_defect,
 )
 from thermint.geometry import canonical_omega
 
@@ -60,8 +61,35 @@ class TestFlat:
     def test_zero_eta_singular(self):
         s = PointStructure(W=canonical_omega(1), eta=np.zeros(3))
         assert abs(np.linalg.det(flat_matrix(s))) < 1e-15
-        with pytest.raises(StructureDegenerateError):
-            reeb_field(s)
+        # a failed check is not kept: each field solved from s raises
+        pt = HamiltonianPoint(q=[1.0], p=[1.0], S=0.0, dH=[1.0, 1.0, 1.0], Ffr=[0.0])
+        for solve in (reeb_field, lambda s: evolution_field(s, pt), reeb_field):
+            with pytest.raises(StructureDegenerateError):
+                solve(s)
+
+    def test_structure_defect_checks_the_flat_map_once(self, monkeypatch):
+        # E and R are solved from one flat matrix, whose condition number is
+        # taken once per point; each keeps the bits of numpy's solve of the
+        # matrix formed afresh
+        conds = []
+        cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda B, *args: conds.append(B) or cond(B, *args))
+        for name in ("oscillator", "ideal-gas", "van-der-waals", "two-pistons"):
+            entry = get_system(name)
+            rng = np.random.default_rng(7)
+            for _ in range(5):
+                pt = hamiltonian_point(entry, rng.uniform(0.5, 1.5, entry.n),
+                                       rng.uniform(-1.0, 1.0, entry.n), rng.uniform(0.0, 2.0))
+                conds.clear()
+                structure_defect(pt)
+                assert len(conds) == 1
+                s = assemble_structure(pt)
+                B = flat_matrix(s)
+                rhs = pt.dH + s.eta
+                rhs[: entry.n] -= pt.Fext
+                assert evolution_field(s, pt).tobytes() == np.linalg.solve(B, rhs).tobytes()
+                assert reeb_field(s).tobytes() == np.linalg.solve(B, s.eta).tobytes()
+                assert len(conds) == 2
 
 
 class TestReeb:

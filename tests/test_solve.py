@@ -32,6 +32,8 @@ from thermint import (
     initialize,
     integrate,
     midpoint_discretize,
+    momentum_map,
+    omega_embedded,
     pullback_check,
 )
 
@@ -816,6 +818,22 @@ class TestFloatPoints:
             runs.append(_run(d, ([1.0, 1.0], [1.002, 0.997], 1.0), 200, NewtonConfig(tol=1e-9)))
         assert isinstance(runs[0], bytes) and runs[0] == runs[1]
 
+    def test_default_friction_takes_float_points(self):
+        # a system that declares float points and leaves Ffr out: its zero
+        # covector is a float at a float point, so the path and a momentum
+        # map on floats are those on arrays
+        lag = LagrangianThermoSystem(
+            n=1, L=lambda q, v, S: 0.5 * v * v - 0.5 * q * q - S,
+            dLdq=lambda q, v, S: -q, dLdv=lambda q, v, S: v, dLdS=lambda q, v, S: -1.0,
+            float_points=True)
+        discretized = [midpoint_discretize(sys, 0.1)
+                       for sys in (lag, dataclasses.replace(lag, float_points=False))]
+        runs = [_run(d, ([0.0], [0.1], 0.0), 50, NewtonConfig()) for d in discretized]
+        assert isinstance(runs[0], bytes) and runs[0] == runs[1]
+        t = DiscreteTriple([0.3], [0.35], 0.0)
+        maps = [momentum_map(d, t, np.ones_like, "minus") for d in discretized]
+        assert type(maps[0]) is float and maps[0] == maps[1]
+
     def test_only_one_dimensional_systems_declare_float_points(self):
         # float points are one or two floats; a system of three dimensions
         # cannot declare them
@@ -939,6 +957,24 @@ class TestFloatPoints:
         fun(0.0, y)
         calls = _python_calls(fun, 0.0, y)
         assert len(calls) == count, calls
+
+    @pytest.mark.parametrize("name,triple,counts", [
+        pytest.param("ideal-gas", ([1.0], [1.01], 10.0), (19, 26), id="ideal-gas"),
+        pytest.param("two-pistons", ([1.0, 1.1], [1.01, 1.09], 1.0), (20, 29),
+                     id="two-pistons"),
+    ])
+    def test_one_triple_diagnostic_call_count(self, name, triple, counts):
+        # the Python calls of one warm momentum_map and one warm omega_embedded
+        # at one triple, on float points: a diagnostic that hands its marked
+        # callables arrays again changes the counts
+        d = midpoint_discretize(get_system(name).lagrangian, 0.01)
+        t = DiscreteTriple(*triple)
+        ones = np.ones(d.n)
+        for fn, args, count in ((momentum_map, (d, t, lambda q: ones, "plus"), counts[0]),
+                                (omega_embedded, (d, t, "plus"), counts[1])):
+            fn(*args)
+            calls = _python_calls(fn, *args)
+            assert len(calls) == count, calls
 
     @pytest.mark.parametrize("name", ["ideal-gas", "van-der-waals", "two-pistons"])
     def test_integrate_step_forms_e_to_the_S_once(self, name, monkeypatch):
