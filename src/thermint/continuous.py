@@ -62,15 +62,17 @@ def pair(a, b):
 _SPLIT, _EXACT = 134217729.0, (2.0 ** -960, 2.0 ** 996)
 
 
-def _fsum_fma(a, b, c):
+def fma(a, b, c):
     """a * b + c rounded once to nearest, ties to even: IEEE 754's
     fusedMultiplyAdd, whose exact zero is -0.0 only when a * b is a zero of
-    negative sign and c is -0.0.  Where |a * b| and |c| lie in `_EXACT`,
-    a * b is p + e exactly, p = a * b rounded and e its error by Veltkamp's
-    split of a and b, and ``math.fsum`` rounds p + e + c once; elsewhere (a
-    split that overflows, a product that underflows or overflows, a
-    non-finite argument, a c that could overflow ``fsum``) `Fraction`
-    arithmetic does."""
+    negative sign and c is -0.0.  An infinite or NaN result is returned, as
+    float arithmetic returns it, where `math.fma` (Python 3.13 on) raises
+    OverflowError or ValueError; hence this one function on every Python.
+    Where |a * b| and |c| lie in `_EXACT`, a * b is p + e exactly, p = a * b
+    rounded and e its error by Veltkamp's split of a and b, and
+    ``math.fsum`` rounds p + e + c once; elsewhere (a split that overflows,
+    a product that underflows or overflows, a non-finite argument, a c that
+    could overflow ``fsum``) `Fraction` arithmetic does."""
     p = a * b
     if _EXACT[0] < abs(p) < _EXACT[1] and abs(c) < _EXACT[1]:
         t = _SPLIT * a
@@ -93,10 +95,6 @@ def _fsum_fma(a, b, c):
         return float(exact) if exact else 0.0
     except OverflowError:
         return math.inf if exact > 0 else -math.inf
-
-
-#: a * b + c rounded once: `math.fma` where Python has it (3.13 on)
-fma = getattr(math, "fma", _fsum_fma)
 
 
 def _constant(value):
@@ -166,16 +164,23 @@ class LagrangianThermoSystem:
 
     A second-order field whose value does not depend on the point may
     declare it: an attribute ``constant`` on the callable holds its value
-    on arrays, and its one entry is its value at a float point (`_constant`
-    builds such a field).
+    on arrays, whose entries, in the form below, are its value at a float
+    point (`_constant` builds such a field).
     `discrete.midpoint_discretize` then forms the field's products in the
     Newton matrix and the covector Jacobians once.
 
-    Return contract: a callable returns a float at a float point (below)
-    and a float ndarray otherwise, except that a scalar field (``L``,
-    ``dLdS``) returns a float at one point; a value that is the same at
-    every point may stay a float.  The midpoint rule and the equations of
-    motion use each value as it comes, without a cast.
+    Kinds of point and the return contract: a callable takes an array
+    point, q and v float arrays of shape (n,), and returns a float ndarray,
+    (n,) for a covector and (n, n) for a matrix.  A system that declares
+    ``float_points`` (below) also takes, bit for bit the entries of the
+    call on arrays, at n = 1 a float point, q and v Python floats, where a
+    covector and a 1x1 matrix are a float, and at n = 2 a point of two
+    floats, q and v tuples of two floats, where a covector is a tuple of
+    two floats and a 2x2 matrix the flat tuple (x00, x01, x10, x11).  A
+    scalar field (``L``, ``dLdS``) returns a float at one point of any
+    kind, and a value that is the same at every point may stay a float.
+    The midpoint rule and the equations of motion use each value as it
+    comes, without a cast.
 
     Stacks of points: the whole-path diagnostics (those given
     `DiscretePath.stack`, and `bench.hamiltonian_estimates`) call ``L``,
@@ -197,25 +202,20 @@ class LagrangianThermoSystem:
     (n = 2).  The contract asks no other callable to take a stack.
 
     Float points: a system of one or two dimensions may declare
-    ``float_points``.  At n = 1, ``L``, the first partials, ``Ffr``, the
-    eight second-order fields and ``accel`` then also take a point whose q
-    and v are Python floats, and return a float for each covector and each
-    1x1 matrix, bit for bit the one entry of the call on length-1 arrays (a
-    derived one of these does so when the first partials do).  At n = 2 the
-    same fields but ``accel`` take a point whose q and v are tuples of two
-    floats, and return a tuple for each covector and the flat tuple (x00,
-    x01, x10, x11) for each 2x2 matrix, bit for bit the entries of the call
-    on arrays; a derived one takes arrays only.  `midpoint_discretize` then
-    runs the stepping kernel and the one-triple diagnostics on floats, at
-    n = 2 the kernel when none of the five fields of the Newton matrix
+    ``float_points``.  ``L``, the first partials, ``Ffr`` and the eight
+    second-order fields then take the float point of its dimension, and at
+    n = 1 ``accel`` too; a derived field does so at n = 1 when the first
+    partials do, and takes arrays only at n = 2.  `midpoint_discretize`
+    then runs the stepping kernel and the one-triple diagnostics on floats,
+    at n = 2 the kernel when none of the five fields of the Newton matrix
     (``d2Ldq2`` to ``dFfrdv`` below) is derived and the covector Jacobians
-    when none of the eight is; a one-dimensional system
-    with ``accel`` is also stepped by `bench.rk2_integrate` and evaluated by
+    when none of the eight is; a one-dimensional system with ``accel`` is
+    also stepped by `bench.rk2_integrate` and evaluated by
     `first_order_rhs`, the RK45 reference's right-hand side, on floats
-    (`_on_floats`).  The catalog declares it.  A system written on arrays
-    (``q @ q``, ``q[0]``) leaves it False, and its kernel steps on arrays.
-    Whether a callable takes floats cannot be told without calling it, hence
-    the field.
+    (`_on_floats`).  The catalog
+    declares it.  A system written on arrays (``q @ q``, ``q[0]``) leaves
+    it False, and its kernel steps on arrays.  Whether a callable takes
+    floats cannot be told without calling it, hence the field.
 
     Domain: each callable that reads q raises `DomainError` outside the
     system's domain, at any point and on a stack with any row outside;

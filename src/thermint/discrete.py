@@ -105,11 +105,11 @@ class DiscreteThermoSystem:
     ``triple_pass`` reads its covectors off the new pass; a callable handed
     in for a derived field (a profiler's wrapper) is kept as it is.
 
-    The return contract is that of `continuous.LagrangianThermoSystem`:
-    a callable returns a float at a float point and a float ndarray
-    otherwise, and a value that is the same at every point may stay a
-    float.  The step and the diagnostics use each value as it comes,
-    without a cast.
+    The kinds of point and the return contract are those of
+    `continuous.LagrangianThermoSystem`, q0 and q1 taking the place of q
+    and v; a covector Jacobian at a float point is the flat tuple of its
+    (n, 2n+1) entries, row by row.  The step and the diagnostics use each
+    value as it comes, without a cast.
 
     All but ``dpi_minus``/``dpi_plus`` also take a stack of triples (see
     `DiscreteTriple`), ``pi_minus_dq1`` returning (..., n, n) (or one
@@ -118,21 +118,14 @@ class DiscreteThermoSystem:
     whole path, `DiscretePath.stack`, that way, and `solve.solve_step` the
     flows of a pullback check.
 
-    A step runs on float points where the pass and ``pi_minus_dq1`` are
-    marked ``float_points`` (see `solve._point`), as the midpoint rule of a
-    system that declares it marks its own: q0 and q1 are floats at n = 1
-    and tuples of two floats at n = 2, and the two return a float or a
-    tuple for each covector and a float or a flat tuple for the matrix, bit
-    for bit the entries of their values on arrays.  Any other kernel, the
-    generic one included, steps on arrays.  The same rule serves the
-    diagnostics at one triple (`momentum_map`, `discrete_momenta`,
-    `legendre_plus`, `legendre_minus`, `omega_embedded`): each hands a
-    callable the triple's float points only where that callable is marked,
-    ``D1Ld``/``D2Ld`` and ``ffr_minus``/``ffr_plus`` returning a float or a
-    tuple and ``dpi_minus``/``dpi_plus`` the flat tuple of their (n, 2n+1)
-    entries row by row, and returns the arrays (a float for
-    `momentum_map`) of the call on arrays, bit for bit.  ``pi_minus``,
-    ``pi_plus`` and ``entropy_increment`` read off a marked pass are marked.
+    A callable takes float points only where it is marked ``float_points``:
+    a step runs on them where the pass and ``pi_minus_dq1`` are (see
+    `solve._point`), and a diagnostic at one triple hands them to each
+    marked callable and returns the arrays of the call on arrays, bit for
+    bit.  Any other callable, the generic ones included, takes arrays.
+    `midpoint_discretize` marks its own, one kernel for all three kinds of
+    point; ``pi_minus``, ``pi_plus`` and ``entropy_increment`` read off a
+    marked pass are marked.
     """
 
     n: int
@@ -406,32 +399,19 @@ def _sum_of_products(terms):
                 for k, f, shape, run in segments]
 
     def total(m, w, S0):
-        if type(m) is tuple:
-            return pair_total(m, w, S0)
-        form = type(m) is not float
+        pairs = type(m) is tuple
+        form = 2 if pairs else type(m) is not float
         acc = None if lead is None else lead[form]
         last = None
         for k, f, shape, run in segments:
             if f is not last:
                 last, value = f, f(m, w, S0)
             x = value if shape is None else shape(value)
-            x = x if k is None else k * x
-            acc = x if acc is None else acc + x
+            if k is not None:
+                x = tuple(map(k.__mul__, x)) if pairs else k * x
+            acc = x if acc is None else tuple(map(add, acc, x)) if pairs else acc + x
             for c in run[form]:
-                acc = acc + c
-        return acc
-
-    def pair_total(m, w, S0):
-        acc = None if lead is None else lead[2]
-        last = None
-        for k, f, shape, run in segments:
-            if f is not last:
-                last, value = f, f(m, w, S0)
-            x = value if shape is None else shape(value)
-            x = x if k is None else tuple(map(k.__mul__, x))
-            acc = x if acc is None else tuple(map(add, acc, x))
-            for c in run[2]:
-                acc = tuple(map(add, acc, c))
+                acc = tuple(map(add, acc, c)) if pairs else acc + c
         return acc
     return total
 
@@ -473,40 +453,19 @@ def midpoint_discretize(sys, h):
     `_sum_of_products`, which forms the products of the fields the system
     declares constant once, when the block is built.
 
-    Each builder is one formula over float points and arrays, which takes
-    the values of ``sys`` as they come (see `LagrangianThermoSystem`).
-    With ``float_points`` the pass, ``pi_minus_dq1``, ``D1Ld``, ``D2Ld`` and
-    the friction covector are marked ``float_points``, at n = 2 only when no
-    field of the Newton matrix is derived, and the covector Jacobians too,
-    at n = 2 only when no field they read (the S blocks' included) is
-    derived: at n = 1 they take float points through those formulas, and
-    at n = 2 points of two floats, the midpoint, the pass and its rest, the
-    slot derivatives and the Jacobians' columns entry by entry and the
-    blocks by `_sum_of_products`, the bits of the array formulas (``pair``
-    reproduces ``@``).  A Jacobian at float points is the flat tuple of its
-    (n, 2n+1) entries, row by row.
+    Each formula is written once and takes the values of ``sys`` as they
+    come, at every kind of point of `LagrangianThermoSystem` (entry by
+    entry at a point of two floats, where ``pair`` reproduces ``@``): one
+    kernel serves all three, bit for bit.  With ``float_points`` the pass,
+    ``pi_minus_dq1``, ``D1Ld``, ``D2Ld`` and the friction covector are
+    marked ``float_points`` (see `DiscreteThermoSystem`), at n = 2 only
+    when no field of the Newton matrix is derived, and the covector
+    Jacobians too, at n = 2 only when no field they read (the S blocks'
+    included) is derived.
     """
     if not 0 < h < np.inf:
         raise ValueError(f"time step must be positive and finite, got {h}")
     n = sys.n
-
-    def mid(q0, q1):
-        if type(q0) is tuple:  # entry by entry at a point of two floats
-            (a0, a1), (b0, b1) = q0, q1
-            return (0.5 * (a0 + b0), 0.5 * (a1 + b1)), ((b0 - a0) / h, (b1 - a1) / h)
-        return 0.5 * (q0 + q1), (q1 - q0) / h
-
-    def slot(cv):
-        # the slot derivative: (1/2) dL/dq + (cv/h) dL/dv
-        cvh = cv * h
-
-        def D(q0, q1, S0):
-            m, w = mid(q0, q1)
-            g, v = sys.dLdq(m, w, S0), sys.dLdv(m, w, S0)
-            if type(m) is tuple:
-                return 0.5 * g[0] + v[0] / cvh, 0.5 * g[1] + v[1] / cvh
-            return 0.5 * g + v / cvh
-        return D
 
     def at_mid(fn):
         # a field of (q, v, S) evaluated at the midpoint substitution; a
@@ -514,10 +473,23 @@ def midpoint_discretize(sys, h):
         if hasattr(fn, "constant"):
             return fn
 
-        def f(q0, q1, S0):
-            m, w = mid(q0, q1)
-            return fn(m, w, S0)
-        return f
+        def at_midpoint(q0, q1, S0):
+            if type(q0) is tuple:  # entry by entry at a point of two floats
+                (a0, a1), (b0, b1) = q0, q1
+                return fn((0.5 * (a0 + b0), 0.5 * (a1 + b1)), ((b0 - a0) / h, (b1 - a1) / h), S0)
+            return fn(0.5 * (q0 + q1), (q1 - q0) / h, S0)
+        return at_midpoint
+
+    def slot(cv):
+        # the slot derivative: (1/2) dL/dq + (cv/h) dL/dv
+        cvh = cv * h
+
+        def D(m, w, S0):
+            g, v = sys.dLdq(m, w, S0), sys.dLdv(m, w, S0)
+            if type(m) is tuple:
+                return 0.5 * g[0] + v[0] / cvh, 0.5 * g[1] + v[1] / cvh
+            return 0.5 * g + v / cvh
+        return at_mid(D)
 
     def q_block(cv, c):
         # d pi / dq0 (c = -1) or / dq1 (c = 1) on side cv at the midpoint; L's
@@ -548,45 +520,34 @@ def midpoint_discretize(sys, h):
     # the Legendre covectors cv * (slot(cv) + ffr/2) and the entropy
     # increment; the sum order dL/dv / h + (cv/2) dL/dq + (cv/2) Ffr fixes
     # the covectors' bits.  The halves are formed once for both sides: x - y
-    # is x + (-y) and -0.5 * y is -(0.5 * y), bit for bit
-    def triple_pass(q0, q1, S0):
-        m, w = 0.5 * (q0 + q1), (q1 - q0) / h  # mid(q0, q1), one call less per residual
-        f = sys.Ffr(m, w, S0)
-        dv, dq, df = sys.dLdv(m, w, S0) / h, 0.5 * sys.dLdq(m, w, S0), 0.5 * f
-        return dv - dq - df, rest, (q0, q1, S0, m, w, dv, dq, df, f)
+    # is x + (-y) and -0.5 * y is -(0.5 * y), bit for bit.  The midpoint is
+    # formed inline, as `at_mid` forms it, with dq1 = q1 - q0 kept for the
+    # increment.  The pass and its rest read their fields once, here, not per call
+    Ffr, dLdv, dLdq, dLdS = sys.Ffr, sys.dLdv, sys.dLdq, sys.dLdS
 
-    def rest(q0, q1, S0, m, w, dv, dq, df, f):
-        dS = _quotient(pair(f, q1 - q0), sys.dLdS(m, w, S0))
+    def triple_pass(q0, q1, S0):
+        if type(q0) is tuple:  # entry by entry at a point of two floats
+            (a0, a1), (b0, b1) = q0, q1
+            dq1 = b0 - a0, b1 - a1
+            m, w = (0.5 * (a0 + b0), 0.5 * (a1 + b1)), (dq1[0] / h, dq1[1] / h)
+            f, v, g = Ffr(m, w, S0), dLdv(m, w, S0), dLdq(m, w, S0)
+            dv, dq, df = (v[0] / h, v[1] / h), (0.5 * g[0], 0.5 * g[1]), (0.5 * f[0], 0.5 * f[1])
+            pi = dv[0] - dq[0] - df[0], dv[1] - dq[1] - df[1]
+        else:
+            dq1 = q1 - q0
+            m, w = 0.5 * (q0 + q1), dq1 / h
+            f, v, g = Ffr(m, w, S0), dLdv(m, w, S0), dLdq(m, w, S0)
+            dv, dq, df = v / h, 0.5 * g, 0.5 * f
+            pi = dv - dq - df
+        return pi, rest, (dq1, S0, m, w, dv, dq, df, f)
+
+    def rest(dq1, S0, m, w, dv, dq, df, f):
+        dS = _quotient(pair(f, dq1), dLdS(m, w, S0))
+        if type(dv) is tuple:
+            return (dv[0] + dq[0] + df[0], dv[1] + dq[1] + df[1]), dS
         return dv + dq + df, dS
 
-    # the pass at a point of two floats (q0, q1 tuples): that of arrays
-    # entry by entry, the same bits; arrays go on to that
-    def pair_pass(q0, q1, S0):
-        if type(q0) is not tuple:
-            return triple_pass(q0, q1, S0)
-        (a0, a1), (b0, b1) = q0, q1  # mid(q0, q1) entry by entry
-        m, w = (0.5 * (a0 + b0), 0.5 * (a1 + b1)), ((b0 - a0) / h, (b1 - a1) / h)
-        f = sys.Ffr(m, w, S0)
-        v, g = sys.dLdv(m, w, S0), sys.dLdq(m, w, S0)
-        dv, dq, df = (v[0] / h, v[1] / h), (0.5 * g[0], 0.5 * g[1]), (0.5 * f[0], 0.5 * f[1])
-        return ((dv[0] - dq[0] - df[0], dv[1] - dq[1] - df[1]), pair_rest,
-                ((b0 - a0, b1 - a1), S0, m, w, dv, dq, df, f))
-
-    def pair_rest(dq1, S0, m, w, dv, dq, df, f):
-        # a zero D_S Ld raises ZeroDivisionError, which the callers report
-        pi = (dv[0] + dq[0] + df[0], dv[1] + dq[1] + df[1])
-        return pi, pair(f, dq1) / sys.dLdS(m, w, S0)
-
-    block = q_block(-1, 1)
-    pi_minus_dq1 = at_mid(block)
-
-    def pair_dq1(q0, q1, S0):
-        if type(q0) is not tuple:
-            return pi_minus_dq1(q0, q1, S0)
-        (a0, a1), (b0, b1) = q0, q1
-        return block((0.5 * (a0 + b0), 0.5 * (a1 + b1)), ((b0 - a0) / h, (b1 - a1) / h), S0)
-
-    kernel = triple_pass, pi_minus_dq1
+    pi_minus_dq1 = at_mid(q_block(-1, 1))
     slots, ffr = (slot(-1), slot(1)), at_mid(sys.Ffr)
     jacobians = covector_jacobian(-1), covector_jacobian(1)
     # the Newton matrix's fields, then the S blocks'; at n = 1 a derived
@@ -595,10 +556,7 @@ def midpoint_discretize(sys, h):
         sys.d2Ldq2, sys.d2Ldqdv, sys.d2Ldv2, sys.dFfrdq, sys.dFfrdv,
         sys.d2LdqdS, sys.d2LdvdS, sys.dFfrdS)]
     if sys.float_points and (n == 1 or not any(derived[:5])):
-        if n == 2:
-            # a constant Newton matrix takes the point itself
-            kernel = pair_pass, block if pi_minus_dq1 is block else pair_dq1
-        marked = [*kernel, *slots, ffr]
+        marked = [triple_pass, pi_minus_dq1, *slots, ffr]
         if n == 1 or not any(derived):
             marked += jacobians
         for f in marked:
@@ -606,7 +564,7 @@ def midpoint_discretize(sys, h):
     return DiscreteThermoSystem(
         n=n, h=h, Ld=at_mid(sys.L), D1Ld=slots[0], D2Ld=slots[1], DSLd=at_mid(sys.dLdS),
         ffr_minus=ffr, ffr_plus=ffr, dpi_minus=jacobians[0], dpi_plus=jacobians[1],
-        pi_minus_dq1=kernel[1], triple_pass=kernel[0], name=sys.name,
+        pi_minus_dq1=pi_minus_dq1, triple_pass=triple_pass, name=sys.name,
     )
 
 

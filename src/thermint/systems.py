@@ -167,28 +167,16 @@ def _coordinate_above(lo, what):
     return guard
 
 
-def _covector(q, *parts):
-    """The covector with these components at q: the one component at a
-    float point, their tuple at a point of two floats, (n,) at a point,
-    (..., n) on a stack."""
-    if type(q) is float:
-        return parts[0]
-    if type(q) is tuple:
-        return parts
-    if isinstance(parts[0], np.ndarray):
-        return np.stack(parts, axis=-1)
-    return np.array(parts)
-
-
 def _uniform(q, x):
-    """The covector whose components all equal x at q: x itself at a float
-    point, (x, x) at a point of two floats, from a list at a point of shape
-    (n,), else by `_covector`."""
+    """The covector whose components all equal x at q: (n,) from a list at
+    a point of shape (n,), (..., n) on a stack (x of shape (...)), x itself
+    at a float point, (x, x) at a point of two floats."""
     if type(q) is float:
         return x
     if type(q) is tuple:
         return (x, x)
-    return np.array([x] * len(q)) if q.ndim == 1 else _covector(q, *[x] * q.shape[-1])
+    n = q.shape[-1]
+    return np.array([x] * n) if q.ndim == 1 else np.stack([x] * n, axis=-1)
 
 
 def _matrix(q, x):
@@ -493,8 +481,8 @@ def van_der_waals(gamma=0.1, a_hat=1.0e3, b_hat=0.1):
 
     def force(q, v, S):  # dL/dx
         x = xval(q)
-        return _covector(q, (2.0 / 3.0) * _exp(S) * _power(x - bh, -5.0 / 3.0)
-                         - ah / _power(x, 2))
+        return _uniform(q, (2.0 / 3.0) * _exp(S) * _power(x - bh, -5.0 / 3.0)
+                        - ah / _power(x, 2))
 
     def stiffness(q, v, S):  # d2L/dx2
         x = xval(q)
@@ -510,8 +498,8 @@ def van_der_waals(gamma=0.1, a_hat=1.0e3, b_hat=0.1):
         potential=(U, lambda q, S: -ah / xval(q)),
         force=force,
         force_dq=stiffness,
-        force_dS=lambda q, v, S: _covector(q, (2.0 / 3.0) * _exp(S)
-                                           * _power(xval(q) - bh, -5.0 / 3.0)),
+        force_dS=lambda q, v, S: _uniform(q, (2.0 / 3.0) * _exp(S)
+                                          * _power(xval(q) - bh, -5.0 / 3.0)),
         temperature=U,
     )
 

@@ -21,7 +21,7 @@ from thermint import (
     reference_integrate,
     temperature,
 )
-from thermint.continuous import _fsum_fma, fd_gradient, first_order_rhs, pair
+from thermint.continuous import fd_gradient, first_order_rhs, fma, pair
 
 OSC = get_system("oscillator")
 GAS = get_system("ideal-gas")
@@ -321,7 +321,7 @@ def _exact_fma(a, b, c):
 
 
 def _fma_arguments(rng, size):
-    """Triples spanning the fast range of `_fsum_fma` and its fallbacks:
+    """Triples spanning the fast range of `continuous.fma` and its fallbacks:
     products that underflow or overflow, splits that overflow, subnormals,
     sums that overflow ``fsum``, exact cancellations and signed zeros."""
     def floats(lo, hi):
@@ -355,15 +355,17 @@ SIGNED_ZEROS = [
 ]
 
 
-#: the fsum fma, and math.fma where Python has it (3.13 on)
-FMAS = [_fsum_fma] + ([math.fma] if hasattr(math, "fma") else [])
+#: the package's fma, by ``math.fsum``, which `pair` and `solve._solve_pair`
+#: call, and math.fma, an oracle for the finite cases, where Python has it
+#: (3.13 on)
+FMAS = [pytest.param(fma, id="_fsum_fma")] + ([math.fma] if hasattr(math, "fma") else [])
 
 
 class TestFma:
     def test_fsum_fma_is_exact_arithmetic_rounded_once(self):
         rng = np.random.default_rng(17)
         for a, b, c in _fma_arguments(rng, 2000):
-            assert _fsum_fma(a, b, c).hex() == _exact_fma(a, b, c).hex(), (a, b, c)
+            assert fma(a, b, c).hex() == _exact_fma(a, b, c).hex(), (a, b, c)
 
     # math.fma, where Python has it (3.13 on), keeps the same table
     @pytest.mark.parametrize("fma", FMAS)
@@ -377,7 +379,7 @@ class TestFma:
                                   (inf, -1.0, inf, nan), (1e300, 1e300, -inf, -inf),
                                   (1e300, 1e300, 1.0, inf), (-1e300, 1e300, 1.0, -inf),
                                   (2.0, 3.0, nan, nan), (nan, 0.0, 1.0, nan)]:
-            got = _fsum_fma(a, b, c)
+            got = fma(a, b, c)
             assert got == expected or got != got and expected != expected, (a, b, c)
 
     def test_pair_of_two_floats(self):

@@ -981,7 +981,7 @@ def test_two_pistons_newton_matrix_drops_zero_addends():
 
 def test_covector_jacobian_forms_one_midpoint():
     # the three column blocks of a covector Jacobian are evaluated at one
-    # midpoint, formed once per call
+    # midpoint, formed once per call by `at_mid`'s inner function
     from sys import setprofile
 
     d = midpoint_discretize(TP.lagrangian, H)
@@ -994,7 +994,7 @@ def test_covector_jacobian_forms_one_midpoint():
             dpi(*t)
         finally:
             setprofile(None)
-        assert calls.count("mid") == 1
+        assert calls.count("at_midpoint") == 1
 
 
 class TestDiscretePath:

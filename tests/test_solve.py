@@ -10,7 +10,7 @@ import pytest
 
 from thermint import systems
 from thermint.bench import default_newton_tol
-from thermint.continuous import fd_gradient, first_order_rhs, pair
+from thermint.continuous import _constant, fd_gradient, first_order_rhs, pair
 from thermint.errors import TemperatureDegenerateError, ThermintError
 from thermint.solve import _newton, _point, _solve_pair, _solve_update, solve_step
 
@@ -457,6 +457,42 @@ def _cooling():
         n=1, L=lambda q, v, S: 0.5 * v * v - 0.5 * q * q - T(q) * S,
         dLdq=lambda q, v, S: -q, dLdv=lambda q, v, S: v, dLdS=lambda q, v, S: -T(q),
         Ffr=lambda q, v, S: -0.1 * v, float_points=True)
+
+
+def _cooling_pair():
+    """`_cooling` in two dimensions on points of two floats, with the five
+    fields of its Newton matrix supplied: the temperature is 1 below q_0 =
+    0.5 and 0 from there on."""
+    T = lambda q: 1.0 if q[0] < 0.5 else 0.0
+    neg = lambda x: (-x[0], -x[1]) if type(x) is tuple else -x
+    eye, zeros = np.eye(2), np.zeros((2, 2))
+    return LagrangianThermoSystem(
+        n=2, L=lambda q, v, S: 0.5 * pair(v, v) - 0.5 * pair(q, q) - T(q) * S,
+        dLdq=lambda q, v, S: neg(q), dLdv=lambda q, v, S: v, dLdS=lambda q, v, S: -T(q),
+        Ffr=lambda q, v, S: (-0.1 * v[0], -0.1 * v[1]) if type(v) is tuple else -0.1 * v,
+        d2Ldq2=_constant(-eye), d2Ldqdv=_constant(zeros), d2Ldv2=_constant(eye),
+        dFfrdq=_constant(zeros), dFfrdv=_constant(-0.1 * eye), float_points=True)
+
+
+def test_zero_temperature_at_two_floats_is_temperature_degenerate():
+    # the rest of a pass at a point of two floats divides by a vanishing
+    # D_S Ld as at an array point: TemperatureDegenerateError, and the path
+    # fails at the same step on either kind of point
+    sys = _cooling_pair()
+    d = midpoint_discretize(sys, 0.01)
+    arrays = midpoint_discretize(dataclasses.replace(sys, float_points=False), 0.01)
+    assert type(_point(d, np.zeros(2))) is tuple
+    assert type(_point(arrays, np.zeros(2))) is np.ndarray
+    for q0, q1 in (((0.6, 0.0), (0.61, 0.0)), (np.array([0.6, 0.0]), np.array([0.61, 0.0]))):
+        _, rest, args = d.triple_pass(q0, q1, 0.0)
+        with pytest.raises(TemperatureDegenerateError):
+            rest(*args)
+    steps = []
+    for system in (d, arrays):
+        with pytest.raises(TemperatureDegenerateError) as failure:
+            integrate(system, [0.0, 0.0], [0.01, 0.0], 0.0, 1000, NewtonConfig(tol=1e-12))
+        steps.append(failure.value.step_index)
+    assert steps[0] == steps[1] > 1
 
 
 #: (system, h, Newton tolerance) of a path from (0, 0.01, 0) that fails at a
@@ -927,8 +963,8 @@ class TestFloatPoints:
 
     @pytest.mark.parametrize("name,count", [
         pytest.param("oscillator", 15, id="oscillator"),
-        pytest.param("ideal-gas", 50.0, id="ideal-gas"),
-        pytest.param("van-der-waals", 51.6, id="van-der-waals"),
+        pytest.param("ideal-gas", 47.8, id="ideal-gas"),
+        pytest.param("van-der-waals", 49.5, id="van-der-waals"),
         pytest.param("two-pistons", 38, id="two-pistons"),
     ])
     def test_integrate_step_call_count(self, name, count):
@@ -959,8 +995,8 @@ class TestFloatPoints:
         assert len(calls) == count, calls
 
     @pytest.mark.parametrize("name,triple,counts", [
-        pytest.param("ideal-gas", ([1.0], [1.01], 10.0), (19, 26), id="ideal-gas"),
-        pytest.param("two-pistons", ([1.0, 1.1], [1.01, 1.09], 1.0), (20, 29),
+        pytest.param("ideal-gas", ([1.0], [1.01], 10.0), (18, 25), id="ideal-gas"),
+        pytest.param("two-pistons", ([1.0, 1.1], [1.01, 1.09], 1.0), (19, 25),
                      id="two-pistons"),
     ])
     def test_one_triple_diagnostic_call_count(self, name, triple, counts):
