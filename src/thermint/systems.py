@@ -248,13 +248,14 @@ def _separable(name, n, gamma, potential, force, force_dq, force_dS, temperature
 # damped harmonic oscillator
 
 
-#: grid intervals whose quadrature nodes `DampedOscillatorSolution.entropy`
-#: tables at once, which bounds the table
+#: grid intervals on which `DampedOscillatorSolution.entropy` applies the
+#: 21-point rule at once, which bounds its arrays
 _QUAD_BLOCK_INTERVALS = 256
 
-#: abscissae of QUADPACK's 21-point Gauss-Kronrod rule (dqk21) on [-1, 1],
-#: the first rule `quad` applies to an interval [a, b]: its nodes are
-#: c -/+ hl * x with c = (a + b)/2 and hl = (b - a)/2, computed in that order
+#: QUADPACK's 21-point Gauss-Kronrod rule (dqk21) on [-1, 1], the first rule
+#: `quad` applies to an interval [a, b]: the Kronrod abscissae, whose nodes
+#: are c -/+ hl * x with c = (a + b)/2 and hl = (b - a)/2, their weights, and
+#: the 10-point Gauss weights of the odd abscissae 1, 3, ..., 9
 _XGK21 = np.array([
     0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
     0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
@@ -263,19 +264,60 @@ _XGK21 = np.array([
     0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
     0.0,
 ])
+_WGK21 = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077600525356942, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG10 = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+#: the order in which dqk21 adds its nodes into the Kronrod sum: the centre,
+#: the Gauss nodes, the others; and into its error scale: the centre, then 0-9
+_KRONROD_ORDER, _ASC_ORDER = [10, 1, 3, 5, 7, 9, 0, 2, 4, 6, 8], [10, *range(10)]
+_EPS50 = 50.0 * float(np.finfo(float).eps)
 
 
-class _Tabled(dict):
-    """The values of ``f`` at tabled points, from one array call of ``f``;
-    at any other point, ``f`` itself."""
+def _in_order(terms):
+    """Each column's terms added from the first row to the last, as a loop
+    adds them."""
+    return np.cumsum(terms, axis=0)[-1]
 
-    def __init__(self, f, points):
-        points = points.ravel()
-        super().__init__(zip(points.tolist(), f(points).tolist()))
-        self.f = f
 
-    def __missing__(self, x):
-        return self.f(x)
+def _gk21(f, a, b):
+    """dqk21 on every interval [a[i], b[i]], one elementwise numpy operation for
+    each operation of QUADPACK's loop, so each result has `quad`'s bits; and
+    whether dqagse accepts that first rule, with a margin of 2 in both its
+    comparisons, which no last bit of ``pow`` in its error estimate can cross.
+    Row j of a (21, len(a)) table holds node c - hl x_j, row 11 + j node
+    c + hl x_j; row 10 is the centre."""
+    c, hl = 0.5 * (a + b), 0.5 * (b - a)
+    absc = _XGK21[:, None] * hl
+    fv = f(np.concatenate([c - absc, c + absc[:10]]))
+    f1, f2, fc = fv[:11], fv[11:], fv[10]
+    fsum, fabs = f1.copy(), abs(f1)
+    fsum[:10] += f2
+    fabs[:10] += abs(f2)
+    resg = _in_order(_WG10[:, None] * fsum[1:10:2])
+    resk = _in_order((_WGK21[:, None] * fsum)[_KRONROD_ORDER])
+    resabs = _in_order((_WGK21[:, None] * fabs)[_KRONROD_ORDER])
+    reskh = resk * 0.5
+    dev = abs(f1 - reskh)
+    dev[:10] += abs(f2 - reskh)
+    resasc = _in_order((_WGK21[:, None] * dev)[_ASC_ORDER])
+    result, resabs, resasc = resk * hl, resabs * abs(hl), resasc * abs(hl)
+    abserr = abs((resk - resg) * hl)
+    scaled = (resasc != 0) & (abserr != 0)
+    ratio = np.divide(200.0 * abserr, resasc, out=np.zeros_like(abserr), where=scaled)
+    abserr = np.where(scaled, resasc * np.minimum(1.0, ratio ** 1.5), abserr)
+    abserr = np.where(resabs > _TINY / _EPS50, np.maximum(_EPS50 * resabs, abserr), abserr)
+    errbnd = np.maximum(1e-13, 1e-13 * abs(result))
+    return result, (abserr <= 0.5 * errbnd) & (abserr < 0.5 * resasc) | (abserr == 0)
 
 
 class DampedOscillatorSolution:
@@ -291,13 +333,13 @@ class DampedOscillatorSolution:
     bit-identical to the array case, so v of an array of times is v at
     each of them.
 
-    ``entropy`` hands `quad` a table of the integrand v^2: for each block
-    of `_QUAD_BLOCK_INTERVALS` grid intervals, one array call of v and of
-    the square (`_power`) at the 21 Gauss-Kronrod nodes QUADPACK takes
-    first on each interval, computed as it computes them.  A node outside
-    the table, such as a bisection point of an interval the first rule
-    does not settle, falls back to the integrand at that float, so the
-    table decides the time and never a bit.
+    ``entropy`` applies QUADPACK's first rule (`_gk21`) to each block of
+    `_QUAD_BLOCK_INTERVALS` grid intervals at once, from one array call of
+    v and of the square (`_power`) at its 21 nodes.  Where dqagse would
+    return that rule's result, with a margin of 2 in its accept test, the
+    block keeps it: the bits `quad` returns there.  Any other interval (one
+    `quad` bisects, a roundoff warning, a time that is not finite) takes
+    `quad` itself, so the rule decides the time and never a bit.
     """
 
     def __init__(self, gamma, q0, v0, S0=0.0):
@@ -331,29 +373,25 @@ class DampedOscillatorSolution:
 
     def entropy(self, ts):
         """S on an increasing time grid, by cumulative adaptive quadrature:
-        one `quad` call per grid interval [ts[i-1], ts[i]] (from 0 at i = 0)
-        that is not empty."""
+        the value of one `quad` call per grid interval [ts[i-1], ts[i]] (from
+        0 at i = 0) that is not empty, added in order to S0."""
         from scipy.integrate import quad
 
         # v(u) ** 2: at a float time v is a numpy scalar, which squares by
         # pow; array ``**`` squares as np.square, which rounds differently
         sq = lambda u: _power(self.v(u), 2.0)
         ts = np.asarray(ts, dtype=float)
-        lows = np.concatenate([[0.0], ts[:-1]])
-        out = np.empty(ts.shape)
-        acc = self.S0
+        lows = np.concatenate([[0.0], ts])[:-1]
+        vals = np.empty(ts.shape)
         for start in range(0, len(ts), _QUAD_BLOCK_INTERVALS):
             a = lows[start : start + _QUAD_BLOCK_INTERVALS]
             b = ts[start : start + _QUAD_BLOCK_INTERVALS]
-            c, hl = (0.5 * (a + b))[:, None], (0.5 * (b - a))[:, None]
-            absc = hl * _XGK21
-            integrand = _Tabled(sq, np.concatenate([c - absc, c + absc])).__getitem__
-            for i, (lo, hi) in enumerate(zip(a.tolist(), b.tolist()), start):
-                if hi != lo:
-                    val, _ = quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)
-                    acc += val
-                out[i] = acc
-        return out
+            vals[start : start + len(b)], settled = _gk21(sq, a, b)
+            for i in np.flatnonzero(~settled & (b != a)):
+                vals[start + i] = quad(sq, float(a[i]), float(b[i]), epsabs=1e-13,
+                                       epsrel=1e-13, limit=200)[0]
+        filled = ts != lows
+        return np.cumsum(np.concatenate([[self.S0], vals[filled]]))[np.cumsum(filled)]
 
 
 def oscillator(gamma=0.1):

@@ -17,14 +17,16 @@ runs in a few seconds.
 
 import dataclasses
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from thermint import (DiscreteTriple, ExperimentConfig, LagrangianThermoSystem, ThermoState,
                       get_system, initialize, midpoint_discretize, omega_embedded,
                       reference_integrate, rk2_integrate, run_experiment)
-from thermint.systems import DampedOscillatorSolution, hamiltonian_point
+from thermint.systems import DampedOscillatorSolution, _gk21, hamiltonian_point
 
 METHODS = ("variational", "rk2", "reference")
 
@@ -150,7 +152,7 @@ def test_exact_reference_frozen(start):
 
 
 def test_exact_reference_scalar_matches_array():
-    # entropy tables the integrand v ** 2 from one array call, which must give
+    # entropy evaluates the integrand v ** 2 in one array call, which must give
     # the bits of each float call: squared by np.float_power, as a numpy
     # scalar's ** squares (array ** squares as np.square, which differs)
     sol = DampedOscillatorSolution(0.1, 0.3, -0.7, 1.5)
@@ -163,8 +165,8 @@ def test_exact_reference_scalar_matches_array():
 
 def _count_float_calls_of_v(sol):
     """Wrap ``sol.v`` on the instance; the returned list grows by one at each
-    call with a float time, which the integrand table of ``entropy`` serves
-    for every node it holds."""
+    call with a float time, which ``entropy`` makes only on an interval its
+    first rule does not settle."""
     calls, v = [], sol.v
 
     def counted(t):
@@ -207,25 +209,51 @@ def test_exact_entropy_matches_per_interval_quadrature():
     assert fallbacks
 
 
+def test_exact_entropy_edge_grids():
+    # grids a block of the rule could mishandle: nothing to add, S0 = -0.0
+    # with only empty intervals, a decreasing grid, a 40 s interval as the
+    # last of a block and as the first of the next, and times that are not
+    # finite, which quad takes with its own warnings, as it did per interval
+    sol = DampedOscillatorSolution(0.1, 0.3, -0.7, -0.0)
+    assert sol.entropy([]).shape == (0,)
+    assert sol.entropy([0.0, 0.0]).tobytes() == np.array([-0.0, -0.0]).tobytes()
+    grids = [np.linspace(30.0, 0.0, 700)]
+    for k in (255, 256):
+        grids.append(0.01 * np.arange(600) + np.where(np.arange(600) >= k, 40.0, 0.0))
+    for ts in grids:
+        assert sol.entropy(ts).tobytes() == _entropy_per_interval(sol, ts).tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="invalid value encountered in multiply"):
+            sol.entropy([0.0, 1.0, np.inf, 2.0])
+        with pytest.raises(IntegrationWarning):
+            sol.entropy([0.0, 1.0, np.nan, 2.0])
+
+
 @pytest.mark.parametrize("start", sorted(EXACT_REFERENCE))
 def test_exact_entropy_nodes_are_tabled(start, monkeypatch):
-    # every node quad takes on the EXACT_TIMES intervals is one QUADPACK
-    # computes as the table does, so a scipy whose nodes moved fails here
-    # instead of only running slower; and each value quad reads there has
-    # the bits of the float integrand v(u) ** 2
+    # QUADPACK's first rule settles every EXACT_TIMES interval, so entropy
+    # calls quad on none of them, and on each one quad of the float integrand
+    # v(u) ** 2 returns the rule's bits: a scipy whose rule moved fails here
+    # instead of only running slower
     import scipy.integrate
 
-    quad, read = scipy.integrate.quad, []
+    quad, calls = scipy.integrate.quad, []
 
     def recording_quad(f, a, b, **kwargs):
-        return quad(lambda u: read.append((u, f(u))) or read[-1][1], a, b, **kwargs)
+        calls.append((a, b))
+        return quad(f, a, b, **kwargs)
 
     monkeypatch.setattr(scipy.integrate, "quad", recording_quad)
     sol = DampedOscillatorSolution(0.1, *start)
-    fallbacks = _count_float_calls_of_v(sol)
     sol.entropy(EXACT_TIMES)
-    assert fallbacks == [] and len(read) == 21 * (EXACT_TIMES.size - 1)
-    assert all(float(value).hex() == float(sol.v(u) ** 2).hex() for u, value in read)
+    assert calls == []
+    lows, highs = EXACT_TIMES[:-1], EXACT_TIMES[1:]
+    rule, settled = _gk21(lambda u: np.float_power(sol.v(u), 2.0), lows, highs)
+    assert settled.all()
+    per_interval = [quad(lambda u: sol.v(u) ** 2, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+                    for lo, hi in zip(lows.tolist(), highs.tolist())]
+    assert np.array(per_interval).tobytes() == rule.tobytes()
 
 
 def _variable_mass():

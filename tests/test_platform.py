@@ -15,6 +15,14 @@ its dispatch, where the other pins name only their digest.  Run it first:
 The 1x1 solve is the exception: its bits are r / J on every dispatch
 tried, and a one-dimensional step on floats divides where the same step on
 length-1 arrays calls the solve.
+
+A fourth dependence is scipy's: the oscillator's exact entropy applies
+QUADPACK's 21-point Gauss-Kronrod rule (dqk21) in numpy and calls `quad`
+only where that rule does not settle an interval, which gives `quad`'s bits
+where scipy's compiled dqk21 rounds as plain IEEE products and sums, with
+no fused multiply-add.  `test_gk21_rule_is_quad` checks that against `quad`
+itself, on any host.  When a listed host-bound test fails, the suite's
+conftest appends which of the kernels above round otherwise on this host.
 """
 
 import contextlib
@@ -27,6 +35,7 @@ import pytest
 
 from thermint.continuous import pair
 from thermint.solve import _solve_update
+from thermint.systems import DampedOscillatorSolution, _gk21, _power
 
 #: seeded inputs of each kernel: one call on 20 000 arguments
 _ROWS = 20_000
@@ -70,11 +79,19 @@ def _runtime():
     return f"{out.getvalue()}set: {chosen}"
 
 
+def _matches(kernel):
+    values, expected = KERNELS[kernel]
+    return hashlib.sha256(values().tobytes()).hexdigest() == expected
+
+
+def kernels_rounding_otherwise():
+    """The KERNELS whose values on this host differ from the recorded ones."""
+    return [kernel for kernel in KERNELS if not _matches(kernel)]
+
+
 @pytest.mark.parametrize("kernel", list(KERNELS))
 def test_kernel_bits(kernel):
-    values, expected = KERNELS[kernel]
-    digest = hashlib.sha256(values().tobytes()).hexdigest()
-    assert digest == expected, (
+    assert _matches(kernel), (
         f"{kernel} rounds otherwise than where the suite's bits were recorded (numpy's "
         f"X86_V4 loops, OpenBLAS's SkylakeX kernel), so the digests and bit comparisons "
         f"that rest on it fail on this host for that reason alone; its dispatch:\n"
@@ -91,3 +108,42 @@ def test_1x1_solve_is_division():
     assert _solve_update(J[:, None, None], r[:, None])[:, 0].tobytes() == quotient
     single = [_solve_update(np.array([[J_k]]), np.array([r_k]))[0] for J_k, r_k in zip(J, r)]
     assert np.array(single).tobytes() == quotient
+
+
+def _scipy_build():
+    """scipy's version and the compilers and machine of its build, which
+    compiled its QUADPACK."""
+    import scipy
+
+    config = scipy.show_config(mode="dicts")
+    compilers = {k: config["Compilers"].get(k) for k in ("c", "fortran")}
+    return (f"scipy {scipy.__version__}, compilers {compilers}, "
+            f"machine {config['Machine Information']}")
+
+
+def test_gk21_rule_is_quad():
+    # intervals of 1e-4 to 10 in [0, 1010] under several oscillator starts
+    # (gamma, q0, v0, S0), the weaker friction keeping v^2 above quad's
+    # absolute tolerance: the rule has quad's bits wherever quad returns its
+    # first rule (21 evaluations), and it settles no interval quad bisects
+    from scipy.integrate import quad
+
+    rng = np.random.default_rng(1705)
+    a = rng.uniform(0.0, 1000.0, 2000)
+    b = a + 10.0 ** rng.uniform(-4.0, 1.0, a.size)
+    starts = [(0.1, 0.0, 1.0, 0.0), (0.1, 0.3, -0.7, 1.5), (0.01, -1.2, 0.4, 0.0),
+              (0.01, 2.0, 2.0, 0.0)]
+    for start, rows in zip(starts, np.split(np.arange(a.size), len(starts))):
+        sol = DampedOscillatorSolution(*start)
+        f = lambda u: _power(sol.v(u), 2.0)
+        rule, settled = _gk21(f, a[rows], b[rows])
+        outs = [quad(f, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200, full_output=1)
+                for lo, hi in zip(a[rows].tolist(), b[rows].tolist())]
+        value = np.array([out[0] for out in outs])
+        first = np.array([out[2]["neval"] == 21 for out in outs])
+        assert settled.any() and not first.all()
+        assert rule[first].tobytes() == value[first].tobytes() and np.all(first[settled]), (
+            f"QUADPACK's 21-point rule in numpy differs from quad at {start}, on "
+            f"{np.sum(rule[first] != value[first])} intervals that quad settles by it and "
+            f"{np.sum(settled & ~first)} that the rule settles and quad does not; "
+            f"{_scipy_build()}")
