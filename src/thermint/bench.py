@@ -7,6 +7,7 @@ tolerance with dense interpolation onto the benchmark grid.  All CSV
 output is deterministic: fixed float formatting, no timestamps.
 """
 
+import functools
 import math
 import os
 import time
@@ -462,24 +463,208 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-#: rows formatted per write, which bounds the Python floats held at once
+#: rows formatted per write, which bounds the memory one block takes
 _CSV_BLOCK_ROWS = 256
+
+#: the magnitudes the trajectory writer formats in numpy; any other value,
+#: zero, inf and NaN among them, is formatted by `_fmt`
+_CSV_MIN, _CSV_MAX = 1e-200, 1e200
+
+#: the decimal exponents of the tables: floor(log10 |x|) over that range,
+#: from -201 (the double nearest 1e-200 lies below it) to 200, where log10
+#: or a rounding that carries reaches 1e200
+_E_LOW, _E_HIGH = -201, 200
+
+#: y = |x| 10^(16 - E) < 10^17 is computed within 4e-15: hi + lo is
+#: 10^(16 - E) within 2^-106 of itself (1.2e-15 of y), rounding |x| lo costs
+#: at most 9e-16 and adding it to the exact product's error term 1.8e-15,
+#: and wherever floor(y) is in range the product's rounded part is an
+#: integer.  A fraction of y further than this from 1/2 rounds y as the
+#: exact y does
+_TIE_MARGIN = 1e-12
+
+#: bytes of one value and its comma: eight words of four bytes (see
+#: `_csv_tables`), the comma at byte `_COMMA`
+_SLOT, _COMMA = 32, 30
+
+
+def _halves(v):
+    """v as two halves of 26 bits that add up to it (Veltkamp's split), whose
+    products Dekker's exact product adds."""
+    split = v * 134217729.0  # 2^27 + 1
+    high = split - (split - v)
+    return high, v - high
+
+
+@functools.cache
+def _csv_tables():
+    """The trajectory writer's tables, built on its first call from integers
+    (``int / int`` is correctly rounded).
+
+    - ``powers``: 10^(16 - E) as hi + lo, hi split into two halves of 26
+      bits for Dekker's exact product; a column per E from `_E_LOW`.
+    - ``point``: where ``%.17g`` puts the point among the 17 digits at E;
+      18 for none (E in -4..-1).
+    - ``words``: the eight words of four bytes `_csv_rows` gathers for a
+      value, in the order written: its sign and the ``0.`` with up to three
+      zeros ``%.17g`` writes for E in -4..-1, by E and sign; the end of
+      those and the first digit, by E and digit; the four digits of each
+      integer below 10^4, for the next sixteen digits; a NUL for the digits
+      to move into, ``e`` and the exponent where ``%.17g`` writes one, and
+      the comma, two words by E.  `_SIGN_WORDS`, `_LEAD_WORDS` and
+      `_EXP_WORDS` index the parts by E after the four digits.
+    - ``zeros``: the trailing zeros of every integer below 10^4 as four
+      digits.
+    - ``keep``, ``moved``, ``dot``: by point and count of digits up to the
+      last that is not 0 (``point * 18 + count``), a mask of the bytes that
+      stay, a mask of those that take the byte before them (the digits after
+      the point move one on), and the point.
+    """
+    powers, point, lead, exponent = [], [], [], []
+    for E in range(_E_LOW, _E_HIGH + 1):
+        num, den = (10 ** (16 - E), 1) if E <= 16 else (1, 10 ** (E - 16))
+        hi = num / den
+        m, d = hi.as_integer_ratio()
+        powers.append((hi, (num * d - m * den) / (den * d)))
+        fixed = -4 <= E < 17
+        point.append(18 if fixed and E < 0 else E + 1 if fixed else 1)
+        lead.append(b"0." + b"0" * (-E - 1) if fixed and E < 0 else b"")
+        exponent.append(b"" if fixed else b"e%+03d" % E)
+    hi, lo = np.array(powers).T
+    lead, exponent = (np.array(b, "S5").view(np.uint8).reshape(-1, 5) for b in (lead, exponent))
+    words = np.zeros((_EXP_WORDS + 2 * len(point), 4), np.uint8)
+    g = np.arange(10_000, dtype=np.uint16)
+    for col, power in enumerate((1000, 100, 10, 1)):
+        words[:10_000, col] = ord("0") + g // power % 10
+    signs = words[_SIGN_WORDS:_LEAD_WORDS].reshape(-1, 2, 4)
+    signs[:, 1, 0] = ord("-")
+    signs[..., 1:] = lead[:, None, :3]
+    firsts = words[_LEAD_WORDS:_EXP_WORDS].reshape(-1, 10, 4)
+    firsts[..., :2] = lead[:, None, 3:]
+    firsts[..., 3] = ord("0") + np.arange(10)
+    ends = words[_EXP_WORDS:].reshape(-1, 8)
+    ends[:, 1:6] = exponent
+    ends[:, 6] = ord(",")
+    zeros = np.zeros(10_000, np.int8)
+    for power in (10, 100, 1000, 10_000):
+        zeros += g % power == 0
+    # the digits are bytes 7..23 and 24 is free; byte j of those 18 is digit
+    # j before the point, the point, or digit j - 1 after it
+    at, count, j = np.arange(19)[:, None, None], np.arange(18)[:, None], np.arange(18)
+    shown = np.where(at < 18, np.maximum(count, at), count)
+    keep, moved, dot = np.zeros((3, 19, 18, _SLOT), np.uint8)
+    keep[..., 7:25] = (j < at) & (j < shown)
+    moved[..., 7:25] = (j > at) & (j <= shown)
+    dot[..., 7:25] = (j == at) & (shown > at)
+    keep *= 255
+    keep[..., :7] = keep[..., 25:] = 255
+    moved *= 255
+    dot *= ord(".")
+    words = words.view(np.uint32).ravel()
+    tables = (np.array([hi, *_halves(hi), lo]), np.array(point), words, zeros,
+              *(table.reshape(-1, _SLOT) for table in (keep, moved, dot)))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+#: where each part of `_csv_tables`' ``words`` starts
+_SIGN_WORDS = 10_000
+_LEAD_WORDS = _SIGN_WORDS + 2 * (_E_HIGH - _E_LOW + 1)
+_EXP_WORDS = _LEAD_WORDS + 10 * (_E_HIGH - _E_LOW + 1)
+
+
+def _digits(x):
+    """Where ``ok``, the 17 digits ``%.17g`` writes for x as an integer D in
+    [10^16, 10^17) and the row i of their exponent in `_csv_tables`; see
+    `write_trajectory_csv`."""
+    powers = _csv_tables()[0]
+    a = np.abs(x)
+    ok = (a >= _CSV_MIN) & (a < _CSV_MAX)
+    a = np.where(ok, a, 1.0)
+    i = np.floor(np.log10(a)).astype(np.intp) - _E_LOW
+    # y = p + t: p + e = a hi exactly (Dekker's TwoProduct), t = e + a lo
+    hi, hi1, hi2, lo = powers.take(i, axis=1)
+    a1, a2 = _halves(a)
+    p = a * hi
+    t = (((a1 * hi1 - p) + a1 * hi2 + a2 * hi1) + a2 * hi2) + a * lo
+    floor_p = np.floor(p)
+    r = (p - floor_p) + t
+    floor_r = np.floor(r)
+    frac = r - floor_r
+    F = floor_p.astype(np.int64) + floor_r.astype(np.int64)
+    # floor(y) outside [10^16, 10^17): log10 missed E, and y holds 16 or 18 digits
+    ok &= (F >= 10 ** 16) & (F < 10 ** 17) & (np.abs(frac - 0.5) > _TIE_MARGIN)
+    D = np.where(ok, F + (frac > 0.5), 10 ** 16)
+    carry = D == 10 ** 17
+    D[carry] = 10 ** 16
+    return ok, i + carry, D
+
+
+def _csv_rows(values):
+    """The CSV rows of a float array (rows x columns), each value with
+    `_fmt`'s bytes; see `write_trajectory_csv`."""
+    _, point, words, zeros, keep, moved, dot = _csv_tables()
+    x = values.ravel()
+    ok, i, D = _digits(x)
+    # the eight words of each value, and the trailing zeros of its digits:
+    # D ends as its first digit
+    out = np.empty((x.size, 8), np.uint32)
+    trailing, zero = 0, True
+    for col in (5, 4, 3, 2):
+        D, group = np.divmod(D, 10_000)
+        out[:, col] = words.take(group)
+        z = zeros.take(group)
+        trailing = trailing + zero * z
+        zero = zero & (z == 4)
+    out[:, 0] = words.take(_SIGN_WORDS + 2 * i + (x < 0))
+    out[:, 1] = words.take(_LEAD_WORDS + 10 * i + D)
+    out[:, 6] = words.take(_EXP_WORDS + 2 * i)
+    out[:, 7] = words.take(_EXP_WORDS + 2 * i + 1)
+    k = point.take(i) * 18 + (17 - trailing)
+    # each byte where it is, or one on for a digit after the point
+    out = out.view(np.uint8)
+    after = np.empty_like(out)
+    after.ravel()[1:] = out.ravel()[:-1]
+    out &= keep.take(k, axis=0)
+    after &= moved.take(k, axis=0)
+    out |= after
+    out |= dot.take(k, axis=0)
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        out[rest, :_COMMA] = np.array([_fmt(v) for v in x[rest].tolist()],
+                                      f"S{_COMMA}").view(np.uint8).reshape(-1, _COMMA)
+    out.reshape(values.shape + (_SLOT,))[:, -1, _COMMA] = 10
+    return out.tobytes().translate(None, b"\0")
 
 
 def write_trajectory_csv(path, ts, qs, vs, Ss, Hp, Hm, Hv):
-    """Trajectory CSV: t, q_1..q_n, v_1..v_n, S, H_plus, H_minus, H_vel."""
+    """Trajectory CSV: t, q_1..q_n, v_1..v_n, S, H_plus, H_minus, H_vel.
+
+    Every value has the bytes of ``%.17g`` (`_fmt`), formatted in numpy a
+    block of `_CSV_BLOCK_ROWS` rows at a time.  For 1e-200 <= |x| < 1e200,
+    E = floor(log10 |x|) picks 10^(16 - E) from a table of double-double
+    powers of ten, and Dekker's exact product gives y = |x| 10^(16 - E)
+    within 4e-15; its nearest integer holds the 17 digits ``%.17g``
+    prints (10^17 carries into the next power of ten), which are laid out
+    as ``%.17g`` does: the sign, ``0.`` and up to three zeros for E in
+    -4..-1, the point, trailing zeros dropped, ``e`` and the exponent
+    outside -4 <= E < 17.  `_fmt` formats every value this does not
+    settle: zero, inf, NaN, any |x| outside that range, a fraction of y
+    within `_TIE_MARGIN` of 1/2, and a floor(y) outside [10^16, 10^17),
+    where log10 missed E.  So every byte is `_fmt`'s whatever a last bit of
+    ``np.log10`` is.
+    """
     n = qs.shape[1]
     header = (["t"] + [f"q_{i+1}" for i in range(n)] + [f"v_{i+1}" for i in range(n)]
               + ["S", "H_plus", "H_minus", "H_vel"])
-    # "%.17g" formats a float exactly as _fmt does
-    row = ",".join(["%.17g"] * len(header)) + "\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for start in range(0, len(ts), _CSV_BLOCK_ROWS):
             rows = slice(start, start + _CSV_BLOCK_ROWS)
             block = np.column_stack([ts[rows], qs[rows], vs[rows], Ss[rows],
                                      Hp[rows], Hm[rows], Hv[rows]])
-            fh.writelines([row % tuple(values) for values in block.tolist()])
+            fh.write(_csv_rows(block.astype(float, copy=False)))
 
 
 def write_summary_csv(path, cfg, report):

@@ -338,7 +338,7 @@ class DampedOscillatorSolution:
     v and of the square (`_power`) at its 21 nodes.  Where dqagse would
     return that rule's result, with a margin of 2 in its accept test, the
     block keeps it: the bits `quad` returns there.  Any other interval (one
-    `quad` bisects, a roundoff warning, a time that is not finite) takes
+    `quad` bisects, a roundoff warning, an infinite time) takes
     `quad` itself, so the rule decides the time and never a bit.
     """
 
@@ -374,13 +374,19 @@ class DampedOscillatorSolution:
     def entropy(self, ts):
         """S on an increasing time grid, by cumulative adaptive quadrature:
         the value of one `quad` call per grid interval [ts[i-1], ts[i]] (from
-        0 at i = 0) that is not empty, added in order to S0."""
+        0 at i = 0) that is not empty, added in order to S0.  A NaN time is
+        a ValueError naming its index."""
         from scipy.integrate import quad
 
         # v(u) ** 2: at a float time v is a numpy scalar, which squares by
         # pow; array ``**`` squares as np.square, which rounds differently
         sq = lambda u: _power(self.v(u), 2.0)
         ts = np.asarray(ts, dtype=float)
+        # quad orders its limits with min and max, which make (0, nan) the
+        # empty [0, 0]
+        nan = np.flatnonzero(np.isnan(ts))
+        if nan.size:
+            raise ValueError(f"ts[{nan[0]}] is NaN: the entropy has no value at a NaN time")
         lows = np.concatenate([[0.0], ts])[:-1]
         vals = np.empty(ts.shape)
         for start in range(0, len(ts), _QUAD_BLOCK_INTERVALS):

@@ -1,4 +1,9 @@
 import dataclasses
+import math
+import os
+import subprocess
+import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -311,6 +316,152 @@ class TestExperiment:
                              for x in [ts[k], *qs[k], *vs[k], Ss[k], Hp[k], Hm[k], Hv[k]])
                     for k in range(m)]
         assert lines[1:] == expected
+
+
+def _below_ten_to(x, k):
+    """x < 10^k, exactly."""
+    num, den = abs(x).as_integer_ratio()
+    return num < den * 10 ** k if k >= 0 else num * 10 ** -k < den
+
+
+def _carries(x):
+    """x rounds to 17 digits as the power of ten above it."""
+    digits, exp = format(x, ".16e").split("e")
+    return digits.lstrip("-") == "1." + "0" * 16 and _below_ten_to(x, int(exp))
+
+
+def _powers_of_ten(low, high):
+    """Every power of ten from 10^low to 10^high and both neighbours of each."""
+    tens = np.array([float(f"1e{k}") for k in range(low, high + 1)])
+    return np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+
+
+class TestTrajectoryCsvFormat:
+    """The trajectory writer's bytes, formatted in numpy, against
+    ``format(x, ".17g")`` joined per row, which is `bench._fmt`."""
+
+    @staticmethod
+    def _check(tmp_path, values):
+        # rows of t, q_1, v_1, S and the three H columns
+        x = np.asarray(values, dtype=float)
+        x = np.concatenate([x, np.ones(-x.size % 7)]).reshape(-1, 7)
+        write_trajectory_csv(tmp_path / "f.csv", x[:, 0], x[:, 1:2], x[:, 2:3], *x[:, 3:].T)
+        got = (tmp_path / "f.csv").read_bytes().decode().split("\n")
+        expected = [",".join(format(v, ".17g") for v in row) for row in x.tolist()]
+        assert got[0] == "t,q_1,v_1,S,H_plus,H_minus,H_vel" and got[-1] == ""
+        bad = [(g, e) for g, e in zip(got[1:-1], expected) if g != e]
+        assert len(got) == len(expected) + 2 and not bad, bad[:5]
+        return got[1:-1]
+
+    @staticmethod
+    def _recording_fmt(monkeypatch):
+        """The values the writer hands to `bench._fmt`, its fallback."""
+        taken, fmt = [], bench._fmt
+        monkeypatch.setattr(bench, "_fmt", lambda x: taken.append(x) or fmt(x))
+        return taken
+
+    def test_powers_of_ten_and_their_neighbours(self, tmp_path):
+        x = _powers_of_ten(-320, 308)
+        self._check(tmp_path, np.concatenate([x, -x]))
+
+    def test_g_switches_notation(self, tmp_path):
+        # %.17g writes 1e-5 with an exponent and 1e-4 without, 1e16 without
+        # and 1e17 with; and so both neighbours of each
+        switch = np.array([1e-5, 1e-4, 1e16, 1e17])
+        x = np.concatenate([switch, np.nextafter(switch, 0.0), np.nextafter(switch, np.inf)])
+        rows = self._check(tmp_path, np.concatenate([x, -x]))
+        assert rows[0].split(",")[:4] == [
+            "1.0000000000000001e-05", "0.0001", "10000000000000000", "1e+17"]
+
+    def test_rounding_that_carries_into_the_next_power_of_ten(self, tmp_path):
+        x = [v for v in _powers_of_ten(-320, 308).tolist() if _carries(v)]
+        assert len(x) >= 10
+        self._check(tmp_path, x + [-v for v in x])
+
+    @pytest.mark.parametrize("direction", [-np.inf, np.inf])
+    def test_a_last_bit_of_log10_moves_no_byte(self, tmp_path, monkeypatch, direction):
+        # log10 picks the power of ten; one it misses by a last bit either way
+        # leaves floor(y) outside [10^16, 10^17), or carries, and either way
+        # the bytes stay: with log10 rounded down, the writer itself carries
+        # the values whose 17 digits round up to a power of ten
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), direction))
+        taken = self._recording_fmt(monkeypatch)
+        rng = np.random.default_rng(37)
+        tens = _powers_of_ten(-320, 308)
+        self._check(tmp_path, np.concatenate([tens, -tens, rng.standard_normal(5000)
+                                              * 10.0 ** rng.uniform(-250, 250, 5000)]))
+        carried = [v for v in tens.tolist() if _carries(v) and 1e-200 <= v < 1e200]
+        assert len(carried) >= 10
+        if direction < 0:
+            assert not set(carried) & set(taken)
+
+    def test_exact_ties_round_half_to_even(self, tmp_path):
+        # w / 2^j with w odd has j decimals and ends in 5; with 18 significant
+        # digits it lies halfway between two 17-digit neighbours
+        rng = np.random.default_rng(38)
+        ties = []
+        for j in range(2, 26):
+            low, high = -(-10 ** 17 // 5 ** j), min(10 ** 18 // 5 ** j, 2 ** 53)
+            ties += [math.ldexp(int(w) | 1, -j) for w in rng.integers(low, high, 40)]
+        digits = [Decimal(v).as_tuple().digits for v in ties]
+        halves = [v for v, d in zip(ties, digits) if len(d) == 18 and d[-1] == 5]
+        assert len(halves) >= 500
+        dyadic = [math.ldexp(int(w), -int(j)) for w, j in zip(
+            rng.integers(1, 2 ** 53, 3000), rng.integers(1, 80, 3000))]
+        x = np.array(halves + dyadic)
+        self._check(tmp_path, x * rng.choice([-1.0, 1.0], x.size))
+
+    def test_integers(self, tmp_path):
+        rng = np.random.default_rng(39)
+        twos = 2.0 ** np.arange(1024)
+        x = np.concatenate([np.arange(-10_000, 10_001), rng.integers(-2 ** 53, 2 ** 53, 5000),
+                            twos, twos[:54] - 1, twos[:54] + 1, -twos])
+        self._check(tmp_path, x)
+
+    def test_zeros_infinities_nan_subnormals_and_the_table_edges(self, tmp_path):
+        rng = np.random.default_rng(40)
+        edges = np.array([1e-200, 1e200, 2.2250738585072014e-308, 5e-324])
+        near = [edges]
+        down = up = edges
+        for _ in range(3):
+            down, up = np.nextafter(down, 0.0), np.nextafter(up, np.inf)
+            near += [down, up]
+        subnormal = rng.integers(1, 2 ** 52, 2000, dtype=np.uint64).view(np.float64)
+        x = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan], *near, subnormal])
+        rows = self._check(tmp_path, np.concatenate([x, -x]))
+        # the range check is on floor(y): one on the rounded digits instead
+        # printed 1e-200, which log10 puts at E = -200, as "1e-200"
+        assert rows[0].split(",")[6] == "9.9999999999999998e-201"
+
+    def test_seeded_bit_patterns(self, tmp_path):
+        rng = np.random.default_rng(41)
+        self._check(tmp_path, rng.integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64).view(np.float64))
+
+    @pytest.mark.parametrize("h, t_final", [(0.1, 50.0), (0.01, 25.0)])
+    def test_oscillator_cells_fall_back_only_at_their_zeros(self, tmp_path, monkeypatch, h,
+                                                            t_final):
+        # the oscillator cell of tests/test_digest.py, and 2501 rows at h = 0.01
+        run_experiment(ExperimentConfig(system="oscillator", h=h, t_final=t_final,
+                                        methods=("variational", "rk2", "reference"),
+                                        out=str(tmp_path)))
+        taken = self._recording_fmt(monkeypatch)
+        for method in ("variational", "rk2", "reference"):
+            written = (tmp_path / f"oscillator_{method}.csv").read_bytes()
+            x = np.array([[float(v) for v in line.split(",")]
+                          for line in written.decode().splitlines()[1:]])
+            write_trajectory_csv(tmp_path / "again.csv", x[:, 0], x[:, 1:2], x[:, 2:3],
+                                 *x[:, 3:].T)
+            assert (tmp_path / "again.csv").read_bytes() == written
+        assert taken and all(v == 0.0 for v in taken)
+
+    def test_import_builds_no_table(self):
+        # the tables cost milliseconds: the first write builds them
+        code = ("import sys, thermint.cli; from thermint import bench; "
+                "assert bench._csv_tables.cache_info().currsize == 0; "
+                "assert 'fractions' not in sys.modules")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 class TestConvergence:

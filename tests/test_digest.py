@@ -21,7 +21,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import IntegrationWarning
 
 from thermint import (DiscreteTriple, ExperimentConfig, LagrangianThermoSystem, ThermoState,
                       get_system, initialize, midpoint_discretize, omega_embedded,
@@ -212,8 +211,8 @@ def test_exact_entropy_matches_per_interval_quadrature():
 def test_exact_entropy_edge_grids():
     # grids a block of the rule could mishandle: nothing to add, S0 = -0.0
     # with only empty intervals, a decreasing grid, a 40 s interval as the
-    # last of a block and as the first of the next, and times that are not
-    # finite, which quad takes with its own warnings, as it did per interval
+    # last of a block and as the first of the next, an infinite time, which
+    # quad takes with its own warning, as it did per interval, and a NaN time
     sol = DampedOscillatorSolution(0.1, 0.3, -0.7, -0.0)
     assert sol.entropy([]).shape == (0,)
     assert sol.entropy([0.0, 0.0]).tobytes() == np.array([-0.0, -0.0]).tobytes()
@@ -226,8 +225,9 @@ def test_exact_entropy_edge_grids():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeWarning, match="invalid value encountered in multiply"):
             sol.entropy([0.0, 1.0, np.inf, 2.0])
-        with pytest.raises(IntegrationWarning):
-            sol.entropy([0.0, 1.0, np.nan, 2.0])
+        for ts, k in (([0.0, np.nan], 1), ([0.0, 1.0, np.nan, 2.0], 2)):
+            with pytest.raises(ValueError, match=rf"ts\[{k}\] is NaN"):
+                sol.entropy(ts)
 
 
 @pytest.mark.parametrize("start", sorted(EXACT_REFERENCE))

@@ -3,7 +3,9 @@
 The digests, `_PULLBACK_HEX`, the CSV bytes and the comparisons of the
 two-pistons step on two floats with its step on arrays were recorded where
 numpy runs its AVX-512 (``X86_V4``) loops and OpenBLAS its SkylakeX
-kernels.  Three kernels carry that dependence: ``np.exp`` (the gases' e^S),
+kernels.  Four kernels carry that dependence: ``np.exp`` (the gases' e^S),
+``np.float_power`` (`systems._power`, which squares v in the exact
+oscillator entropy and raises the gases' volumes to their powers),
 ``np.vecdot`` of 2-vectors (`continuous.pair` on a stack) and the 2x2 solve
 of `solve._solve_update` (numpy's gufunc over LAPACK's dgesv).  Each is
 pinned here by the sha256 of its values on seeded inputs, so on another
@@ -16,7 +18,7 @@ The 1x1 solve is the exception: its bits are r / J on every dispatch
 tried, and a one-dimensional step on floats divides where the same step on
 length-1 arrays calls the solve.
 
-A fourth dependence is scipy's: the oscillator's exact entropy applies
+One more dependence is scipy's: the oscillator's exact entropy applies
 QUADPACK's 21-point Gauss-Kronrod rule (dqk21) in numpy and calls `quad`
 only where that rule does not settle an interval, which gives `quad`'s bits
 where scipy's compiled dqk21 rounds as plain IEEE products and sums, with
@@ -46,6 +48,11 @@ def _exp():
     return np.exp(np.random.default_rng(1701).uniform(0.0, 12.0, _ROWS))
 
 
+def _float_power():
+    # the exact entropy squares velocities of at most ~2
+    return _power(np.random.default_rng(1706).uniform(-2.0, 2.0, _ROWS), 2.0)
+
+
 def _vecdot():
     a, b = np.random.default_rng(1702).uniform(-1.0, 1.0, (2, _ROWS, 2))
     return pair(a, b)
@@ -60,6 +67,8 @@ def _solve_2x2():
 # and OpenBLAS on its SkylakeX kernel
 KERNELS = {
     "np.exp": (_exp, "b869803c8292d60e40dff3e4963f870cecad72b6d99bbf052d1e12aa72574e50"),
+    "np.float_power": (
+        _float_power, "848ba39c472ad6dd51b884dff4156df5b146b69a1b7ceb28cc50f4f29186b920"),
     "np.vecdot of 2-vectors": (
         _vecdot, "e260e6f737010b39b7632c6a2058cf627368b031511e48f8ea60bbda5be15770"),
     "2x2 _solve_update": (
