@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .continuous import (ThermoState, Trajectory, _on_floats, equations_of_motion,
-                         first_order_rhs)
+from .continuous import (ThermoState, Trajectory, _on_floats, _or_on_arrays,
+                         equations_of_motion, first_order_rhs)
 from .discrete import discrete_momenta, midpoint_discretize
 from .errors import ConfigError
 from .solve import NewtonConfig, initialize, integrate
@@ -48,15 +48,9 @@ def _rk2_step(sys, q, v, S, h):
     return q + h * k2q, v + h * k2v, S + h * k2S
 
 
-def _rk2_float_step(sys, q, v, S, h):
-    """`_rk2_step` at a float point.  Float ``*`` and ``+`` overflow to inf
-    silently, so a step whose new state is not finite is redone on
-    length-1 arrays, where numpy reports the overflow as the array step
-    does under any errstate.  A finite state whose sum overflows is redone
-    too, which costs time, not bits."""
-    q1, v1, S1 = _rk2_step(sys, q, v, S, h)
-    if math.isfinite(q1 + v1 + S1):
-        return q1, v1, S1
+def _rk2_on_arrays(sys, q, v, S, h):
+    """`_rk2_step` from the float point (q, v, S), taken on length-1 arrays,
+    and its new state as floats."""
     q1, v1, S1 = _rk2_step(sys, np.array([q]), np.array([v]), S, h)
     return float(q1[0]), float(v1[0]), S1
 
@@ -66,9 +60,10 @@ def rk2_integrate(sys, state0, h, N):
 
     Where `continuous._on_floats` holds (a one-dimensional system with
     ``float_points`` and a closed-form ``accel``), q and v step as Python
-    floats (`_rk2_float_step`), bit for bit the step on length-1 arrays,
-    and are stored into the one column of the output; any other system
-    steps on arrays, two-pistons included.  The RK45 reference
+    floats, bit for bit the step on length-1 arrays, a step whose new state
+    is not finite taken again on them (`continuous._or_on_arrays`), and are
+    stored into the one column of the output; any other system steps on
+    arrays, two-pistons included.  The RK45 reference
     (`reference_integrate`) evaluates its right-hand side by the same rule.
     Whatever step k raises, numpy's FloatingPointError included, is
     re-raised with ``step_index = k``.
@@ -83,16 +78,18 @@ def rk2_integrate(sys, state0, h, N):
     vs = np.empty((N + 1, n))
     Ss = np.empty(N + 1)
     qs[0], vs[0], Ss[0] = state0.q, state0.v, state0.S
-    if _on_floats(sys):
-        step, q_out, v_out = _rk2_float_step, qs[:, 0], vs[:, 0]
+    on_floats = _on_floats(sys)
+    if on_floats:
+        q_out, v_out = qs[:, 0], vs[:, 0]
         q, v = float(state0.q[0]), float(state0.v[0])
     else:
-        step, q_out, v_out = _rk2_step, qs, vs
+        q_out, v_out = qs, vs
         q, v = state0.q, state0.v
     S = state0.S
     try:
         for k in range(1, N + 1):
-            q, v, S = step(sys, q, v, S, h)
+            y = _rk2_step(sys, q, v, S, h)
+            q, v, S = _or_on_arrays(y, _rk2_on_arrays, sys, q, v, S, h) if on_floats else y
             q_out[k], v_out[k], Ss[k] = q, v, S
     except Exception as exc:
         exc.step_index = k
@@ -106,7 +103,8 @@ def reference_integrate(sys, state0, t_final, rtol=1e-10, atol=1e-10, *, h):
     ``h`` fixes the output grid spacing.  The right-hand side is
     `continuous.first_order_rhs`: on Python floats where
     `continuous._on_floats` holds, as `rk2_integrate` steps, bit for bit the
-    evaluation on length-1 arrays, and on arrays otherwise.
+    evaluation on length-1 arrays, with the same way back to arrays
+    (`continuous._or_on_arrays`), and on arrays otherwise.
     """
     # solve_ivp does not end on a NaN or infinite tolerance
     if not all(0 < x < math.inf for x in (rtol, atol, h, t_final)):

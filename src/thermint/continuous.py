@@ -385,21 +385,29 @@ def continuous_rhs(sys, state):
 
 
 def _on_floats(sys):
-    """Whether `equations_of_motion` runs ``sys`` at float points: a
-    one-dimensional system with ``float_points`` and a closed-form
-    ``accel``.  `first_order_rhs` evaluates it so, and
-    `bench.rk2_integrate` steps it so."""
+    """Whether `first_order_rhs` and `bench.rk2_integrate` run ``sys`` at float
+    points: ``float_points`` as in `discrete._floats`, and two conditions more,
+    n = 1 (a right-hand side on pairs of floats measured no gain, ROADMAP) and
+    ``accel`` given (without it the velocity Hessian is solved on arrays)."""
     return sys.n == 1 and sys.float_points and sys.accel is not None
+
+
+def _or_on_arrays(value, redo, *args):
+    """The one way back from float points to arrays: ``value`` (a float or a
+    flat tuple of floats, the bits of the value on arrays) where the sum of its
+    entries is finite, else ``redo(*args)``, the value on arrays, where numpy
+    reports what float arithmetic passes silently.  A caller returning arrays
+    converts by ``np.array(..., copy=None)``, which copies no array of the redo."""
+    return value if math.isfinite(value if type(value) is float else sum(value)) else redo(*args)
 
 
 def first_order_rhs(sys):
     """The equations of motion as ``(t, y) -> dy/dt`` on y = (q, v, S), for ODE solvers.
 
     Where `_on_floats` holds, y is evaluated as three Python floats, bit for
-    bit the call on length-1 arrays.  Float ``*`` and ``+`` overflow to inf
-    silently, so a value that is not finite is computed again on arrays,
-    where numpy reports the overflow or invalid operation as it does under
-    any errstate.  Any other system is evaluated on arrays.
+    bit the call on length-1 arrays, and evaluated again on arrays where a
+    value is not finite (`_or_on_arrays`).  Any other system is evaluated on
+    arrays.
     """
     n = sys.n
 
@@ -411,10 +419,7 @@ def first_order_rhs(sys):
         return on_arrays
 
     def fun(t, y):
-        dy = equations_of_motion(sys, *y.tolist())
-        # a finite right-hand side whose sum overflows is computed again too,
-        # which costs time, not bits
-        return np.array(dy) if math.isfinite(sum(dy)) else on_arrays(t, y)
+        return np.asarray(_or_on_arrays(equations_of_motion(sys, *y.tolist()), on_arrays, t, y))
 
     return fun
 

@@ -32,13 +32,13 @@ generic pass of its slot derivatives at construction, with Jacobians from
 """
 
 import inspect
-import math
 from dataclasses import dataclass
 from operator import add, sub
 
 import numpy as np
 
-from .continuous import _constant, _forms, derive_missing, fd_gradient, pair, transposed
+from .continuous import (_constant, _forms, _or_on_arrays, derive_missing, fd_gradient, pair,
+                         transposed)
 from .errors import TemperatureDegenerateError
 
 __all__ = [
@@ -118,11 +118,11 @@ class DiscreteThermoSystem:
     whole path, `DiscretePath.stack`, that way, and `solve.solve_step` the
     flows of a pullback check.
 
-    A callable takes float points only where it is marked ``float_points``:
-    a step runs on them where the pass and ``pi_minus_dq1`` are (see
-    `solve._point`), and a diagnostic at one triple hands them to each
-    marked callable and returns the arrays of the call on arrays, bit for
-    bit.  Any other callable, the generic ones included, takes arrays.
+    A callable takes float points only where it is marked ``float_points``,
+    by one rule (`_floats`): a step runs on them where the pass and
+    ``pi_minus_dq1`` are, and a diagnostic at one triple where every
+    callable it makes is, and returns the arrays of the call on arrays, bit
+    for bit.  Any other callable, the generic ones included, takes arrays.
     `midpoint_discretize` marks its own, one kernel for all three kinds of
     point; ``pi_minus``, ``pi_plus`` and ``entropy_increment`` read off a
     marked pass are marked.
@@ -227,36 +227,25 @@ def _single(t):
 def _marked(f):
     """Whether the callable f, or the callable it wraps (``__wrapped__``),
     is marked ``float_points``.  Its own mark is read first: only one
-    without it, such as a profiler's wrapper, is unwrapped."""
+    without it, such as a profiler's wrapper, is unwrapped, for perfbench's
+    tracer (`perfbench/tracing.py`) sets ``__wrapped__`` on each callable it
+    times, and a traced run would otherwise step on arrays."""
     return getattr(f, "float_points", False) or (
         hasattr(f, "__wrapped__") and getattr(inspect.unwrap(f), "float_points", False))
 
 
-def _float_point(q):
-    """The point q of one or two entries as floats: the float of its one
-    entry, the tuple of its two."""
-    x = q.tolist()
-    return tuple(x) if len(x) == 2 else x[0]
-
-
-def _floats(d, t, *callables):
-    """The triple t as float points (q0, q1, S0), the kind of point a step
-    takes (see `solve._point`), where t is one triple of a system of one or
-    two dimensions and each of ``callables`` is `_marked`; None elsewhere."""
-    if d.n <= 2 and t.q0.ndim == 1 and all(map(_marked, callables)):
-        q0, q1 = t.q0.tolist(), t.q1.tolist()  # `_float_point` of each, inline
-        return (tuple(q0), tuple(q1), t.S0) if len(q0) == 2 else (q0[0], q1[0], t.S0)
+def _floats(d, callables, *points):
+    """The one rule for where a call runs on floats: the points (one point of
+    d each, as arrays) as float points, a float at n = 1 and a tuple of two
+    at n = 2, where d has n <= 2 and every one of ``callables`` that the
+    call makes is `_marked`; None elsewhere, a stack included.  A step
+    (`solve._point`) and each diagnostic at one triple take their points
+    here, and go back to arrays by `continuous._or_on_arrays`."""
+    if d.n <= 2 and points[0].ndim == 1 and all(map(_marked, callables)):
+        if d.n == 1:
+            return tuple(map(np.ndarray.item, points))
+        return tuple(map(tuple, map(np.ndarray.tolist, points)))
     return None
-
-
-def _entries(x):
-    """A value at float points, a float or a tuple of floats, as the array
-    of its entries: the bits of the value on arrays.  None where an entry is
-    not finite, for float arithmetic overflows silently: such a value is
-    formed again on arrays, where numpy reports an overflow or an invalid
-    operation as it does under any errstate."""
-    x = (x,) if type(x) is float else x
-    return np.array(x) if all(map(math.isfinite, x)) else None
 
 
 #: a vanishing D_S Ld in an entropy update
@@ -586,56 +575,57 @@ def legendre_minus(d, t):
     """Minus Legendre transform: (q0, -D1Ld - ffr_minus/2, S0).  At one
     triple pi_minus takes float points where it is marked (see
     `DiscreteThermoSystem`)."""
-    x = _floats(d, t, d.pi_minus)
-    pi = x and _entries(d.pi_minus(*x))
-    return t.q0.copy(), d.pi_minus(t.q0, t.q1, t.S0) if pi is None else pi, t.S0
+    x = _floats(d, (d.pi_minus,), t.q0, t.q1)
+    arrays = t.q0, t.q1, t.S0
+    pi = d.pi_minus(*arrays) if x is None else np.array(
+        _or_on_arrays(d.pi_minus(*x, t.S0), d.pi_minus, *arrays), ndmin=1, copy=None)
+    return t.q0.copy(), pi, t.S0
 
 
 def legendre_plus(d, t):
     """Plus Legendre transform: (q1, D2Ld + ffr_plus/2, entropy update).  At
     one triple the pass takes float points where it is marked."""
-    x = _floats(d, t, d.triple_pass)
-    pi = None
-    if x:
-        _, pi, dS = _pass_values(d.triple_pass, *x)
-        pi = _entries(pi) if math.isfinite(dS) else None
-    if pi is None:
+    x = _floats(d, (d.triple_pass,), t.q0, t.q1)
+    if x is None:
         _, pi, dS = _pass_values(d.triple_pass, t.q0, t.q1, t.S0)
-    return t.q1.copy(), pi, t.S0 + dS
+        return t.q1.copy(), pi, t.S0 + dS
+    *pi, dS = _or_on_arrays(_plus_entries(d, *x, t.S0), _plus_entries, d, t.q0, t.q1, t.S0)
+    return t.q1.copy(), np.array(pi), t.S0 + dS
+
+
+def _plus_entries(d, q0, q1, S0):
+    """(*pi_plus, S1 - S0) at (q0, q1, S0), from one pass."""
+    _, pi, dS = _pass_values(d.triple_pass, q0, q1, S0)
+    return (pi, dS) if type(pi) is float else (*pi, dS)
 
 
 def discrete_momenta(d, t):
-    """h-scaled momenta (p_minus, p_plus); these approximate p = dL/dv."""
-    return _momentum_array(d, t, "minus"), _momentum_array(d, t, "plus")
+    """h-scaled momenta (p_minus, p_plus); these approximate p = dL/dv.  At one
+    triple they are formed on float points where both slot derivatives and
+    friction covectors are marked (see `DiscreteThermoSystem`)."""
+    x = _floats(d, (d.D1Ld, d.ffr_minus, d.D2Ld, d.ffr_plus), t.q0, t.q1)
+    arrays = t.q0, t.q1, t.S0
+    if x is None:
+        return _momentum(d, "minus", *arrays), _momentum(d, "plus", *arrays)
+    minus = _or_on_arrays(_momentum(d, "minus", *x, t.S0), _momentum, d, "minus", *arrays)
+    plus = _or_on_arrays(_momentum(d, "plus", *x, t.S0), _momentum, d, "plus", *arrays)
+    return np.array(minus, ndmin=1, copy=None), np.array(plus, ndmin=1, copy=None)
 
 
-def _momentum(d, t, side, on_floats=True):
-    """The h-scaled momentum of one side of t and the q it pairs with:
-    (h D2Ld + (h/2) ffr_plus, q1) for "plus", (-h D1Ld - (h/2) ffr_minus,
-    q0) for "minus".  Where the side's slot derivative and friction covector
-    take t's float points (`_floats`), and ``on_floats``, the momentum is a
-    float or a tuple of two, the array formula entry by entry."""
+def _momentum(d, side, q0, q1, S0):
+    """The h-scaled momentum of one side at (q0, q1, S0), at any kind of
+    point: h D2Ld + (h/2) ffr_plus for "plus", -h D1Ld - (h/2) ffr_minus for
+    "minus", entry by entry at a point of two floats."""
     if side == "plus":
-        D, f, k, op, q = d.D2Ld, d.ffr_plus, d.h, add, t.q1
+        D, f, k, op = d.D2Ld, d.ffr_plus, d.h, add
     elif side == "minus":
-        D, f, k, op, q = d.D1Ld, d.ffr_minus, -d.h, sub, t.q0
+        D, f, k, op = d.D1Ld, d.ffr_minus, -d.h, sub
     else:
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-    x = on_floats and _floats(d, t, D, f) or (t.q0, t.q1, t.S0)
-    a, b, half = D(*x), f(*x), d.h / 2
+    a, b, half = D(q0, q1, S0), f(q0, q1, S0), d.h / 2
     if type(a) is tuple:
-        return (op(k * a[0], half * b[0]), op(k * a[1], half * b[1])), q
-    return op(k * a, half * b), q
-
-
-def _momentum_array(d, t, side):
-    """The momentum of `_momentum` as an array."""
-    p, _ = _momentum(d, t, side)
-    if type(p) is float or type(p) is tuple:
-        p = _entries(p)
-        if p is None:
-            p, _ = _momentum(d, t, side, on_floats=False)
-    return p
+        return op(k * a[0], half * b[0]), op(k * a[1], half * b[1])
+    return op(k * a, half * b)
 
 
 def discrete_flow(d, t, cfg=None):
@@ -681,9 +671,10 @@ def omega_embedded(d, t, side):
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
     Aq = np.zeros((n, 2 * n + 1))
     Aq[:, q_cols] = np.eye(n)
-    x = _floats(d, t, dpi)
-    Ap = x and _entries(dpi(*x))
-    Ap = dpi(t.q0, t.q1, t.S0) if Ap is None else Ap.reshape(n, 2 * n + 1)
+    x = _floats(d, (dpi,), t.q0, t.q1)
+    arrays = t.q0, t.q1, t.S0
+    Ap = dpi(*arrays) if x is None else np.array(
+        _or_on_arrays(dpi(*x, t.S0), dpi, *arrays), copy=None).reshape(n, 2 * n + 1)
     return Aq.T @ Ap - Ap.T @ Aq
 
 
@@ -761,16 +752,21 @@ def momentum_map(d, t, xi, side):
     side's slot derivative and friction covector are marked (see
     `DiscreteThermoSystem`), and paired with a float64 value of xi on floats,
     bit for bit the pairing of arrays."""
-    p, q = _momentum(d, t, side)
-    v = xi(q)
-    if type(p) is float or type(p) is tuple:
-        x = np.asarray(v)
-        if x.dtype == float and x.shape == q.shape:
-            value = pair(p, _float_point(x))
-            if math.isfinite(value):
-                return value
-        p, _ = _momentum(d, t, side, on_floats=False)
-    return pair(p, v)
+    D, f, q = (d.D2Ld, d.ffr_plus, t.q1) if side == "plus" else (d.D1Ld, d.ffr_minus, t.q0)
+    x = _floats(d, (D, f), t.q0, t.q1)
+    if x is None:
+        return pair(_momentum(d, side, t.q0, t.q1, t.S0), xi(q))
+    p, v = _momentum(d, side, *x, t.S0), xi(q)
+    w = np.asarray(v)
+    if w.dtype == float and w.shape == q.shape:
+        w = w.item() if d.n == 1 else tuple(w.tolist())
+        return _or_on_arrays(pair(p, w), _paired, d, side, t.q0, t.q1, t.S0, v)
+    return _paired(d, side, t.q0, t.q1, t.S0, v)
+
+
+def _paired(d, side, q0, q1, S0, v):
+    """`momentum_map` on arrays: the momentum at (q0, q1, S0) paired with v."""
+    return pair(_momentum(d, side, q0, q1, S0), v)
 
 
 def noether_condition(d, xi, t, tol=1e-10):

@@ -34,8 +34,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .continuous import ThermoState, continuous_rhs, first_order_rhs, fma
-from .discrete import (_SINGULAR, DiscretePath, DiscreteTriple, _float_point, _marked,
-                       _pass_values)
+from .discrete import _SINGULAR, DiscretePath, DiscreteTriple, _floats, _pass_values
 from .errors import ConfigError, ConvergenceError, TemperatureDegenerateError, ThermintError
 
 __all__ = ["NewtonConfig", "solve_step", "integrate", "initialize"]
@@ -265,14 +264,12 @@ def _failing_row(J, r, rows, size):
 
 
 def _point(d, q):
-    """The point q as `_newton` takes it: where the pass and the Newton
-    matrix, or the callables they wrap (``__wrapped__``), are marked
-    ``float_points`` (`discrete._marked`, see `DiscreteThermoSystem`), the
-    float of its one entry at n = 1 and the tuple of its two entries at
-    n = 2; else q itself."""
-    if d.n <= 2 and _marked(d.triple_pass) and _marked(d.pi_minus_dq1):
-        return _float_point(q)
-    return q
+    """The point q as `_newton` takes it: its float point where the pass and
+    the Newton matrix take floats (`discrete._floats`, see
+    `DiscreteThermoSystem`), the float of its one entry at n = 1 and the
+    tuple of its two entries at n = 2; else q itself."""
+    x = _floats(d, (d.triple_pass, d.pi_minus_dq1), q)
+    return x[0] if x else q
 
 
 def integrate(d, q0, q1, S0, N, cfg=None):
@@ -337,7 +334,8 @@ def initialize(entry, q0, v0, S0, h, mode="exact"):
     exact      q1 = exact solution at t = h (needs an exact-solution handle);
     reference  q1 from one adaptive RK45 run to t = h at tolerance 1e-10, on
                `continuous.first_order_rhs` (on Python floats where
-               `continuous._on_floats` holds, with the bits of arrays);
+               `continuous._on_floats` holds, with the bits of arrays and
+               `continuous._or_on_arrays` as the way back to them);
     hold       q1 = q0 (the zero-initial-velocity choice for the gases);
     taylor     q1 = q0 + h v0 + (h^2/2) a(q0, v0, S0).
     """

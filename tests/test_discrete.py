@@ -28,6 +28,7 @@ from thermint import (
     omega_embedded,
     pullback_check,
 )
+from thermint import bench, continuous, discrete
 from thermint.continuous import _constant, fd_gradient, pair
 from thermint.discrete import _marked
 
@@ -633,6 +634,57 @@ def _bytes(values):
     return [(type(x), np.asarray(x).tobytes()) for x in values]
 
 
+def _flat(value):
+    """The value of a diagnostic as a list of its values: a tuple's items."""
+    return list(value) if type(value) is tuple else [value]
+
+
+#: the ideal-gas triple whose covector Jacobians are not finite on floats
+OMEGA_OVERFLOW = ([0.01], [0.0101], 700.0)
+
+
+def _stiff_oscillator():
+    """The oscillator with d2L/dq2 = -q^2, which overflows at |q| > 1.4e154:
+    silently on floats, reported by numpy on arrays."""
+    return dataclasses.replace(
+        OSC.lagrangian, name="stiff",
+        d2Ldq2=lambda q, v, S: -q * q if type(q) is float else -np.multiply.outer(q, q))
+
+
+def _overflow_cases():
+    """(system, triple, calls) for each caller of the shared fallback at one
+    triple: each call's value is not finite on floats, and numpy raises
+    FloatingPointError on arrays under over="raise", invalid="raise"."""
+    maps = [lambda d, t, xi=xi, side=side: momentum_map(d, t, xi, side)
+            for side in ("plus", "minus") for xi in (np.ones_like, lambda q: q)]
+    huge = lambda d, t, side: momentum_map(d, t, lambda q: np.full_like(q, 1e308), side)
+    omega = [lambda d, t: omega_embedded(d, t, "plus"), lambda d, t: omega_embedded(d, t, "minus")]
+    legendre = [legendre_plus, legendre_minus, discrete_momenta]
+    return [
+        # the velocity (q1 - q0)/h overflows
+        (OSC.lagrangian, ([1e308], [-1e308], 0.0), maps + legendre),
+        # e^S V^(-gamma - 2) of the covector Jacobians overflows on floats
+        (GAS.lagrangian, OMEGA_OVERFLOW, omega),
+        (_stiff_oscillator(), ([1e200], [1e200], 0.0), omega),
+        # the velocity's dL/dv / h overflows, in one coordinate of two
+        (TP.lagrangian, ([1.0, 1.0], [1e306, 1.0], 1.0), legendre),
+        # only the pairing with xi overflows
+        (GAS.lagrangian, ([1.0], [1.01], 10.0),
+         [lambda d, t: huge(d, t, "plus"), lambda d, t: huge(d, t, "minus")]),
+    ]
+
+
+def _error(call, d, t):
+    """The FloatingPointError message of call(d, t) under over="raise",
+    invalid="raise"; None if it raises none."""
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            call(d, t)
+        except FloatingPointError as exc:
+            return str(exc)
+    return None
+
+
 class TestOneTripleOnFloats:
     """The diagnostics at one triple hand each marked callable the float
     points of a step, bit for bit the diagnostics on arrays."""
@@ -691,17 +743,50 @@ class TestOneTripleOnFloats:
     def test_overflow_is_reported_as_on_arrays(self):
         # float arithmetic overflows silently: a value that is not finite is
         # formed again on arrays, where numpy reports the overflow under the
-        # errstate in force (here the velocity (q1 - q0)/h overflows)
+        # errstate in force, as the copy without float points does; with the
+        # errstate off, the values keep the bits of that copy
+        for lag, triple, calls in _overflow_cases():
+            t = DiscreteTriple(*triple)
+            d = midpoint_discretize(lag, H)
+            arrays = midpoint_discretize(dataclasses.replace(lag, float_points=False), H)
+            for call in calls:
+                messages = []
+                for e in (d, arrays):
+                    with np.errstate(over="raise", invalid="raise"), \
+                            pytest.raises(FloatingPointError) as info:
+                        call(e, t)
+                    messages.append(str(info.value))
+                assert messages[0] == messages[1]
+                with np.errstate(all="ignore"):
+                    assert _bytes(_flat(call(d, t))) == _bytes(_flat(call(arrays, t)))
         arrays = midpoint_discretize(dataclasses.replace(OSC.lagrangian, float_points=False), H)
         t = DiscreteTriple([1e308], [-1e308], 0.0)
-        for d in (D_OSC, arrays):
-            for diagnostic in (lambda: momentum_map(d, t, np.ones_like, "plus"),
-                               lambda: discrete_momenta(d, t), lambda: legendre_plus(d, t),
-                               lambda: legendre_minus(d, t)):
-                with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-                    diagnostic()
         with np.errstate(over="ignore", invalid="ignore"):
             assert _bytes(_diagnostics(D_OSC, t)) == _bytes(_diagnostics(arrays, t))
+
+    def test_overflow_goes_unreported_without_the_array_redo(self, monkeypatch):
+        # the mutant: the shared fallback hands back the value on floats and
+        # never forms it again on arrays; the overflow checks of its callers
+        # then report nothing, or not the array side's error
+        from test_bench import TestRk2
+        from test_continuous import TestRhs
+
+        cases = [(lag, triple, call) for lag, triple, calls in _overflow_cases()
+                 for call in calls]
+        expected = [_error(call, midpoint_discretize(dataclasses.replace(lag, float_points=False),
+                                                     H), DiscreteTriple(*triple))
+                    for lag, triple, call in cases]
+        for module in (continuous, discrete, bench):
+            monkeypatch.setattr(module, "_or_on_arrays", lambda value, redo, *args: value)
+        for (lag, triple, call), message in zip(cases, expected):
+            got = _error(call, midpoint_discretize(lag, H), DiscreteTriple(*triple))
+            # the ideal gas's invalid product is the two-form's own, after the redo
+            assert (got == message) if triple is OMEGA_OVERFLOW else (got != message)
+        with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+            TestRk2().test_float_step_overflow_raises_at_its_step()
+        for name in ("oscillator", "ideal-gas", "van-der-waals"):
+            with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+                TestRhs().test_first_order_rhs_overflow_raises_as_on_arrays(name)
 
     def test_derived_S_block_field_keeps_the_jacobians_on_arrays(self):
         # two-pistons declaring float points with d2L/dqdS derived by central

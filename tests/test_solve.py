@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from thermint import systems
-from thermint.bench import default_newton_tol
+from thermint.bench import default_newton_tol, rk2_integrate
 from thermint.continuous import _constant, fd_gradient, first_order_rhs, pair
 from thermint.errors import TemperatureDegenerateError, ThermintError
 from thermint.solve import _newton, _point, _solve_pair, _solve_update, solve_step
@@ -979,9 +979,9 @@ class TestFloatPoints:
         assert (calls[0] - calls[1]) / 10 == count
 
     @pytest.mark.parametrize("name,y,count", [
-        pytest.param("oscillator", [1.0, 0.2, 0.5], 8, id="oscillator"),
-        pytest.param("ideal-gas", [1.0, 0.0, 10.0], 15, id="ideal-gas"),
-        pytest.param("van-der-waals", [1.0, 0.0, 10.0], 16, id="van-der-waals"),
+        pytest.param("oscillator", [1.0, 0.2, 0.5], 9, id="oscillator"),
+        pytest.param("ideal-gas", [1.0, 0.0, 10.0], 16, id="ideal-gas"),
+        pytest.param("van-der-waals", [1.0, 0.0, 10.0], 17, id="van-der-waals"),
         pytest.param("two-pistons", [1.0, 1.1, 0.2, -0.3, 1.0], 16, id="two-pistons"),
     ])
     def test_rhs_call_count(self, name, y, count):
@@ -993,6 +993,22 @@ class TestFloatPoints:
         fun(0.0, y)
         calls = _python_calls(fun, 0.0, y)
         assert len(calls) == count, calls
+
+    @pytest.mark.parametrize("name,start,count", [
+        pytest.param("oscillator", ([1.0], [0.2], 0.5), 16, id="oscillator"),
+        pytest.param("ideal-gas", ([1.0], [0.2], 0.5), 30, id="ideal-gas"),
+        pytest.param("van-der-waals", ([1.0], [0.0], 8.0), 32, id="van-der-waals"),
+        pytest.param("two-pistons", ([1.0, 1.1], [0.2, -0.3], 0.5), 29, id="two-pistons"),
+    ])
+    def test_rk2_step_call_count(self, name, start, count):
+        # the Python calls of an RK2 step, from the starts of
+        # tests/test_bench.py::TestRk2::test_float_path_is_array_path: those of
+        # a 12-step path less those of a 2-step one, over 10 steps; a float
+        # step taken on arrays again, or a frame added to it, raises the count
+        lag, state0 = get_system(name).lagrangian, ThermoState(*start)
+        rk2_integrate(lag, state0, 0.01, 12)
+        calls = [len(_python_calls(rk2_integrate, lag, state0, 0.01, N)) for N in (12, 2)]
+        assert (calls[0] - calls[1]) / 10 == count
 
     @pytest.mark.parametrize("name,triple,counts", [
         pytest.param("ideal-gas", ([1.0], [1.01], 10.0), (18, 25), id="ideal-gas"),
