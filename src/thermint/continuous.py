@@ -191,28 +191,27 @@ class LagrangianThermoSystem:
     system used there returns covectors of shape (..., n), matrices of
     shape (..., n, n) and scalars of shape (...) (a value that does not
     depend on the point may stay a float, or one (n, n) matrix), and row k
-    gives the bits of the single-point call on row k; a derived one of the
-    five does so when the first partials do.  The catalog
-    systems do, and their S-derivative fields (``d2LdqdS``, ``d2LdvdS``,
-    ``dFfrdS``) take stacks so too; a single point keeps float arithmetic,
-    because `integrate` calls every callable once per point.  On arrays
-    they take powers with ``np.float_power`` and pair with ``np.vecdot``,
-    which round as float ``**`` and ``@`` do: array ``**`` differs in 1115
-    of 20 000 arguments (e = -2/3), and an einsum pairing in 3220 of 20 000
-    (n = 2).  The contract asks no other callable to take a stack.
+    gives the bits of the single-point call on row k; so do the covector
+    Jacobians of a stack, which also call the S-derivative fields
+    (``d2LdqdS``, ``d2LdvdS``, ``dFfrdS``) on it.  A derived field does so
+    when the first partials do.  The catalog systems do; a single point
+    keeps float arithmetic, because `integrate` calls every callable once
+    per point.  On arrays they take powers with ``np.float_power`` and
+    pair with ``np.vecdot``, which round as float ``**`` and ``@`` do:
+    array ``**`` differs in 1115 of 20 000 arguments (e = -2/3), and an
+    einsum pairing in 3220 of 20 000 (n = 2).  The contract asks no other callable to take a stack.
 
     Float points: a system of one or two dimensions may declare
     ``float_points``.  ``L``, the first partials, ``Ffr`` and the eight
     second-order fields then take the float point of its dimension, and at
     n = 1 ``accel`` too; a derived field does so at n = 1 when the first
     partials do, and takes arrays only at n = 2.  `midpoint_discretize`
-    then runs the stepping kernel and the one-triple diagnostics on floats,
-    at n = 2 the kernel when none of the five fields of the Newton matrix
-    (``d2Ldq2`` to ``dFfrdv`` below) is derived and the covector Jacobians
-    when none of the eight is; a one-dimensional system with ``accel`` is
-    also stepped by `bench.rk2_integrate` and evaluated by
-    `first_order_rhs`, the RK45 reference's right-hand side, on floats
-    (`_on_floats`).  The catalog
+    then runs the stepping kernel, the Legendre transforms and the momentum
+    map at one triple on floats, at n = 2 when none of the five fields of
+    the Newton matrix (``d2Ldq2`` to ``dFfrdv`` above) is derived; a
+    one-dimensional system with ``accel`` is also stepped by
+    `bench.rk2_integrate` and evaluated by `first_order_rhs`, the RK45
+    reference's right-hand side, on floats (`_on_floats`).  The catalog
     declares it.  A system written on arrays (``q @ q``, ``q[0]``) leaves
     it False, and its kernel steps on arrays.  Whether a callable takes
     floats cannot be told without calling it, hence the field.
@@ -340,8 +339,12 @@ def _second_partials(sys):
     def over_v(f):
         return lambda q, v, S: fd_gradient(lambda vv: f(q, vv, S), v)
 
-    def over_S(f):
-        return lambda q, v, S: fd_gradient(lambda s: f(q, v, s), float(S))
+    def over_S(f):  # S of each row of a stack as a point of one coordinate
+        def dS(q, v, S):
+            if np.ndim(S) == 0:
+                return fd_gradient(lambda s: f(q, v, s), float(S))
+            return fd_gradient(lambda s: f(q, v, s[..., 0]), S[..., None])[..., 0]
+        return dS
 
     dLdv_q = over_q(sys.dLdv)
     return {"d2Ldq2": over_q(sys.dLdq),

@@ -107,25 +107,24 @@ class DiscreteThermoSystem:
 
     The kinds of point and the return contract are those of
     `continuous.LagrangianThermoSystem`, q0 and q1 taking the place of q
-    and v; a covector Jacobian at a float point is the flat tuple of its
-    (n, 2n+1) entries, row by row.  The step and the diagnostics use each
-    value as it comes, without a cast.
+    and v.  The step and the diagnostics use each value as it comes,
+    without a cast.
 
-    All but ``dpi_minus``/``dpi_plus`` also take a stack of triples (see
-    `DiscreteTriple`), ``pi_minus_dq1`` returning (..., n, n) (or one
-    (n, n) matrix that serves every row), as `midpoint_discretize` builds
-    them from a stack-capable continuous system; the diagnostics evaluate a
-    whole path, `DiscretePath.stack`, that way, and `solve.solve_step` the
-    flows of a pullback check.
+    Every callable also takes a stack of triples (see `DiscreteTriple`),
+    ``pi_minus_dq1`` returning (..., n, n) (or one (n, n) matrix that
+    serves every row) and the covector Jacobians (..., n, 2n+1), as
+    `midpoint_discretize` builds them from a stack-capable continuous
+    system; the diagnostics evaluate a whole path, `DiscretePath.stack`,
+    that way, and `solve.solve_step` the flows of a pullback check.
 
     A callable takes float points only where it is marked ``float_points``,
     by one rule (`_floats`): a step runs on them where the pass and
-    ``pi_minus_dq1`` are, and a diagnostic at one triple where every
-    callable it makes is, and returns the arrays of the call on arrays, bit
-    for bit.  Any other callable, the generic ones included, takes arrays.
-    `midpoint_discretize` marks its own, one kernel for all three kinds of
-    point; ``pi_minus``, ``pi_plus`` and ``entropy_increment`` read off a
-    marked pass are marked.
+    ``pi_minus_dq1`` are, and a Legendre transform or a momentum map at one
+    triple where every callable it makes is, and returns the arrays of the
+    call on arrays, bit for bit.  Any other callable, the generic ones and
+    the covector Jacobians included, takes arrays.  `midpoint_discretize`
+    marks its own, one kernel for all three kinds of point; ``pi_minus``,
+    ``pi_plus`` and ``entropy_increment`` read off a marked pass are marked.
     """
 
     n: int
@@ -137,7 +136,7 @@ class DiscreteThermoSystem:
     ffr_minus: callable
     ffr_plus: callable
 
-    # Jacobians of the Legendre covectors in (q0, q1, S0), (n, 2n+1)
+    # Jacobians of the Legendre covectors in (q0, q1, S0), (..., n, 2n+1)
     dpi_minus: callable = None
     dpi_plus: callable = None
 
@@ -239,8 +238,9 @@ def _floats(d, callables, *points):
     d each, as arrays) as float points, a float at n = 1 and a tuple of two
     at n = 2, where d has n <= 2 and every one of ``callables`` that the
     call makes is `_marked`; None elsewhere, a stack included.  A step
-    (`solve._point`) and each diagnostic at one triple take their points
-    here, and go back to arrays by `continuous._or_on_arrays`."""
+    (`solve._point`), the Legendre transforms and `momentum_map` at one
+    triple take their points here, and go back to arrays by
+    `continuous._or_on_arrays`."""
     if d.n <= 2 and points[0].ndim == 1 and all(map(_marked, callables)):
         if d.n == 1:
             return tuple(map(np.ndarray.item, points))
@@ -304,8 +304,8 @@ def _generic_kernel(d):
             pi = getattr(d, side)
             if side == "pi_plus" and getattr(d.triple_pass, "generic", False):
                 pi = plus
-            x = np.concatenate([q0, q1, [S0]])
-            return fd_gradient(lambda y: pi(y[:n], y[n : 2 * n], y[2 * n]), x)
+            x = np.concatenate([q0, q1, np.asarray(S0)[..., None]], axis=-1)
+            return fd_gradient(lambda y: pi(y[..., :n], y[..., n : 2 * n], y[..., 2 * n]), x)
         return dpi
 
     def pi_minus_dq1(q0, q1, S0):
@@ -438,9 +438,10 @@ def midpoint_discretize(sys, h):
     ``q_block(cv, c)`` (c = -1: q0, c = 1: q1) and ``S_block(cv)`` are the
     column blocks of d(pi)/dx at the midpoint (m, w, S0), by the chain rule
     from the system's second partials and friction Jacobians; a covector
-    Jacobian forms the midpoint once for its three blocks.  Each block is a
-    `_sum_of_products`, which forms the products of the fields the system
-    declares constant once, when the block is built.
+    Jacobian forms the midpoint once for its three blocks and writes them
+    into one (..., n, 2n+1) array.  Each block is a `_sum_of_products`,
+    which forms the products of the fields the system declares constant
+    once, when the block is built.
 
     Each formula is written once and takes the values of ``sys`` as they
     come, at every kind of point of `LagrangianThermoSystem` (entry by
@@ -448,9 +449,8 @@ def midpoint_discretize(sys, h):
     kernel serves all three, bit for bit.  With ``float_points`` the pass,
     ``pi_minus_dq1``, ``D1Ld``, ``D2Ld`` and the friction covector are
     marked ``float_points`` (see `DiscreteThermoSystem`), at n = 2 only
-    when no field of the Newton matrix is derived, and the covector
-    Jacobians too, at n = 2 only when no field they read (the S blocks'
-    included) is derived.
+    when no field of the Newton matrix is derived; the covector Jacobians
+    take arrays and stacks.
     """
     if not 0 < h < np.inf:
         raise ValueError(f"time step must be positive and finite, got {h}")
@@ -498,12 +498,11 @@ def midpoint_discretize(sys, h):
         blocks = (q_block(cv, -1), q_block(cv, 1), S_block(cv))
 
         def columns(m, w, S0):
-            a, b, c = [blk(m, w, S0) for blk in blocks]
-            if type(m) is float:
-                return a, b, c
-            if type(m) is tuple:  # the 2x2 blocks are flat tuples, row by row
-                return a[0], a[1], b[0], b[1], c[0], a[2], a[3], b[2], b[3], c[1]
-            return np.column_stack([a, b, c])
+            out = np.empty(m.shape[:-1] + (n, 2 * n + 1))
+            out[..., :n] = blocks[0](m, w, S0)
+            out[..., n : 2 * n] = blocks[1](m, w, S0)
+            out[..., 2 * n] = blocks[2](m, w, S0)
+            return out
         return at_mid(columns)
 
     # the Legendre covectors cv * (slot(cv) + ffr/2) and the entropy
@@ -538,21 +537,15 @@ def midpoint_discretize(sys, h):
 
     pi_minus_dq1 = at_mid(q_block(-1, 1))
     slots, ffr = (slot(-1), slot(1)), at_mid(sys.Ffr)
-    jacobians = covector_jacobian(-1), covector_jacobian(1)
-    # the Newton matrix's fields, then the S blocks'; at n = 1 a derived
-    # second partial takes floats too
-    derived = [getattr(f, "generic", False) for f in (
-        sys.d2Ldq2, sys.d2Ldqdv, sys.d2Ldv2, sys.dFfrdq, sys.dFfrdv,
-        sys.d2LdqdS, sys.d2LdvdS, sys.dFfrdS)]
-    if sys.float_points and (n == 1 or not any(derived[:5])):
-        marked = [triple_pass, pi_minus_dq1, *slots, ffr]
-        if n == 1 or not any(derived):
-            marked += jacobians
-        for f in marked:
+    # the Newton matrix's fields; at n = 1 a derived second partial takes floats too
+    derived = (sys.d2Ldq2, sys.d2Ldqdv, sys.d2Ldv2, sys.dFfrdq, sys.dFfrdv)
+    if sys.float_points and (n == 1 or not any(getattr(f, "generic", False) for f in derived)):
+        for f in (triple_pass, pi_minus_dq1, *slots, ffr):
             f.float_points = True
     return DiscreteThermoSystem(
         n=n, h=h, Ld=at_mid(sys.L), D1Ld=slots[0], D2Ld=slots[1], DSLd=at_mid(sys.dLdS),
-        ffr_minus=ffr, ffr_plus=ffr, dpi_minus=jacobians[0], dpi_plus=jacobians[1],
+        ffr_minus=ffr, ffr_plus=ffr, dpi_minus=covector_jacobian(-1),
+        dpi_plus=covector_jacobian(1),
         pi_minus_dq1=pi_minus_dq1, triple_pass=triple_pass, name=sys.name,
     )
 
@@ -600,16 +593,8 @@ def _plus_entries(d, q0, q1, S0):
 
 
 def discrete_momenta(d, t):
-    """h-scaled momenta (p_minus, p_plus); these approximate p = dL/dv.  At one
-    triple they are formed on float points where both slot derivatives and
-    friction covectors are marked (see `DiscreteThermoSystem`)."""
-    x = _floats(d, (d.D1Ld, d.ffr_minus, d.D2Ld, d.ffr_plus), t.q0, t.q1)
-    arrays = t.q0, t.q1, t.S0
-    if x is None:
-        return _momentum(d, "minus", *arrays), _momentum(d, "plus", *arrays)
-    minus = _or_on_arrays(_momentum(d, "minus", *x, t.S0), _momentum, d, "minus", *arrays)
-    plus = _or_on_arrays(_momentum(d, "plus", *x, t.S0), _momentum, d, "plus", *arrays)
-    return np.array(minus, ndmin=1, copy=None), np.array(plus, ndmin=1, copy=None)
+    """h-scaled momenta (p_minus, p_plus); these approximate p = dL/dv."""
+    return _momentum(d, "minus", t.q0, t.q1, t.S0), _momentum(d, "plus", t.q0, t.q1, t.S0)
 
 
 def _momentum(d, side, q0, q1, S0):
@@ -648,18 +633,15 @@ def discrete_flow(d, t, cfg=None):
 
 
 def omega_embedded(d, t, side):
-    """Full (2n+1)-dimensional antisymmetric matrix of omega^{+/-} at t.
+    """Full (2n+1)-dimensional antisymmetric matrix of omega^{+/-} at t,
+    shape (2n+1, 2n+1), or (..., 2n+1, 2n+1) on a stack, row k the bits of
+    the call on triple k.
 
     Computed as the exact pullback of the canonical form dq^i ^ dp_i by
     the corresponding discrete Legendre transform, so it carries the
     dq ^ dS block produced by entropy-dependent momenta alongside the
-    dq0 ^ dq1 block ``[:n, n:2n]``.  One triple only.  The side's covector
-    Jacobian is evaluated at t's float points where it is marked (see
-    `DiscreteThermoSystem`), its flat tuple of entries as the (n, 2n+1)
-    array of its call on arrays, bit for bit; a generic or unmarked one
-    takes arrays.
+    dq0 ^ dq1 block ``[:n, n:2n]``.
     """
-    t = _single(t)
     n = d.n
     if side == "plus":
         # the plus transform: q = q1, p = pi_plus
@@ -671,11 +653,8 @@ def omega_embedded(d, t, side):
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
     Aq = np.zeros((n, 2 * n + 1))
     Aq[:, q_cols] = np.eye(n)
-    x = _floats(d, (dpi,), t.q0, t.q1)
-    arrays = t.q0, t.q1, t.S0
-    Ap = dpi(*arrays) if x is None else np.array(
-        _or_on_arrays(dpi(*x, t.S0), dpi, *arrays), copy=None).reshape(n, 2 * n + 1)
-    return Aq.T @ Ap - Ap.T @ Aq
+    Ap = dpi(t.q0, t.q1, t.S0)
+    return Aq.T @ Ap - Ap.mT @ Aq
 
 
 #: the central-difference steps of the flow Jacobian, coarse then fine:

@@ -603,8 +603,7 @@ class TestMomentumMapAndNoether:
 
 
 #: the callables the one-triple diagnostics hand float points where they are marked
-DIAGNOSTIC_FIELDS = ("D1Ld", "D2Ld", "ffr_minus", "ffr_plus", "pi_minus", "triple_pass",
-                     "dpi_minus", "dpi_plus")
+DIAGNOSTIC_FIELDS = ("D1Ld", "D2Ld", "ffr_minus", "ffr_plus", "pi_minus", "triple_pass")
 
 
 def _one_triple_cases(name, rows=24):
@@ -639,8 +638,8 @@ def _flat(value):
     return list(value) if type(value) is tuple else [value]
 
 
-#: the ideal-gas triple whose covector Jacobians are not finite on floats
-OMEGA_OVERFLOW = ([0.01], [0.0101], 700.0)
+#: the two-forms of both sides at one triple
+OMEGA = [lambda d, t: omega_embedded(d, t, "plus"), lambda d, t: omega_embedded(d, t, "minus")]
 
 
 def _stiff_oscillator():
@@ -652,20 +651,22 @@ def _stiff_oscillator():
 
 
 def _overflow_cases():
-    """(system, triple, calls) for each caller of the shared fallback at one
-    triple: each call's value is not finite on floats, and numpy raises
+    """(system, triple, calls) for the diagnostics at one triple: the shared
+    fallback's callers, whose value is not finite on floats, and the
+    two-forms and momenta, which take arrays; numpy raises
     FloatingPointError on arrays under over="raise", invalid="raise"."""
     maps = [lambda d, t, xi=xi, side=side: momentum_map(d, t, xi, side)
             for side in ("plus", "minus") for xi in (np.ones_like, lambda q: q)]
     huge = lambda d, t, side: momentum_map(d, t, lambda q: np.full_like(q, 1e308), side)
-    omega = [lambda d, t: omega_embedded(d, t, "plus"), lambda d, t: omega_embedded(d, t, "minus")]
     legendre = [legendre_plus, legendre_minus, discrete_momenta]
     return [
         # the velocity (q1 - q0)/h overflows
         (OSC.lagrangian, ([1e308], [-1e308], 0.0), maps + legendre),
-        # e^S V^(-gamma - 2) of the covector Jacobians overflows on floats
-        (GAS.lagrangian, OMEGA_OVERFLOW, omega),
-        (_stiff_oscillator(), ([1e200], [1e200], 0.0), omega),
+        # e^S V^(-gamma - 2) of the covector Jacobians overflows
+        (GAS.lagrangian, ([0.01], [0.0101], 700.0), OMEGA),
+        (_stiff_oscillator(), ([1e200], [1e200], 0.0), OMEGA),
+        # the midpoint q0 + q1 overflows, and V^(-gamma) leaves every entry finite
+        (GAS.lagrangian, ([1e308], [1e308], 1.0), [*OMEGA, discrete_momenta]),
         # the velocity's dL/dv / h overflows, in one coordinate of two
         (TP.lagrangian, ([1.0, 1.0], [1e306, 1.0], 1.0), legendre),
         # only the pairing with xi overflows
@@ -713,7 +714,9 @@ class TestOneTripleOnFloats:
     @pytest.mark.parametrize("name", ["ideal-gas", "two-pistons"])
     def test_wrapped_callables_get_float_points(self, name):
         # a profiler's wrapper (``__wrapped__``) of a marked callable gets the
-        # float points; a hand-written callable without the mark gets arrays
+        # float points; a hand-written callable without the mark gets arrays,
+        # as the covector Jacobians, which carry no mark, and discrete_momenta's
+        # callables, which it calls on arrays, do
         d = midpoint_discretize(get_system(name).lagrangian, H)
         seen = {}
 
@@ -724,15 +727,19 @@ class TestOneTripleOnFloats:
             wrapper.__wrapped__ = fn
             return wrapper
 
+        jacobians = ("dpi_minus", "dpi_plus")
         wrapped = dataclasses.replace(d, **{f: traced(f, getattr(d, f))
-                                            for f in DIAGNOSTIC_FIELDS})
+                                            for f in DIAGNOSTIC_FIELDS + jacobians})
         q0, q1, S0 = _one_triple_cases(name)
         t = DiscreteTriple(q0[2], q1[2], S0[2])
         assert _bytes(_diagnostics(wrapped, t)) == _bytes(_diagnostics(d, t))
         omega_embedded(wrapped, t, "plus")
         omega_embedded(wrapped, t, "minus")
         point = tuple if d.n == 2 else float
-        assert seen == {f: {point} for f in DIAGNOSTIC_FIELDS}
+        momenta = ("D1Ld", "D2Ld", "ffr_minus", "ffr_plus")
+        assert seen == ({f: {point} for f in DIAGNOSTIC_FIELDS}
+                        | {f: {point, np.ndarray} for f in momenta}
+                        | {f: {np.ndarray} for f in jacobians})
 
         seen.clear()
         by_hand = dataclasses.replace(d, D2Ld=traced("by hand", lambda *x: d.D2Ld(*x)))
@@ -743,8 +750,10 @@ class TestOneTripleOnFloats:
     def test_overflow_is_reported_as_on_arrays(self):
         # float arithmetic overflows silently: a value that is not finite is
         # formed again on arrays, where numpy reports the overflow under the
-        # errstate in force, as the copy without float points does; with the
-        # errstate off, the values keep the bits of that copy
+        # errstate in force, as the copy without float points does, and as
+        # the two-forms and the momenta, formed on arrays only, report an
+        # overflow that leaves every entry finite; with the errstate off, the
+        # values keep the bits of that copy
         for lag, triple, calls in _overflow_cases():
             t = DiscreteTriple(*triple)
             d = midpoint_discretize(lag, H)
@@ -780,8 +789,8 @@ class TestOneTripleOnFloats:
             monkeypatch.setattr(module, "_or_on_arrays", lambda value, redo, *args: value)
         for (lag, triple, call), message in zip(cases, expected):
             got = _error(call, midpoint_discretize(lag, H), DiscreteTriple(*triple))
-            # the ideal gas's invalid product is the two-form's own, after the redo
-            assert (got == message) if triple is OMEGA_OVERFLOW else (got != message)
+            # the two-forms and the momenta take arrays, without the fallback
+            assert (got == message) if call in (*OMEGA, discrete_momenta) else (got != message)
         with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
             TestRk2().test_float_step_overflow_raises_at_its_step()
         for name in ("oscillator", "ideal-gas", "van-der-waals"):

@@ -19,8 +19,9 @@ from thermint import (DiscretePath, DiscreteTriple, DomainError, ExperimentConfi
                       integrate, legendre_minus, legendre_plus, midpoint_discretize,
                       momentum_map, noether_condition, omega_embedded, pullback_check,
                       rk2_integrate, run_experiment)
-from thermint.continuous import fd_gradient
+from thermint.continuous import fd_gradient, pair
 from thermint.solve import solve_step
+from test_discrete import _one_triple_cases
 
 ALL = ["oscillator", "ideal-gas", "van-der-waals", "two-pistons"]
 ROWS = 2000
@@ -241,8 +242,6 @@ def test_triple_shapes_must_agree():
 _ONE_TRIPLE = {
     "discrete_flow": lambda d, t: discrete_flow(d, t, NewtonConfig(tol=1e-10)),
     "pullback_check": lambda d, t: pullback_check(d, t, NewtonConfig(tol=1e-10)),
-    "omega_embedded plus": lambda d, t: omega_embedded(d, t, "plus"),
-    "omega_embedded minus": lambda d, t: omega_embedded(d, t, "minus"),
     "as_array": lambda d, t: t.as_array(),
 }
 
@@ -257,15 +256,59 @@ def test_one_triple_functions_reject_a_stack(name, fn):
         fn(d, DiscreteTriple(stack.q0[:2], stack.q1[:2], stack.S0[:2]))
 
 
+def _quartic():
+    """L = v^2/2 - q^4/4 - S with friction -0.1 v, every second partial
+    derived by central differences, as in tests/test_solve.py."""
+    return LagrangianThermoSystem(
+        n=1, L=lambda q, v, S: 0.5 * pair(v, v) - 0.25 * pair(q * q, q * q) - S,
+        dLdq=lambda q, v, S: -(q * q * q), dLdv=lambda q, v, S: v,
+        dLdS=lambda q, v, S: -1.0, Ffr=lambda q, v, S: -0.1 * v, float_points=True)
+
+
 def test_two_form_blocks_of_a_two_row_stack_raise():
     # a (2, 2) stack of two-pistons triples once gave one non-symmetric
-    # block mixing the two rows
+    # block mixing the two rows: each block is now its row's, and one row
+    # whose midpoint q0 + q1 overflows raises, as that row alone does on arrays
     d = midpoint_discretize(get_system("two-pistons").lagrangian, 0.01)
     q0 = np.array([[1.0, 1.0], [1.1, 0.9]])
     t = DiscreteTriple(q0, q0 + 0.01, [1.0, 1.0])
     for side in ("plus", "minus"):
-        with pytest.raises(ValueError):
+        expected = [omega_embedded(d, DiscreteTriple(q0[k], q0[k] + 0.01, 1.0), side)
+                    for k in range(2)]
+        assert omega_embedded(d, t, side).tobytes() == np.array(expected).tobytes()
+    q0[1] = 1e308
+    t = DiscreteTriple(q0, q0, [1.0, 1.0])
+    for side in ("plus", "minus"):
+        with np.errstate(over="raise", invalid="raise"), \
+                pytest.raises(FloatingPointError, match="overflow encountered in add"):
             omega_embedded(d, t, side)
+
+
+@pytest.mark.parametrize("side", ["plus", "minus"])
+@pytest.mark.parametrize("case", [*ALL, "ideal-gas-generic", "quartic"])
+def test_two_forms_of_a_stack_are_its_rows(case, side):
+    # row k of the two-form and of the covector Jacobian of a stack has the
+    # bytes of the call on triple k: the catalog's analytic Jacobians, the
+    # central differences of the generic kernel, and the analytic Jacobians
+    # of derived second partials; the stacks hold q1 = q0 rows and +-0.0
+    # entries, and a (4, 6) stack gives the rows of the 24-row one
+    name = "oscillator" if case == "quartic" else case.removesuffix("-generic")
+    d = midpoint_discretize(_quartic() if case == "quartic" else get_system(name).lagrangian,
+                            0.01)
+    if case.endswith("-generic"):
+        d = dataclasses.replace(d, dpi_minus=None, dpi_plus=None)
+    q0, q1, S0 = _one_triple_cases(name)
+    rows = [DiscreteTriple(q0[k], q1[k], S0[k]) for k in range(len(S0))]
+    grid = (4, 6)
+    dpi = d.dpi_plus if side == "plus" else d.dpi_minus
+    jacobians = np.array([dpi(t.q0, t.q1, t.S0) for t in rows])
+    for stacked, expected in (
+            (omega_embedded(d, DiscreteTriple(q0, q1, S0), side),
+             np.array([omega_embedded(d, t, side) for t in rows])),
+            (dpi(q0, q1, S0), jacobians),
+            (dpi(*(x.reshape(grid + x.shape[1:]) for x in (q0, q1, S0))),
+             jacobians.reshape(grid + jacobians.shape[1:]))):
+        assert stacked.shape == expected.shape and stacked.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
