@@ -357,11 +357,13 @@ def _sum_of_products(terms):
     value.  The addend of a field declared constant (see
     `continuous.LagrangianThermoSystem`) is formed here, once, in the form
     each kind of point takes (`continuous._forms`); so is the sum of the
-    constant addends that lead.  A call evaluates the other fields, one
-    call for adjacent terms of one field, and adds the addends in order but
-    the zeros that `_exact_addends` drops: the bits of the sum formed term
-    by term at the point, entry by entry at a point of two floats.  A sum
-    of constant addends only is a `_constant`.
+    constant addends that lead.  A call evaluates the other fields, one call
+    for adjacent terms of one field, or reads them from ``values`` (a dict by
+    field that sums at one midpoint share), and adds the addends in order
+    but the zeros `_exact_addends` drops: the bits of the sum formed term by
+    term, entry by entry at a point of two floats, inline at a float point
+    for one field's product and its constants.  A sum of constant addends
+    only is a `_constant`.
     """
     lead, segments = None, []  # the leading constants' sum; (k, field, shape, constants after)
     for term in terms:
@@ -387,14 +389,25 @@ def _sum_of_products(terms):
     segments = [(k, f, shape, (*run, [_forms(c)[2] for c in run[1]]))
                 for k, f, shape, run in segments]
 
-    def total(m, w, S0):
+    one = None if lead is not None or len(segments) > 1 or segments[0][2] is not None else (
+        segments[0][0], segments[0][1], segments[0][3][0])
+
+    def total(m, w, S0, values=None):
+        if one is not None and type(m) is float:
+            k, f, floats = one
+            x = f(m, w, S0) if k is None else k * f(m, w, S0)
+            for c in floats:
+                x = x + c
+            return x
         pairs = type(m) is tuple
         form = 2 if pairs else type(m) is not float
         acc = None if lead is None else lead[form]
         last = None
         for k, f, shape, run in segments:
             if f is not last:
-                last, value = f, f(m, w, S0)
+                last, value = f, values[f] if values and f in values else f(m, w, S0)
+                if values is not None:
+                    values[f] = value
             x = value if shape is None else shape(value)
             if k is not None:
                 x = tuple(map(k.__mul__, x)) if pairs else k * x
@@ -438,10 +451,13 @@ def midpoint_discretize(sys, h):
     ``q_block(cv, c)`` (c = -1: q0, c = 1: q1) and ``S_block(cv)`` are the
     column blocks of d(pi)/dx at the midpoint (m, w, S0), by the chain rule
     from the system's second partials and friction Jacobians; a covector
-    Jacobian forms the midpoint once for its three blocks and writes them
-    into one (..., n, 2n+1) array.  Each block is a `_sum_of_products`,
-    which forms the products of the fields the system declares constant
-    once, when the block is built.
+    Jacobian forms the midpoint once for its three blocks, binds S0 (see
+    `LagrangianThermoSystem`), evaluates each field once for all three and
+    writes them into one (..., n, 2n+1) array.  Each block is a
+    `_sum_of_products`, which forms the products of the fields the system
+    declares constant once, when the block is built.  Where ``sys`` binds
+    S, its ``bind_S`` marks the pass too, by which a step binds the S it
+    passes.
 
     Each formula is written once and takes the values of ``sys`` as they
     come, at every kind of point of `LagrangianThermoSystem` (entry by
@@ -498,10 +514,11 @@ def midpoint_discretize(sys, h):
         blocks = (q_block(cv, -1), q_block(cv, 1), S_block(cv))
 
         def columns(m, w, S0):
+            S0, values = S0 if bind is None else bind(m, S0), {}
             out = np.empty(m.shape[:-1] + (n, 2 * n + 1))
-            out[..., :n] = blocks[0](m, w, S0)
-            out[..., n : 2 * n] = blocks[1](m, w, S0)
-            out[..., 2 * n] = blocks[2](m, w, S0)
+            for cols, b in zip((slice(0, n), slice(n, 2 * n), 2 * n), blocks):
+                out[..., cols] = b.constant if hasattr(b, "constant") else b(
+                    m, w, S0, values=values)
             return out
         return at_mid(columns)
 
@@ -512,6 +529,7 @@ def midpoint_discretize(sys, h):
     # formed inline, as `at_mid` forms it, with dq1 = q1 - q0 kept for the
     # increment.  The pass and its rest read their fields once, here, not per call
     Ffr, dLdv, dLdq, dLdS = sys.Ffr, sys.dLdv, sys.dLdq, sys.dLdS
+    bind = getattr(dLdS, "bind_S", None)
 
     def triple_pass(q0, q1, S0):
         if type(q0) is tuple:  # entry by entry at a point of two floats
@@ -542,6 +560,8 @@ def midpoint_discretize(sys, h):
     if sys.float_points and (n == 1 or not any(getattr(f, "generic", False) for f in derived)):
         for f in (triple_pass, pi_minus_dq1, *slots, ffr):
             f.float_points = True
+    if bind is not None:  # the binding a step gives the S it passes (see `solve.integrate`)
+        triple_pass.bind_S = bind
     return DiscreteThermoSystem(
         n=n, h=h, Ld=at_mid(sys.L), D1Ld=slots[0], D2Ld=slots[1], DSLd=at_mid(sys.dLdS),
         ffr_minus=ffr, ffr_plus=ffr, dpi_minus=covector_jacobian(-1),

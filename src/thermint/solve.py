@@ -17,8 +17,10 @@ bits.  Each Newton iterate x is a pass of the triple (q_k, x, S_k)
 through the system's ``triple_pass``, and `_newton` stops with its last
 pass at the root, so `integrate` takes the next step's target pi_plus and
 entropy update from that pass: the pass is carried, and a one-iteration
-step makes two passes, one Jacobian and one dL/dS call.  `solve_step` is
-the cold step of
+step makes two passes, one Jacobian and one dL/dS call.  A step binds the
+S it passes once for every callable it calls, where the kernel's pass is
+marked ``bind_S`` (see `continuous.LagrangianThermoSystem`).  `solve_step`
+is the cold step of
 `discrete.discrete_flow` and the flow Jacobian: the triple's target and
 entropy from the rest of its own pass, then the same `_newton`, or one
 `_newton_rows` on a stack of B triples, (B, n), (B, n) and (B,), whose
@@ -193,11 +195,15 @@ def solve_step(d, q_prev, q_curr, S_prev, cfg):
     S_prev of shape (B,), is one pass and one Newton loop (`_newton_rows`),
     ``d`` taking stacks (see `DiscreteThermoSystem`): row k of q_next and
     S_curr is the bits of the step on row k alone, and a row that fails
-    raises as that step would.
+    raises as that step would.  S_prev and S_curr are each bound once where
+    the pass binds S (a stack's S as it is).
     """
-    _, target, dS = _pass_values(d.triple_pass, q_prev, q_curr, S_prev)
+    bind = getattr(d.triple_pass, "bind_S", None)
+    _, target, dS = _pass_values(d.triple_pass, q_prev, q_curr,
+                                 S_prev if bind is None else bind(q_prev, S_prev))
     S_curr = S_prev + dS
-    solve = (d.triple_pass, d.pi_minus_dq1, (cfg or NewtonConfig()).tol, q_curr, S_curr, target,
+    solve = (d.triple_pass, d.pi_minus_dq1, (cfg or NewtonConfig()).tol, q_curr,
+             S_curr if bind is None else bind(q_curr, S_curr), target,
              # per entry at a point of two floats
              (2 * q_curr[0] - q_prev[0], 2 * q_curr[1] - q_prev[1]) if type(q_curr) is tuple
              else 2 * q_curr - q_prev)
@@ -303,10 +309,13 @@ def integrate(d, q0, q1, S0, N, cfg=None):
     # a float point goes into the one column: a scalar store, not a row's
     q_out = qs[:, 0] if type(q_curr) is float else qs
     triple_pass, pi_minus_dq1 = d.triple_pass, d.pi_minus_dq1
+    bind = getattr(triple_pass, "bind_S", None)
     k = 1
     try:
+        # the S a step passes, bound where the pass binds S
+        S_step = S_prev if bind is None else bind(q_prev, S_prev)
         # no root has left a pass of triple 1: it is passed cold
-        _, rest, args = triple_pass(q_prev, q_curr, S_prev)
+        _, rest, args = triple_pass(q_prev, q_curr, S_step)
         for k in range(1, N + 1):
             try:
                 target, dS = rest(*args)
@@ -316,7 +325,13 @@ def integrate(d, q0, q1, S0, N, cfg=None):
             Ss[k] = S_curr = S_prev + dS
             if k == N:
                 break
-            q_next, rest, args = _newton(triple_pass, pi_minus_dq1, tol, q_curr, S_curr, target,
+            if bind is None:
+                S_step = S_curr
+            # an S equal to the bound one and nonzero has its bits, and keeps
+            # its binding: a path without friction holds S
+            elif S_curr != S_step or S_curr == 0.0:
+                S_step = bind(q_curr, S_curr)
+            q_next, rest, args = _newton(triple_pass, pi_minus_dq1, tol, q_curr, S_step, target,
                                          2 * q_curr - q_prev if not pairs else
                                          (2 * q_curr[0] - q_prev[0], 2 * q_curr[1] - q_prev[1]))
             q_out[k + 1] = q_next

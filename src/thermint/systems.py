@@ -12,6 +12,14 @@ subtracts in order and H adds in order: float sums do not associate, and
 this order fixes the bits of the H columns of the CSVs.  Entries also
 carry, where available, an exact solution and a closed-form discrete
 update.
+
+The gases' fields share the factor e^S.  Their ``dLdS`` declares
+``bind_S = _bind`` (see `LagrangianThermoSystem`): the kernel binds each
+step's S once, and every field of the step reads that e^S off the bound S;
+a field called with a plain S forms e^S itself (`_exp`).  No state is kept
+between calls.  At a float point a gas field is one Python frame, its
+guard and powers inline; `_power`, `_uniform` and `_matrix` serve arrays,
+points of two floats and stacks.
 """
 
 import errno
@@ -60,6 +68,11 @@ class SystemCatalogEntry:
     ``np.vecdot``: they round as float ``**`` and ``@`` do, where array
     ``**`` differs in 1115 of 20 000 arguments (e = -2/3) and an einsum
     pairing in 3220 of 20 000 (n = 2).
+
+    The gases bind S (`_bind`): a step forms e^S once and every callable of
+    the step reads it off the bound S; a call with a plain S forms its own
+    e^S, a Python float at a float point and numpy's value at an array
+    point, whose arithmetic numpy's error state sees as it sees a stack's.
     """
 
     lagrangian: LagrangianThermoSystem
@@ -125,28 +138,40 @@ def _power(x, e):
         return np.float_power(x, e)
 
 
-#: the last float argument of `_exp` and its value, one tuple so a hit
-#: returns that argument's own value (NaN never hits); and the normal floats
-_exp_last = (np.nan, np.nan)
-_TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
+#: the smallest normal float
+_TINY = float(np.finfo(float).tiny)
 
 
-def _exp(x):
-    """e^x: a float at a float, `np.exp` on an array.  ``float()`` keeps the
-    bits of `np.exp`; `math.exp` rounds differently on some arguments.  e^S
-    is formed once per distinct float S, which every callable of a step
-    reads: the last argument is kept with its value if that is normal, so
-    its evaluation raised no flag that a later error state would report."""
-    global _exp_last
-    if not isinstance(x, float):
-        return np.exp(x)
-    key, value = _exp_last
-    if x == key:
-        return value
-    value = float(np.exp(x))
-    if _TINY <= value <= _HUGE:
-        _exp_last = (x, value)
-    return value
+class _BoundS(float):
+    """An entropy S bound with its e^S, ``exp``: a float equal to S, which a
+    field takes in place of S and reads e^S off.  Arithmetic on it gives a
+    plain float, so no value derived from S carries a factor of its own."""
+
+    __slots__ = ("exp",)
+
+
+def _exp(q, S):
+    """e^S at the kind of point q, formed by `np.exp`: a Python float at a
+    float point or a point of two floats (``float()`` keeps its bits, where
+    `math.exp` rounds differently on some arguments), its numpy float at an
+    array point, so that numpy's error state sees the arithmetic that
+    follows as it sees a stack's, and an array on a stack.  Every call forms
+    it: nothing is kept between calls."""
+    if type(q) is float or type(q) is tuple:
+        return float(np.exp(S))
+    return np.exp(S)
+
+
+def _bind(q, S):
+    """S bound with its e^S at the kind of point q (`_BoundS`, `_exp`): the
+    ``bind_S`` of the gases (see `LagrangianThermoSystem`); a stack's S as it
+    is."""
+    if not isinstance(S, float):
+        return S
+    bound = _BoundS(S)
+    # `_exp` inlined, which makes no call for e^S
+    bound.exp = float(np.exp(S)) if type(q) is float or type(q) is tuple else np.exp(S)
+    return bound
 
 
 def _above(x, lo, what):
@@ -196,16 +221,21 @@ def _matrix(q, x):
 
 
 def _separable(name, n, gamma, potential, force, force_dq, force_dS, temperature,
-               **entry_fields):
+               bind_S=None, **entry_fields):
     """The catalog entry of L = |v|^2/2 - V(q, S) with friction -gamma v.
 
     ``potential`` holds the terms of V and ``temperature`` = dV/dS, callables
     of (q, S); ``force`` = -dV/dq, its q-Jacobian ``force_dq`` and
     ``force_dS`` = -d2V/dqdS are callables of (q, v, S), the fields dL/dq,
     d2L/dq2 and d2L/dqdS themselves.  Every other field of L follows, and
-    H = |p|^2/2 + V.
+    H = |p|^2/2 + V.  ``bind_S``, where the fields share a factor of S,
+    binds S once for them: it becomes the ``bind_S`` of dL/dS (see
+    `LagrangianThermoSystem`).
     """
     eye, zeros, zero = np.eye(n), np.zeros((n, n)), np.zeros(n)
+    dLdS = lambda q, v, S: -temperature(q, S)
+    if bind_S is not None:
+        dLdS.bind_S = bind_S
 
     def L(q, v, S):
         value = 0.5 * pair(v, v)
@@ -218,14 +248,15 @@ def _separable(name, n, gamma, potential, force, force_dq, force_dS, temperature
         value = 0.5 * pair(p, p)
         for term in potential:
             value = value + term(q, S)
-        return value
+        # a float at one point, where a term may be numpy's float (see `_exp`)
+        return float(value) if q.ndim == 1 else value
 
     lag = LagrangianThermoSystem(
         n=n,
         L=L,
         dLdq=force,
         dLdv=lambda q, v, S: v,
-        dLdS=lambda q, v, S: -temperature(q, S),
+        dLdS=dLdS,
         # per entry at a point of two floats
         Ffr=(lambda q, v, S: -gamma * v) if n == 1 else (
             lambda q, v, S: (-gamma * v[0], -gamma * v[1]) if type(v) is tuple else -gamma * v),
@@ -439,27 +470,43 @@ def oscillator(gamma=0.1):
 # ideal gas in a cylinder: one piston, or two
 
 
-def _ideal_gas(name, n, gamma, c, volume, **entry_fields):
+def _ideal_gas(name, n, gamma, c, volume, lo=None, **entry_fields):
     """The entry of a monoatomic ideal gas, L = |v|^2/2 - U with U = e^S
     V^{-1/c} and friction -gamma v, in the volume V = ``volume(q)`` after its
     guard: a sum of the n coordinates, so every pressure is -dU/dV and every
-    entry of their q-Jacobian -d2U/dV2."""
+    entry of their q-Jacobian -d2U/dV2.  Each field reads e^S off a bound S
+    (`_bind`) or forms it (`_exp`).  ``lo`` is given where V is the one
+    coordinate q, and is the lower bound of its guard: a float q above it is
+    V, with no call, and the guard decides everywhere else.  A float V takes
+    its power inline, a stack's `_power`."""
+    lo = np.inf if lo is None else float(lo)  # else no float q is V
     ex = 1.0 / float(c)
+    e0, e1, e2 = -ex, -ex - 1.0, -ex - 2.0
+    k2 = -ex * (ex + 1.0)
 
     def U(q, S):  # internal energy e^S V^{-1/c}, also its own S-derivative
-        return _exp(S) * _power(volume(q), -ex)
+        E = S.exp if type(S) is _BoundS else _exp(q, S)
+        if type(q) is float and q > lo:
+            return E * q ** e0
+        V = volume(q)
+        return E * (V ** e0 if type(V) is float else _power(V, e0))
 
     def pressures(q, v, S):  # dL/dq_i = -dU/dV, also their own S-derivatives
-        return _uniform(q, ex * _exp(S) * _power(volume(q), -ex - 1.0))
+        E = S.exp if type(S) is _BoundS else _exp(q, S)
+        if type(q) is float and q > lo:
+            return ex * E * q ** e1
+        V = volume(q)
+        return _uniform(q, ex * E * (V ** e1 if type(V) is float else _power(V, e1)))
 
     def stiffness(q, v, S):  # d2L/dq_i dq_j = -d2U/dV2
-        # `_power` inlined at a point, which makes no call for the power
+        E = S.exp if type(S) is _BoundS else _exp(q, S)
+        if type(q) is float and q > lo:
+            return k2 * E * q ** e2
         V = volume(q)
-        power = V ** (-ex - 2.0) if type(V) is float else _power(V, -ex - 2.0)
-        return _matrix(q, -ex * (ex + 1.0) * _exp(S) * power)
+        return _matrix(q, k2 * E * (V ** e2 if type(V) is float else _power(V, e2)))
 
     return _separable(name, n, float(gamma), potential=(U,), force=pressures,
-                      force_dq=stiffness, force_dS=pressures, temperature=U,
+                      force_dq=stiffness, force_dS=pressures, temperature=U, bind_S=_bind,
                       **entry_fields)
 
 
@@ -472,8 +519,9 @@ def ideal_gas(gamma=0.1, c=1.5):
     """
     if gamma <= 0 or c <= 0:
         raise ValueError("gamma and c must be positive")
+    lo = 0.0  # the bound of the volume x, which the guard and the float points read
     return _ideal_gas("ideal-gas", 1, gamma, c,
-                      _coordinate_above(0.0, "piston position must stay positive"))
+                      _coordinate_above(lo, "piston position must stay positive"), lo)
 
 
 def two_pistons(gamma=0.1, c=1.5):
@@ -517,34 +565,49 @@ def van_der_waals(gamma=0.1, a_hat=1.0e3, b_hat=0.1):
         raise ValueError("gamma must be positive and b_hat nonnegative")
     g, ah, bh = float(gamma), float(a_hat), float(b_hat)
 
-    # bh >= 0, so x > bh also keeps x positive
+    # bh >= 0, so x > bh also keeps x positive; at a float point x is q
+    # where q > bh, with no call, and the guard decides everywhere else
     xval = _coordinate_above(bh, f"position must exceed the excluded volume {bh}")
 
     def U(q, S):
-        return _exp(S) * _power(xval(q) - bh, -2.0 / 3.0)
+        E = S.exp if type(S) is _BoundS else _exp(q, S)
+        if type(q) is float and q > bh:
+            return E * (q - bh) ** (-2.0 / 3.0)
+        return E * _power(xval(q) - bh, -2.0 / 3.0)
 
     def force(q, v, S):  # dL/dx
+        E = S.exp if type(S) is _BoundS else _exp(q, S)
+        if type(q) is float and q > bh:
+            return (2.0 / 3.0) * E * (q - bh) ** (-5.0 / 3.0) - ah / q ** 2
         x = xval(q)
-        return _uniform(q, (2.0 / 3.0) * _exp(S) * _power(x - bh, -5.0 / 3.0)
-                        - ah / _power(x, 2))
+        return _uniform(q, (2.0 / 3.0) * E * _power(x - bh, -5.0 / 3.0) - ah / _power(x, 2))
 
     def stiffness(q, v, S):  # d2L/dx2
+        E = S.exp if type(S) is _BoundS else _exp(q, S)
+        if type(q) is float and q > bh:
+            return -(10.0 / 9.0) * E * (q - bh) ** (-8.0 / 3.0) + 2.0 * ah / q ** 3
         x = xval(q)
-        # `_power` inlined at a point, which makes no call for the powers
+        # `_power` inlined at an array point, whose x is a float
         if type(x) is float:
             powers = (x - bh) ** (-8.0 / 3.0), x ** 3
         else:
             powers = _power(x - bh, -8.0 / 3.0), _power(x, 3)
-        return _matrix(q, -(10.0 / 9.0) * _exp(S) * powers[0] + 2.0 * ah / powers[1])
+        return _matrix(q, -(10.0 / 9.0) * E * powers[0] + 2.0 * ah / powers[1])
+
+    def force_dS(q, v, S):  # d2L/dx dS
+        E = S.exp if type(S) is _BoundS else _exp(q, S)
+        if type(q) is float and q > bh:
+            return (2.0 / 3.0) * E * (q - bh) ** (-5.0 / 3.0)
+        return _uniform(q, (2.0 / 3.0) * E * _power(xval(q) - bh, -5.0 / 3.0))
 
     return _separable(
         "van-der-waals", 1, g,
         potential=(U, lambda q, S: -ah / xval(q)),
         force=force,
         force_dq=stiffness,
-        force_dS=lambda q, v, S: _uniform(q, (2.0 / 3.0) * _exp(S)
-                                          * _power(xval(q) - bh, -5.0 / 3.0)),
+        force_dS=force_dS,
         temperature=U,
+        bind_S=_bind,
     )
 
 

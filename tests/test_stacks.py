@@ -169,6 +169,23 @@ def test_one_overflowing_row_raises(name, point):
         solve_step(midpoint_discretize(sys, 0.01), q, q, S, NewtonConfig(tol=1e-10))
 
 
+def test_overflowing_e_to_the_S_product_raises_at_an_array_point():
+    # e^700 is finite and its product with V^(-1/c - 2) overflows: numpy's
+    # error state sees that product at an array point, as it sees it on the
+    # same triple as a one-row stack, with the bits of the stack's row where
+    # it is off
+    lag = dataclasses.replace(get_system("ideal-gas").lagrangian, float_points=False)
+    matrix = midpoint_discretize(lag, 0.01).pi_minus_dq1
+    q0, q1, S0 = np.array([0.01]), np.array([0.0101]), 700.0
+    with np.errstate(over="raise"):
+        for point in ((q0, q1, S0), (q0[None], q1[None], np.array([S0]))):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                matrix(*point)
+    with np.errstate(over="ignore"):
+        row = matrix(q0[None], q1[None], np.array([S0]))[0]
+        assert matrix(q0, q1, S0).tobytes() == row.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # stacked triples against per-triple loops
 

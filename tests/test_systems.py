@@ -384,8 +384,9 @@ class TestTwoPistons:
 
 
 class TestExpMemo:
-    """`_exp` keeps its last float argument and value: a hit and a miss both
-    give the bits of ``float(np.exp(x))``, and a flagged value is never kept."""
+    """`_exp` keeps no memo: a first call and a repeat, at a float point, both
+    give the bits of ``float(np.exp(x))``, and every call raises its own
+    flags; nothing is shared between calls or threads."""
 
     SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.inf, -np.inf,
                np.nan, 709.78, 709.782712893384, np.nextafter(709.782712893384, np.inf),
@@ -394,15 +395,15 @@ class TestExpMemo:
     @staticmethod
     def _assert_exact(x):
         with np.errstate(all="ignore"):
-            got, want = _exp(x), float(np.exp(x))
+            got, want = _exp(1.0, x), float(np.exp(x))
         assert type(got) is float and got.hex() == want.hex(), x
 
     def test_miss_and_hit_are_exact(self):
         rng = np.random.default_rng(17)
         args = rng.uniform(-750.0, 750.0, 500).tolist() + rng.normal(0.0, 3.0, 500).tolist()
         for x in args + self.SPECIAL:
-            self._assert_exact(x)  # a miss
-            self._assert_exact(x)  # a hit, if its value was kept
+            self._assert_exact(x)
+            self._assert_exact(x)  # a repeat
 
     def test_interleaved_repeats_are_exact(self):
         rng = np.random.default_rng(18)
@@ -413,11 +414,13 @@ class TestExpMemo:
     def test_arrays_are_unaffected(self):
         x = np.array([0.5, 1.5, -0.0, 800.0, np.nan])
         for _ in range(2):
-            _exp(0.5)
+            _exp(1.0, 0.5)
             with np.errstate(all="ignore"):
-                got = _exp(x)
+                got = _exp(x, x)
                 assert got.tobytes() == np.exp(x).tobytes()
-                assert _exp(x[:1]).tobytes() == np.exp(x[:1]).tobytes()
+                assert _exp(x[:1], x[:1]).tobytes() == np.exp(x[:1]).tobytes()
+                # at an array point, numpy's float, whose arithmetic numpy checks
+                assert type(_exp(x[:1], 0.5)) is np.float64
 
     @pytest.mark.parametrize("x,flag", [(800.0, "over"), (-800.0, "under"),
                                         (-745.0, "under")])
@@ -425,21 +428,21 @@ class TestExpMemo:
         # the error state of each call decides, as it does for np.exp
         for _ in range(3):
             with np.errstate(**{flag: "ignore"}):
-                _exp(x)
+                _exp(1.0, x)
             with np.errstate(**{flag: "raise"}):
                 with pytest.raises(FloatingPointError):
                     np.exp(x)
                 with pytest.raises(FloatingPointError):
-                    _exp(x)
+                    _exp(1.0, x)
                 with pytest.raises(FloatingPointError):
-                    _exp(x)
+                    _exp(1.0, x)
         with np.errstate(**{flag: "warn"}):
             with pytest.warns(RuntimeWarning):
-                _exp(x)
+                _exp(1.0, x)
 
     def test_a_hit_is_its_own_arguments_value_across_threads(self):
-        # a thread switch between the key test and the read of the value must
-        # not hand one thread the value of another's argument
+        # concurrent calls, switching threads often, each get their own
+        # argument's value
         args = [[k + 0.25 * t for k in range(8)] for t in range(4)]
         want = {x: float(np.exp(x)) for xs in args for x in xs}
         wrong = []
@@ -447,7 +450,7 @@ class TestExpMemo:
         def run(xs):
             for _ in range(500):
                 for x in xs:
-                    if _exp(x) != want[x] or _exp(x) != want[x]:
+                    if _exp(1.0, x) != want[x] or _exp(1.0, x) != want[x]:
                         wrong.append(x)
 
         threads = [threading.Thread(target=run, args=(xs,)) for xs in args]
@@ -466,7 +469,7 @@ class TestExpMemo:
     def test_a_normal_value_raises_nothing(self):
         with np.errstate(all="raise"):
             for x in (1.5, 1.5, -708.0, -708.0, 709.78, 709.78):
-                assert _exp(x) == float(np.exp(x))
+                assert _exp(1.0, x) == float(np.exp(x))
 
 
 #: the guards of the one-dimensional gases: system, lo and today's message
