@@ -221,15 +221,15 @@ class LagrangianThermoSystem:
     neither the midpoint rule nor `equations_of_motion` checks it again.
 
     Binding S: within one step S is fixed, so a system whose fields share a
-    factor of S may form it once per step.  It declares how by an attribute
-    ``bind_S`` on its ``dLdS``: a callable (q, S) -> S bound at the kind of
-    point q, a float equal to S that carries the factor (a stack's S is
-    returned as it is).  Every field then takes the bound S in place of S;
-    one that does not read the factor sees the float S, and arithmetic on
-    it gives a plain float.  `solve.integrate` and `solve.solve_step` bind
-    each S they step at once (`discrete.midpoint_discretize` marks its pass
-    with the same ``bind_S``), `equations_of_motion` binds the S of its
-    point, and a covector Jacobian the S of its triple; the bits are those
+    factor of S may form it once per step.  It declares how by its field
+    ``bind_S``: a callable (q, S) -> S bound at the kind of point q, a float
+    equal to S that carries the factor (a stack's S is returned as it is).
+    Every field then takes the bound S in place of S; one that does not
+    read the factor sees the float S, and arithmetic on it gives a plain
+    float.  `solve.integrate` and `solve.solve_step` bind each S they step
+    at once (`discrete.midpoint_discretize` hands the discrete system the
+    same ``bind_S``), `equations_of_motion` binds the S of its point, and
+    a covector Jacobian the S of its triple; the bits are those
     of the unbound fields.  Nothing is kept between calls; within one
     `integrate` call a binding serves while S is unchanged.  The catalog
     gases bind e^S (`systems._bind`).
@@ -257,6 +257,7 @@ class LagrangianThermoSystem:
 
     accel: callable = None           # closed-form (n,) acceleration
     float_points: bool = False       # callables also take q and v of n <= 2 floats
+    bind_S: callable = None          # (q, S) -> S bound once per step
 
     def __post_init__(self):
         if self.float_points and self.n > 2:
@@ -376,16 +377,15 @@ def equations_of_motion(sys, q, v, S):
 
     ``q`` and ``v`` are float arrays of length n, or Python floats for a
     system with ``float_points`` and ``accel``; ``S`` is a float, bound once
-    for every field where ``dLdS`` declares ``bind_S`` (see
+    for every field where ``sys`` declares ``bind_S`` (see
     `LagrangianThermoSystem`).  Sdot solves the entropy equation; vdot
     either comes from the system's closed-form acceleration or from solving
     the velocity Hessian in
 
         d/dt (dL/dv) = dL/dq + Ffr.
     """
-    bind = getattr(sys.dLdS, "bind_S", None)
-    if bind is not None:
-        S = bind(q, S)
+    if sys.bind_S is not None:
+        S = sys.bind_S(q, S)
     dLdS = sys.dLdS(q, v, S)
     if dLdS == 0.0:
         raise TemperatureDegenerateError("dL/dS vanishes: entropy equation singular")

@@ -31,7 +31,6 @@ generic pass of its slot derivatives at construction, with Jacobians from
 ``cbrt(eps) * (1 + |x|)``).
 """
 
-import inspect
 from dataclasses import dataclass
 from operator import add, sub
 
@@ -117,14 +116,17 @@ class DiscreteThermoSystem:
     system; the diagnostics evaluate a whole path, `DiscretePath.stack`,
     that way, and `solve.solve_step` the flows of a pullback check.
 
-    A callable takes float points only where it is marked ``float_points``,
-    by one rule (`_floats`): a step runs on them where the pass and
-    ``pi_minus_dq1`` are, and a Legendre transform or a momentum map at one
-    triple where every callable it makes is, and returns the arrays of the
-    call on arrays, bit for bit.  Any other callable, the generic ones and
-    the covector Jacobians included, takes arrays.  `midpoint_discretize`
-    marks its own, one kernel for all three kinds of point; ``pi_minus``,
-    ``pi_plus`` and ``entropy_increment`` read off a marked pass are marked.
+    Two fields declare how the system is evaluated, and a
+    ``dataclasses.replace`` copy keeps them.  ``float_points``: the pass,
+    ``pi_minus_dq1``, ``D1Ld``, ``D2Ld`` and the friction covectors also
+    take float points, so a step, a Legendre transform and a momentum map
+    at one triple run on them (`_floats`) and return the arrays of the call
+    on arrays, bit for bit; the covector Jacobians take arrays.  It
+    declares a system of one or two dimensions, and holds where the pass
+    and ``pi_minus_dq1`` are supplied: a system that derives either steps
+    on arrays.  ``bind_S``: the binding of S of
+    `continuous.LagrangianThermoSystem`, by which a step binds each S it
+    passes once.  `midpoint_discretize` sets both from its system.
     """
 
     n: int
@@ -150,10 +152,16 @@ class DiscreteThermoSystem:
     triple_pass: callable = None
 
     name: str = ""
+    float_points: bool = False       # the kernel also takes q0 and q1 of n <= 2 floats
+    bind_S: callable = None          # (q, S) -> S bound once per step
 
     def __post_init__(self):
+        if self.float_points and self.n > 2:
+            raise ValueError("float_points declares a system of one or two dimensions")
         derive_missing(self, _generic_kernel(self))
         derive_missing(self, _from_pass(self.triple_pass))
+        if any(getattr(f, "generic", False) for f in (self.triple_pass, self.pi_minus_dq1)):
+            self.float_points = False  # the generic kernel is built for arrays
 
 
 @dataclass
@@ -223,25 +231,14 @@ def _single(t):
 # float points
 
 
-def _marked(f):
-    """Whether the callable f, or the callable it wraps (``__wrapped__``),
-    is marked ``float_points``.  Its own mark is read first: only one
-    without it, such as a profiler's wrapper, is unwrapped, for perfbench's
-    tracer (`perfbench/tracing.py`) sets ``__wrapped__`` on each callable it
-    times, and a traced run would otherwise step on arrays."""
-    return getattr(f, "float_points", False) or (
-        hasattr(f, "__wrapped__") and getattr(inspect.unwrap(f), "float_points", False))
-
-
-def _floats(d, callables, *points):
+def _floats(d, *points):
     """The one rule for where a call runs on floats: the points (one point of
     d each, as arrays) as float points, a float at n = 1 and a tuple of two
-    at n = 2, where d has n <= 2 and every one of ``callables`` that the
-    call makes is `_marked`; None elsewhere, a stack included.  A step
-    (`solve._point`), the Legendre transforms and `momentum_map` at one
-    triple take their points here, and go back to arrays by
-    `continuous._or_on_arrays`."""
-    if d.n <= 2 and points[0].ndim == 1 and all(map(_marked, callables)):
+    at n = 2, where d declares ``float_points``; None elsewhere, a stack
+    included.  A step (`solve._point`), the Legendre transforms and
+    `momentum_map` at one triple take their points here, and go back to
+    arrays by `continuous._or_on_arrays`."""
+    if d.float_points and points[0].ndim == 1:
         if d.n == 1:
             return tuple(map(np.ndarray.item, points))
         return tuple(map(tuple, map(np.ndarray.tolist, points)))
@@ -321,16 +318,10 @@ def _generic_kernel(d):
 
 
 def _from_pass(triple_pass):
-    """pi_minus, pi_plus and the entropy increment, each from one pass, and
-    marked ``float_points`` where the pass is."""
-    derived = {"pi_minus": lambda q0, q1, S0: triple_pass(q0, q1, S0)[0],
-               "pi_plus": lambda q0, q1, S0: _pass_values(triple_pass, q0, q1, S0)[1],
-               "entropy_increment":
-                   lambda q0, q1, S0: _pass_values(triple_pass, q0, q1, S0)[2]}
-    if _marked(triple_pass):
-        for f in derived.values():
-            f.float_points = True
-    return derived
+    """pi_minus, pi_plus and the entropy increment, each from one pass."""
+    return {"pi_minus": lambda q0, q1, S0: triple_pass(q0, q1, S0)[0],
+            "pi_plus": lambda q0, q1, S0: _pass_values(triple_pass, q0, q1, S0)[1],
+            "entropy_increment": lambda q0, q1, S0: _pass_values(triple_pass, q0, q1, S0)[2]}
 
 
 def _pass_values(triple_pass, q0, q1, S0):
@@ -455,18 +446,16 @@ def midpoint_discretize(sys, h):
     `LagrangianThermoSystem`), evaluates each field once for all three and
     writes them into one (..., n, 2n+1) array.  Each block is a
     `_sum_of_products`, which forms the products of the fields the system
-    declares constant once, when the block is built.  Where ``sys`` binds
-    S, its ``bind_S`` marks the pass too, by which a step binds the S it
-    passes.
+    declares constant once, when the block is built.  The discrete system
+    takes the ``bind_S`` of ``sys``, by which a step binds the S it passes.
 
     Each formula is written once and takes the values of ``sys`` as they
     come, at every kind of point of `LagrangianThermoSystem` (entry by
     entry at a point of two floats, where ``pair`` reproduces ``@``): one
-    kernel serves all three, bit for bit.  With ``float_points`` the pass,
-    ``pi_minus_dq1``, ``D1Ld``, ``D2Ld`` and the friction covector are
-    marked ``float_points`` (see `DiscreteThermoSystem`), at n = 2 only
-    when no field of the Newton matrix is derived; the covector Jacobians
-    take arrays and stacks.
+    kernel serves all three, bit for bit.  The discrete system declares
+    ``float_points`` (see `DiscreteThermoSystem`) where ``sys`` does, at
+    n = 2 only when no field of the Newton matrix is derived; the covector
+    Jacobians take arrays and stacks.
     """
     if not 0 < h < np.inf:
         raise ValueError(f"time step must be positive and finite, got {h}")
@@ -529,7 +518,7 @@ def midpoint_discretize(sys, h):
     # formed inline, as `at_mid` forms it, with dq1 = q1 - q0 kept for the
     # increment.  The pass and its rest read their fields once, here, not per call
     Ffr, dLdv, dLdq, dLdS = sys.Ffr, sys.dLdv, sys.dLdq, sys.dLdS
-    bind = getattr(dLdS, "bind_S", None)
+    bind = sys.bind_S
 
     def triple_pass(q0, q1, S0):
         if type(q0) is tuple:  # entry by entry at a point of two floats
@@ -557,16 +546,14 @@ def midpoint_discretize(sys, h):
     slots, ffr = (slot(-1), slot(1)), at_mid(sys.Ffr)
     # the Newton matrix's fields; at n = 1 a derived second partial takes floats too
     derived = (sys.d2Ldq2, sys.d2Ldqdv, sys.d2Ldv2, sys.dFfrdq, sys.dFfrdv)
-    if sys.float_points and (n == 1 or not any(getattr(f, "generic", False) for f in derived)):
-        for f in (triple_pass, pi_minus_dq1, *slots, ffr):
-            f.float_points = True
-    if bind is not None:  # the binding a step gives the S it passes (see `solve.integrate`)
-        triple_pass.bind_S = bind
     return DiscreteThermoSystem(
         n=n, h=h, Ld=at_mid(sys.L), D1Ld=slots[0], D2Ld=slots[1], DSLd=at_mid(sys.dLdS),
         ffr_minus=ffr, ffr_plus=ffr, dpi_minus=covector_jacobian(-1),
         dpi_plus=covector_jacobian(1),
         pi_minus_dq1=pi_minus_dq1, triple_pass=triple_pass, name=sys.name,
+        float_points=sys.float_points and (
+            n == 1 or not any(getattr(f, "generic", False) for f in derived)),
+        bind_S=bind,
     )
 
 
@@ -586,9 +573,9 @@ def entropy_update(d, t):
 
 def legendre_minus(d, t):
     """Minus Legendre transform: (q0, -D1Ld - ffr_minus/2, S0).  At one
-    triple pi_minus takes float points where it is marked (see
+    triple pi_minus takes float points where ``d`` declares them (see
     `DiscreteThermoSystem`)."""
-    x = _floats(d, (d.pi_minus,), t.q0, t.q1)
+    x = _floats(d, t.q0, t.q1)
     arrays = t.q0, t.q1, t.S0
     pi = d.pi_minus(*arrays) if x is None else np.array(
         _or_on_arrays(d.pi_minus(*x, t.S0), d.pi_minus, *arrays), ndmin=1, copy=None)
@@ -597,13 +584,20 @@ def legendre_minus(d, t):
 
 def legendre_plus(d, t):
     """Plus Legendre transform: (q1, D2Ld + ffr_plus/2, entropy update).  At
-    one triple the pass takes float points where it is marked."""
-    x = _floats(d, (d.triple_pass,), t.q0, t.q1)
-    if x is None:
-        _, pi, dS = _pass_values(d.triple_pass, t.q0, t.q1, t.S0)
-        return t.q1.copy(), pi, t.S0 + dS
-    *pi, dS = _or_on_arrays(_plus_entries(d, *x, t.S0), _plus_entries, d, t.q0, t.q1, t.S0)
-    return t.q1.copy(), np.array(pi), t.S0 + dS
+    one triple the pass takes float points where ``d`` declares them.  A zero
+    D_S Ld on floats may come of an overflow that float arithmetic passes
+    silently, so the transform is then formed again on arrays, whose error wins."""
+    x = _floats(d, t.q0, t.q1)
+    if x is not None:
+        try:
+            entries = _plus_entries(d, *x, t.S0)
+        except TemperatureDegenerateError:
+            pass
+        else:
+            *pi, dS = _or_on_arrays(entries, _plus_entries, d, t.q0, t.q1, t.S0)
+            return t.q1.copy(), np.array(pi), t.S0 + dS
+    _, pi, dS = _pass_values(d.triple_pass, t.q0, t.q1, t.S0)
+    return t.q1.copy(), pi, t.S0 + dS
 
 
 def _plus_entries(d, q0, q1, S0):
@@ -747,12 +741,11 @@ def momentum_map(d, t, xi, side):
     """Pairing of the discrete momentum of one side with the generator xi, a float
     at one triple or an array on a stack; xi receives the q it is paired with, (n,)
     or (..., n).  Only that side's momentum is formed, bit for bit its entry of
-    `discrete_momenta`.  At one triple it is formed on float points where the
-    side's slot derivative and friction covector are marked (see
-    `DiscreteThermoSystem`), and paired with a float64 value of xi on floats,
-    bit for bit the pairing of arrays."""
-    D, f, q = (d.D2Ld, d.ffr_plus, t.q1) if side == "plus" else (d.D1Ld, d.ffr_minus, t.q0)
-    x = _floats(d, (D, f), t.q0, t.q1)
+    `discrete_momenta`.  At one triple it is formed on float points where ``d``
+    declares them (see `DiscreteThermoSystem`), and paired with a float64 value
+    of xi on floats, bit for bit the pairing of arrays."""
+    q = t.q1 if side == "plus" else t.q0
+    x = _floats(d, t.q0, t.q1)
     if x is None:
         return pair(_momentum(d, side, t.q0, t.q1, t.S0), xi(q))
     p, v = _momentum(d, side, *x, t.S0), xi(q)

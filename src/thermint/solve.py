@@ -8,7 +8,7 @@ with S_k given explicitly by the entropy update; a Newton solve with the
 semiregularity matrix as its Jacobian finds q_{k+1}.  Two Newton loops
 solve every root of the package, with one set of stop rules: `_newton`
 at one point, a float (n = 1) or a tuple of two floats (n = 2) where the
-kernel is marked ``float_points`` (see `_point`) and an array otherwise,
+system declares ``float_points`` (see `_point`) and an array otherwise,
 and `_newton_rows` on a stack of points, row by row.  At two floats the
 update is `_solve_pair`, which gives the bits of numpy's solve where
 OpenBLAS runs its SkylakeX kernel; a stacked step still calls numpy's, so
@@ -18,13 +18,12 @@ through the system's ``triple_pass``, and `_newton` stops with its last
 pass at the root, so `integrate` takes the next step's target pi_plus and
 entropy update from that pass: the pass is carried, and a one-iteration
 step makes two passes, one Jacobian and one dL/dS call.  A step binds the
-S it passes once for every callable it calls, where the kernel's pass is
-marked ``bind_S`` (see `continuous.LagrangianThermoSystem`).  `solve_step`
-is the cold step of
-`discrete.discrete_flow` and the flow Jacobian: the triple's target and
-entropy from the rest of its own pass, then the same `_newton`, or one
-`_newton_rows` on a stack of B triples, (B, n), (B, n) and (B,), whose
-row k is the bits of the step on row k alone.  The flow Jacobian of a
+S it passes once for every callable it calls, where the system declares
+``bind_S`` (see `continuous.LagrangianThermoSystem`).  `solve_step` is the
+cold step of `discrete.discrete_flow` and the flow Jacobian: the triple's
+target and entropy from the rest of its own pass, then the same `_newton`,
+or one `_newton_rows` on a stack of B triples, (B, n), (B, n) and (B,),
+whose row k is the bits of the step on row k alone.  The flow Jacobian of a
 pullback check is one such stack.  `systems.hamiltonian_point` inverts
 the Legendre transform with `_newton` too.
 """
@@ -196,9 +195,9 @@ def solve_step(d, q_prev, q_curr, S_prev, cfg):
     ``d`` taking stacks (see `DiscreteThermoSystem`): row k of q_next and
     S_curr is the bits of the step on row k alone, and a row that fails
     raises as that step would.  S_prev and S_curr are each bound once where
-    the pass binds S (a stack's S as it is).
+    ``d`` declares ``bind_S`` (a stack's S as it is).
     """
-    bind = getattr(d.triple_pass, "bind_S", None)
+    bind = d.bind_S
     _, target, dS = _pass_values(d.triple_pass, q_prev, q_curr,
                                  S_prev if bind is None else bind(q_prev, S_prev))
     S_curr = S_prev + dS
@@ -270,11 +269,11 @@ def _failing_row(J, r, rows, size):
 
 
 def _point(d, q):
-    """The point q as `_newton` takes it: its float point where the pass and
-    the Newton matrix take floats (`discrete._floats`, see
+    """The point q as `_newton` takes it: its float point where ``d``
+    declares ``float_points`` (`discrete._floats`, see
     `DiscreteThermoSystem`), the float of its one entry at n = 1 and the
     tuple of its two entries at n = 2; else q itself."""
-    x = _floats(d, (d.triple_pass, d.pi_minus_dq1), q)
+    x = _floats(d, q)
     return x[0] if x else q
 
 
@@ -308,11 +307,10 @@ def integrate(d, q0, q1, S0, N, cfg=None):
     pairs = type(q_curr) is tuple
     # a float point goes into the one column: a scalar store, not a row's
     q_out = qs[:, 0] if type(q_curr) is float else qs
-    triple_pass, pi_minus_dq1 = d.triple_pass, d.pi_minus_dq1
-    bind = getattr(triple_pass, "bind_S", None)
+    triple_pass, pi_minus_dq1, bind = d.triple_pass, d.pi_minus_dq1, d.bind_S
     k = 1
     try:
-        # the S a step passes, bound where the pass binds S
+        # the S a step passes, bound where d declares bind_S
         S_step = S_prev if bind is None else bind(q_prev, S_prev)
         # no root has left a pass of triple 1: it is passed cold
         _, rest, args = triple_pass(q_prev, q_curr, S_step)

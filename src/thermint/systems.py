@@ -13,10 +13,10 @@ this order fixes the bits of the H columns of the CSVs.  Entries also
 carry, where available, an exact solution and a closed-form discrete
 update.
 
-The gases' fields share the factor e^S.  Their ``dLdS`` declares
-``bind_S = _bind`` (see `LagrangianThermoSystem`): the kernel binds each
-step's S once, and every field of the step reads that e^S off the bound S;
-a field called with a plain S forms e^S itself (`_exp`).  No state is kept
+The gases' fields share the factor e^S.  They declare ``bind_S = _bind``
+(see `LagrangianThermoSystem`): the kernel binds each step's S once, and
+every field of the step reads that e^S off the bound S; a field called
+with a plain S forms e^S itself (`_exp`).  No state is kept
 between calls.  At a float point a gas field is one Python frame, its
 guard and powers inline; `_power`, `_uniform` and `_matrix` serve arrays,
 points of two floats and stacks.
@@ -229,13 +229,9 @@ def _separable(name, n, gamma, potential, force, force_dq, force_dS, temperature
     ``force_dS`` = -d2V/dqdS are callables of (q, v, S), the fields dL/dq,
     d2L/dq2 and d2L/dqdS themselves.  Every other field of L follows, and
     H = |p|^2/2 + V.  ``bind_S``, where the fields share a factor of S,
-    binds S once for them: it becomes the ``bind_S`` of dL/dS (see
-    `LagrangianThermoSystem`).
+    binds S once for them (see `LagrangianThermoSystem`).
     """
     eye, zeros, zero = np.eye(n), np.zeros((n, n)), np.zeros(n)
-    dLdS = lambda q, v, S: -temperature(q, S)
-    if bind_S is not None:
-        dLdS.bind_S = bind_S
 
     def L(q, v, S):
         value = 0.5 * pair(v, v)
@@ -256,7 +252,7 @@ def _separable(name, n, gamma, potential, force, force_dq, force_dS, temperature
         L=L,
         dLdq=force,
         dLdv=lambda q, v, S: v,
-        dLdS=dLdS,
+        dLdS=lambda q, v, S: -temperature(q, S),
         # per entry at a point of two floats
         Ffr=(lambda q, v, S: -gamma * v) if n == 1 else (
             lambda q, v, S: (-gamma * v[0], -gamma * v[1]) if type(v) is tuple else -gamma * v),
@@ -271,6 +267,7 @@ def _separable(name, n, gamma, potential, force, force_dq, force_dS, temperature
         dFfrdS=_constant(zero),
         accel=lambda q, v, S: force(q, v, S) - gamma * v,
         float_points=True,
+        bind_S=bind_S,
     )
     return SystemCatalogEntry(lagrangian=lag, H=H, **entry_fields)
 

@@ -30,7 +30,6 @@ from thermint import (
 )
 from thermint import bench, continuous, discrete
 from thermint.continuous import _constant, fd_gradient, pair
-from thermint.discrete import _marked
 
 H = 0.01
 GAMMA = 0.1
@@ -687,8 +686,9 @@ def _error(call, d, t):
 
 
 class TestOneTripleOnFloats:
-    """The diagnostics at one triple hand each marked callable the float
-    points of a step, bit for bit the diagnostics on arrays."""
+    """The diagnostics at one triple of a system that declares float points
+    hand its callables the float points of a step, bit for bit the
+    diagnostics on arrays."""
 
     @pytest.mark.parametrize("name", ["oscillator", "ideal-gas", "van-der-waals",
                                       "two-pistons"])
@@ -698,8 +698,7 @@ class TestOneTripleOnFloats:
         lag = get_system(name).lagrangian
         d = midpoint_discretize(lag, H)
         arrays = midpoint_discretize(dataclasses.replace(lag, float_points=False), H)
-        assert all(_marked(getattr(d, f)) for f in DIAGNOSTIC_FIELDS)
-        assert not any(_marked(getattr(arrays, f)) for f in DIAGNOSTIC_FIELDS)
+        assert d.float_points and not arrays.float_points
         q0, q1, S0 = _one_triple_cases(name)
         stacked = _diagnostics(d, DiscreteTriple(q0, q1, S0))
         for k in range(len(S0)):
@@ -713,10 +712,11 @@ class TestOneTripleOnFloats:
 
     @pytest.mark.parametrize("name", ["ideal-gas", "two-pistons"])
     def test_wrapped_callables_get_float_points(self, name):
-        # a profiler's wrapper (``__wrapped__``) of a marked callable gets the
-        # float points; a hand-written callable without the mark gets arrays,
-        # as the covector Jacobians, which carry no mark, and discrete_momenta's
-        # callables, which it calls on arrays, do
+        # a profiler's plain wrapper of a callable gets the float points, for
+        # the copy keeps the declaration; the covector Jacobians, which take
+        # arrays, and discrete_momenta's callables, which it calls on arrays,
+        # get arrays, and so does every callable of a copy declared without
+        # float points
         d = midpoint_discretize(get_system(name).lagrangian, H)
         seen = {}
 
@@ -724,7 +724,6 @@ class TestOneTripleOnFloats:
             def wrapper(q0, q1, S0):
                 seen.setdefault(attr, set()).add(type(q0))
                 return fn(q0, q1, S0)
-            wrapper.__wrapped__ = fn
             return wrapper
 
         jacobians = ("dpi_minus", "dpi_plus")
@@ -741,11 +740,14 @@ class TestOneTripleOnFloats:
                         | {f: {point, np.ndarray} for f in momenta}
                         | {f: {np.ndarray} for f in jacobians})
 
-        seen.clear()
-        by_hand = dataclasses.replace(d, D2Ld=traced("by hand", lambda *x: d.D2Ld(*x)))
-        got = momentum_map(by_hand, t, np.ones_like, "plus")
-        assert seen == {"by hand": {np.ndarray}}
-        assert _bytes([got]) == _bytes([momentum_map(d, t, np.ones_like, "plus")])
+        expected = _bytes([momentum_map(d, t, np.ones_like, "plus")])
+        for float_points, kind in ((True, point), (False, np.ndarray)):
+            seen.clear()
+            by_hand = dataclasses.replace(d, D2Ld=traced("by hand", lambda *x: d.D2Ld(*x)),
+                                          float_points=float_points)
+            got = momentum_map(by_hand, t, np.ones_like, "plus")
+            assert seen == {"by hand": {kind}}
+            assert _bytes([got]) == expected
 
     def test_overflow_is_reported_as_on_arrays(self):
         # float arithmetic overflows silently: a value that is not finite is
@@ -772,6 +774,24 @@ class TestOneTripleOnFloats:
         t = DiscreteTriple([1e308], [-1e308], 0.0)
         with np.errstate(over="ignore", invalid="ignore"):
             assert _bytes(_diagnostics(D_OSC, t)) == _bytes(_diagnostics(arrays, t))
+
+    def test_zero_temperature_of_an_overflow_is_reported_as_on_arrays(self):
+        # at q0 = q1 = 1e308 the float midpoint overflows silently and makes
+        # D_S Ld zero: legendre_plus forms the transform again on arrays, whose
+        # overflow is the error, as on the copy without float points; a D_S Ld
+        # that is zero on arrays too stays TemperatureDegenerateError
+        t = DiscreteTriple([1e308], [1e308], 1.0)
+        arrays = midpoint_discretize(dataclasses.replace(GAS.lagrangian, float_points=False), H)
+        assert _error(legendre_plus, D_GAS, t) == _error(legendre_plus, arrays, t) == (
+            "overflow encountered in add")
+        cold = LagrangianThermoSystem(
+            n=1, L=lambda q, v, S: 0.5 * v * v, dLdq=lambda q, v, S: 0.0 * q,
+            dLdv=lambda q, v, S: v, dLdS=lambda q, v, S: 0.0, Ffr=lambda q, v, S: -v,
+            float_points=True)
+        for sys in (cold, dataclasses.replace(cold, float_points=False)):
+            with pytest.raises(TemperatureDegenerateError):
+                _error(legendre_plus, midpoint_discretize(sys, H),
+                       DiscreteTriple([0.0], [0.1], 0.0))
 
     def test_overflow_goes_unreported_without_the_array_redo(self, monkeypatch):
         # the mutant: the shared fallback hands back the value on floats and
@@ -806,8 +826,7 @@ class TestOneTripleOnFloats:
         lag = dataclasses.replace(TP.lagrangian, d2LdqdS=None)
         assert lag.float_points and lag.d2LdqdS.generic
         d = midpoint_discretize(lag, H)
-        assert all(_marked(getattr(d, f)) for f in DIAGNOSTIC_FIELDS[:6] + ("pi_minus_dq1",))
-        assert not _marked(d.dpi_minus) and not _marked(d.dpi_plus)
+        assert d.float_points
         arrays = midpoint_discretize(dataclasses.replace(lag, float_points=False), H)
         fd = dataclasses.replace(d, dpi_minus=None, dpi_plus=None)
         t = DiscreteTriple([1.0, 1.1], [1.01, 1.09], 1.0)

@@ -1,7 +1,6 @@
 import dataclasses
 import gc
 import hashlib
-import inspect
 from functools import partial
 from sys import setprofile
 
@@ -522,8 +521,6 @@ def _dividing_pass(d):
         pi, rest, args = d.triple_pass(q0, q1, S0)
         dsl = 1.0 if q1 < 0.05 else 0.0
         return pi, lambda *a: (rest(*a)[0], (q1 - q0) / dsl), args
-    # it steps on floats as the pass it wraps does
-    triple_pass.__wrapped__ = d.triple_pass
     return triple_pass
 
 
@@ -802,7 +799,6 @@ class TestFloatPoints:
         def traced(q0, q1, S0):
             seen.add((type(q0), type(q1)))
             return pass_(q0, q1, S0)
-        traced.__wrapped__ = pass_
         swapped = dataclasses.replace(d, triple_pass=traced)
         for t in triples:
             image = discrete_flow(swapped, t, cfg).as_array()
@@ -813,9 +809,10 @@ class TestFloatPoints:
                              ids=["unmarked", "marked"])
     def test_kernel_mark_chooses_the_point(self, marked, kind):
         # a hand-written n = 1 pass and Newton matrix, the ideal gas's midpoint
-        # kernel behind wrappers that refuse any other kind of point: unmarked
-        # they are handed arrays, marked float_points floats, and integrate,
-        # discrete_flow and pullback_check keep the bytes of the catalog kernel
+        # kernel behind wrappers that refuse any other kind of point: in a copy
+        # declared without float points they are handed arrays, with them
+        # floats, and integrate, discrete_flow and pullback_check keep the
+        # bytes of the catalog kernel
         h = 0.01
         d = midpoint_discretize(GAS.lagrangian, h)
 
@@ -824,10 +821,9 @@ class TestFloatPoints:
                 if not (type(q0) is kind and type(q1) is kind):
                     raise AssertionError(f"handed {type(q0).__name__} points")
                 return fn(q0, q1, S0)
-            wrapper.float_points = marked
             return wrapper
         by_hand = dataclasses.replace(d, triple_pass=refusing(d.triple_pass),
-                                      pi_minus_dq1=refusing(d.pi_minus_dq1))
+                                      pi_minus_dq1=refusing(d.pi_minus_dq1), float_points=marked)
         cfg = ExperimentConfig(system="ideal-gas", h=h, t_final=h)
         start = initialize(GAS, cfg.q0, cfg.v0, cfg.S0, h, cfg.init_mode)
         newton = NewtonConfig(tol=default_newton_tol("ideal-gas", h))
@@ -871,13 +867,20 @@ class TestFloatPoints:
         assert type(maps[0]) is float and maps[0] == maps[1]
 
     def test_only_one_dimensional_systems_declare_float_points(self):
-        # float points are one or two floats; a system of three dimensions
-        # cannot declare them
+        # float points are one or two floats; a system of three dimensions,
+        # continuous or discrete, cannot declare them, and a discrete system
+        # that derives its pass or its Newton matrix steps on arrays
         lag = get_system("two-pistons").lagrangian
         three = LagrangianThermoSystem(n=3, L=lag.L, dLdq=lag.dLdq, dLdv=lag.dLdv,
                                        dLdS=lag.dLdS, float_points=False)
         with pytest.raises(ValueError, match="one or two dimensions"):
             dataclasses.replace(three, float_points=True)
+        d = midpoint_discretize(lag, 0.01)
+        with pytest.raises(ValueError, match="one or two dimensions"):
+            dataclasses.replace(d, n=3)
+        for derived in ("triple_pass", "pi_minus_dq1"):
+            copy = dataclasses.replace(d, **{derived: None})
+            assert not copy.float_points and type(_point(copy, np.ones(2))) is np.ndarray
 
     def test_kernel_takes_float_point(self):
         # every kernel callable at a float point (the ideal gas: the midpoint
@@ -908,9 +911,8 @@ class TestFloatPoints:
     @pytest.mark.parametrize("name", ["oscillator", "ideal-gas", "two-pistons"])
     def test_swapped_kernel_is_called_on_floats(self, name):
         # a profiler swaps each kernel callable, through dataclasses.replace,
-        # for a plain wrapper carrying __wrapped__: the wrapper is kept as it
-        # is, called with float points (tuples of two floats at n = 2), and
-        # the path keeps its bytes
+        # for a plain wrapper: the wrapper is kept as it is, called with float
+        # points (tuples of two floats at n = 2), and the path keeps its bytes
         entry = get_system(name)
         cfg = ExperimentConfig(system=name, h=0.01, t_final=0.01)
         data = initialize(entry, cfg.q0, cfg.v0, cfg.S0, cfg.h, cfg.init_mode)
@@ -921,7 +923,6 @@ class TestFloatPoints:
             def wrapper(q0, q1, S0):
                 seen.add((type(q0), type(q1)))
                 return fn(q0, q1, S0)
-            wrapper.__wrapped__ = fn
             return wrapper
 
         wrappers = {attr: traced(getattr(d, attr)) for attr in
@@ -937,17 +938,38 @@ class TestFloatPoints:
         assert seen == {(point, point)}
 
     @pytest.mark.parametrize("name,h", CATALOG_CELLS)
-    def test_marked_kernel_is_not_unwrapped(self, name, h, monkeypatch):
-        # a catalog kernel carries its own mark, so choosing its point reads
-        # the mark and unwraps nothing; a wrapper without the mark is still
-        # unwrapped (test_swapped_kernel_is_called_on_floats)
+    def test_plainly_wrapped_system_runs_its_own_kernel(self, name, h, monkeypatch):
+        # a profiler wraps every callable field of a Lagrangian and of its
+        # discretization, through dataclasses.replace, in a plain wrapper that
+        # carries no attribute: the copies keep their declarations, so the
+        # kernel is handed float points, a warm gas step forms e^S once, and
+        # the 500-step path keeps its bytes
         d, start, cfg = _catalog_start(name, h)
-        expected = _triple_bytes(discrete_flow(d, DiscreteTriple(*start), cfg))
-        unwrapped = []
-        monkeypatch.setattr(inspect, "unwrap", lambda f, **kw: unwrapped.append(f) or f)
-        image = discrete_flow(d, DiscreteTriple(*start), cfg)
-        assert unwrapped == []
-        assert _triple_bytes(image) == expected
+        seen = set()
+
+        def plain(fn):
+            def wrapper(*args):
+                seen.add(type(args[0]))
+                return fn(*args)
+            return wrapper
+
+        def wrapped(obj):
+            return dataclasses.replace(obj, **{
+                f.name: plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)
+                if callable(getattr(obj, f.name))})
+
+        traced = wrapped(midpoint_discretize(wrapped(get_system(name).lagrangian), h))
+        path = _run(d, start, 500, cfg)
+        assert isinstance(path, bytes) and _run(traced, start, 500, cfg) == path
+        assert seen == {float if d.n == 1 else tuple}
+        counting = _CountingExp()
+        monkeypatch.setattr(systems, "np", counting)
+        calls = []
+        for N in (12, 2):
+            counting.calls = 0
+            integrate(traced, *start, N, cfg)
+            calls.append(counting.calls)
+        assert (calls[0] - calls[1]) / 10 == (name != "oscillator")
 
     def test_warm_oscillator_step_call_count(self):
         # the Python calls of one cold n = 1 step with a warm interpreter,
@@ -1011,15 +1033,15 @@ class TestFloatPoints:
         assert (calls[0] - calls[1]) / 10 == count
 
     @pytest.mark.parametrize("name,triple,counts", [
-        pytest.param("ideal-gas", ([1.0], [1.01], 10.0), (15, 18), id="ideal-gas"),
-        pytest.param("two-pistons", ([1.0, 1.1], [1.01, 1.09], 1.0), (18, 14),
+        pytest.param("ideal-gas", ([1.0], [1.01], 10.0), (13, 18), id="ideal-gas"),
+        pytest.param("two-pistons", ([1.0, 1.1], [1.01, 1.09], 1.0), (16, 14),
                      id="two-pistons"),
     ])
     def test_one_triple_diagnostic_call_count(self, name, triple, counts):
         # the Python calls of one warm momentum_map at one triple, on float
         # points, and one warm omega_embedded, on arrays: a momentum map that
-        # hands its marked callables arrays again, or a frame added to
-        # either, changes the counts
+        # hands its callables arrays again, or a frame added to either,
+        # changes the counts
         d = midpoint_discretize(get_system(name).lagrangian, 0.01)
         t = DiscreteTriple(*triple)
         ones = np.ones(d.n)
@@ -1056,11 +1078,7 @@ class TestFloatPoints:
         d = midpoint_discretize(free.lagrangian, 0.01)
         newton = NewtonConfig(tol=default_newton_tol("two-pistons", 0.01))
 
-        def unbound(q0, q1, S0):  # the pass without its bind_S mark
-            return d.triple_pass(q0, q1, S0)
-
-        unbound.float_points = True
-        want = integrate(dataclasses.replace(d, triple_pass=unbound), q0, q1, S0, 12, newton)
+        want = integrate(dataclasses.replace(d, bind_S=None), q0, q1, S0, 12, newton)
         counting = _CountingExp()
         monkeypatch.setattr(systems, "np", counting)
         calls = []
@@ -1181,8 +1199,8 @@ class TestFloatPoints:
 
 
 def _scripted(pi_minus, newton_matrix, n=1):
-    """A system with a scripted Newton solve, its kernel marked to step on
-    float points at n = 1, on arrays at n = 2: after the cold pass of the
+    """A system with a scripted Newton solve, declared to step on float
+    points at n = 1, on arrays at n = 2: after the cold pass of the
     first triple, whose target pi_plus and entropy increment are 0, the
     pass of (q, x, S) gives pi_minus(x) and a rest whose target is 0 and
     whose entropy increment is the first entry of x, and the Newton matrix
@@ -1204,11 +1222,9 @@ def _scripted(pi_minus, newton_matrix, n=1):
     def matrix(q0, q1, S0):
         return newton_matrix(q1)
 
-    if n == 1:
-        triple_pass.float_points = matrix.float_points = True
     return DiscreteThermoSystem(
         n=n, h=1.0, Ld=unused, D1Ld=unused, D2Ld=unused, DSLd=unused, ffr_minus=unused,
-        ffr_plus=unused, triple_pass=triple_pass, pi_minus_dq1=matrix)
+        ffr_plus=unused, triple_pass=triple_pass, pi_minus_dq1=matrix, float_points=n == 1)
 
 
 class _CountingExp:
