@@ -13,13 +13,13 @@ this order fixes the bits of the H columns of the CSVs.  Entries also
 carry, where available, an exact solution and a closed-form discrete
 update.
 
-The gases' fields share the factor e^S.  They declare ``bind_S = _bind``
-(see `LagrangianThermoSystem`): the kernel binds each step's S once, and
-every field of the step reads that e^S off the bound S; a field called
-with a plain S forms e^S itself (`_exp`).  No state is kept
-between calls.  At a float point a gas field is one Python frame, its
-guard and powers inline; `_power`, `_uniform` and `_matrix` serve arrays,
-points of two floats and stacks.
+Each gas writes its fields as one formula, k e^S V^e for the ideal-gas
+cylinders and k e^S (x - b)^e + a x^-p for Van der Waals, a field one
+Python frame at a float point.  The fields share e^S and declare ``bind_S =
+_bind`` (see `LagrangianThermoSystem`): the kernel binds each step's S once
+and every field reads e^S off it; a field given a plain S forms e^S itself
+(`_exp`), and no state is kept between calls.  `_power`, `_uniform` and
+`_matrix` serve arrays, points of two floats and stacks.
 """
 
 import errno
@@ -69,10 +69,11 @@ class SystemCatalogEntry:
     ``**`` differs in 1115 of 20 000 arguments (e = -2/3) and an einsum
     pairing in 3220 of 20 000 (n = 2).
 
-    The gases bind S (`_bind`): a step forms e^S once and every callable of
-    the step reads it off the bound S; a call with a plain S forms its own
-    e^S, a Python float at a float point and numpy's value at an array
-    point, whose arithmetic numpy's error state sees as it sees a stack's.
+    Each gas's fields are one formula, k e^S V^e or k e^S (x - b)^e +
+    a x^-p, and it binds S (`_bind`): a step forms e^S once for every
+    callable of the step; a call with a plain S forms its own e^S, a Python
+    float at a float point and numpy's at an array point, whose arithmetic
+    numpy's error state sees as it sees a stack's.
     """
 
     lagrangian: LagrangianThermoSystem
@@ -224,26 +225,25 @@ def _separable(name, n, gamma, potential, force, force_dq, force_dS, temperature
                bind_S=None, **entry_fields):
     """The catalog entry of L = |v|^2/2 - V(q, S) with friction -gamma v.
 
-    ``potential`` holds the terms of V and ``temperature`` = dV/dS, callables
-    of (q, S); ``force`` = -dV/dq, its q-Jacobian ``force_dq`` and
-    ``force_dS`` = -d2V/dqdS are callables of (q, v, S), the fields dL/dq,
-    d2L/dq2 and d2L/dqdS themselves.  Every other field of L follows, and
-    H = |p|^2/2 + V.  ``bind_S``, where the fields share a factor of S,
-    binds S once for them (see `LagrangianThermoSystem`).
+    ``potential`` holds the terms of V and ``temperature`` = dV/dS; ``force``
+    = -dV/dq, its q-Jacobian ``force_dq`` and ``force_dS`` = -d2V/dqdS are
+    the fields dL/dq, d2L/dq2 and d2L/dqdS.  All take (q, v, S), as every
+    field does; the rest of L follows, H = |p|^2/2 + V, and ``bind_S`` binds
+    S for fields that share a factor of it (see `LagrangianThermoSystem`).
     """
     eye, zeros, zero = np.eye(n), np.zeros((n, n)), np.zeros(n)
 
     def L(q, v, S):
         value = 0.5 * pair(v, v)
         for term in potential:
-            value = value - term(q, S)
+            value = value - term(q, v, S)
         return value
 
     def H(q, p, S):
         q, p = vec(q), vec(p)
         value = 0.5 * pair(p, p)
-        for term in potential:
-            value = value + term(q, S)
+        for term in potential:  # p is v, as dL/dv = v
+            value = value + term(q, p, S)
         # a float at one point, where a term may be numpy's float (see `_exp`)
         return float(value) if q.ndim == 1 else value
 
@@ -252,7 +252,7 @@ def _separable(name, n, gamma, potential, force, force_dq, force_dS, temperature
         L=L,
         dLdq=force,
         dLdv=lambda q, v, S: v,
-        dLdS=lambda q, v, S: -temperature(q, S),
+        dLdS=lambda q, v, S: -temperature(q, v, S),
         # per entry at a point of two floats
         Ffr=(lambda q, v, S: -gamma * v) if n == 1 else (
             lambda q, v, S: (-gamma * v[0], -gamma * v[1]) if type(v) is tuple else -gamma * v),
@@ -442,8 +442,8 @@ def oscillator(gamma=0.1):
     together with S_k = S_{k-1} + (q_k - q_{k-1})^2 / h.  The exact
     solution is supplied in the underdamped regime 0 < gamma < 2 only.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < np.inf:
+        raise ValueError("gamma must be positive and finite")
     g = float(gamma)
 
     def coefficients(h):
@@ -452,11 +452,11 @@ def oscillator(gamma=0.1):
 
     return _separable(
         "oscillator", 1, g,
-        potential=(lambda q, S: 0.5 * pair(q, q), lambda q, S: g * S),
+        potential=(lambda q, v, S: 0.5 * pair(q, q), lambda q, v, S: g * S),
         force=lambda q, v, S: -q,
         force_dq=_constant(-np.eye(1)),
         force_dS=_constant(np.zeros(1)),
-        temperature=lambda q, S: g,
+        temperature=lambda q, v, S: g,
         exact_solution=((lambda q0, v0, S0: DampedOscillatorSolution(g, q0, v0, S0))
                         if g < 2 else None),
         update_coefficients=coefficients,
@@ -471,40 +471,31 @@ def _ideal_gas(name, n, gamma, c, volume, lo=None, **entry_fields):
     """The entry of a monoatomic ideal gas, L = |v|^2/2 - U with U = e^S
     V^{-1/c} and friction -gamma v, in the volume V = ``volume(q)`` after its
     guard: a sum of the n coordinates, so every pressure is -dU/dV and every
-    entry of their q-Jacobian -d2U/dV2.  Each field reads e^S off a bound S
-    (`_bind`) or forms it (`_exp`).  ``lo`` is given where V is the one
+    entry of their q-Jacobian -d2U/dV2.  ``lo`` is given where V is the one
     coordinate q, and is the lower bound of its guard: a float q above it is
-    V, with no call, and the guard decides everywhere else.  A float V takes
-    its power inline, a stack's `_power`."""
+    V, with no call, and the guard decides everywhere else."""
     lo = np.inf if lo is None else float(lo)  # else no float q is V
     ex = 1.0 / float(c)
-    e0, e1, e2 = -ex, -ex - 1.0, -ex - 2.0
-    k2 = -ex * (ex + 1.0)
 
-    def U(q, S):  # internal energy e^S V^{-1/c}, also its own S-derivative
-        E = S.exp if type(S) is _BoundS else _exp(q, S)
-        if type(q) is float and q > lo:
-            return E * q ** e0
-        V = volume(q)
-        return E * (V ** e0 if type(V) is float else _power(V, e0))
+    def formula(k, e, layout=None):
+        """The field k e^S V^e, laid out at q by ``layout`` or a scalar, with
+        e^S read off a bound S or formed; one frame at a float point."""
 
-    def pressures(q, v, S):  # dL/dq_i = -dU/dV, also their own S-derivatives
-        E = S.exp if type(S) is _BoundS else _exp(q, S)
-        if type(q) is float and q > lo:
-            return ex * E * q ** e1
-        V = volume(q)
-        return _uniform(q, ex * E * (V ** e1 if type(V) is float else _power(V, e1)))
+        def field(q, v, S):
+            E = S.exp if type(S) is _BoundS else _exp(q, S)
+            if type(q) is float and q > lo:
+                return k * E * q ** e
+            V = volume(q)
+            value = k * E * (V ** e if type(V) is float else _power(V, e))
+            return value if layout is None else layout(q, value)
 
-    def stiffness(q, v, S):  # d2L/dq_i dq_j = -d2U/dV2
-        E = S.exp if type(S) is _BoundS else _exp(q, S)
-        if type(q) is float and q > lo:
-            return k2 * E * q ** e2
-        V = volume(q)
-        return _matrix(q, k2 * E * (V ** e2 if type(V) is float else _power(V, e2)))
+        return field
 
+    # U is also its own S-derivative, and the pressures dL/dq_i theirs
+    U, pressures = formula(1.0, -ex), formula(ex, -ex - 1.0, _uniform)
     return _separable(name, n, float(gamma), potential=(U,), force=pressures,
-                      force_dq=stiffness, force_dS=pressures, temperature=U, bind_S=_bind,
-                      **entry_fields)
+                      force_dq=formula(-ex * (ex + 1.0), -ex - 2.0, _matrix),
+                      force_dS=pressures, temperature=U, bind_S=_bind, **entry_fields)
 
 
 def ideal_gas(gamma=0.1, c=1.5):
@@ -514,8 +505,8 @@ def ideal_gas(gamma=0.1, c=1.5):
     L = v^2/2 - e^S x^{-1/c} with c the scaled molar heat capacity;
     friction -gamma v dx.  The piston position must stay positive.
     """
-    if gamma <= 0 or c <= 0:
-        raise ValueError("gamma and c must be positive")
+    if not (0 < gamma < np.inf and 0 < c < np.inf):
+        raise ValueError("gamma and c must be positive and finite")
     lo = 0.0  # the bound of the volume x, which the guard and the float points read
     return _ideal_gas("ideal-gas", 1, gamma, c,
                       _coordinate_above(lo, "piston position must stay positive"), lo)
@@ -530,8 +521,8 @@ def two_pistons(gamma=0.1, c=1.5):
     invariant; without it, vx - vy is the Noether charge of the
     translation generator (-1, 1).
     """
-    if gamma < 0 or c <= 0:
-        raise ValueError("gamma must be nonnegative and c positive")
+    if not (0 <= gamma < np.inf and 0 < c < np.inf):
+        raise ValueError("gamma and c must be finite, gamma nonnegative and c positive")
     g = float(gamma)
     invariants = {
         "cartan": lambda st: g * (st.q[0] - st.q[1]) + st.v[0] - st.v[1],
@@ -558,54 +549,38 @@ def van_der_waals(gamma=0.1, a_hat=1.0e3, b_hat=0.1):
     degrees of freedom (the 2/3 exponent is the monoatomic 1/c).  The
     position must stay above the excluded volume b.
     """
-    if gamma <= 0 or b_hat < 0:
-        raise ValueError("gamma must be positive and b_hat nonnegative")
+    if not (0 < gamma < np.inf and -np.inf < a_hat < np.inf and 0 <= b_hat < np.inf):
+        raise ValueError("gamma, a_hat and b_hat must be finite, gamma > 0 and b_hat >= 0")
     g, ah, bh = float(gamma), float(a_hat), float(b_hat)
 
     # bh >= 0, so x > bh also keeps x positive; at a float point x is q
     # where q > bh, with no call, and the guard decides everywhere else
     xval = _coordinate_above(bh, f"position must exceed the excluded volume {bh}")
 
-    def U(q, S):
-        E = S.exp if type(S) is _BoundS else _exp(q, S)
-        if type(q) is float and q > bh:
-            return E * (q - bh) ** (-2.0 / 3.0)
-        return E * _power(xval(q) - bh, -2.0 / 3.0)
+    def formula(k, e, a=None, p=None, layout=None):
+        """k e^S (x - b)^e + a x^-p, no a term where a is None, as `_ideal_gas`'s."""
 
-    def force(q, v, S):  # dL/dx
-        E = S.exp if type(S) is _BoundS else _exp(q, S)
-        if type(q) is float and q > bh:
-            return (2.0 / 3.0) * E * (q - bh) ** (-5.0 / 3.0) - ah / q ** 2
-        x = xval(q)
-        return _uniform(q, (2.0 / 3.0) * E * _power(x - bh, -5.0 / 3.0) - ah / _power(x, 2))
+        def field(q, v, S):
+            E = S.exp if type(S) is _BoundS else _exp(q, S)
+            if type(q) is float and q > bh:
+                value = k * E * (q - bh) ** e
+                return value if a is None else value + a / q ** p
+            x = xval(q)
+            on_float = type(x) is float
+            value = k * E * ((x - bh) ** e if on_float else _power(x - bh, e))
+            if a is not None:
+                value = value + a / (x ** p if on_float else _power(x, p))
+            return value if layout is None else layout(q, value)
 
-    def stiffness(q, v, S):  # d2L/dx2
-        E = S.exp if type(S) is _BoundS else _exp(q, S)
-        if type(q) is float and q > bh:
-            return -(10.0 / 9.0) * E * (q - bh) ** (-8.0 / 3.0) + 2.0 * ah / q ** 3
-        x = xval(q)
-        # `_power` inlined at an array point, whose x is a float
-        if type(x) is float:
-            powers = (x - bh) ** (-8.0 / 3.0), x ** 3
-        else:
-            powers = _power(x - bh, -8.0 / 3.0), _power(x, 3)
-        return _matrix(q, -(10.0 / 9.0) * E * powers[0] + 2.0 * ah / powers[1])
+        return field
 
-    def force_dS(q, v, S):  # d2L/dx dS
-        E = S.exp if type(S) is _BoundS else _exp(q, S)
-        if type(q) is float and q > bh:
-            return (2.0 / 3.0) * E * (q - bh) ** (-5.0 / 3.0)
-        return _uniform(q, (2.0 / 3.0) * E * _power(xval(q) - bh, -5.0 / 3.0))
-
+    U = formula(1.0, -2.0 / 3.0)
     return _separable(
-        "van-der-waals", 1, g,
-        potential=(U, lambda q, S: -ah / xval(q)),
-        force=force,
-        force_dq=stiffness,
-        force_dS=force_dS,
-        temperature=U,
-        bind_S=_bind,
-    )
+        "van-der-waals", 1, g, potential=(U, lambda q, v, S: -ah / xval(q)),
+        force=formula(2.0 / 3.0, -5.0 / 3.0, -ah, 2, _uniform),  # dL/dx
+        force_dq=formula(-(10.0 / 9.0), -8.0 / 3.0, 2.0 * ah, 3, _matrix),  # d2L/dx2
+        force_dS=formula(2.0 / 3.0, -5.0 / 3.0, layout=_uniform),  # d2L/dx dS
+        temperature=U, bind_S=_bind)
 
 
 CATALOG = {

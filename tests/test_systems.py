@@ -505,6 +505,53 @@ def test_one_dimensional_guard_at_its_boundary(name, lo, what):
             L(q, v, S)
 
 
+@pytest.mark.parametrize("name", ["ideal-gas", "van-der-waals", "two-pistons"])
+def test_binding_S_changes_no_bit(name):
+    # every field that reads S returns the bytes of the plain-S call when
+    # handed the bound S, at a float point (a pair of floats for
+    # two-pistons), at an array point and on a stack, whose S stays as it is
+    lag = get_system(name).lagrangian
+    n, rng = lag.n, np.random.default_rng(43)
+    floats = (1.25, 0.5, 1.5) if n == 1 else ((1.25, 1.1), (0.5, -0.3), 1.5)
+    array = (np.array([1.25, 1.1][:n]), np.array([0.5, -0.3][:n]), 1.5)
+    stack = (rng.uniform(0.6, 1.6, (5, n)), rng.uniform(-1.0, 1.0, (5, n)),
+             rng.uniform(0.0, 2.0, 5))
+    for q, v, S in (floats, array, stack):
+        bound = lag.bind_S(q, S)
+        assert hasattr(bound, "exp") == isinstance(S, float)
+        accel = [] if type(q) is tuple else ["accel"]
+        for f in ["L", "dLdq", "dLdS", "d2Ldq2", "d2LdqdS", *accel]:
+            got, want = getattr(lag, f)(q, v, bound), getattr(lag, f)(q, v, S)
+            assert type(got) is type(want), (f, type(q))
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (f, type(q))
+
+
+@pytest.mark.parametrize("name,key", [
+    ("oscillator", "gamma"), ("ideal-gas", "gamma"), ("ideal-gas", "c"),
+    ("two-pistons", "gamma"), ("two-pistons", "c"), ("van-der-waals", "gamma"),
+    ("van-der-waals", "a_hat"), ("van-der-waals", "b_hat"),
+])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_factory_rejects_a_parameter_that_is_not_finite(name, key, value):
+    # NaN fails every comparison, so a check written as a bad sign would
+    # pass it; each check is written as the range a parameter must lie in
+    with pytest.raises(ValueError, match=key):
+        get_system(name, **{key: value})
+
+
+def test_factories_keep_their_sign_rules():
+    # two-pistons takes no friction, Van der Waals no excluded volume and
+    # any finite a_hat; the others take neither a zero friction nor a zero c
+    get_system("two-pistons", gamma=0.0)
+    get_system("van-der-waals", a_hat=-1.0, b_hat=0.0)
+    for name, key in (("oscillator", "gamma"), ("ideal-gas", "gamma"), ("ideal-gas", "c"),
+                      ("two-pistons", "c"), ("van-der-waals", "gamma")):
+        with pytest.raises(ValueError, match=key):
+            get_system(name, **{key: 0.0})
+    with pytest.raises(ValueError, match="b_hat"):
+        get_system("van-der-waals", b_hat=-0.1)
+
+
 def test_catalog_names():
     assert set(CATALOG) == {"oscillator", "ideal-gas", "van-der-waals", "two-pistons"}
     with pytest.raises(KeyError):
